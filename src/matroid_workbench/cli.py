@@ -60,6 +60,10 @@ class FileTutteCache(tutte.TutteCache):
 
     Filenames are content-addressed (sha256 of the key), so unrelated
     matroids never collide and warm runs are byte-identical to cold ones.
+    An entry read from disk is used only if it parses, its degrees stay
+    within the rank and corank, and it passes T(1,1) = #bases and
+    T(2,2) = 2^#E for the matroid being looked up; otherwise it counts as a
+    miss and the recomputed entry replaces it.
     """
 
     def __init__(self, directory):
@@ -70,15 +74,25 @@ class FileTutteCache(tutte.TutteCache):
     def _path(self, key):
         return os.path.join(self.directory, hashlib.sha256(key).hexdigest() + ".json")
 
-    def get(self, key):
+    def get(self, key, matroid=None):
         hit = super().get(key)
-        if hit is not None:
+        if hit is not None or matroid is None:  # a disk entry needs the matroid
             return hit
         path = self._path(key)
         if not os.path.exists(path):
             return None
-        with open(path, "r", encoding="utf-8") as fh:
-            poly = BivariatePoly.from_json(json.load(fh))
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                poly = BivariatePoly.from_json(json.load(fh))
+        except (OSError, ValueError, InvalidInput):
+            return None
+        if not (
+            poly.degree_x() <= matroid.r
+            and poly.degree_y() <= matroid.corank
+            and poly.evaluate(1, 1) == len(matroid.bases(limit=0))
+            and poly.evaluate(2, 2) == 2**matroid.size
+        ):
+            return None
         super().put(key, poly)
         return poly
 
@@ -178,8 +192,26 @@ def _cmd_verify_corpus(args):
     return 0 if report["all_pass"] else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one stderr line and exit code 2."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _int_at_least(low):
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse reports "invalid int value: ..."
+    return parse
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="matroid-workbench",
         description="Exact matroid invariants: Tutte/characteristic/h "
         "polynomials, Orlik-Solomon bases, Euler tables by fixed-point "
@@ -209,12 +241,14 @@ def build_parser():
             p.add_argument("--cache", help="directory for persistent memo tables")
         p.add_argument(
             "--budget",
-            type=int,
+            type=_int_at_least(0),
             default=0,
-            help="override the computation budget (fixed points / monomials)",
+            help="override the computation budget (fixed points / monomials; "
+            "0 keeps the default)",
         )
         p.add_argument(
-            "--jobs", type=int, default=1, help="worker threads (output-stable)"
+            "--jobs", type=_int_at_least(1), default=1,
+            help="worker threads (output-stable)",
         )
         return p
 

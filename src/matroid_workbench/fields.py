@@ -63,14 +63,31 @@ class RationalField:
         return hash("Q")
 
 
+# Deterministic Miller-Rabin with these bases is exact below 3.3 * 10^24,
+# which covers every modulus below MODULUS_LIMIT.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+MODULUS_LIMIT = 1 << 64
+
+
 def _is_prime(p):
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for q in _MR_BASES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -78,8 +95,8 @@ class PrimeField:
     characteristic: int
 
     def __init__(self, p: int):
-        if not isinstance(p, int) or not _is_prime(p):
-            raise InvalidField(f"GF({p!r}): modulus must be prime")
+        if type(p) is not int or p >= MODULUS_LIMIT or not _is_prime(p):
+            raise InvalidField(f"GF({p!r}): modulus must be a prime below 2^64")
         self.p = p
         self.characteristic = p
         self.name = f"GF({p})"
@@ -126,7 +143,8 @@ class PrimeField:
 
 QQ = RationalField()
 
-_GF_RE = re.compile(r"^GF\((\d+)\)$")
+# 20 digits reach past 2^64, so int() never sees a longer string
+_GF_RE = re.compile(r"^GF\((\d{1,20})\)$")
 
 
 def field_from_name(name: str):
@@ -136,4 +154,4 @@ def field_from_name(name: str):
     m = _GF_RE.match(name.strip()) if isinstance(name, str) else None
     if m:
         return PrimeField(int(m.group(1)))
-    raise InvalidField(f"unknown field {name!r} (expected 'Q' or 'GF(p)')")
+    raise InvalidField(f"unknown field {name!r} (expected 'Q' or 'GF(p)', p < 2^64)")

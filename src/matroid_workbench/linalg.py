@@ -3,8 +3,8 @@
 Two flavors live here: fraction-free integer echelon forms used by the hot
 rank oracles (rational matrices are stored with denominator-cleared integer
 columns, so all rank arithmetic stays in Z), and field-generic reduced row
-echelon / kernel routines used for quotients, duals, and Orlik-Solomon
-reductions, where the scalar work goes through a field object from fields.py.
+echelon / kernel routines used for minors and duals, where the scalar work
+goes through a field object from fields.py.
 
 The incremental echelons support push/pop in LIFO order only; that is what
 depth-first subset enumeration and flag walks need, and it keeps rollback

@@ -482,7 +482,8 @@ def _parse_matrix_entry(x):
 
 
 def from_descriptor(obj):
-    """Build a matroid from a JSON-style descriptor dict."""
+    """Build a matroid from a JSON-style descriptor dict, type-checking
+    every field so that malformed input raises InvalidInput."""
     if not isinstance(obj, dict) or "type" not in obj:
         raise InvalidInput("descriptor must be an object with a 'type' field")
     kind = obj["type"]
@@ -495,16 +496,25 @@ def from_descriptor(obj):
         matrix = [[_parse_matrix_entry(x) for x in row] for row in matrix]
         return from_matrix(field_from_name(obj["field"]), matrix)
     if kind == "uniform":
-        if not isinstance(obj.get("r"), int) or not isinstance(obj.get("n"), int):
+        if type(obj.get("r")) is not int or type(obj.get("n")) is not int:
             raise InvalidInput("uniform descriptor needs integer 'r' and 'n'")
         return uniform(obj["r"], obj["n"])
     if kind == "graphic":
         edges = obj.get("edges")
-        if not isinstance(edges, list):
-            raise InvalidInput("graphic descriptor needs an 'edges' list")
+        if not isinstance(edges, list) or not all(
+            isinstance(e, list) and len(e) == 2 and all(type(v) in (int, str) for v in e)
+            for e in edges
+        ):
+            raise InvalidInput(
+                "graphic descriptor needs an 'edges' list of [u, v] pairs "
+                "with integer or string vertices"
+            )
         return from_graph([tuple(e) for e in edges])
     if kind == "bases":
-        if not isinstance(obj.get("n"), int) or not isinstance(obj.get("bases"), list):
-            raise InvalidInput("bases descriptor needs integer 'n' and a 'bases' list")
-        return from_bases(obj["n"], [tuple(b) for b in obj["bases"]])
+        bases = obj.get("bases")
+        if type(obj.get("n")) is not int or not isinstance(bases, list) or not all(
+            isinstance(b, list) and all(type(e) is int for e in b) for b in bases
+        ):
+            raise InvalidInput("bases descriptor needs integer 'n' and integer-list 'bases'")
+        return from_bases(obj["n"], [tuple(b) for b in bases])
     raise InvalidInput(f"unknown descriptor type {kind!r}")

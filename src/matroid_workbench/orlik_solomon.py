@@ -1,73 +1,49 @@
 """Orlik-Solomon algebras with no-broken-circuit monomial bases.
 
-Degree-k piece: the span of k-fold wedges e_S modulo the ideal generated by
-boundaries of dependent sets. Concretely the degree-k relation space is
-spanned by
+The algebra is the exterior algebra on e_0..e_(n-1) modulo the ideal
+generated by the boundaries d e_S of dependent sets S, where d is the
+Koszul boundary d e_S = sum_i (-1)^i e_(S minus its (i+1)-th largest
+element). Over Z it is free on the nbc monomials: the sets containing no
+broken circuit C - min C (Bjorner 1982; Orlik-Terao 3.5).
 
-    (d e_S) ^ e_T   for S dependent, T disjoint from S, #S - 1 + #T = k
-    e_W             for W dependent with #W = k
+Normal forms come from straightening over Z. A dependent monomial is 0; a
+monomial containing a broken circuit is rewritten with the boundary
+relation of that circuit into lexicographically smaller monomials; an nbc
+monomial stays. The integer coefficients are memoized per matroid and
+mapped into the field only at the end, which the freeness over Z makes
+valid, so Q and every GF(p) share one code path and one set of dimensions.
 
-where d is the Koszul boundary d e_S = sum_i (-1)^i e_(S minus its
-(i+1)-th largest element). The second family is forced: a dependent
-monomial e_W is in the ideal (e_W = +-e_(W-C) ^ e_C for a circuit C in W,
-and e_C appears in d e_(C + c) terms), but it is not a combination of the
-first family alone once T is required to be disjoint.
-
-Row reduction pivots on the lexicographically largest subset first; the
-pivot monomials are then exactly the k-subsets containing a broken circuit,
-so the surviving columns are the nbc monomials. That equality is asserted
-at construction time rather than trusted.
-
-Everything is computed over a field object from fields.py; dimensions are
-the same for Q and for GF(p) (checked in tests), matching the fact that the
-nbc count is determined by the matroid alone.
+Cross-checks: in each degree the nbc count must equal the Whitney number
+from the characteristic polynomial of the corank-nullity sum, and each
+reduced-basis product must carry a unit at its own index set and zeros at
+the other nbc monomials avoiding 0.
 """
 from __future__ import annotations
 
 import itertools
-from math import comb
 
-from . import linalg
-from .errors import (
-    InternalInvariantViolation,
-    InvalidInput,
-    LooplessRequired,
-    TooLarge,
-)
+from . import tutte
+from .errors import InternalInvariantViolation, InvalidInput, LooplessRequired
 from .fields import QQ
 from .matroids import Matroid
 
-OS_DENSE_LIMIT = 1 << 20
-
 
 def _merge_sign(a, b):
-    """Merge two disjoint sorted tuples; (merged, sign) with the sign of the
-    shuffle, or None when they intersect."""
-    out = []
-    sign = 1
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i] == b[j]:
-            return None
-        if a[i] < b[j]:
-            out.append(a[i])
-            i += 1
-        else:
-            # b[j] jumps over the remaining entries of a
-            if (len(a) - i) % 2:
-                sign = -sign
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out), sign
+    """Merge two sorted tuples; (merged, sign of the shuffle), or None when
+    they intersect. The sign is the parity of the pairs x in a, y in b with
+    x > y."""
+    if not set(a).isdisjoint(b):
+        return None
+    inversions = sum(x > y for x in a for y in b)
+    return tuple(sorted(a + b)), -1 if inversions % 2 else 1
 
 
 class ExteriorElement:
     """Homogeneous element of the exterior algebra on e_0..e_(n-1).
 
-    Terms map sorted index tuples to nonzero field scalars. The degree is
-    carried explicitly so the zero element of each degree is distinct.
+    Terms map sorted index tuples to nonzero field scalars; the constructor
+    drops zero coefficients. The degree is carried explicitly so the zero
+    element of each degree is distinct.
     """
 
     __slots__ = ("field", "degree", "terms")
@@ -100,11 +76,7 @@ class ExteriorElement:
             raise InvalidInput("cannot add elements of different degrees")
         t = dict(self.terms)
         for k, c in other.terms.items():
-            s = self.field.add(t.get(k, self.field.zero), c)
-            if self.field.is_zero(s):
-                t.pop(k, None)
-            else:
-                t[k] = s
+            t[k] = self.field.add(t.get(k, self.field.zero), c)
         return ExteriorElement(self.field, self.degree, t)
 
     def __sub__(self, other):
@@ -126,13 +98,7 @@ class ExteriorElement:
                     continue
                 key, sign = merged
                 c = f.mul(ca, cb)
-                if sign < 0:
-                    c = f.neg(c)
-                s = f.add(t.get(key, f.zero), c)
-                if f.is_zero(s):
-                    t.pop(key, None)
-                else:
-                    t[key] = s
+                t[key] = f.add(t.get(key, f.zero), c if sign > 0 else f.neg(c))
         return ExteriorElement(f, self.degree + other.degree, t)
 
     def __eq__(self, other):
@@ -183,7 +149,6 @@ def nbc_sets(M: Matroid, k):
     Such sets are automatically independent: a dependent set contains a
     circuit, hence that circuit's broken circuit.
     """
-    _require_loopless(M)
     if k < 0 or k > M.size:
         raise InvalidInput(f"degree {k} out of range 0..{M.size}")
     bcs = [frozenset(b) for b in broken_circuits(M)]
@@ -196,45 +161,29 @@ def nbc_sets(M: Matroid, k):
 
 
 class OSSpace:
-    """Degree-k piece of the Orlik-Solomon algebra with reduction data.
+    """Degree-k piece of the Orlik-Solomon algebra.
 
     `nbc` lists the monomial basis; `reduce` rewrites any degree-k element
     as its normal form on that basis.
     """
 
-    def __init__(self, matroid, k, field, nbc, rows, pivots, rpos, rcols):
+    def __init__(self, matroid, k, field, nbc):
         self.matroid = matroid
         self.degree = k
         self.field = field
         self.nbc = nbc
-        self.ambient_dim = len(rcols)
-        self.relation_rank = len(rows)
-        self.dimension = self.ambient_dim - self.relation_rank
-        self._rows = rows
-        self._pivots = pivots
-        self._rpos = rpos
-        self._rcols = rcols
-
-    def _dense(self, x: ExteriorElement):
-        v = [self.field.zero] * self.ambient_dim
-        for key, c in x.terms.items():
-            pos = self._rpos.get(key)
-            if pos is None:
-                raise InvalidInput(f"term {key} is not a degree-{self.degree} subset")
-            v[pos] = c
-        return v
+        self.dimension = len(nbc)
 
     def reduce(self, x: ExteriorElement) -> ExteriorElement:
         """Normal form of x on the nbc basis (a representative, not a coset)."""
         if x.degree != self.degree:
             raise InvalidInput(f"element degree {x.degree} != space degree {self.degree}")
         f = self.field
-        v = self._dense(x)
-        for row, piv in zip(self._rows, self._pivots):
-            c = v[piv]
-            if not f.is_zero(c):
-                v = [f.sub(a, f.mul(c, b)) for a, b in zip(v, row)]
-        terms = {self._rcols[i]: c for i, c in enumerate(v) if not f.is_zero(c)}
+        straighten = _straightener(self.matroid)
+        terms = {}
+        for key, c in x.terms.items():
+            for s, n in straighten(key).items():
+                terms[s] = f.add(terms.get(s, f.zero), f.mul(c, f.of(n)))
         return ExteriorElement(f, self.degree, terms)
 
     def coordinates(self, x: ExteriorElement):
@@ -243,86 +192,83 @@ class OSSpace:
         return [red.terms.get(s, self.field.zero) for s in self.nbc]
 
 
-def _dependent_sets(M, size):
-    if size > M.size:
-        return []
-    return [s for s in itertools.combinations(M.elements, size) if M.rank(s) < size]
+def _straightener(M):
+    """Memoized integer normal forms on M: sorted S -> {nbc subset: int}.
 
-
-def os_space(M: Matroid, k, field=QQ, circuits_only=False) -> OSSpace:
-    """Build the degree-k Orlik-Solomon space over `field`.
-
-    Dense reduction is capped at C(#E, k) <= 2^20 columns (TooLarge above).
-    The nbc monomials must come out as exactly the non-pivot columns; any
-    mismatch is an internal bug, not an input condition.
-
-    circuits_only restricts the boundary generators to circuits (the
-    dependent-monomial units e_W stay); the resulting space is the same
-    and the nbc assertion would trip if it were not. Those runs bypass
-    the per-matroid cache so both generator families actually execute.
+    A dependent e_S is 0. If S holds the broken circuit B = C - c0 of the
+    first circuit C (in M.circuits() order) with c0 = min C, then c0 is not
+    in S (S would be dependent), and the boundary relation of C, wedged
+    with e_(S - B), gives e_S as the sum over b in B of
+    (-1)^(pos of b in S + pos of c0 in T) e_T with T = (S - b) + c0.
+    Each T is lexicographically smaller than S, so the recursion ends. A set
+    with no broken circuit is nbc and its own normal form.
     """
-    _require_loopless(M)
-    if k < 0 or k > M.size:
-        raise InvalidInput(f"degree {k} out of range 0..{M.size}")
+    straighten = getattr(M, "_os_straighten", None)
+    if straighten is not None:
+        return straighten
+    rules = [(c[0], c[1:], frozenset(c[1:])) for c in M.circuits()]
+    memo = {}
+
+    def straighten(S):
+        out = memo.get(S)
+        if out is not None:
+            return out
+        out = {}
+        if M.rank(S) == len(S):
+            ss = frozenset(S)
+            rule = next((r for r in rules if r[2] <= ss), None)
+            if rule is None:
+                out[S] = 1
+            else:
+                c0, broken, _ = rule
+                for b in broken:
+                    T = tuple(sorted((ss - {b}) | {c0}))
+                    sign = -1 if (S.index(b) + T.index(c0)) % 2 else 1
+                    for u, n in straighten(T).items():
+                        out[u] = out.get(u, 0) + sign * n
+                out = {u: n for u, n in out.items() if n}
+        memo[S] = out
+        return out
+
+    M._os_straighten = straighten
+    return straighten
+
+
+def _whitney_numbers(M):
+    """[|coefficient of u^(r-k)| in chi_M for k = 0..#E], from tutte_sum."""
+    w = getattr(M, "_os_whitney", None)
+    if w is None:
+        chi = tutte.char_poly(M)
+        w = M._os_whitney = [abs(chi.coeff(M.r - k)) for k in range(M.size + 1)]
+    return w
+
+
+def os_space(M: Matroid, k, field=QQ) -> OSSpace:
+    """The degree-k Orlik-Solomon space over `field`.
+
+    Its dimension is the nbc count, which must equal the k-th Whitney
+    number |chi_M coefficient of u^(r-k)| (0 above the rank); a mismatch is
+    an internal bug, not an input condition.
+    """
     cache = getattr(M, "_os_cache", None)
     if cache is None:
         cache = M._os_cache = {}
     ck = (k, field.name)
-    if not circuits_only and ck in cache:
+    if ck in cache:
         return cache[ck]
-    ncols = comb(M.size, k)
-    if ncols > OS_DENSE_LIMIT:
-        raise TooLarge(f"C({M.size},{k}) = {ncols} exceeds the dense budget")
-    cols = list(itertools.combinations(M.elements, k))
-    # pivot on the lexicographically largest subset first
-    rcols = cols[::-1]
-    rpos = {s: i for i, s in enumerate(rcols)}
-
-    raw_rows = []
-
-    def add_element_row(x: ExteriorElement):
-        if x.is_zero():
-            return
-        v = [field.zero] * ncols
-        for key, c in x.terms.items():
-            v[rpos[key]] = c
-        raw_rows.append(v)
-
-    if circuits_only:
-        boundary_sources = [c for c in M.circuits() if len(c) <= k + 1]
-    else:
-        boundary_sources = [
-            dep for s in range(1, k + 2) for dep in _dependent_sets(M, s)
-        ]
-    for dep in boundary_sources:
-        bd = koszul_boundary(dep, field)
-        rest = [e for e in M.elements if e not in dep]
-        for t in itertools.combinations(rest, k + 1 - len(dep)):
-            add_element_row(bd.wedge(ExteriorElement.monomial(field, t)))
-    for w in _dependent_sets(M, k):
-        add_element_row(ExteriorElement.monomial(field, w))
-
-    rows, pivots = linalg.rref(raw_rows, field) if raw_rows else ([], [])
-    pivot_subsets = {rcols[p] for p in pivots}
-    survivors = sorted(s for s in cols if s not in pivot_subsets)
     nbc = nbc_sets(M, k)
-    if survivors != nbc:
+    expected = _whitney_numbers(M)[k]
+    if len(nbc) != expected:
         raise InternalInvariantViolation(
-            f"degree {k}: non-pivot monomials {survivors} != nbc sets {nbc}"
+            f"degree {k}: {len(nbc)} nbc sets != Whitney number {expected}"
         )
-    space = OSSpace(M, k, field, nbc, rows, pivots, rpos, rcols)
-    if not circuits_only:
-        cache[ck] = space
+    space = cache[ck] = OSSpace(M, k, field, nbc)
     return space
 
 
 def os_dimensions(M: Matroid, field=QQ):
-    """[dim OS^k for k = 0..r]; pieces above the rank vanish (asserted)."""
-    dims = [os_space(M, k, field).dimension for k in range(M.r + 1)]
-    for k in range(M.r + 1, min(M.size, M.r + 2) + 1):
-        if k <= M.size and os_space(M, k, field).dimension != 0:
-            raise InternalInvariantViolation(f"OS^{k} nonzero above the rank")
-    return dims
+    """[dim OS^k for k = 0..r]; no nbc set is larger than the rank."""
+    return [os_space(M, k, field).dimension for k in range(M.r + 1)]
 
 
 def normal_form(M: Matroid, x: ExteriorElement, field=None):
@@ -350,18 +296,11 @@ def os_multiply(M: Matroid, a: ExteriorElement, b: ExteriorElement) -> ExteriorE
 
 def reduced_nbc_index_sets(M: Matroid, k):
     """k-subsets S avoiding 0 with S + {0} an nbc set, lex order."""
-    _require_loopless(M)
     if k < 0 or k + 1 > M.size:
         raise InvalidInput(f"reduced degree {k} out of range")
     if 0 not in M.elements:
         raise InvalidInput("reduced basis needs element 0 in the ground set")
-    bcs = [frozenset(b) for b in broken_circuits(M)]
-    out = []
-    for s in itertools.combinations([e for e in M.elements if e != 0], k):
-        ss = frozenset(s) | {0}
-        if not any(b <= ss for b in bcs):
-            out.append(s)
-    return out
+    return [tuple(e for e in s if e != 0) for s in nbc_sets(M, k + 1) if 0 in s]
 
 
 class ReducedOSBasis:
@@ -376,29 +315,26 @@ class ReducedOSBasis:
 def reduced_nbc_basis(M: Matroid, k, field=QQ) -> ReducedOSBasis:
     """Monomials prod_{s in S} (e_s - e_0) for S in reduced_nbc_index_sets.
 
-    Their normal-form coordinate matrix must have full row rank (they are a
-    basis of the degree-k piece of the subalgebra they span); that rank is
-    recomputed here rather than assumed.
+    Every term of such a product is a subset of the nbc set S + {0}, so the
+    product is already in normal form. Its coordinates must be 1 at S and 0
+    at every other nbc monomial avoiding 0: that identity minor certifies
+    that the monomials are independent, and it is checked here rather than
+    assumed.
     """
     idx = reduced_nbc_index_sets(M, k)
     space = os_space(M, k, field)
+    e0 = ExteriorElement.monomial(field, (0,))
     monos = []
     for s in idx:
         acc = ExteriorElement.scalar(field, 1)
         for e in s:
-            acc = acc.wedge(
-                ExteriorElement.monomial(field, (e,))
-                - ExteriorElement.monomial(field, (0,))
+            acc = acc.wedge(ExteriorElement.monomial(field, (e,)) - e0)
+        away = {t: c for t, c in space.reduce(acc).terms.items() if 0 not in t}
+        if away != {s: field.one}:
+            raise InternalInvariantViolation(
+                f"reduced degree-{k} product for {s} has coordinates {away} away from 0"
             )
         monos.append(acc)
-    if monos:
-        coords = [space.coordinates(m) for m in monos]
-        red, _ = linalg.rref(coords, field)
-        if len(red) != len(monos):
-            raise InternalInvariantViolation(
-                f"reduced degree-{k} monomials are dependent: "
-                f"rank {len(red)} of {len(monos)}"
-            )
     return ReducedOSBasis(k, field, idx, monos)
 
 

@@ -58,12 +58,11 @@ def rank_size_counts(M: Matroid):
     return counts
 
 
-def tutte_sum(M: Matroid) -> BivariatePoly:
-    """Tutte polynomial via the corank-nullity sum."""
-    counts = rank_size_counts(M)
+def tutte_from_counts(counts) -> BivariatePoly:
+    """Sum of n (x-1)^c (y-1)^nu over rank_size_counts entries, expanded by
+    binomials."""
     t = {}
     for (c, nu), n in counts.items():
-        # (x-1)^c (y-1)^nu expanded by binomials
         for i in range(c + 1):
             ci = comb(c, i) * (-1) ** (c - i)
             for j in range(nu + 1):
@@ -71,6 +70,11 @@ def tutte_sum(M: Matroid) -> BivariatePoly:
                 if coeff:
                     t[(i, j)] = t.get((i, j), 0) + coeff
     return BivariatePoly(t)
+
+
+def tutte_sum(M: Matroid) -> BivariatePoly:
+    """Tutte polynomial via the corank-nullity sum."""
+    return tutte_from_counts(rank_size_counts(M))
 
 
 class TutteCache:
@@ -82,7 +86,9 @@ class TutteCache:
     def __init__(self):
         self._mem = {}
 
-    def get(self, key):
+    def get(self, key, matroid=None):
+        """The memoized polynomial, or None. `matroid` is the matroid the
+        key belongs to, so a persistent subclass can check what it reads."""
         return self._mem.get(key)
 
     def put(self, key, poly):
@@ -103,7 +109,7 @@ def tutte_dc(M: Matroid, cache: TutteCache | None = None) -> BivariatePoly:
 
 def _tutte_dc(M, cache):
     key = M.canonical_key()
-    hit = cache.get(key)
+    hit = cache.get(key, M)
     if hit is not None:
         return hit
     loops = M.loops()
@@ -193,16 +199,8 @@ def h_polynomial(M: Matroid) -> BivariatePoly:
     """
     counts = rank_size_counts(M)
     h1 = h_from_counts(counts, M.size, M.r)
-    t = {}
-    for (c, nu), n in counts.items():
-        # reuse the same walk for the Tutte polynomial to feed route 2
-        for i in range(c + 1):
-            ci = comb(c, i) * (-1) ** (c - i)
-            for j in range(nu + 1):
-                coeff = n * ci * comb(nu, j) * (-1) ** (nu - j)
-                if coeff:
-                    t[(i, j)] = t.get((i, j), 0) + coeff
-    h2 = h_from_tutte(BivariatePoly(t), M.size, M.r)
+    # the same walk feeds route 2 through the Tutte polynomial
+    h2 = h_from_tutte(tutte_from_counts(counts), M.size, M.r)
     if h1 != h2:
         raise InternalInvariantViolation(
             "h polynomial routes disagree: "

@@ -7,7 +7,13 @@ are checked against independent definitions.
 
 from itertools import chain, combinations
 
-from matroid_workbench import BivariatePoly, UnivariatePoly
+from matroid_workbench import (
+    BivariatePoly,
+    ExteriorElement,
+    UnivariatePoly,
+    koszul_boundary,
+)
+from matroid_workbench.linalg import rref
 
 
 def powerset(elements):
@@ -90,3 +96,60 @@ def abs_coeff_row(p: UnivariatePoly):
     """[|coeff of u^(d-k)|] for k = 0..d — Whitney-number reading order."""
     d = p.degree()
     return [abs(p.coeff(d - k)) for k in range(d + 1)]
+
+
+def dense_os_reducer(M, k, field, circuits_only=False):
+    """Orlik-Solomon normal form in degree k by dense row reduction.
+
+    The degree-k relation space is spanned by
+
+        (d e_S) ^ e_T   for S dependent, T disjoint from S, #S - 1 + #T = k
+        e_W             for W dependent with #W = k
+
+    or, with circuits_only, by the first family restricted to circuits S
+    plus the second family; both span the same space. Row reduction pivots
+    on the lexicographically largest subset first, so the non-pivot columns
+    are the nbc monomials. Returns (non-pivot subsets, reduce function).
+    """
+    cols = list(combinations(M.elements, k))
+    rcols = cols[::-1]
+    rpos = {s: i for i, s in enumerate(rcols)}
+
+    def dependent(size):
+        return [s for s in combinations(M.elements, size) if M.rank(s) < size]
+
+    raw = []
+
+    def add_row(x):
+        if not x.is_zero():
+            v = [field.zero] * len(rcols)
+            for key, c in x.terms.items():
+                v[rpos[key]] = c
+            raw.append(v)
+
+    if circuits_only:
+        sources = [c for c in M.circuits() if len(c) <= k + 1]
+    else:
+        sources = [dep for size in range(1, k + 2) for dep in dependent(size)]
+    for dep in sources:
+        bd = koszul_boundary(dep, field)
+        rest = [e for e in M.elements if e not in dep]
+        for t in combinations(rest, k + 1 - len(dep)):
+            add_row(bd.wedge(ExteriorElement.monomial(field, t)))
+    for w in dependent(k):
+        add_row(ExteriorElement.monomial(field, w))
+    rows, pivots = rref(raw, field) if raw else ([], [])
+    pivot_subsets = {rcols[p] for p in pivots}
+
+    def reduce(x):
+        v = [field.zero] * len(rcols)
+        for key, c in x.terms.items():
+            v[rpos[key]] = c
+        for row, piv in zip(rows, pivots):
+            c = v[piv]
+            if not field.is_zero(c):
+                v = [field.sub(a, field.mul(c, b)) for a, b in zip(v, row)]
+        terms = {rcols[i]: c for i, c in enumerate(v) if not field.is_zero(c)}
+        return ExteriorElement(field, k, terms)
+
+    return sorted(s for s in cols if s not in pivot_subsets), reduce

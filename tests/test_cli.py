@@ -133,13 +133,19 @@ def test_verify_corpus_exits_zero():
         (["white-check", "--degree", "2"], U24, None, 2),
         (["tutte", "--input", "/nonexistent/file.json"], None, "", 2),
         (["euler-table"], {"type": "uniform", "r": 4, "n": 9}, None, 3),
+        (["tutte"], {"type": "uniform", "r": True, "n": 3}, None, 2),
+        (["tutte"], {"type": "bases", "n": 2, "bases": [0]}, None, 2),
+        (["tutte"], {"type": "graphic", "edges": [[[0], [1]]]}, None, 2),
+        (["tutte", "--jobs", "-3"], U23, None, 2),
+        (["euler-table", "--budget", "-1"], U23, None, 2),
+        (["os-dims", "--field", "GF(2305843009213693953)"], U23, None, 2),
     ],
 )
 def test_exit_codes(args, stdin_obj, stdin_text, code):
     proc = run_cli(args, stdin_obj=stdin_obj, stdin_text=stdin_text)
     assert proc.returncode == code, proc.stderr
     assert proc.stdout == ""  # errors go to stderr only
-    assert proc.stderr.strip()
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
 
 
 # -------------------------------------------------------------------- caching
@@ -155,6 +161,28 @@ def test_tutte_cache_cold_warm_identical(tmp_path):
     assert no_cache.stdout == cold.stdout == warm.stdout
     assert files_after_cold  # memo entries were persisted
     assert list(cache_dir.glob("*.json"))
+
+
+U12 = {"type": "uniform", "r": 1, "n": 2}
+
+
+@pytest.mark.parametrize(
+    "bad_entry", ['{"terms":[{"x":9,"y":9,"c":"42"}]}', '{"terms":[{"x":0,"y":0,"c":"2"}]}', "garbage{"]
+)
+def test_tutte_cache_rejects_bad_entries(tmp_path, bad_entry):
+    """A poisoned or corrupt file is a miss: the right polynomial is
+    printed and the entry is rewritten."""
+    cache_dir = tmp_path / "memo"
+    cold = run_cli(["tutte", "--cache", str(cache_dir)], stdin_obj=U12)
+    assert cold.returncode == 0
+    files = sorted(cache_dir.glob("*.json"))
+    good = {f: f.read_text() for f in files}
+    for f in files:
+        f.write_text(bad_entry)
+    warm = run_cli(["tutte", "--cache", str(cache_dir)], stdin_obj=U12)
+    assert warm.returncode == 0, warm.stderr
+    assert warm.stdout == cold.stdout
+    assert {f: f.read_text() for f in files} == good
 
 
 def test_jobs_byte_identical():

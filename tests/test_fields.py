@@ -1,8 +1,10 @@
+import time
 from fractions import Fraction
 
 import pytest
 
 from matroid_workbench import InvalidField, PrimeField, QQ, field_from_name
+from matroid_workbench.fields import _is_prime
 
 
 def test_rational_coercions():
@@ -41,10 +43,28 @@ def test_prime_field_inverses(p):
         F.inv(0)
 
 
-@pytest.mark.parametrize("bad", [0, 1, 4, 6, 9, 100, -3])
+@pytest.mark.parametrize(
+    "bad", [0, 1, 4, 6, 9, 100, -3, 561, 2**61 + 1, 2**64 + 13, 2**89 - 1]
+)
 def test_prime_field_rejects_composites(bad):
     with pytest.raises(InvalidField):
         PrimeField(bad)
+
+
+def test_large_prime_modulus_is_fast():
+    start = time.perf_counter()
+    F = field_from_name("GF(2305843009213693951)")  # 2^61 - 1
+    assert time.perf_counter() - start < 1.0
+    assert F.p == 2**61 - 1
+    assert F.mul(F.inv(12345), 12345) == 1
+
+
+def test_primality_matches_trial_division():
+    def trial(p):
+        return p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1))
+
+    for p in range(5000):
+        assert _is_prime(p) == trial(p), p
 
 
 def test_prime_field_rejects_non_integers():
@@ -57,6 +77,7 @@ def test_prime_field_rejects_non_integers():
 def test_field_from_name():
     assert field_from_name("Q").name == "Q"
     assert field_from_name("GF(7)").p == 7
-    for bad in ("GF(4)", "GF(1)", "R", "", "gf(5", "GF(x)"):
+    assert field_from_name("GF(007)").p == 7
+    for bad in ("GF(4)", "GF(1)", "R", "", "gf(5", "GF(x)", "GF(561)", "GF(" + "9" * 5000 + ")"):
         with pytest.raises(InvalidField):
             field_from_name(bad)

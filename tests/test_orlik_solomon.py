@@ -1,7 +1,9 @@
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matroid_workbench import (
     ExteriorElement,
@@ -12,6 +14,7 @@ from matroid_workbench import (
     TooLarge,
     broken_circuits,
     char_poly,
+    corpus_matroid,
     from_graph,
     koszul_boundary,
     nbc_sets,
@@ -26,7 +29,7 @@ from matroid_workbench import (
     uniform,
 )
 
-from helpers import abs_coeff_row
+from helpers import abs_coeff_row, dense_os_reducer
 
 GF2, GF3, GF5 = PrimeField(2), PrimeField(3), PrimeField(5)
 
@@ -46,6 +49,12 @@ LOOPLESS_NAMES = (
     "fano",
     "generic_3x6",
 )
+
+
+@lru_cache(maxsize=None)
+def dense_reduce(name, k, field):
+    """The dense oracle's reduce for a corpus entry, built once per degree."""
+    return dense_os_reducer(corpus_matroid(name), k, field)[1]
 
 
 # ----------------------------------------------------------- exterior algebra
@@ -181,17 +190,53 @@ def test_os_coordinates_and_normal_form(corpus_by_name):
     assert rebuilt == sp.reduce(e12)
 
 
-def test_circuits_only_relations_agree(corpus_by_name):
-    for name in ("u_2_3", "fano"):
+@pytest.mark.parametrize("circuits_only", [False, True], ids=["dependent", "circuits"])
+@pytest.mark.parametrize("field", [QQ, GF2, GF3], ids=["Q", "GF2", "GF3"])
+def test_reduce_matches_dense_oracle(corpus_by_name, field, circuits_only):
+    """Straightened normal forms equal dense row reduction of either
+    relation family, monomial by monomial, in degrees 0..r+1."""
+    for name in LOOPLESS_NAMES:
         M = corpus_by_name[name]
-        for k in range(M.r + 1):
-            full = os_space(M, k)
-            circ = os_space(M, k, circuits_only=True)
-            assert full.dimension == circ.dimension, (name, k)
-            assert full.nbc == circ.nbc, (name, k)
+        for k in range(min(M.r + 1, M.size) + 1):
+            survivors, dense_reduce = dense_os_reducer(M, k, field, circuits_only)
+            sp = os_space(M, k, field)
+            assert sp.nbc == survivors, (name, k)
             for S in combinations(M.elements, k):
-                m = ExteriorElement.monomial(QQ, S)
-                assert full.reduce(m) == circ.reduce(m), (name, k, S)
+                m = ExteriorElement.monomial(field, S)
+                assert sp.reduce(m) == dense_reduce(m), (name, k, S)
+
+
+@st.composite
+def os_elements(draw):
+    name = draw(st.sampled_from(["k4", "fano"]))
+    field = draw(st.sampled_from([QQ, GF3]))
+    M = corpus_matroid(name)
+    k = draw(st.integers(0, M.r + 1))
+    subsets = list(combinations(M.elements, k))
+
+    def element():
+        keys = draw(st.lists(st.sampled_from(subsets), max_size=5, unique=True))
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(keys), max_size=len(keys)))
+        return ExteriorElement(field, k, {s: field.of(c) for s, c in zip(keys, coeffs)})
+
+    return name, field, k, element(), element(), field.of(draw(st.integers(-3, 3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(os_elements())
+def test_reduce_properties(case):
+    """reduce is linear, idempotent, fixes nbc monomials and equals the
+    dense oracle on random elements."""
+    name, field, k, a, b, c = case
+    M = corpus_matroid(name)
+    sp = os_space(M, k, field)
+    ra, rb = sp.reduce(a), sp.reduce(b)
+    assert sp.reduce(a + b.scale(c)) == ra + rb.scale(c)
+    assert sp.reduce(ra) == ra
+    assert ra == dense_reduce(name, k, field)(a)
+    for S in sp.nbc:
+        m = ExteriorElement.monomial(field, S)
+        assert sp.reduce(m) == m
 
 
 def test_os_multiply_graded_commutativity(corpus_by_name):
