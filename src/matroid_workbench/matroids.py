@@ -28,6 +28,14 @@ from .fields import QQ, PrimeField, RationalField, field_from_name
 ENUMERATION_LIMIT = 20
 BASIS_VALIDATION_LIMIT = 100_000
 SUBSET_SUM_LIMIT = 24
+# Checked before the ground set is built: every pipeline enumerates subsets,
+# bases or orderings of far fewer elements than this.
+GROUND_SET_LIMIT = 10_000
+
+
+def _check_ground_size(n):
+    if n > GROUND_SET_LIMIT:
+        raise TooLarge(f"{n} ground elements exceed the limit of {GROUND_SET_LIMIT}")
 
 
 def _clear_column(col):
@@ -254,6 +262,9 @@ class Matroid:
     """Immutable matroid facade with a cached exact rank oracle."""
 
     def __init__(self, backing, elements):
+        """`elements` is a sized sequence; its length is checked against
+        GROUND_SET_LIMIT before it is copied."""
+        _check_ground_size(len(elements))
         self._backing = backing
         self.elements = tuple(elements)
         self._eset = frozenset(self.elements)
@@ -435,6 +446,7 @@ def from_bases(n, bases, validate=True):
     """
     if n < 1:
         raise InvalidInput("ground set must be nonempty")
+    _check_ground_size(n)
     ground = frozenset(range(n))
     blist = []
     seen = set()

@@ -250,20 +250,19 @@ def os_space(M: Matroid, k, field=QQ) -> OSSpace:
     number |chi_M coefficient of u^(r-k)| (0 above the rank); a mismatch is
     an internal bug, not an input condition.
     """
-    cache = getattr(M, "_os_cache", None)
+    cache = getattr(M, "_os_nbc", None)
     if cache is None:
-        cache = M._os_cache = {}
-    ck = (k, field.name)
-    if ck in cache:
-        return cache[ck]
-    nbc = nbc_sets(M, k)
-    expected = _whitney_numbers(M)[k]
-    if len(nbc) != expected:
-        raise InternalInvariantViolation(
-            f"degree {k}: {len(nbc)} nbc sets != Whitney number {expected}"
-        )
-    space = cache[ck] = OSSpace(M, k, field, nbc)
-    return space
+        cache = M._os_nbc = {}
+    nbc = cache.get(k)
+    if nbc is None:  # the nbc sets and their check do not depend on the field
+        nbc = nbc_sets(M, k)
+        expected = _whitney_numbers(M)[k]
+        if len(nbc) != expected:
+            raise InternalInvariantViolation(
+                f"degree {k}: {len(nbc)} nbc sets != Whitney number {expected}"
+            )
+        cache[k] = nbc
+    return OSSpace(M, k, field, nbc)
 
 
 def os_dimensions(M: Matroid, field=QQ):

@@ -3,7 +3,7 @@
 Coefficients are ints or Fractions; all arithmetic truncates at a fixed
 order. Used by the fixed-point localization sums, where every character
 exponential (1 + eps)^c expands to an integer-coefficient series and the
-only division is one series inversion per fixed point.
+only division is one series inversion per tangent pairing.
 """
 from __future__ import annotations
 
@@ -27,10 +27,6 @@ class TruncatedSeries:
         self.coeffs = c
 
     @classmethod
-    def constant(cls, value, order):
-        return cls([value], order)
-
-    @classmethod
     def one_plus_eps_power(cls, c, order):
         """(1 + eps)^c for any integer c (negative allowed), exactly.
 
@@ -47,18 +43,6 @@ class TruncatedSeries:
                 coeffs.append((-1) ** j * comb(-c + j - 1, j))
         return cls(coeffs, order)
 
-    def __add__(self, other):
-        self._check(other)
-        return TruncatedSeries(
-            [a + b for a, b in zip(self.coeffs, other.coeffs)], self.order
-        )
-
-    def __sub__(self, other):
-        self._check(other)
-        return TruncatedSeries(
-            [a - b for a, b in zip(self.coeffs, other.coeffs)], self.order
-        )
-
     def __mul__(self, other):
         self._check(other)
         n = self.order
@@ -71,9 +55,6 @@ class TruncatedSeries:
                 if b != 0:
                     out[i + j] += a * b
         return TruncatedSeries(out, n)
-
-    def scale(self, c):
-        return TruncatedSeries([c * a for a in self.coeffs], self.order)
 
     def inverse(self):
         """Multiplicative inverse; requires a nonzero constant term."""
@@ -90,13 +71,3 @@ class TruncatedSeries:
     def _check(self, other):
         if self.order != other.order:
             raise InvalidInput("series orders differ")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TruncatedSeries)
-            and self.order == other.order
-            and all(Fraction(a) == Fraction(b) for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __repr__(self):
-        return f"TruncatedSeries({self.coeffs!r})"

@@ -5,15 +5,19 @@ shared code paths beyond the rank oracle itself, so the fast implementations
 are checked against independent definitions.
 """
 
-from itertools import chain, combinations
+from fractions import Fraction
+from itertools import chain, combinations, permutations
 
 from matroid_workbench import (
     BivariatePoly,
     ExteriorElement,
     UnivariatePoly,
+    fixed_point_data,
+    generic_one_ps,
     koszul_boundary,
 )
 from matroid_workbench.linalg import rref
+from matroid_workbench.series import TruncatedSeries
 
 
 def powerset(elements):
@@ -153,3 +157,49 @@ def dense_os_reducer(M, k, field, circuits_only=False):
         return ExteriorElement(field, k, terms)
 
     return sorted(s for s in cols if s not in pivot_subsets), reduce
+
+
+def per_point_euler_table(M, one_ps=None):
+    """Euler table by localization, one fixed point at a time in Fractions.
+
+    For each ordering w, the characters of fixed_point_data(M, w) are paired
+    with the weights a; the tangent units (1 - (1+eps)^(-tau)) / eps are
+    multiplied and inverted as one Fraction series, and the fiber numerator
+    of every cell is expanded subset by subset. Series run to eps^(n+1).
+    The pole slots of every cell's sum must vanish and its eps^0 slot be an
+    integer. No code is shared with the prefix walk beyond the series type
+    and the rank steps.
+    """
+    a = tuple(one_ps) if one_ps is not None else generic_one_ps(M.size)
+    n = M.size - 1
+    order = n + 2
+    r, m = M.r, M.size - M.r
+
+    def pair(char):
+        return sum(c * x for c, x in zip(char, a))
+
+    def power(c, k=order):
+        return TruncatedSeries.one_plus_eps_power(c, k)
+
+    sums = {(p, q): [Fraction(0)] * order for p in range(r + 1) for q in range(m + 1)}
+    for w in permutations(M.elements):
+        data = fixed_point_data(M, w)
+        denom = TruncatedSeries([1], order)
+        for char in data.tangent_chars:
+            tau = pair(char)
+            denom = denom * TruncatedSeries([-c for c in power(-tau, order + 1).coeffs[1:]], order)
+        inv = denom.inverse()
+        s_exps = [pair(c) for c in data.s_chars]
+        q_exps = [pair(c) for c in data.q_chars]
+        for (p, q), slot in sums.items():
+            numer = [0] * order
+            for A in combinations(s_exps, p):
+                for B in combinations(q_exps, q):
+                    for j, c in enumerate(power(sum(A) + sum(B)).coeffs):
+                        numer[j] += c
+            for j, c in enumerate((TruncatedSeries(numer, order) * inv).coeffs):
+                slot[j] += c
+    for cell, slot in sums.items():
+        assert all(c == 0 for c in slot[:n]), (cell, slot)
+        assert slot[n].denominator == 1, (cell, slot[n])
+    return [[int(sums[(p, q)][n]) for q in range(m + 1)] for p in range(r + 1)]

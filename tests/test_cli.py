@@ -1,10 +1,12 @@
+import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
-from matroid_workbench import h_polynomial, corpus_matroid
+from matroid_workbench import cli, h_polynomial, corpus_matroid
 
 U23 = {"type": "uniform", "r": 2, "n": 3}
 U24 = {"type": "uniform", "r": 2, "n": 4}
@@ -146,6 +148,24 @@ def test_exit_codes(args, stdin_obj, stdin_text, code):
     assert proc.returncode == code, proc.stderr
     assert proc.stdout == ""  # errors go to stderr only
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "descriptor",
+    [
+        {"type": "uniform", "r": 2, "n": 100_000_000},
+        {"type": "bases", "n": 100_000_000, "bases": [[0, 1]]},
+    ],
+)
+def test_huge_ground_set_exits_3_at_once(descriptor, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(descriptor)))
+    start = time.perf_counter()
+    code = cli.main(["tutte"])
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err.startswith("too large:") and len(err.splitlines()) == 1, err
 
 
 # -------------------------------------------------------------------- caching

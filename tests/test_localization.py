@@ -1,20 +1,33 @@
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import per_point_euler_table
 from matroid_workbench import (
+    CORPUS,
+    InternalInvariantViolation,
     InvalidInput,
     TooLarge,
     calibrate_signs,
+    corpus_matroid,
     euler_char,
     euler_table,
     fixed_point_data,
+    from_bases,
+    from_graph,
     from_matrix,
     generic_one_ps,
     h_matrix,
     uniform,
 )
-from matroid_workbench.localization import FIBER_SIGN, TANGENT_SIGN
+from matroid_workbench.localization import (
+    FIBER_SIGN,
+    TANGENT_SIGN,
+    _accumulate_points,
+    _extract_integer,
+)
 
 
 def test_calibration_runs_and_reports_signs():
@@ -171,10 +184,70 @@ def test_budget_enforced(corpus_by_name):
 
 def test_jobs_do_not_change_results(corpus_by_name):
     M = corpus_by_name["k4"]
-    assert euler_table(M, jobs=3) == euler_table(M, jobs=1)
+    one = euler_table(M, jobs=1)
+    for jobs in (2, 3, M.size + 2):  # more jobs than first elements
+        assert euler_table(M, jobs=jobs) == one, jobs
 
 
 def test_derived_rank_oracle_matroid(corpus_by_name):
     """Matroids whose only rank oracle is the generic one still localize."""
     M = corpus_by_name["u_2_4"].dual()  # U_{2,4} is self-dual
     assert euler_table(M) == h_matrix(corpus_by_name["u_2_4"])
+
+
+# ------------------------------------------------- prefix walk against oracle
+
+SMALL = [e["name"] for e in CORPUS if corpus_matroid(e["name"]).size <= 6]
+
+ONE_PS = {
+    "default": lambda n: None,
+    "squares": lambda n: tuple(i * i + 2 * i for i in range(n)),
+    "alternating": lambda n: tuple((-1) ** i * (2 * i + 1) for i in range(n)),
+}
+
+
+@pytest.mark.parametrize("choice", sorted(ONE_PS))
+@pytest.mark.parametrize("name", SMALL)
+def test_walk_matches_per_point_oracle(corpus_by_name, name, choice):
+    M = corpus_by_name[name]
+    a = ONE_PS[choice](M.size)
+    assert euler_table(M, one_ps=a) == per_point_euler_table(M, a)
+
+
+def test_walk_matches_oracle_without_push_pop():
+    """Duals of graphic matroids and basis lists have no incremental oracle."""
+    house = from_graph([(0, 1), (1, 2), (2, 0), (2, 3), (3, 0)])
+    line = from_bases(5, [b for b in combinations(range(5), 3) if b != (0, 1, 2)])
+    for M in (house.dual(), line):
+        assert M.incremental_rank() is None
+        for choice in sorted(ONE_PS):
+            a = ONE_PS[choice](M.size)
+            assert euler_table(M, one_ps=a) == per_point_euler_table(M, a) == h_matrix(M), choice
+
+
+def test_partial_walks_add_up(corpus_by_name):
+    """Walks from disjoint root sets add; a walk with no roots is zero."""
+    M = corpus_by_name["u_2_4"]
+    a = generic_one_ps(M.size)
+    cells = [(p, q) for p in range(M.r + 1) for q in range(M.size - M.r + 1)]
+    L = M.size
+    whole = _accumulate_points(M, M.elements, a, cells, L)
+    parts = [_accumulate_points(M, [e], a, cells, L) for e in M.elements]
+    for cell in cells:
+        assert [sum(col) for col in zip(*(p[cell] for p in parts))] == whole[cell], cell
+    assert _accumulate_points(M, [], a, cells, L) == {cell: [0] * L for cell in cells}
+
+
+def test_exact_checks_reject_bad_sums():
+    assert _extract_integer((0, 0), [0, 0, 12], 2, 4) == 3
+    with pytest.raises(InternalInvariantViolation, match="residual pole"):
+        _extract_integer((0, 0), [0, 1, 12], 2, 4)
+    with pytest.raises(InternalInvariantViolation, match="non-integer"):
+        _extract_integer((0, 0), [0, 0, 13], 2, 4)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(-60, 60), min_size=4, max_size=4, unique=True))
+def test_walk_matches_oracle_on_generic_one_ps(a):
+    M = uniform(2, 4)
+    assert euler_table(M, one_ps=a) == per_point_euler_table(M, a) == h_matrix(M)

@@ -1,3 +1,4 @@
+import time
 from itertools import combinations, islice
 
 import pytest
@@ -13,6 +14,8 @@ from matroid_workbench import (
     from_matrix,
     uniform,
 )
+
+from matroid_workbench.matroids import GROUND_SET_LIMIT
 
 from helpers import powerset
 
@@ -339,3 +342,23 @@ def test_from_descriptor_errors():
         from_descriptor({"type": "linear", "field": "Q"})  # missing matrix
     with pytest.raises(InvalidInput):
         from_descriptor([1, 2, 3])
+
+
+@pytest.mark.parametrize(
+    "descriptor",
+    [
+        {"type": "uniform", "r": 2, "n": 100_000_000},
+        {"type": "bases", "n": 100_000_000, "bases": [[0, 1]]},
+    ],
+)
+def test_ground_set_cap_applies_before_allocation(descriptor):
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match="ground elements"):
+        from_descriptor(descriptor)
+    assert time.perf_counter() - start < 1
+
+
+def test_ground_set_cap_is_inclusive():
+    assert uniform(1, GROUND_SET_LIMIT).size == GROUND_SET_LIMIT
+    with pytest.raises(TooLarge):
+        uniform(1, GROUND_SET_LIMIT + 1)

@@ -357,3 +357,21 @@ def test_reduced_field_independence(corpus_by_name):
                 name,
                 field.name,
             )
+
+
+def test_nbc_sets_enumerated_once_per_degree(monkeypatch):
+    """The nbc sets and their Whitney check are shared by every field."""
+    from matroid_workbench import orlik_solomon
+
+    calls = []
+    real = orlik_solomon.nbc_sets
+
+    def counting(M, k):
+        calls.append(k)
+        return real(M, k)
+
+    monkeypatch.setattr(orlik_solomon, "nbc_sets", counting)
+    M = corpus_matroid("k4")
+    dims = {f.name: os_dimensions(M, f) for f in (QQ, PrimeField(2), PrimeField(3))}
+    assert dims["Q"] == dims["GF(2)"] == dims["GF(3)"] == [1, 6, 11, 6]
+    assert sorted(calls) == list(range(M.r + 1))
