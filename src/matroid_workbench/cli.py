@@ -56,12 +56,13 @@ def _emit(obj):
 
 
 class FileTutteCache(tutte.TutteCache):
-    """Tutte memo table persisted as one JSON file per canonical key.
+    """Tutte memo table persisted as one JSON file per memo key.
 
-    Filenames are content-addressed (sha256 of the key), so unrelated
-    matroids never collide and warm runs are byte-identical to cold ones.
-    An entry read from disk is used only if it parses, its degrees stay
-    within the rank and corank, and it passes T(1,1) = #bases and
+    Filenames are content-addressed (sha256 of Matroid.memo_key()), so
+    unrelated matroids never collide and warm runs are byte-identical to
+    cold ones. A directory written under an older key scheme is simply
+    cold. An entry read from disk is used only if it parses, its degrees
+    stay within the rank and corank, and it passes T(1,1) = #bases and
     T(2,2) = 2^#E for the matroid being looked up; otherwise it counts as a
     miss and the recomputed entry replaces it.
     """
@@ -113,7 +114,8 @@ class FileTutteCache(tutte.TutteCache):
 def _cmd_tutte(args):
     M = _read_descriptor(args.input)
     cache = FileTutteCache(args.cache) if args.cache else None
-    poly = tutte.tutte_dc(M, cache)
+    budget = args.budget if args.budget else tutte.DEFAULT_DC_NODES
+    poly = tutte.tutte_dc(M, cache, max_nodes=budget)
     _emit(poly.to_json())
 
 
@@ -243,8 +245,8 @@ def build_parser():
             "--budget",
             type=_int_at_least(0),
             default=0,
-            help="override the computation budget (fixed points / monomials; "
-            "0 keeps the default)",
+            help="override the computation budget (fixed points / monomials / "
+            "deletion-contraction nodes; 0 keeps the default)",
         )
         p.add_argument(
             "--jobs", type=_int_at_least(1), default=1,

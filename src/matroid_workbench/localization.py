@@ -95,18 +95,20 @@ def fixed_point_data(M: Matroid, w) -> FixedPointData:
     """Characters at the fixed point labeled by the ordering w.
 
     w must be a permutation of the ground set. Characters are integer
-    vectors indexed by ground elements.
+    vectors indexed by the positions of the elements in M.elements, which
+    is also how a one-parameter subgroup is indexed.
     """
     w = tuple(w)
     if sorted(w) != sorted(M.elements):
         raise InvalidInput(f"{w} is not an ordering of the ground set")
     n1 = len(w)
+    pos = {e: i for i, e in enumerate(M.elements)}
     inc = _rank_steps(M)
     steps = [bool(inc.push(e)) for e in w]
 
     def unit(e, sign):
         v = [0] * n1
-        v[e] = sign
+        v[pos[e]] = sign
         return tuple(v)
 
     s_chars = [unit(e, FIBER_SIGN) for e, st in zip(w, steps) if st]
@@ -114,8 +116,8 @@ def fixed_point_data(M: Matroid, w) -> FixedPointData:
     tangent = []
     for i in range(n1 - 1):
         v = [0] * n1
-        v[w[i]] = TANGENT_SIGN
-        v[w[i + 1]] = -TANGENT_SIGN
+        v[pos[w[i]]] = TANGENT_SIGN
+        v[pos[w[i + 1]]] = -TANGENT_SIGN
         tangent.append(tuple(v))
     if len(s_chars) != M.r or len(q_chars) != M.size - M.r:
         raise InternalInvariantViolation("rank steps do not match the rank")
@@ -190,9 +192,11 @@ def _accumulate_points(M, roots, a, cells, L):
     element of `roots`, by a depth-first walk over their prefixes.
 
     Returns {cell: L integers}: D^L (see _pair_product) times the sum, slot
-    j holding the eps^(j - n) coefficient.
+    j holding the eps^(j - n) coefficient. The weights `a` are indexed by
+    position in M.elements; step sets are bitmasks over element labels.
     """
     elements = M.elements
+    weight = dict(zip(elements, a))
     inverses = {}
     by_basis = {}  # bitmask of the step set S -> integer series coefficients
     inc = _rank_steps(M)
@@ -224,7 +228,7 @@ def _accumulate_points(M, roots, a, cells, L):
                 acc[j] += scale * c
             return
         for i, e in enumerate(rest):
-            tau = TANGENT_SIGN * (a[last] - a[e])
+            tau = TANGENT_SIGN * (weight[last] - weight[e])
             step = inc.push(e)
             walk(e, rest[:i] + rest[i + 1:], prod * scaled_inverse(tau), quot // tau,
                  mask | (1 << e) if step else mask)
@@ -249,8 +253,8 @@ def _accumulate_points(M, roots, a, cells, L):
     total = {cell: [0] * L for cell in cells}
     for mask, acc in by_basis.items():
         acc = TruncatedSeries(acc, L)
-        spolys = _subset_sum_polys([FIBER_SIGN * a[e] for e in elements if mask >> e & 1], r)
-        qpolys = _subset_sum_polys([FIBER_SIGN * a[e] for e in elements if not mask >> e & 1], m)
+        spolys = _subset_sum_polys([FIBER_SIGN * weight[e] for e in elements if mask >> e & 1], r)
+        qpolys = _subset_sum_polys([FIBER_SIGN * weight[e] for e in elements if not mask >> e & 1], m)
         for p, q in cells:
             numer = [0] * L
             for e1, c1 in spolys[p].items():

@@ -117,6 +117,11 @@ class LinearBacking:
             columns[e] = tuple(red[i][nc + pos] for i in keep_rows)
         return LinearBacking(self.field, _exactify_columns(self.field, columns, kept)), kept
 
+    def memo_payload(self, elements):
+        """(field name, RREF rows): the row space fixes the column matroid."""
+        red, _ = linalg.rref(self._field_matrix(elements), self.field)
+        return (self.field.name, tuple(tuple(self.field.to_str(x) for x in row) for row in red))
+
     def dual(self, elements):
         """Column matroid of a kernel basis matrix (rows = kernel vectors)."""
         rows = self._field_matrix(list(elements))
@@ -165,6 +170,9 @@ class UniformBacking:
         kept = [e for e in elements if e not in deleted and e not in contracted]
         c = min(len(contracted), self.r)
         return UniformBacking(self.r - c), kept
+
+    def memo_payload(self, elements):
+        return self.r
 
     def dual(self, elements):
         return UniformBacking(len(elements) - self.r)
@@ -215,6 +223,13 @@ class GraphicBacking:
             edges = {k: (u if a == v else a, u if b == v else b) for k, (a, b) in edges.items()}
         return GraphicBacking({e: edges[e] for e in kept}), kept
 
+    def memo_payload(self, elements):
+        """Edge list with the vertices renamed 0, 1, ... by first appearance."""
+        names = {}
+        return tuple(
+            tuple(names.setdefault(v, len(names)) for v in self.edges[e]) for e in elements
+        )
+
     def dual(self, elements):
         return None  # not graphic in general; use the generic rank formula
 
@@ -232,6 +247,9 @@ class BasesBacking:
         return None
 
     def minor(self, deleted, contracted, elements):
+        return None
+
+    def memo_payload(self, elements):
         return None
 
     def dual(self, elements):
@@ -252,6 +270,9 @@ class DerivedBacking:
         return None
 
     def minor(self, deleted, contracted, elements):
+        return None
+
+    def memo_payload(self, elements):
         return None
 
     def dual(self, elements):
@@ -386,6 +407,22 @@ class Matroid:
             payload = (self.elements, tuple(self.bases(limit=0)))
             self._key = b"mw1:" + repr(payload).encode()
         return self._key
+
+    def memo_key(self):
+        """Bytes key for the deletion-contraction memo, built from the
+        backing's own data without enumerating bases.
+
+        Equal keys imply equal labeled matroids; the converse need not hold
+        (a matrix and a graph with the same bases get different keys). The
+        prefix names the version and the backing kind, so keys of different
+        kinds never collide; explicit-basis and derived backings fall back to
+        canonical_key(), whose "mw1:" prefix is disjoint from "mw2:".
+        """
+        payload = self._backing.memo_payload(self.elements)
+        if payload is None:
+            return self.canonical_key()
+        tag = self._backing.kind[0]  # u, g or l
+        return f"mw2:{tag}:".encode() + repr((self.elements, payload)).encode()
 
     def __repr__(self):
         return f"Matroid({self._backing.kind}, n={self.size}, r={self.r})"

@@ -13,6 +13,13 @@ Counting route: the subset walk only needs, for each (corank, nullity)
 pair, how many subsets hit it, so everything reduces to one depth-first
 enumeration with an incremental rank oracle (one rank update per visited
 subset) followed by small binomial expansions.
+
+Deletion-contraction route: each node peels all loops and coloops at once,
+T(M) = x^#coloops y^#loops T(M \\ loops / coloops) (Haggard-Pearce-Royle,
+"Computing Tutte polynomials", ACM TOMS 2010), then branches on the largest
+element of the peeled core. Cores are memoized under Matroid.memo_key(),
+which each backing builds from its own data without enumerating bases, and
+the number of expanded cores is capped by a node budget.
 """
 from __future__ import annotations
 
@@ -21,6 +28,8 @@ from math import comb
 from .errors import InternalInvariantViolation, TooLarge
 from .matroids import SUBSET_SUM_LIMIT, Matroid
 from .polynomials import BivariatePoly, UnivariatePoly
+
+DEFAULT_DC_NODES = 100_000  # expanded deletion-contraction cores (memo misses)
 
 
 def rank_size_counts(M: Matroid):
@@ -78,7 +87,7 @@ def tutte_sum(M: Matroid) -> BivariatePoly:
 
 
 class TutteCache:
-    """In-memory memo table for tutte_dc keyed by canonical matroid keys.
+    """In-memory memo table for tutte_dc keyed by Matroid.memo_key().
 
     Subclasses may persist entries; see cli.FileTutteCache.
     """
@@ -95,32 +104,44 @@ class TutteCache:
         self._mem[key] = poly
 
 
-def tutte_dc(M: Matroid, cache: TutteCache | None = None) -> BivariatePoly:
+def tutte_dc(M: Matroid, cache: TutteCache | None = None, max_nodes=DEFAULT_DC_NODES) -> BivariatePoly:
     """Tutte polynomial by deletion-contraction.
 
-    Branch element: the largest element that is neither a loop nor a coloop
-    (fixed choice, so the recursion tree and any persisted cache entries are
-    reproducible). Base case x^(#coloops) y^(#loops).
+    Every node first peels all its loops and coloops at once,
+
+        T(M) = x^#coloops y^#loops T(M \\ loops / coloops),
+
+    and memoizes the peeled core under core.memo_key(). A nonempty core has
+    neither loops nor coloops; it branches on its largest element e, T(core)
+    = T(core \\ e) + T(core / e). The choice is fixed, so the recursion tree
+    and any persisted cache entries are reproducible. Deleting e from a core
+    can make coloops but no loops, and contracting it loops but no coloops,
+    so each child looks only for the kind it can have. More than `max_nodes`
+    expanded cores (memo misses) raise TooLarge.
     """
     if cache is None:
         cache = TutteCache()
-    return _tutte_dc(M, cache)
+    expanded = 0
 
+    def dc(N, may_loop=True, may_coloop=True):
+        nonlocal expanded
+        loops = N.loops() if may_loop else frozenset()
+        coloops = N.coloops() if may_coloop else frozenset()
+        core = N.minor(deleted=loops, contracted=coloops) if loops or coloops else N
+        if not core.size:
+            return BivariatePoly.monomial(len(coloops), len(loops))
+        key = core.memo_key()
+        poly = cache.get(key, core)
+        if poly is None:
+            expanded += 1
+            if expanded > max_nodes:
+                raise TooLarge(f"deletion-contraction needs more than {max_nodes} nodes (the budget)")
+            e = max(core.elements)
+            poly = dc(core.delete({e}), may_loop=False) + dc(core.contract({e}), may_coloop=False)
+            cache.put(key, poly)
+        return poly.shift(len(coloops), len(loops))
 
-def _tutte_dc(M, cache):
-    key = M.canonical_key()
-    hit = cache.get(key, M)
-    if hit is not None:
-        return hit
-    loops = M.loops()
-    coloops = M.coloops()
-    branch = max((e for e in M.elements if e not in loops and e not in coloops), default=None)
-    if branch is None:
-        poly = BivariatePoly.monomial(len(coloops), len(loops))
-    else:
-        poly = _tutte_dc(M.delete({branch}), cache) + _tutte_dc(M.contract({branch}), cache)
-    cache.put(key, poly)
-    return poly
+    return dc(M)
 
 
 def char_poly(M: Matroid, tutte: BivariatePoly | None = None) -> UnivariatePoly:

@@ -168,6 +168,18 @@ def test_huge_ground_set_exits_3_at_once(descriptor, monkeypatch, capsys):
     assert err.startswith("too large:") and len(err.splitlines()) == 1, err
 
 
+def test_tutte_budget_counts_deletion_contraction_nodes(monkeypatch, capsys):
+    k10 = {"type": "graphic", "edges": [[i, j] for i in range(10) for j in range(i + 1, 10)]}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(k10)))
+    start = time.perf_counter()
+    code = cli.main(["tutte", "--budget", "1000"])
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err.startswith("too large:") and "1000" in err and len(err.splitlines()) == 1, err
+
+
 # -------------------------------------------------------------------- caching
 
 

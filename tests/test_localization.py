@@ -238,6 +238,21 @@ def test_partial_walks_add_up(corpus_by_name):
     assert _accumulate_points(M, [], a, cells, L) == {cell: [0] * L for cell in cells}
 
 
+def test_minors_with_gaps_in_their_labels(corpus_by_name):
+    """Weights and characters follow the position of an element in
+    M.elements, not its label: minors keep their parent's labels."""
+    for M in (
+        corpus_by_name["u_2_4"].delete([1]),  # elements (0, 2, 3)
+        corpus_by_name["fano"].contract([0]).delete([3]),
+        corpus_by_name["k4"].delete([0, 5]),
+    ):
+        assert euler_table(M) == h_matrix(M) == per_point_euler_table(M), M.elements
+    M = corpus_by_name["u_2_4"].delete([1])
+    data = fixed_point_data(M, (3, 0, 2))
+    assert data.tangent_chars == [(-TANGENT_SIGN, 0, TANGENT_SIGN), (TANGENT_SIGN, -TANGENT_SIGN, 0)]
+    assert data.s_chars == [(0, 0, FIBER_SIGN), (FIBER_SIGN, 0, 0)]
+
+
 def test_exact_checks_reject_bad_sums():
     assert _extract_integer((0, 0), [0, 0, 12], 2, 4) == 3
     with pytest.raises(InternalInvariantViolation, match="residual pole"):

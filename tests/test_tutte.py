@@ -166,7 +166,7 @@ def test_tutte_cache_reuse(corpus_by_name):
     cache = TutteCache()
     M = corpus_by_name["fano"]
     first = tutte_dc(M, cache=cache)
-    assert cache.get(M.canonical_key()) == first
+    assert cache.get(M.memo_key()) == first
     # a second run over a shared cache returns the identical polynomial
     assert tutte_dc(M, cache=cache) == first
     assert tutte_dc(corpus_by_name["k4"], cache=cache) == FROZEN_TUTTE["k4"]
