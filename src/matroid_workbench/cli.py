@@ -221,7 +221,7 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, helptext, degree=None, field=False, cache=False):
+    def add(name, fn, helptext, degree=None, field=False, cache=False, budget=None):
         p = sub.add_parser(name, help=helptext)
         p.set_defaults(fn=fn)
         if name != "verify-corpus":
@@ -241,20 +241,21 @@ def build_parser():
             )
         if cache:
             p.add_argument("--cache", help="directory for persistent memo tables")
-        p.add_argument(
-            "--budget",
-            type=_int_at_least(0),
-            default=0,
-            help="override the computation budget (fixed points / monomials / "
-            "deletion-contraction nodes; 0 keeps the default)",
-        )
+        if budget:
+            p.add_argument(
+                "--budget",
+                type=_int_at_least(0),
+                default=0,
+                help=f"override the budget of {budget} (0 keeps the default)",
+            )
         p.add_argument(
             "--jobs", type=_int_at_least(1), default=1,
             help="worker threads (output-stable)",
         )
         return p
 
-    add("tutte", _cmd_tutte, "Tutte polynomial by deletion-contraction", cache=True)
+    add("tutte", _cmd_tutte, "Tutte polynomial by deletion-contraction", cache=True,
+        budget="deletion-contraction nodes")
     add("charpoly", _cmd_charpoly, "characteristic polynomial and its reduction")
     add("hlv", _cmd_hlv, "two-variable h polynomial")
     add("os-dims", _cmd_os_dims, "Orlik-Solomon dimensions by degree", field=True)
@@ -263,9 +264,10 @@ def build_parser():
     add("reduced-os-basis", _cmd_reduced_os_basis,
         "reduced nbc basis in one degree", degree="required", field=True)
     add("euler-table", _cmd_euler_table,
-        "Euler characteristic table by fixed-point localization")
+        "Euler characteristic table by fixed-point localization",
+        budget="fixed points")
     add("white-check", _cmd_white_check,
-        "toric fiber connectivity in one degree", degree=3)
+        "toric fiber connectivity in one degree", degree=3, budget="monomials")
     add("verify-corpus", _cmd_verify_corpus,
         "recompute every corpus expected block and report pass/fail")
     return parser

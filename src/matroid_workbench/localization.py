@@ -66,31 +66,6 @@ class FixedPointData:
         self.tangent_chars = tangent_chars
 
 
-class _PrefixRank:
-    """Push/pop rank steps through M.rank, for backings without an
-    incremental oracle (explicit bases, derived minors and duals)."""
-
-    def __init__(self, M):
-        self._rank = M.rank
-        self._prefix = []
-        self._ranks = [0]
-
-    def push(self, e):
-        self._prefix.append(e)
-        self._ranks.append(self._rank(self._prefix))
-        return self._ranks[-1] > self._ranks[-2]
-
-    def pop(self):
-        self._prefix.pop()
-        self._ranks.pop()
-
-
-def _rank_steps(M):
-    """Push/pop oracle whose push(e) says whether e raises the prefix rank."""
-    inc = M.incremental_rank()
-    return inc if inc is not None else _PrefixRank(M)
-
-
 def fixed_point_data(M: Matroid, w) -> FixedPointData:
     """Characters at the fixed point labeled by the ordering w.
 
@@ -103,7 +78,7 @@ def fixed_point_data(M: Matroid, w) -> FixedPointData:
         raise InvalidInput(f"{w} is not an ordering of the ground set")
     n1 = len(w)
     pos = {e: i for i, e in enumerate(M.elements)}
-    inc = _rank_steps(M)
+    inc = M.rank_steps()
     steps = [bool(inc.push(e)) for e in w]
 
     def unit(e, sign):
@@ -199,7 +174,7 @@ def _accumulate_points(M, roots, a, cells, L):
     weight = dict(zip(elements, a))
     inverses = {}
     by_basis = {}  # bitmask of the step set S -> integer series coefficients
-    inc = _rank_steps(M)
+    inc = M.rank_steps()
 
     def scaled_inverse(tau):
         """tau^L / u_tau, an integer series: 1/u_tau has slot k in tau^-(k+1) Z."""

@@ -11,8 +11,10 @@ A Matroid wraps one of several backings:
 Ground elements are integers 0..n-1 in a fixed order; that order is part of
 the matroid's identity (broken circuits, canonical keys, and fixed-point
 flags all read it). Rank values are cached per frozenset; backings that can
-do better expose an incremental push/pop rank oracle used by the subset
-walks in tutte.py and localization.py.
+do better expose an incremental push/pop rank oracle. Matroid.rank_steps()
+hands every walk over prefixes (bases here, the corank-nullity counts in
+tutte.py, the fixed points in localization.py) that oracle, or an adapter
+over the cached rank when the backing has none.
 """
 from __future__ import annotations
 
@@ -279,6 +281,25 @@ class DerivedBacking:
         return None
 
 
+class _PrefixRank:
+    """Push/pop rank steps through Matroid.rank, for backings without an
+    incremental oracle (explicit bases, derived minors and duals)."""
+
+    def __init__(self, M):
+        self._rank = M.rank
+        self._prefix = []
+        self._ranks = [0]
+
+    def push(self, e):
+        self._prefix.append(e)
+        self._ranks.append(self._rank(self._prefix))
+        return self._ranks[-1] > self._ranks[-2]
+
+    def pop(self):
+        self._prefix.pop()
+        self._ranks.pop()
+
+
 class Matroid:
     """Immutable matroid facade with a cached exact rank oracle."""
 
@@ -310,6 +331,12 @@ class Matroid:
     def incremental_rank(self):
         """Push/pop rank oracle, or None when the backing has no fast path."""
         return self._backing.incremental()
+
+    def rank_steps(self):
+        """Push/pop oracle whose push(e) says whether e raises the rank of
+        the pushed prefix: incremental_rank(), or an adapter over rank()."""
+        inc = self.incremental_rank()
+        return inc if inc is not None else _PrefixRank(self)
 
     @property
     def size(self):
@@ -370,15 +397,31 @@ class Matroid:
 
     def bases(self, limit=ENUMERATION_LIMIT):
         """All bases as sorted tuples, lexicographic. Guarded by `limit`
-        on the ground set size (pass limit=0 to lift the cap)."""
+        on the ground set size (pass limit=0 to lift the cap).
+
+        A depth-first walk over independent prefixes: it descends only when
+        a push raises the rank, and only while enough elements are left to
+        reach rank r, so dependent sets are never extended."""
         if limit and self.size > limit:
             raise TooLarge(f"basis enumeration over {self.size} > {limit} elements")
         if self._bases is None:
-            self._bases = [
-                b
-                for b in itertools.combinations(self.elements, self.r)
-                if self.rank(b) == self.r
-            ]
+            elems, n, r = self.elements, self.size, self.r
+            steps = self.rank_steps()
+            prefix, found = [], []
+
+            def walk(start):
+                if len(prefix) == r:
+                    found.append(tuple(prefix))
+                    return
+                for i in range(start, n - (r - len(prefix)) + 1):
+                    if steps.push(elems[i]):
+                        prefix.append(elems[i])
+                        walk(i + 1)
+                        prefix.pop()
+                    steps.pop()
+
+            walk(0)
+            self._bases = found
         return self._bases
 
     def circuits(self, limit=ENUMERATION_LIMIT):

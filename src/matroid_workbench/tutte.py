@@ -9,10 +9,12 @@ deletion-contraction (tutte_dc). The h polynomial
 is computed both from that subset sum and by substituting into the Tutte
 polynomial; the two must agree exactly or InternalInvariantViolation flies.
 
-Counting route: the subset walk only needs, for each (corank, nullity)
-pair, how many subsets hit it, so everything reduces to one depth-first
-enumeration with an incremental rank oracle (one rank update per visited
-subset) followed by small binomial expansions.
+Counting route: the subset sum only needs, for each (corank, nullity)
+pair, how many subsets hit it. One depth-first walk over Matroid.rank_steps()
+(one push per visited subset) records every subset that does not span;
+below a spanning subset every superset has rank r, so that whole subtree is
+counted by binomials without being visited. Small binomial expansions then
+turn the counts into polynomials.
 
 Deletion-contraction route: each node peels all loops and coloops at once,
 T(M) = x^#coloops y^#loops T(M \\ loops / coloops) (Haggard-Pearce-Royle,
@@ -34,36 +36,42 @@ DEFAULT_DC_NODES = 100_000  # expanded deletion-contraction cores (memo misses)
 
 def rank_size_counts(M: Matroid):
     """{(corank, nullity): number of subsets A with r - rk(A) = corank,
-    #A - rk(A) = nullity}; the full 2^#E walk, depth-first with one
-    incremental rank update per subset."""
+    #A - rk(A) = nullity}, over all 2^#E subsets.
+
+    A depth-first walk over subsets in increasing element order, one rank
+    push per visited subset. A subset A that spans, reached with m elements
+    left to add, is not extended: its 2^m supersets in the walk all have
+    rank r, and C(m, j) of them have nullity #A + j - r. The counts must
+    add up to 2^#E.
+    """
     if M.size > SUBSET_SUM_LIMIT:
         raise TooLarge(f"subset sum over {M.size} > {SUBSET_SUM_LIMIT} elements")
     elems = M.elements
-    r = M.r
+    n, r = M.size, M.r
+    steps = M.rank_steps()
     counts = {}
+    spanning = {}  # (#A, m) -> number of spanning subsets A reached with m left
 
-    def record(size, rk):
+    def walk(start, size, rk):
+        if rk == r:
+            key = (size, n - start)
+            spanning[key] = spanning.get(key, 0) + 1
+            return
         key = (r - rk, size - rk)
         counts[key] = counts.get(key, 0) + 1
+        for i in range(start, n):
+            walk(i + 1, size + 1, rk + 1 if steps.push(elems[i]) else rk)
+            steps.pop()
 
-    inc = M.incremental_rank()
-    if inc is not None:
-        def walk(start, size, rk):
-            record(size, rk)
-            for i in range(start, len(elems)):
-                rk2 = rk + (1 if inc.push(elems[i]) else 0)
-                walk(i + 1, size + 1, rk2)
-                inc.pop()
-
-        walk(0, 0, 0)
-    else:
-        # No fast oracle: rank each subset directly (still exact, just slower).
-        def walk(start, sub):
-            record(len(sub), M.rank(sub))
-            for i in range(start, len(elems)):
-                walk(i + 1, sub | {elems[i]})
-
-        walk(0, frozenset())
+    walk(0, 0, 0)
+    for (size, m), k in spanning.items():
+        for j in range(m + 1):
+            key = (0, size + j - r)
+            counts[key] = counts.get(key, 0) + k * comb(m, j)
+    if sum(counts.values()) != 2**n:
+        raise InternalInvariantViolation(
+            f"corank-nullity counts add up to {sum(counts.values())}, not 2^{n}"
+        )
     return counts
 
 

@@ -43,6 +43,22 @@ def brute_tutte(M):
     return BivariatePoly({k: v for k, v in terms.items() if v})
 
 
+def brute_rank_size_counts(M):
+    """{(corank, nullity): count}, ranking every subset with M.rank."""
+    counts = {}
+    r = M.r
+    for A in powerset(M.elements):
+        rk = M.rank(A)
+        key = (r - rk, len(A) - rk)
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def brute_bases(M):
+    """The r-subsets of rank r, in itertools.combinations order."""
+    return [b for b in combinations(M.elements, M.r) if M.rank(b) == M.r]
+
+
 def brute_h(M):
     """h(u, v) = sum over subsets of u^(r - rk) v^(m - nullity)."""
     terms = {}

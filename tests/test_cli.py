@@ -141,6 +141,13 @@ def test_verify_corpus_exits_zero():
         (["tutte", "--jobs", "-3"], U23, None, 2),
         (["euler-table", "--budget", "-1"], U23, None, 2),
         (["os-dims", "--field", "GF(2305843009213693953)"], U23, None, 2),
+        # --budget belongs to tutte, euler-table and white-check only
+        (["hlv", "--budget", "1"], U23, None, 2),
+        (["charpoly", "--budget", "1"], U23, None, 2),
+        (["os-dims", "--budget", "1"], U23, None, 2),
+        (["os-basis", "--degree", "1", "--budget", "1"], U23, None, 2),
+        (["reduced-os-basis", "--degree", "1", "--budget", "1"], U23, None, 2),
+        (["verify-corpus", "--budget", "1"], None, "", 2),
     ],
 )
 def test_exit_codes(args, stdin_obj, stdin_text, code):

@@ -91,16 +91,16 @@ OPTIONS = {
     "--cache": st.just("CACHE"),
     "--bogus": st.just("1"),
 }
-COMMON = ["--budget", "--jobs", "--input"]
+COMMON = ["--jobs", "--input"]
 COMMANDS = {
-    "tutte": COMMON + ["--cache"],
+    "tutte": COMMON + ["--budget", "--cache"],
     "charpoly": COMMON,
     "hlv": COMMON,
     "os-dims": COMMON + ["--field"],
     "os-basis": COMMON + ["--field", "--degree"],
     "reduced-os-basis": COMMON + ["--field", "--degree"],
-    "euler-table": COMMON,
-    "white-check": COMMON + ["--degree"],
+    "euler-table": COMMON + ["--budget"],
+    "white-check": COMMON + ["--budget", "--degree"],
 }
 
 
