@@ -184,7 +184,7 @@ def _cmd_euler_table(args):
 def _cmd_white_check(args):
     M = _read_descriptor(args.input)
     budget = args.budget if args.budget else white.DEFAULT_BUDGET
-    report = white.check_degree(M, args.degree, budget=budget, jobs=args.jobs)
+    report = white.check_degree(M, args.degree, budget=budget)
     _emit(report)
 
 
@@ -250,7 +250,8 @@ def build_parser():
             )
         p.add_argument(
             "--jobs", type=_int_at_least(1), default=1,
-            help="worker threads (output-stable)",
+            help="accepted; runs one worker" if name == "white-check"
+            else "worker threads (output-stable)",
         )
         return p
 
@@ -267,7 +268,8 @@ def build_parser():
         "Euler characteristic table by fixed-point localization",
         budget="fixed points")
     add("white-check", _cmd_white_check,
-        "toric fiber connectivity in one degree", degree=3, budget="monomials")
+        "toric fiber connectivity in one degree", degree=3,
+        budget="basis factors stored over degrees 1..d")
     add("verify-corpus", _cmd_verify_corpus,
         "recompute every corpus expected block and report pass/fail")
     return parser

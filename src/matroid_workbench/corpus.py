@@ -473,7 +473,7 @@ def _run_check(M, check, value, jobs=1):
     if check == "euler_table":
         return localization.euler_table(M, jobs=jobs)
     if check == "white_all_connected":
-        report = white.check_degree(M, value["degree"], jobs=jobs)
+        report = white.check_degree(M, value["degree"])
         return {"degree": value["degree"], "all_connected": report["all_connected"]}
     raise InvalidInput(f"unknown corpus check {check!r}")
 

@@ -6,7 +6,8 @@ are checked against independent definitions.
 """
 
 from fractions import Fraction
-from itertools import chain, combinations, permutations
+from itertools import chain, combinations, combinations_with_replacement, permutations
+from math import lcm
 
 from matroid_workbench import (
     BivariatePoly,
@@ -180,8 +181,10 @@ def per_point_euler_table(M, one_ps=None):
 
     For each ordering w, the characters of fixed_point_data(M, w) are paired
     with the weights a; the tangent units (1 - (1+eps)^(-tau)) / eps are
-    multiplied and inverted as one Fraction series, and the fiber numerator
-    of every cell is expanded subset by subset. Series run to eps^(n+1).
+    multiplied and inverted as one Fraction series, whose denominators are
+    cleared by their lcm, and the fiber numerator of every cell is expanded
+    subset by subset and multiplied by it in integers; each cell slot gains
+    one Fraction per point. Series run to eps^(n+1).
     The pole slots of every cell's sum must vanish and its eps^0 slot be an
     integer. No code is shared with the prefix walk beyond the series type
     and the rank steps.
@@ -204,7 +207,11 @@ def per_point_euler_table(M, one_ps=None):
         for char in data.tangent_chars:
             tau = pair(char)
             denom = denom * TruncatedSeries([-c for c in power(-tau, order + 1).coeffs[1:]], order)
-        inv = denom.inverse()
+        # clear the inverse's denominators once, so that the cell products
+        # below run in integers
+        inv = denom.inverse().coeffs
+        scale = lcm(*(c.denominator for c in inv))
+        inv = TruncatedSeries([c.numerator * (scale // c.denominator) for c in inv], order)
         s_exps = [pair(c) for c in data.s_chars]
         q_exps = [pair(c) for c in data.q_chars]
         for (p, q), slot in sums.items():
@@ -214,8 +221,59 @@ def per_point_euler_table(M, one_ps=None):
                     for j, c in enumerate(power(sum(A) + sum(B)).coeffs):
                         numer[j] += c
             for j, c in enumerate((TruncatedSeries(numer, order) * inv).coeffs):
-                slot[j] += c
+                slot[j] += Fraction(c, scale)
     for cell, slot in sums.items():
         assert all(c == 0 for c in slot[:n]), (cell, slot)
         assert slot[n].denominator == 1, (cell, slot[n])
     return [[int(sums[(p, q)][n]) for q in range(m + 1)] for p in range(r + 1)]
+
+
+def explicit_move_components(M, d):
+    """{multidegree: components} of the degree-d fibers under explicit
+    double-swap moves, each component a sorted list of sorted d-tuples of
+    bases, the components in order of their least monomial.
+
+    Every pair of factors of every monomial is swapped by every x, y for
+    which both results are bases, with frozensets and no table shared
+    between monomials: the move builder that the lift replaced.
+    """
+    bases = M.bases()
+    bset = {frozenset(b) for b in bases}
+    pos = {e: p for p, e in enumerate(M.elements)}
+    fibers = {}
+    for ms in combinations_with_replacement(bases, d):
+        mdeg = [0] * M.size
+        for b in ms:
+            for e in b:
+                mdeg[pos[e]] += 1
+        fibers.setdefault(tuple(mdeg), []).append(ms)
+
+    def moves(v):
+        for i, j in combinations(range(d), 2):
+            s1, s2 = set(v[i]), set(v[j])
+            for x in s1 - s2:
+                for y in s2 - s1:
+                    f1, f2 = frozenset(s1 - {x} | {y}), frozenset(s2 - {y} | {x})
+                    if f1 in bset and f2 in bset:
+                        rest = v[:i] + v[i + 1:j] + v[j + 1:]
+                        yield tuple(sorted(rest + (tuple(sorted(f1)), tuple(sorted(f2)))))
+
+    out = {}
+    for mdeg, verts in fibers.items():
+        seen, comps = set(), []
+        for v in sorted(verts):
+            if v in seen:
+                continue
+            seen.add(v)
+            comp, todo = [], [v]
+            while todo:
+                cur = todo.pop()
+                comp.append(cur)
+                for w in moves(cur):
+                    assert w in verts, (w, cur)
+                    if w not in seen:
+                        seen.add(w)
+                        todo.append(w)
+            comps.append(sorted(comp))
+        out[mdeg] = comps
+    return out

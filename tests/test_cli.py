@@ -148,6 +148,10 @@ def test_verify_corpus_exits_zero():
         (["os-basis", "--degree", "1", "--budget", "1"], U23, None, 2),
         (["reduced-os-basis", "--degree", "1", "--budget", "1"], U23, None, 2),
         (["verify-corpus", "--budget", "1"], None, "", 2),
+        # the budget counts basis factors over all degrees, so a huge degree
+        # on a one-basis matroid is refused before any enumeration
+        (["white-check", "--degree", "100000"], {"type": "uniform", "r": 1, "n": 1}, None, 3),
+        (["white-check", "--degree", "99999999999999999999"], {"type": "uniform", "r": 1, "n": 1}, None, 3),
     ],
 )
 def test_exit_codes(args, stdin_obj, stdin_text, code):

@@ -84,7 +84,7 @@ stdin_text = mostly(descriptors.map(json.dumps), st.text(max_size=30))
 
 OPTIONS = {
     "--field": fields,
-    "--degree": mostly(st.sampled_from(["0", "1", "2", "3"]), st.sampled_from(["-1", "9", "x"])),
+    "--degree": mostly(st.sampled_from(["0", "1", "2", "3"]), st.sampled_from(["-1", "9", "x", "100000", "99999999999999999999"])),
     "--budget": mostly(st.sampled_from(["0", "5", "100", "5040"]), st.sampled_from(["-1", "1.5"])),
     "--jobs": mostly(st.sampled_from(["1", "2", "3"]), st.sampled_from(["0", "-2", "two"])),
     "--input": mostly(st.just("-"), st.just("/nonexistent/descriptor.json")),
