@@ -9,8 +9,9 @@ and errors map to fixed exit codes:
     4  internal invariant violation (always a bug in this package)
     1  verify-corpus found a failing check (not an error of the tool)
 
-Output is deterministic for fixed input and flags; --jobs only changes the
-schedule, never the bytes.
+Output is deterministic for fixed input and flags. Every command runs one
+worker; --jobs is accepted and validated for compatibility but read by
+nothing, so it never changes the bytes.
 """
 from __future__ import annotations
 
@@ -36,18 +37,20 @@ from .polynomials import BivariatePoly
 
 
 def _read_descriptor(path):
-    if path == "-":
-        raw = sys.stdin.read()
-    else:
-        try:
+    try:
+        if path == "-":
+            raw = sys.stdin.read()
+        else:
             with open(path, "r", encoding="utf-8") as fh:
                 raw = fh.read()
-        except OSError as exc:
-            raise InvalidInput(f"cannot read {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidInput(f"cannot read {path}: {exc}") from exc
     try:
         obj = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"input is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InvalidInput("input JSON is nested too deeply") from exc
     return from_descriptor(obj)
 
 
@@ -70,7 +73,10 @@ class FileTutteCache(tutte.TutteCache):
     def __init__(self, directory):
         super().__init__()
         self.directory = directory
-        os.makedirs(directory, exist_ok=True)
+        try:
+            os.makedirs(directory, exist_ok=True)
+        except OSError as exc:
+            raise InvalidInput(f"cannot use {directory} as a cache directory: {exc}") from exc
 
     def _path(self, key):
         return os.path.join(self.directory, hashlib.sha256(key).hexdigest() + ".json")
@@ -172,7 +178,7 @@ def _cmd_reduced_os_basis(args):
 def _cmd_euler_table(args):
     M = _read_descriptor(args.input)
     budget = args.budget if args.budget else localization.DEFAULT_MAX_POINTS
-    table = localization.euler_table(M, max_points=budget, jobs=args.jobs)
+    table = localization.euler_table(M, max_points=budget)
     matches = tutte.h_matrix(M) == table
     if not matches:
         raise InternalInvariantViolation(
@@ -189,7 +195,7 @@ def _cmd_white_check(args):
 
 
 def _cmd_verify_corpus(args):
-    report = corpus.verify_corpus(jobs=args.jobs)
+    report = corpus.verify_corpus()
     _emit(report)
     return 0 if report["all_pass"] else 1
 
@@ -250,8 +256,7 @@ def build_parser():
             )
         p.add_argument(
             "--jobs", type=_int_at_least(1), default=1,
-            help="accepted; runs one worker" if name == "white-check"
-            else "worker threads (output-stable)",
+            help="accepted for compatibility; every command runs one worker",
         )
         return p
 

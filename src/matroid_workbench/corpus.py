@@ -435,7 +435,7 @@ def corpus_matroid(name):
     return from_descriptor(entry_by_name(name)["descriptor"])
 
 
-def _run_check(M, check, value, jobs=1):
+def _run_check(M, check, value):
     """Recompute one check; returns the freshly computed value."""
     if check == "n_bases":
         return len(M.bases())
@@ -471,18 +471,18 @@ def _run_check(M, check, value, jobs=1):
     if check == "reduced_nbc_deg2":
         return [list(s) for s in orlik_solomon.reduced_nbc_index_sets(M, 2)]
     if check == "euler_table":
-        return localization.euler_table(M, jobs=jobs)
+        return localization.euler_table(M)
     if check == "white_all_connected":
         report = white.check_degree(M, value["degree"])
         return {"degree": value["degree"], "all_connected": report["all_connected"]}
     raise InvalidInput(f"unknown corpus check {check!r}")
 
 
-def verify_entry(entry, jobs=1):
+def verify_entry(entry):
     M = from_descriptor(entry["descriptor"])
     results = []
     for item in entry["expected"]:
-        got = _run_check(M, item["check"], item["value"], jobs=jobs)
+        got = _run_check(M, item["check"], item["value"])
         results.append(
             {
                 "check": item["check"],
@@ -495,12 +495,12 @@ def verify_entry(entry, jobs=1):
     return results
 
 
-def verify_corpus(names=None, jobs=1):
+def verify_corpus(names=None):
     """Recompute every expected block; report pass/fail per entry/check."""
     entries = CORPUS if names is None else [entry_by_name(n) for n in names]
     report = {"entries": [], "all_pass": True}
     for entry in entries:
-        checks = verify_entry(entry, jobs=jobs)
+        checks = verify_entry(entry)
         ok = all(c["pass"] for c in checks)
         report["entries"].append(
             {"name": entry["name"], "pass": ok, "checks": checks}

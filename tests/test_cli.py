@@ -161,6 +161,24 @@ def test_exit_codes(args, stdin_obj, stdin_text, code):
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
 
 
+def test_unusable_input_or_cache_exits_2(tmp_path):
+    not_utf8 = tmp_path / "not_utf8.json"
+    not_utf8.write_bytes(b"\xff\xfe{")
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    u23 = json.dumps(U23)
+    for args, stdin_text in (
+        (["tutte"], "[" * 100000),  # nested past the JSON parser's recursion limit
+        (["tutte", "--input", str(not_utf8)], ""),
+        (["tutte", "--cache", str(a_file)], u23),  # the cache directory is a regular file
+        (["tutte", "--cache", str(a_file / "memo")], u23),  # ... or lies under one
+    ):
+        proc = run_cli(args, stdin_text=stdin_text)
+        assert proc.returncode == 2, (args, proc.stderr)
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
 @pytest.mark.parametrize(
     "descriptor",
     [

@@ -25,7 +25,6 @@ from matroid_workbench import (
 from matroid_workbench.localization import (
     FIBER_SIGN,
     TANGENT_SIGN,
-    _accumulate_points,
     _extract_integer,
 )
 
@@ -92,10 +91,15 @@ def test_fixed_point_rejects_non_permutations(corpus_by_name):
 
 
 def test_generic_one_ps_has_distinct_coordinates():
-    for n in (1, 2, 5, 8):
-        a = generic_one_ps(n)
-        assert len(a) == n
-        assert len(set(a)) == n
+    for n in (0, 1, 2, 5, 8):
+        assert generic_one_ps(n) == tuple(range(n))
+
+
+def test_geometric_one_ps_matches_h(corpus_by_name):
+    """(0, 1, M, M^2, ...) with M = #E + 1 has huge tangent pairings, which
+    keeps the walk's large-integer path under test."""
+    M = corpus_by_name["fano"]
+    assert euler_table(M, one_ps=(0, 1, 8, 64, 512, 4096, 32768)) == h_matrix(M)
 
 
 def test_non_generic_one_ps_rejected(corpus_by_name):
@@ -182,13 +186,6 @@ def test_budget_enforced(corpus_by_name):
     assert euler_table(M, max_points=6) == h_matrix(M)
 
 
-def test_jobs_do_not_change_results(corpus_by_name):
-    M = corpus_by_name["k4"]
-    one = euler_table(M, jobs=1)
-    for jobs in (2, 3, M.size + 2):  # more jobs than first elements
-        assert euler_table(M, jobs=jobs) == one, jobs
-
-
 def test_derived_rank_oracle_matroid(corpus_by_name):
     """Matroids whose only rank oracle is the generic one still localize."""
     M = corpus_by_name["u_2_4"].dual()  # U_{2,4} is self-dual
@@ -223,19 +220,6 @@ def test_walk_matches_oracle_without_push_pop():
         for choice in sorted(ONE_PS):
             a = ONE_PS[choice](M.size)
             assert euler_table(M, one_ps=a) == per_point_euler_table(M, a) == h_matrix(M), choice
-
-
-def test_partial_walks_add_up(corpus_by_name):
-    """Walks from disjoint root sets add; a walk with no roots is zero."""
-    M = corpus_by_name["u_2_4"]
-    a = generic_one_ps(M.size)
-    cells = [(p, q) for p in range(M.r + 1) for q in range(M.size - M.r + 1)]
-    L = M.size
-    whole = _accumulate_points(M, M.elements, a, cells, L)
-    parts = [_accumulate_points(M, [e], a, cells, L) for e in M.elements]
-    for cell in cells:
-        assert [sum(col) for col in zip(*(p[cell] for p in parts))] == whole[cell], cell
-    assert _accumulate_points(M, [], a, cells, L) == {cell: [0] * L for cell in cells}
 
 
 def test_minors_with_gaps_in_their_labels(corpus_by_name):
