@@ -1,8 +1,19 @@
 """Exception types shared across the workbench.
 
 The CLI maps these to exit codes: InvalidInput/InvalidField/LooplessRequired
-to 2, TooLarge to 3, InternalInvariantViolation to 4.
+to 2, TooLarge to 3, InternalInvariantViolation to 4. Messages quote the
+input they reject through quote(), so each stays one short line.
 """
+import reprlib
+
+_QUOTE = reprlib.Repr()
+_QUOTE.maxstring = _QUOTE.maxother = 60
+
+
+def quote(value):
+    """repr(value), capped: long strings and numbers are cut in the middle,
+    long or deep containers shown in part, newlines escaped."""
+    return _QUOTE.repr(value)
 
 
 class WorkbenchError(Exception):

@@ -9,7 +9,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import InvalidField
+from .errors import InvalidField, quote
 
 
 class RationalField:
@@ -22,15 +22,15 @@ class RationalField:
     def of(self, x):
         """Coerce an int, Fraction, or 'a/b' string to a field element."""
         if isinstance(x, bool) or isinstance(x, float):
-            raise InvalidField(f"rational entries must be exact, got {x!r}")
+            raise InvalidField(f"rational entries must be exact, got {quote(x)}")
         if isinstance(x, (int, Fraction)):
             return Fraction(x)
         if isinstance(x, str):
             try:
                 return Fraction(x)
             except (ValueError, ZeroDivisionError) as exc:
-                raise InvalidField(f"cannot parse rational {x!r}") from exc
-        raise InvalidField(f"cannot coerce {x!r} into Q")
+                raise InvalidField(f"cannot parse rational {quote(x)}") from exc
+        raise InvalidField(f"cannot coerce {quote(x)} into Q")
 
     def add(self, a, b):
         return a + b
@@ -96,7 +96,7 @@ class PrimeField:
 
     def __init__(self, p: int):
         if type(p) is not int or p >= MODULUS_LIMIT or not _is_prime(p):
-            raise InvalidField(f"GF({p!r}): modulus must be a prime below 2^64")
+            raise InvalidField(f"GF({quote(p)}): modulus must be a prime below 2^64")
         self.p = p
         self.characteristic = p
         self.name = f"GF({p})"
@@ -105,7 +105,7 @@ class PrimeField:
 
     def of(self, x):
         if isinstance(x, bool) or not isinstance(x, int):
-            raise InvalidField(f"GF({self.p}) entries must be integers, got {x!r}")
+            raise InvalidField(f"GF({self.p}) entries must be integers, got {quote(x)}")
         return x % self.p
 
     def add(self, a, b):
@@ -154,4 +154,4 @@ def field_from_name(name: str):
     m = _GF_RE.match(name.strip()) if isinstance(name, str) else None
     if m:
         return PrimeField(int(m.group(1)))
-    raise InvalidField(f"unknown field {name!r} (expected 'Q' or 'GF(p)', p < 2^64)")
+    raise InvalidField(f"unknown field {quote(name)} (expected 'Q' or 'GF(p)', p < 2^64)")

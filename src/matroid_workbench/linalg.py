@@ -1,14 +1,16 @@
-"""Exact linear algebra kernels.
+"""Exact linear algebra kernels and the push/pop rank oracles built on them.
 
-Two flavors live here: fraction-free integer echelon forms used by the hot
-rank oracles (rational matrices are stored with denominator-cleared integer
-columns, so all rank arithmetic stays in Z), and field-generic reduced row
-echelon / kernel routines used for minors and duals, where the scalar work
-goes through a field object from fields.py.
+Fraction-free integer echelon forms (rational matrices are stored with
+denominator-cleared integer columns, so all rank arithmetic stays in Z) and
+GF(p) echelon forms rank labeled columns; their `reduce` also gives the
+residual columns of a contraction. Field-generic reduced row echelon and
+kernel routines serve duals and memo keys, with the scalar work going
+through a field object from fields.py. A rollback union-find ranks the
+edges of a multigraph.
 
-The incremental echelons support push/pop in LIFO order only; that is what
-depth-first subset enumeration and flag walks need, and it keeps rollback
-trivial (a push appends at most one reduced row).
+The oracles support push/pop in LIFO order only; that is what depth-first
+subset enumeration and flag walks need, and it keeps rollback trivial (a
+push appends at most one row or one union).
 """
 from __future__ import annotations
 
@@ -16,7 +18,8 @@ from math import gcd
 
 
 def _reduce_int_row(row):
-    """Divide by the gcd and make the first nonzero entry positive."""
+    """Divide by the gcd and make the first nonzero entry positive; a zero
+    row comes back as it is."""
     g = 0
     lead = 0
     for x in row:
@@ -24,79 +27,90 @@ def _reduce_int_row(row):
         if lead == 0 and x != 0:
             lead = x
     if g == 0:
-        return None
+        return row
     if lead < 0:
         g = -g
     return [x // g for x in row]
 
 
-class IntEchelon:
-    """Append-only integer echelon form; rank oracle for rational columns.
+class _Echelon:
+    """Append-only echelon form over labeled columns, the push/pop rank
+    oracle of a matrix. Stored rows have pairwise distinct pivot positions,
+    and each row was reduced against all rows stored before it, so
+    eliminating an incoming vector in insertion order never reintroduces a
+    cleared pivot."""
 
-    Stored rows have pairwise distinct pivot positions, and each row was
-    reduced against all rows stored before it, so eliminating an incoming
-    vector in insertion order never reintroduces a cleared pivot.
-    """
-
-    def __init__(self):
-        self.rows = []  # (pivot index, normalized integer row)
+    def __init__(self, columns):
+        self.columns = columns
+        self.rows = []  # (pivot index, row)
         self._added = []
 
     @property
     def rank(self):
         return len(self.rows)
-
-    def push(self, vec):
-        v = list(vec)
-        for j, row in self.rows:
-            if v[j]:
-                a, b = row[j], v[j]
-                v = [a * x - b * y for x, y in zip(v, row)]
-                v = _reduce_int_row(v) or [0] * len(v)
-        pivot = next((i for i, x in enumerate(v) if x), None)
-        if pivot is None:
-            self._added.append(False)
-            return False
-        self.rows.append((pivot, _reduce_int_row(v)))
-        self._added.append(True)
-        return True
 
     def pop(self):
         if self._added.pop():
             self.rows.pop()
 
 
-class ModEchelon:
-    """Append-only echelon form over GF(p); rows are monic at their pivot."""
+class IntEchelon(_Echelon):
+    """Echelon form over Q on denominator-cleared integer columns."""
 
-    def __init__(self, p):
+    def reduce(self, vec):
+        """The residual of `vec` modulo the span of the stored rows: zero at
+        every stored pivot, primitive with a positive leading entry once an
+        elimination has run, and all zero when vec lies in the span."""
+        v = list(vec)
+        for j, row in self.rows:
+            b = v[j]
+            if b:
+                a = row[j]
+                v = _reduce_int_row([a * x - b * y for x, y in zip(v, row)])
+        return v
+
+    def push(self, e):
+        """Push column `e`; True when it raises the rank."""
+        v = self.reduce(self.columns[e])
+        pivot = next((i for i, x in enumerate(v) if x), None)
+        self._added.append(pivot is not None)
+        if pivot is None:
+            return False
+        self.rows.append((pivot, v))
+        return True
+
+
+class ModEchelon(_Echelon):
+    """Echelon form over GF(p) on columns of residues; stored rows are monic
+    at their pivot."""
+
+    def __init__(self, p, columns):
+        super().__init__(columns)
         self.p = p
-        self.rows = []
-        self._added = []
 
-    @property
-    def rank(self):
-        return len(self.rows)
-
-    def push(self, vec):
+    def reduce(self, vec):
+        """The residual of `vec` modulo the span of the stored rows: zero at
+        every stored pivot, and vec minus a combination of the pushed
+        columns (rows are subtracted from vec, never scaled into it)."""
         p = self.p
         v = [x % p for x in vec]
         for j, row in self.rows:
             c = v[j]
             if c:
                 v = [(x - c * y) % p for x, y in zip(v, row)]
+        return v
+
+    def push(self, e):
+        """Push column `e`; True when it raises the rank."""
+        p = self.p
+        v = self.reduce(self.columns[e])
         pivot = next((i for i, x in enumerate(v) if x), None)
+        self._added.append(pivot is not None)
         if pivot is None:
-            self._added.append(False)
             return False
         inv = pow(v[pivot], p - 2, p)
         self.rows.append((pivot, [(x * inv) % p for x in v]))
-        self._added.append(True)
         return True
-
-    def pop(self):
-        if self._added.pop():
-            self.rows.pop()
 
 
 def rref(rows, field):
@@ -152,16 +166,24 @@ def kernel(rows, ncols, field):
 
 
 class RollbackUnionFind:
-    """Union-find with LIFO rollback (union by size, no path compression)."""
+    """Union-find with LIFO rollback (union by size, no path compression);
+    the push/pop rank oracle of a multigraph.
 
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-        self.size = {x: 1 for x in items}
+    `edges` maps each label to its endpoints. Vertices enter on first use:
+    `parent` holds only the vertices that are not roots, and `size` the
+    roots that have absorbed another vertex.
+    """
+
+    def __init__(self, edges):
+        self.edges = edges
+        self.parent = {}
+        self.size = {}
         self._hist = []
 
     def find(self, x):
-        while self.parent[x] != x:
-            x = self.parent[x]
+        parent = self.parent
+        while x in parent:
+            x = parent[x]
         return x
 
     def union(self, a, b):
@@ -169,16 +191,23 @@ class RollbackUnionFind:
         if ra == rb:
             self._hist.append(None)
             return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
+        size = self.size
+        sa, sb = size.get(ra, 1), size.get(rb, 1)
+        if sa < sb:
+            ra, rb, sa, sb = rb, ra, sb, sa
         self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        self._hist.append((rb, ra))
+        size[ra] = sa + sb
+        self._hist.append((rb, ra, sa))
         return True
+
+    def push(self, e):
+        """Push edge `e`; True when it joins two components (a self-loop
+        never does)."""
+        return self.union(*self.edges[e])
 
     def pop(self):
         h = self._hist.pop()
         if h:
-            rb, ra = h
-            self.parent[rb] = rb
-            self.size[ra] -= self.size[rb]
+            rb, ra, sa = h
+            del self.parent[rb]
+            self.size[ra] = sa

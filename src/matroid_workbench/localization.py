@@ -27,8 +27,9 @@ slots), the last slot that is read.
 The sum is one depth-first walk, in integers, over the orderings that
 start at each element in turn:
 
-  * every rank push and every running product of tangent-unit inverses is
-    shared by all orderings with the same prefix; each inverse 1/u_tau is
+  * every push into the rank oracle of Matroid.incremental_rank() and
+    every running product of tangent-unit inverses is shared by all
+    orderings with the same prefix; each inverse 1/u_tau is
     scaled by tau^L into an integer series, once per tangent pairing tau;
   * the n tangent pairs of one ordering are distinct pairs of coordinates,
     so their product divides D = prod_{i<j} |a_i - a_j|, and D^L / prod u
@@ -81,7 +82,7 @@ def fixed_point_data(M: Matroid, w) -> FixedPointData:
         raise InvalidInput(f"{w} is not an ordering of the ground set")
     n1 = len(w)
     pos = {e: i for i, e in enumerate(M.elements)}
-    inc = M.rank_steps()
+    inc = M.incremental_rank()
     steps = [bool(inc.push(e)) for e in w]
 
     def unit(e, sign):
@@ -160,7 +161,7 @@ def _accumulate_points(M, a, cells, L):
     weight = dict(zip(elements, a))
     inverses = {}
     by_basis = {}  # bitmask of the step set S -> integer series coefficients
-    inc = M.rank_steps()
+    inc = M.incremental_rank()
 
     def scaled_inverse(tau):
         """tau^L / u_tau, an integer series: 1/u_tau has slot k in tau^-(k+1) Z."""

@@ -10,20 +10,22 @@ A Matroid wraps one of several backings:
 
 Ground elements are integers 0..n-1 in a fixed order; that order is part of
 the matroid's identity (broken circuits, canonical keys, and fixed-point
-flags all read it). Rank values are cached per frozenset; backings that can
-do better expose an incremental push/pop rank oracle. Matroid.rank_steps()
-hands every walk over prefixes (bases here, the corank-nullity counts in
-tutte.py, the fixed points in localization.py) that oracle, or an adapter
-over the cached rank when the backing has none.
+flags all read it). Rank values are cached per frozenset. Every backing
+also has one push/pop rank oracle, steps(), which owns its label map: a
+linear echelon its columns, the rollback union-find its edges, the
+explicit-basis oracle the bases that hold the prefix's independent part,
+and uniform matroids and derived minors and duals rank each prefix with
+their own rank function.
+Matroid.incremental_rank() hands it to every walk over prefixes (bases
+here, the corank-nullity counts in tutte.py, the fixed points in
+localization.py). Linear minors contract on the same echelon.
 """
 from __future__ import annotations
 
-import itertools
-from fractions import Fraction
 from math import gcd
 
 from . import linalg
-from .errors import InvalidInput, TooLarge
+from .errors import InvalidInput, TooLarge, quote
 from .fields import QQ, PrimeField, RationalField, field_from_name
 
 # Caps keeping exhaustive walks at desk scale.
@@ -59,6 +61,13 @@ def _clear_column(col):
     return tuple(ints)
 
 
+def _store_column(field, col):
+    """A column of field scalars in the integer column convention."""
+    if isinstance(field, RationalField):
+        return _clear_column(col)
+    return tuple(int(x) % field.p for x in col)
+
+
 class LinearBacking:
     kind = "linear"
 
@@ -67,57 +76,36 @@ class LinearBacking:
         # cleared exact coordinates, over GF(p) they are reduced residues.
         self.field = field
         self.columns = columns
-        self.nrows = len(next(iter(columns.values()))) if columns else 0
-
-    def _echelon(self):
-        if isinstance(self.field, RationalField):
-            return linalg.IntEchelon()
-        return linalg.ModEchelon(self.field.p)
 
     def rank(self, subset):
-        ech = self._echelon()
-        for e in sorted(subset):
-            ech.push(self.columns[e])
-        return ech.rank
+        return sum(map(self.steps().push, subset))
 
-    def incremental(self):
-        ech = self._echelon()
-        cols = self.columns
-
-        class _Inc:
-            push = staticmethod(lambda e: ech.push(cols[e]))
-            pop = staticmethod(ech.pop)
-
-        return _Inc()
+    def steps(self):
+        if isinstance(self.field, RationalField):
+            return linalg.IntEchelon(self.columns)
+        return linalg.ModEchelon(self.field.p, self.columns)
 
     def _field_matrix(self, labels):
         """Rows of the submatrix on `labels`, entries as field scalars."""
         f = self.field
-        rows = []
-        for i in range(self.nrows):
-            rows.append([f.of(self.columns[e][i]) for e in labels])
-        return rows
+        nrows = len(self.columns[labels[0]]) if labels else 0
+        return [[f.of(self.columns[e][i]) for e in labels] for i in range(nrows)]
 
-    def minor(self, deleted, contracted, elements):
-        """Native minor: row-reduce the contracted columns, project the rest.
-
-        After RREF on [C | kept], rows pivoting inside the C block span the
-        contracted subspace; the remaining rows give coordinates of the kept
-        columns in the quotient.
-        """
-        kept = [e for e in elements if e not in deleted and e not in contracted]
-        cset = sorted(contracted)
-        labels = cset + kept
-        if not labels:
-            return LinearBacking(self.field, {}), []
-        rows = self._field_matrix(labels)
-        red, pivots = linalg.rref(rows, self.field)
-        nc = len(cset)
-        keep_rows = [i for i, pc in enumerate(pivots) if pc >= nc]
+    def minor(self, contracted, kept):
+        """Native minor: push the contracted columns into one echelon and
+        keep the residual of every kept column. The residuals span the
+        quotient by the contracted columns, so a set A of them has rank
+        r(A + C) - r(C); the coordinates at the echelon's pivots are zero
+        in every residual and are dropped."""
+        ech = self.steps()
+        for e in contracted:
+            ech.push(e)
+        pivots = {j for j, _ in ech.rows}
         columns = {}
-        for pos, e in enumerate(kept):
-            columns[e] = tuple(red[i][nc + pos] for i in keep_rows)
-        return LinearBacking(self.field, _exactify_columns(self.field, columns, kept)), kept
+        for e in kept:
+            v = ech.reduce(self.columns[e])
+            columns[e] = tuple(x for i, x in enumerate(v) if i not in pivots)
+        return LinearBacking(self.field, columns)
 
     def memo_payload(self, elements):
         """(field name, RREF rows): the row space fixes the column matroid."""
@@ -126,22 +114,30 @@ class LinearBacking:
 
     def dual(self, elements):
         """Column matroid of a kernel basis matrix (rows = kernel vectors)."""
-        rows = self._field_matrix(list(elements))
+        rows = self._field_matrix(elements)
         ker = linalg.kernel(rows, len(elements), self.field)
-        columns = {e: tuple(v[i] for v in ker) for i, e in enumerate(elements)}
-        return LinearBacking(self.field, _exactify_columns(self.field, columns, elements))
+        return LinearBacking(
+            self.field, {e: _store_column(self.field, [v[i] for v in ker]) for i, e in enumerate(elements)}
+        )
 
 
-def _exactify_columns(field, columns, labels):
-    """Re-store field-valued columns in the integer column convention."""
-    out = {}
-    for e in labels:
-        col = columns[e]
-        if isinstance(field, RationalField):
-            out[e] = _clear_column([Fraction(x) for x in col])
-        else:
-            out[e] = tuple(int(x) % field.p for x in col)
-    return out
+class _PrefixSteps:
+    """Push/pop rank oracle that ranks each pushed prefix, as a frozenset,
+    with a rank function."""
+
+    def __init__(self, rank_fn):
+        self._rank = rank_fn
+        self._stack = [(frozenset(), 0)]
+
+    def push(self, e):
+        prefix, rk = self._stack[-1]
+        prefix = prefix | {e}
+        rank = self._rank(prefix)
+        self._stack.append((prefix, rank))
+        return rank > rk
+
+    def pop(self):
+        self._stack.pop()
 
 
 class UniformBacking:
@@ -153,25 +149,11 @@ class UniformBacking:
     def rank(self, subset):
         return min(len(subset), self.r)
 
-    def incremental(self):
-        backing = self
+    def steps(self):
+        return _PrefixSteps(self.rank)
 
-        class _Inc:
-            count = 0
-
-            def push(self, _e):
-                self.count += 1
-                return self.count <= backing.r
-
-            def pop(self):
-                self.count -= 1
-
-        return _Inc()
-
-    def minor(self, deleted, contracted, elements):
-        kept = [e for e in elements if e not in deleted and e not in contracted]
-        c = min(len(contracted), self.r)
-        return UniformBacking(self.r - c), kept
+    def minor(self, contracted, kept):
+        return UniformBacking(self.r - min(len(contracted), self.r))
 
     def memo_payload(self, elements):
         return self.r
@@ -186,44 +168,20 @@ class GraphicBacking:
     def __init__(self, edges):
         # edges: {label: (u, v)}; vertices may be any hashables.
         self.edges = edges
-        self.vertices = sorted({v for uv in edges.values() for v in uv}, key=repr)
 
     def rank(self, subset):
-        uf = linalg.RollbackUnionFind(self.vertices)
-        r = 0
-        for e in sorted(subset):
-            u, v = self.edges[e]
-            if u != v and uf.union(u, v):
-                r += 1
-        return r
+        return sum(map(self.steps().push, subset))
 
-    def incremental(self):
-        uf = linalg.RollbackUnionFind(self.vertices)
-        edges = self.edges
+    def steps(self):
+        return linalg.RollbackUnionFind(self.edges)
 
-        class _Inc:
-            @staticmethod
-            def push(e):
-                u, v = edges[e]
-                if u == v:
-                    uf._hist.append(None)
-                    return False
-                return uf.union(u, v)
-
-            pop = staticmethod(uf.pop)
-
-        return _Inc()
-
-    def minor(self, deleted, contracted, elements):
-        kept = [e for e in elements if e not in deleted and e not in contracted]
-        edges = {e: self.edges[e] for e in self.edges if e not in deleted}
+    def minor(self, contracted, kept):
+        edges = {e: self.edges[e] for e in (*contracted, *kept)}
         # Contract edges one at a time: merge endpoints into one vertex.
-        for e in sorted(contracted):
+        for e in contracted:
             u, v = edges.pop(e)
-            if u == v:
-                continue
             edges = {k: (u if a == v else a, u if b == v else b) for k, (a, b) in edges.items()}
-        return GraphicBacking({e: edges[e] for e in kept}), kept
+        return GraphicBacking({e: edges[e] for e in kept})
 
     def memo_payload(self, elements):
         """Edge list with the vertices renamed 0, 1, ... by first appearance."""
@@ -236,6 +194,25 @@ class GraphicBacking:
         return None  # not graphic in general; use the generic rank formula
 
 
+class _BasesSteps:
+    """Push/pop rank oracle over an explicit basis list. It keeps the bases
+    that contain the independent part I of the prefix (greedy, in push
+    order); e raises the rank iff some of them contains e, i.e. iff I + e
+    is independent."""
+
+    def __init__(self, bases):
+        self._holding = [bases]
+
+    def push(self, e):
+        holding = self._holding[-1]
+        narrowed = [b for b in holding if e in b]
+        self._holding.append(narrowed or holding)
+        return bool(narrowed)
+
+    def pop(self):
+        self._holding.pop()
+
+
 class BasesBacking:
     kind = "bases"
 
@@ -245,10 +222,10 @@ class BasesBacking:
     def rank(self, subset):
         return max(len(subset & b) for b in self.bases)
 
-    def incremental(self):
-        return None
+    def steps(self):
+        return _BasesSteps(self.bases)
 
-    def minor(self, deleted, contracted, elements):
+    def minor(self, contracted, kept):
         return None
 
     def memo_payload(self, elements):
@@ -268,10 +245,10 @@ class DerivedBacking:
     def rank(self, subset):
         return self._rank_fn(subset)
 
-    def incremental(self):
-        return None
+    def steps(self):
+        return _PrefixSteps(self._rank_fn)
 
-    def minor(self, deleted, contracted, elements):
+    def minor(self, contracted, kept):
         return None
 
     def memo_payload(self, elements):
@@ -279,25 +256,6 @@ class DerivedBacking:
 
     def dual(self, elements):
         return None
-
-
-class _PrefixRank:
-    """Push/pop rank steps through Matroid.rank, for backings without an
-    incremental oracle (explicit bases, derived minors and duals)."""
-
-    def __init__(self, M):
-        self._rank = M.rank
-        self._prefix = []
-        self._ranks = [0]
-
-    def push(self, e):
-        self._prefix.append(e)
-        self._ranks.append(self._rank(self._prefix))
-        return self._ranks[-1] > self._ranks[-2]
-
-    def pop(self):
-        self._prefix.pop()
-        self._ranks.pop()
 
 
 class Matroid:
@@ -329,14 +287,9 @@ class Matroid:
         return got
 
     def incremental_rank(self):
-        """Push/pop rank oracle, or None when the backing has no fast path."""
-        return self._backing.incremental()
-
-    def rank_steps(self):
-        """Push/pop oracle whose push(e) says whether e raises the rank of
-        the pushed prefix: incremental_rank(), or an adapter over rank()."""
-        inc = self.incremental_rank()
-        return inc if inc is not None else _PrefixRank(self)
+        """A fresh push/pop rank oracle: push(e) says whether e raises the
+        rank of the pushed prefix, and pop() undoes the last push."""
+        return self._backing.steps()
 
     @property
     def size(self):
@@ -365,16 +318,12 @@ class Matroid:
             raise InvalidInput("minor sets must lie in the ground set")
         if dset & cset:
             raise InvalidInput("delete and contract sets overlap")
-        native = self._backing.minor(dset, cset, self.elements)
-        if native is not None:
-            backing, kept = native
-            return Matroid(backing, kept)
         kept = [e for e in self.elements if e not in dset and e not in cset]
-        parent, base = self, self.rank(cset)
-        return Matroid(
-            DerivedBacking(lambda a, _p=parent, _c=cset, _b=base: _p.rank(a | _c) - _b),
-            kept,
-        )
+        backing = self._backing.minor(sorted(cset), kept)
+        if backing is None:
+            parent, base = self, self.rank(cset)
+            backing = DerivedBacking(lambda a, _p=parent, _c=cset, _b=base: _p.rank(a | _c) - _b)
+        return Matroid(backing, kept)
 
     def delete(self, deleted):
         return self.minor(deleted=deleted)
@@ -406,7 +355,7 @@ class Matroid:
             raise TooLarge(f"basis enumeration over {self.size} > {limit} elements")
         if self._bases is None:
             elems, n, r = self.elements, self.size, self.r
-            steps = self.rank_steps()
+            steps = self.incremental_rank()
             prefix, found = [], []
 
             def walk(start):
@@ -425,19 +374,24 @@ class Matroid:
         return self._bases
 
     def circuits(self, limit=ENUMERATION_LIMIT):
-        """All circuits (minimal dependent sets) as sorted tuples."""
+        """All circuits (minimal dependent sets) as sorted tuples.
+
+        Every circuit C is the fundamental circuit of e in C over a basis B
+        that extends C - e: e together with the f in B for which B - f + e
+        is again a basis."""
         if limit and self.size > limit:
             raise TooLarge(f"circuit enumeration over {self.size} > {limit} elements")
         if self._circuits is None:
-            found = []
-            for k in range(1, min(self.size, self.r + 1) + 1):
-                for s in itertools.combinations(self.elements, k):
-                    ss = frozenset(s)
-                    if any(c <= ss for c in found):
-                        continue
-                    if self.rank(ss) < k:
-                        found.append(ss)
-            self._circuits = sorted(tuple(sorted(c)) for c in found)
+            bases = self.bases(limit=0)
+            bset = set(map(frozenset, bases))
+            found = set()
+            for b in bases:
+                base = frozenset(b)
+                for e in self.elements:
+                    if e not in base:
+                        circuit = [f for f in b if base - {f} | {e} in bset]
+                        found.add(tuple(sorted(circuit + [e])))
+            self._circuits = sorted(found)
         return self._circuits
 
     def canonical_key(self):
@@ -486,13 +440,7 @@ def from_matrix(field, matrix):
     width = len(matrix[0])
     if any(len(row) != width for row in matrix):
         raise InvalidInput("matrix rows must all have the same length")
-    columns = {}
-    for j in range(width):
-        col = [field.of(row[j]) for row in matrix]
-        if isinstance(field, RationalField):
-            columns[j] = _clear_column(col)
-        else:
-            columns[j] = tuple(int(x) % field.p for x in col)
+    columns = {j: _store_column(field, [field.of(row[j]) for row in matrix]) for j in range(width)}
     return Matroid(LinearBacking(field, columns), range(width))
 
 
@@ -533,9 +481,9 @@ def from_bases(n, bases, validate=True):
     for b in bases:
         fb = frozenset(b)
         if len(fb) != len(tuple(b)):
-            raise InvalidInput(f"basis {sorted(b)} has repeated elements")
+            raise InvalidInput(f"basis {quote(sorted(b))} has repeated elements")
         if not fb <= ground:
-            raise InvalidInput(f"basis {sorted(b)} outside ground set 0..{n - 1}")
+            raise InvalidInput(f"basis {quote(sorted(b))} outside ground set 0..{n - 1}")
         if fb not in seen:
             seen.add(fb)
             blist.append(fb)
@@ -547,8 +495,8 @@ def from_bases(n, bases, validate=True):
     if validate:
         if len(blist) ** 2 > BASIS_VALIDATION_LIMIT:
             raise TooLarge(
-                f"{len(blist)}^2 basis pairs exceed the validation budget; "
-                "pass validate=False to skip"
+                f"{len(blist)} bases need {len(blist) ** 2} pairwise exchange checks, "
+                f"over the validation budget of {BASIS_VALIDATION_LIMIT}"
             )
         bset = set(blist)
         for b1 in blist:
@@ -556,8 +504,8 @@ def from_bases(n, bases, validate=True):
                 for x in b1 - b2:
                     if not any((b1 - {x}) | {y} in bset for y in b2 - b1):
                         raise InvalidInput(
-                            f"exchange axiom fails for bases {sorted(b1)}, "
-                            f"{sorted(b2)} at element {x}"
+                            f"exchange axiom fails for bases {quote(sorted(b1))}, "
+                            f"{quote(sorted(b2))} at element {x}"
                         )
     return Matroid(BasesBacking(sorted(blist, key=sorted)), range(n))
 
@@ -570,7 +518,7 @@ def _parse_matrix_entry(x):
         raise InvalidInput("matrix entries must be numbers or 'a/b' strings")
     if isinstance(x, (int, str)):
         return x
-    raise InvalidInput(f"bad matrix entry {x!r}")
+    raise InvalidInput(f"bad matrix entry {quote(x)}")
 
 
 def from_descriptor(obj):
@@ -609,4 +557,4 @@ def from_descriptor(obj):
         ):
             raise InvalidInput("bases descriptor needs integer 'n' and integer-list 'bases'")
         return from_bases(obj["n"], [tuple(b) for b in bases])
-    raise InvalidInput(f"unknown descriptor type {kind!r}")
+    raise InvalidInput(f"unknown descriptor type {quote(kind)}")

@@ -10,8 +10,9 @@ is computed both from that subset sum and by substituting into the Tutte
 polynomial; the two must agree exactly or InternalInvariantViolation flies.
 
 Counting route: the subset sum only needs, for each (corank, nullity)
-pair, how many subsets hit it. One depth-first walk over Matroid.rank_steps()
-(one push per visited subset) records every subset that does not span;
+pair, how many subsets hit it. One depth-first walk over the backing's
+push/pop rank oracle, Matroid.incremental_rank() (one push per visited
+subset), records every subset that does not span;
 below a spanning subset every superset has rank r, so that whole subtree is
 counted by binomials without being visited. Small binomial expansions then
 turn the counts into polynomials.
@@ -48,7 +49,7 @@ def rank_size_counts(M: Matroid):
         raise TooLarge(f"subset sum over {M.size} > {SUBSET_SUM_LIMIT} elements")
     elems = M.elements
     n, r = M.size, M.r
-    steps = M.rank_steps()
+    steps = M.incremental_rank()
     counts = {}
     spanning = {}  # (#A, m) -> number of spanning subsets A reached with m left
 

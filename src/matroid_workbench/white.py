@@ -253,18 +253,8 @@ def _closure(M, A):
 def _cyclic_flats(M):
     """The flats that are unions of circuits, by closure from cl(empty):
     the closure of a cyclic set is a cyclic flat, and every cyclic flat is
-    reached as cl(Z + C) from a smaller one Z and a circuit C. Every circuit
-    is the fundamental circuit of an element outside some basis, read off
-    by rank."""
-    circuits = set()
-    for b in M.bases():
-        base = frozenset(b)
-        for e in M.elements:
-            if e not in base:
-                circuits.add(
-                    frozenset(f for f in b if M.rank(base - {f} | {e}) == M.r) | {e}
-                )
-    closed = {_closure(M, c) for c in circuits}
+    reached as cl(Z + C) from a smaller one Z and a circuit C."""
+    closed = {_closure(M, frozenset(c)) for c in M.circuits()}
     start = _closure(M, frozenset())
     flats, todo = {start}, [start]
     while todo:

@@ -18,6 +18,7 @@ from matroid_workbench import (
     koszul_boundary,
 )
 from matroid_workbench.linalg import rref
+from matroid_workbench.matroids import LinearBacking, Matroid
 from matroid_workbench.series import TruncatedSeries
 
 
@@ -58,6 +59,34 @@ def brute_rank_size_counts(M):
 def brute_bases(M):
     """The r-subsets of rank r, in itertools.combinations order."""
     return [b for b in combinations(M.elements, M.r) if M.rank(b) == M.r]
+
+
+def brute_circuits(M):
+    """Minimal dependent sets by a scan over subsets in order of size that
+    skips the supersets of circuits already found."""
+    found = []
+    for k in range(1, min(M.size, M.r + 1) + 1):
+        for s in combinations(M.elements, k):
+            ss = frozenset(s)
+            if not any(c <= ss for c in found) and M.rank(ss) < k:
+                found.append(ss)
+    return sorted(tuple(sorted(c)) for c in found)
+
+
+def rref_minor(M, deleted=(), contracted=()):
+    """M \\ D / C for M over GF(p), by dense reduction: the RREF of the
+    columns [C | kept] over the field, cut to the rows that pivot outside
+    the C block and to the kept columns."""
+    field, columns = M._backing.field, M._backing.columns
+    kept = [e for e in M.elements if e not in deleted and e not in contracted]
+    labels = sorted(contracted) + kept
+    nrows = len(columns[labels[0]]) if labels else 0
+    red, pivots = rref([[field.of(columns[e][i]) for e in labels] for i in range(nrows)], field)
+    nc = len(contracted)
+    rows = [i for i, pc in enumerate(pivots) if pc >= nc]
+    return Matroid(
+        LinearBacking(field, {e: tuple(red[i][nc + j] for i in rows) for j, e in enumerate(kept)}), kept
+    )
 
 
 def brute_h(M):

@@ -161,6 +161,24 @@ def test_exit_codes(args, stdin_obj, stdin_text, code):
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
 
 
+@pytest.mark.parametrize(
+    "descriptor",
+    [
+        {"type": list(range(200_000))},
+        {"type": "linear", "field": "G" * 300_000, "matrix": [[1]]},
+        {"type": "linear", "field": "Q", "matrix": [[[[list(range(100_000))]]]]},
+        {"type": "bases", "n": 3, "bases": [list(range(100_000))]},
+        {"type": "linear", "field": "Q", "matrix": [["1/" + "x" * 300_000]]},
+    ],
+    ids=["type", "field", "matrix-entry", "basis", "rational"],
+)
+def test_long_bad_input_is_quoted_in_one_short_line(descriptor):
+    proc = run_cli(["os-dims"], stdin_obj=descriptor)
+    assert proc.returncode == 2, proc.stderr[:500]
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and len(proc.stderr) < 300, proc.stderr[:500]
+
+
 def test_unusable_input_or_cache_exits_2(tmp_path):
     not_utf8 = tmp_path / "not_utf8.json"
     not_utf8.write_bytes(b"\xff\xfe{")

@@ -22,78 +22,81 @@ FANO_COLUMNS = [
 
 
 def test_int_echelon_rank_and_rollback():
-    ech = IntEchelon()
-    assert ech.push((1, 0, 0)) is True
-    assert ech.push((0, 1, 0)) is True
-    assert ech.push((1, 1, 0)) is False  # dependent
-    assert ech.push((2, 2, 2)) is True
+    ech = IntEchelon({"a": (1, 0, 0), "b": (0, 1, 0), "c": (1, 1, 0), "d": (2, 2, 2), "e": (0, 0, 7)})
+    assert ech.push("a") is True
+    assert ech.push("b") is True
+    assert ech.push("c") is False  # dependent
+    assert ech.push("d") is True
     assert ech.rank == 3
     ech.pop()
     ech.pop()
     assert ech.rank == 2
-    assert ech.push((0, 0, 7)) is True
+    assert ech.push("e") is True
     assert ech.rank == 3
 
 
 def test_int_echelon_randomized_rollback_matches_fresh_recompute():
     rng = random.Random(20260819)
     dim = 5
+    columns = {}
     stack = []
-    ech = IntEchelon()
-    for _ in range(300):
+    ech = IntEchelon(columns)
+    for label in range(300):
         if stack and rng.random() < 0.4:
             stack.pop()
             ech.pop()
         else:
-            v = tuple(rng.randrange(-3, 4) for _ in range(dim))
-            stack.append(v)
-            ech.push(v)
-        fresh = IntEchelon()
-        for v in stack:
-            fresh.push(v)
+            columns[label] = tuple(rng.randrange(-3, 4) for _ in range(dim))
+            stack.append(label)
+            ech.push(label)
+        fresh = IntEchelon(columns)
+        for e in stack:
+            fresh.push(e)
         assert ech.rank == fresh.rank
 
 
 def test_mod_echelon_fano_rank():
-    ech = ModEchelon(2)
-    for col in FANO_COLUMNS:
-        ech.push(col)
+    fano = dict(enumerate(FANO_COLUMNS))
+    ech = ModEchelon(2, fano)
+    for e in fano:
+        ech.push(e)
     assert ech.rank == 3
-    for _ in FANO_COLUMNS:
+    for _ in fano:
         ech.pop()
     assert ech.rank == 0
 
     # every pair of distinct columns is independent over GF(2)
     for i in range(7):
         for j in range(i + 1, 7):
-            e = ModEchelon(2)
-            assert e.push(FANO_COLUMNS[i]) and e.push(FANO_COLUMNS[j])
+            e = ModEchelon(2, fano)
+            assert e.push(i) and e.push(j)
 
 
 def test_mod_echelon_gf3_dependence():
     # det(1 2; 2 1) = 1 - 4 = -3 = 0 mod 3: the second vector is dependent
-    ech = ModEchelon(3)
-    assert ech.push((1, 2)) is True
-    assert ech.push((2, 1)) is False
-    assert ech.push((1, 0)) is True
+    ech = ModEchelon(3, {0: (1, 2), 1: (2, 1), 2: (1, 0)})
+    assert ech.push(0) is True
+    assert ech.push(1) is False
+    assert ech.push(2) is True
     assert ech.rank == 2
 
 
 def test_mod_echelon_randomized_rollback_matches_fresh_recompute():
     rng = random.Random(77)
+    columns = {}
     stack = []
-    ech = ModEchelon(5)
-    for _ in range(200):
+    ech = ModEchelon(5, columns)
+    for label in range(200):
         if stack and rng.random() < 0.4:
             stack.pop()
             ech.pop()
         else:
-            v = tuple(rng.randrange(5) for _ in range(4))
-            stack.append(v)
-            ech.push(v)
-        fresh = ModEchelon(5)
-        for v in stack:
-            fresh.push(v)
+            columns[label] = tuple(rng.randrange(5) for _ in range(4))
+            stack.append(label)
+            ech.push(label)
+        fresh = ModEchelon(5, columns)
+        for e in stack:
+            fresh.push(e)
         assert ech.rank == fresh.rank
 
 

@@ -212,11 +212,12 @@ def test_walk_matches_per_point_oracle(corpus_by_name, name, choice):
 
 
 def test_walk_matches_oracle_without_push_pop():
-    """Duals of graphic matroids and basis lists have no incremental oracle."""
+    """Duals of graphic matroids rank each prefix with their rank function;
+    basis lists keep the bases that hold the prefix."""
     house = from_graph([(0, 1), (1, 2), (2, 0), (2, 3), (3, 0)])
     line = from_bases(5, [b for b in combinations(range(5), 3) if b != (0, 1, 2)])
-    for M in (house.dual(), line):
-        assert M.incremental_rank() is None
+    for M, kind in ((house.dual(), "derived"), (line, "bases")):
+        assert M._backing.kind == kind
         for choice in sorted(ONE_PS):
             a = ONE_PS[choice](M.size)
             assert euler_table(M, one_ps=a) == per_point_euler_table(M, a) == h_matrix(M), choice

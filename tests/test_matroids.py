@@ -2,6 +2,8 @@ import time
 from itertools import combinations, islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matroid_workbench import (
     CORPUS,
@@ -45,11 +47,18 @@ def test_rank_axioms_exhaustive_on_corpus(corpus_by_name):
 
 
 def test_incremental_rank_agrees_with_rank(corpus_by_name):
-    """push() returns whether the element raised the rank of the prefix."""
-    for name, M in corpus_by_name.items():
+    """push() returns whether the element raised the rank of the prefix, on
+    all five backing kinds: the corpus, the graphic dual (derived) and the
+    basis lists of M(K4) and of its dual."""
+    k4 = corpus_by_name["k4"]
+    family = dict(corpus_by_name)
+    family["k4 dual"] = k4.dual()
+    family["k4 bases"] = from_bases(k4.size, k4.bases())
+    family["k4 bases dual"] = family["k4 bases"].dual()
+    kinds = {M._backing.kind for M in family.values()}
+    assert kinds == {"linear", "uniform", "graphic", "bases", "derived"}
+    for name, M in family.items():
         inc = M.incremental_rank()
-        if inc is None:
-            continue
         pushed, running = [], 0
         for e in M.elements:
             running += 1 if inc.push(e) else 0
@@ -135,6 +144,54 @@ def test_minor_ranks_match_formula(corpus_by_name):
         for A in powerset(N.elements):
             expected = M.rank(set(A) | contracted) - M.rank(contracted)
             assert N.rank(A) == expected, name
+
+
+@st.composite
+def matrix_minor_roles(draw):
+    """A matrix over Q, GF(2), GF(3) or GF(7) with up to 4 rows and 7
+    columns, and a split of its columns into deleted, contracted and kept."""
+    field = draw(st.sampled_from(["Q", "GF(2)", "GF(3)", "GF(7)"]))
+    entry = st.integers(0, 6) if field != "Q" else st.sampled_from([0, 0, 1, -1, 3, "1/2", "-2/3"])
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 7))
+    row = st.lists(entry, min_size=cols, max_size=cols)
+    M = from_matrix(field, draw(st.lists(row, min_size=rows, max_size=rows)))
+    roles = draw(st.lists(st.sampled_from("dck"), min_size=cols, max_size=cols))
+    return M, {e for e, x in zip(M.elements, roles) if x == "d"}, {e for e, x in zip(M.elements, roles) if x == "c"}
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrix_minor_roles())
+def test_residual_minor_ranks_match_formula(case):
+    """Residual columns of a contraction over Q and GF(p): every set A of
+    them has rank r(A + C) - r(C)."""
+    M, deleted, contracted = case
+    N = M.minor(deleted=deleted, contracted=contracted)
+    assert N._backing.kind == "linear"
+    base = M.rank(contracted)
+    for A in powerset(N.elements):
+        assert N.rank(A) == M.rank(set(A) | contracted) - base, (M, deleted, contracted, A)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrix_minor_roles(), st.data())
+def test_pushes_agree_with_rank_on_bases_and_derived(case, data):
+    """Along random orders, each push says whether the element raises
+    M.rank of the prefix, for basis lists and for derived minors and duals;
+    pops return the oracle to a state that keeps agreeing."""
+    M, deleted, contracted = case
+    B = from_bases(M.size, M.bases(), validate=False)
+    for N in (B, B.dual(), B.minor(deleted, contracted), B.minor(deleted, contracted).dual()):
+        order = data.draw(st.permutations(N.elements))
+        inc = N.incremental_rank()
+        for k, e in enumerate(order):
+            assert inc.push(e) == (N.rank(order[:k + 1]) > N.rank(order[:k])), (N, order, k)
+        back = data.draw(st.integers(0, len(order)))
+        for _ in range(back):
+            inc.pop()
+        prefix = list(order[:len(order) - back])
+        for e in data.draw(st.permutations(order[len(prefix):])):
+            assert inc.push(e) == (N.rank(prefix + [e]) > N.rank(prefix)), (N, order, back)
+            prefix.append(e)
 
 
 def test_delete_and_contract_shortcuts(corpus_by_name):
@@ -309,7 +366,7 @@ def test_from_bases_rejects_malformed_input():
 
 def test_from_bases_validation_budget():
     fake = [list(c) for c in islice(combinations(range(20), 5), 350)]
-    with pytest.raises(TooLarge):
+    with pytest.raises(TooLarge, match="350 bases need 122500 pairwise exchange checks"):
         from_bases(20, fake)
     # validate=False skips the pairwise check (caller takes responsibility)
     M = from_bases(3, [[0, 1], [0, 2], [1, 2]], validate=False)

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matroid_workbench import (
+    PrimeField,
     from_bases,
     from_graph,
     from_matrix,
@@ -21,6 +22,8 @@ from matroid_workbench import (
     tutte_sum,
     uniform,
 )
+
+from helpers import rref_minor
 
 
 def key_kind(M):
@@ -146,3 +149,21 @@ def test_dc_on_uniform_10_20_is_fast():
     t = tutte_dc(uniform(10, 20))
     assert time.perf_counter() - start < 1
     assert t.evaluate(1, 1) == 184_756  # C(20, 10) bases
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.data())
+def test_gfp_minor_keys_match_the_rref_minor(p, data):
+    """Residual columns span the same row space as the RREF minor, so the
+    keys of GF(p) minors, and of their minors, equal the dense route's."""
+    rows = data.draw(st.integers(1, 4))
+    cols = data.draw(st.integers(1, 7))
+    row = st.lists(st.integers(0, p - 1), min_size=cols, max_size=cols)
+    M = from_matrix(PrimeField(p), data.draw(st.lists(row, min_size=rows, max_size=rows)))
+    N, R = M, M
+    for _ in range(2):
+        roles = data.draw(st.lists(st.sampled_from("dck"), min_size=N.size, max_size=N.size))
+        dset = [e for e, x in zip(N.elements, roles) if x == "d"]
+        cset = [e for e, x in zip(N.elements, roles) if x == "c"]
+        N, R = N.minor(deleted=dset, contracted=cset), rref_minor(R, dset, cset)
+        assert N.memo_key() == R.memo_key()

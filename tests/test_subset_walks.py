@@ -1,10 +1,12 @@
 """The walks over prefixes: corank-nullity counts and basis enumeration.
 
 rank_size_counts stops at spanning subsets and counts their supersets by
-binomials; Matroid.bases() extends only independent prefixes. Both are
+binomials; Matroid.bases() extends only independent prefixes, and
+Matroid.circuits() reads fundamental circuits off its bases. All three are
 checked against rank-every-subset oracles on the corpus, on matroids with
-loops and coloops, on backings that go through the Matroid.rank adapter
-(basis lists, derived duals and minors), and on generated matrices.
+loops and coloops, on basis lists and derived duals and minors (whose
+oracles keep the bases holding the prefix, or rank each prefix), and on
+generated matrices.
 """
 from itertools import combinations
 from math import comb
@@ -23,16 +25,18 @@ from matroid_workbench import (
     uniform,
 )
 
-from helpers import brute_bases, brute_rank_size_counts
+from helpers import brute_bases, brute_circuits, brute_rank_size_counts
 
 
 def assert_walks_match_oracles(M, label=None):
     assert rank_size_counts(M) == brute_rank_size_counts(M), label or M
     assert M.bases(limit=0) == brute_bases(M), label or M
+    # circuits are read off the bases as fundamental circuits
+    assert M.circuits(limit=0) == brute_circuits(M), label or M
 
 
 def adapter_family():
-    """Matroids whose backings have no push/pop oracle."""
+    """Matroids on explicit basis lists or derived from a rank function."""
     k4 = from_graph(list(combinations(range(4), 2)))
     u24_list = from_bases(4, list(combinations(range(4), 2)))
     k4_list = from_bases(6, k4.bases())
@@ -71,7 +75,7 @@ def test_walks_match_oracles_with_loops_and_coloops(M):
 @pytest.mark.parametrize("name", sorted(adapter_family()))
 def test_walks_match_oracles_through_the_rank_adapter(name):
     M = adapter_family()[name]
-    assert M.incremental_rank() is None
+    assert M._backing.kind in ("bases", "derived")
     assert_walks_match_oracles(M, name)
 
 
@@ -91,7 +95,7 @@ def matrices(draw):
 @given(matrices(), st.data())
 def test_walks_match_oracles_on_generated_matrices(M, data):
     assert_walks_match_oracles(M)
-    # a derived minor of its dual goes through the adapter
+    # a minor of its dual: residual columns of a kernel matrix
     roles = data.draw(st.lists(st.sampled_from("dck"), min_size=M.size, max_size=M.size))
     N = M.dual().minor(
         deleted=[e for e, x in zip(M.elements, roles) if x == "d"],
@@ -118,8 +122,8 @@ def test_walk_stops_at_full_rank_on_vandermonde(monkeypatch):
     pushes exactly the subsets of sizes 1..6: sum C(18, k) = 31,179 of
     the 262,143 nonempty subsets."""
     M = from_matrix("Q", [[x**i for x in range(18)] for i in range(6)])
-    oracle = _CountingSteps(M.rank_steps())
-    monkeypatch.setattr(M, "rank_steps", lambda: oracle)
+    oracle = _CountingSteps(M.incremental_rank())
+    monkeypatch.setattr(M, "incremental_rank", lambda: oracle)
     counts = rank_size_counts(M)
     assert oracle.pushes == sum(comb(18, k) for k in range(1, 7)) == 31_179
     assert sum(counts.values()) == 2**18
