@@ -47,13 +47,7 @@ from .orlik_solomon import (
     reduced_nbc_index_sets,
     reduced_os_dimensions,
 )
-from .localization import (
-    calibrate_signs,
-    euler_char,
-    euler_table,
-    fixed_point_data,
-    generic_one_ps,
-)
+from .localization import calibrate_signs, euler_table
 from .white import check_degree, symmetric_exchange_neighbors, toric_fibers
 from .corpus import CORPUS, corpus_matroid, verify_corpus
 
@@ -79,15 +73,12 @@ __all__ = [
     "char_poly",
     "check_degree",
     "corpus_matroid",
-    "euler_char",
     "euler_table",
     "field_from_name",
-    "fixed_point_data",
     "from_bases",
     "from_descriptor",
     "from_graph",
     "from_matrix",
-    "generic_one_ps",
     "h_matrix",
     "h_polynomial",
     "koszul_boundary",

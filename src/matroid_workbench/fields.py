@@ -26,6 +26,9 @@ class RationalField:
         if isinstance(x, (int, Fraction)):
             return Fraction(x)
         if isinstance(x, str):
+            # Fraction expands an exponent: "1e10000000" takes seconds
+            if "e" in x or "E" in x:
+                raise InvalidField(f"rational {quote(x)} has an exponent; write it as a/b")
             try:
                 return Fraction(x)
             except (ValueError, ZeroDivisionError) as exc:

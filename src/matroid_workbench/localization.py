@@ -57,58 +57,6 @@ TANGENT_SIGN = 1
 DEFAULT_MAX_POINTS = 5040  # 7! -- up to seven ground elements by default
 
 
-class FixedPointData:
-    """Characters at one fixed point: fiber (S and Q sides) and tangent."""
-
-    __slots__ = ("order", "steps", "s_chars", "q_chars", "tangent_chars")
-
-    def __init__(self, order, steps, s_chars, q_chars, tangent_chars):
-        self.order = order
-        self.steps = steps
-        self.s_chars = s_chars
-        self.q_chars = q_chars
-        self.tangent_chars = tangent_chars
-
-
-def fixed_point_data(M: Matroid, w) -> FixedPointData:
-    """Characters at the fixed point labeled by the ordering w.
-
-    w must be a permutation of the ground set. Characters are integer
-    vectors indexed by the positions of the elements in M.elements, which
-    is also how a one-parameter subgroup is indexed.
-    """
-    w = tuple(w)
-    if sorted(w) != sorted(M.elements):
-        raise InvalidInput(f"{w} is not an ordering of the ground set")
-    n1 = len(w)
-    pos = {e: i for i, e in enumerate(M.elements)}
-    inc = M.incremental_rank()
-    steps = [bool(inc.push(e)) for e in w]
-
-    def unit(e, sign):
-        v = [0] * n1
-        v[pos[e]] = sign
-        return tuple(v)
-
-    s_chars = [unit(e, FIBER_SIGN) for e, st in zip(w, steps) if st]
-    q_chars = [unit(e, FIBER_SIGN) for e, st in zip(w, steps) if not st]
-    tangent = []
-    for i in range(n1 - 1):
-        v = [0] * n1
-        v[pos[w[i]]] = TANGENT_SIGN
-        v[pos[w[i + 1]]] = -TANGENT_SIGN
-        tangent.append(tuple(v))
-    if len(s_chars) != M.r or len(q_chars) != M.size - M.r:
-        raise InternalInvariantViolation("rank steps do not match the rank")
-    return FixedPointData(w, steps, s_chars, q_chars, tangent)
-
-
-def generic_one_ps(count):
-    """The default weight vector (0, 1, ..., count - 1): generic, with the
-    smallest tangent pairings."""
-    return tuple(range(count))
-
-
 def _unit_series(tau, order):
     """(1 - (1+eps)^(-tau)) / eps: an invertible series when tau != 0."""
     pw = TruncatedSeries.one_plus_eps_power(-tau, order + 1)
@@ -118,7 +66,7 @@ def _unit_series(tau, order):
 def _resolve_one_ps(M, one_ps):
     n1 = M.size
     if one_ps is None:
-        return generic_one_ps(n1)
+        return tuple(range(n1))
     a = tuple(one_ps)
     if len(a) != n1 or not all(isinstance(x, int) and not isinstance(x, bool) for x in a):
         raise InvalidInput(f"one_ps must be {n1} integers")
@@ -149,13 +97,14 @@ def _subset_sum_polys(exps, upto):
     return polys
 
 
-def _accumulate_points(M, a, cells, L):
+def _accumulate_points(M, a, L):
     """Sum the localization series over all orderings of the ground set, by
     a depth-first walk over their prefixes.
 
-    Returns {cell: L integers}: D^L (see _pair_product) times the sum, slot
-    j holding the eps^(j - n) coefficient. The weights `a` are indexed by
-    position in M.elements; step sets are bitmasks over element labels.
+    Returns the whole table at once: entry [p][q] is L integers, D^L (see
+    _pair_product) times the sum of cell (p, q), slot j holding the
+    eps^(j - n) coefficient. The weights `a` are indexed by position in
+    M.elements; step sets are bitmasks over element labels.
     """
     elements = M.elements
     weight = dict(zip(elements, a))
@@ -212,21 +161,21 @@ def _accumulate_points(M, a, cells, L):
         return s
 
     r, m = M.r, M.size - M.r
-    total = {cell: [0] * L for cell in cells}
+    total = [[[0] * L for _ in range(m + 1)] for _ in range(r + 1)]
     for mask, acc in by_basis.items():
         acc = TruncatedSeries(acc, L)
         spolys = _subset_sum_polys([FIBER_SIGN * weight[e] for e in elements if mask >> e & 1], r)
         qpolys = _subset_sum_polys([FIBER_SIGN * weight[e] for e in elements if not mask >> e & 1], m)
-        for p, q in cells:
-            numer = [0] * L
-            for e1, c1 in spolys[p].items():
-                for e2, c2 in qpolys[q].items():
-                    cnt = c1 * c2
-                    for j, c in enumerate(pw(e1 + e2).coeffs):
-                        numer[j] += cnt * c
-            slot = total[(p, q)]
-            for j, c in enumerate((TruncatedSeries(numer, L) * acc).coeffs):
-                slot[j] += c
+        for spoly, row in zip(spolys, total):
+            for qpoly, slot in zip(qpolys, row):
+                numer = [0] * L
+                for e1, c1 in spoly.items():
+                    for e2, c2 in qpoly.items():
+                        cnt = c1 * c2
+                        for j, c in enumerate(pw(e1 + e2).coeffs):
+                            numer[j] += cnt * c
+                for j, c in enumerate((TruncatedSeries(numer, L) * acc).coeffs):
+                    slot[j] += c
     return total
 
 
@@ -243,20 +192,18 @@ def _extract_integer(cell, coeffs, n, scale):
     return val
 
 
-def _euler_cells(M, cells, one_ps, max_points):
+def _euler_table(M, one_ps, max_points):
+    """The table from one walk, each cell checked by _extract_integer."""
     a = _resolve_one_ps(M, one_ps)
-    n1 = M.size
-    n = n1 - 1
-    npoints = factorial(n1)
+    npoints = factorial(M.size)
     if npoints > max_points:
-        raise TooLarge(
-            f"{npoints} fixed points exceed the budget of {max_points}; "
-            "raise max_points to force the computation"
-        )
-    L = n + 1
-    total = _accumulate_points(M, a, cells, L)
+        raise TooLarge(f"{npoints} fixed points exceed the budget of {max_points}")
+    L = M.size  # slots eps^(-n) .. eps^0 with n = #E - 1
     scale = _pair_product(a) ** L
-    return {cell: _extract_integer(cell, total[cell], n, scale) for cell in cells}
+    return [
+        [_extract_integer((p, q), coeffs, L - 1, scale) for q, coeffs in enumerate(row)]
+        for p, row in enumerate(_accumulate_points(M, a, L))
+    ]
 
 
 _calibrated = False
@@ -280,11 +227,7 @@ def calibrate_signs():
         (from_matrix(QQ, [[1, 0], [0, 1]]), [[1], [2], [1]]),
     ]
     for M, want in checks:
-        cells = [(p, q) for p in range(M.r + 1) for q in range(M.size - M.r + 1)]
-        got = _euler_cells(M, cells, None, DEFAULT_MAX_POINTS)
-        table = [
-            [got[(p, q)] for q in range(M.size - M.r + 1)] for p in range(M.r + 1)
-        ]
+        table = _euler_table(M, None, DEFAULT_MAX_POINTS)
         if table != want:
             raise InternalInvariantViolation(
                 f"sign calibration failed: got {table}, expected {want}"
@@ -293,24 +236,13 @@ def calibrate_signs():
     return (FIBER_SIGN, TANGENT_SIGN)
 
 
-def euler_char(M: Matroid, p, q, one_ps=None, max_points=DEFAULT_MAX_POINTS) -> int:
-    """One localization sum: the (p, q) entry of the Euler table."""
-    if not isinstance(p, int) or not isinstance(q, int) or p < 0 or q < 0:
-        raise InvalidInput("p and q must be nonnegative integers")
-    if p > M.r or q > M.size - M.r:
-        return 0
-    calibrate_signs()
-    return _euler_cells(M, [(p, q)], one_ps, max_points)[(p, q)]
-
-
 def euler_table(M: Matroid, one_ps=None, max_points=DEFAULT_MAX_POINTS):
     """The full (r+1) x (#E-r+1) table of localization sums.
 
-    Independent of the choice of generic one_ps (tests exercise several);
-    equals the h-polynomial coefficient table, which is the cross-check
-    used by verify_corpus.
+    Independent of the choice of generic one_ps (tests exercise several).
+    It equals the h-polynomial coefficient table: the euler-table command
+    checks that before output, and verify_corpus compares the table with
+    its frozen value.
     """
     calibrate_signs()
-    cells = [(p, q) for p in range(M.r + 1) for q in range(M.size - M.r + 1)]
-    got = _euler_cells(M, cells, one_ps, max_points)
-    return [[got[(p, q)] for q in range(M.size - M.r + 1)] for p in range(M.r + 1)]
+    return _euler_table(M, one_ps, max_points)

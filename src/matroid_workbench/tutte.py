@@ -241,11 +241,10 @@ def h_polynomial(M: Matroid) -> BivariatePoly:
     return h1
 
 
-def h_matrix(M: Matroid, h: BivariatePoly | None = None):
+def h_matrix(M: Matroid):
     """h coefficients as a (r+1) x (#E-r+1) row-major table; rows index the
     u-exponent, columns the v-exponent."""
-    if h is None:
-        h = h_polynomial(M)
+    h = h_polynomial(M)
     return [
         [h.coeff(p, q) for q in range(M.size - M.r + 1)]
         for p in range(M.r + 1)

@@ -27,7 +27,6 @@ up to C(#bases + d - 1, d).
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from math import comb
 
 from .errors import InternalInvariantViolation, InvalidInput, TooLarge
@@ -80,39 +79,19 @@ def symmetric_exchange_neighbors(M: Matroid, pair):
 
 
 class FiberGraph:
-    """One toric fiber: vertices are sorted d-tuples of bases."""
+    """One toric fiber: vertices are sorted d-tuples of bases; components
+    are sorted lists of vertices, in order of their least vertex."""
 
-    def __init__(self, degree, multidegree, vertices, adjacency):
+    def __init__(self, degree, multidegree, vertices, adjacency, components):
         self.degree = degree
         self.multidegree = multidegree
         self.vertices = vertices
         self.adjacency = adjacency
-        self.components = _components(vertices, adjacency)
+        self.components = components
 
     @property
     def n_components(self):
         return len(self.components)
-
-
-def _components(vertices, adjacency):
-    # breadth-first from each unvisited vertex, one visited set per fiber
-    seen = set()
-    comps = []
-    for v in vertices:
-        if v in seen:
-            continue
-        comp = []
-        queue = deque([v])
-        seen.add(v)
-        while queue:
-            cur = queue.popleft()
-            comp.append(cur)
-            for nb in adjacency[cur]:
-                if nb not in seen:
-                    seen.add(nb)
-                    queue.append(nb)
-        comps.append(sorted(comp))
-    return comps
 
 
 def _check_budget(n_bases, d, budget):
@@ -136,7 +115,8 @@ def _check_budget(n_bases, d, budget):
 
 
 def _labels(monomials, edges):
-    """Component number of every monomial under `edges`, by union-find."""
+    """Component number of every monomial under `edges`, by union-find;
+    numbers follow the order in which `monomials` first reach a component."""
     parent = {}
 
     def find(v):
@@ -198,6 +178,7 @@ def toric_fibers(M: Matroid, d, budget=DEFAULT_BUDGET):
 
     In degree 2 the adjacency holds the double-swap moves; from degree 3 on
     it holds the star edges of the lift, which have the same components.
+    Components come from the same union-find as the lift's (_labels).
     The lifting passes hold b * C(b + d, d - 1) basis factors for b bases,
     all degrees together; above `budget` the construction refuses
     (TooLarge) before it enumerates any monomial.
@@ -218,14 +199,23 @@ def toric_fibers(M: Matroid, d, budget=DEFAULT_BUDGET):
     for k in range(3, d + 1):
         monomials, edges = _lift(_labels(monomials, edges), len(bases), k)
 
-    groups, info = {}, {}
-    for v in monomials:  # lexicographic, so each fiber's vertices are sorted
+    groups, members = {}, []
+    # monomials come in lexicographic order, so vertices and components do
+    # too; each label is replaced by the vertex data in place, which spares
+    # a second dict over all monomials (the peak memory of white-check)
+    info = _labels(monomials, edges)
+    for v, label in info.items():
         code = sum(map(codes.__getitem__, v))
         name = tuple(map(bases.__getitem__, v))
-        adjacency = groups.get(code)
-        if adjacency is None:
-            adjacency = groups[code] = {}
+        group = groups.get(code)
+        if group is None:
+            group = groups[code] = {}, []
+        adjacency, components = group
         adjacency[name] = nbrs = []
+        if label == len(members):
+            members.append([])
+            components.append(members[label])
+        members[label].append(name)
         info[v] = code, name, nbrs
     for v, w in edges:
         code_v, name_v, nbrs_v = info[v]
@@ -236,12 +226,12 @@ def toric_fibers(M: Matroid, d, budget=DEFAULT_BUDGET):
         nbrs_w.append(name_v)
     fibers = []
     for code in sorted(groups):
-        adjacency = groups[code]
+        adjacency, components = groups[code]
         mdeg = []
         for _ in range(n):
             code, digit = divmod(code, d + 1)
             mdeg.append(digit)
-        fibers.append(FiberGraph(d, tuple(reversed(mdeg)), list(adjacency), adjacency))
+        fibers.append(FiberGraph(d, tuple(reversed(mdeg)), list(adjacency), adjacency, components))
     return fibers
 
 

@@ -13,10 +13,9 @@ from matroid_workbench import (
     BivariatePoly,
     ExteriorElement,
     UnivariatePoly,
-    fixed_point_data,
-    generic_one_ps,
     koszul_boundary,
 )
+from matroid_workbench.localization import FIBER_SIGN, TANGENT_SIGN
 from matroid_workbench.linalg import rref
 from matroid_workbench.matroids import LinearBacking, Matroid
 from matroid_workbench.series import TruncatedSeries
@@ -205,44 +204,57 @@ def dense_os_reducer(M, k, field, circuits_only=False):
     return sorted(s for s in cols if s not in pivot_subsets), reduce
 
 
+def fixed_point_pairings(M, w, a):
+    """(step weights, non-step weights, tangent pairings) at the ordering w.
+
+    The fiber character of x is FIBER_SIGN * e_x, on the step side where a
+    push of x raises the rank; the tangent characters are TANGENT_SIGN *
+    (e_{w_i} - e_{w_{i+1}}). Each is paired with the weights a, which are
+    indexed by position in M.elements.
+    """
+    weight = dict(zip(M.elements, a))
+    inc = M.incremental_rank()
+    steps = [inc.push(x) for x in w]
+    assert sum(map(bool, steps)) == M.r, (w, steps)
+    return (
+        [FIBER_SIGN * weight[x] for x, step in zip(w, steps) if step],
+        [FIBER_SIGN * weight[x] for x, step in zip(w, steps) if not step],
+        [TANGENT_SIGN * (weight[x] - weight[y]) for x, y in zip(w, w[1:])],
+    )
+
+
 def per_point_euler_table(M, one_ps=None):
     """Euler table by localization, one fixed point at a time in Fractions.
 
-    For each ordering w, the characters of fixed_point_data(M, w) are paired
-    with the weights a; the tangent units (1 - (1+eps)^(-tau)) / eps are
-    multiplied and inverted as one Fraction series, whose denominators are
-    cleared by their lcm, and the fiber numerator of every cell is expanded
-    subset by subset and multiplied by it in integers; each cell slot gains
-    one Fraction per point. Series run to eps^(n+1).
-    The pole slots of every cell's sum must vanish and its eps^0 slot be an
-    integer. No code is shared with the prefix walk beyond the series type
-    and the rank steps.
+    For each ordering w, the characters of the fixed point are paired with
+    the weights a (fixed_point_pairings); the tangent units
+    (1 - (1+eps)^(-tau)) / eps are multiplied and inverted as one Fraction
+    series, whose denominators are cleared by their lcm, and the fiber
+    numerator of every cell is expanded subset by subset and multiplied by
+    it in integers; each cell slot gains one Fraction per point. Series run
+    to eps^(n+1). The pole slots of every cell's sum must vanish and its
+    eps^0 slot be an integer. No code is shared with the prefix walk beyond
+    the series type, the rank oracle and the sign constants.
     """
-    a = tuple(one_ps) if one_ps is not None else generic_one_ps(M.size)
+    a = tuple(one_ps) if one_ps is not None else tuple(range(M.size))
     n = M.size - 1
     order = n + 2
     r, m = M.r, M.size - M.r
-
-    def pair(char):
-        return sum(c * x for c, x in zip(char, a))
 
     def power(c, k=order):
         return TruncatedSeries.one_plus_eps_power(c, k)
 
     sums = {(p, q): [Fraction(0)] * order for p in range(r + 1) for q in range(m + 1)}
     for w in permutations(M.elements):
-        data = fixed_point_data(M, w)
+        s_exps, q_exps, taus = fixed_point_pairings(M, w, a)
         denom = TruncatedSeries([1], order)
-        for char in data.tangent_chars:
-            tau = pair(char)
+        for tau in taus:
             denom = denom * TruncatedSeries([-c for c in power(-tau, order + 1).coeffs[1:]], order)
         # clear the inverse's denominators once, so that the cell products
         # below run in integers
         inv = denom.inverse().coeffs
         scale = lcm(*(c.denominator for c in inv))
         inv = TruncatedSeries([c.numerator * (scale // c.denominator) for c in inv], order)
-        s_exps = [pair(c) for c in data.s_chars]
-        q_exps = [pair(c) for c in data.q_chars]
         for (p, q), slot in sums.items():
             numer = [0] * order
             for A in combinations(s_exps, p):

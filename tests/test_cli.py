@@ -106,6 +106,13 @@ def test_euler_table_output():
     assert obj == {"table": [[1, 3], [0, 3], [0, 1]], "matches_h_polynomial": True}
 
 
+def test_euler_table_budget_message():
+    proc = run_cli(["euler-table"], stdin_obj={"type": "uniform", "r": 2, "n": 8})
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == "too large: 40320 fixed points exceed the budget of 5040\n"
+
+
 def test_white_check_output():
     proc = run_cli(["white-check", "--degree", "3"], stdin_obj=U24)
     assert proc.returncode == 0
@@ -152,6 +159,11 @@ def test_verify_corpus_exits_zero():
         # on a one-basis matroid is refused before any enumeration
         (["white-check", "--degree", "100000"], {"type": "uniform", "r": 1, "n": 1}, None, 3),
         (["white-check", "--degree", "99999999999999999999"], {"type": "uniform", "r": 1, "n": 1}, None, 3),
+        # rationals with an exponent are refused: Fraction would expand
+        # "1e100000000" to a hundred million digits
+        (["tutte"], {"type": "linear", "field": "Q", "matrix": [["1e7", 2], [1, 1]]}, None, 2),
+        (["tutte"], {"type": "linear", "field": "Q", "matrix": [["2E3", 2], [1, 1]]}, None, 2),
+        (["tutte"], {"type": "linear", "field": "Q", "matrix": [["1e100000000", 2], [1, 1]]}, None, 2),
     ],
 )
 def test_exit_codes(args, stdin_obj, stdin_text, code):

@@ -1,10 +1,10 @@
-from itertools import combinations, permutations
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import per_point_euler_table
+from helpers import fixed_point_pairings, per_point_euler_table
 from matroid_workbench import (
     CORPUS,
     InternalInvariantViolation,
@@ -12,13 +12,10 @@ from matroid_workbench import (
     TooLarge,
     calibrate_signs,
     corpus_matroid,
-    euler_char,
     euler_table,
-    fixed_point_data,
     from_bases,
     from_graph,
     from_matrix,
-    generic_one_ps,
     h_matrix,
     uniform,
 )
@@ -34,65 +31,7 @@ def test_calibration_runs_and_reports_signs():
     assert (FIBER_SIGN, TANGENT_SIGN) == (-1, 1)
 
 
-# ------------------------------------------------------- fixed point structure
-
-
-def test_fixed_point_data_shapes(corpus_by_name):
-    for name in ("u_2_3", "k4", "fano"):
-        M = corpus_by_name[name]
-        n, r = M.size, M.r
-        for w in (tuple(M.elements), tuple(reversed(M.elements))):
-            data = fixed_point_data(M, w)
-            assert data.order == w
-            assert len(data.steps) == n
-            assert sum(data.steps) == r, name
-            assert len(data.s_chars) == r, name
-            assert len(data.q_chars) == n - r, name
-            assert len(data.tangent_chars) == n - 1, name
-
-
-def test_fixed_point_steps_track_prefix_rank(corpus_by_name):
-    M = corpus_by_name["fano"]
-    for w in list(permutations(M.elements))[:24]:
-        data = fixed_point_data(M, w)
-        prefix, prev = [], 0
-        for i, e in enumerate(w):
-            prefix.append(e)
-            rk = M.rank(prefix)
-            assert data.steps[i] == (rk > prev), (w, i)
-            prev = rk
-
-
-def test_fixed_point_characters_are_signed_units(corpus_by_name):
-    M = corpus_by_name["u_2_4"]
-    n = M.size
-    w = (2, 0, 3, 1)
-    data = fixed_point_data(M, w)
-    for char in list(data.s_chars) + list(data.q_chars):
-        assert len(char) == n
-        assert sorted(char) == [FIBER_SIGN] + [0] * (n - 1)
-    for i, char in enumerate(data.tangent_chars):
-        assert sum(char) == 0
-        # tangent direction i is e_{w_i} - e_{w_{i+1}} up to overall sign
-        expected = [0] * n
-        expected[w[i]] += TANGENT_SIGN
-        expected[w[i + 1]] -= TANGENT_SIGN
-        assert list(char) == expected, i
-
-
-def test_fixed_point_rejects_non_permutations(corpus_by_name):
-    M = corpus_by_name["u_2_3"]
-    for bad in ((0, 1), (0, 1, 1), (0, 1, 5), (0, 1, 2, 3)):
-        with pytest.raises(InvalidInput):
-            fixed_point_data(M, bad)
-
-
 # ------------------------------------------------------------ 1-PS handling
-
-
-def test_generic_one_ps_has_distinct_coordinates():
-    for n in (0, 1, 2, 5, 8):
-        assert generic_one_ps(n) == tuple(range(n))
 
 
 def test_geometric_one_ps_matches_h(corpus_by_name):
@@ -157,28 +96,26 @@ def test_boolean_euler_column(corpus_by_name):
 
 
 def test_euler_char_single_cells(corpus_by_name):
-    M = corpus_by_name["u_3_6"]
-    assert euler_char(M, 0, 0) == 1
-    assert euler_char(M, 0, 1) == 6
-    assert euler_char(M, 0, 3) == 20
-    assert euler_char(M, 1, 3) == 15
-    assert euler_char(M, 3, 3) == 1
-    assert euler_char(M, 1, 1) == 0  # within range but no sections
-    # out of range is zero by definition, not an error
-    assert euler_char(M, 5, 0) == 0
-    assert euler_char(M, 0, 9) == 0
+    table = euler_table(corpus_by_name["u_3_6"])
+    assert [len(row) for row in table] == [4, 4, 4, 4]  # (r + 1) x (#E - r + 1)
+    assert table[0][0] == 1
+    assert table[0][1] == 6
+    assert table[0][3] == 20
+    assert table[1][3] == 15
+    assert table[3][3] == 1
+    assert table[1][1] == 0  # within range but no sections
 
 
 def test_structure_sheaf_euler_char_is_one(corpus_by_name):
     for name in ("boolean_n1", "u_1_2", "u_2_3", "u_2_4", "k4", "u_3_6"):
-        assert euler_char(corpus_by_name[name], 0, 0) == 1, name
+        assert euler_table(corpus_by_name[name])[0][0] == 1, name
 
 
 def test_budget_enforced(corpus_by_name):
     with pytest.raises(TooLarge):
         euler_table(uniform(2, 8))  # 8! = 40320 > default budget
-    with pytest.raises(TooLarge):
-        euler_char(uniform(2, 8), 0, 0, max_points=5000)
+    with pytest.raises(TooLarge, match="40320 fixed points exceed the budget of 5000"):
+        euler_table(uniform(2, 8), max_points=5000)
     # the bound is exact: 3! = 6 points
     M = corpus_by_name["u_2_3"]
     with pytest.raises(TooLarge):
@@ -232,10 +169,11 @@ def test_minors_with_gaps_in_their_labels(corpus_by_name):
         corpus_by_name["k4"].delete([0, 5]),
     ):
         assert euler_table(M) == h_matrix(M) == per_point_euler_table(M), M.elements
+    # weights by position in (0, 2, 3): element 3 weighs 30, not a[3]
     M = corpus_by_name["u_2_4"].delete([1])
-    data = fixed_point_data(M, (3, 0, 2))
-    assert data.tangent_chars == [(-TANGENT_SIGN, 0, TANGENT_SIGN), (TANGENT_SIGN, -TANGENT_SIGN, 0)]
-    assert data.s_chars == [(0, 0, FIBER_SIGN), (FIBER_SIGN, 0, 0)]
+    steps, rest, taus = fixed_point_pairings(M, (3, 0, 2), (10, 20, 30))
+    assert taus == [TANGENT_SIGN * (30 - 10), TANGENT_SIGN * (10 - 20)]
+    assert (steps, rest) == ([FIBER_SIGN * 30, FIBER_SIGN * 10], [FIBER_SIGN * 20])
 
 
 def test_exact_checks_reject_bad_sums():

@@ -24,7 +24,7 @@ from matroid_workbench import (
     uniform,
     white,
 )
-from matroid_workbench.white import FiberGraph
+from matroid_workbench.white import _labels
 
 
 def test_exchange_neighbors_frozen(corpus_by_name):
@@ -84,16 +84,8 @@ def test_fiber_adjacency_is_symmetric(corpus_by_name):
 
 def test_components_partition_disconnected_toy_graph():
     a, b, c, d = "a", "b", "c", "d"
-    g = FiberGraph(
-        degree=2,
-        multidegree=(1, 1),
-        vertices=[a, b, c, d],
-        adjacency={a: [b], b: [a], c: [d], d: [c]},
-    )
-    assert g.n_components == 2
-    assert sorted(map(sorted, g.components)) == [["a", "b"], ["c", "d"]]
-    lonely = FiberGraph(2, (1, 1), [a, b], {a: [], b: []})
-    assert lonely.n_components == 2
+    assert _labels([a, b, c, d], [(a, b), (d, c)]) == {a: 0, b: 0, c: 1, d: 1}
+    assert _labels([a, b], []) == {a: 0, b: 1}
 
 
 def test_check_degree_reports(corpus_by_name):
