@@ -23,14 +23,7 @@ import sys
 import tempfile
 
 from . import corpus, localization, orlik_solomon, tutte, white
-from .errors import (
-    InternalInvariantViolation,
-    InvalidField,
-    InvalidInput,
-    LooplessRequired,
-    TooLarge,
-    WorkbenchError,
-)
+from .errors import InternalInvariantViolation, InvalidInput, TooLarge, WorkbenchError
 from .fields import field_from_name
 from .matroids import from_descriptor
 from .polynomials import BivariatePoly
@@ -62,12 +55,15 @@ class FileTutteCache(tutte.TutteCache):
     """Tutte memo table persisted as one JSON file per memo key.
 
     Filenames are content-addressed (sha256 of Matroid.memo_key()), so
-    unrelated matroids never collide and warm runs are byte-identical to
-    cold ones. A directory written under an older key scheme is simply
-    cold. An entry read from disk is used only if it parses, its degrees
-    stay within the rank and corank, and it passes T(1,1) = #bases and
-    T(2,2) = 2^#E for the matroid being looked up; otherwise it counts as a
-    miss and the recomputed entry replaces it.
+    unrelated matroids never collide, and a warm run over entries this
+    class wrote is byte-identical to a cold one. A directory written under
+    an older key scheme is simply cold. An entry read from disk is used
+    only if it parses, its degrees stay within the rank and corank, and it
+    passes T(1,1) = #bases and T(2,2) = 2^#E for the matroid being looked
+    up; otherwise it counts as a miss and the recomputed entry replaces it.
+    That rejects corrupt entries, not crafted ones: a polynomial that keeps
+    those values but is not T is used as it is (a complete check costs as
+    much as computing T).
     """
 
     def __init__(self, directory):
@@ -286,16 +282,13 @@ def main(argv=None):
     try:
         rc = args.fn(args)
         return 0 if rc is None else rc
-    except (InvalidInput, InvalidField, LooplessRequired) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except TooLarge as exc:
         print(f"too large: {exc}", file=sys.stderr)
         return 3
     except InternalInvariantViolation as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 4
-    except WorkbenchError as exc:  # future error kinds default to bad input
+    except WorkbenchError as exc:  # bad input, and any kind added later
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,7 +14,6 @@ from .errors import InvalidField, quote
 
 class RationalField:
     name = "Q"
-    characteristic = 0
 
     zero = Fraction(0)
     one = Fraction(1)
@@ -95,13 +94,10 @@ def _is_prime(p):
 
 
 class PrimeField:
-    characteristic: int
-
     def __init__(self, p: int):
         if type(p) is not int or p >= MODULUS_LIMIT or not _is_prime(p):
             raise InvalidField(f"GF({quote(p)}): modulus must be a prime below 2^64")
         self.p = p
-        self.characteristic = p
         self.name = f"GF({p})"
         self.zero = 0
         self.one = 1 % p

@@ -1,12 +1,12 @@
-"""Exact linear algebra kernels and the push/pop rank oracles built on them.
+"""Exact push/pop rank oracles: echelon forms and a rollback union-find.
 
 Fraction-free integer echelon forms (rational matrices are stored with
 denominator-cleared integer columns, so all rank arithmetic stays in Z) and
 GF(p) echelon forms rank labeled columns; their `reduce` also gives the
-residual columns of a contraction. Field-generic reduced row echelon and
-kernel routines serve duals and memo keys, with the scalar work going
-through a field object from fields.py. A rollback union-find ranks the
-edges of a multigraph.
+residual columns of a contraction, and `reduced_rows` the reduced row
+echelon form that keys and dualizes a linear matroid. A rollback
+union-find ranks the edges of a multigraph. `rref`, over a field object,
+is the dense reference the tests hold the echelon forms to.
 
 The oracles support push/pop in LIFO order only; that is what depth-first
 subset enumeration and flag walks need, and it keeps rollback trivial (a
@@ -14,6 +14,7 @@ push appends at most one row or one union).
 """
 from __future__ import annotations
 
+import copy
 from math import gcd
 
 
@@ -52,6 +53,17 @@ class _Echelon:
     def pop(self):
         if self._added.pop():
             self.rows.pop()
+
+    def reduced_rows(self):
+        """The reduced row echelon form of the pushed span, up to the class's
+        row scaling: (pivot, row) pairs sorted by pivot, each row zero at
+        the other pivots. Pushing the stored rows into a fresh echelon in
+        descending pivot order clears each at the larger pivots."""
+        fresh = copy.copy(self)
+        fresh.columns, fresh.rows, fresh._added = dict(self.rows), [], []
+        for j in sorted(fresh.columns, reverse=True):
+            fresh.push(j)
+        return sorted(fresh.rows)
 
 
 class IntEchelon(_Echelon):
@@ -114,7 +126,7 @@ class ModEchelon(_Echelon):
 
 
 def rref(rows, field):
-    """Reduced row echelon form over a field object.
+    """Reduced row echelon form over a field object (the dense reference).
 
     Returns (reduced nonzero rows, pivot column indices). Input rows are not
     mutated. Deterministic: first row with a nonzero entry wins each pivot.
@@ -137,32 +149,6 @@ def rref(rows, field):
         pivots.append(col)
         top += 1
     return work[:top], pivots
-
-
-def kernel(rows, ncols, field):
-    """Basis of {x : A x = 0} for the matrix with the given rows.
-
-    One vector per free column, unit at the free column; deterministic order.
-    """
-    if not rows:
-        basis = []
-        for f in range(ncols):
-            v = [field.zero] * ncols
-            v[f] = field.one
-            basis.append(v)
-        return basis
-    red, pivots = rref(rows, field)
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        v = [field.zero] * ncols
-        v[f] = field.one
-        for i, pc in enumerate(pivots):
-            v[pc] = field.neg(red[i][f])
-        basis.append(v)
-    return basis
 
 
 class RollbackUnionFind:

@@ -18,10 +18,11 @@ and uniform matroids and derived minors and duals rank each prefix with
 their own rank function.
 Matroid.incremental_rank() hands it to every walk over prefixes (bases
 here, the corank-nullity counts in tutte.py, the fixed points in
-localization.py). Linear minors contract on the same echelon.
+localization.py). Linear minors, memo keys and duals use the same echelon.
 """
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd
 
 from . import linalg
@@ -68,6 +69,13 @@ def _store_column(field, col):
     return tuple(int(x) % field.p for x in col)
 
 
+def _echelon(field, columns):
+    """The push/pop rank oracle of integer-convention columns over `field`."""
+    if isinstance(field, RationalField):
+        return linalg.IntEchelon(columns)
+    return linalg.ModEchelon(field.p, columns)
+
+
 class LinearBacking:
     kind = "linear"
 
@@ -81,15 +89,7 @@ class LinearBacking:
         return sum(map(self.steps().push, subset))
 
     def steps(self):
-        if isinstance(self.field, RationalField):
-            return linalg.IntEchelon(self.columns)
-        return linalg.ModEchelon(self.field.p, self.columns)
-
-    def _field_matrix(self, labels):
-        """Rows of the submatrix on `labels`, entries as field scalars."""
-        f = self.field
-        nrows = len(self.columns[labels[0]]) if labels else 0
-        return [[f.of(self.columns[e][i]) for e in labels] for i in range(nrows)]
+        return _echelon(self.field, self.columns)
 
     def minor(self, contracted, kept):
         """Native minor: push the contracted columns into one echelon and
@@ -107,17 +107,34 @@ class LinearBacking:
             columns[e] = tuple(x for i, x in enumerate(v) if i not in pivots)
         return LinearBacking(self.field, columns)
 
+    def _reduced_rows(self, elements):
+        """The RREF of the submatrix on `elements` as (pivot, row) pairs:
+        its rows pushed into an echelon and read out."""
+        ech = _echelon(self.field, dict(enumerate(zip(*(self.columns[e] for e in elements)))))
+        for i in ech.columns:
+            ech.push(i)
+        return ech.reduced_rows()
+
     def memo_payload(self, elements):
-        """(field name, RREF rows): the row space fixes the column matroid."""
-        red, _ = linalg.rref(self._field_matrix(elements), self.field)
-        return (self.field.name, tuple(tuple(self.field.to_str(x) for x in row) for row in red))
+        """(field name, RREF rows): the row space fixes the column matroid.
+        Q rows are divided by their pivot entry and written as fractions."""
+        rows = self._reduced_rows(elements)
+        if isinstance(self.field, RationalField):
+            rows = [(j, [Fraction(x, row[j]) for x in row]) for j, row in rows]
+        return (self.field.name, tuple(tuple(map(str, row)) for _, row in rows))
 
     def dual(self, elements):
-        """Column matroid of a kernel basis matrix (rows = kernel vectors)."""
-        rows = self._field_matrix(elements)
-        ker = linalg.kernel(rows, len(elements), self.field)
+        """Column matroid of the null space of the submatrix on `elements`,
+        read off its RREF rows R: a free position's column is its unit
+        vector, and pivot j's column is (-R[j][f] for free f), scaled by the
+        pivot entry R[j][j] (scaling a column keeps the matroid)."""
+        rows = dict(self._reduced_rows(elements))
+        free = [f for f in range(len(elements)) if f not in rows]
+        columns = [[int(f == g) for g in free] for f in range(len(elements))]
+        for j, row in rows.items():
+            columns[j] = [-row[f] * row[j] for f in free]
         return LinearBacking(
-            self.field, {e: _store_column(self.field, [v[i] for v in ker]) for i, e in enumerate(elements)}
+            self.field, {e: _store_column(self.field, col) for e, col in zip(elements, columns)}
         )
 
 
@@ -465,12 +482,11 @@ def from_graph(edges):
     return Matroid(GraphicBacking(emap), range(len(edges)))
 
 
-def from_bases(n, bases, validate=True):
+def from_bases(n, bases):
     """Matroid on 0..n-1 from an explicit basis list.
 
-    Validates the exchange axiom pairwise when the basis count is within
-    BASIS_VALIDATION_LIMIT; larger lists raise TooLarge unless validate is
-    False (in which case the caller vouches for the input).
+    Validates the exchange axiom pairwise; lists whose pairs exceed
+    BASIS_VALIDATION_LIMIT raise TooLarge.
     """
     if n < 1:
         raise InvalidInput("ground set must be nonempty")
@@ -492,21 +508,20 @@ def from_bases(n, bases, validate=True):
     sizes = {len(b) for b in blist}
     if len(sizes) != 1:
         raise InvalidInput("bases must all have the same size")
-    if validate:
-        if len(blist) ** 2 > BASIS_VALIDATION_LIMIT:
-            raise TooLarge(
-                f"{len(blist)} bases need {len(blist) ** 2} pairwise exchange checks, "
-                f"over the validation budget of {BASIS_VALIDATION_LIMIT}"
-            )
-        bset = set(blist)
-        for b1 in blist:
-            for b2 in blist:
-                for x in b1 - b2:
-                    if not any((b1 - {x}) | {y} in bset for y in b2 - b1):
-                        raise InvalidInput(
-                            f"exchange axiom fails for bases {quote(sorted(b1))}, "
-                            f"{quote(sorted(b2))} at element {x}"
-                        )
+    if len(blist) ** 2 > BASIS_VALIDATION_LIMIT:
+        raise TooLarge(
+            f"{len(blist)} bases need {len(blist) ** 2} pairwise exchange checks, "
+            f"over the validation budget of {BASIS_VALIDATION_LIMIT}"
+        )
+    bset = set(blist)
+    for b1 in blist:
+        for b2 in blist:
+            for x in b1 - b2:
+                if not any((b1 - {x}) | {y} in bset for y in b2 - b1):
+                    raise InvalidInput(
+                        f"exchange axiom fails for bases {quote(sorted(b1))}, "
+                        f"{quote(sorted(b2))} at element {x}"
+                    )
     return Matroid(BasesBacking(sorted(blist, key=sorted)), range(n))
 
 

@@ -178,6 +178,8 @@ class OSSpace:
         """Normal form of x on the nbc basis (a representative, not a coset)."""
         if x.degree != self.degree:
             raise InvalidInput(f"element degree {x.degree} != space degree {self.degree}")
+        if x.field != self.field:
+            raise InvalidInput(f"element over {x.field} read in a space over {self.field}")
         f = self.field
         straighten = _straightener(self.matroid)
         terms = {}
@@ -270,14 +272,13 @@ def os_dimensions(M: Matroid, field=QQ):
     return [os_space(M, k, field).dimension for k in range(M.r + 1)]
 
 
-def normal_form(M: Matroid, x: ExteriorElement, field=None):
-    """Coordinates of x on the degree-matching nbc basis.
+def normal_form(M: Matroid, x: ExteriorElement):
+    """Coordinates of x on the degree-matching nbc basis over x's field.
 
     Idempotent in the sense that an nbc monomial maps to a unit vector.
     The reduced element itself is available as os_space(...).reduce(x).
     """
-    f = field if field is not None else x.field
-    return os_space(M, x.degree, f).coordinates(x)
+    return os_space(M, x.degree, x.field).coordinates(x)
 
 
 def os_multiply(M: Matroid, a: ExteriorElement, b: ExteriorElement) -> ExteriorElement:

@@ -202,8 +202,11 @@ def toric_fibers(M: Matroid, d, budget=DEFAULT_BUDGET):
     groups, members = {}, []
     # monomials come in lexicographic order, so vertices and components do
     # too; each label is replaced by the vertex data in place, which spares
-    # a second dict over all monomials (the peak memory of white-check)
+    # a second dict over all monomials (the peak memory of white-check),
+    # and the monomial list, the edges and the vertex data go as soon as
+    # they have been read
     info = _labels(monomials, edges)
+    del monomials
     for v, label in info.items():
         code = sum(map(codes.__getitem__, v))
         name = tuple(map(bases.__getitem__, v))
@@ -224,6 +227,7 @@ def toric_fibers(M: Matroid, d, budget=DEFAULT_BUDGET):
             raise InternalInvariantViolation(f"move left the fiber: {w} from {v}")
         nbrs_v.append(name_w)
         nbrs_w.append(name_v)
+    del info, edges
     fibers = []
     for code in sorted(groups):
         adjacency, components = groups[code]

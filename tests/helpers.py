@@ -17,7 +17,7 @@ from matroid_workbench import (
 )
 from matroid_workbench.localization import FIBER_SIGN, TANGENT_SIGN
 from matroid_workbench.linalg import rref
-from matroid_workbench.matroids import LinearBacking, Matroid
+from matroid_workbench.matroids import LinearBacking, Matroid, _store_column
 from matroid_workbench.series import TruncatedSeries
 
 
@@ -86,6 +86,40 @@ def rref_minor(M, deleted=(), contracted=()):
     return Matroid(
         LinearBacking(field, {e: tuple(red[i][nc + j] for i in rows) for j, e in enumerate(kept)}), kept
     )
+
+
+def rref_rows(M):
+    """(RREF rows, pivots) of a linear matroid's matrix, by dense reduction
+    over its field object."""
+    field, columns = M._backing.field, M._backing.columns
+    nrows = len(columns[M.elements[0]]) if M.elements else 0
+    return rref([[field.of(columns[e][i]) for e in M.elements] for i in range(nrows)], field)
+
+
+def rref_memo_key(M):
+    """The memo key of a linear matroid, written from the dense RREF."""
+    field = M._backing.field
+    red, _ = rref_rows(M)
+    payload = (field.name, tuple(tuple(field.to_str(x) for x in row) for row in red))
+    return b"mw2:l:" + repr((M.elements, payload)).encode()
+
+
+def rref_dual(M):
+    """The dual of a linear matroid by dense reduction: the matrix whose
+    rows are a kernel basis, one vector per free column, unit there and
+    -RREF[i][f] at the pivot of row i."""
+    field = M._backing.field
+    red, pivots = rref_rows(M)
+    kernel = []
+    for f in range(M.size):
+        if f not in pivots:
+            v = [field.zero] * M.size
+            v[f] = field.one
+            for i, pc in enumerate(pivots):
+                v[pc] = field.neg(red[i][f])
+            kernel.append(v)
+    columns = {e: _store_column(field, [v[i] for v in kernel]) for i, e in enumerate(M.elements)}
+    return Matroid(LinearBacking(field, columns), M.elements)
 
 
 def brute_h(M):

@@ -261,8 +261,10 @@ U12 = {"type": "uniform", "r": 1, "n": 2}
     "bad_entry", ['{"terms":[{"x":9,"y":9,"c":"42"}]}', '{"terms":[{"x":0,"y":0,"c":"2"}]}', "garbage{"]
 )
 def test_tutte_cache_rejects_bad_entries(tmp_path, bad_entry):
-    """A poisoned or corrupt file is a miss: the right polynomial is
-    printed and the entry is rewritten."""
+    """A corrupt file (unparsable, degrees past the rank or corank, or a
+    wrong T(1,1) or T(2,2)) is a miss: the right polynomial is printed and
+    the entry is rewritten. A crafted entry that keeps those values is not
+    caught; no check short of computing T catches every one."""
     cache_dir = tmp_path / "memo"
     cold = run_cli(["tutte", "--cache", str(cache_dir)], stdin_obj=U12)
     assert cold.returncode == 0

@@ -6,7 +6,6 @@ from matroid_workbench.linalg import (
     IntEchelon,
     ModEchelon,
     RollbackUnionFind,
-    kernel,
     rref,
 )
 
@@ -101,6 +100,9 @@ def test_mod_echelon_randomized_rollback_matches_fresh_recompute():
 
 
 def test_rref_and_kernel_rational():
+    """The dense reference: pivots, rows monic at their pivot and zero at
+    the other one; the kernel half lives in the dual tests of
+    test_matroids.py."""
     rows = [
         [Fraction(1), Fraction(2), Fraction(3)],
         [Fraction(2), Fraction(4), Fraction(6)],
@@ -108,26 +110,31 @@ def test_rref_and_kernel_rational():
     ]
     red, pivots = rref(rows, QQ)
     assert pivots == [0, 1]
-    ker = kernel(rows, 3, QQ)
-    assert len(ker) == 1
-    for row in rows:
-        for k in ker:
-            assert sum(a * b for a, b in zip(row, k)) == 0
+    assert red == [[1, 0, 1], [0, 1, 1]]
 
 
-def test_kernel_gf2():
-    F2 = PrimeField(2)
-    rows = [[1, 0, 1, 1], [0, 1, 1, 0]]
-    ker = kernel(rows, 4, F2)
-    assert len(ker) == 2
-    for row in rows:
-        for k in ker:
-            assert sum(a * b for a, b in zip(row, k)) % 2 == 0
-
-
-def test_kernel_of_empty_matrix_is_identity():
-    ker = kernel([], 3, QQ)
-    assert len(ker) == 3
+def test_reduced_rows_match_rref():
+    """Both echelon classes read out the dense RREF of the pushed span,
+    IntEchelon up to one scalar per row and ModEchelon exactly, and leave
+    their own rows as they were."""
+    rng = random.Random(1009)
+    for _ in range(300):
+        p = rng.choice([0, 2, 3, 7])
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 6)
+        vecs = {i: [rng.choice([0, rng.randrange(-4, 5)]) for _ in range(ncols)] for i in range(nrows)}
+        ech = IntEchelon(vecs) if p == 0 else ModEchelon(p, vecs)
+        for i in vecs:
+            ech.push(i)
+        before = list(ech.rows)
+        got = ech.reduced_rows()
+        assert ech.rows == before
+        field = QQ if p == 0 else PrimeField(p)
+        red, pivots = rref([[field.of(x) for x in v] for v in vecs.values()], field)
+        assert [j for j, _ in got] == pivots
+        if p == 0:
+            assert [[Fraction(x, row[j]) for x in row] for j, row in got] == red
+        else:
+            assert [row for _, row in got] == red
 
 
 def test_rollback_union_find():

@@ -17,7 +17,7 @@ from matroid_workbench import (
     uniform,
 )
 
-from matroid_workbench.matroids import GROUND_SET_LIMIT
+from matroid_workbench.matroids import GROUND_SET_LIMIT, BasesBacking, Matroid
 
 from helpers import powerset
 
@@ -179,7 +179,7 @@ def test_pushes_agree_with_rank_on_bases_and_derived(case, data):
     M.rank of the prefix, for basis lists and for derived minors and duals;
     pops return the oracle to a state that keeps agreeing."""
     M, deleted, contracted = case
-    B = from_bases(M.size, M.bases(), validate=False)
+    B = Matroid(BasesBacking([frozenset(b) for b in M.bases()]), M.elements)
     for N in (B, B.dual(), B.minor(deleted, contracted), B.minor(deleted, contracted).dual()):
         order = data.draw(st.permutations(N.elements))
         inc = N.incremental_rank()
@@ -260,6 +260,39 @@ def test_boolean_dual_is_all_loops(corpus_by_name):
     D = corpus_by_name["boolean_n2"].dual()
     assert D.r == 0
     assert D.loops() == frozenset(D.elements)
+
+
+def stored_rows(M):
+    """The rows of the matrix a linear matroid stores (over Q its columns
+    are scaled to coprime integers)."""
+    return [list(row) for row in zip(*(M._backing.columns[e] for e in M.elements))]
+
+
+@pytest.mark.parametrize(
+    "field, matrix",
+    [
+        ("Q", [[0, 0, 0]]),
+        ("GF(2)", [[1, 0, 1, 1], [0, 1, 1, 0]]),
+        ("Q", [[1, 2, 3], [2, 4, 6], [0, 1, 1]]),
+        ("Q", [["1/2", "2/3", 1, 0], ["-1/4", 0, "3/5", 1]]),
+    ],
+    ids=["rank-0", "gf2", "q-dependent-row", "q-fractions"],
+)
+def test_linear_dual_is_a_kernel_basis(field, matrix):
+    """The dual of a linear matroid is the column matroid of #E - r
+    independent vectors that every row of the stored matrix annihilates;
+    at rank 0 the columns are the unit vectors."""
+    M = from_matrix(field, matrix)
+    D = M.dual()
+    assert D._backing.kind == "linear"
+    ker = stored_rows(D)
+    assert len(ker) == D.r == M.size - M.r
+    F = M._backing.field
+    for row in stored_rows(M):
+        for k in ker:
+            assert F.is_zero(sum(F.mul(F.of(a), F.of(b)) for a, b in zip(row, k)))
+    if M.r == 0:
+        assert D._backing.columns == {0: (1, 0, 0), 1: (0, 1, 0), 2: (0, 0, 1)}
 
 
 def test_uniform_dual_is_uniform():
@@ -368,9 +401,6 @@ def test_from_bases_validation_budget():
     fake = [list(c) for c in islice(combinations(range(20), 5), 350)]
     with pytest.raises(TooLarge, match="350 bases need 122500 pairwise exchange checks"):
         from_bases(20, fake)
-    # validate=False skips the pairwise check (caller takes responsibility)
-    M = from_bases(3, [[0, 1], [0, 2], [1, 2]], validate=False)
-    assert M.r == 2
 
 
 def test_bases_enumeration_cap():

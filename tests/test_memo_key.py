@@ -7,6 +7,7 @@ matrices over GF(2), GF(3) and Q, multigraphs with loops, parallel edges and
 string vertices, and their minors check that, and that deletion-contraction
 on them agrees with the corank-nullity sum.
 """
+import hashlib
 import time
 from itertools import combinations
 
@@ -14,7 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matroid_workbench import (
+    CORPUS,
     PrimeField,
+    corpus_matroid,
     from_bases,
     from_graph,
     from_matrix,
@@ -23,7 +26,7 @@ from matroid_workbench import (
     uniform,
 )
 
-from helpers import rref_minor
+from helpers import rref_dual, rref_memo_key, rref_minor
 
 
 def key_kind(M):
@@ -167,3 +170,43 @@ def test_gfp_minor_keys_match_the_rref_minor(p, data):
         cset = [e for e, x in zip(N.elements, roles) if x == "c"]
         N, R = N.minor(deleted=dset, contracted=cset), rref_minor(R, dset, cset)
         assert N.memo_key() == R.memo_key()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["Q", "GF(2)", "GF(3)", "GF(7)", "GF(101)"]), st.data())
+def test_linear_keys_and_duals_match_the_rref_route(field, data):
+    """Keys written from the echelon's reduced rows equal keys written from
+    the dense RREF over the field, and duals read off those rows store the
+    same columns as duals from a dense kernel basis: for Q matrices with
+    a/b entries and GF(p) matrices, their minors, and the duals of both."""
+    if field == "Q":
+        entry = st.one_of(st.integers(-3, 3), st.sampled_from(["1/2", "-2/3", "3/4", "5/6"]))
+    else:
+        entry = st.integers(0, int(field[3:-1]) - 1)
+    rows = data.draw(st.integers(1, 4))
+    cols = data.draw(st.integers(1, 7))
+    M = from_matrix(field, data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                                              min_size=rows, max_size=rows)))
+    roles = data.draw(st.lists(st.sampled_from("dck"), min_size=M.size, max_size=M.size))
+    N = M.minor(deleted=[e for e, x in zip(M.elements, roles) if x == "d"],
+                contracted=[e for e, x in zip(M.elements, roles) if x == "c"])
+    for X in (M, N, M.dual()):
+        D, R = X.dual(), rref_dual(X)
+        assert D._backing.columns == R._backing.columns, X
+        for Y in (X, D):
+            assert Y.memo_key() == rref_memo_key(Y), Y
+
+
+# sha256 over the memo keys of every corpus matroid, its dual, and its minor
+# that deletes the first element and contracts the last; `--cache` file
+# names are the sha256 of these keys, so a change here makes caches cold
+CORPUS_KEY_DIGEST = "3b04d7c23f1711a1de99e80db0ff3e3158719e6f1facc101f9c2bf4a1652e5dc"
+
+
+def test_corpus_memo_keys_are_frozen():
+    digest = hashlib.sha256()
+    for entry in CORPUS:
+        M = corpus_matroid(entry["name"])
+        for N in (M, M.dual(), M.minor(deleted={M.elements[0]}, contracted={M.elements[-1]})):
+            digest.update(N.memo_key() + b"\n")
+    assert digest.hexdigest() == CORPUS_KEY_DIGEST

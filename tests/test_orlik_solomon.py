@@ -190,6 +190,22 @@ def test_os_coordinates_and_normal_form(corpus_by_name):
     assert rebuilt == sp.reduce(e12)
 
 
+def test_reduce_refuses_an_element_over_another_field(corpus_by_name):
+    """2 e_12 over GF(3) has no coordinates over GF(5): read there it came
+    out as [3, 2], and (1/3) e_12 over Q read over GF(2) as [1/3, 1/3]."""
+    M = corpus_by_name["u_2_3"]
+    x = ExteriorElement.monomial(GF3, (1, 2)).scale(2)
+    assert normal_form(M, x) == [1, 2]
+    for space in (os_space(M, 2, GF5), os_space(M, 2, QQ)):
+        with pytest.raises(InvalidInput, match="over GF\\(3\\)"):
+            space.reduce(x)
+        with pytest.raises(InvalidInput):
+            space.coordinates(x)
+    third = ExteriorElement.monomial(QQ, (1, 2)).scale(QQ.of("1/3"))
+    with pytest.raises(InvalidInput):
+        os_space(M, 2, GF2).reduce(third)
+
+
 @pytest.mark.parametrize("circuits_only", [False, True], ids=["dependent", "circuits"])
 @pytest.mark.parametrize("field", [QQ, GF2, GF3], ids=["Q", "GF2", "GF3"])
 def test_reduce_matches_dense_oracle(corpus_by_name, field, circuits_only):
