@@ -16,13 +16,11 @@ nothing, so it never changes the bytes.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
-import tempfile
 
-from . import corpus, localization, orlik_solomon, tutte, white
+from . import tutte
 from .errors import InternalInvariantViolation, InvalidInput, TooLarge, WorkbenchError
 from .fields import field_from_name
 from .matroids import from_descriptor
@@ -75,6 +73,8 @@ class FileTutteCache(tutte.TutteCache):
             raise InvalidInput(f"cannot use {directory} as a cache directory: {exc}") from exc
 
     def _path(self, key):
+        import hashlib
+
         return os.path.join(self.directory, hashlib.sha256(key).hexdigest() + ".json")
 
     def get(self, key, matroid=None):
@@ -100,6 +100,8 @@ class FileTutteCache(tutte.TutteCache):
         return poly
 
     def put(self, key, poly):
+        import tempfile
+
         super().put(key, poly)
         path = self._path(key)
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
@@ -138,12 +140,16 @@ def _cmd_hlv(args):
 
 
 def _cmd_os_dims(args):
+    from . import orlik_solomon
+
     M = _read_descriptor(args.input)
     field = field_from_name(args.field)
     _emit(orlik_solomon.os_dimensions(M, field))
 
 
 def _cmd_os_basis(args):
+    from . import orlik_solomon
+
     M = _read_descriptor(args.input)
     field = field_from_name(args.field)
     space = orlik_solomon.os_space(M, args.degree, field)
@@ -158,6 +164,8 @@ def _cmd_os_basis(args):
 
 
 def _cmd_reduced_os_basis(args):
+    from . import orlik_solomon
+
     M = _read_descriptor(args.input)
     field = field_from_name(args.field)
     basis = orlik_solomon.reduced_nbc_basis(M, args.degree, field)
@@ -172,6 +180,8 @@ def _cmd_reduced_os_basis(args):
 
 
 def _cmd_euler_table(args):
+    from . import localization
+
     M = _read_descriptor(args.input)
     budget = args.budget if args.budget else localization.DEFAULT_MAX_POINTS
     table = localization.euler_table(M, max_points=budget)
@@ -184,6 +194,8 @@ def _cmd_euler_table(args):
 
 
 def _cmd_white_check(args):
+    from . import white
+
     M = _read_descriptor(args.input)
     budget = args.budget if args.budget else white.DEFAULT_BUDGET
     report = white.check_degree(M, args.degree, budget=budget)
@@ -191,6 +203,8 @@ def _cmd_white_check(args):
 
 
 def _cmd_verify_corpus(args):
+    from . import corpus
+
     report = corpus.verify_corpus()
     _emit(report)
     return 0 if report["all_pass"] else 1

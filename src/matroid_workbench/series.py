@@ -43,6 +43,10 @@ class TruncatedSeries:
                 coeffs.append((-1) ** j * comb(-c + j - 1, j))
         return cls(coeffs, order)
 
+    def __add__(self, other):
+        self._check(other)
+        return TruncatedSeries([a + b for a, b in zip(self.coeffs, other.coeffs)], self.order)
+
     def __mul__(self, other):
         self._check(other)
         n = self.order

@@ -267,8 +267,8 @@ def per_point_euler_table(M, one_ps=None):
     numerator of every cell is expanded subset by subset and multiplied by
     it in integers; each cell slot gains one Fraction per point. Series run
     to eps^(n+1). The pole slots of every cell's sum must vanish and its
-    eps^0 slot be an integer. No code is shared with the prefix walk beyond
-    the series type, the rank oracle and the sign constants.
+    eps^0 slot be an integer. No code is shared with the prefix-state sum
+    beyond the series type, the rank oracle and the sign constants.
     """
     a = tuple(one_ps) if one_ps is not None else tuple(range(M.size))
     n = M.size - 1

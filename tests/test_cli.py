@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from matroid_workbench import cli, h_polynomial, corpus_matroid
+from matroid_workbench import cli, corpus_matroid, from_graph, h_matrix, h_polynomial
 
 U23 = {"type": "uniform", "r": 2, "n": 3}
 U24 = {"type": "uniform", "r": 2, "n": 4}
@@ -111,6 +111,21 @@ def test_euler_table_budget_message():
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr == "too large: 40320 fixed points exceed the budget of 5040\n"
+
+
+def test_euler_table_k5_end_to_end():
+    """M(K5) has 10! = 3,628,800 fixed points: the budget counts them, not
+    the prefix states that the sum visits."""
+    edges = [[i, j] for i in range(5) for j in range(i + 1, 5)]
+    k5 = {"type": "graphic", "edges": edges}
+    proc = run_cli(["euler-table", "--budget", "3628800"], stdin_obj=k5)
+    assert proc.returncode == 0, proc.stderr
+    assert '"matches_h_polynomial":true' in proc.stdout
+    assert json.loads(proc.stdout)["table"] == h_matrix(from_graph(edges))
+    proc = run_cli(["euler-table", "--budget", "3628799"], stdin_obj=k5)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == "too large: 3628800 fixed points exceed the budget of 3628799\n"
 
 
 def test_white_check_output():
@@ -237,6 +252,20 @@ def test_tutte_budget_counts_deletion_contraction_nodes(monkeypatch, capsys):
     assert code == 3
     assert out == ""
     assert err.startswith("too large:") and "1000" in err and len(err.splitlines()) == 1, err
+
+
+def test_cli_import_leaves_unused_modules_unloaded():
+    """The package resolves its names lazily and each command imports its
+    own modules, so importing the CLI loads none of the heavier ones."""
+    code = "import sys, matroid_workbench.cli; print(' '.join(sorted(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "matroid_workbench.cli" in loaded
+    for name in ("corpus", "white", "orlik_solomon"):
+        assert f"matroid_workbench.{name}" not in loaded
 
 
 # -------------------------------------------------------------------- caching

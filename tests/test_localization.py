@@ -1,3 +1,6 @@
+import io
+import json
+import sys
 from itertools import combinations
 
 import pytest
@@ -19,6 +22,7 @@ from matroid_workbench import (
     h_matrix,
     uniform,
 )
+from matroid_workbench import cli, localization
 from matroid_workbench.localization import (
     FIBER_SIGN,
     TANGENT_SIGN,
@@ -36,7 +40,7 @@ def test_calibration_runs_and_reports_signs():
 
 def test_geometric_one_ps_matches_h(corpus_by_name):
     """(0, 1, M, M^2, ...) with M = #E + 1 has huge tangent pairings, which
-    keeps the walk's large-integer path under test."""
+    keeps the large-integer path under test."""
     M = corpus_by_name["fano"]
     assert euler_table(M, one_ps=(0, 1, 8, 64, 512, 4096, 32768)) == h_matrix(M)
 
@@ -129,7 +133,7 @@ def test_derived_rank_oracle_matroid(corpus_by_name):
     assert euler_table(M) == h_matrix(corpus_by_name["u_2_4"])
 
 
-# ------------------------------------------------- prefix walk against oracle
+# ------------------------------------------- prefix states against oracle
 
 SMALL = [e["name"] for e in CORPUS if corpus_matroid(e["name"]).size <= 6]
 
@@ -184,8 +188,61 @@ def test_exact_checks_reject_bad_sums():
         _extract_integer((0, 0), [0, 0, 13], 2, 4)
 
 
+@pytest.mark.parametrize("slot, message", [(0, "residual pole"), (-1, "non-integer")])
+def test_perturbed_sum_exits_4(monkeypatch, capsys, slot, message):
+    """One wrong slot in the accumulated sums: a nonzero pole slot, or an
+    eps^0 slot that is not a multiple of the scale, stops the CLI with exit
+    code 4 and one line on stderr."""
+    calibrate_signs()  # the calibration tables are computed unperturbed
+    accumulate = localization._accumulate_points
+
+    def perturbed(M, a, L):
+        total = accumulate(M, a, L)
+        total[0][0][slot] += 1
+        return total
+
+    monkeypatch.setattr(localization, "_accumulate_points", perturbed)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"type": "uniform", "r": 2, "n": 3})))
+    assert cli.main(["euler-table"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and message in err, err
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.integers(-60, 60), min_size=4, max_size=4, unique=True))
 def test_walk_matches_oracle_on_generic_one_ps(a):
     M = uniform(2, 4)
+    assert euler_table(M, one_ps=a) == per_point_euler_table(M, a) == h_matrix(M)
+
+
+@st.composite
+def small_linear_matroids(draw):
+    """Matrices over Q or GF(p) with at most 6 columns, some of them zero
+    (loops) or multiples of an earlier column (parallel elements)."""
+    field = draw(st.sampled_from(["Q", "GF(2)", "GF(3)", "GF(7)"]))
+    rows = draw(st.integers(1, 3))
+    columns = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["new", "new", "loop", "parallel"]))
+        if kind == "loop":
+            columns.append([0] * rows)
+        elif kind == "parallel" and columns:
+            k = draw(st.sampled_from([-2, -1, 2, 3]))
+            columns.append([k * x for x in draw(st.sampled_from(columns))])
+        else:
+            columns.append(draw(st.lists(st.integers(-3, 3), min_size=rows, max_size=rows)))
+    return from_matrix(field, [list(row) for row in zip(*columns)])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_random_linear_matroids_match_per_point_oracle(data):
+    M = data.draw(small_linear_matroids())
+    a = data.draw(
+        st.one_of(
+            st.none(),
+            st.lists(st.integers(-10_000, 10_000), min_size=M.size, max_size=M.size, unique=True),
+        )
+    )
     assert euler_table(M, one_ps=a) == per_point_euler_table(M, a) == h_matrix(M)
