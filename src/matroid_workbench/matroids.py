@@ -18,7 +18,8 @@ and uniform matroids and derived minors and duals rank each prefix with
 their own rank function.
 Matroid.incremental_rank() hands it to every walk over prefixes (bases
 here, the corank-nullity counts in tutte.py, the fixed points in
-localization.py). Linear minors, memo keys and duals use the same echelon.
+localization.py). Linear minors use the same echelon; a linear matroid's
+rank, memo key, loops, coloops and dual read one RREF of its rows.
 """
 from __future__ import annotations
 
@@ -84,6 +85,9 @@ class LinearBacking:
         # cleared exact coordinates, over GF(p) they are reduced residues.
         self.field = field
         self.columns = columns
+        # GF(p) keys are normalized under scaling; Q keys keep the mw2 form.
+        self.key_version = 2 if isinstance(field, RationalField) else 3
+        self._rref = None  # (elements, reduced_rows(elements))
 
     def rank(self, subset):
         return sum(map(self.steps().push, subset))
@@ -107,28 +111,51 @@ class LinearBacking:
             columns[e] = tuple(x for i, x in enumerate(v) if i not in pivots)
         return LinearBacking(self.field, columns)
 
-    def _reduced_rows(self, elements):
+    def reduced_rows(self, elements):
         """The RREF of the submatrix on `elements` as (pivot, row) pairs:
-        its rows pushed into an echelon and read out."""
-        ech = _echelon(self.field, dict(enumerate(zip(*(self.columns[e] for e in elements)))))
-        for i in ech.columns:
-            ech.push(i)
-        return ech.reduced_rows()
+        its rows pushed into an echelon and read out. A backing serves one
+        matroid, so the last result is kept: the memo key, the dual, the
+        loops and the coloops of a matroid all read one elimination."""
+        if self._rref is None or self._rref[0] != elements:
+            ech = _echelon(self.field, dict(enumerate(zip(*(self.columns[e] for e in elements)))))
+            for i in ech.columns:
+                ech.push(i)
+            self._rref = (elements, ech.reduced_rows())
+        return self._rref[1]
+
+    def loops(self, elements):
+        """The zero columns of the RREF."""
+        rows = self.reduced_rows(elements)
+        return frozenset(e for f, e in enumerate(elements) if not any(row[f] for _, row in rows))
+
+    def coloops(self, elements):
+        """The pivots whose row is zero at every non-pivot column: no
+        fundamental circuit of the lexicographically first basis meets
+        them."""
+        rows = self.reduced_rows(elements)
+        pivots = {j for j, _ in rows}
+        free = [f for f in range(len(elements)) if f not in pivots]
+        return frozenset(elements[j] for j, row in rows if not any(row[f] for f in free))
 
     def memo_payload(self, elements):
         """(field name, RREF rows): the row space fixes the column matroid.
-        Q rows are divided by their pivot entry and written as fractions."""
-        rows = self._reduced_rows(elements)
+        Q rows are divided by their pivot entry and written as fractions;
+        GF(p) rows are put in their normal form under row and column
+        scaling (_scaling_normal_form), so that matrices that differ by row
+        operations and column scaling get one key."""
+        rows = self.reduced_rows(elements)
         if isinstance(self.field, RationalField):
-            rows = [(j, [Fraction(x, row[j]) for x in row]) for j, row in rows]
-        return (self.field.name, tuple(tuple(map(str, row)) for _, row in rows))
+            rows = [[Fraction(x, row[j]) for x in row] for j, row in rows]
+        else:
+            rows = _scaling_normal_form(self.field.p, rows)
+        return (self.field.name, tuple(tuple(map(str, row)) for row in rows))
 
     def dual(self, elements):
         """Column matroid of the null space of the submatrix on `elements`,
         read off its RREF rows R: a free position's column is its unit
         vector, and pivot j's column is (-R[j][f] for free f), scaled by the
         pivot entry R[j][j] (scaling a column keeps the matroid)."""
-        rows = dict(self._reduced_rows(elements))
+        rows = dict(self.reduced_rows(elements))
         free = [f for f in range(len(elements)) if f not in rows]
         columns = [[int(f == g) for g in free] for f in range(len(elements))]
         for j, row in rows.items():
@@ -136,6 +163,44 @@ class LinearBacking:
         return LinearBacking(
             self.field, {e: _store_column(self.field, col) for e, col in zip(elements, columns)}
         )
+
+
+def _scaling_normal_form(p, rows):
+    """The normal form of GF(p) RREF rows, given as (pivot, monic row)
+    pairs, under row and column scaling (Brylawski-Lucas 1976; Oxley,
+    Matroid Theory, section 6.4).
+
+    Scaling row i by a_i and each non-pivot column f by b_f, with pivot
+    column i rescaled by 1/a_i so that its pivot stays 1, keeps an RREF of
+    the same matroid and multiplies entry (i, f) by a_i b_f. Take the
+    bipartite graph of rows against non-pivot columns, with an edge at each
+    nonzero entry, and walk it breadth-first from the least position of
+    each component (a row sits at its pivot), neighbours in increasing
+    position. The scalars are chosen so that every tree edge reads 1. Each
+    component keeps one free scalar, and it changes no entry, so every RREF
+    in the scaling class gives the same rows."""
+    by_pivot = dict(rows)
+    n = len(rows[0][1]) if rows else 0
+    scale = {}  # position -> a_i at row i's pivot, b_f at a non-pivot column f
+    for start in range(n):
+        if start in scale:
+            continue
+        scale[start] = 1
+        queue = [start]
+        for node in queue:
+            s = scale[node]
+            row = by_pivot.get(node)
+            # a row meets the non-pivot columns where it is nonzero (its
+            # only nonzero pivot entry is its own, already scaled)
+            edges = enumerate(row) if row is not None else ((j, r[node]) for j, r in rows)
+            for other, x in edges:
+                if x and other not in scale:
+                    scale[other] = pow(s * x, p - 2, p)
+                    queue.append(other)
+    return [
+        [x if f in by_pivot else scale[j] * x * scale[f] % p for f, x in enumerate(row)]
+        for j, row in rows
+    ]
 
 
 class _PrefixSteps:
@@ -159,6 +224,7 @@ class _PrefixSteps:
 
 class UniformBacking:
     kind = "uniform"
+    key_version = 2
 
     def __init__(self, r):
         self.r = r
@@ -181,6 +247,7 @@ class UniformBacking:
 
 class GraphicBacking:
     kind = "graphic"
+    key_version = 2
 
     def __init__(self, edges):
         # edges: {label: (u, v)}; vertices may be any hashables.
@@ -289,6 +356,9 @@ class Matroid:
         self._bases = None
         self._circuits = None
         self._key = None
+        if backing.kind == "linear":
+            # the row count of the RREF that the key, loops and coloops read
+            self._rank_cache[self._eset] = len(backing.reduced_rows(self.elements))
         self.r = self.rank(self._eset)
 
     # -- rank oracle ----------------------------------------------------
@@ -317,12 +387,19 @@ class Matroid:
         return self.size - self.r
 
     def loops(self):
+        if self._backing.kind == "linear":
+            return self._backing.loops(self.elements)
         return frozenset(e for e in self.elements if self.rank({e}) == 0)
 
     def coloops(self):
-        return frozenset(
-            e for e in self.elements if self.rank(self._eset - {e}) == self.r - 1
-        )
+        """A linear matroid reads its coloops off its RREF. Otherwise only
+        the elements of the greedy basis are tested, since a coloop lies in
+        every basis: r rank calls instead of #E."""
+        if self._backing.kind == "linear":
+            return self._backing.coloops(self.elements)
+        steps = self.incremental_rank()
+        basis = [e for e in self.elements if steps.push(e)]
+        return frozenset(e for e in basis if self.rank(self._eset - {e}) == self.r - 1)
 
     def is_loopless(self):
         return not self.loops()
@@ -427,16 +504,21 @@ class Matroid:
         backing's own data without enumerating bases.
 
         Equal keys imply equal labeled matroids; the converse need not hold
-        (a matrix and a graph with the same bases get different keys). The
-        prefix names the version and the backing kind, so keys of different
-        kinds never collide; explicit-basis and derived backings fall back to
-        canonical_key(), whose "mw1:" prefix is disjoint from "mw2:".
+        (a matrix and a graph with the same bases get different keys). A
+        GF(p) key is invariant under row operations and column scaling, so
+        one minor reached along several deletion-contraction paths is
+        expanded once. The prefix names the version and the backing kind,
+        so keys of different kinds never collide: "mw3:l:" for GF(p), which
+        leaves GF(p) caches written by earlier versions cold, and "mw2:" for
+        Q, uniform and graphic keys. Explicit-basis and derived backings fall
+        back to canonical_key(), whose "mw1:" prefix is disjoint from both.
         """
         payload = self._backing.memo_payload(self.elements)
         if payload is None:
             return self.canonical_key()
         tag = self._backing.kind[0]  # u, g or l
-        return f"mw2:{tag}:".encode() + repr((self.elements, payload)).encode()
+        version = self._backing.key_version
+        return f"mw{version}:{tag}:".encode() + repr((self.elements, payload)).encode()
 
     def __repr__(self):
         return f"Matroid({self._backing.kind}, n={self.size}, r={self.r})"

@@ -5,6 +5,7 @@ shared code paths beyond the rank oracle itself, so the fast implementations
 are checked against independent definitions.
 """
 
+from collections import deque
 from fractions import Fraction
 from itertools import chain, combinations, combinations_with_replacement, permutations
 from math import lcm
@@ -96,12 +97,58 @@ def rref_rows(M):
     return rref([[field.of(columns[e][i]) for e in M.elements] for i in range(nrows)], field)
 
 
+def scaled_rref(field, red, pivots):
+    """Dense RREF rows over GF(p) scaled to their normal form: every entry
+    on a breadth-first spanning forest of the support graph becomes one.
+
+    The support graph joins row i (at position pivots[i]) to each non-pivot
+    column f where red[i][f] is nonzero. Each component is walked from its
+    least position, neighbours in increasing position. Reaching a column f
+    from row i sets its factor c_f with r_i * red[i][f] * c_f = 1, and
+    reaching a row from a column likewise sets r_i. Then row i is multiplied
+    by r_i, column f by c_f, and pivot column pivots[i] by 1 / r_i."""
+    n = len(red[0]) if red else 0
+    free = [f for f in range(n) if f not in pivots]
+    neighbours = {p: [] for p in range(n)}
+    for i, pc in enumerate(pivots):
+        for f in free:
+            if not field.is_zero(red[i][f]):
+                neighbours[pc].append(f)
+                neighbours[f].append(pc)
+    row_at = {pc: i for i, pc in enumerate(pivots)}
+    factor = {}
+    for root in range(n):
+        if root in factor:
+            continue
+        factor[root] = field.one
+        todo = deque([root])
+        while todo:
+            u = todo.popleft()
+            for v in sorted(neighbours[u]):
+                if v not in factor:
+                    i, f = (row_at[u], v) if u in row_at else (row_at[v], u)
+                    factor[v] = field.inv(field.mul(factor[u], red[i][f]))
+                    todo.append(v)
+    out = [[field.mul(factor[pc], x) for x in row] for row, pc in zip(red, pivots)]
+    for row in out:
+        for f in free:
+            row[f] = field.mul(row[f], factor[f])
+        for pc in pivots:
+            row[pc] = field.mul(row[pc], field.inv(factor[pc]))
+    return out
+
+
 def rref_memo_key(M):
-    """The memo key of a linear matroid, written from the dense RREF."""
+    """The memo key of a linear matroid, written from the dense RREF: over Q
+    the rows as they are under the "mw2:l:" prefix, over GF(p) the rows in
+    their scaling normal form (scaled_rref) under "mw3:l:"."""
     field = M._backing.field
-    red, _ = rref_rows(M)
+    red, pivots = rref_rows(M)
+    prefix = b"mw2:l:"
+    if field.name != "Q":
+        red, prefix = scaled_rref(field, red, pivots), b"mw3:l:"
     payload = (field.name, tuple(tuple(field.to_str(x) for x in row) for row in red))
-    return b"mw2:l:" + repr((M.elements, payload)).encode()
+    return prefix + repr((M.elements, payload)).encode()
 
 
 def rref_dual(M):

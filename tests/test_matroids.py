@@ -109,6 +109,37 @@ def test_loops_and_coloops_graphic():
     assert not M.is_loopless()
 
 
+@st.composite
+def matrices_and_graphs(draw):
+    """A matrix over Q or GF(p) with up to 4 rows and 7 columns, or a
+    multigraph on up to 4 vertices with loops and parallel edges."""
+    kind = draw(st.sampled_from(["Q", "GF(2)", "GF(3)", "GF(5)", "GF(7)", "graph"]))
+    if kind == "graph":
+        vertex = st.integers(0, 3)
+        return from_graph(draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=7)))
+    entry = st.integers(0, 6) if kind != "Q" else st.sampled_from([0, 0, 1, -1, 3, "1/2", "-2/3"])
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 7))
+    row = st.lists(entry, min_size=cols, max_size=cols)
+    return from_matrix(kind, draw(st.lists(row, min_size=rows, max_size=rows)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices_and_graphs(), st.data())
+def test_loops_and_coloops_match_the_rank_definitions(M, data):
+    """loops() are the e with rank({e}) = 0 and coloops() the e with
+    rank(E - e) = r - 1, on matrices (read off the RREF), graphs (the
+    greedy-basis test), their minors and the duals of both; r itself
+    equals the rank that one push walk over E finds."""
+    roles = data.draw(st.lists(st.sampled_from("dck"), min_size=M.size, max_size=M.size))
+    N = M.minor(deleted=[e for e, x in zip(M.elements, roles) if x == "d"],
+                contracted=[e for e, x in zip(M.elements, roles) if x == "c"])
+    for X in (M, N, M.dual(), N.dual()):
+        E = frozenset(X.elements)
+        assert X.r == sum(map(X.incremental_rank().push, X.elements)), X
+        assert X.loops() == {e for e in E if X.rank({e}) == 0}, X
+        assert X.coloops() == {e for e in E if X.rank(E - {e}) == X.r - 1}, X
+
+
 def test_bases_are_exactly_max_rank_subsets(corpus_by_name):
     for name in ("u_2_3", "k4", "fano", "generic_3x6"):
         M = corpus_by_name[name]
