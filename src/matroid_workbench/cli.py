@@ -58,7 +58,9 @@ class FileTutteCache(tutte.TutteCache):
     an older key scheme is simply cold. An entry read from disk is used
     only if it parses, its degrees stay within the rank and corank, and it
     passes T(1,1) = #bases and T(2,2) = 2^#E for the matroid being looked
-    up; otherwise it counts as a miss and the recomputed entry replaces it.
+    up (Matroid.basis_count, which enumerates no bases of a graph, a
+    uniform matroid or a basis list); otherwise it counts as a miss and the
+    recomputed entry replaces it.
     That rejects corrupt entries, not crafted ones: a polynomial that keeps
     those values but is not T is used as it is (a complete check costs as
     much as computing T).
@@ -92,7 +94,7 @@ class FileTutteCache(tutte.TutteCache):
         if not (
             poly.degree_x() <= matroid.r
             and poly.degree_y() <= matroid.corank
-            and poly.evaluate(1, 1) == len(matroid.bases(limit=0))
+            and poly.evaluate(1, 1) == matroid.basis_count()
             and poly.evaluate(2, 2) == 2**matroid.size
         ):
             return None

@@ -6,11 +6,17 @@ GF(p) echelon forms rank labeled columns; their `reduce` also gives the
 residual columns of a contraction, and `reduced_rows` the reduced row
 echelon form that keys and dualizes a linear matroid. A rollback
 union-find ranks the edges of a multigraph. `rref`, over a field object,
-is the dense reference the tests hold the echelon forms to.
+is the dense reference the tests hold the echelon forms to, and
+`int_determinant` (Bareiss) counts the spanning trees of a graph.
 
 The oracles support push/pop in LIFO order only; that is what depth-first
 subset enumeration and flag walks need, and it keeps rollback trivial (a
-push appends at most one row or one union).
+push appends at most one row or one union). A walk's echelon keeps the
+residual of each column it has pushed at every rank level, so a push
+resumes where an ancestor or sibling left its column: a walk pays one row
+elimination per (rank-raising node, later column) instead of up to `rank`
+per pushed subset. One-shot eliminations (minors, RREF readouts) push each
+label once and keep the plain path.
 """
 from __future__ import annotations
 
@@ -39,20 +45,57 @@ class _Echelon:
     oracle of a matrix. Stored rows have pairwise distinct pivot positions,
     and each row was reduced against all rows stored before it, so
     eliminating an incoming vector in insertion order never reintroduces a
-    cleared pivot."""
+    cleared pivot.
+
+    A walk's echelon (track_residuals) also keeps one dict per stored-row
+    count k: _res[k][e] is the residual of column e modulo rows[:k]. A push
+    resumes from the deepest level that holds its column and caches every
+    level it passes, so the siblings and descendants of a node share the
+    residuals of its later columns. A push that adds a row opens a level and
+    its pop drops it; a dependent push leaves the span, and so the levels,
+    as they are."""
+
+    _res = None  # the level memo, set by track_residuals
 
     def __init__(self, columns):
         self.columns = columns
         self.rows = []  # (pivot index, row)
         self._added = []
 
+    def track_residuals(self):
+        """Keep residuals by level for a walk that revisits its columns; a
+        one-shot elimination pushes each label once and does without.
+        Called on a fresh echelon, so level 0 holds every column as reduce
+        leaves it with no rows stored."""
+        self._res = [{e: self.reduce(col) for e, col in self.columns.items()}]
+        return self
+
     @property
     def rank(self):
         return len(self.rows)
 
+    def _residual(self, e):
+        """The residual of column `e` from the level memo: resumed at the
+        deepest level that holds it, the later rows applied one at a time
+        with reduce's arithmetic (_eliminate), and every level passed
+        cached."""
+        res, rows = self._res, self.rows
+        k = len(rows)
+        while e not in res[k]:
+            k -= 1
+        v = res[k][e]
+        for k in range(k, len(rows)):
+            j, row = rows[k]
+            if v[j]:
+                v = self._eliminate(v, j, row)
+            res[k + 1][e] = v
+        return v
+
     def pop(self):
         if self._added.pop():
             self.rows.pop()
+            if self._res is not None:
+                self._res.pop()
 
     def reduced_rows(self):
         """The reduced row echelon form of the pushed span, up to the class's
@@ -61,6 +104,8 @@ class _Echelon:
         descending pivot order clears each at the larger pivots."""
         fresh = copy.copy(self)
         fresh.columns, fresh.rows, fresh._added = dict(self.rows), [], []
+        if self._res is not None:
+            del fresh._res  # a walk's memo stays with the walk
         for j in sorted(fresh.columns, reverse=True):
             fresh.push(j)
         return sorted(fresh.rows)
@@ -81,14 +126,26 @@ class IntEchelon(_Echelon):
                 v = _reduce_int_row([a * x - b * y for x, y in zip(v, row)])
         return v
 
+    @staticmethod
+    def _eliminate(v, j, row):
+        """One step of reduce: clear v at pivot j with row."""
+        a, b = row[j], v[j]
+        return _reduce_int_row([a * x - b * y for x, y in zip(v, row)])
+
     def push(self, e):
         """Push column `e`; True when it raises the rank."""
-        v = self.reduce(self.columns[e])
-        pivot = next((i for i, x in enumerate(v) if x), None)
-        self._added.append(pivot is not None)
-        if pivot is None:
+        res = self._res
+        v = self.reduce(self.columns[e]) if res is None else self._residual(e)
+        for pivot, x in enumerate(v):
+            if x:
+                break
+        else:
+            self._added.append(False)
             return False
+        self._added.append(True)
         self.rows.append((pivot, v))
+        if res is not None:
+            res.append({})  # a new row opens a level
         return True
 
 
@@ -112,16 +169,26 @@ class ModEchelon(_Echelon):
                 v = [(x - c * y) % p for x, y in zip(v, row)]
         return v
 
+    def _eliminate(self, v, j, row):
+        """One step of reduce: clear v at pivot j with the monic row."""
+        p, c = self.p, v[j]
+        return [(x - c * y) % p for x, y in zip(v, row)]
+
     def push(self, e):
         """Push column `e`; True when it raises the rank."""
-        p = self.p
-        v = self.reduce(self.columns[e])
-        pivot = next((i for i, x in enumerate(v) if x), None)
-        self._added.append(pivot is not None)
-        if pivot is None:
+        p, res = self.p, self._res
+        v = self.reduce(self.columns[e]) if res is None else self._residual(e)
+        for pivot, x in enumerate(v):
+            if x:
+                break
+        else:
+            self._added.append(False)
             return False
+        self._added.append(True)
         inv = pow(v[pivot], p - 2, p)
         self.rows.append((pivot, [(x * inv) % p for x in v]))
+        if res is not None:
+            res.append({})  # a new row opens a level
         return True
 
 
@@ -149,6 +216,29 @@ def rref(rows, field):
         pivots.append(col)
         top += 1
     return work[:top], pivots
+
+
+def int_determinant(matrix):
+    """The determinant of a square integer matrix by Bareiss's fraction-free
+    elimination: every division is exact, so all entries stay integers
+    (each is a minor of the input). The empty matrix has determinant 1."""
+    m = [list(row) for row in matrix]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot = m[k][k]
+        for i in range(k + 1, n):
+            row, c = m[i], m[i][k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - c * m[k][j]) // prev
+        prev = pivot
+    return sign * prev
 
 
 class RollbackUnionFind:

@@ -18,13 +18,15 @@ and uniform matroids and derived minors and duals rank each prefix with
 their own rank function.
 Matroid.incremental_rank() hands it to every walk over prefixes (bases
 here, the corank-nullity counts in tutte.py, the fixed points in
-localization.py). Linear minors use the same echelon; a linear matroid's
+localization.py); a walk's linear echelon shares column residuals across
+the walk. Linear minors and ranks use a plain echelon; a linear matroid's
 rank, memo key, loops, coloops and dual read one RREF of its rows.
+Matroid.basis_count() counts bases by a theorem where the backing has one.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 from . import linalg
 from .errors import InvalidInput, TooLarge, quote
@@ -90,10 +92,10 @@ class LinearBacking:
         self._rref = None  # (elements, reduced_rows(elements))
 
     def rank(self, subset):
-        return sum(map(self.steps().push, subset))
+        return sum(map(_echelon(self.field, self.columns).push, subset))
 
     def steps(self):
-        return _echelon(self.field, self.columns)
+        return _echelon(self.field, self.columns).track_residuals()
 
     def minor(self, contracted, kept):
         """Native minor: push the contracted columns into one echelon and
@@ -101,7 +103,7 @@ class LinearBacking:
         quotient by the contracted columns, so a set A of them has rank
         r(A + C) - r(C); the coordinates at the echelon's pivots are zero
         in every residual and are dropped."""
-        ech = self.steps()
+        ech = _echelon(self.field, self.columns)
         for e in contracted:
             ech.push(e)
         pivots = {j for j, _ in ech.rows}
@@ -163,6 +165,9 @@ class LinearBacking:
         return LinearBacking(
             self.field, {e: _store_column(self.field, col) for e, col in zip(elements, columns)}
         )
+
+    def basis_count(self, elements):
+        return None  # no closed form; enumerate
 
 
 def _scaling_normal_form(p, rows):
@@ -244,6 +249,9 @@ class UniformBacking:
     def dual(self, elements):
         return UniformBacking(len(elements) - self.r)
 
+    def basis_count(self, elements):
+        return comb(len(elements), self.r)
+
 
 class GraphicBacking:
     kind = "graphic"
@@ -276,6 +284,31 @@ class GraphicBacking:
 
     def dual(self, elements):
         return None  # not graphic in general; use the generic rank formula
+
+    def basis_count(self, elements):
+        """Kirchhoff's matrix-tree theorem: a basis is a spanning tree of
+        every component, and a component has as many spanning trees as the
+        determinant of its Laplacian with one vertex's row and column
+        removed. Parallel edges add up in the Laplacian; self-loops lie in
+        no tree and are left out."""
+        uf = linalg.RollbackUnionFind(self.edges)
+        degree, weight = {}, {}
+        for e in elements:
+            u, v = self.edges[e]
+            if u != v:
+                uf.push(e)
+                for a, b in ((u, v), (v, u)):
+                    degree[a] = degree.get(a, 0) + 1
+                    weight[a, b] = weight.get((a, b), 0) + 1
+        components = {}
+        for x in degree:
+            components.setdefault(uf.find(x), []).append(x)
+        count = 1
+        for _, *rest in components.values():
+            count *= linalg.int_determinant(
+                [[degree[a] if a == b else -weight.get((a, b), 0) for b in rest] for a in rest]
+            )
+        return count
 
 
 class _BasesSteps:
@@ -319,6 +352,9 @@ class BasesBacking:
         full = frozenset(elements)
         return BasesBacking(sorted({full - b for b in self.bases}, key=sorted))
 
+    def basis_count(self, elements):
+        return len(self.bases)
+
 
 class DerivedBacking:
     kind = "derived"
@@ -339,6 +375,9 @@ class DerivedBacking:
         return None
 
     def dual(self, elements):
+        return None
+
+    def basis_count(self, elements):
         return None
 
 
@@ -466,6 +505,13 @@ class Matroid:
             walk(0)
             self._bases = found
         return self._bases
+
+    def basis_count(self):
+        """The number of bases, from a theorem where the backing has one
+        (the matrix-tree theorem for a graph, C(n, r) for U(r, n), the
+        length of an explicit list) and by enumeration otherwise."""
+        count = self._backing.basis_count(self.elements)
+        return len(self.bases(limit=0)) if count is None else count
 
     def circuits(self, limit=ENUMERATION_LIMIT):
         """All circuits (minimal dependent sets) as sorted tuples.
@@ -595,14 +641,23 @@ def from_bases(n, bases):
             f"{len(blist)} bases need {len(blist) ** 2} pairwise exchange checks, "
             f"over the validation budget of {BASIS_VALIDATION_LIMIT}"
         )
-    bset = set(blist)
-    for b1 in blist:
-        for b2 in blist:
-            for x in b1 - b2:
-                if not any((b1 - {x}) | {y} in bset for y in b2 - b1):
+    # The exchange check runs on bitmasks: B1 - x + y is m1 ^ bit(x) | bit(y).
+    bits = [[1 << e for e in sorted(b)] for b in blist]
+    masks = [sum(bs) for bs in bits]
+    mset = set(masks)
+    for m1, xs, b1 in zip(masks, bits, blist):
+        for m2, b2_bits, b2 in zip(masks, bits, blist):
+            ys = [y for y in b2_bits if not m1 & y]
+            for x in xs:
+                if x & m2:
+                    continue
+                for y in ys:
+                    if m1 ^ x | y in mset:
+                        break
+                else:
                     raise InvalidInput(
                         f"exchange axiom fails for bases {quote(sorted(b1))}, "
-                        f"{quote(sorted(b2))} at element {x}"
+                        f"{quote(sorted(b2))} at element {x.bit_length() - 1}"
                     )
     return Matroid(BasesBacking(sorted(blist, key=sorted)), range(n))
 

@@ -61,6 +61,19 @@ def brute_bases(M):
     return [b for b in combinations(M.elements, M.r) if M.rank(b) == M.r]
 
 
+def frozenset_exchange_holds(bases):
+    """The basis exchange axiom, checked pairwise on frozensets: for bases
+    B1, B2 and each x in B1 - B2, some y in B2 - B1 makes B1 - x + y a
+    basis."""
+    bset = set(map(frozenset, bases))
+    return all(
+        any((b1 - {x}) | {y} in bset for y in b2 - b1)
+        for b1 in bset
+        for b2 in bset
+        for x in b1 - b2
+    )
+
+
 def brute_circuits(M):
     """Minimal dependent sets by a scan over subsets in order of size that
     skips the supersets of circuits already found."""

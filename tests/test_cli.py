@@ -307,6 +307,28 @@ def test_tutte_cache_rejects_bad_entries(tmp_path, bad_entry):
     assert {f: f.read_text() for f in files} == good
 
 
+def test_warm_cache_check_counts_bases_without_enumerating(tmp_path, monkeypatch):
+    """A disk hit checks T(1,1) against a basis count that a graph (by the
+    matrix-tree theorem), a uniform matroid and a basis list give without
+    enumerating; a wrong count is still a miss."""
+    from matroid_workbench import BivariatePoly, from_bases, tutte_dc, uniform
+    from matroid_workbench.matroids import Matroid
+
+    k5 = from_graph([(a, b) for a in range(5) for b in range(a + 1, 5)])
+    family = [k5, uniform(3, 7), from_bases(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])]
+    polys = [tutte_dc(M) for M in family]
+    writer = cli.FileTutteCache(str(tmp_path))
+    for M, poly in zip(family, polys):
+        writer.put(M.memo_key(), poly)
+    monkeypatch.setattr(Matroid, "bases", lambda self, limit=0: pytest.fail("bases enumerated"))
+    reader = cli.FileTutteCache(str(tmp_path))
+    for M, poly in zip(family, polys):
+        assert reader.get(M.memo_key(), M) == poly
+    # T(1, 1) one too large, with T(2, 2) and the degree bounds kept
+    writer.put(k5.memo_key(), polys[0] + BivariatePoly({(1, 0): 1, (0, 1): -2, (0, 0): 2}))
+    assert cli.FileTutteCache(str(tmp_path)).get(k5.memo_key(), k5) is None
+
+
 def test_jobs_byte_identical():
     one = run_cli(["euler-table", "--jobs", "1"], stdin_obj=U24)
     eight = run_cli(["euler-table", "--jobs", "8"], stdin_obj=U24)

@@ -1,13 +1,18 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from matroid_workbench import PrimeField, QQ
 from matroid_workbench.linalg import (
     IntEchelon,
     ModEchelon,
     RollbackUnionFind,
+    int_determinant,
     rref,
 )
+from matroid_workbench.matroids import LinearBacking, _echelon, _store_column
 
 FANO_COLUMNS = [
     (0, 0, 1),
@@ -135,6 +140,83 @@ def test_reduced_rows_match_rref():
             assert [[Fraction(x, row[j]) for x in row] for j, row in got] == red
         else:
             assert [row for _, row in got] == red
+
+
+@st.composite
+def walk_cases(draw):
+    """A matrix over Q or GF(p), p in {2, 3, 7, 101}, with repeated and
+    zero columns likely, and a push/pop script over its labels that
+    re-pushes labels at several depths and pops back to the root."""
+    p = draw(st.sampled_from([0, 2, 3, 7, 101]))
+    field = QQ if p == 0 else PrimeField(p)
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 7))
+    entry = st.sampled_from([0, 0, 1, -1, 2, 5, 100]) if p else st.sampled_from([0, 0, 1, -1, 2, "1/2", "-3/2"])
+    matrix = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    columns = {j: _store_column(field, [field.of(row[j]) for row in matrix]) for j in range(cols)}
+    ops = draw(st.lists(st.one_of(st.integers(0, cols - 1), st.none()), max_size=40))
+    return field, columns, ops
+
+
+@settings(max_examples=150, deadline=None)
+@given(walk_cases())
+def test_residual_memo_matches_fresh_echelons(case):
+    """A walk's echelon (LinearBacking.steps(), with its residual memo)
+    agrees after every push and pop with a fresh one-shot echelon fed the
+    same prefix: push results, stored rows, reduce, reduced_rows() and the
+    residual columns of LinearBacking.minor; and every memo entry is the
+    residual of its column modulo the rows below its level."""
+    field, columns, ops = case
+    backing = LinearBacking(field, columns)
+    walk = backing.steps()
+    stack = []
+    for op in ops + [None] * len(ops):
+        if op is None:
+            if stack:
+                stack.pop()
+                walk.pop()
+            continue
+        fresh = _echelon(field, columns)
+        for e in stack:
+            fresh.push(e)
+        assert walk.push(op) == fresh.push(op)
+        stack.append(op)
+        assert walk.rows == fresh.rows
+        assert walk.reduced_rows() == fresh.reduced_rows()
+        pivots = {j for j, _ in fresh.rows}
+        kept = [e for e in columns if e not in stack]
+        minor = backing.minor(sorted(set(stack)), kept).columns
+        for e, col in columns.items():
+            assert walk.reduce(col) == fresh.reduce(col)
+            if e in minor:
+                assert minor[e] == tuple(x for i, x in enumerate(walk.reduce(col)) if i not in pivots)
+        assert len(walk._res) == walk.rank + 1
+        for k, level in enumerate(walk._res):
+            below = _echelon(field, columns)
+            below.rows = walk.rows[:k]
+            for e, v in level.items():
+                assert v == below.reduce(columns[e])
+    assert walk.rank == 0 and len(walk._res) == 1
+
+
+def test_int_determinant_matches_leibniz():
+    """Bareiss's elimination against the permutation expansion, on random
+    integer matrices with zero pivots and repeated rows likely."""
+    from itertools import permutations
+
+    rng = random.Random(4099)
+    for _ in range(300):
+        n = rng.randint(0, 5)
+        m = [[rng.choice([0, 0, 1, -1, rng.randint(-9, 9)]) for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.2:
+            m[-1] = list(m[0])
+        leibniz = 0
+        for perm in permutations(range(n)):
+            sign = (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+            term = sign
+            for i, j in enumerate(perm):
+                term *= m[i][j]
+            leibniz += term
+        assert int_determinant(m) == leibniz, m
 
 
 def test_rollback_union_find():

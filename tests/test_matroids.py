@@ -1,3 +1,4 @@
+import re
 import time
 from itertools import combinations, islice
 
@@ -19,7 +20,7 @@ from matroid_workbench import (
 
 from matroid_workbench.matroids import GROUND_SET_LIMIT, BasesBacking, Matroid
 
-from helpers import powerset
+from helpers import frozenset_exchange_holds, powerset
 
 
 # ---------------------------------------------------------------- rank axioms
@@ -432,6 +433,94 @@ def test_from_bases_validation_budget():
     fake = [list(c) for c in islice(combinations(range(20), 5), 350)]
     with pytest.raises(TooLarge, match="350 bases need 122500 pairwise exchange checks"):
         from_bases(20, fake)
+
+
+@st.composite
+def basis_families(draw):
+    """The bases of a random uniform, graphic or GF(p) matroid: as they
+    are, with one basis removed, or with one foreign r-set added."""
+    kind = draw(st.sampled_from(["uniform", "graph", "GF(2)", "GF(3)", "GF(7)"]))
+    if kind == "uniform":
+        n = draw(st.integers(1, 7))
+        M = uniform(draw(st.integers(0, n)), n)
+    elif kind == "graph":
+        vertex = st.integers(0, 4)
+        M = from_graph(draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=7)))
+    else:
+        rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 7))
+        row = st.lists(st.integers(0, 6), min_size=cols, max_size=cols)
+        M = from_matrix(kind, draw(st.lists(row, min_size=rows, max_size=rows)))
+    bases = [frozenset(b) for b in M.bases()]
+    change = draw(st.sampled_from(["none", "remove", "add"]))
+    if change == "remove" and len(bases) > 1:
+        bases.pop(draw(st.integers(0, len(bases) - 1)))
+    elif change == "add":
+        foreign = [frozenset(c) for c in combinations(M.elements, M.r) if frozenset(c) not in bases]
+        if foreign:
+            bases.append(draw(st.sampled_from(foreign)))
+    return M.size, bases
+
+
+@settings(max_examples=200, deadline=None)
+@given(basis_families())
+def test_bitmask_exchange_check_matches_frozensets(family):
+    """from_bases checks exchange on bitmasks; it accepts exactly the
+    families that the frozenset check accepts, and a rejection names two
+    bases and an element x of the first for which no exchange works."""
+    n, bases = family
+    holds = frozenset_exchange_holds(bases)
+    try:
+        from_bases(n, [sorted(b) for b in bases])
+    except InvalidInput as exc:
+        assert not holds
+        found = re.fullmatch(r"exchange axiom fails for bases \[(.*)\], \[(.*)\] at element (\d+)", str(exc))
+        assert found, str(exc)
+        b1, b2 = ({int(e) for e in g.split(", ") if e} for g in found.groups()[:2])
+        x = int(found.group(3))
+        assert b1 in bases and b2 in bases and x in b1 - b2
+        assert not any((b1 - {x}) | {y} in bases for y in b2 - b1)
+    else:
+        assert holds
+
+
+MULTIGRAPHS = {
+    "parallel edges, self-loops, three components": [
+        (0, 1), (0, 1), (1, 2), (2, 0), (2, 2), ("a", "b"), ("b", "c"), ("c", "a"), ("c", "a"), (7, 7),
+    ],
+    "only self-loops": [(0, 0), (1, 1), (1, 1)],
+    "a tree and an isolated loop": [(0, 1), (1, 2), (1, 3), (4, 4)],
+    "K4 with a tripled edge": [(0, 1), (0, 1), (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
+    "two triangles sharing a vertex": [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)],
+}
+
+
+def test_basis_count_matches_enumeration(corpus_by_name):
+    """Kirchhoff's count on multigraphs and their minors, C(n, r) on
+    uniform matroids and the list length on basis lists all equal the
+    number of enumerated bases; so does every corpus matroid and its dual,
+    whatever route its backing takes."""
+    family = [N for M in corpus_by_name.values() for N in (M, M.dual())]
+    for edges in MULTIGRAPHS.values():
+        M = from_graph(edges)
+        family.append(M)
+        for e in M.elements:
+            family += [M.delete({e}), M.contract({e})]
+        family.append(M.minor(deleted={M.elements[0]}, contracted={M.elements[-1]}))
+    family += [uniform(r, n) for n in range(1, 8) for r in range(n + 1)]
+    family += [from_bases(M.size, M.bases()) for M in family[:20]]
+    for M in family:
+        assert M.basis_count() == len(M.bases(limit=0)), M
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1, max_size=9), st.data())
+def test_kirchhoff_count_on_generated_multigraphs(edges, data):
+    M = from_graph(edges)
+    roles = data.draw(st.lists(st.sampled_from("dck"), min_size=M.size, max_size=M.size))
+    N = M.minor(deleted=[e for e, x in zip(M.elements, roles) if x == "d"],
+                contracted=[e for e, x in zip(M.elements, roles) if x == "c"])
+    for X in (M, N):
+        assert X.basis_count() == len(X.bases(limit=0)), (edges, roles)
 
 
 def test_bases_enumeration_cap():

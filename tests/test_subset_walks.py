@@ -8,6 +8,7 @@ loops and coloops, on basis lists and derived duals and minors (whose
 oracles keep the bases holding the prefix, or rank each prefix), and on
 generated matrices.
 """
+import random
 from itertools import combinations
 from math import comb
 
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from matroid_workbench import (
     InternalInvariantViolation,
+    linalg,
     from_bases,
     from_graph,
     from_matrix,
@@ -128,6 +130,43 @@ def test_walk_stops_at_full_rank_on_vandermonde(monkeypatch):
     assert oracle.pushes == sum(comb(18, k) for k in range(1, 7)) == 31_179
     assert sum(counts.values()) == 2**18
     assert counts[(0, 0)] == 18_564  # C(18, 6) bases
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = [0]
+    step = getattr(owner, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return step(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_walk_shares_residuals_on_vandermonde(monkeypatch):
+    """The walk's echelon resumes each push from the residual that an
+    ancestor or sibling left at the deepest level, so each row elimination
+    serves every descendant that pushes the column: 31,161 over Q on the
+    6 x 18 Vandermonde matrix, where reducing every push from scratch
+    takes 138,057."""
+    M = from_matrix("Q", [[x**i for x in range(18)] for i in range(6)])
+    eliminations = _count_calls(monkeypatch, linalg, "_reduce_int_row")
+    counts = rank_size_counts(M)
+    assert eliminations[0] <= 31_161
+    assert counts[(0, 0)] == 18_564
+
+
+def test_walk_shares_residuals_over_gf7(monkeypatch):
+    """The same over GF(7), counted at ModEchelon's own elimination step:
+    19,104 on a random 6 x 17 matrix of rank 6, where reducing every push
+    from scratch takes 99,000."""
+    rng = random.Random(17)
+    M = from_matrix("GF(7)", [[rng.randrange(7) for _ in range(17)] for _ in range(6)])
+    eliminations = _count_calls(monkeypatch, linalg.ModEchelon, "_eliminate")
+    counts = rank_size_counts(M)
+    assert eliminations[0] <= 19_104
+    assert counts[(0, 0)] == len(M.bases(limit=0))
 
 
 def test_counts_must_add_up(monkeypatch, corpus_by_name):
