@@ -13,11 +13,19 @@ each pair of bases. For k >= 3 every degree-k move fixes a factor B and is
 B times a degree-(k-1) move, and every degree-(k-1) path from m to m'
 lifts to a path from B*m to B*m'. So the move components of degree k are
 the components of the relation "v = B*m and w = B*m' with m, m' in one
-degree-(k-1) component", whether or not the lower fibers are connected;
-one lifting pass per degree builds them as star edges, and no exchange is
-computed above degree 2 (Sturmfels, Groebner Bases and Convex Polytopes,
-ch. 5). Monomials are sorted tuples of indices into M.bases(), whose
-lexicographic order is that of the bases themselves.
+degree-(k-1) component", whether or not the lower fibers are connected.
+Each degree-k monomial v therefore gets one lift key per distinct factor
+B, (component of v/B, B), and one union-find over the keys gives the
+components; no exchange is computed above degree 2 (Sturmfels, Groebner
+Bases and Convex Polytopes, ch. 5). Monomials are sorted tuples of indices
+into M.bases(), whose lexicographic order is that of the bases themselves.
+
+One labeling pass per degree, in lexicographic order, numbers the
+components and records for each fiber its size and the least monomial of
+each component; every component must lie in one fiber. The report reads
+only this summary. Named vertices, adjacency lists and components, which
+only tests and tracing read, are built from the same key enumeration at
+their first access.
 
 Before a report leaves check_degree, the number of fibers must equal the
 number of integer points of d*P_M, the sums of d bases (Edmonds; White
@@ -26,6 +34,7 @@ up to C(#bases + d - 1, d).
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from math import comb
 
@@ -79,19 +88,41 @@ def symmetric_exchange_neighbors(M: Matroid, pair):
 
 
 class FiberGraph:
-    """One toric fiber: vertices are sorted d-tuples of bases; components
-    are sorted lists of vertices, in order of their least vertex."""
+    """One toric fiber of degree d.
 
-    def __init__(self, degree, multidegree, vertices, adjacency, components):
+    `size`, `n_components` and `representatives` come from the labeling
+    pass; the representatives are the least monomial of each component, as
+    sorted d-tuples of indices into M.bases(), in increasing order. The
+    named views are built at first access, in one pass for every fiber of
+    the toric_fibers call that returned them: `vertices` are the sorted
+    d-tuples of bases in lexicographic order, `adjacency` maps each vertex
+    to its neighbours, and `components` are sorted lists of vertices, in
+    order of their least vertex.
+    """
+
+    def __init__(self, degree, multidegree, size, representatives, code, views):
         self.degree = degree
         self.multidegree = multidegree
-        self.vertices = vertices
-        self.adjacency = adjacency
-        self.components = components
+        self.size = size
+        self.representatives = representatives
+        self._code = code
+        self._views = views
 
     @property
     def n_components(self):
-        return len(self.components)
+        return len(self.representatives)
+
+    @property
+    def vertices(self):
+        return self._views()[self._code][0]
+
+    @property
+    def adjacency(self):
+        return self._views()[self._code][1]
+
+    @property
+    def components(self):
+        return self._views()[self._code][2]
 
 
 def _check_budget(n_bases, d, budget):
@@ -114,129 +145,169 @@ def _check_budget(n_bases, d, budget):
         )
 
 
-def _labels(monomials, edges):
-    """Component number of every monomial under `edges`, by union-find;
-    numbers follow the order in which `monomials` first reach a component."""
+def _labels(groups, monomials, codes):
+    """Component numbers of `monomials`, and a summary of their fibers.
+
+    `groups` lists, for each monomial in turn, the items it joins (any
+    hashables); monomials that share an item are in one component. A
+    union-find over the items runs first. Then one labeling pass numbers
+    the components in the order in which `monomials` first reach them, and
+    records {multidegree code: [fiber size, first monomial of each
+    component]}. Every component must lie in one fiber.
+    """
     parent = {}
 
-    def find(v):
-        root = v
+    def find(x):
+        root = x
         while root in parent:
             root = parent[root]
-        while v != root:
-            parent[v], v = root, parent[v]
+        while x != root:
+            parent[x], x = root, parent[x]
         return root
 
-    for v, w in edges:
-        rv, rw = find(v), find(w)
-        if rv != rw:
-            parent[rv] = rw
-    roots = {}
-    return {v: roots.setdefault(find(v), len(roots)) for v in monomials}
+    heads = []
+    for items in groups:
+        root = find(items[0])
+        for x in items[1:]:
+            other = find(x)
+            if other != root:
+                parent[other] = root
+        heads.append(root)
+    roots, firsts, labels, fibers = {}, [], [], {}
+    for v, head in zip(monomials, heads):
+        code = sum(map(codes.__getitem__, v))
+        fiber = fibers.get(code)
+        if fiber is None:
+            fiber = fibers[code] = [0, []]
+        fiber[0] += 1
+        label = roots.setdefault(find(head), len(roots))
+        if label == len(firsts):
+            firsts.append((code, v))
+            fiber[1].append(v)
+        elif firsts[label][0] != code:
+            # moves preserve the multidegree and a component is the closure
+            # of its moves, so this module joined two fibers
+            raise InternalInvariantViolation(
+                f"move left the fiber: {v} joined to {firsts[label][1]}"
+            )
+        labels.append(label)
+    return labels, fibers
 
 
 def _degree_two(masks, index, codes):
-    """Degree-2 monomials and their explicit double-swap moves."""
-    monomials = list(itertools.combinations_with_replacement(range(len(masks)), 2))
-    edges = []
-    for v in monomials:
+    """For each degree-2 monomial, in lexicographic order, the monomial
+    itself followed by its double-swap moves."""
+    for v in itertools.combinations_with_replacement(range(len(masks)), 2):
+        items = [v]
         for w in _swaps(masks, index, *v):
             if codes[w[0]] + codes[w[1]] != codes[v[0]] + codes[v[1]]:
                 # double swaps preserve the multidegree; escaping the
                 # fiber means this module miscomputed a move
                 raise InternalInvariantViolation(f"exchange move left the fiber: {w} from {v}")
-            if v < w:
-                edges.append((v, w))
-    return monomials, edges
+            items.append(w)
+        yield items
 
 
 def _lift(labels, n_bases, k):
-    """Degree-k monomials and the star edges that give their move
-    components, from a component number of every degree-(k-1) monomial.
-
-    For each distinct factor B of v, v is joined to the first monomial seen
-    with key (B, component of v / B); each edge is listed once.
+    """For each degree-k monomial v, in lexicographic order, its lift keys
+    label(v / B) * b + B, one per distinct factor B, from a component
+    number of every degree-(k-1) monomial. Monomials that share a key are
+    B*m and B*m' with m, m' in one component: one move component.
     """
-    first = {}
-    monomials, edges = [], []
     for v in itertools.combinations_with_replacement(range(n_bases), k):
-        monomials.append(v)
-        joined = []
+        keys = []
         prev = -1
         for t, factor in enumerate(v):
             if factor != prev:
                 prev = factor
-                w = first.setdefault(labels[v[:t] + v[t + 1:]] * n_bases + factor, v)
-                if w is not v and w not in joined:
-                    joined.append(w)
-                    edges.append((v, w))
-    return monomials, edges
+                keys.append(labels[v[:t] + v[t + 1:]] * n_bases + factor)
+        yield keys
 
 
-def toric_fibers(M: Matroid, d, budget=DEFAULT_BUDGET):
-    """All degree-d fibers as FiberGraph objects, sorted by multidegree.
+def _named_views(bases, d, codes, groups, labels):
+    """{multidegree code: (vertices, adjacency, components)} with the
+    bases themselves as names, from the same groups and labels as the
+    summary.
 
-    In degree 2 the adjacency holds the double-swap moves; from degree 3 on
-    it holds the star edges of the lift, which have the same components.
-    Components come from the same union-find as the lift's (_labels).
-    The lifting passes hold b * C(b + d, d - 1) basis factors for b bases,
-    all degrees together; above `budget` the construction refuses
-    (TooLarge) before it enumerates any monomial.
+    In degree 2 the adjacency holds the double-swap moves. Above it holds
+    star edges: each monomial is joined to the first monomial that listed
+    each of its lift keys, which gives the same components.
     """
-    if d < 1:
-        raise InvalidInput(f"degree must be >= 1, got {d}")
-    bases = M.bases()
-    _check_budget(len(bases), d, budget)
-    masks, index = _masks(M, bases)
-    # multidegree as one integer: digit p in base d + 1 counts position p,
-    # the most significant digit first, so integer order is tuple order
-    n = M.size
-    codes = [sum((d + 1) ** (n - 1 - p) for p in range(n) if m >> p & 1) for m in masks]
-    if d == 1:
-        monomials, edges = [(i,) for i in range(len(bases))], []
-    else:
-        monomials, edges = _degree_two(masks, index, codes)
-    for k in range(3, d + 1):
-        monomials, edges = _lift(_labels(monomials, edges), len(bases), k)
-
-    groups, members = {}, []
-    # monomials come in lexicographic order, so vertices and components do
-    # too; each label is replaced by the vertex data in place, which spares
-    # a second dict over all monomials (the peak memory of white-check),
-    # and the monomial list, the edges and the vertex data go as soon as
-    # they have been read
-    info = _labels(monomials, edges)
-    del monomials
-    for v, label in info.items():
+    views, names, members, first = {}, {}, [], {}
+    monomials = itertools.combinations_with_replacement(range(len(bases)), d)
+    for v, items, label in zip(monomials, groups, labels):
+        names[v] = name = tuple(map(bases.__getitem__, v))
         code = sum(map(codes.__getitem__, v))
-        name = tuple(map(bases.__getitem__, v))
-        group = groups.get(code)
-        if group is None:
-            group = groups[code] = {}, []
-        adjacency, components = group
+        view = views.get(code)
+        if view is None:
+            view = views[code] = [], {}, []
+        vertices, adjacency, components = view
+        vertices.append(name)
         adjacency[name] = nbrs = []
         if label == len(members):
             members.append([])
             components.append(members[label])
         members[label].append(name)
-        info[v] = code, name, nbrs
-    for v, w in edges:
-        code_v, name_v, nbrs_v = info[v]
-        code_w, name_w, nbrs_w = info[w]
-        if code_v != code_w:
-            raise InternalInvariantViolation(f"move left the fiber: {w} from {v}")
-        nbrs_v.append(name_w)
-        nbrs_w.append(name_v)
-    del info, edges
-    fibers = []
-    for code in sorted(groups):
-        adjacency, components = groups[code]
-        mdeg = []
-        for _ in range(n):
-            code, digit = divmod(code, d + 1)
-            mdeg.append(digit)
-        fibers.append(FiberGraph(d, tuple(reversed(mdeg)), list(adjacency), adjacency, components))
-    return fibers
+        if d == 2:
+            joined = [w for w in items[1:] if w < v]
+        else:
+            joined = []
+            for key in items:
+                w = first.setdefault(key, v)
+                if w is not v and w not in joined:
+                    joined.append(w)
+        for w in joined:
+            nbrs.append(names[w])
+            adjacency[names[w]].append(name)
+    return views
+
+
+def toric_fibers(M: Matroid, d, budget=DEFAULT_BUDGET):
+    """All degree-d fibers as FiberGraph objects, sorted by multidegree.
+
+    Components come from one union-find per degree: over the double-swap
+    moves in degree 2 and over the lift keys (_lift) above it. The
+    labeling pass of the last degree gives each fiber's size and the least
+    monomial of each component, which is all check_degree reads; the named
+    vertices, adjacency and components are built from the same key
+    enumeration only when one of them is first read. The lifting passes
+    hold b * C(b + d, d - 1) basis factors for b bases, all degrees
+    together; above `budget` the construction refuses (TooLarge) before it
+    enumerates any monomial.
+    """
+    if d < 1:
+        raise InvalidInput(f"degree must be >= 1, got {d}")
+    bases = M.bases()
+    n_bases = len(bases)
+    _check_budget(n_bases, d, budget)
+    masks, index = _masks(M, bases)
+    # multidegree as one integer: digit p in base d + 1 counts position p,
+    # the most significant digit first, so integer order is tuple order
+    n = M.size
+    codes = [sum((d + 1) ** (n - 1 - p) for p in range(n) if m >> p & 1) for m in masks]
+
+    def monomials(k):
+        return itertools.combinations_with_replacement(range(n_bases), k)
+
+    def groups(k, lower):
+        if k == 1:
+            return ([i] for i in range(n_bases))
+        if k == 2:
+            return _degree_two(masks, index, codes)
+        return _lift(lower, n_bases, k)
+
+    lower = None
+    for k in range(min(d, 2), d + 1):
+        labels, summary = _labels(groups(k, lower), monomials(k), codes)
+        if k < d:
+            lower = dict(zip(monomials(k), labels))
+
+    counts = [[m >> p & 1 for p in range(n)] for m in masks]
+    views = functools.cache(lambda: _named_views(bases, d, codes, groups(d, lower), labels))
+    return [
+        FiberGraph(d, tuple(map(sum, zip(*map(counts.__getitem__, reps[0])))), size, reps, code, views)
+        for code, (size, reps) in sorted(summary.items())
+    ]
 
 
 def _closure(M, A):
@@ -318,20 +389,21 @@ def check_degree(M: Matroid, d, budget=DEFAULT_BUDGET):
     if not isinstance(d, int) or d < 3:
         raise InvalidInput(f"degree must be an integer >= 3, got {d}")
     fibers = toric_fibers(M, d, budget)
-    n_bases = len(M.bases())
+    bases = M.bases()
+    n_bases = len(bases)
     witnesses = []
     max_fiber = 0
     total = 0
     for fg in fibers:
-        total += len(fg.vertices)
-        max_fiber = max(max_fiber, len(fg.vertices))
+        total += fg.size
+        max_fiber = max(max_fiber, fg.size)
         if fg.n_components > 1:
             witnesses.append(
                 {
                     "multidegree": list(fg.multidegree),
                     "n_components": fg.n_components,
                     "component_representatives": [
-                        [list(b) for b in comp[0]] for comp in fg.components
+                        [list(bases[i]) for i in v] for v in fg.representatives
                     ],
                 }
             )

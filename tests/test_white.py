@@ -84,8 +84,11 @@ def test_fiber_adjacency_is_symmetric(corpus_by_name):
 
 def test_components_partition_disconnected_toy_graph():
     a, b, c, d = "a", "b", "c", "d"
-    assert _labels([a, b, c, d], [(a, b), (d, c)]) == {a: 0, b: 0, c: 1, d: 1}
-    assert _labels([a, b], []) == {a: 0, b: 1}
+    monomials = [(0,), (1,), (2,), (3,)]
+    labels, fibers = _labels([[a, b], [b], [c], [d, c]], monomials, [0] * 4)
+    assert labels == [0, 0, 1, 1]
+    assert fibers == {0: [4, [(0,), (2,)]]}
+    assert _labels([[a], [b]], monomials[:2], [0, 0])[0] == [0, 1]
 
 
 def test_check_degree_reports(corpus_by_name):
@@ -202,8 +205,16 @@ def small_matrices(draw):
 @given(small_matrices())
 def test_lift_matches_explicit_moves_on_generated_matrices(M):
     fibers = toric_fibers(M, 3)
-    assert _partition(fibers) == explicit_move_components(M, 3)
+    oracle = explicit_move_components(M, 3)
+    assert _partition(fibers) == oracle
     assert white._lattice_points(M, 3) == len(fibers)
+    # the report reads the labeling pass's summary, not the views above
+    sizes = [sum(map(len, comps)) for comps in oracle.values()]
+    report = check_degree(M, 3)
+    assert report["n_fibers"] == len(oracle)
+    assert report["n_monomials"] == sum(sizes)
+    assert report["max_fiber_size"] == max(sizes)
+    assert report["all_connected"] == all(len(comps) == 1 for comps in oracle.values())
 
 
 def _brute_lift(labels, n_bases, k):
@@ -236,10 +247,12 @@ def test_lift_of_a_hand_made_partition(labelling, k):
     n_bases = 5
     lower = list(combinations_with_replacement(range(n_bases), k - 1))
     labels = {m: labelling(i, m) for i, m in enumerate(lower)}
-    monomials, edges = white._lift(labels, n_bases, k)
-    assert monomials == list(combinations_with_replacement(range(n_bases), k))
+    monomials = list(combinations_with_replacement(range(n_bases), k))
+    keys = list(white._lift(labels, n_bases, k))
+    assert len(keys) == len(monomials)
+    # one multidegree code for all: the partition ignores the fibers
     got = {}
-    for v, c in white._labels(monomials, edges).items():
+    for v, c in zip(monomials, white._labels(keys, monomials, [0] * n_bases)[0]):
         got.setdefault(c, set()).add(v)
     assert {frozenset(c) for c in got.values()} == _brute_lift(labels, n_bases, k)
 
@@ -291,6 +304,99 @@ def test_broken_lattice_count_is_an_invariant_violation(corpus_by_name, monkeypa
     assert cli.main(["white-check", "--degree", "3"]) == 4
     out, err = capsys.readouterr()
     assert out == "" and len(err.splitlines()) == 1, err
+
+
+def _white_check_exits_4(capsys, monkeypatch, descriptor):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(descriptor)))
+    assert cli.main(["white-check", "--degree", "3"]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1, err
+
+
+def test_degree_two_move_out_of_its_fiber_is_an_invariant_violation(
+    corpus_by_name, monkeypatch, capsys
+):
+    swaps = white._swaps
+    spoiled = []
+
+    def leaking(masks, index, i, j):
+        out = swaps(masks, index, i, j)
+        if i != j and not spoiled:
+            spoiled.append((i, j))
+            out.add((i, i))  # 2*B_i is not in the fiber of B_i + B_j
+        return out
+
+    monkeypatch.setattr(white, "_swaps", leaking)
+    with pytest.raises(InternalInvariantViolation, match="exchange move left the fiber"):
+        check_degree(corpus_by_name["u_2_4"], 3)
+    spoiled.clear()
+    _white_check_exits_4(capsys, monkeypatch, {"type": "uniform", "r": 2, "n": 4})
+
+
+def test_lift_join_across_fibers_is_an_invariant_violation(corpus_by_name, monkeypatch, capsys):
+    lift = white._lift
+
+    def crossing(labels, n_bases, k):
+        keys = lift(labels, n_bases, k)
+        first = next(keys)
+        yield first
+        # (0, 0, 1) shares a key with (0, 0, 0), whose fiber differs
+        yield next(keys) + first[:1]
+        yield from keys
+
+    monkeypatch.setattr(white, "_lift", crossing)
+    with pytest.raises(InternalInvariantViolation, match="move left the fiber"):
+        check_degree(corpus_by_name["u_2_4"], 3)
+    _white_check_exits_4(capsys, monkeypatch, {"type": "uniform", "r": 2, "n": 4})
+
+
+def test_witnesses_of_a_lift_that_joins_nothing(corpus_by_name, monkeypatch):
+    """With no join every fiber splits into its monomials, so each fiber of
+    two or more monomials is a witness whose representatives are all of
+    them."""
+    M = corpus_by_name["k4"]
+    lift = white._lift
+    monkeypatch.setattr(white, "_lift", lambda *args: ([i] for i, _ in enumerate(lift(*args))))
+    report = check_degree(M, 3)
+    expected = []
+    for mdeg, comps in sorted(explicit_move_components(M, 3).items()):
+        vertices = sorted(v for comp in comps for v in comp)
+        if len(vertices) > 1:
+            expected.append(
+                {
+                    "multidegree": list(mdeg),
+                    "n_components": len(vertices),
+                    "component_representatives": [[list(b) for b in v] for v in vertices],
+                }
+            )
+    assert expected
+    assert report["witnesses"] == expected
+    assert report["all_connected"] is False
+    assert report["verdict"] == "candidate witness: disconnected degree-3 fiber"
+
+
+def test_report_builds_no_named_views(corpus_by_name, monkeypatch):
+    """check_degree reads the labeling pass's summary only; the named views
+    are built once, for every fiber of a call, at their first access."""
+    calls = []
+    build = white._named_views
+
+    def recording(*args):
+        calls.append(args[1])
+        return build(*args)
+
+    monkeypatch.setattr(white, "_named_views", recording)
+    M = corpus_by_name["k4"]
+    check_degree(M, 3)
+    fibers = toric_fibers(M, 3)
+    assert calls == []
+    assert [len(f.vertices) for f in fibers] == [f.size for f in fibers]
+    bases = M.bases()
+    for f in fibers:
+        assert [c[0] for c in f.components] == [
+            tuple(bases[i] for i in v) for v in f.representatives
+        ]
+    assert calls == [3]
 
 
 def test_check_degree_builds_fibers_once(corpus_by_name, monkeypatch):
