@@ -2,25 +2,23 @@
 
 Fraction-free integer echelon forms (rational matrices are stored with
 denominator-cleared integer columns, so all rank arithmetic stays in Z) and
-GF(p) echelon forms rank labeled columns; their `reduce` also gives the
-residual columns of a contraction, and `reduced_rows` the reduced row
-echelon form that keys and dualizes a linear matroid. A rollback
-union-find ranks the edges of a multigraph. `rref`, over a field object,
-is the dense reference the tests hold the echelon forms to, and
-`int_determinant` (Bareiss) counts the spanning trees of a graph.
+GF(p) echelon forms rank labeled columns; two passes give the reduced row
+echelon form (RREF) that a linear matroid stores, and their elimination
+steps are the row operations of its minors. A rollback union-find ranks
+the edges of a multigraph. `rref`, over a field object, is the dense
+reference the tests hold the echelon forms to, and `int_determinant`
+(Bareiss) counts the spanning trees of a graph.
 
 The oracles support push/pop in LIFO order only; that is what depth-first
 subset enumeration and flag walks need, and it keeps rollback trivial (a
-push appends at most one row or one union). A walk's echelon keeps the
-residual of each column it has pushed at every rank level, so a push
-resumes where an ancestor or sibling left its column: a walk pays one row
-elimination per (rank-raising node, later column) instead of up to `rank`
-per pushed subset. One-shot eliminations (minors, RREF readouts) push each
-label once and keep the plain path.
+push appends at most one row or one union). Every push goes through one
+memo that keeps the residual of each column pushed at every rank level, so
+a push resumes where an ancestor or sibling left its column: a walk pays
+one row elimination per (rank-raising node, later column) instead of up to
+`rank` per pushed subset.
 """
 from __future__ import annotations
 
-import copy
 from math import gcd
 
 
@@ -47,28 +45,20 @@ class _Echelon:
     eliminating an incoming vector in insertion order never reintroduces a
     cleared pivot.
 
-    A walk's echelon (track_residuals) also keeps one dict per stored-row
-    count k: _res[k][e] is the residual of column e modulo rows[:k]. A push
-    resumes from the deepest level that holds its column and caches every
-    level it passes, so the siblings and descendants of a node share the
-    residuals of its later columns. A push that adds a row opens a level and
-    its pop drops it; a dependent push leaves the span, and so the levels,
-    as they are."""
-
-    _res = None  # the level memo, set by track_residuals
+    Every push goes through one memo, a dict per stored-row count k:
+    _res[k][e] is the residual of column e modulo rows[:k]. Level 0 holds a
+    column in the class's convention (_start) and is filled at its first
+    push. A push resumes from the deepest level that holds its column and
+    caches every level it passes, so in a walk the siblings and descendants
+    of a node share the residuals of its later columns. A push that adds a
+    row opens a level and its pop drops it; a dependent push leaves the
+    span, and so the levels, as they are."""
 
     def __init__(self, columns):
         self.columns = columns
         self.rows = []  # (pivot index, row)
         self._added = []
-
-    def track_residuals(self):
-        """Keep residuals by level for a walk that revisits its columns; a
-        one-shot elimination pushes each label once and does without.
-        Called on a fresh echelon, so level 0 holds every column as reduce
-        leaves it with no rows stored."""
-        self._res = [{e: self.reduce(col) for e, col in self.columns.items()}]
-        return self
+        self._res = [{}]
 
     @property
     def rank(self):
@@ -77,11 +67,13 @@ class _Echelon:
     def _residual(self, e):
         """The residual of column `e` from the level memo: resumed at the
         deepest level that holds it, the later rows applied one at a time
-        with reduce's arithmetic (_eliminate), and every level passed
-        cached."""
+        (_eliminate), and every level passed cached."""
         res, rows = self._res, self.rows
         k = len(rows)
         while e not in res[k]:
+            if not k:
+                res[0][e] = self._start(self.columns[e])
+                break
             k -= 1
         v = res[k][e]
         for k in range(k, len(rows)):
@@ -91,51 +83,9 @@ class _Echelon:
             res[k + 1][e] = v
         return v
 
-    def pop(self):
-        if self._added.pop():
-            self.rows.pop()
-            if self._res is not None:
-                self._res.pop()
-
-    def reduced_rows(self):
-        """The reduced row echelon form of the pushed span, up to the class's
-        row scaling: (pivot, row) pairs sorted by pivot, each row zero at
-        the other pivots. Pushing the stored rows into a fresh echelon in
-        descending pivot order clears each at the larger pivots."""
-        fresh = copy.copy(self)
-        fresh.columns, fresh.rows, fresh._added = dict(self.rows), [], []
-        if self._res is not None:
-            del fresh._res  # a walk's memo stays with the walk
-        for j in sorted(fresh.columns, reverse=True):
-            fresh.push(j)
-        return sorted(fresh.rows)
-
-
-class IntEchelon(_Echelon):
-    """Echelon form over Q on denominator-cleared integer columns."""
-
-    def reduce(self, vec):
-        """The residual of `vec` modulo the span of the stored rows: zero at
-        every stored pivot, primitive with a positive leading entry once an
-        elimination has run, and all zero when vec lies in the span."""
-        v = list(vec)
-        for j, row in self.rows:
-            b = v[j]
-            if b:
-                a = row[j]
-                v = _reduce_int_row([a * x - b * y for x, y in zip(v, row)])
-        return v
-
-    @staticmethod
-    def _eliminate(v, j, row):
-        """One step of reduce: clear v at pivot j with row."""
-        a, b = row[j], v[j]
-        return _reduce_int_row([a * x - b * y for x, y in zip(v, row)])
-
     def push(self, e):
         """Push column `e`; True when it raises the rank."""
-        res = self._res
-        v = self.reduce(self.columns[e]) if res is None else self._residual(e)
+        v = self._residual(e)
         for pivot, x in enumerate(v):
             if x:
                 break
@@ -143,53 +93,65 @@ class IntEchelon(_Echelon):
             self._added.append(False)
             return False
         self._added.append(True)
-        self.rows.append((pivot, v))
-        if res is not None:
-            res.append({})  # a new row opens a level
+        self.rows.append((pivot, self._scaled(v, pivot)))
+        self._res.append({})  # a new row opens a level
         return True
+
+    def pop(self):
+        if self._added.pop():
+            self.rows.pop()
+            self._res.pop()
+
+
+class IntEchelon(_Echelon):
+    """Echelon form over Q on denominator-cleared integer columns. A
+    residual is primitive with a positive leading entry once an elimination
+    has run, and all zero when its column lies in the span."""
+
+    @staticmethod
+    def _start(vec):
+        return list(vec)
+
+    @staticmethod
+    def _eliminate(v, j, row):
+        """Clear v at j with row (nonzero at j): row[j] v - v[j] row, made
+        primitive."""
+        a, b = row[j], v[j]
+        return _reduce_int_row([a * x - b * y for x, y in zip(v, row)])
+
+    @staticmethod
+    def _scaled(v, j):
+        """v ready to eliminate at its nonzero entry j: _eliminate
+        cross-multiplies, so integer rows stay as they are."""
+        return v
+
+    push = _Echelon.push  # each class binds push, so a tracer can wrap one class
 
 
 class ModEchelon(_Echelon):
     """Echelon form over GF(p) on columns of residues; stored rows are monic
-    at their pivot."""
+    at their pivot, and a residual is its column minus a combination of the
+    stored rows (rows are subtracted from it, never scaled into it)."""
 
     def __init__(self, p, columns):
         super().__init__(columns)
         self.p = p
 
-    def reduce(self, vec):
-        """The residual of `vec` modulo the span of the stored rows: zero at
-        every stored pivot, and vec minus a combination of the pushed
-        columns (rows are subtracted from vec, never scaled into it)."""
-        p = self.p
-        v = [x % p for x in vec]
-        for j, row in self.rows:
-            c = v[j]
-            if c:
-                v = [(x - c * y) % p for x, y in zip(v, row)]
-        return v
+    def _start(self, vec):
+        return [x % self.p for x in vec]
 
     def _eliminate(self, v, j, row):
-        """One step of reduce: clear v at pivot j with the monic row."""
+        """Clear v at pivot j with the row, monic there."""
         p, c = self.p, v[j]
         return [(x - c * y) % p for x, y in zip(v, row)]
 
-    def push(self, e):
-        """Push column `e`; True when it raises the rank."""
-        p, res = self.p, self._res
-        v = self.reduce(self.columns[e]) if res is None else self._residual(e)
-        for pivot, x in enumerate(v):
-            if x:
-                break
-        else:
-            self._added.append(False)
-            return False
-        self._added.append(True)
-        inv = pow(v[pivot], p - 2, p)
-        self.rows.append((pivot, [(x * inv) % p for x in v]))
-        if res is not None:
-            res.append({})  # a new row opens a level
-        return True
+    def _scaled(self, v, j):
+        """v scaled to be monic at its nonzero entry j."""
+        p = self.p
+        inv = pow(v[j], p - 2, p)
+        return [(x * inv) % p for x in v]
+
+    push = _Echelon.push
 
 
 def rref(rows, field):

@@ -19,18 +19,18 @@ their own rank function.
 Matroid.incremental_rank() hands it to every walk over prefixes (bases
 here, the corank-nullity counts in tutte.py, the fixed points in
 localization.py); a walk's linear echelon shares column residuals across
-the walk. Linear minors and ranks use a plain echelon; a linear matroid's
-rank, memo key, loops, coloops and dual read one RREF of its rows.
+the walk. A linear matroid is stored as its RREF: its rank, memo key,
+loops, coloops and dual read the rows, and its minors are row operations
+on them, so only a matrix and a dual run an elimination.
 Matroid.basis_count() counts bases by a theorem where the backing has one.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, gcd
 
 from . import linalg
 from .errors import InvalidInput, TooLarge, quote
-from .fields import QQ, PrimeField, RationalField, field_from_name
+from .fields import RationalField, field_from_name
 
 # Caps keeping exhaustive walks at desk scale.
 ENUMERATION_LIMIT = 20
@@ -79,118 +79,144 @@ def _echelon(field, columns):
     return linalg.ModEchelon(field.p, columns)
 
 
-class LinearBacking:
-    kind = "linear"
+def _rref(field, vectors):
+    """The RREF of integer-convention `vectors` over `field`, as (pivot,
+    row) pairs sorted by pivot: the vectors pushed into an echelon, and its
+    rows pushed into a fresh one in descending pivot order, which clears
+    each at the larger pivots."""
+    ech = _echelon(field, dict(enumerate(vectors)))
+    for i in ech.columns:
+        ech.push(i)
+    back = _echelon(field, dict(ech.rows))
+    for j in sorted(back.columns, reverse=True):
+        back.push(j)
+    return sorted(back.rows)
 
-    def __init__(self, field, columns):
-        # columns: {label: tuple of ints}; over Q the ints are denominator-
-        # cleared exact coordinates, over GF(p) they are reduced residues.
+
+class LinearBacking:
+    """A linear matroid stored as its RREF: (pivot, row) pairs over the
+    positions of its elements, each row zero before its pivot and at the
+    other pivots, in its field's echelon convention. Walks and rank calls
+    push `columns` ({label: tuple of ints}, denominator-cleared over Q,
+    residues over GF(p)): a matrix's own, and for minors and duals the
+    columns of the rows, derived at first use."""
+
+    kind = "linear"
+    key_prefix = b"mw3:l:"
+
+    def __init__(self, field, elements, rows, columns=None):
         self.field = field
-        self.columns = columns
-        # GF(p) keys are normalized under scaling; Q keys keep the mw2 form.
-        self.key_version = 2 if isinstance(field, RationalField) else 3
-        self._rref = None  # (elements, reduced_rows(elements))
+        self.elements = tuple(elements)
+        self.rows = rows
+        self._columns = columns
+
+    @property
+    def columns(self):
+        if self._columns is None:
+            self._columns = {e: tuple(row[f] for _, row in self.rows) for f, e in enumerate(self.elements)}
+        return self._columns
 
     def rank(self, subset):
         return sum(map(_echelon(self.field, self.columns).push, subset))
 
     def steps(self):
-        return _echelon(self.field, self.columns).track_residuals()
+        return _echelon(self.field, self.columns)
 
     def minor(self, contracted, kept):
-        """Native minor: push the contracted columns into one echelon and
-        keep the residual of every kept column. The residuals span the
-        quotient by the contracted columns, so a set A of them has rank
-        r(A + C) - r(C); the coordinates at the echelon's pivots are zero
-        in every residual and are dropped."""
-        ech = _echelon(self.field, self.columns)
-        for e in contracted:
-            ech.push(e)
-        pivots = {j for j, _ in ech.rows}
-        columns = {}
-        for e in kept:
-            v = ech.reduce(self.columns[e])
-            columns[e] = tuple(x for i, x in enumerate(v) if i not in pivots)
-        return LinearBacking(self.field, columns)
-
-    def reduced_rows(self, elements):
-        """The RREF of the submatrix on `elements` as (pivot, row) pairs:
-        its rows pushed into an echelon and read out. A backing serves one
-        matroid, so the last result is kept: the memo key, the dual, the
-        loops and the coloops of a matroid all read one elimination."""
-        if self._rref is None or self._rref[0] != elements:
-            ech = _echelon(self.field, dict(enumerate(zip(*(self.columns[e] for e in elements)))))
-            for i in ech.columns:
-                ech.push(i)
-            self._rref = (elements, ech.reduced_rows())
-        return self._rref[1]
+        """Native minor by row operations on the RREF, one element at a
+        time, whose column is then dropped. Contracting an element that
+        rows meet pivots the row with the largest such pivot onto it,
+        clears it from the other rows and drops that row; the others keep
+        their pivots, as no row with a larger pivot meets the element.
+        Deleting a pivot moves the pivot to the next nonzero entry of its
+        row and clears that column from the others, or drops the row when
+        there is none (a coloop). Deletion-contraction branches on the last
+        element of a core, never a pivot."""
+        ops = _echelon(self.field, {})
+        contracted, kept = set(contracted), set(kept)
+        elements, rows = list(self.elements), dict(self.rows)
+        for e in self.elements:
+            if e in kept:
+                continue
+            f = elements.index(e)
+            if e in contracted:
+                meet = sorted(j for j, row in rows.items() if row[f])
+                if meet:
+                    top = ops._scaled(rows.pop(meet.pop()), f)
+                    for j in meet:
+                        rows[j] = ops._eliminate(rows[j], f, top)
+            elif f in rows:
+                row = rows.pop(f)
+                row = row[:f] + [0] + row[f + 1:]
+                g = next((g for g, x in enumerate(row) if x), None)
+                if g is not None:
+                    top = ops._scaled(row, g)
+                    for j, other in list(rows.items()):
+                        if other[g]:
+                            rows[j] = ops._eliminate(other, g, top)
+                    rows[g] = top
+            del elements[f]
+            rows = {j - (j > f): row[:f] + row[f + 1:] for j, row in rows.items()}
+        return LinearBacking(self.field, elements, sorted(rows.items()))
 
     def loops(self, elements):
         """The zero columns of the RREF."""
-        rows = self.reduced_rows(elements)
-        return frozenset(e for f, e in enumerate(elements) if not any(row[f] for _, row in rows))
+        return frozenset(e for f, e in enumerate(elements) if not any(row[f] for _, row in self.rows))
 
     def coloops(self, elements):
         """The pivots whose row is zero at every non-pivot column: no
         fundamental circuit of the lexicographically first basis meets
         them."""
-        rows = self.reduced_rows(elements)
-        pivots = {j for j, _ in rows}
+        pivots = {j for j, _ in self.rows}
         free = [f for f in range(len(elements)) if f not in pivots]
-        return frozenset(elements[j] for j, row in rows if not any(row[f] for f in free))
+        return frozenset(elements[j] for j, row in self.rows if not any(row[f] for f in free))
 
     def memo_payload(self, elements):
-        """(field name, RREF rows): the row space fixes the column matroid.
-        Q rows are divided by their pivot entry and written as fractions;
-        GF(p) rows are put in their normal form under row and column
-        scaling (_scaling_normal_form), so that matrices that differ by row
-        operations and column scaling get one key."""
-        rows = self.reduced_rows(elements)
-        if isinstance(self.field, RationalField):
-            rows = [[Fraction(x, row[j]) for x in row] for j, row in rows]
-        else:
-            rows = _scaling_normal_form(self.field.p, rows)
+        """(field name, RREF rows in their normal form under row and column
+        scaling): matrices that differ by row operations and column scaling
+        get one key."""
+        rows = _scaling_normal_form(self.field, self.rows)
         return (self.field.name, tuple(tuple(map(str, row)) for row in rows))
 
     def dual(self, elements):
-        """Column matroid of the null space of the submatrix on `elements`,
-        read off its RREF rows R: a free position's column is its unit
-        vector, and pivot j's column is (-R[j][f] for free f), scaled by the
-        pivot entry R[j][j] (scaling a column keeps the matroid)."""
-        rows = dict(self.reduced_rows(elements))
-        free = [f for f in range(len(elements)) if f not in rows]
-        columns = [[int(f == g) for g in free] for f in range(len(elements))]
-        for j, row in rows.items():
-            columns[j] = [-row[f] * row[j] for f in free]
-        return LinearBacking(
-            self.field, {e: _store_column(self.field, col) for e, col in zip(elements, columns)}
-        )
+        """Column matroid of the null space, read off the RREF rows R: one
+        vector per free position f, 1 at f and -R[j][f] at each pivot j
+        (the null space with pivot column j scaled by R[j][j], which keeps
+        the matroid), put in RREF by one elimination."""
+        n, rows = len(elements), dict(self.rows)
+        free = [f for f in range(n) if f not in rows]
+        kernel = [[-rows[j][f] if j in rows else int(j == f) for j in range(n)] for f in free]
+        return LinearBacking(self.field, elements, _rref(self.field, kernel))
 
     def basis_count(self, elements):
         return None  # no closed form; enumerate
 
 
-def _scaling_normal_form(p, rows):
-    """The normal form of GF(p) RREF rows, given as (pivot, monic row)
-    pairs, under row and column scaling (Brylawski-Lucas 1976; Oxley,
-    Matroid Theory, section 6.4).
+def _scaling_normal_form(field, rows):
+    """The normal form of RREF rows, given as (pivot, row) pairs, under row
+    and column scaling (Brylawski-Lucas 1976; Oxley, Matroid Theory,
+    section 6.4), as lists of field elements.
 
-    Scaling row i by a_i and each non-pivot column f by b_f, with pivot
-    column i rescaled by 1/a_i so that its pivot stays 1, keeps an RREF of
-    the same matroid and multiplies entry (i, f) by a_i b_f. Take the
-    bipartite graph of rows against non-pivot columns, with an edge at each
-    nonzero entry, and walk it breadth-first from the least position of
-    each component (a row sits at its pivot), neighbours in increasing
-    position. The scalars are chosen so that every tree edge reads 1. Each
-    component keeps one free scalar, and it changes no entry, so every RREF
-    in the scaling class gives the same rows."""
+    Divide each row by its pivot entry. Then scaling row i by a_i and each
+    non-pivot column f by b_f, with pivot column i rescaled by 1/a_i so that
+    its pivot stays 1, keeps an RREF of the same matroid and multiplies
+    entry (i, f) by a_i b_f. Take the bipartite graph of rows against
+    non-pivot columns, with an edge at each nonzero entry, and walk it
+    breadth-first from the least position of each component (a row sits at
+    its pivot), neighbours in increasing position. The scalars are chosen so
+    that every tree edge reads 1 (a row's scalar below includes the division
+    by its pivot entry). Each component keeps one free scalar, and it
+    changes no entry, so every RREF in the scaling class gives the same
+    rows."""
+    mul, inv = field.mul, field.inv
     by_pivot = dict(rows)
     n = len(rows[0][1]) if rows else 0
-    scale = {}  # position -> a_i at row i's pivot, b_f at a non-pivot column f
+    scale = {}  # position -> a_i / pivot entry at row i's pivot, b_f at a non-pivot column f
     for start in range(n):
         if start in scale:
             continue
-        scale[start] = 1
+        row = by_pivot.get(start)
+        scale[start] = field.one if row is None else inv(field.of(row[start]))
         queue = [start]
         for node in queue:
             s = scale[node]
@@ -200,10 +226,11 @@ def _scaling_normal_form(p, rows):
             edges = enumerate(row) if row is not None else ((j, r[node]) for j, r in rows)
             for other, x in edges:
                 if x and other not in scale:
-                    scale[other] = pow(s * x, p - 2, p)
+                    scale[other] = inv(mul(s, x))
                     queue.append(other)
     return [
-        [x if f in by_pivot else scale[j] * x * scale[f] % p for f, x in enumerate(row)]
+        [field.one if f == j else x if not x or f in by_pivot else mul(mul(scale[j], x), scale[f])
+         for f, x in enumerate(row)]
         for j, row in rows
     ]
 
@@ -229,7 +256,7 @@ class _PrefixSteps:
 
 class UniformBacking:
     kind = "uniform"
-    key_version = 2
+    key_prefix = b"mw2:u:"
 
     def __init__(self, r):
         self.r = r
@@ -255,7 +282,7 @@ class UniformBacking:
 
 class GraphicBacking:
     kind = "graphic"
-    key_version = 2
+    key_prefix = b"mw2:g:"
 
     def __init__(self, edges):
         # edges: {label: (u, v)}; vertices may be any hashables.
@@ -395,9 +422,8 @@ class Matroid:
         self._bases = None
         self._circuits = None
         self._key = None
-        if backing.kind == "linear":
-            # the row count of the RREF that the key, loops and coloops read
-            self._rank_cache[self._eset] = len(backing.reduced_rows(self.elements))
+        if backing.kind == "linear":  # the row count of its RREF
+            self._rank_cache[self._eset] = len(backing.rows)
         self.r = self.rank(self._eset)
 
     # -- rank oracle ----------------------------------------------------
@@ -551,20 +577,19 @@ class Matroid:
 
         Equal keys imply equal labeled matroids; the converse need not hold
         (a matrix and a graph with the same bases get different keys). A
-        GF(p) key is invariant under row operations and column scaling, so
+        linear key is invariant under row operations and column scaling, so
         one minor reached along several deletion-contraction paths is
         expanded once. The prefix names the version and the backing kind,
-        so keys of different kinds never collide: "mw3:l:" for GF(p), which
-        leaves GF(p) caches written by earlier versions cold, and "mw2:" for
-        Q, uniform and graphic keys. Explicit-basis and derived backings fall
-        back to canonical_key(), whose "mw1:" prefix is disjoint from both.
+        so keys of different kinds never collide: "mw3:l:" for Q and GF(p),
+        which leaves linear caches written by earlier versions cold, and
+        "mw2:" for uniform and graphic keys. Explicit-basis and derived
+        backings fall back to canonical_key(), whose "mw1:" prefix is
+        disjoint from both.
         """
         payload = self._backing.memo_payload(self.elements)
         if payload is None:
             return self.canonical_key()
-        tag = self._backing.kind[0]  # u, g or l
-        version = self._backing.key_version
-        return f"mw{version}:{tag}:".encode() + repr((self.elements, payload)).encode()
+        return self._backing.key_prefix + repr((self.elements, payload)).encode()
 
     def __repr__(self):
         return f"Matroid({self._backing.kind}, n={self.size}, r={self.r})"
@@ -583,10 +608,12 @@ def from_matrix(field, matrix):
     if not matrix or not matrix[0]:
         raise InvalidInput("matrix must have at least one row and one column")
     width = len(matrix[0])
+    _check_ground_size(width)
     if any(len(row) != width for row in matrix):
         raise InvalidInput("matrix rows must all have the same length")
     columns = {j: _store_column(field, [field.of(row[j]) for row in matrix]) for j in range(width)}
-    return Matroid(LinearBacking(field, columns), range(width))
+    rows = _rref(field, zip(*columns.values()))
+    return Matroid(LinearBacking(field, range(width), rows, columns), range(width))
 
 
 def uniform(r, n):
@@ -601,6 +628,7 @@ def from_graph(edges):
     edges = list(edges)
     if not edges:
         raise InvalidInput("graph needs at least one edge")
+    _check_ground_size(len(edges))
     emap = {}
     for i, uv in enumerate(edges):
         if len(tuple(uv)) != 2:
@@ -685,6 +713,8 @@ def from_descriptor(obj):
         matrix = obj["matrix"]
         if not isinstance(matrix, list) or not all(isinstance(r, list) for r in matrix):
             raise InvalidInput("'matrix' must be a list of rows")
+        if matrix:
+            _check_ground_size(len(matrix[0]))
         matrix = [[_parse_matrix_entry(x) for x in row] for row in matrix]
         return from_matrix(field_from_name(obj["field"]), matrix)
     if kind == "uniform":
@@ -693,6 +723,8 @@ def from_descriptor(obj):
         return uniform(obj["r"], obj["n"])
     if kind == "graphic":
         edges = obj.get("edges")
+        if isinstance(edges, list):
+            _check_ground_size(len(edges))
         if not isinstance(edges, list) or not all(
             isinstance(e, list) and len(e) == 2 and all(type(v) in (int, str) for v in e)
             for e in edges

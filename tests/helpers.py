@@ -18,7 +18,7 @@ from matroid_workbench import (
 )
 from matroid_workbench.localization import FIBER_SIGN, TANGENT_SIGN
 from matroid_workbench.linalg import rref
-from matroid_workbench.matroids import LinearBacking, Matroid, _store_column
+from matroid_workbench.matroids import LinearBacking, Matroid, _rref, _store_column
 from matroid_workbench.series import TruncatedSeries
 
 
@@ -86,20 +86,32 @@ def brute_circuits(M):
     return sorted(tuple(sorted(c)) for c in found)
 
 
-def rref_minor(M, deleted=(), contracted=()):
-    """M \\ D / C for M over GF(p), by dense reduction: the RREF of the
-    columns [C | kept] over the field, cut to the rows that pivot outside
-    the C block and to the kept columns."""
+def column_matroid(field, columns):
+    """The linear matroid of integer-convention columns {label: column} on
+    its labels in dict order, built as from_matrix builds one."""
+    labels = tuple(columns)
+    return Matroid(LinearBacking(field, labels, _rref(field, zip(*columns.values())), columns), labels)
+
+
+def rref_minor_rows(M, deleted=(), contracted=()):
+    """(kept labels, RREF rows) of M \\ D / C for M over Q or GF(p), by dense
+    reduction over the field: the RREF of the columns [C | kept], cut to
+    the rows that pivot outside the C block and to the kept columns."""
     field, columns = M._backing.field, M._backing.columns
     kept = [e for e in M.elements if e not in deleted and e not in contracted]
     labels = sorted(contracted) + kept
     nrows = len(columns[labels[0]]) if labels else 0
     red, pivots = rref([[field.of(columns[e][i]) for e in labels] for i in range(nrows)], field)
     nc = len(contracted)
-    rows = [i for i, pc in enumerate(pivots) if pc >= nc]
-    return Matroid(
-        LinearBacking(field, {e: tuple(red[i][nc + j] for i in rows) for j, e in enumerate(kept)}), kept
-    )
+    return kept, [red[i][nc:] for i, pc in enumerate(pivots) if pc >= nc]
+
+
+def rref_minor(M, deleted=(), contracted=()):
+    """M \\ D / C as the column matroid of its dense RREF rows."""
+    field = M._backing.field
+    kept, red = rref_minor_rows(M, deleted, contracted)
+    columns = {e: _store_column(field, [row[j] for row in red]) for j, e in enumerate(kept)}
+    return column_matroid(field, columns)
 
 
 def rref_rows(M):
@@ -111,7 +123,7 @@ def rref_rows(M):
 
 
 def scaled_rref(field, red, pivots):
-    """Dense RREF rows over GF(p) scaled to their normal form: every entry
+    """Dense RREF rows over the field scaled to their normal form: every entry
     on a breadth-first spanning forest of the support graph becomes one.
 
     The support graph joins row i (at position pivots[i]) to each non-pivot
@@ -152,16 +164,13 @@ def scaled_rref(field, red, pivots):
 
 
 def rref_memo_key(M):
-    """The memo key of a linear matroid, written from the dense RREF: over Q
-    the rows as they are under the "mw2:l:" prefix, over GF(p) the rows in
-    their scaling normal form (scaled_rref) under "mw3:l:"."""
+    """The memo key of a linear matroid, written from the dense RREF: the
+    rows in their scaling normal form (scaled_rref) under "mw3:l:"."""
     field = M._backing.field
     red, pivots = rref_rows(M)
-    prefix = b"mw2:l:"
-    if field.name != "Q":
-        red, prefix = scaled_rref(field, red, pivots), b"mw3:l:"
-    payload = (field.name, tuple(tuple(field.to_str(x) for x in row) for row in red))
-    return prefix + repr((M.elements, payload)).encode()
+    rows = scaled_rref(field, red, pivots)
+    payload = (field.name, tuple(tuple(field.to_str(x) for x in row) for row in rows))
+    return b"mw3:l:" + repr((M.elements, payload)).encode()
 
 
 def rref_dual(M):
@@ -179,7 +188,7 @@ def rref_dual(M):
                 v[pc] = field.neg(red[i][f])
             kernel.append(v)
     columns = {e: _store_column(field, [v[i] for v in kernel]) for i, e in enumerate(M.elements)}
-    return Matroid(LinearBacking(field, columns), M.elements)
+    return column_matroid(field, columns)
 
 
 def brute_h(M):

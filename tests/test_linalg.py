@@ -12,7 +12,9 @@ from matroid_workbench.linalg import (
     int_determinant,
     rref,
 )
-from matroid_workbench.matroids import LinearBacking, _echelon, _store_column
+from matroid_workbench.matroids import _echelon, _rref, _store_column
+
+from helpers import column_matroid
 
 FANO_COLUMNS = [
     (0, 0, 1),
@@ -119,22 +121,17 @@ def test_rref_and_kernel_rational():
 
 
 def test_reduced_rows_match_rref():
-    """Both echelon classes read out the dense RREF of the pushed span,
-    IntEchelon up to one scalar per row and ModEchelon exactly, and leave
-    their own rows as they were."""
+    """The two-pass readout that gives a linear matroid its RREF (_rref)
+    matches the dense RREF: over Q up to one scalar per row, over GF(p)
+    exactly."""
     rng = random.Random(1009)
     for _ in range(300):
         p = rng.choice([0, 2, 3, 7])
         nrows, ncols = rng.randint(1, 5), rng.randint(1, 6)
-        vecs = {i: [rng.choice([0, rng.randrange(-4, 5)]) for _ in range(ncols)] for i in range(nrows)}
-        ech = IntEchelon(vecs) if p == 0 else ModEchelon(p, vecs)
-        for i in vecs:
-            ech.push(i)
-        before = list(ech.rows)
-        got = ech.reduced_rows()
-        assert ech.rows == before
+        vecs = [[rng.choice([0, rng.randrange(-4, 5)]) for _ in range(ncols)] for _ in range(nrows)]
         field = QQ if p == 0 else PrimeField(p)
-        red, pivots = rref([[field.of(x) for x in v] for v in vecs.values()], field)
+        got = _rref(field, vecs)
+        red, pivots = rref([[field.of(x) for x in v] for v in vecs], field)
         assert [j for j, _ in got] == pivots
         if p == 0:
             assert [[Fraction(x, row[j]) for x in row] for j, row in got] == red
@@ -157,17 +154,24 @@ def walk_cases(draw):
     return field, columns, ops
 
 
+def dense_rank(field, vectors):
+    return len(rref([[field.of(x) for x in v] for v in vectors], field)[0])
+
+
 @settings(max_examples=150, deadline=None)
 @given(walk_cases())
 def test_residual_memo_matches_fresh_echelons(case):
-    """A walk's echelon (LinearBacking.steps(), with its residual memo)
-    agrees after every push and pop with a fresh one-shot echelon fed the
-    same prefix: push results, stored rows, reduce, reduced_rows() and the
-    residual columns of LinearBacking.minor; and every memo entry is the
-    residual of its column modulo the rows below its level."""
+    """The one push path, through the level memo, checked along a walk
+    (a linear matroid's incremental_rank()) after every push and pop:
+    push results and stored rows equal a fresh echelon's fed the same
+    prefix; the stored rows span the pushed columns (their RREF is the
+    dense RREF of those columns, over Q up to one scalar per row); and
+    every memo entry at level k is the residual of its column modulo
+    rows[:k]: zero at their pivots, spanning the same space with them as
+    the column does, and over GF(p) the column minus a combination of
+    them."""
     field, columns, ops = case
-    backing = LinearBacking(field, columns)
-    walk = backing.steps()
+    walk = column_matroid(field, columns).incremental_rank()
     stack = []
     for op in ops + [None] * len(ops):
         if op is None:
@@ -181,20 +185,20 @@ def test_residual_memo_matches_fresh_echelons(case):
         assert walk.push(op) == fresh.push(op)
         stack.append(op)
         assert walk.rows == fresh.rows
-        assert walk.reduced_rows() == fresh.reduced_rows()
-        pivots = {j for j, _ in fresh.rows}
-        kept = [e for e in columns if e not in stack]
-        minor = backing.minor(sorted(set(stack)), kept).columns
-        for e, col in columns.items():
-            assert walk.reduce(col) == fresh.reduce(col)
-            if e in minor:
-                assert minor[e] == tuple(x for i, x in enumerate(walk.reduce(col)) if i not in pivots)
+        red, pivots = rref([[field.of(x) for x in columns[e]] for e in stack], field)
+        got = _rref(field, [row for _, row in walk.rows])
+        assert [j for j, _ in got] == pivots
+        assert [[field.mul(field.inv(field.of(row[j])), field.of(x)) for x in row] for j, row in got] == red
         assert len(walk._res) == walk.rank + 1
         for k, level in enumerate(walk._res):
-            below = _echelon(field, columns)
-            below.rows = walk.rows[:k]
+            below = [row for _, row in walk.rows[:k]]
             for e, v in level.items():
-                assert v == below.reduce(columns[e])
+                col = columns[e]
+                assert all(v[j] == 0 for j, _ in walk.rows[:k]), (k, e)
+                assert dense_rank(field, below + [v]) == dense_rank(field, below + [col])
+                assert dense_rank(field, below + [col, v]) == dense_rank(field, below + [col])
+                if field != QQ:
+                    assert dense_rank(field, below + [[x - y for x, y in zip(v, col)]]) == k
     assert walk.rank == 0 and len(walk._res) == 1
 
 

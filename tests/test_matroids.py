@@ -194,8 +194,8 @@ def matrix_minor_roles(draw):
 @settings(max_examples=80, deadline=None)
 @given(matrix_minor_roles())
 def test_residual_minor_ranks_match_formula(case):
-    """Residual columns of a contraction over Q and GF(p): every set A of
-    them has rank r(A + C) - r(C)."""
+    """Minors by row operations on the RREF over Q and GF(p): every set A
+    of kept elements has rank r(A + C) - r(C)."""
     M, deleted, contracted = case
     N = M.minor(deleted=deleted, contracted=contracted)
     assert N._backing.kind == "linear"
@@ -556,9 +556,14 @@ def test_from_descriptor_errors():
     [
         {"type": "uniform", "r": 2, "n": 100_000_000},
         {"type": "bases", "n": 100_000_000, "bases": [[0, 1]]},
+        {"type": "linear", "field": "Q", "matrix": [[1] * 1_000_000]},
+        {"type": "graphic", "edges": [[0, 1]] * 1_000_000},
     ],
 )
 def test_ground_set_cap_applies_before_allocation(descriptor):
+    """The cap is checked on the count before any per-element work: the
+    width of a matrix before its entries are parsed, the number of edges
+    before they are validated."""
     start = time.perf_counter()
     with pytest.raises(TooLarge, match="ground elements"):
         from_descriptor(descriptor)

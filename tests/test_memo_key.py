@@ -1,16 +1,17 @@
 """Matroid.memo_key(), the deletion-contraction memo key.
 
 The key is built from each backing's own data (uniform rank, relabelled
-edge list, RREF rows, over GF(p) in their normal form under row and column
-scaling) and only has to be sound: equal keys must mean equal labeled
+edge list, RREF rows in their normal form under row and column scaling)
+and only has to be sound: equal keys must mean equal labeled
 matroids, and keys of different kinds must never meet. Generated matrices
 over GF(2), GF(3), GF(5), GF(7) and Q, multigraphs with loops, parallel
 edges and string vertices, and their minors check that, and that
-deletion-contraction on them agrees with the corank-nullity sum. A GF(p)
+deletion-contraction on them agrees with the corank-nullity sum. A linear
 key must not change under row operations and column scaling.
 """
 import hashlib
 import time
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -30,7 +31,7 @@ from matroid_workbench import (
     uniform,
 )
 
-from helpers import rref_dual, rref_memo_key, rref_minor
+from helpers import rref_dual, rref_memo_key, rref_minor, rref_minor_rows
 
 
 def key_kind(M):
@@ -138,7 +139,7 @@ def test_one_matroid_in_every_backing_gets_distinct_keys():
     keys = [M.memo_key() for M in presentations]
     assert len(set(keys)) == len(keys)
     assert keys[-1] == presentations[-1].canonical_key()
-    assert [k[:6] for k in keys[:4]] == [b"mw2:u:", b"mw2:l:", b"mw3:l:", b"mw2:g:"]
+    assert [k[:6] for k in keys[:4]] == [b"mw2:u:", b"mw3:l:", b"mw3:l:", b"mw2:g:"]
 
 
 def test_graph_key_ignores_vertex_names():
@@ -161,34 +162,49 @@ def test_dc_on_uniform_10_20_is_fast():
     assert t.evaluate(1, 1) == 184_756  # C(20, 10) bases
 
 
+def monic_rows(N):
+    """A linear matroid's stored RREF rows over its field, each divided by
+    its pivot entry."""
+    F = N._backing.field
+    return [[F.mul(F.inv(F.of(row[j])), F.of(x)) for x in row] for j, row in N._backing.rows]
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from([2, 3, 5, 7]), st.data())
+@given(st.sampled_from(["Q", 2, 3, 5, 7]), st.data())
 def test_gfp_minor_keys_match_the_rref_minor(p, data):
-    """Residual columns span the same row space as the RREF minor, so the
-    RREF rows and keys of GF(p) minors, and of their minors, equal the
-    dense route's."""
+    """Minors by row operations on the RREF, and minors of those minors,
+    over Q and GF(p): their rows, divided by their pivots, are the dense
+    RREF of the same minor of the input matrix, and their keys equal the
+    keys of the dense route's minors (which over Q store its columns
+    rescaled to coprime integers)."""
     rows = data.draw(st.integers(1, 4))
     cols = data.draw(st.integers(1, 7))
-    row = st.lists(st.integers(0, p - 1), min_size=cols, max_size=cols)
-    M = from_matrix(PrimeField(p), data.draw(st.lists(row, min_size=rows, max_size=rows)))
-    N, R = M, M
+    if p == "Q":
+        field, entry = "Q", st.one_of(st.integers(-3, 3), st.sampled_from(["1/2", "-2/3", "5/4"]))
+    else:
+        field, entry = PrimeField(p), st.integers(0, p - 1)
+    row = st.lists(entry, min_size=cols, max_size=cols)
+    M = from_matrix(field, data.draw(st.lists(row, min_size=rows, max_size=rows)))
+    N, R, deleted, contracted = M, M, set(), set()
     for _ in range(2):
         roles = data.draw(st.lists(st.sampled_from("dck"), min_size=N.size, max_size=N.size))
         dset = [e for e, x in zip(N.elements, roles) if x == "d"]
         cset = [e for e, x in zip(N.elements, roles) if x == "c"]
+        deleted, contracted = deleted | set(dset), contracted | set(cset)
         N, R = N.minor(deleted=dset, contracted=cset), rref_minor(R, dset, cset)
-        assert N._backing.reduced_rows(N.elements) == R._backing.reduced_rows(R.elements)
-        assert N.memo_key() == R.memo_key()
+        assert (list(N.elements), monic_rows(N)) == rref_minor_rows(M, deleted, contracted)
+        assert N.memo_key() == R.memo_key() == rref_memo_key(R)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(["Q", "GF(2)", "GF(3)", "GF(7)", "GF(101)"]), st.data())
 def test_linear_keys_and_duals_match_the_rref_route(field, data):
-    """Keys written from the echelon's reduced rows equal keys written from
-    the dense RREF over the field (over GF(p) each normalized under scaling
-    by its own code), and duals read off those rows store the
-    same columns as duals from a dense kernel basis: for Q matrices with
-    a/b entries and GF(p) matrices, their minors, and the duals of both."""
+    """Keys written from the stored RREF rows equal keys written from the
+    dense RREF over the field (each normalized under scaling by its own
+    code), and duals read off those rows are the duals from a dense kernel
+    basis up to column scaling: the same keys, and over GF(p), where
+    neither route rescales a column, the same rows; for Q matrices with a/b
+    entries and GF(p) matrices, their minors, and the duals of both."""
     if field == "Q":
         entry = st.one_of(st.integers(-3, 3), st.sampled_from(["1/2", "-2/3", "3/4", "5/6"]))
     else:
@@ -202,31 +218,39 @@ def test_linear_keys_and_duals_match_the_rref_route(field, data):
                 contracted=[e for e, x in zip(M.elements, roles) if x == "c"])
     for X in (M, N, M.dual()):
         D, R = X.dual(), rref_dual(X)
-        assert D._backing.columns == R._backing.columns, X
+        assert D.memo_key() == R.memo_key(), X
+        if field != "Q":
+            assert D._backing.rows == R._backing.rows, X
         for Y in (X, D):
             assert Y.memo_key() == rref_memo_key(Y), Y
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from([3, 5, 7, 101]), st.data())
+@given(st.sampled_from(["Q", 3, 5, 7, 101]), st.data())
 def test_gfp_keys_ignore_row_operations_and_column_scaling(p, data):
     """G A D, for an invertible G (unit lower triangular times upper
     triangular with a nonzero diagonal) and a nonzero diagonal D, gets the
-    key of A."""
+    key of A, over GF(p) and over Q (where D holds fractions)."""
     rows = data.draw(st.integers(1, 4))
     cols = data.draw(st.integers(1, 7))
-    entry, unit = st.integers(0, p - 1), st.integers(1, p - 1)
+    if p == "Q":
+        field, entry, unit = "Q", st.integers(-3, 3), st.sampled_from([1, -1, 2, -3])
+        scalar = st.sampled_from([Fraction(1, 2), Fraction(-2, 3), 3, -1])
+    else:
+        field, entry, unit = PrimeField(p), st.integers(0, p - 1), st.integers(1, p - 1)
+        scalar = unit
     A = data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
     L = [[1 if i == j else data.draw(entry) if j < i else 0 for j in range(rows)] for i in range(rows)]
     U = [[data.draw(unit) if i == j else data.draw(entry) if j > i else 0 for j in range(rows)]
          for i in range(rows)]
-    d = data.draw(st.lists(unit, min_size=cols, max_size=cols))
+    d = data.draw(st.lists(scalar, min_size=cols, max_size=cols))
 
     def times(X, Y):
-        return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*Y)] for row in X]
+        return [[sum(x * y for x, y in zip(row, col)) for col in zip(*Y)] for row in X]
 
-    B = [[x * d[j] % p for j, x in enumerate(row)] for row in times(times(L, U), A)]
-    M, N = from_matrix(PrimeField(p), A), from_matrix(PrimeField(p), B)
+    # from_matrix reduces GF(p) entries itself
+    B = [[x * d[j] for j, x in enumerate(row)] for row in times(times(L, U), A)]
+    M, N = from_matrix(field, A), from_matrix(field, B)
     assert N.memo_key() == M.memo_key() == rref_memo_key(M), (A, B)
 
 
@@ -260,20 +284,34 @@ GF7_6X17 = [
 ]
 
 
+# a 5x14 Q matrix of rank 5, entries drawn by random.Random(3).randint(-3, 3)
+Q_5X14 = [
+    [-2, 1, 1, -2, -1, 1, 0, 2, 1, -3, 1, -3, 3, 0],
+    [-1, 1, -2, -2, 2, 0, 1, 3, 1, 0, 0, 2, 3, -2],
+    [-2, 2, -2, 3, 1, 0, 2, -3, 2, 3, -3, -2, 3, 1],
+    [-3, -1, 3, -3, 3, 3, -1, 0, 1, 2, 0, 2, 3, 0],
+    [0, 2, 3, 1, 0, -2, -1, -3, -3, -2, 0, -2, -1, 2],
+]
+
+
 def test_gfp_dc_expands_each_scaling_class_once():
-    """Deletion-contraction on GF7_6X17 reaches many minors as scaled copies
-    of one matrix; with one key per scaling class it expands 1,430 cores
-    (2,915 under plain RREF keys) and agrees with the subset sum."""
-    M = from_matrix("GF(7)", GF7_6X17)
-    assert tutte_dc(M, max_nodes=1430) == tutte_sum(M)
-    with pytest.raises(TooLarge):
-        tutte_dc(M, max_nodes=1429)
+    """Deletion-contraction reaches many minors as scaled copies of one
+    matrix; with one key per scaling class it expands exactly the listed
+    number of cores and agrees with the subset sum: on GF7_6X17 1,430
+    (2,915 under plain RREF keys), on the 6 x 18 Vandermonde matrix over Q
+    72, and on Q_5X14 514 (723 under plain RREF keys)."""
+    vandermonde = [[x**i for x in range(18)] for i in range(6)]
+    for field, matrix, cores in (("GF(7)", GF7_6X17, 1430), ("Q", vandermonde, 72), ("Q", Q_5X14, 514)):
+        M = from_matrix(field, matrix)
+        assert tutte_dc(M, max_nodes=cores) == tutte_sum(M), field
+        with pytest.raises(TooLarge):
+            tutte_dc(M, max_nodes=cores - 1)
 
 
 # sha256 over the memo keys of every corpus matroid, its dual, and its minor
 # that deletes the first element and contracts the last; `--cache` file
 # names are the sha256 of these keys, so a change here makes caches cold
-CORPUS_KEY_DIGEST = "06b5d324014257ba3836318787424f0cdce4633e9008cb33acaa43ff9a80dfff"
+CORPUS_KEY_DIGEST = "1807a57910fee6d60ca8336cf1715a346aaf17439ef9e9bb31d43dc85809427e"
 
 
 def test_corpus_memo_keys_are_frozen():

@@ -97,7 +97,7 @@ def matrices(draw):
 @given(matrices(), st.data())
 def test_walks_match_oracles_on_generated_matrices(M, data):
     assert_walks_match_oracles(M)
-    # a minor of its dual: residual columns of a kernel matrix
+    # a minor of its dual: row operations on the RREF of a kernel matrix
     roles = data.draw(st.lists(st.sampled_from("dck"), min_size=M.size, max_size=M.size))
     N = M.dual().minor(
         deleted=[e for e, x in zip(M.elements, roles) if x == "d"],
