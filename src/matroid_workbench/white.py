@@ -15,17 +15,24 @@ lifts to a path from B*m to B*m'. So the move components of degree k are
 the components of the relation "v = B*m and w = B*m' with m, m' in one
 degree-(k-1) component", whether or not the lower fibers are connected.
 Each degree-k monomial v therefore gets one lift key per distinct factor
-B, (component of v/B, B), and one union-find over the keys gives the
-components; no exchange is computed above degree 2 (Sturmfels, Groebner
-Bases and Convex Polytopes, ch. 5). Monomials are sorted tuples of indices
-into M.bases(), whose lexicographic order is that of the bases themselves.
+B, label(v/B) * b + B for b bases, and one union-find over the keys gives
+the components; no exchange is computed above degree 2 (Sturmfels,
+Groebner Bases and Convex Polytopes, ch. 5). Monomials are sorted tuples
+of indices into M.bases(), whose lexicographic order is that of the bases
+themselves.
+
+Every array is indexed by lexicographic position. The labels of degree
+k - 1 are one list of label * b, and since the monomials q + (l,) with
+l >= last(q) are contiguous, a lift key is read at a row offset plus l.
+The union-find is a list over the positions of the degree-2 monomials,
+then over the lift keys of each higher degree.
 
 One labeling pass per degree, in lexicographic order, numbers the
 components and records for each fiber its size and the least monomial of
 each component; every component must lie in one fiber. The report reads
 only this summary. Named vertices, adjacency lists and components, which
-only tests and tracing read, are built from the same key enumeration at
-their first access.
+only tests and tracing read, are built from the same keys at their first
+access.
 
 Before a report leaves check_degree, the number of fibers must equal the
 number of integer points of d*P_M, the sums of d bases (Edmonds; White
@@ -93,20 +100,31 @@ class FiberGraph:
     `size`, `n_components` and `representatives` come from the labeling
     pass; the representatives are the least monomial of each component, as
     sorted d-tuples of indices into M.bases(), in increasing order. The
-    named views are built at first access, in one pass for every fiber of
-    the toric_fibers call that returned them: `vertices` are the sorted
+    multidegree is decoded from the fiber's code when read. The named views
+    are built at first access, in one pass for every fiber of the
+    toric_fibers call that returned them: `vertices` are the sorted
     d-tuples of bases in lexicographic order, `adjacency` maps each vertex
     to its neighbours, and `components` are sorted lists of vertices, in
     order of their least vertex.
     """
 
-    def __init__(self, degree, multidegree, size, representatives, code, views):
+    def __init__(self, degree, n_elements, size, representatives, code, views):
         self.degree = degree
-        self.multidegree = multidegree
         self.size = size
         self.representatives = representatives
+        self._n_elements = n_elements
         self._code = code
         self._views = views
+
+    @property
+    def multidegree(self):
+        """The count of each element over the fiber's bases, in ground
+        order: the base-(degree + 1) digits of its code."""
+        digits, code = [], self._code
+        for _ in range(self._n_elements):
+            code, digit = divmod(code, self.degree + 1)
+            digits.append(digit)
+        return tuple(reversed(digits))
 
     @property
     def n_components(self):
@@ -127,10 +145,11 @@ class FiberGraph:
 
 def _check_budget(n_bases, d, budget):
     """Refuse unless b * C(b + d, d - 1) <= budget: the basis factors of
-    all monomials of degrees 1..d, which the lifting passes hold. The
-    product is built one nondecreasing factor at a time and stops at the
-    first partial product over the budget, so a huge degree costs a few
-    steps."""
+    all monomials of degrees 1..d. Each factor gives at most one lift key,
+    so this bounds the keys the passes join and label, and every list they
+    hold is shorter. The product is built one nondecreasing factor at a
+    time and stops at the first partial product over the budget, so a huge
+    degree costs a few steps."""
     k = min(d - 1, n_bases + 1)
     top = n_bases + d - k
     count = n_bases
@@ -145,97 +164,132 @@ def _check_budget(n_bases, d, budget):
         )
 
 
-def _labels(groups, monomials, codes):
-    """Component numbers of `monomials`, and a summary of their fibers.
+def _monomials(n_bases, k):
+    return itertools.combinations_with_replacement(range(n_bases), k)
 
-    `groups` lists, for each monomial in turn, the items it joins (any
-    hashables); monomials that share an item are in one component. A
-    union-find over the items runs first. Then one labeling pass numbers
-    the components in the order in which `monomials` first reach them, and
-    records {multidegree code: [fiber size, first monomial of each
-    component]}. Every component must lie in one fiber.
+
+def _row_offsets(n_bases, m):
+    """{q: position of q + (l,) among the degree-(m + 1) monomials, minus l}
+    for every degree-m monomial q. The monomials q + (l,) with l >= last(q)
+    are contiguous in lexicographic order, so one offset serves them all."""
+    offsets, pos = {}, 0
+    for q in _monomials(n_bases, m):
+        last = q[-1] if q else 0
+        offsets[q] = pos - last
+        pos += n_bases - last
+    return offsets
+
+
+def _join(n_items, pairs):
+    """The union-find forest over items 0..n_items - 1 in which the two
+    items of each pair are joined: a list in which each root is its own
+    parent, with path halving."""
+    parent = list(range(n_items))
+    for x, y in pairs:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        parent[y] = x
+    return parent
+
+
+def _labels(parent, heads, n_bases, k, codes):
+    """Component labels of the degree-k monomials, and a summary of their
+    fibers.
+
+    The monomials are walked in lexicographic order as p + (l,), for each
+    degree-(k - 1) prefix p with its entry `head` of `heads` and each
+    l >= last(p); item head + l of the forest `parent` lies in the
+    component of p + (l,). Components are numbered in the order in which
+    the walk first reaches them. Returns each monomial's label * n_bases,
+    in lexicographic order, and {multidegree code: [fiber size, first
+    monomial of each component]}. Every component must lie in one fiber.
     """
-    parent = {}
-
-    def find(x):
-        root = x
-        while root in parent:
-            root = parent[root]
-        while x != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    heads = []
-    for items in groups:
-        root = find(items[0])
-        for x in items[1:]:
-            other = find(x)
-            if other != root:
-                parent[other] = root
-        heads.append(root)
-    roots, firsts, labels, fibers = {}, [], [], {}
-    for v, head in zip(monomials, heads):
-        code = sum(map(codes.__getitem__, v))
-        fiber = fibers.get(code)
-        if fiber is None:
-            fiber = fibers[code] = [0, []]
-        fiber[0] += 1
-        label = roots.setdefault(find(head), len(roots))
-        if label == len(firsts):
-            firsts.append((code, v))
-            fiber[1].append(v)
-        elif firsts[label][0] != code:
-            # moves preserve the multidegree and a component is the closure
-            # of its moves, so this module joined two fibers
-            raise InternalInvariantViolation(
-                f"move left the fiber: {v} joined to {firsts[label][1]}"
-            )
-        labels.append(label)
-    return labels, fibers
+    flat, comps = [], {}
+    for p, head in zip(_monomials(n_bases, k - 1), heads):
+        code = sum(map(codes.__getitem__, p))
+        for l in range(p[-1] if p else 0, n_bases):
+            x = head + l
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            comp = comps.get(x)
+            if comp is None:
+                comp = comps[x] = [len(comps) * n_bases, code + codes[l], 0, p + (l,)]
+            elif comp[1] != code + codes[l]:
+                # moves preserve the multidegree and a component is the closure
+                # of its moves, so this module joined two fibers
+                raise InternalInvariantViolation(
+                    f"move left the fiber: {p + (l,)} joined to {comp[3]}"
+                )
+            comp[2] += 1
+            flat.append(comp[0])
+    fibers = {}
+    for _, code, size, first in comps.values():
+        fiber = fibers.setdefault(code, [0, []])
+        fiber[0] += size
+        fiber[1].append(first)
+    return flat, fibers
 
 
-def _degree_two(masks, index, codes):
-    """For each degree-2 monomial, in lexicographic order, the monomial
-    itself followed by its double-swap moves."""
-    for v in itertools.combinations_with_replacement(range(len(masks)), 2):
-        items = [v]
-        for w in _swaps(masks, index, *v):
-            if codes[w[0]] + codes[w[1]] != codes[v[0]] + codes[v[1]]:
+def _degree_two(masks, index, codes, heads):
+    """Pairs of degree-2 monomials joined by one double swap, each (i, j)
+    given by its lexicographic position heads[i] + j."""
+    for i, j in _monomials(len(masks), 2):
+        for w in _swaps(masks, index, i, j):
+            if codes[w[0]] + codes[w[1]] != codes[i] + codes[j]:
                 # double swaps preserve the multidegree; escaping the
                 # fiber means this module miscomputed a move
-                raise InternalInvariantViolation(f"exchange move left the fiber: {w} from {v}")
-            items.append(w)
-        yield items
+                raise InternalInvariantViolation(
+                    f"exchange move left the fiber: {w} from {(i, j)}"
+                )
+            yield heads[i] + j, heads[w[0]] + w[1]
 
 
-def _lift(labels, n_bases, k):
-    """For each degree-k monomial v, in lexicographic order, its lift keys
-    label(v / B) * b + B, one per distinct factor B, from a component
-    number of every degree-(k-1) monomial. Monomials that share a key are
-    B*m and B*m' with m, m' in one component: one move component.
+def _key_rows(flat, n_bases, k):
+    """The lift keys of the degree-k monomials, one row per degree-(k - 1)
+    prefix p in lexicographic order, from the labels `flat` of the
+    degree-(k - 1) monomials (label * n_bases, in lexicographic order).
+
+    A monomial v has one key label(v / B) * n_bases + B per distinct factor
+    B. Each row is last(p), head and (off, f) for each distinct factor f
+    of p: for v = p + (l,), l >= last(p), the key of l is head + l, with
+    head = flat[pos(p)], and the key of f is flat[off + l] + f, where off
+    is the row offset of p / f, since v / f = (p / f) + (l,).
     """
-    for v in itertools.combinations_with_replacement(range(n_bases), k):
-        keys = []
-        prev = -1
-        for t, factor in enumerate(v):
-            if factor != prev:
-                prev = factor
-                keys.append(labels[v[:t] + v[t + 1:]] * n_bases + factor)
-        yield keys
+    offsets = _row_offsets(n_bases, k - 2)
+    for p, head in zip(_monomials(n_bases, k - 1), flat):
+        yield p[-1], head, [
+            (offsets[p[:t] + p[t + 1:]], f) for t, f in enumerate(p) if t == 0 or f != p[t - 1]
+        ]
+
+
+def _lift(flat, n_bases, k):
+    """Pairs of lift keys that one degree-k monomial carries: the key of
+    its last factor l with the key of each distinct factor of its prefix,
+    one zip over l per prefix and factor. Monomials that share a key are
+    B*m and B*m' with m, m' in one degree-(k - 1) component: one move
+    component."""
+    return itertools.chain.from_iterable(
+        zip(range(head + last, head + n_bases), map(f.__add__, flat[off + last:off + n_bases]))
+        for last, head, factors in _key_rows(flat, n_bases, k)
+        for off, f in factors
+    )
 
 
 def _named_views(bases, d, codes, groups, labels):
     """{multidegree code: (vertices, adjacency, components)} with the
-    bases themselves as names, from the same groups and labels as the
-    summary.
+    bases themselves as names, from the component labels of the labeling
+    pass.
 
-    In degree 2 the adjacency holds the double-swap moves. Above it holds
+    `groups` lists for each monomial, in lexicographic order, its
+    double-swap neighbours in degree 2 and its lift keys above; the
+    adjacency holds the double-swap moves in degree 2, and above it holds
     star edges: each monomial is joined to the first monomial that listed
     each of its lift keys, which gives the same components.
     """
     views, names, members, first = {}, {}, [], {}
-    monomials = itertools.combinations_with_replacement(range(len(bases)), d)
-    for v, items, label in zip(monomials, groups, labels):
+    for v, items, label in zip(_monomials(len(bases), d), groups, labels):
         names[v] = name = tuple(map(bases.__getitem__, v))
         code = sum(map(codes.__getitem__, v))
         view = views.get(code)
@@ -248,8 +302,8 @@ def _named_views(bases, d, codes, groups, labels):
             members.append([])
             components.append(members[label])
         members[label].append(name)
-        if d == 2:
-            joined = [w for w in items[1:] if w < v]
+        if d < 3:
+            joined = [w for w in items if w < v]
         else:
             joined = []
             for key in items:
@@ -265,15 +319,15 @@ def _named_views(bases, d, codes, groups, labels):
 def toric_fibers(M: Matroid, d, budget=DEFAULT_BUDGET):
     """All degree-d fibers as FiberGraph objects, sorted by multidegree.
 
-    Components come from one union-find per degree: over the double-swap
-    moves in degree 2 and over the lift keys (_lift) above it. The
-    labeling pass of the last degree gives each fiber's size and the least
-    monomial of each component, which is all check_degree reads; the named
-    vertices, adjacency and components are built from the same key
-    enumeration only when one of them is first read. The lifting passes
-    hold b * C(b + d, d - 1) basis factors for b bases, all degrees
-    together; above `budget` the construction refuses (TooLarge) before it
-    enumerates any monomial.
+    Components come from one union-find per degree (_join), over the
+    lexicographic positions of the monomials joined by double-swap moves
+    in degree 2 and over the lift keys (_lift) above it. The labeling pass
+    of the last degree gives each fiber's size and the least monomial of
+    each component, which is all check_degree reads; the named vertices,
+    adjacency and components are built from the same keys only when one of
+    them is first read. All degrees together have at most b * C(b + d,
+    d - 1) lift keys for b bases; above `budget` the construction refuses
+    (TooLarge) before it enumerates any monomial.
     """
     if d < 1:
         raise InvalidInput(f"degree must be >= 1, got {d}")
@@ -286,26 +340,31 @@ def toric_fibers(M: Matroid, d, budget=DEFAULT_BUDGET):
     n = M.size
     codes = [sum((d + 1) ** (n - 1 - p) for p in range(n) if m >> p & 1) for m in masks]
 
-    def monomials(k):
-        return itertools.combinations_with_replacement(range(n_bases), k)
-
-    def groups(k, lower):
-        if k == 1:
-            return ([i] for i in range(n_bases))
-        if k == 2:
-            return _degree_two(masks, index, codes)
-        return _lift(lower, n_bases, k)
-
-    lower = None
     for k in range(min(d, 2), d + 1):
-        labels, summary = _labels(groups(k, lower), monomials(k), codes)
-        if k < d:
-            lower = dict(zip(monomials(k), labels))
+        if k == 1:
+            n_items, heads, pairs = n_bases, [0], ()
+        elif k == 2:
+            heads = list(_row_offsets(n_bases, 1).values())
+            n_items, pairs = comb(n_bases + 1, 2), _degree_two(masks, index, codes, heads)
+        else:
+            n_labels = sum(len(reps) for _, reps in summary.values())
+            n_items, heads, pairs = n_labels * n_bases, flat, _lift(flat, n_bases, k)
+        flat, summary = _labels(_join(n_items, pairs), heads, n_bases, k, codes)
 
-    counts = [[m >> p & 1 for p in range(n)] for m in masks]
-    views = functools.cache(lambda: _named_views(bases, d, codes, groups(d, lower), labels))
+    def groups():
+        if d < 3:
+            return (_swaps(masks, index, *v) if d == 2 else () for v in _monomials(n_bases, d))
+        return (
+            [heads[off + l] + f for off, f in factors] + [head + l]
+            for last, head, factors in _key_rows(heads, n_bases, d)
+            for l in range(last, n_bases)
+        )
+
+    views = functools.cache(
+        lambda: _named_views(bases, d, codes, groups(), [x // n_bases for x in flat])
+    )
     return [
-        FiberGraph(d, tuple(map(sum, zip(*map(counts.__getitem__, reps[0])))), size, reps, code, views)
+        FiberGraph(d, n, size, reps, code, views)
         for code, (size, reps) in sorted(summary.items())
     ]
 
@@ -347,22 +406,34 @@ def _lattice_points(M, d):
     flats = list(_cyclic_flats(M))
     elems = M.elements
     n = len(elems)
+    if n == 0:
+        return 1
     cap = [d * M.rank({e}) for e in elems]
     slack = [d * M.rank(z) for z in flats]
     member = [[i for i, z in enumerate(flats) if e in z] for e in elems]
     room = [sum(cap[k:]) for k in range(n + 1)]
-    outside = [
-        [sum(cap[p] for p in range(k, n) if elems[p] not in z) for z in flats]
-        for k in range(n + 1)
+    # (flat, room outside it) for the flats that still hold a position at or
+    # after k; for the others the room outside is all the room, which never
+    # prunes since need <= room[k] throughout
+    checks = [
+        [
+            (i, sum(cap[p] for p in range(k, n) if elems[p] not in z))
+            for i, z in enumerate(flats)
+            if any(elems[p] in z for p in range(k, n))
+        ]
+        for k in range(n)
     ]
 
     def walk(k, need):
-        if k == n:
-            return 1 if need == 0 else 0
-        if any(need > s + o for s, o in zip(slack, outside[k])):
-            return 0
+        for i, outside in checks[k]:
+            if need > slack[i] + outside:
+                return 0
         inside = member[k]
-        top = min([cap[k], need] + [slack[i] for i in inside])
+        top = min(cap[k], need)
+        for i in inside:
+            top = min(top, slack[i])
+        if k == n - 1:
+            return 1 if need <= top else 0  # the last coordinate is need
         count = 0
         for x in range(max(0, need - room[k + 1]), top + 1):
             for i in inside:

@@ -2,7 +2,7 @@ import io
 import json
 import sys
 import time
-from itertools import combinations, combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement
 from math import comb
 
 import pytest
@@ -24,7 +24,7 @@ from matroid_workbench import (
     uniform,
     white,
 )
-from matroid_workbench.white import _labels
+from matroid_workbench.white import _join, _labels
 
 
 def test_exchange_neighbors_frozen(corpus_by_name):
@@ -83,12 +83,11 @@ def test_fiber_adjacency_is_symmetric(corpus_by_name):
 
 
 def test_components_partition_disconnected_toy_graph():
-    a, b, c, d = "a", "b", "c", "d"
-    monomials = [(0,), (1,), (2,), (3,)]
-    labels, fibers = _labels([[a, b], [b], [c], [d, c]], monomials, [0] * 4)
-    assert labels == [0, 0, 1, 1]
+    # the degree-1 monomials (0,) .. (3,) are items 0 .. 3 of the forest
+    labels, fibers = _labels(_join(4, [(0, 1), (3, 2)]), [0], 4, 1, [0] * 4)
+    assert [x // 4 for x in labels] == [0, 0, 1, 1]
     assert fibers == {0: [4, [(0,), (2,)]]}
-    assert _labels([[a], [b]], monomials[:2], [0, 0])[0] == [0, 1]
+    assert _labels(_join(2, []), [0], 2, 1, [0, 0])[0] == [0, 2]
 
 
 def test_check_degree_reports(corpus_by_name):
@@ -201,20 +200,32 @@ def small_matrices(draw):
     return from_matrix(field, draw(st.lists(row, min_size=rows, max_size=rows)))
 
 
-@settings(max_examples=30, deadline=None)
-@given(small_matrices())
-def test_lift_matches_explicit_moves_on_generated_matrices(M):
-    fibers = toric_fibers(M, 3)
-    oracle = explicit_move_components(M, 3)
+def _lift_matches_explicit_moves(M, d):
+    fibers = toric_fibers(M, d)
+    oracle = explicit_move_components(M, d)
     assert _partition(fibers) == oracle
-    assert white._lattice_points(M, 3) == len(fibers)
+    assert white._lattice_points(M, d) == len(fibers)
     # the report reads the labeling pass's summary, not the views above
     sizes = [sum(map(len, comps)) for comps in oracle.values()]
-    report = check_degree(M, 3)
+    report = check_degree(M, d)
     assert report["n_fibers"] == len(oracle)
     assert report["n_monomials"] == sum(sizes)
     assert report["max_fiber_size"] == max(sizes)
     assert report["all_connected"] == all(len(comps) == 1 for comps in oracle.values())
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_matrices())
+def test_lift_matches_explicit_moves_on_generated_matrices(M):
+    _lift_matches_explicit_moves(M, 3)
+
+
+@settings(max_examples=10, deadline=None)
+@given(small_matrices())
+def test_lift_matches_explicit_moves_on_generated_matrices_in_degree_4(M):
+    # from degree 4 on, the lift reads the row offsets of monomials p / f of
+    # degree 2 and more
+    _lift_matches_explicit_moves(M, 4)
 
 
 def _brute_lift(labels, n_bases, k):
@@ -248,11 +259,13 @@ def test_lift_of_a_hand_made_partition(labelling, k):
     lower = list(combinations_with_replacement(range(n_bases), k - 1))
     labels = {m: labelling(i, m) for i, m in enumerate(lower)}
     monomials = list(combinations_with_replacement(range(n_bases), k))
-    keys = list(white._lift(labels, n_bases, k))
-    assert len(keys) == len(monomials)
+    flat = [labels[m] * n_bases for m in lower]
+    parent = _join((max(labels.values()) + 1) * n_bases, white._lift(flat, n_bases, k))
     # one multidegree code for all: the partition ignores the fibers
+    lifted = white._labels(parent, flat, n_bases, k, [0] * n_bases)[0]
+    assert len(lifted) == len(monomials)
     got = {}
-    for v, c in zip(monomials, white._labels(keys, monomials, [0] * n_bases)[0]):
+    for v, c in zip(monomials, lifted):
         got.setdefault(c, set()).add(v)
     assert {frozenset(c) for c in got.values()} == _brute_lift(labels, n_bases, k)
 
@@ -336,13 +349,10 @@ def test_degree_two_move_out_of_its_fiber_is_an_invariant_violation(
 def test_lift_join_across_fibers_is_an_invariant_violation(corpus_by_name, monkeypatch, capsys):
     lift = white._lift
 
-    def crossing(labels, n_bases, k):
-        keys = lift(labels, n_bases, k)
-        first = next(keys)
-        yield first
-        # (0, 0, 1) shares a key with (0, 0, 0), whose fiber differs
-        yield next(keys) + first[:1]
-        yield from keys
+    def crossing(flat, n_bases, k):
+        # (0, 0) has label 0, so keys 0 and 1 are those of the last factor
+        # of (0, 0, 0) and (0, 0, 1): joined, though their fibers differ
+        return chain(lift(flat, n_bases, k), [(0, 1)])
 
     monkeypatch.setattr(white, "_lift", crossing)
     with pytest.raises(InternalInvariantViolation, match="move left the fiber"):
@@ -353,10 +363,10 @@ def test_lift_join_across_fibers_is_an_invariant_violation(corpus_by_name, monke
 def test_witnesses_of_a_lift_that_joins_nothing(corpus_by_name, monkeypatch):
     """With no join every fiber splits into its monomials, so each fiber of
     two or more monomials is a witness whose representatives are all of
-    them."""
+    them. Monomials p + (l,) and p' + (l,) share the key of l when p and p'
+    share a component, so no degree may join anything."""
     M = corpus_by_name["k4"]
-    lift = white._lift
-    monkeypatch.setattr(white, "_lift", lambda *args: ([i] for i, _ in enumerate(lift(*args))))
+    monkeypatch.setattr(white, "_join", lambda n_items, pairs: list(range(n_items)))
     report = check_degree(M, 3)
     expected = []
     for mdeg, comps in sorted(explicit_move_components(M, 3).items()):
