@@ -295,12 +295,16 @@ def os_multiply(M: Matroid, a: ExteriorElement, b: ExteriorElement) -> ExteriorE
 
 
 def reduced_nbc_index_sets(M: Matroid, k):
-    """k-subsets S avoiding 0 with S + {0} an nbc set, lex order."""
+    """k-subsets S avoiding 0 with S + {0} an nbc set, lex order.
+
+    The nbc sets come from os_space, so their count has passed the
+    degree-(k+1) Whitney check.
+    """
     if k < 0 or k + 1 > M.size:
         raise InvalidInput(f"reduced degree {k} out of range")
     if 0 not in M.elements:
         raise InvalidInput("reduced basis needs element 0 in the ground set")
-    return [tuple(e for e in s if e != 0) for s in nbc_sets(M, k + 1) if 0 in s]
+    return [tuple(e for e in s if e != 0) for s in os_space(M, k + 1).nbc if 0 in s]
 
 
 class ReducedOSBasis:

@@ -41,6 +41,7 @@ up to C(#bases + d - 1, d).
 """
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 from math import comb
@@ -202,11 +203,12 @@ def _labels(parent, heads, n_bases, k, codes):
     degree-(k - 1) prefix p with its entry `head` of `heads` and each
     l >= last(p); item head + l of the forest `parent` lies in the
     component of p + (l,). Components are numbered in the order in which
-    the walk first reaches them. Returns each monomial's label * n_bases,
-    in lexicographic order, and {multidegree code: [fiber size, first
-    monomial of each component]}. Every component must lie in one fiber.
+    the walk first reaches them. Yields each monomial's label * n_bases,
+    in lexicographic order, and then {multidegree code: [fiber size, first
+    monomial of each component]}, so a caller that needs only the summary
+    stores no labels. Every component must lie in one fiber.
     """
-    flat, comps = [], {}
+    comps = {}
     for p, head in zip(_monomials(n_bases, k - 1), heads):
         code = sum(map(codes.__getitem__, p))
         for l in range(p[-1] if p else 0, n_bases):
@@ -223,13 +225,13 @@ def _labels(parent, heads, n_bases, k, codes):
                     f"move left the fiber: {p + (l,)} joined to {comp[3]}"
                 )
             comp[2] += 1
-            flat.append(comp[0])
+            yield comp[0]
     fibers = {}
     for _, code, size, first in comps.values():
         fiber = fibers.setdefault(code, [0, []])
         fiber[0] += size
         fiber[1].append(first)
-    return flat, fibers
+    yield fibers
 
 
 def _degree_two(masks, index, codes, heads):
@@ -323,9 +325,9 @@ def toric_fibers(M: Matroid, d, budget=DEFAULT_BUDGET):
     lexicographic positions of the monomials joined by double-swap moves
     in degree 2 and over the lift keys (_lift) above it. The labeling pass
     of the last degree gives each fiber's size and the least monomial of
-    each component, which is all check_degree reads; the named vertices,
-    adjacency and components are built from the same keys only when one of
-    them is first read. All degrees together have at most b * C(b + d,
+    each component, which is all check_degree reads, and keeps no label;
+    the named vertices, adjacency and components run that pass again when
+    one of them is first read. All degrees together have at most b * C(b + d,
     d - 1) lift keys for b bases; above `budget` the construction refuses
     (TooLarge) before it enumerates any monomial.
     """
@@ -340,7 +342,9 @@ def toric_fibers(M: Matroid, d, budget=DEFAULT_BUDGET):
     n = M.size
     codes = [sum((d + 1) ** (n - 1 - p) for p in range(n) if m >> p & 1) for m in masks]
 
-    for k in range(min(d, 2), d + 1):
+    def labeling(k, flat, summary):
+        """The labeling pass of degree k, from the labels and summary of
+        degree k - 1."""
         if k == 1:
             n_items, heads, pairs = n_bases, [0], ()
         elif k == 2:
@@ -349,20 +353,28 @@ def toric_fibers(M: Matroid, d, budget=DEFAULT_BUDGET):
         else:
             n_labels = sum(len(reps) for _, reps in summary.values())
             n_items, heads, pairs = n_labels * n_bases, flat, _lift(flat, n_bases, k)
-        flat, summary = _labels(_join(n_items, pairs), heads, n_bases, k, codes)
+        return _labels(_join(n_items, pairs), heads, n_bases, k, codes)
+
+    flat = lower = None
+    for k in range(min(d, 2), d):
+        *flat, lower = labeling(k, flat, lower)
+    # the last pass keeps no labels; the named views run it again
+    (summary,) = collections.deque(labeling(d, flat, lower), maxlen=1)
 
     def groups():
         if d < 3:
             return (_swaps(masks, index, *v) if d == 2 else () for v in _monomials(n_bases, d))
         return (
-            [heads[off + l] + f for off, f in factors] + [head + l]
-            for last, head, factors in _key_rows(heads, n_bases, d)
+            [flat[off + l] + f for off, f in factors] + [head + l]
+            for last, head, factors in _key_rows(flat, n_bases, d)
             for l in range(last, n_bases)
         )
 
-    views = functools.cache(
-        lambda: _named_views(bases, d, codes, groups(), [x // n_bases for x in flat])
-    )
+    @functools.cache
+    def views():
+        *labels, _ = labeling(d, flat, lower)
+        return _named_views(bases, d, codes, groups(), [x // n_bases for x in labels])
+
     return [
         FiberGraph(d, n, size, reps, code, views)
         for code, (size, reps) in sorted(summary.items())

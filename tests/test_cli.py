@@ -6,7 +6,17 @@ import time
 
 import pytest
 
-from matroid_workbench import cli, corpus_matroid, from_graph, h_matrix, h_polynomial
+from matroid_workbench import (
+    BivariatePoly,
+    UnivariatePoly,
+    cli,
+    corpus_matroid,
+    from_graph,
+    h_matrix,
+    h_polynomial,
+    orlik_solomon,
+    tutte,
+)
 
 U23 = {"type": "uniform", "r": 2, "n": 3}
 U24 = {"type": "uniform", "r": 2, "n": 4}
@@ -311,7 +321,7 @@ def test_warm_cache_check_counts_bases_without_enumerating(tmp_path, monkeypatch
     """A disk hit checks T(1,1) against a basis count that a graph (by the
     matrix-tree theorem), a uniform matroid and a basis list give without
     enumerating; a wrong count is still a miss."""
-    from matroid_workbench import BivariatePoly, from_bases, tutte_dc, uniform
+    from matroid_workbench import from_bases, tutte_dc, uniform
     from matroid_workbench.matroids import Matroid
 
     k5 = from_graph([(a, b) for a in range(5) for b in range(a + 1, 5)])
@@ -338,3 +348,40 @@ def test_jobs_byte_identical():
     w1 = run_cli(["white-check", "--degree", "3", "--jobs", "1"], stdin_obj=U24)
     w8 = run_cli(["white-check", "--degree", "3", "--jobs", "8"], stdin_obj=U24)
     assert w1.stdout == w8.stdout and w1.returncode == 0
+
+
+def _one_set_short_in_degree_3(nbc_sets):
+    return lambda M, k: nbc_sets(M, k)[1:] if k == 3 else nbc_sets(M, k)
+
+
+def _plus(one):
+    return lambda f: lambda *args: f(*args) + one
+
+
+K4 = {"type": "graphic", "edges": [[a, b] for a in range(4) for b in range(a + 1, 4)]}
+
+
+@pytest.mark.parametrize(
+    "args, module, name, spoil, message",
+    [
+        (["os-dims"], orlik_solomon, "nbc_sets", _one_set_short_in_degree_3,
+         "nbc sets != Whitney number"),
+        (["os-basis", "--degree", "3"], orlik_solomon, "nbc_sets", _one_set_short_in_degree_3,
+         "nbc sets != Whitney number"),
+        # the index sets of reduced degree 2 are the degree-3 nbc sets that hold 0
+        (["reduced-os-basis", "--degree", "2"], orlik_solomon, "nbc_sets",
+         _one_set_short_in_degree_3, "nbc sets != Whitney number"),
+        (["hlv"], tutte, "h_from_tutte", _plus(BivariatePoly.monomial(0, 0)), "routes disagree"),
+        (["charpoly"], tutte, "char_poly", _plus(UnivariatePoly.monomial(0)), "chi(1) = 1"),
+    ],
+    ids=["os-dims", "os-basis", "reduced-os-basis", "hlv", "charpoly"],
+)
+def test_injected_fault_exits_4(args, module, name, spoil, message, monkeypatch, capsys):
+    """One wrong inner value stops each command before output: exit code 4,
+    nothing on stdout and one line on stderr."""
+    monkeypatch.setattr(module, name, spoil(getattr(module, name)))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(K4)))
+    assert cli.main(args) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and message in err, err

@@ -1,6 +1,9 @@
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matroid_workbench import BivariatePoly, InvalidInput, UnivariatePoly
 
@@ -106,3 +109,70 @@ def test_divmod_linear_remainder():
 def test_univariate_rejects_negative_exponent():
     with pytest.raises(InvalidInput):
         UnivariatePoly({-1: 1})
+
+
+BIVARIATE = st.dictionaries(
+    st.tuples(st.integers(0, 5), st.integers(0, 5)), st.integers(), max_size=8
+).map(BivariatePoly)
+UNIVARIATE = st.dictionaries(st.integers(0, 8), st.integers(), max_size=8).map(UnivariatePoly)
+SAME_CLASS_TRIPLES = st.sampled_from([BIVARIATE, UNIVARIATE]).flatmap(
+    lambda polys: st.tuples(polys, polys, polys)
+)
+NAMES = st.sampled_from(["x", "y", "u", "v", "t", "exp_2"])
+
+
+@settings(deadline=None)
+@given(SAME_CLASS_TRIPLES)
+def test_ring_identities_and_equal_hashes(triple):
+    p, q, r = triple
+    assert (p + q) + r == p + (q + r)
+    assert (p * q) * r == p * (q * r)
+    assert p + q == q + p and p * q == q * p
+    assert p * (q + r) == p * q + p * r
+    assert (p - p).is_zero() and p - p == type(p).zero()
+    # equal objects, built different ways, hash equal
+    assert hash((p + q) + r) == hash(p + (q + r))
+    assert hash(p * q) == hash(q * p)
+    rebuilt = type(p)(dict(p.terms()))
+    assert rebuilt == p and hash(rebuilt) == hash(p)
+
+
+@settings(deadline=None)
+@given(BIVARIATE, UNIVARIATE, st.lists(NAMES, min_size=2, max_size=2, unique=True))
+def test_json_round_trip_with_any_names(b, u, names):
+    xname, yname = names
+    for p, obj, back in (
+        (b, b.to_json(), BivariatePoly.from_json),
+        (b, b.to_json(xname=xname, yname=yname),
+         lambda o: BivariatePoly.from_json(o, xname=xname, yname=yname)),
+        (u, u.to_json(), UnivariatePoly.from_json),
+        (u, u.to_json(name=xname), lambda o: UnivariatePoly.from_json(o, name=xname)),
+    ):
+        assert back(json.loads(json.dumps(obj))) == p
+    assert all(term.keys() == {xname, "c"} for term in u.to_json(name=xname)["terms"])
+
+
+@settings(deadline=None)
+@given(UNIVARIATE, st.integers(-6, 6))
+def test_divmod_linear_reconstructs(p, a):
+    q, r = p.divmod_linear(a)
+    assert q * UnivariatePoly({1: 1, 0: -a}) + UnivariatePoly({0: r}) == p
+    assert r == p.evaluate(a)
+
+
+@settings(deadline=None)
+@given(st.dictionaries(st.integers(0, 8), st.integers(), max_size=8))
+def test_classes_never_mix(terms):
+    """The two classes share one store shape, {(i, j): c} with j = 0 for a
+    univariate polynomial; a polynomial of one class never equals one of the
+    other, and arithmetic across them raises TypeError."""
+    u = UnivariatePoly(terms)
+    b = BivariatePoly({(d, 0): c for d, c in terms.items()})
+    assert u != b and b != u and not u == b
+    with pytest.raises(TypeError):
+        u + b
+    with pytest.raises(TypeError):
+        b - u
+    with pytest.raises(TypeError):
+        u * b
+
