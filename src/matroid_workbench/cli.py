@@ -83,11 +83,8 @@ class FileTutteCache(tutte.TutteCache):
         hit = super().get(key)
         if hit is not None or matroid is None:  # a disk entry needs the matroid
             return hit
-        path = self._path(key)
-        if not os.path.exists(path):
-            return None
         try:
-            with open(path, "r", encoding="utf-8") as fh:
+            with open(self._path(key), "r", encoding="utf-8") as fh:
                 poly = BivariatePoly.from_json(json.load(fh))
         except (OSError, ValueError, InvalidInput):
             return None
@@ -109,7 +106,7 @@ class FileTutteCache(tutte.TutteCache):
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(poly.to_json(), fh)
+                fh.write(json.dumps(poly.to_json()))
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -122,6 +119,7 @@ def _cmd_tutte(args):
     cache = FileTutteCache(args.cache) if args.cache else None
     budget = args.budget if args.budget else tutte.DEFAULT_DC_NODES
     poly = tutte.tutte_dc(M, cache, max_nodes=budget)
+    tutte.check_tutte(M, poly)
     _emit(poly.to_json())
 
 

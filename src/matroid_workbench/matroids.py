@@ -21,7 +21,9 @@ here, the corank-nullity counts in tutte.py, the fixed points in
 localization.py); a walk's linear echelon shares column residuals across
 the walk. A linear matroid is stored as its RREF: its rank, memo key,
 loops, coloops and dual read the rows, and its minors are row operations
-on them, so only a matrix and a dual run an elimination.
+on them, so only a matrix and a dual run an elimination. A graph reads
+its loops and coloops (bridges) off its edges, and its memo key is its
+canonical form up to isomorphism, both from graphs.py, loaded on first use.
 Matroid.basis_count() counts bases by a theorem where the backing has one.
 """
 from __future__ import annotations
@@ -172,11 +174,11 @@ class LinearBacking:
         return frozenset(elements[j] for j, row in self.rows if not any(row[f] for f in free))
 
     def memo_payload(self, elements):
-        """(field name, RREF rows in their normal form under row and column
-        scaling): matrices that differ by row operations and column scaling
-        get one key."""
+        """(elements, (field name, RREF rows in their normal form under row
+        and column scaling)): matrices that differ by row operations and
+        column scaling get one key."""
         rows = _scaling_normal_form(self.field, self.rows)
-        return (self.field.name, tuple(tuple(map(str, row)) for row in rows))
+        return (elements, (self.field.name, tuple(tuple(map(str, row)) for row in rows)))
 
     def dual(self, elements):
         """Column matroid of the null space, read off the RREF rows R: one
@@ -271,7 +273,8 @@ class UniformBacking:
         return UniformBacking(self.r - min(len(contracted), self.r))
 
     def memo_payload(self, elements):
-        return self.r
+        """(elements, rank)."""
+        return (elements, self.r)
 
     def dual(self, elements):
         return UniformBacking(len(elements) - self.r)
@@ -282,7 +285,7 @@ class UniformBacking:
 
 class GraphicBacking:
     kind = "graphic"
-    key_prefix = b"mw2:g:"
+    key_prefix = b"mw3:g:"
 
     def __init__(self, edges):
         # edges: {label: (u, v)}; vertices may be any hashables.
@@ -303,11 +306,21 @@ class GraphicBacking:
         return GraphicBacking({e: edges[e] for e in kept})
 
     def memo_payload(self, elements):
-        """Edge list with the vertices renamed 0, 1, ... by first appearance."""
-        names = {}
-        return tuple(
-            tuple(names.setdefault(v, len(names)) for v in self.edges[e]) for e in elements
-        )
+        """The canonical edge list of the multigraph (graphs.py), with no
+        element labels: isomorphic graphs get one key."""
+        from .graphs import canonical_edges
+
+        return canonical_edges(self.edges[e] for e in elements)
+
+    def loops(self, elements):
+        """The self-loops."""
+        return frozenset(e for e in elements if self.edges[e][0] == self.edges[e][1])
+
+    def coloops(self, elements):
+        """The bridges."""
+        from .graphs import bridges
+
+        return frozenset(bridges((e, self.edges[e]) for e in elements))
 
     def dual(self, elements):
         return None  # not graphic in general; use the generic rank formula
@@ -452,15 +465,16 @@ class Matroid:
         return self.size - self.r
 
     def loops(self):
-        if self._backing.kind == "linear":
+        if self._backing.kind in ("linear", "graphic"):
             return self._backing.loops(self.elements)
         return frozenset(e for e in self.elements if self.rank({e}) == 0)
 
     def coloops(self):
-        """A linear matroid reads its coloops off its RREF. Otherwise only
-        the elements of the greedy basis are tested, since a coloop lies in
-        every basis: r rank calls instead of #E."""
-        if self._backing.kind == "linear":
+        """A linear matroid reads its coloops off its RREF, and a graph
+        finds its bridges. Otherwise only the elements of the greedy basis
+        are tested, since a coloop lies in every basis: r rank calls
+        instead of #E."""
+        if self._backing.kind in ("linear", "graphic"):
             return self._backing.coloops(self.elements)
         steps = self.incremental_rank()
         basis = [e for e in self.elements if steps.push(e)]
@@ -468,6 +482,12 @@ class Matroid:
 
     def is_loopless(self):
         return not self.loops()
+
+    def graph_edges(self):
+        """The (u, v) ends of each element in order for a graph, else None."""
+        if self._backing.kind != "graphic":
+            return None
+        return [self._backing.edges[e] for e in self.elements]
 
     # -- minors and duals -------------------------------------------------
 
@@ -573,23 +593,26 @@ class Matroid:
 
     def memo_key(self):
         """Bytes key for the deletion-contraction memo, built from the
-        backing's own data without enumerating bases.
+        backing's own data without enumerating bases: the prefix and the
+        repr of the backing's memo payload.
 
-        Equal keys imply equal labeled matroids; the converse need not hold
-        (a matrix and a graph with the same bases get different keys). A
-        linear key is invariant under row operations and column scaling, so
-        one minor reached along several deletion-contraction paths is
-        expanded once. The prefix names the version and the backing kind,
-        so keys of different kinds never collide: "mw3:l:" for Q and GF(p),
-        which leaves linear caches written by earlier versions cold, and
-        "mw2:" for uniform and graphic keys. Explicit-basis and derived
-        backings fall back to canonical_key(), whose "mw1:" prefix is
-        disjoint from both.
+        Equal keys imply equal labeled matroids, and for graphs isomorphic
+        ones; the converse need not hold (a matrix and a graph with the
+        same bases get different keys). A linear key is invariant under row
+        operations and column scaling, and a graphic key is the canonical
+        form of the multigraph, blind to element labels and vertex names,
+        so one minor reached along several deletion-contraction paths, or
+        for graphs any isomorphic minor, is expanded once. The prefix names
+        the version and the backing kind, so keys of different kinds never
+        collide: "mw3:l:" for Q and GF(p) and "mw3:g:" for graphs, which
+        leave the caches that earlier versions wrote for them cold, and
+        "mw2:u:" for uniform keys. Explicit-basis and derived backings fall
+        back to canonical_key(), whose "mw1:" prefix is disjoint from all.
         """
         payload = self._backing.memo_payload(self.elements)
         if payload is None:
             return self.canonical_key()
-        return self._backing.key_prefix + repr((self.elements, payload)).encode()
+        return self._backing.key_prefix + repr(payload).encode()
 
     def __repr__(self):
         return f"Matroid({self._backing.kind}, n={self.size}, r={self.r})"

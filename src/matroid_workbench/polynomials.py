@@ -24,6 +24,18 @@ def _coeff_from_str(s):
     raise InvalidInput(f"coefficient must be an int or decimal string, got {s!r}")
 
 
+def _integral(x):
+    """x as an int when it equals one (a bool, an integral Fraction or
+    float); anything else raises InvalidInput instead of being truncated."""
+    try:
+        n = int(x)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != x:
+        raise InvalidInput(f"polynomial coefficients and exponents must be integers, got {x!r}")
+    return n
+
+
 class _SparsePoly:
     """The store {(i, j): c} over Z, zero coefficients never stored, and the
     arithmetic, equality and JSON loop of both polynomial classes."""
@@ -35,9 +47,11 @@ class _SparsePoly:
         for key, c in (terms or {}).items():
             if c:
                 i, j = key
+                if type(i) is not int or type(j) is not int or type(c) is not int:
+                    i, j, c = _integral(i), _integral(j), _integral(c)
                 if i < 0 or j < 0:
                     raise InvalidInput("exponents must be nonnegative")
-                t[(int(i), int(j))] = int(c)
+                t[i, j] = c
         self._terms = t
 
     @classmethod
@@ -90,8 +104,10 @@ class _SparsePoly:
         return self._new({k: c * v for k, v in self._terms.items()})
 
     def evaluate(self, x, y):
-        x, y = Fraction(x), Fraction(y)
-        return sum((c * x**i * y**j for (i, j), c in self._terms.items()), Fraction(0))
+        """The exact value at (x, y): an int at ints, else a Fraction."""
+        if type(x) is not int or type(y) is not int:
+            x, y = Fraction(x), Fraction(y)
+        return sum(c * x**i * y**j for (i, j), c in self._terms.items())
 
     def __eq__(self, other):
         return type(other) is type(self) and self._terms == other._terms

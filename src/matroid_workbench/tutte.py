@@ -27,9 +27,16 @@ over Q or GF(p), does not change under row operations and column scaling,
 so the minors that different paths reach as scaled copies of one matrix
 are expanded once (the 6x17 GF(7) benchmark matrix: 1,430 cores, against
 2,915 under plain RREF keys; a random 5x14 Q matrix: 514 against 723),
-and a linear core's children are row operations on its RREF. A budget
-that an earlier version exceeded near its limit may now suffice, and
-linear --cache directories written before are cold.
+and a linear core's children are row operations on its RREF. A graph's
+key is its canonical form up to isomorphism, so isomorphic minors share
+one entry, as in Haggard-Pearce-Royle's cache (M(K7): 111 cores, against
+884 under labeled keys; M(K8): 233 against 4,434). A budget that an
+earlier version exceeded may now suffice, and linear and graphic --cache
+directories written before are cold.
+
+check_tutte holds a polynomial to its degree bounds and T(2,2) = 2^#E,
+and on a graph to Greene's identity with the weight enumerator of its cut
+space, before `tutte` prints it.
 """
 from __future__ import annotations
 
@@ -40,6 +47,7 @@ from .matroids import SUBSET_SUM_LIMIT, Matroid
 from .polynomials import BivariatePoly, UnivariatePoly
 
 DEFAULT_DC_NODES = 100_000  # expanded deletion-contraction cores (memo misses)
+GREENE_RANK_LIMIT = 18  # check_tutte walks at most 2^18 cuts of a graph
 
 
 def rank_size_counts(M: Matroid):
@@ -130,7 +138,9 @@ def tutte_dc(M: Matroid, cache: TutteCache | None = None, max_nodes=DEFAULT_DC_N
 
         T(M) = x^#coloops y^#loops T(M \\ loops / coloops),
 
-    and memoizes the peeled core under core.memo_key(). A nonempty core has
+    and memoizes the peeled core under core.memo_key(), which equal
+    labeled matroids share, and for graphs isomorphic ones (the Tutte
+    polynomial is an isomorphism invariant). A nonempty core has
     neither loops nor coloops; it branches on its largest element e, T(core)
     = T(core \\ e) + T(core / e). The choice is fixed, so the recursion tree
     and any persisted cache entries are reproducible. Deleting e from a core
@@ -161,6 +171,61 @@ def tutte_dc(M: Matroid, cache: TutteCache | None = None, max_nodes=DEFAULT_DC_N
         return poly.shift(len(coloops), len(loops))
 
     return dc(M)
+
+
+def check_tutte(M: Matroid, t: BivariatePoly):
+    """Check the Tutte polynomial of M before output; a failure raises
+    InternalInvariantViolation.
+
+    Every matroid: the x-degree is at most r, the y-degree at most the
+    corank, and T(2,2) = 2^#E. A graph of rank r <= GREENE_RANK_LIMIT:
+    Greene's theorem (Greene 1976) on its cut space, a binary code of
+    length #E and dimension r whose matroid is M,
+
+        A(z) = (1-z)^r z^(#E-r) T((1+z)/(1-z), 1/z)
+             = sum of t_ij (1+z)^i (1-z)^(r-i) z^(#E-r-j),
+
+    with the weight enumerator A(z) counted by graphs.cut_weights. A wrong
+    coefficient t_ij changes the sum by a nonzero multiple of its term, so
+    every single-coefficient error is caught, also one that keeps T(1,1)
+    and T(2,2). A larger graph: T(1,1) is its number of spanning forests,
+    counted by Kirchhoff's theorem."""
+    n, r = M.size, M.r
+    if t.degree_x() > r or t.degree_y() > n - r:
+        raise InternalInvariantViolation(
+            f"Tutte polynomial has degrees ({t.degree_x()}, {t.degree_y()}) "
+            f"over rank {r} and corank {n - r}"
+        )
+    if t.evaluate(2, 2) != 2**n:
+        raise InternalInvariantViolation(f"Tutte polynomial has T(2,2) = {t.evaluate(2, 2)} != 2^{n}")
+    edges = M.graph_edges()
+    if edges is None:
+        return
+    if r > GREENE_RANK_LIMIT:
+        if t.evaluate(1, 1) != M.basis_count():
+            raise InternalInvariantViolation(
+                f"Tutte polynomial has T(1,1) = {t.evaluate(1, 1)}, not the spanning forest count"
+            )
+        return
+    # (1+z)^i (1-z)^(r-i) for i = 0..r, as coefficient lists
+    products = [
+        [sum(comb(i, a) * comb(r - i, d - a) * (-1) ** (d - a) for a in range(max(0, d - r + i), min(i, d) + 1))
+         for d in range(r + 1)]
+        for i in range(r + 1)
+    ]
+    greene = [0] * (n + 1)
+    for (i, j), c in t.terms():
+        for d, p in enumerate(products[i], n - r - j):
+            greene[d] += c * p
+    from .graphs import cut_weights
+
+    cuts = cut_weights(edges)
+    if greene != cuts:
+        w = next(w for w, (a, b) in enumerate(zip(cuts, greene)) if a != b)
+        raise InternalInvariantViolation(
+            f"Tutte polynomial fails Greene's identity on the cut space: "
+            f"{cuts[w]} cuts of weight {w}, T gives {greene[w]}"
+        )
 
 
 def char_poly(M: Matroid, tutte: BivariatePoly | None = None) -> UnivariatePoly:

@@ -61,6 +61,44 @@ def brute_bases(M):
     return [b for b in combinations(M.elements, M.r) if M.rank(b) == M.r]
 
 
+def brute_isomorphism(A, B):
+    """A bijection {element of A: element of B} that maps the bases of A
+    onto those of B, found by trying every permutation, or None."""
+    if (A.size, A.r) != (B.size, B.r):
+        return None
+    bases_a, bases_b = brute_bases(A), {frozenset(b) for b in brute_bases(B)}
+    if len(bases_a) != len(bases_b):
+        return None
+    for image in permutations(B.elements):
+        phi = dict(zip(A.elements, image))
+        if all(frozenset(phi[e] for e in b) in bases_b for b in bases_a):
+            return phi
+    return None
+
+
+def labeled_graph_dc(M):
+    """Deletion-contraction on a graph memoized under a labeled key (the
+    element labels and the edge list with vertices renamed by first
+    appearance), which merges only equal labeled graphs: an oracle for
+    graphs whose subset sum is too slow."""
+    memo = {}
+
+    def dc(N):
+        loops, coloops = N.loops(), N.coloops()
+        if loops or coloops:
+            return dc(N.minor(deleted=loops, contracted=coloops)).shift(len(coloops), len(loops))
+        if not N.size:
+            return BivariatePoly.monomial(0, 0)
+        names = {}
+        key = (N.elements, tuple(tuple(names.setdefault(v, len(names)) for v in uv) for uv in N.graph_edges()))
+        if key not in memo:
+            e = max(N.elements)
+            memo[key] = dc(N.delete({e})) + dc(N.contract({e}))
+        return memo[key]
+
+    return dc(M)
+
+
 def frozenset_exchange_holds(bases):
     """The basis exchange axiom, checked pairwise on frozensets: for bases
     B1, B2 and each x in B1 - B2, some y in B2 - B1 makes B1 - x + y a

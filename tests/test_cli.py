@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import subprocess
@@ -253,20 +254,22 @@ def test_huge_ground_set_exits_3_at_once(descriptor, monkeypatch, capsys):
 
 
 def test_tutte_budget_counts_deletion_contraction_nodes(monkeypatch, capsys):
+    """M(K10) expands 835 cores, so a budget of 500 refuses it."""
     k10 = {"type": "graphic", "edges": [[i, j] for i in range(10) for j in range(i + 1, 10)]}
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(k10)))
     start = time.perf_counter()
-    code = cli.main(["tutte", "--budget", "1000"])
+    code = cli.main(["tutte", "--budget", "500"])
     assert time.perf_counter() - start < 1
     out, err = capsys.readouterr()
     assert code == 3
     assert out == ""
-    assert err.startswith("too large:") and "1000" in err and len(err.splitlines()) == 1, err
+    assert err.startswith("too large:") and "500" in err and len(err.splitlines()) == 1, err
 
 
 def test_cli_import_leaves_unused_modules_unloaded():
     """The package resolves its names lazily and each command imports its
-    own modules, so importing the CLI loads none of the heavier ones."""
+    own modules, so importing the CLI loads none of the heavier ones; the
+    graph algorithms load with the first graphic memo key or coloop query."""
     code = "import sys, matroid_workbench.cli; print(' '.join(sorted(sys.modules)))"
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60
@@ -274,7 +277,7 @@ def test_cli_import_leaves_unused_modules_unloaded():
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
     assert "matroid_workbench.cli" in loaded
-    for name in ("corpus", "white", "orlik_solomon"):
+    for name in ("corpus", "white", "orlik_solomon", "graphs"):
         assert f"matroid_workbench.{name}" not in loaded
 
 
@@ -317,6 +320,26 @@ def test_tutte_cache_rejects_bad_entries(tmp_path, bad_entry):
     assert {f: f.read_text() for f in files} == good
 
 
+def test_tutte_cache_files_hold_the_json_of_each_entry(tmp_path):
+    """A cold run writes one file per expanded core, named by the sha256 of
+    its memo key and holding exactly json.dumps of the polynomial's JSON."""
+    from matroid_workbench import tutte_dc
+
+    class Recording(cli.FileTutteCache):
+        def put(self, key, poly):
+            super().put(key, poly)
+            written[key] = poly
+
+    written = {}
+    k5 = from_graph([(a, b) for a in range(5) for b in range(a + 1, 5)])
+    tutte_dc(k5, Recording(str(tmp_path)))
+    assert written and sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        hashlib.sha256(key).hexdigest() + ".json" for key in written)
+    for key, poly in written.items():
+        path = tmp_path / (hashlib.sha256(key).hexdigest() + ".json")
+        assert path.read_bytes() == json.dumps(poly.to_json()).encode()
+
+
 def test_warm_cache_check_counts_bases_without_enumerating(tmp_path, monkeypatch):
     """A disk hit checks T(1,1) against a basis count that a graph (by the
     matrix-tree theorem), a uniform matroid and a basis list give without
@@ -355,7 +378,7 @@ def _one_set_short_in_degree_3(nbc_sets):
 
 
 def _plus(one):
-    return lambda f: lambda *args: f(*args) + one
+    return lambda f: lambda *args, **kwargs: f(*args, **kwargs) + one
 
 
 K4 = {"type": "graphic", "edges": [[a, b] for a in range(4) for b in range(a + 1, 4)]}
@@ -373,8 +396,10 @@ K4 = {"type": "graphic", "edges": [[a, b] for a in range(4) for b in range(a + 1
          _one_set_short_in_degree_3, "nbc sets != Whitney number"),
         (["hlv"], tutte, "h_from_tutte", _plus(BivariatePoly.monomial(0, 0)), "routes disagree"),
         (["charpoly"], tutte, "char_poly", _plus(UnivariatePoly.monomial(0)), "chi(1) = 1"),
+        # x - y keeps T(1, 1), T(2, 2) and the degree bounds
+        (["tutte"], tutte, "tutte_dc", _plus(BivariatePoly({(1, 0): 1, (0, 1): -1})), "Greene"),
     ],
-    ids=["os-dims", "os-basis", "reduced-os-basis", "hlv", "charpoly"],
+    ids=["os-dims", "os-basis", "reduced-os-basis", "hlv", "charpoly", "tutte"],
 )
 def test_injected_fault_exits_4(args, module, name, spoil, message, monkeypatch, capsys):
     """One wrong inner value stops each command before output: exit code 4,

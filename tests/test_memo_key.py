@@ -1,18 +1,20 @@
 """Matroid.memo_key(), the deletion-contraction memo key.
 
-The key is built from each backing's own data (uniform rank, relabelled
-edge list, RREF rows in their normal form under row and column scaling)
-and only has to be sound: equal keys must mean equal labeled
-matroids, and keys of different kinds must never meet. Generated matrices
-over GF(2), GF(3), GF(5), GF(7) and Q, multigraphs with loops, parallel
-edges and string vertices, and their minors check that, and that
-deletion-contraction on them agrees with the corank-nullity sum. A linear
-key must not change under row operations and column scaling.
+The key is built from each backing's own data (uniform rank, the canonical
+edge list of a multigraph, RREF rows in their normal form under row and
+column scaling) and only has to be sound: equal keys must mean equal
+labeled matroids, or for graphs isomorphic ones, and keys of different
+kinds must never meet. Generated matrices over GF(2), GF(3), GF(5), GF(7)
+and Q, multigraphs with loops, parallel edges and string vertices, and
+their minors check that, and that deletion-contraction on them agrees with
+the corank-nullity sum. A linear key must not change under row operations
+and column scaling, and a graphic key not under renaming vertices and
+reordering edges.
 """
 import hashlib
 import time
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +33,14 @@ from matroid_workbench import (
     uniform,
 )
 
-from helpers import rref_dual, rref_memo_key, rref_minor, rref_minor_rows
+from helpers import (
+    brute_isomorphism,
+    labeled_graph_dc,
+    rref_dual,
+    rref_memo_key,
+    rref_minor,
+    rref_minor_rows,
+)
 
 
 def key_kind(M):
@@ -102,9 +111,14 @@ def matroid_families(draw):
 @settings(max_examples=150, deadline=None)
 @given(matroid_families())
 def test_equal_memo_keys_mean_equal_matroids(family):
+    """Equal keys mean equal labeled matroids, except that a graph's key
+    forgets its labels: equal graphic keys mean isomorphic matroids."""
     for A, B in combinations(family, 2):
         if A.memo_key() == B.memo_key():
-            assert A.canonical_key() == B.canonical_key(), (A, B)
+            if key_kind(A) == "graphic":
+                assert brute_isomorphism(A, B) is not None, (A, B)
+            else:
+                assert A.canonical_key() == B.canonical_key(), (A, B)
 
 
 @settings(max_examples=150, deadline=None)
@@ -139,7 +153,7 @@ def test_one_matroid_in_every_backing_gets_distinct_keys():
     keys = [M.memo_key() for M in presentations]
     assert len(set(keys)) == len(keys)
     assert keys[-1] == presentations[-1].canonical_key()
-    assert [k[:6] for k in keys[:4]] == [b"mw2:u:", b"mw3:l:", b"mw3:l:", b"mw2:g:"]
+    assert [k[:6] for k in keys[:4]] == [b"mw2:u:", b"mw3:l:", b"mw3:l:", b"mw3:g:"]
 
 
 def test_graph_key_ignores_vertex_names():
@@ -311,7 +325,9 @@ def test_gfp_dc_expands_each_scaling_class_once():
 # sha256 over the memo keys of every corpus matroid, its dual, and its minor
 # that deletes the first element and contracts the last; `--cache` file
 # names are the sha256 of these keys, so a change here makes caches cold
-CORPUS_KEY_DIGEST = "1807a57910fee6d60ca8336cf1715a346aaf17439ef9e9bb31d43dc85809427e"
+# (graphic keys went to "mw3:g:" canonical edge lists; the other 40 keys
+# stayed byte for byte)
+CORPUS_KEY_DIGEST = "f61ab58f5b91e5eb402349d78ca993ce4df67ffcd0dc25cf07a41abf16af6bd0"
 
 
 def test_corpus_memo_keys_are_frozen():
@@ -321,3 +337,125 @@ def test_corpus_memo_keys_are_frozen():
         for N in (M, M.dual(), M.minor(deleted={M.elements[0]}, contracted={M.elements[-1]})):
             digest.update(N.memo_key() + b"\n")
     assert digest.hexdigest() == CORPUS_KEY_DIGEST
+
+
+# -------------------------------------------------------------- graphic keys
+
+
+names = st.sampled_from([0, 1, 2, 3, 4, "0", "a", "b", "x", "y"])
+
+
+@st.composite
+def renamed_graphs(draw):
+    """A multigraph (loops, parallel edges, vertices named by ints and
+    strings) and the same graph with its vertices renamed injectively, its
+    edges in a drawn order and each edge's ends drawn either way round."""
+    edges = draw(st.lists(st.tuples(names, names), min_size=1, max_size=16))
+    vertices = sorted({v for e in edges for v in e}, key=repr)
+    image = draw(st.lists(names, min_size=len(vertices), max_size=len(vertices), unique=True))
+    rename = dict(zip(vertices, image))
+    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    moved = [(rename[v], rename[u]) if flip else (rename[u], rename[v]) for (u, v), flip in zip(edges, flips)]
+    return edges, draw(st.permutations(moved))
+
+
+@settings(max_examples=300, deadline=None)
+@given(renamed_graphs())
+def test_graph_keys_ignore_vertex_names_and_edge_order(pair):
+    a, b = (from_graph(edges) for edges in pair)
+    assert a.memo_key() == b.memo_key(), pair
+
+
+def test_graph_keys_take_the_least_leaf():
+    """A graph whose search tree has leaves that no automorphism relates,
+    so a key read off the first leaf would depend on the order in which
+    the vertices first appear."""
+    edges = [(0, 3), (1, 4), (5, 6), (2, 1), (3, 6), (1, 6), (3, 4), (2, 0), (0, 6), (2, 3), (4, 6)]
+    key = from_graph(edges).memo_key()
+    for k in range(len(edges)):
+        for order in (edges[k:] + edges[:k], edges[k::-1] + edges[:k:-1]):
+            assert from_graph(order).memo_key() == key, order
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=7), min_size=2, max_size=6))
+def test_equal_graph_keys_mean_isomorphic_matroids(graphs):
+    """Graphs of up to 7 edges (on vertices 0..3, "a", "b") with equal keys
+    are isomorphic matroids: some bijection of the edges maps bases onto
+    bases. Small random graphs meet equal keys often."""
+    ms = [from_graph(g) for g in graphs]
+    for A, B in combinations(ms, 2):
+        if A.memo_key() == B.memo_key():
+            assert brute_isomorphism(A, B) is not None, (A, B)
+
+
+def test_graph_keys_tell_apart_graphs_that_refinement_does_not():
+    """Colour refinement alone cannot split a regular graph's vertices;
+    the keys still separate two triangles from a hexagon, and the prism
+    from K3,3, and still merge every drawing of each."""
+    two_triangles = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
+    hexagon = [(i, (i + 1) % 6) for i in range(6)]
+    prism = two_triangles + [(0, 3), (1, 4), (2, 5)]
+    k33 = [(a, b) for a in range(3) for b in range(3, 6)]
+    keys = [from_graph(g).memo_key() for g in (two_triangles, hexagon, prism, k33)]
+    assert len(set(keys)) == 4
+    swap = {0: 3, 1: 5, 2: 1, 3: 0, 4: 4, 5: 2}
+    for g, key in zip((two_triangles, hexagon, prism, k33), keys):
+        assert from_graph([(swap[u], swap[v]) for u, v in reversed(g)]).memo_key() == key
+
+
+def test_graphic_dc_expands_each_isomorphism_class_once():
+    """M(K7) expands 111 cores and M(K8) 233 (884 and 4,434 under labeled
+    keys); one node less raises TooLarge."""
+    for n, cores in ((7, 111), (8, 233)):
+        M = from_graph(list(combinations(range(n), 2)))
+        t = tutte_dc(M, max_nodes=cores)
+        assert t.evaluate(1, 1) == n ** (n - 2)  # Cayley
+        with pytest.raises(TooLarge):
+            tutte_dc(M, max_nodes=cores - 1)
+
+
+PETERSEN = [(0, 1), (0, 4), (0, 5), (1, 2), (1, 6), (2, 3), (2, 7), (3, 4), (3, 8), (4, 9),
+            (5, 7), (5, 8), (6, 8), (6, 9), (7, 9)]
+
+
+def grid(k):
+    """The k x k grid, edges from each vertex in lexicographic order."""
+    return [((i, j), w) for i in range(k) for j in range(k)
+            for w in ((i + 1, j), (i, j + 1)) if max(w) < k]
+
+
+def cube():
+    """Q3 on 0/1 triples, edges from each vertex in lexicographic order."""
+    vs = list(product((0, 1), repeat=3))
+    return [(v, v[:a] + (1,) + v[a + 1:]) for v in vs for a in range(3) if not v[a]]
+
+
+SYMMETRIC = {
+    "petersen": PETERSEN,
+    "q3": cube(),
+    "k4,4": [(a, b) for a in range(4) for b in range(4, 8)],
+    "w9": [(0, i) for i in range(1, 9)] + sorted((min(i, i % 8 + 1), max(i, i % 8 + 1)) for i in range(1, 9)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRIC))
+def test_dc_matches_subset_sum_on_symmetric_graphs(name):
+    """Sparse graphs with large automorphism groups, where the canonical
+    form branches most: the Petersen graph, the cube Q3, K4,4 and the
+    wheel W9 (a hub on an 8-cycle)."""
+    M = from_graph(SYMMETRIC[name])
+    assert tutte_dc(M) == tutte_sum(M)
+
+
+def test_dc_on_the_4x4_grid_matches_labeled_keys():
+    """The 4 x 4 grid has 24 edges, so its subset sum walks millions of
+    subsets; deletion-contraction under labeled keys is the oracle. It
+    expands 120 cores (193 under labeled keys), has 100,352 spanning trees,
+    and T(2, 2) = 2^24."""
+    M = from_graph(grid(4))
+    t = tutte_dc(M, max_nodes=120)
+    assert t == labeled_graph_dc(M)
+    assert (t.evaluate(1, 1), t.evaluate(2, 2)) == (100_352, 2**24)
+    with pytest.raises(TooLarge):
+        tutte_dc(M, max_nodes=119)

@@ -176,3 +176,59 @@ def test_classes_never_mix(terms):
     with pytest.raises(TypeError):
         u * b
 
+
+
+def _all_ints(p):
+    return all(type(x) is int for (i, j), c in p._terms.items() for x in (i, j, c))
+
+
+@settings(deadline=None)
+@given(
+    st.one_of(st.fractions(), st.integers(), st.floats(-1e6, 1e6),  # floats whose products stay exact
+              st.sampled_from([float("nan"), float("inf"), "3"])),
+    st.integers(0, 4),
+    st.integers(0, 4),
+)
+def test_non_integral_values_are_refused_not_truncated(c, i, j):
+    """Constructors and scale() store a coefficient or exponent that equals
+    an integer (an integral Fraction or float) as that int, and refuse any
+    other value (a fraction, nan, inf, a string) instead of
+    truncating or parsing it."""
+    try:
+        n = int(c) if not isinstance(c, str) else None
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is not None and n == c:
+        made = [(BivariatePoly({(i, j): c}), BivariatePoly({(i, j): n})),
+                (UnivariatePoly({i: c}), UnivariatePoly({i: n})),
+                (BivariatePoly({(i, j): 3}).scale(c), BivariatePoly({(i, j): 3 * n}))]
+        if n >= 0:
+            made += [(BivariatePoly({(c, j): 1}), BivariatePoly({(n, j): 1})),
+                     (UnivariatePoly({c: 1}), UnivariatePoly({n: 1}))]
+        for got, want in made:
+            assert got == want and _all_ints(got)
+        return
+    for make in (lambda: BivariatePoly({(i, j): c}), lambda: UnivariatePoly({i: c}),
+                 lambda: BivariatePoly({(i, j): 1}).scale(c), lambda: UnivariatePoly({i: 1}).scale(c),
+                 lambda: BivariatePoly({(c, j): 1}), lambda: UnivariatePoly({c: 1})):
+        with pytest.raises(InvalidInput):
+            make()
+
+
+def test_scale_by_a_half_no_longer_truncates():
+    with pytest.raises(InvalidInput):
+        BivariatePoly({(0, 0): 3}).scale(Fraction(1, 2))
+    assert BivariatePoly({(0, 0): 4}).scale(Fraction(1, 2)) == BivariatePoly({(0, 0): 2})
+    with pytest.raises(InvalidInput):
+        BivariatePoly({(1.5, 0): 2})
+    with pytest.raises(InvalidInput):
+        UnivariatePoly({2: Fraction(7, 2)})
+
+
+@settings(deadline=None)
+@given(BIVARIATE, st.integers(-4, 4), st.integers(-4, 4))
+def test_evaluate_at_ints_is_the_exact_int(p, x, y):
+    """At ints the value is an int, equal to the value at the same points
+    as Fractions."""
+    got = p.evaluate(x, y)
+    assert type(got) is int and got == p.evaluate(Fraction(x), Fraction(y))

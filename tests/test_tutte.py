@@ -1,7 +1,12 @@
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matroid_workbench import (
     BivariatePoly,
+    InternalInvariantViolation,
     TooLarge,
     char_poly,
     from_graph,
@@ -13,7 +18,9 @@ from matroid_workbench import (
     tutte_sum,
     uniform,
 )
-from matroid_workbench.tutte import TutteCache
+from matroid_workbench import tutte
+from matroid_workbench.graphs import cut_weights
+from matroid_workbench.tutte import TutteCache, check_tutte
 
 from helpers import (
     brute_dual_h,
@@ -287,3 +294,76 @@ def test_h_matrix_shape_and_values(corpus_by_name):
         h = h_polynomial(N)
         total = sum(c for _, c in h.terms())
         assert sum(map(sum, mat)) == total == 2**N.size, name
+
+
+# ------------------------------------------------------ check before output
+
+vertex = st.sampled_from([0, 1, 2, 3, "a", "b"])
+multigraphs = st.lists(st.tuples(vertex, vertex), min_size=1, max_size=9)
+
+
+def brute_cut_weights(edges):
+    """Weights of the distinct cuts over every split of the vertices."""
+    vertices = sorted({v for e in edges for v in e}, key=repr)
+    cuts = {frozenset(k for k, (u, v) in enumerate(edges) if (u in side) != (v in side))
+            for side in map(set, powerset(vertices))}
+    counts = [0] * (len(edges) + 1)
+    for cut in cuts:
+        counts[len(cut)] += 1
+    return counts
+
+
+@settings(max_examples=150, deadline=None)
+@given(multigraphs)
+def test_cut_weights_match_every_split_of_the_vertices(edges):
+    """Loops, parallel edges and several components: the Gray-code walk
+    meets each of the 2^r cuts once."""
+    counts = cut_weights(edges)
+    assert counts == brute_cut_weights(edges)
+    assert sum(counts) == 2 ** from_graph(edges).r
+
+
+@settings(max_examples=100, deadline=None)
+@given(multigraphs)
+def test_check_passes_the_tutte_polynomial_and_catches_any_one_wrong_coefficient(edges):
+    """T passes. Any one coefficient one off fails (T(2, 2) sees it), and
+    so does trading x^i y^j against two of the term below it, which keeps
+    T(2, 2) and the degrees: only Greene's identity sees that."""
+    M = from_graph(edges)
+    t = tutte_sum(M)
+    check_tutte(M, t)
+    for i in range(M.r + 1):
+        for j in range(M.corank + 1):
+            for d in (1, -1):
+                with pytest.raises(InternalInvariantViolation):
+                    check_tutte(M, t + BivariatePoly({(i, j): d}))
+                if i or j:
+                    below = (i - 1, j) if i else (i, j - 1)
+                    with pytest.raises(InternalInvariantViolation, match="Greene"):
+                        check_tutte(M, t + BivariatePoly({(i, j): d, below: -2 * d}))
+
+
+def test_check_above_the_rank_limit_counts_spanning_forests(monkeypatch):
+    """Above GREENE_RANK_LIMIT a graph's T(1, 1) is held to Kirchhoff's
+    count, and x - y, which keeps T(1, 1), T(2, 2) and the degrees, passes;
+    below it Greene's identity catches x - y."""
+    M = from_graph(list(combinations(range(5), 2)))
+    t = tutte_dc(M)
+    shifted = t + BivariatePoly({(1, 0): 1, (0, 1): -1})
+    with pytest.raises(InternalInvariantViolation, match="Greene"):
+        check_tutte(M, shifted)
+    monkeypatch.setattr(tutte, "GREENE_RANK_LIMIT", M.r - 1)
+    check_tutte(M, t)
+    check_tutte(M, shifted)
+    with pytest.raises(InternalInvariantViolation, match="spanning forest"):
+        check_tutte(M, t + BivariatePoly({(1, 0): 1, (0, 0): -2}))  # keeps T(2, 2)
+
+
+def test_check_on_other_matroids_reads_degrees_and_t22():
+    U = uniform(2, 4)
+    t = tutte_dc(U)
+    check_tutte(U, t + BivariatePoly({(1, 0): 1, (0, 1): -1}))  # no cut space to read
+    with pytest.raises(InternalInvariantViolation, match="T\\(2,2\\)"):
+        check_tutte(U, t + BivariatePoly({(0, 0): 1}))
+    with pytest.raises(InternalInvariantViolation, match="degrees"):
+        check_tutte(U, t + BivariatePoly({(3, 0): 1, (0, 0): -8}))
