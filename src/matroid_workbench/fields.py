@@ -142,15 +142,15 @@ class PrimeField:
 
 QQ = RationalField()
 
-# 20 digits reach past 2^64, so int() never sees a longer string
-_GF_RE = re.compile(r"^GF\((\d{1,20})\)$")
+# ASCII only: \d would take other scripts' digits ("GF(\u0667)" as GF(7)). 20
+# digits reach past 2^64, so int() never sees a longer string.
+_FIELD_RE = re.compile(r"Q|GF\(([0-9]{1,20})\)")
 
 
 def field_from_name(name: str):
-    """Parse 'Q' or 'GF(p)' into a field object."""
-    if name == "Q":
-        return QQ
-    m = _GF_RE.match(name.strip()) if isinstance(name, str) else None
+    """Parse 'Q' or 'GF(p)' into a field object; surrounding ASCII
+    whitespace is ignored for both."""
+    m = _FIELD_RE.fullmatch(name.strip(" \t\n\r\f\v")) if isinstance(name, str) else None
     if m:
-        return PrimeField(int(m.group(1)))
+        return QQ if m.group(1) is None else PrimeField(int(m.group(1)))
     raise InvalidField(f"unknown field {quote(name)} (expected 'Q' or 'GF(p)', p < 2^64)")

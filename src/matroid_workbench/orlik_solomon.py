@@ -4,46 +4,31 @@ The algebra is the exterior algebra on e_0..e_(n-1) modulo the ideal
 generated by the boundaries d e_S of dependent sets S, where d is the
 Koszul boundary d e_S = sum_i (-1)^i e_(S minus its (i+1)-th largest
 element). Over Z it is free on the nbc monomials: the sets containing no
-broken circuit C - min C (Bjorner 1982; Orlik-Terao 3.5).
-
-Normal forms come from straightening over Z. A dependent monomial is 0; a
-monomial containing a broken circuit is rewritten with the boundary
-relation of that circuit into lexicographically smaller monomials; an nbc
-monomial stays. The integer coefficients are memoized per matroid and
-mapped into the field only at the end, which the freeness over Z makes
-valid, so Q and every GF(p) share one code path and one set of dimensions.
+broken circuit C - min C (Bjorner 1982; Orlik-Terao 3.5). The nbc sets,
+and normal forms by straightening over Z, come from push/pop walks on the
+rank oracle, with no list of circuits. The integer coefficients are mapped
+into the field only at the end, which the freeness over Z makes valid, so
+Q and every GF(p) share one code path and one set of dimensions.
 
 Cross-checks: in each degree the nbc count must equal the Whitney number
-from the characteristic polynomial of the corank-nullity sum, and each
-reduced-basis product must carry a unit at its own index set and zeros at
-the other nbc monomials avoiding 0.
+of the characteristic polynomial, and the reduced basis must carry an
+identity minor on the nbc monomials avoiding 0.
 """
 from __future__ import annotations
 
-import itertools
-
 from . import tutte
-from .errors import InternalInvariantViolation, InvalidInput, LooplessRequired
+from .errors import InternalInvariantViolation, InvalidInput, LooplessRequired, TooLarge
 from .fields import QQ
-from .matroids import Matroid
+from .matroids import SUBSET_SUM_LIMIT, Matroid
 
-
-def _merge_sign(a, b):
-    """Merge two sorted tuples; (merged, sign of the shuffle), or None when
-    they intersect. The sign is the parity of the pairs x in a, y in b with
-    x > y."""
-    if not set(a).isdisjoint(b):
-        return None
-    inversions = sum(x > y for x in a for y in b)
-    return tuple(sorted(a + b)), -1 if inversions % 2 else 1
+NBC_BUDGET = 1 << 20  # sets one nbc walk may visit: every subset of 20 elements
 
 
 class ExteriorElement:
     """Homogeneous element of the exterior algebra on e_0..e_(n-1).
 
-    Terms map sorted index tuples to nonzero field scalars; the constructor
-    drops zero coefficients. The degree is carried explicitly so the zero
-    element of each degree is distinct.
+    Terms map sorted index tuples to nonzero field scalars (zeros are
+    dropped); the explicit degree tells apart the zeros of each degree.
     """
 
     __slots__ = ("field", "degree", "terms")
@@ -83,39 +68,29 @@ class ExteriorElement:
         return self + other.scale(self.field.neg(self.field.one))
 
     def scale(self, c):
-        c = self.field.of(c)
-        return ExteriorElement(
-            self.field, self.degree, {k: self.field.mul(c, v) for k, v in self.terms.items()}
-        )
+        c, f = self.field.of(c), self.field
+        return ExteriorElement(f, self.degree, {k: f.mul(c, v) for k, v in self.terms.items()})
 
     def wedge(self, other):
-        f = self.field
-        t = {}
+        """e_A ^ e_B = (-1)^#{x in A, y in B: x > y} e_(A + B)."""
+        f, t = self.field, {}
         for ka, ca in self.terms.items():
             for kb, cb in other.terms.items():
-                merged = _merge_sign(ka, kb)
-                if merged is None:
-                    continue
-                key, sign = merged
-                c = f.mul(ca, cb)
-                t[key] = f.add(t.get(key, f.zero), c if sign > 0 else f.neg(c))
+                if set(ka).isdisjoint(kb):
+                    key, c = tuple(sorted(ka + kb)), f.mul(ca, cb)
+                    if sum(x > y for x in ka for y in kb) % 2:
+                        c = f.neg(c)
+                    t[key] = f.add(t.get(key, f.zero), c)
         return ExteriorElement(f, self.degree + other.degree, t)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, ExteriorElement)
-            and self.degree == other.degree
-            and self.terms == other.terms
-        )
+        same = isinstance(other, ExteriorElement)
+        return same and (self.degree, self.terms) == (other.degree, other.terms)
 
     def __repr__(self):
-        if not self.terms:
-            return f"0_deg{self.degree}"
-        bits = []
-        for key in sorted(self.terms):
-            mono = "^".join(f"e{i}" for i in key) if key else "1"
-            bits.append(f"({self.field.to_str(self.terms[key])})*{mono}")
-        return " + ".join(bits)
+        bits = [f"({self.field.to_str(self.terms[key])})*" + ("^".join(f"e{i}" for i in key) or "1")
+                for key in sorted(self.terms)]
+        return " + ".join(bits) or f"0_deg{self.degree}"
 
 
 def koszul_boundary(subset, field=QQ):
@@ -123,12 +98,8 @@ def koszul_boundary(subset, field=QQ):
     s = tuple(sorted(subset))
     if len(set(s)) != len(s):
         raise InvalidInput("boundary of a tuple with repeats")
-    k = len(s)
-    terms = {}
-    for i in range(k):
-        dropped = k - 1 - i  # position of the (i+1)-th largest
-        key = s[:dropped] + s[dropped + 1:]
-        terms[key] = field.one if i % 2 == 0 else field.neg(field.one)
+    k, one = len(s), field.one  # s[j] is the (k - j)-th largest
+    terms = {s[:j] + s[j + 1:]: field.neg(one) if (k - 1 - j) % 2 else one for j in range(k)}
     return ExteriorElement(field, k - 1, terms)
 
 
@@ -146,26 +117,40 @@ def broken_circuits(M: Matroid):
 def nbc_sets(M: Matroid, k):
     """k-subsets of the ground set containing no broken circuit, lex order.
 
-    Such sets are automatically independent: a dependent set contains a
-    circuit, hence that circuit's broken circuit.
+    S is nbc iff it is independent and no e outside S lies in cl(S_{>e})
+    (Bjorner 1992). A depth-first walk on M.incremental_rank() builds S in
+    descending order, extends it below min S by each element up to the
+    first in cl(S), and keeps a k-set when no element below its minimum
+    lies in cl(S). It visits only independent sets, at most NBC_BUDGET.
     """
     if k < 0 or k > M.size:
         raise InvalidInput(f"degree {k} out of range 0..{M.size}")
-    bcs = [frozenset(b) for b in broken_circuits(M)]
-    out = []
-    for s in itertools.combinations(M.elements, k):
-        ss = frozenset(s)
-        if not any(b <= ss for b in bcs):
-            out.append(s)
-    return out
+    _require_loopless(M)
+    elems, steps, out, visited = M.elements, M.incremental_rank(), [], 0
+
+    def walk(top, S):
+        nonlocal visited
+        visited += 1
+        if visited > NBC_BUDGET:
+            raise TooLarge(f"nbc walk over more than {NBC_BUDGET} independent sets (the budget)")
+        for i in range(top - 1, max(k - len(S) - 1, 0) - 1, -1):
+            spans = not steps.push(elems[i])
+            if not spans and len(S) < k:
+                walk(i, S + (elems[i],))
+            steps.pop()
+            if spans:
+                return
+        if len(S) == k:
+            out.append(S[::-1])
+
+    if k <= M.r:
+        walk(M.size, ())
+    return sorted(out)
 
 
 class OSSpace:
-    """Degree-k piece of the Orlik-Solomon algebra.
-
-    `nbc` lists the monomial basis; `reduce` rewrites any degree-k element
-    as its normal form on that basis.
-    """
+    """Degree-k piece of the Orlik-Solomon algebra: the monomial basis `nbc`
+    and `reduce`, the normal form of any degree-k element on it."""
 
     def __init__(self, matroid, k, field, nbc):
         self.matroid = matroid
@@ -175,14 +160,12 @@ class OSSpace:
         self.dimension = len(nbc)
 
     def reduce(self, x: ExteriorElement) -> ExteriorElement:
-        """Normal form of x on the nbc basis (a representative, not a coset)."""
+        """Normal form of x on the nbc basis."""
         if x.degree != self.degree:
             raise InvalidInput(f"element degree {x.degree} != space degree {self.degree}")
         if x.field != self.field:
             raise InvalidInput(f"element over {x.field} read in a space over {self.field}")
-        f = self.field
-        straighten = _straightener(self.matroid)
-        terms = {}
+        f, straighten, terms = self.field, _straightener(self.matroid), {}
         for key, c in x.terms.items():
             for s, n in straighten(key).items():
                 terms[s] = f.add(terms.get(s, f.zero), f.mul(c, f.of(n)))
@@ -197,38 +180,44 @@ class OSSpace:
 def _straightener(M):
     """Memoized integer normal forms on M: sorted S -> {nbc subset: int}.
 
-    A dependent e_S is 0. If S holds the broken circuit B = C - c0 of the
-    first circuit C (in M.circuits() order) with c0 = min C, then c0 is not
-    in S (S would be dependent), and the boundary relation of C, wedged
-    with e_(S - B), gives e_S as the sum over b in B of
-    (-1)^(pos of b in S + pos of c0 in T) e_T with T = (S - b) + c0.
-    Each T is lexicographically smaller than S, so the recursion ends. A set
-    with no broken circuit is nbc and its own normal form.
+    One pass down the ground set pushes S and finds the largest e outside S
+    in cl(S_{>e}). A dependent e_S is 0, and an independent S with no such e
+    is nbc. Otherwise the boundary relation of the dependent set S_{>e} + e,
+    wedged with the rest of S, gives e_S as the sum over b in S_{>e} of
+    (-1)^(pos of b in S + pos of e in T) e_T, T = (S - b) + e, each T
+    lexicographically smaller than S. Normal forms over Z are unique, so any
+    such relation gives the same one.
     """
-    straighten = getattr(M, "_os_straighten", None)
-    if straighten is not None:
-        return straighten
-    rules = [(c[0], c[1:], frozenset(c[1:])) for c in M.circuits()]
-    memo = {}
+    if "_os_straighten" in vars(M):
+        return M._os_straighten
+    down, steps, memo = M.elements[::-1], M.incremental_rank(), {}
 
     def straighten(S):
-        out = memo.get(S)
-        if out is not None:
-            return out
-        out = {}
-        if M.rank(S) == len(S):
-            ss = frozenset(S)
-            rule = next((r for r in rules if r[2] <= ss), None)
-            if rule is None:
-                out[S] = 1
-            else:
-                c0, broken, _ = rule
-                for b in broken:
-                    T = tuple(sorted((ss - {b}) | {c0}))
-                    sign = -1 if (S.index(b) + T.index(c0)) % 2 else 1
-                    for u, n in straighten(T).items():
-                        out[u] = out.get(u, 0) + sign * n
-                out = {u: n for u, n in out.items() if n}
+        if S in memo:
+            return memo[S]
+        out, ss, rule, depth = {}, frozenset(S), None, 0
+        for x in down:
+            if x in ss:
+                depth += 1
+                if not steps.push(x):
+                    rule = False  # S is dependent
+                    break
+            elif rule is None:
+                if not steps.push(x):
+                    rule = x, S[len(S) - depth:]
+                steps.pop()
+        for _ in range(depth):
+            steps.pop()
+        if rule is None:
+            out[S] = 1
+        elif rule:
+            e, above = rule
+            for b in above:
+                T = tuple(sorted((ss - {b}) | {e}))
+                sign = -1 if (S.index(b) + T.index(e)) % 2 else 1
+                for u, n in straighten(T).items():
+                    out[u] = out.get(u, 0) + sign * n
+            out = {u: n for u, n in out.items() if n}
         memo[S] = out
         return out
 
@@ -237,32 +226,25 @@ def _straightener(M):
 
 
 def _whitney_numbers(M):
-    """[|coefficient of u^(r-k)| in chi_M for k = 0..#E], from tutte_sum."""
-    w = getattr(M, "_os_whitney", None)
-    if w is None:
-        chi = tutte.char_poly(M)
-        w = M._os_whitney = [abs(chi.coeff(M.r - k)) for k in range(M.size + 1)]
-    return w
+    """[|coefficient of u^(r-k)| in chi_M for k = 0..#E], by tutte_sum, or
+    by tutte_dc above SUBSET_SUM_LIMIT elements."""
+    if "_os_whitney" not in vars(M):
+        chi = tutte.char_poly(M, tutte.tutte_dc(M) if M.size > SUBSET_SUM_LIMIT else None)
+        M._os_whitney = [abs(chi.coeff(M.r - k)) for k in range(M.size + 1)]
+    return M._os_whitney
 
 
 def os_space(M: Matroid, k, field=QQ) -> OSSpace:
-    """The degree-k Orlik-Solomon space over `field`.
-
-    Its dimension is the nbc count, which must equal the k-th Whitney
-    number |chi_M coefficient of u^(r-k)| (0 above the rank); a mismatch is
-    an internal bug, not an input condition.
-    """
-    cache = getattr(M, "_os_nbc", None)
-    if cache is None:
-        cache = M._os_nbc = {}
+    """The degree-k Orlik-Solomon space over `field`. Its dimension, the
+    nbc count, must equal the k-th Whitney number |chi_M coefficient of
+    u^(r-k)|; a mismatch is a bug in this package."""
+    cache = vars(M).setdefault("_os_nbc", {})
     nbc = cache.get(k)
     if nbc is None:  # the nbc sets and their check do not depend on the field
         nbc = nbc_sets(M, k)
         expected = _whitney_numbers(M)[k]
         if len(nbc) != expected:
-            raise InternalInvariantViolation(
-                f"degree {k}: {len(nbc)} nbc sets != Whitney number {expected}"
-            )
+            raise InternalInvariantViolation(f"degree {k}: {len(nbc)} nbc sets != Whitney number {expected}")
         cache[k] = nbc
     return OSSpace(M, k, field, nbc)
 
@@ -273,11 +255,8 @@ def os_dimensions(M: Matroid, field=QQ):
 
 
 def normal_form(M: Matroid, x: ExteriorElement):
-    """Coordinates of x on the degree-matching nbc basis over x's field.
-
-    Idempotent in the sense that an nbc monomial maps to a unit vector.
-    The reduced element itself is available as os_space(...).reduce(x).
-    """
+    """Coordinates of x on the degree-matching nbc basis over x's field; an
+    nbc monomial maps to a unit vector."""
     return os_space(M, x.degree, x.field).coordinates(x)
 
 
@@ -286,8 +265,8 @@ def os_multiply(M: Matroid, a: ExteriorElement, b: ExteriorElement) -> ExteriorE
     if a.field != b.field:
         raise InvalidInput("operands live over different fields")
     w = a.wedge(b)
-    if w.degree > M.size:
-        return ExteriorElement(a.field, w.degree, {})
+    if w.degree > M.size:  # no monomial has more than #E factors, so w is 0
+        return w
     return os_space(M, w.degree, a.field).reduce(w)
 
 
@@ -295,11 +274,8 @@ def os_multiply(M: Matroid, a: ExteriorElement, b: ExteriorElement) -> ExteriorE
 
 
 def reduced_nbc_index_sets(M: Matroid, k):
-    """k-subsets S avoiding 0 with S + {0} an nbc set, lex order.
-
-    The nbc sets come from os_space, so their count has passed the
-    degree-(k+1) Whitney check.
-    """
+    """k-subsets S avoiding 0 with S + {0} an nbc set, lex order; os_space
+    has held their count to the degree-(k+1) Whitney check."""
     if k < 0 or k + 1 > M.size:
         raise InvalidInput(f"reduced degree {k} out of range")
     if 0 not in M.elements:
@@ -319,20 +295,18 @@ class ReducedOSBasis:
 def reduced_nbc_basis(M: Matroid, k, field=QQ) -> ReducedOSBasis:
     """Monomials prod_{s in S} (e_s - e_0) for S in reduced_nbc_index_sets.
 
-    Every term of such a product is a subset of the nbc set S + {0}, so the
-    product is already in normal form. Its coordinates must be 1 at S and 0
-    at every other nbc monomial avoiding 0: that identity minor certifies
-    that the monomials are independent, and it is checked here rather than
-    assumed.
+    As e_0 ^ e_0 = 0, the product of S = (s_0 < ... < s_(k-1)) is e_S plus
+    (-1)^(j+1) e_(S - s_j + 0) for each j. Every term is a subset of the nbc
+    set S + {0}, so it is in normal form. Its coordinates must be 1 at S and
+    0 at every other nbc monomial avoiding 0: that identity minor, checked
+    here, proves the monomials independent.
     """
     idx = reduced_nbc_index_sets(M, k)
     space = os_space(M, k, field)
-    e0 = ExteriorElement.monomial(field, (0,))
-    monos = []
+    one, monos = field.one, []
     for s in idx:
-        acc = ExteriorElement.scalar(field, 1)
-        for e in s:
-            acc = acc.wedge(ExteriorElement.monomial(field, (e,)) - e0)
+        terms = {(0,) + s[:j] + s[j + 1:]: one if j % 2 else field.neg(one) for j in range(k)}
+        acc = ExteriorElement(field, k, {s: one, **terms})
         away = {t: c for t, c in space.reduce(acc).terms.items() if 0 not in t}
         if away != {s: field.one}:
             raise InternalInvariantViolation(

@@ -14,6 +14,7 @@ from matroid_workbench import (
     BivariatePoly,
     ExteriorElement,
     UnivariatePoly,
+    broken_circuits,
     koszul_boundary,
 )
 from matroid_workbench.localization import FIBER_SIGN, TANGENT_SIGN
@@ -343,6 +344,14 @@ def dense_os_reducer(M, k, field, circuits_only=False):
         return ExteriorElement(field, k, terms)
 
     return sorted(s for s in cols if s not in pivot_subsets), reduce
+
+
+def circuit_nbc_sets(M, k):
+    """The k-subsets holding no broken circuit C - min C, tested against the
+    list of every circuit (read off the bases): the oracle for the walk of
+    orlik_solomon.nbc_sets on the rank oracle."""
+    bcs = [frozenset(b) for b in broken_circuits(M)]
+    return [s for s in combinations(M.elements, k) if not any(b <= frozenset(s) for b in bcs)]
 
 
 def fixed_point_pairings(M, w, a):

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import itertools
 import json
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 
 from matroid_workbench import (
     BivariatePoly,
+    Matroid,
     UnivariatePoly,
     cli,
     corpus_matroid,
@@ -93,6 +95,70 @@ def test_os_dims_gf2():
     proc = run_cli(["os-dims", "--field", "GF(2)"], stdin_obj=FANO)
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == [1, 7, 14, 8]
+
+
+def test_field_names_ignore_surrounding_ascii_whitespace():
+    """' Q' and ' GF(7)' are read alike: both as their field."""
+    for padded, plain in ((" Q", "Q"), ("Q\t", "Q"), (" GF(7)", "GF(7)"), ("GF(7)\n", "GF(7)")):
+        got = run_cli(["os-basis", "--degree", "1", "--field", padded], stdin_obj=U23)
+        want = run_cli(["os-basis", "--degree", "1", "--field", plain], stdin_obj=U23)
+        assert got.returncode == want.returncode == 0, got.stderr
+        assert got.stdout == want.stdout and f'"field":"{plain}"' in got.stdout
+
+
+def _complete_graph(n):
+    return {"type": "graphic", "edges": [list(e) for e in itertools.combinations(range(n), 2)]}
+
+
+@pytest.mark.parametrize(
+    "args, n, want",
+    [
+        (["os-dims"], 7, [1, 21, 175, 735, 1624, 1764, 720]),
+        (["os-dims"], 8, [1, 28, 322, 1960, 6769, 13132, 13068, 5040]),
+        (["os-dims", "--field", "GF(2)"], 8, [1, 28, 322, 1960, 6769, 13132, 13068, 5040]),
+        # the reduced Poincare polynomial is prod_{2<=i<7} (1 + i t): its t^3
+        # coefficient is e_3(2, 3, 4, 5, 6) = 580
+        (["reduced-os-basis", "--degree", "3"], 7, 580),
+    ],
+    ids=["os-dims-K7", "os-dims-K8", "os-dims-K8-GF2", "reduced-os-basis-K7"],
+)
+def test_braid_arrangements_are_answered(args, n, want, monkeypatch, capsys):
+    """M(K7) and M(K8), the braid arrangements A_6 and A_7, exceed the 20
+    elements that circuit enumeration allowed; their dimensions are the
+    coefficients of prod_{i<n} (1 + i t) (Arnold; Orlik-Solomon)."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(_complete_graph(n))))
+    assert cli.main(args) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out if isinstance(want, list) else out["dimension"]) == want
+
+
+@pytest.mark.parametrize(
+    "args, descriptor",
+    [
+        (["os-dims"], _complete_graph(5)),
+        (["os-dims", "--field", "GF(3)"], FANO),
+        (["os-basis", "--degree", "2"], FANO),
+        (["os-basis", "--degree", "3"], U24),
+        (["reduced-os-basis", "--degree", "2"], _complete_graph(5)),
+        (["reduced-os-basis", "--degree", "1"], {"type": "bases", "n": 4, "bases": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3]]}),
+    ],
+)
+def test_os_commands_enumerate_no_circuits(args, descriptor, monkeypatch, capsys):
+    """os-dims, os-basis and reduced-os-basis never list circuits: with
+    Matroid.circuits and broken_circuits made to raise they print the same
+    bytes as without."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(descriptor)))
+    assert cli.main(args) == 0
+    want = capsys.readouterr().out
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("circuit enumeration on the Orlik-Solomon path")
+
+    monkeypatch.setattr(Matroid, "circuits", refuse)
+    monkeypatch.setattr(orlik_solomon, "broken_circuits", refuse)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(descriptor)))
+    assert cli.main(args) == 0
+    assert capsys.readouterr().out == want
 
 
 def test_os_basis_and_reduced_basis():
@@ -190,6 +256,11 @@ def test_verify_corpus_exits_zero():
         (["tutte"], {"type": "linear", "field": "Q", "matrix": [["1e7", 2], [1, 1]]}, None, 2),
         (["tutte"], {"type": "linear", "field": "Q", "matrix": [["2E3", 2], [1, 1]]}, None, 2),
         (["tutte"], {"type": "linear", "field": "Q", "matrix": [["1e100000000", 2], [1, 1]]}, None, 2),
+        # the field grammar is ASCII: an Arabic-Indic 7, a no-break space
+        (["os-dims", "--field", "GF(\u0667)"], U23, None, 2),
+        (["os-dims", "--field", "\u00a0Q"], U23, None, 2),
+        (["os-dims", "--field", "GF(7)\u2003"], U23, None, 2),
+        (["tutte"], {"type": "linear", "field": "GF(\u0663)", "matrix": [[1, 1]]}, None, 2),
     ],
 )
 def test_exit_codes(args, stdin_obj, stdin_text, code):

@@ -81,3 +81,16 @@ def test_field_from_name():
     for bad in ("GF(4)", "GF(1)", "R", "", "gf(5", "GF(x)", "GF(561)", "GF(" + "9" * 5000 + ")"):
         with pytest.raises(InvalidField):
             field_from_name(bad)
+
+
+def test_field_names_are_ascii_and_trim_ascii_whitespace_alike():
+    """Digits of other scripts are not digits here ('GF(\u0667)' is an
+    Arabic-Indic 7), and ASCII whitespace around 'Q' is read as it is
+    around 'GF(p)'; other whitespace is not trimmed."""
+    for padded in (" Q", "Q ", "\tQ\n"):
+        assert field_from_name(padded) == QQ
+    for padded in (" GF(7)", "GF(7) ", "\tGF(7)\n"):
+        assert field_from_name(padded).p == 7
+    for bad in ("GF(\u0667)", "GF(\uff17)", "GF(1\u0663)", "\u00a0Q", "GF(7)\u2003", "QQ", "GF( 7)", "Q\x00"):
+        with pytest.raises(InvalidField):
+            field_from_name(bad)

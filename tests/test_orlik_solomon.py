@@ -1,6 +1,6 @@
 from functools import lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +15,9 @@ from matroid_workbench import (
     broken_circuits,
     char_poly,
     corpus_matroid,
+    from_bases,
     from_graph,
+    from_matrix,
     koszul_boundary,
     nbc_sets,
     normal_form,
@@ -29,7 +31,7 @@ from matroid_workbench import (
     uniform,
 )
 
-from helpers import abs_coeff_row, dense_os_reducer
+from helpers import abs_coeff_row, circuit_nbc_sets, dense_os_reducer
 
 GF2, GF3, GF5 = PrimeField(2), PrimeField(3), PrimeField(5)
 
@@ -119,6 +121,94 @@ def test_nbc_counts_match_charpoly(corpus_by_name):
         whitney = abs_coeff_row(char_poly(M))
         counts = [len(nbc_sets(M, k)) for k in range(M.r + 1)]
         assert counts == whitney, name
+
+
+def test_nbc_walk_matches_circuit_oracle_on_corpus(corpus_by_name):
+    for name in LOOPLESS_NAMES:
+        M = corpus_by_name[name]
+        for k in range(M.size + 1):
+            assert nbc_sets(M, k) == circuit_nbc_sets(M, k), (name, k)
+
+
+@st.composite
+def small_loopless_matroids(draw):
+    """A random graph, uniform matroid, GF(2), GF(3) or Q matrix, or the
+    basis list of one, as it is or as its dual or a minor (derived when the
+    backing has no native one), with its loops deleted."""
+    kind = draw(st.sampled_from(["graph", "uniform", "GF(2)", "GF(3)", "Q", "bases"]))
+    if kind == "graph":
+        vertex = st.integers(0, 4)
+        M = from_graph(draw(st.lists(st.tuples(vertex, vertex), min_size=2, max_size=8)))
+    elif kind == "uniform":
+        n = draw(st.integers(1, 7))
+        M = uniform(draw(st.integers(1, n)), n)
+    else:
+        field = "GF(3)" if kind == "bases" else kind
+        entry = st.sampled_from([0, 0, 1, -1, 2, "1/2", "-2/3"]) if kind == "Q" else st.integers(0, 2)
+        rows, cols = draw(st.integers(1, 3)), draw(st.integers(2, 7))
+        M = from_matrix(field, [draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(rows)])
+        if kind == "bases":
+            M = from_bases(M.size, M.bases())
+    if draw(st.booleans()):
+        M = M.dual()
+    if M.size and draw(st.booleans()):
+        roles = draw(st.lists(st.sampled_from("dckkk"), min_size=M.size, max_size=M.size))
+        M = M.minor(
+            deleted=[e for e, x in zip(M.elements, roles) if x == "d"],
+            contracted=[e for e, x in zip(M.elements, roles) if x == "c"],
+        )
+    return M.delete(M.loops())
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_loopless_matroids(), st.sampled_from([QQ, GF2, GF3]))
+def test_nbc_walk_and_straightening_match_circuit_and_dense_oracles(M, field):
+    """In every degree the walk's nbc sets equal the circuit-based oracle,
+    and in degrees 0..r+1 OSSpace.reduce equals dense row reduction on
+    every monomial."""
+    for k in range(M.size + 1):
+        assert nbc_sets(M, k) == circuit_nbc_sets(M, k), k
+    for k in range(min(M.r + 1, M.size) + 1):
+        survivors, dense = dense_os_reducer(M, k, field)
+        sp = os_space(M, k, field)
+        assert sp.nbc == survivors, k
+        for S in combinations(M.elements, k):
+            m = ExteriorElement.monomial(field, S)
+            assert sp.reduce(m) == dense(m), (k, S)
+
+
+def _complete_graph(n):
+    return from_graph(list(combinations(range(n), 2)))
+
+
+def _poly_coefficients(factors):
+    """Coefficients of prod (1 + a t) over the integers a, lowest first."""
+    out = [1]
+    for a in factors:
+        out = [x + a * y for x, y in zip(out + [0], [0] + out)]
+    return out
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_braid_arrangement_dimensions_are_products(n):
+    """OS(M(K_n)) has Poincare polynomial prod_{i<n} (1 + i t) (Arnold
+    1969; Orlik-Solomon 1980) over every field: M(K7) and M(K8) exceed the
+    20 elements that circuit enumeration allowed, and M(K8) the 24 of the
+    subset sum, so its Whitney check runs on deletion-contraction."""
+    M = _complete_graph(n)
+    want = _poly_coefficients(range(1, n))
+    assert sum(want) == prod(range(1, n + 1))
+    for field in (QQ, GF2, GF3, GF5):
+        assert os_dimensions(M, field) == want, field.name
+
+
+@pytest.mark.parametrize("r, n", [(1, 1), (1, 5), (2, 5), (3, 6), (4, 9), (5, 5), (3, 26)])
+def test_uniform_dimensions_are_binomials(r, n):
+    """dim OS^k(U(r, n)) = C(n, k) below the rank and C(n-1, r-1) at it,
+    over every field."""
+    want = [comb(n, k) for k in range(r)] + [comb(n - 1, r - 1)]
+    for field in (QQ, GF2, GF3, GF5):
+        assert os_dimensions(uniform(r, n), field) == want, field.name
 
 
 def test_fano_nbc_pairs(corpus_by_name):
@@ -309,8 +399,9 @@ def test_os_errors(corpus_by_name):
         os_space(loopy, 1)
     with pytest.raises(LooplessRequired):
         broken_circuits(loopy)
-    with pytest.raises(TooLarge):
-        os_space(uniform(3, 25), 12)
+    # C(23, 11) = 1,352,078 nbc sets in degree 12, more than the budget
+    with pytest.raises(TooLarge, match="budget"):
+        os_space(uniform(12, 24), 12)
 
 
 # ----------------------------------------------------------------- reduced OS
@@ -352,6 +443,22 @@ def test_fano_reduced_basis(corpus_by_name):
             prod = prod.wedge(ExteriorElement.monomial(QQ, (s,)) - e0)
         sp = os_space(F, 2)
         assert sp.reduce(prod) == sp.reduce(mono), S
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF3], ids=["Q", "GF2", "GF3"])
+def test_reduced_monomials_are_the_wedge_products(corpus_by_name, field):
+    """Each reduced monomial, written out term by term, is the product
+    (e_s1 - e_0) ^ ... ^ (e_sk - e_0) computed by wedges."""
+    e0 = ExteriorElement.monomial(field, (0,))
+    for name in ("k4", "fano", "u_3_6", "pg_1_4", "boolean_n4"):
+        M = corpus_by_name[name]
+        for k in range(M.r):
+            basis = reduced_nbc_basis(M, k, field)
+            for S, mono in zip(basis.index_sets, basis.monomials):
+                prod_ = ExteriorElement.scalar(field, 1)
+                for s in S:
+                    prod_ = prod_.wedge(ExteriorElement.monomial(field, (s,)) - e0)
+                assert mono == prod_, (name, k, S)
 
 
 def test_reduced_index_sets_avoid_zero_and_stay_nbc(corpus_by_name):
