@@ -173,6 +173,18 @@ class LinearBacking:
         free = [f for f in range(len(elements)) if f not in pivots]
         return frozenset(elements[j] for j, row in self.rows if not any(row[f] for f in free))
 
+    def parallel_classes(self, elements):
+        """The nonzero RREF columns grouped by their multiple whose first
+        nonzero entry is 1."""
+        field, classes = self.field, {}
+        for f, e in enumerate(elements):
+            col = [field.of(row[f]) for _, row in self.rows]
+            lead = next((x for x in col if x), None)
+            if lead is not None:
+                inv = field.inv(lead)
+                classes.setdefault(tuple(field.mul(inv, x) for x in col), []).append(e)
+        return list(classes.values())
+
     def memo_payload(self, elements):
         """(elements, (field name, RREF rows in their normal form under row
         and column scaling)): matrices that differ by row operations and
@@ -480,6 +492,27 @@ class Matroid:
         basis = [e for e in self.elements if steps.push(e)]
         return frozenset(e for e in basis if self.rank(self._eset - {e}) == self.r - 1)
 
+    def parallel_classes(self):
+        """The parallel classes of the non-loop elements, each a list in
+        element order, ordered by their least elements. A linear matroid
+        reads them off its RREF columns; otherwise each element is pushed
+        after each class representative until one does not raise the rank."""
+        if self._backing.kind == "linear":
+            return self._backing.parallel_classes(self.elements)
+        steps, classes = self.incremental_rank(), []
+        for e in self.elements:
+            if steps.push(e):
+                for cls in classes:
+                    parallel = not steps.push(cls[0])
+                    steps.pop()
+                    if parallel:
+                        cls.append(e)
+                        break
+                else:
+                    classes.append([e])
+            steps.pop()
+        return classes
+
     def is_loopless(self):
         return not self.loops()
 
@@ -664,7 +697,14 @@ def from_graph(edges):
 def from_bases(n, bases):
     """Matroid on 0..n-1 from an explicit basis list.
 
-    Validates the exchange axiom pairwise; lists whose pairs exceed
+    Validates the exchange axiom by the bases that hold each element: for a
+    basis B1 and x in B1, let Y be the y outside B1 with B1 - x + y a
+    basis. Every B2 without x has such a y in B2 - B1 iff every basis meets
+    Y + x, i.e. iff the bitsets of the bases that hold the elements of
+    Y + x cover all bases: b r (n - r) set lookups instead of b^2 r (n - r)
+    pair checks for b bases of rank r. A failure names the first B1, then
+    the first basis B2 it misses, then the least x missing B2, as the
+    pairwise check in that order would. Lists whose b^2 exceeds
     BASIS_VALIDATION_LIMIT raise TooLarge.
     """
     if n < 1:
@@ -692,24 +732,33 @@ def from_bases(n, bases):
             f"{len(blist)} bases need {len(blist) ** 2} pairwise exchange checks, "
             f"over the validation budget of {BASIS_VALIDATION_LIMIT}"
         )
-    # The exchange check runs on bitmasks: B1 - x + y is m1 ^ bit(x) | bit(y).
-    bits = [[1 << e for e in sorted(b)] for b in blist]
-    masks = [sum(bs) for bs in bits]
+    # B1 - x + y is the mask m1 ^ bit(x) | bit(y); bit i of holders[e] is
+    # set when basis i holds e
+    masks = [sum(1 << e for e in b) for b in blist]
     mset = set(masks)
-    for m1, xs, b1 in zip(masks, bits, blist):
-        for m2, b2_bits, b2 in zip(masks, bits, blist):
-            ys = [y for y in b2_bits if not m1 & y]
-            for x in xs:
-                if x & m2:
-                    continue
-                for y in ys:
-                    if m1 ^ x | y in mset:
-                        break
-                else:
-                    raise InvalidInput(
-                        f"exchange axiom fails for bases {quote(sorted(b1))}, "
-                        f"{quote(sorted(b2))} at element {x.bit_length() - 1}"
-                    )
+    holders = [0] * n
+    for i, b in enumerate(blist):
+        for e in b:
+            holders[e] |= 1 << i
+    everyone = (1 << len(blist)) - 1
+    support = [e for e in range(n) if holders[e]]  # no basis holds a loop
+    for m1, b1 in zip(masks, blist):
+        outside = [y for y in support if not m1 >> y & 1]
+        missed = {}  # x -> the bases that miss Y + x
+        for x in sorted(b1):
+            cover = holders[x]
+            for y in outside:
+                if m1 ^ 1 << x | 1 << y in mset:
+                    cover |= holders[y]
+            if cover != everyone:
+                missed[x] = everyone & ~cover
+        if missed:
+            first = min(m & -m for m in missed.values())
+            x = next(x for x, m in missed.items() if m & first)
+            raise InvalidInput(
+                f"exchange axiom fails for bases {quote(sorted(b1))}, "
+                f"{quote(sorted(blist[first.bit_length() - 1]))} at element {x}"
+            )
     return Matroid(BasesBacking(sorted(blist, key=sorted)), range(n))
 
 

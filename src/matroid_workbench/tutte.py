@@ -12,27 +12,30 @@ polynomial; the two must agree exactly or InternalInvariantViolation flies.
 Counting route: the subset sum only needs, for each (corank, nullity)
 pair, how many subsets hit it. One depth-first walk over the backing's
 push/pop rank oracle, Matroid.incremental_rank() (one push per visited
-subset), records every subset that does not span;
-below a spanning subset every superset has rank r, so that whole subtree is
-counted by binomials without being visited. Small binomial expansions then
-turn the counts into polynomials.
+subset), records every subset of corank at least 2. A subset of corank 1
+is not extended: its later elements that lie in its closure, found by one
+push/pop pair each, keep the rank, and any other raises it to r, so its
+whole subtree is counted by binomials without being visited. Small
+binomial expansions then turn the counts into polynomials.
 
 Deletion-contraction route: each node peels all loops and coloops at once,
 T(M) = x^#coloops y^#loops T(M \\ loops / coloops) (Haggard-Pearce-Royle,
-"Computing Tutte polynomials", ACM TOMS 2010), then branches on the largest
-element of the peeled core. Cores are memoized under Matroid.memo_key(),
-which each backing builds from its own data without enumerating bases, and
-the number of expanded cores is capped by a node budget. A linear key,
-over Q or GF(p), does not change under row operations and column scaling,
-so the minors that different paths reach as scaled copies of one matrix
-are expanded once (the 6x17 GF(7) benchmark matrix: 1,430 cores, against
-2,915 under plain RREF keys; a random 5x14 Q matrix: 514 against 723),
-and a linear core's children are row operations on its RREF. A graph's
-key is its canonical form up to isomorphism, so isomorphic minors share
-one entry, as in Haggard-Pearce-Royle's cache (M(K7): 111 cores, against
-884 under labeled keys; M(K8): 233 against 4,434). A budget that an
-earlier version exceeded may now suffice, and linear and graphic --cache
-directories written before are cold.
+"Computing Tutte polynomials", ACM TOMS 2010), then closes a core of rank
+at most 2 by a formula in the sizes of its parallel classes and branches
+on the largest element of any other core. Those cores are memoized under
+Matroid.memo_key(), which each backing builds from its own data without
+enumerating bases, and the number of expanded cores is capped by a node
+budget. A linear key, over Q or GF(p), does not change under row
+operations and column scaling, so the minors that different paths reach as
+scaled copies of one matrix are expanded once (the 6x17 GF(7) benchmark
+matrix: 620 cores, against 1,430 with no closed form and 2,915 under plain
+RREF keys), and a linear core's children are row operations on its RREF.
+A graph's key is its canonical form up to isomorphism, so isomorphic
+minors share one entry, as in Haggard-Pearce-Royle's cache (M(K7): 81
+cores, against 111 with no closed form and 884 under labeled keys; M(K8):
+187 against 233 and 4,434). A budget that an earlier version exceeded may
+now suffice; the closed form leaves every other key as it was, so --cache
+directories written before stay warm.
 
 check_tutte holds a polynomial to its degree bounds and T(2,2) = 2^#E,
 and on a graph to Greene's identity with the weight enumerator of its cut
@@ -55,13 +58,18 @@ def rank_size_counts(M: Matroid):
     #A - rk(A) = nullity}, over all 2^#E subsets.
 
     A depth-first walk over subsets in increasing element order, one rank
-    push per visited subset. A subset A that spans, reached with m elements
-    left to add, is not extended: its 2^m supersets in the walk all have
-    rank r, and C(m, j) of them have nullity #A + j - r. The counts must
-    add up to 2^#E. On a linear matroid the echelon shares column residuals
-    across the walk, one row elimination per (rank-raising node, later
-    column): 31,161 on the 6 x 18 Vandermonde matrix, where reducing each
-    of the 31,179 pushes from scratch takes 138,057.
+    push per visited subset. A subset A of corank 1, reached with m
+    elements left to add, is not extended: one push/pop pair each finds the
+    h of them in cl(A), and of the supersets A + J with #J = j, C(h, j)
+    have corank 1 and nullity #A + j - r + 1 and the other C(m, j) - C(h, j)
+    span with nullity #A + j - r. Only the empty set of a rank-0 matroid is
+    reached spanning. The counts must add up to 2^#E, which holds for any
+    h. The GF(7) benchmark matrix takes 22,733 pushes (28,460 when the walk
+    stopped only at spanning subsets) and M(K7) 160,758 (406,296). On a
+    linear matroid the echelon shares column residuals across the walk, one
+    row elimination per (rank-raising node, later column): 31,161 on the
+    6 x 18 Vandermonde matrix, where reducing each of the 31,179 pushes from
+    scratch takes 138,057.
     """
     if M.size > SUBSET_SUM_LIMIT:
         raise TooLarge(f"subset sum over {M.size} > {SUBSET_SUM_LIMIT} elements")
@@ -69,12 +77,13 @@ def rank_size_counts(M: Matroid):
     n, r = M.size, M.r
     steps = M.incremental_rank()
     counts = {}
-    spanning = {}  # (#A, m) -> number of spanning subsets A reached with m left
+    tails = {}  # (corank, nullity, m, h) of a node A of corank <= 1 -> nodes
 
     def walk(start, size, rk):
-        if rk == r:
-            key = (size, n - start)
-            spanning[key] = spanning.get(key, 0) + 1
+        if rk >= r - 1:
+            rest = elems[start:]
+            key = (r - rk, size - rk, len(rest), _closure_size(steps, rest) if rk < r else len(rest))
+            tails[key] = tails.get(key, 0) + 1
             return
         key = (r - rk, size - rk)
         counts[key] = counts.get(key, 0) + 1
@@ -83,15 +92,26 @@ def rank_size_counts(M: Matroid):
             steps.pop()
 
     walk(0, 0, 0)
-    for (size, m), k in spanning.items():
+    for (c, nu, m, h), k in tails.items():
         for j in range(m + 1):
-            key = (0, size + j - r)
-            counts[key] = counts.get(key, 0) + k * comb(m, j)
+            for key, count in (((c, nu + j), comb(h, j)), ((0, nu + j - 1), comb(m, j) - comb(h, j))):
+                if count:
+                    counts[key] = counts.get(key, 0) + k * count
     if sum(counts.values()) != 2**n:
         raise InternalInvariantViolation(
             f"corank-nullity counts add up to {sum(counts.values())}, not 2^{n}"
         )
     return counts
+
+
+def _closure_size(steps, rest):
+    """How many elements of `rest` lie in the closure of the prefix pushed
+    on `steps`: one push/pop pair each."""
+    h = 0
+    for e in rest:
+        h += not steps.push(e)
+        steps.pop()
+    return h
 
 
 def tutte_from_counts(counts) -> BivariatePoly:
@@ -111,6 +131,29 @@ def tutte_from_counts(counts) -> BivariatePoly:
 def tutte_sum(M: Matroid) -> BivariatePoly:
     """Tutte polynomial via the corank-nullity sum."""
     return tutte_from_counts(rank_size_counts(M))
+
+
+def _small_core_tutte(r, sizes) -> BivariatePoly:
+    """T of a loopless, coloop-free matroid of rank r <= 2 whose parallel
+    classes have the given sizes, with S(p) = 1 + y + ... + y^(p-1):
+    x + S(n) - 1 in rank 1, and in rank 2 the corank-nullity sum grouped by
+    closure (the empty set, one class, spanning sets),
+
+        (x-1)^2 + (x-1) sum S(p_i) + (S(n) - sum S(p_i)) / (y-1),
+
+    where the division is exact because the numerator vanishes at y = 1."""
+    n = sum(sizes)
+    if r == 1:
+        return BivariatePoly({(1, 0): 1, **{(0, j): 1 for j in range(1, n)}})
+    within = [sum(p > j for p in sizes) for j in range(n)]  # coefficients of sum S(p_i)
+    q, rem = UnivariatePoly({j: 1 - w for j, w in enumerate(within)}).divmod_linear(1)
+    if rem:
+        raise InternalInvariantViolation(f"rank-2 Tutte numerator is {rem} at y = 1, not 0")
+    t = {(2, 0): 1, (1, 0): -2, (0, 0): 1}
+    for j, w in enumerate(within):
+        t[1, j] = t.get((1, j), 0) + w
+        t[0, j] = t.get((0, j), 0) - w + q.coeff(j)
+    return BivariatePoly(t)
 
 
 class TutteCache:
@@ -136,21 +179,27 @@ def tutte_dc(M: Matroid, cache: TutteCache | None = None, max_nodes=DEFAULT_DC_N
 
     Every node first peels all its loops and coloops at once,
 
-        T(M) = x^#coloops y^#loops T(M \\ loops / coloops),
+        T(M) = x^#coloops y^#loops T(M \\ loops / coloops).
 
-    and memoizes the peeled core under core.memo_key(), which equal
-    labeled matroids share, and for graphs isomorphic ones (the Tutte
-    polynomial is an isomorphism invariant). A nonempty core has
-    neither loops nor coloops; it branches on its largest element e, T(core)
-    = T(core \\ e) + T(core / e). The choice is fixed, so the recursion tree
-    and any persisted cache entries are reproducible. Deleting e from a core
-    can make coloops but no loops, and contracting it loops but no coloops,
-    so each child looks only for the kind it can have. More than `max_nodes`
-    expanded cores (memo misses) raise TooLarge.
+    The peeled core, if nonempty, has neither loops nor coloops. A core of
+    rank at most 2 takes its polynomial from the sizes of its parallel
+    classes (_small_core_tutte, memoized by rank and sorted sizes for this
+    call), with no memo key, no `cache` call and no count against
+    `max_nodes`. Any other core is memoized under core.memo_key(), which
+    equal labeled matroids share, and for graphs isomorphic ones (the Tutte
+    polynomial is an isomorphism invariant), and branches on its largest
+    element e, T(core) = T(core \\ e) + T(core / e). The choice is fixed,
+    so the recursion tree and any persisted cache entries are reproducible.
+    Deleting e from a core can make coloops but no loops, and contracting
+    it loops but no coloops, so each child looks only for the kind it can
+    have. More than `max_nodes` expanded cores (memo misses) raise
+    TooLarge: 620 on the 6x17 GF(7) benchmark matrix, 48 on the 6 x 18
+    Vandermonde matrix over Q, 80 on U(10,20), 81 on M(K7) and 187 on M(K8).
     """
     if cache is None:
         cache = TutteCache()
     expanded = 0
+    small = {}  # (rank, sorted parallel-class sizes) -> T of a core of rank <= 2
 
     def dc(N, may_loop=True, may_coloop=True):
         nonlocal expanded
@@ -159,6 +208,11 @@ def tutte_dc(M: Matroid, cache: TutteCache | None = None, max_nodes=DEFAULT_DC_N
         core = N.minor(deleted=loops, contracted=coloops) if loops or coloops else N
         if not core.size:
             return BivariatePoly.monomial(len(coloops), len(loops))
+        if core.r <= 2:
+            shape = (core.r, tuple(sorted(map(len, core.parallel_classes()))))
+            if shape not in small:
+                small[shape] = _small_core_tutte(*shape)
+            return small[shape].shift(len(coloops), len(loops))
         key = core.memo_key()
         poly = cache.get(key, core)
         if poly is None:

@@ -17,6 +17,7 @@ from matroid_workbench import (
     broken_circuits,
     koszul_boundary,
 )
+from matroid_workbench.errors import quote
 from matroid_workbench.localization import FIBER_SIGN, TANGENT_SIGN
 from matroid_workbench.linalg import rref
 from matroid_workbench.matroids import LinearBacking, Matroid, _rref, _store_column
@@ -111,6 +112,28 @@ def frozenset_exchange_holds(bases):
         for b2 in bset
         for x in b1 - b2
     )
+
+
+def pairwise_exchange_failure(bases):
+    """The error text of the pairwise exchange check on bitmasks that
+    from_bases ran before it checked by holder bitsets, or None when the
+    axiom holds: for each pair (B1, B2) of the list in order, the least x
+    in B1 - B2 that no y in B2 - B1 exchanges for."""
+    bits = [[1 << e for e in sorted(b)] for b in bases]
+    masks = [sum(bs) for bs in bits]
+    mset = set(masks)
+    for m1, xs, b1 in zip(masks, bits, bases):
+        for m2, b2_bits, b2 in zip(masks, bits, bases):
+            ys = [y for y in b2_bits if not m1 & y]
+            for x in xs:
+                if x & m2:
+                    continue
+                if not any(m1 ^ x | y in mset for y in ys):
+                    return (
+                        f"exchange axiom fails for bases {quote(sorted(b1))}, "
+                        f"{quote(sorted(b2))} at element {x.bit_length() - 1}"
+                    )
+    return None
 
 
 def brute_circuits(M):

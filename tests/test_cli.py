@@ -469,8 +469,12 @@ K4 = {"type": "graphic", "edges": [[a, b] for a in range(4) for b in range(a + 1
         (["charpoly"], tutte, "char_poly", _plus(UnivariatePoly.monomial(0)), "chi(1) = 1"),
         # x - y keeps T(1, 1), T(2, 2) and the degree bounds
         (["tutte"], tutte, "tutte_dc", _plus(BivariatePoly({(1, 0): 1, (0, 1): -1})), "Greene"),
+        # the same on every core of rank at most 2 that deletion-contraction closes
+        (["tutte"], tutte, "_small_core_tutte", _plus(BivariatePoly({(1, 0): 1, (0, 1): -1})), "Greene"),
+        # any h keeps the 2^#E total of the subset walk
+        (["euler-table"], tutte, "_closure_size", _plus(1), "euler table disagrees"),
     ],
-    ids=["os-dims", "os-basis", "reduced-os-basis", "hlv", "charpoly", "tutte"],
+    ids=["os-dims", "os-basis", "reduced-os-basis", "hlv", "charpoly", "tutte", "tutte-core", "euler-table-h"],
 )
 def test_injected_fault_exits_4(args, module, name, spoil, message, monkeypatch, capsys):
     """One wrong inner value stops each command before output: exit code 4,

@@ -20,7 +20,7 @@ from matroid_workbench import (
 
 from matroid_workbench.matroids import GROUND_SET_LIMIT, BasesBacking, Matroid
 
-from helpers import frozenset_exchange_holds, powerset
+from helpers import frozenset_exchange_holds, pairwise_exchange_failure, powerset
 
 
 # ---------------------------------------------------------------- rank axioms
@@ -438,8 +438,13 @@ def test_from_bases_validation_budget():
 @st.composite
 def basis_families(draw):
     """The bases of a random uniform, graphic or GF(p) matroid: as they
-    are, with one basis removed, or with one foreign r-set added."""
-    kind = draw(st.sampled_from(["uniform", "graph", "GF(2)", "GF(3)", "GF(7)"]))
+    are, with one basis removed, or with one foreign r-set added; or any
+    nonempty family of r-sets. The list comes in a drawn order."""
+    kind = draw(st.sampled_from(["uniform", "graph", "GF(2)", "GF(3)", "GF(7)", "r-sets"]))
+    if kind == "r-sets":
+        n = draw(st.integers(1, 6))
+        sets = [frozenset(c) for c in combinations(range(n), draw(st.integers(0, n)))]
+        return n, draw(st.lists(st.sampled_from(sets), min_size=1, unique=True))
     if kind == "uniform":
         n = draw(st.integers(1, 7))
         M = uniform(draw(st.integers(0, n)), n)
@@ -458,21 +463,23 @@ def basis_families(draw):
         foreign = [frozenset(c) for c in combinations(M.elements, M.r) if frozenset(c) not in bases]
         if foreign:
             bases.append(draw(st.sampled_from(foreign)))
-    return M.size, bases
+    return M.size, draw(st.permutations(bases))
 
 
 @settings(max_examples=200, deadline=None)
 @given(basis_families())
 def test_bitmask_exchange_check_matches_frozensets(family):
-    """from_bases checks exchange on bitmasks; it accepts exactly the
-    families that the frozenset check accepts, and a rejection names two
-    bases and an element x of the first for which no exchange works."""
+    """from_bases checks exchange by holder bitsets; it accepts exactly the
+    families that the frozenset check accepts, with the error text of the
+    pairwise check, and a rejection names two bases and an element x of
+    the first for which no exchange works."""
     n, bases = family
     holds = frozenset_exchange_holds(bases)
     try:
         from_bases(n, [sorted(b) for b in bases])
     except InvalidInput as exc:
         assert not holds
+        assert str(exc) == pairwise_exchange_failure(bases)
         found = re.fullmatch(r"exchange axiom fails for bases \[(.*)\], \[(.*)\] at element (\d+)", str(exc))
         assert found, str(exc)
         b1, b2 = ({int(e) for e in g.split(", ") if e} for g in found.groups()[:2])
@@ -480,7 +487,7 @@ def test_bitmask_exchange_check_matches_frozensets(family):
         assert b1 in bases and b2 in bases and x in b1 - b2
         assert not any((b1 - {x}) | {y} in bases for y in b2 - b1)
     else:
-        assert holds
+        assert holds and pairwise_exchange_failure(bases) is None
 
 
 MULTIGRAPHS = {

@@ -1,7 +1,7 @@
 """The walks over prefixes: corank-nullity counts and basis enumeration.
 
-rank_size_counts stops at spanning subsets and counts their supersets by
-binomials; Matroid.bases() extends only independent prefixes, and
+rank_size_counts stops at subsets of corank at most 1 and counts their
+supersets by binomials; Matroid.bases() extends only independent prefixes, and
 Matroid.circuits() reads fundamental circuits off its bases. All three are
 checked against rank-every-subset oracles on the corpus, on matroids with
 loops and coloops, on basis lists and derived duals and minors (whose
@@ -67,8 +67,18 @@ def test_walks_match_oracles_on_corpus(corpus_by_name):
         from_graph([(0, 0), (0, 1), (1, 2), (2, 0), (2, 3), (3, 3), (1, 2)]),
         from_matrix("Q", [[0, 1, 0, 1, 2], [0, 0, 1, 1, 0]]),
         from_matrix("GF(2)", [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 0]]),
+        # rank 1, and rank 0 and full rank on basis lists and derived duals
+        uniform(1, 4),
+        from_graph([(0, 1), (1, 1), (0, 1), (1, 0)]),
+        from_matrix("GF(7)", [[0, 3, 1, 0, 6]]),
+        from_bases(4, [(0,), (2,), (3,)]),
+        from_bases(3, [()]),
+        from_bases(3, [(0, 1, 2)]),
+        from_graph([(0, 1), (1, 2), (2, 3)]).dual(),
     ],
-    ids=["U(0,4)", "U(4,4)", "U(3,7)", "graph-loops-bridge", "Q-zero-column", "GF2-coloop"],
+    ids=["U(0,4)", "U(4,4)", "U(3,7)", "graph-loops-bridge", "Q-zero-column", "GF2-coloop",
+         "U(1,4)", "graph-rank-1", "GF7-rank-1", "bases-rank-1", "bases-rank-0", "bases-rank-n",
+         "derived-rank-0"],
 )
 def test_walks_match_oracles_with_loops_and_coloops(M):
     assert_walks_match_oracles(M)

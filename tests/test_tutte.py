@@ -1,7 +1,7 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from matroid_workbench import (
@@ -9,7 +9,9 @@ from matroid_workbench import (
     InternalInvariantViolation,
     TooLarge,
     char_poly,
+    from_bases,
     from_graph,
+    from_matrix,
     h_matrix,
     h_polynomial,
     rank_size_counts,
@@ -177,6 +179,86 @@ def test_tutte_cache_reuse(corpus_by_name):
     # a second run over a shared cache returns the identical polynomial
     assert tutte_dc(M, cache=cache) == first
     assert tutte_dc(corpus_by_name["k4"], cache=cache) == FROZEN_TUTTE["k4"]
+
+
+@st.composite
+def small_rank_cores(draw):
+    """A loopless, coloop-free matroid of rank 1 or 2 on every backing: the
+    peeled core of a matrix with two rows over GF(2), GF(3), GF(7) or Q, of
+    a triangle with parallel edges and loops, or of U(1, n) or U(2, n); as
+    it is, as a basis list, as a derived minor of that list, or as its
+    double dual (derived for a graph)."""
+    kind = draw(st.sampled_from(["GF(2)", "GF(3)", "GF(7)", "Q", "graph", "uniform"]))
+    if kind == "graph":
+        counts = draw(st.lists(st.integers(0, 3), min_size=4, max_size=4).filter(any))
+        pairs = [(0, 1), (1, 2), (0, 2), (1, 1)]
+        M = from_graph(draw(st.permutations([uv for uv, k in zip(pairs, counts) for _ in range(k)])))
+    elif kind == "uniform":
+        n = draw(st.integers(2, 8))
+        M = uniform(draw(st.integers(1, min(2, n - 1))), n)
+    else:
+        entry = st.integers(0, 6) if kind != "Q" else st.sampled_from([0, 1, -1, 2, "1/2", "-3/2"])
+        cols = draw(st.integers(1, 8))
+        M = from_matrix(kind, draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=2, max_size=2)))
+    core = M.minor(deleted=M.loops(), contracted=M.coloops())
+    assume(core.size)
+    how = draw(st.sampled_from(["native", "bases", "derived minor", "double dual"]))
+    if how in ("bases", "derived minor"):
+        index = {e: i for i, e in enumerate(core.elements)}
+        core = from_bases(core.size, [[index[e] for e in b] for b in core.bases()])
+        if how == "derived minor":
+            core = core.minor()
+    elif how == "double dual":
+        core = core.dual().dual()
+    return core
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_rank_cores())
+def test_closed_form_matches_the_subset_sum_on_rank_two_cores(core):
+    """Parallel classes match the pairs of rank 1, and the closed form of
+    tutte_dc matches the corank-nullity sum."""
+    assert 1 <= core.r <= 2 and not core.loops() and not core.coloops()
+    classes = core.parallel_classes()
+    assert sorted(e for c in classes for e in c) == list(core.elements)
+    assert all((core.rank({e, f}) == 1) == any({e, f} <= set(c) for c in classes)
+               for e, f in combinations(core.elements, 2))
+    sizes = tuple(sorted(map(len, classes)))
+    assert tutte._small_core_tutte(core.r, sizes) == tutte_sum(core) == tutte_dc(core)
+
+
+def test_closed_form_on_one_parallel_class():
+    """U(1, n) is a single class: x + y + ... + y^(n-1)."""
+    for n in range(2, 6):
+        assert tutte_dc(uniform(1, n)) == bp({(1, 0): 1, **{(0, j): 1 for j in range(1, n)}})
+
+
+class CountingCache(TutteCache):
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def get(self, key, matroid=None):
+        self.calls.append(("get", matroid.r))
+        return super().get(key, matroid)
+
+    def put(self, key, poly):
+        self.calls.append(("put", None))
+        super().put(key, poly)
+
+
+def test_closed_form_cores_make_no_cache_calls():
+    """Only cores of rank 3 and more are looked up; a warm run reads the
+    top core and writes nothing."""
+    k7 = from_graph(list(combinations(range(7), 2)))
+    cache = CountingCache()
+    t = tutte_dc(k7, cache)
+    assert all(r > 2 for how, r in cache.calls if how == "get")
+    assert sum(how == "put" for how, _ in cache.calls) == 81
+    cache.calls.clear()
+    assert tutte_dc(k7, cache) == t and cache.calls == [("get", 6)]
+    small = CountingCache()
+    assert tutte_dc(uniform(2, 5), small) == tutte_sum(uniform(2, 5)) and small.calls == []
 
 
 def test_rank_size_counts_sum(corpus_by_name):
