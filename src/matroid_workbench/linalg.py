@@ -15,7 +15,16 @@ push appends at most one row or one union). Every push goes through one
 memo that keeps the residual of each column pushed at every rank level, so
 a push resumes where an ancestor or sibling left its column: a walk pays
 one row elimination per (rank-raising node, later column) instead of up to
-`rank` per pushed subset.
+`rank` per pushed subset. Both kinds of oracle also give the parallel
+classes of the contraction by the pushed prefix without a push
+(`classes`): the echelon groups the residuals of the later columns, and
+the union-find groups edges by the roots of their ends. The corank-nullity
+walk, which closes every node of corank 2 by those classes, makes 4,047
+pushes and 12,597 row eliminations on the 6 x 18 Vandermonde matrix over
+Q (31,179 and 31,161 when it pushed to the closure at corank 1; 138,057
+eliminations when every push reduced from scratch), and 3,240 pushes and
+8,038 eliminations on the 6 x 17 GF(7) benchmark matrix (22,733 and
+19,457). `parallel_classes` takes the push route for any other oracle.
 """
 from __future__ import annotations
 
@@ -102,15 +111,29 @@ class _Echelon:
             self.rows.pop()
             self._res.pop()
 
+    def classes(self, elements):
+        """The parallel classes of `elements` outside the span, in the
+        contraction by it: columns whose residuals (from the level memo,
+        with no push) are nonzero multiples of one another, grouped by the
+        residual scaled at its first nonzero entry."""
+        groups = {}
+        for e in elements:
+            v = self._residual(e)
+            lead = next((j for j, x in enumerate(v) if x), None)
+            if lead is not None:
+                groups.setdefault(tuple(self._scaled(v, lead)), []).append(e)
+        return list(groups.values())
+
 
 class IntEchelon(_Echelon):
     """Echelon form over Q on denominator-cleared integer columns. A
-    residual is primitive with a positive leading entry once an elimination
-    has run, and all zero when its column lies in the span."""
+    residual is primitive with a positive leading entry, from its first
+    level on, and all zero when its column lies in the span, so two
+    residuals are parallel exactly when they are equal."""
 
     @staticmethod
     def _start(vec):
-        return list(vec)
+        return _reduce_int_row(list(vec))
 
     @staticmethod
     def _eliminate(v, j, row):
@@ -122,7 +145,8 @@ class IntEchelon(_Echelon):
     @staticmethod
     def _scaled(v, j):
         """v ready to eliminate at its nonzero entry j: _eliminate
-        cross-multiplies, so integer rows stay as they are."""
+        cross-multiplies, so integer rows stay as they are (and a residual
+        is already its own projective normal form)."""
         return v
 
     push = _Echelon.push  # each class binds push, so a tracer can wrap one class
@@ -243,9 +267,45 @@ class RollbackUnionFind:
         never does)."""
         return self.union(*self.edges[e])
 
+    def classes(self, elements):
+        """The parallel classes of the edges `elements` that join two
+        components, in the contraction by the pushed edges: edges grouped
+        by the roots of their ends."""
+        groups, find = {}, self.find
+        for e in elements:
+            a, b = map(find, self.edges[e])
+            if a != b:
+                groups.setdefault(frozenset((a, b)), []).append(e)
+        return list(groups.values())
+
     def pop(self):
         h = self._hist.pop()
         if h:
             rb, ra, sa = h
             del self.parent[rb]
             self.size[ra] = sa
+
+
+def parallel_classes(steps, elements):
+    """The parallel classes, in the contraction by the prefix pushed on the
+    rank oracle `steps`, of those `elements` outside its closure: lists in
+    the order of `elements`, ordered by their first elements. An echelon or
+    a union-find reads them off its state (`classes`); any other oracle
+    pushes each element after the prefix, and then each class
+    representative after it until one does not raise the rank."""
+    own = getattr(steps, "classes", None)
+    if own is not None:
+        return own(elements)
+    classes = []
+    for e in elements:
+        if steps.push(e):
+            for cls in classes:
+                parallel = not steps.push(cls[0])
+                steps.pop()
+                if parallel:
+                    cls.append(e)
+                    break
+            else:
+                classes.append([e])
+        steps.pop()
+    return classes

@@ -173,18 +173,6 @@ class LinearBacking:
         free = [f for f in range(len(elements)) if f not in pivots]
         return frozenset(elements[j] for j, row in self.rows if not any(row[f] for f in free))
 
-    def parallel_classes(self, elements):
-        """The nonzero RREF columns grouped by their multiple whose first
-        nonzero entry is 1."""
-        field, classes = self.field, {}
-        for f, e in enumerate(elements):
-            col = [field.of(row[f]) for _, row in self.rows]
-            lead = next((x for x in col if x), None)
-            if lead is not None:
-                inv = field.inv(lead)
-                classes.setdefault(tuple(field.mul(inv, x) for x in col), []).append(e)
-        return list(classes.values())
-
     def memo_payload(self, elements):
         """(elements, (field name, RREF rows in their normal form under row
         and column scaling)): matrices that differ by row operations and
@@ -494,24 +482,11 @@ class Matroid:
 
     def parallel_classes(self):
         """The parallel classes of the non-loop elements, each a list in
-        element order, ordered by their least elements. A linear matroid
-        reads them off its RREF columns; otherwise each element is pushed
-        after each class representative until one does not raise the rank."""
-        if self._backing.kind == "linear":
-            return self._backing.parallel_classes(self.elements)
-        steps, classes = self.incremental_rank(), []
-        for e in self.elements:
-            if steps.push(e):
-                for cls in classes:
-                    parallel = not steps.push(cls[0])
-                    steps.pop()
-                    if parallel:
-                        cls.append(e)
-                        break
-                else:
-                    classes.append([e])
-            steps.pop()
-        return classes
+        element order, ordered by their least elements, from the rank
+        oracle with nothing pushed (linalg.parallel_classes): a linear
+        matroid groups its columns by direction, a graph its edges by their
+        ends, and any other backing pushes pairs."""
+        return linalg.parallel_classes(self.incremental_rank(), self.elements)
 
     def is_loopless(self):
         return not self.loops()

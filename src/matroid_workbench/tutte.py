@@ -12,11 +12,15 @@ polynomial; the two must agree exactly or InternalInvariantViolation flies.
 Counting route: the subset sum only needs, for each (corank, nullity)
 pair, how many subsets hit it. One depth-first walk over the backing's
 push/pop rank oracle, Matroid.incremental_rank() (one push per visited
-subset), records every subset of corank at least 2. A subset of corank 1
-is not extended: its later elements that lie in its closure, found by one
-push/pop pair each, keep the rank, and any other raises it to r, so its
-whole subtree is counted by binomials without being visited. Small
-binomial expansions then turn the counts into polynomials.
+subset), records every subset of corank at least 3. A subset A of corank
+at most 2 is not extended: the contraction M/A on its later elements has
+rank at most 2, so how many of them lie in cl(A) and the sizes of their
+parallel classes in M/A fix the corank and nullity of every superset,
+counted by binomials without being visited. The echelon reads those
+classes off its residuals and the union-find off its roots, so the
+Vandermonde 6 x 18 matrix takes 4,047 pushes instead of 31,179 and M(K7)
+10,926 instead of 160,758. Small binomial expansions then turn the counts
+into polynomials.
 
 Deletion-contraction route: each node peels all loops and coloops at once,
 T(M) = x^#coloops y^#loops T(M \\ loops / coloops) (Haggard-Pearce-Royle,
@@ -46,6 +50,7 @@ from __future__ import annotations
 from math import comb
 
 from .errors import InternalInvariantViolation, TooLarge
+from .linalg import parallel_classes
 from .matroids import SUBSET_SUM_LIMIT, Matroid
 from .polynomials import BivariatePoly, UnivariatePoly
 
@@ -58,18 +63,20 @@ def rank_size_counts(M: Matroid):
     #A - rk(A) = nullity}, over all 2^#E subsets.
 
     A depth-first walk over subsets in increasing element order, one rank
-    push per visited subset. A subset A of corank 1, reached with m
-    elements left to add, is not extended: one push/pop pair each finds the
-    h of them in cl(A), and of the supersets A + J with #J = j, C(h, j)
-    have corank 1 and nullity #A + j - r + 1 and the other C(m, j) - C(h, j)
-    span with nullity #A + j - r. Only the empty set of a rank-0 matroid is
-    reached spanning. The counts must add up to 2^#E, which holds for any
-    h. The GF(7) benchmark matrix takes 22,733 pushes (28,460 when the walk
-    stopped only at spanning subsets) and M(K7) 160,758 (406,296). On a
-    linear matroid the echelon shares column residuals across the walk, one
-    row elimination per (rank-raising node, later column): 31,161 on the
-    6 x 18 Vandermonde matrix, where reducing each of the 31,179 pushes from
-    scratch takes 138,057.
+    push per visited subset, that stops at the first subset A of corank
+    c <= 2 (the root, when r <= 2). The contraction M/A on the m elements
+    left to add has rank at most c, so its parallel classes fix the rank of
+    every set J of them: with h of the m in cl(A) and classes of sizes p_i,
+    C(h, j) of the j-sets have rank 0, sum C(h + p_i, j) - C(h, j) rank 1
+    and the rest of C(m, j) rank 2 (_superset_counts). The classes come
+    from linalg.parallel_classes, which an echelon or a union-find reads off
+    its state with no push. The counts must add up to 2^#E, which holds for
+    any classes. The 6 x 18 Vandermonde matrix takes 4,047 pushes (31,179
+    when the walk stopped at corank 1), the GF(7) benchmark matrix 3,240
+    (22,733) and M(K7) 10,926 (160,758). On a linear matroid the echelon
+    shares column residuals across the walk, one row elimination per
+    (rank-raising node, later column): 12,597 on the Vandermonde matrix
+    (31,161 at corank 1; 138,057 when each push reduces from scratch).
     """
     if M.size > SUBSET_SUM_LIMIT:
         raise TooLarge(f"subset sum over {M.size} > {SUBSET_SUM_LIMIT} elements")
@@ -77,12 +84,13 @@ def rank_size_counts(M: Matroid):
     n, r = M.size, M.r
     steps = M.incremental_rank()
     counts = {}
-    tails = {}  # (corank, nullity, m, h) of a node A of corank <= 1 -> nodes
+    tails = {}  # (corank, nullity, m, sorted class sizes) of a node of corank <= 2 -> nodes
 
     def walk(start, size, rk):
-        if rk >= r - 1:
+        if rk >= r - 2:
             rest = elems[start:]
-            key = (r - rk, size - rk, len(rest), _closure_size(steps, rest) if rk < r else len(rest))
+            sizes = tuple(sorted(map(len, parallel_classes(steps, rest))))
+            key = (r - rk, size - rk, len(rest), sizes)
             tails[key] = tails.get(key, 0) + 1
             return
         key = (r - rk, size - rk)
@@ -92,11 +100,10 @@ def rank_size_counts(M: Matroid):
             steps.pop()
 
     walk(0, 0, 0)
-    for (c, nu, m, h), k in tails.items():
-        for j in range(m + 1):
-            for key, count in (((c, nu + j), comb(h, j)), ((0, nu + j - 1), comb(m, j) - comb(h, j))):
-                if count:
-                    counts[key] = counts.get(key, 0) + k * count
+    for (c, nu, m, sizes), k in tails.items():
+        for key, count in _superset_counts(c, nu, m, sizes):
+            if count:
+                counts[key] = counts.get(key, 0) + k * count
     if sum(counts.values()) != 2**n:
         raise InternalInvariantViolation(
             f"corank-nullity counts add up to {sum(counts.values())}, not 2^{n}"
@@ -104,14 +111,19 @@ def rank_size_counts(M: Matroid):
     return counts
 
 
-def _closure_size(steps, rest):
-    """How many elements of `rest` lie in the closure of the prefix pushed
-    on `steps`: one push/pop pair each."""
-    h = 0
-    for e in rest:
-        h += not steps.push(e)
-        steps.pop()
-    return h
+def _superset_counts(c, nu, m, sizes):
+    """((corank, nullity), count) over the supersets A + J of a subset A of
+    corank c <= 2 and nullity nu, J among the m later elements, of which
+    m - sum(sizes) lie in cl(A) and the others in parallel classes of M/A
+    of the given sizes. A set J of j elements has rank 0 in M/A in C(h, j)
+    ways, rank 1 in sum C(h + p, j) - C(h, j) ways, and rank 2 otherwise."""
+    h = m - sum(sizes)
+    for j in range(m + 1):
+        none = comb(h, j)
+        one = sum(comb(h + p, j) for p in sizes) - len(sizes) * none
+        yield (c, nu + j), none
+        yield (c - 1, nu + j - 1), one
+        yield (c - 2, nu + j - 2), comb(m, j) - none - one
 
 
 def tutte_from_counts(counts) -> BivariatePoly:

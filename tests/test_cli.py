@@ -448,6 +448,13 @@ def _one_set_short_in_degree_3(nbc_sets):
     return lambda M, k: nbc_sets(M, k)[1:] if k == 3 else nbc_sets(M, k)
 
 
+def _two_classes_merged(superset_counts):
+    def spoiled(c, nu, m, sizes):
+        return superset_counts(c, nu, m, (*sizes[:-2], sum(sizes[-2:])) if len(sizes) > 1 else sizes)
+
+    return spoiled
+
+
 def _plus(one):
     return lambda f: lambda *args, **kwargs: f(*args, **kwargs) + one
 
@@ -471,8 +478,9 @@ K4 = {"type": "graphic", "edges": [[a, b] for a in range(4) for b in range(a + 1
         (["tutte"], tutte, "tutte_dc", _plus(BivariatePoly({(1, 0): 1, (0, 1): -1})), "Greene"),
         # the same on every core of rank at most 2 that deletion-contraction closes
         (["tutte"], tutte, "_small_core_tutte", _plus(BivariatePoly({(1, 0): 1, (0, 1): -1})), "Greene"),
-        # any h keeps the 2^#E total of the subset walk
-        (["euler-table"], tutte, "_closure_size", _plus(1), "euler table disagrees"),
+        # any class sizes keep the 2^#E total of the subset walk; two classes
+        # merged at each walk node that has more than one
+        (["euler-table"], tutte, "_superset_counts", _two_classes_merged, "euler table disagrees"),
     ],
     ids=["os-dims", "os-basis", "reduced-os-basis", "hlv", "charpoly", "tutte", "tutte-core", "euler-table-h"],
 )

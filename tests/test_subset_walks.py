@@ -1,14 +1,18 @@
 """The walks over prefixes: corank-nullity counts and basis enumeration.
 
-rank_size_counts stops at subsets of corank at most 1 and counts their
-supersets by binomials; Matroid.bases() extends only independent prefixes, and
-Matroid.circuits() reads fundamental circuits off its bases. All three are
-checked against rank-every-subset oracles on the corpus, on matroids with
-loops and coloops, on basis lists and derived duals and minors (whose
-oracles keep the bases holding the prefix, or rank each prefix), and on
-generated matrices.
+rank_size_counts stops at subsets of corank at most 2 and counts their
+supersets from the parallel classes of the contraction; Matroid.bases()
+extends only independent prefixes, and Matroid.circuits() reads fundamental
+circuits off its bases. All three are checked against rank-every-subset
+oracles on the corpus, on matroids with loops and coloops, on basis lists
+and derived duals and minors (whose oracles keep the bases holding the
+prefix, or rank each prefix), and on generated matrices and multigraphs.
+The counts are also checked through a push/pop-only oracle, which takes the
+push route to the parallel classes instead of the echelon's residuals or
+the union-find's roots.
 """
 import random
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -28,6 +32,35 @@ from matroid_workbench import (
 )
 
 from helpers import brute_bases, brute_circuits, brute_rank_size_counts
+
+
+class _CountingSteps:
+    """A push/pop-only proxy of a rank oracle that counts pushes; it has no
+    `classes`, so walks through it push to find parallel classes."""
+
+    def __init__(self, steps):
+        self.steps, self.pushes = steps, 0
+
+    def push(self, e):
+        self.pushes += 1
+        return self.steps.push(e)
+
+    def pop(self):
+        self.steps.pop()
+
+
+def push_only_counts(M):
+    """rank_size_counts(M) through a _CountingSteps proxy, and its pushes."""
+    oracles = []
+
+    def incremental_rank(inner=M.incremental_rank):
+        oracles.append(_CountingSteps(inner()))
+        return oracles[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(M, "incremental_rank", incremental_rank)
+        counts = rank_size_counts(M)
+    return counts, sum(o.pushes for o in oracles)
 
 
 def assert_walks_match_oracles(M, label=None):
@@ -75,13 +108,20 @@ def test_walks_match_oracles_on_corpus(corpus_by_name):
         from_bases(3, [()]),
         from_bases(3, [(0, 1, 2)]),
         from_graph([(0, 1), (1, 2), (2, 3)]).dual(),
+        # rank 2: the walk's root is the only node, closed by M's own classes
+        from_graph([(0, 1), (1, 2), (2, 0), (1, 0), (2, 2), (2, 1), (0, 2)]),
+        from_matrix("Q", [[1, -2, 0, "1/2", 3, 0, 1], [1, -2, 0, "1/2", -1, 0, "-1/3"]]),
+        from_matrix("GF(5)", [[1, 4, 0, 2, 3], [2, 3, 1, 4, 0]]),
+        from_bases(5, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 4), (0, 4), (1, 4), (3, 4)]),
+        from_matrix("Q", [[1, 0, 1, 1], [0, 1, 1, 2]]).dual().dual(),
     ],
     ids=["U(0,4)", "U(4,4)", "U(3,7)", "graph-loops-bridge", "Q-zero-column", "GF2-coloop",
          "U(1,4)", "graph-rank-1", "GF7-rank-1", "bases-rank-1", "bases-rank-0", "bases-rank-n",
-         "derived-rank-0"],
+         "derived-rank-0", "graph-rank-2", "Q-rank-2", "GF5-rank-2", "bases-rank-2", "derived-rank-2"],
 )
 def test_walks_match_oracles_with_loops_and_coloops(M):
     assert_walks_match_oracles(M)
+    assert push_only_counts(M)[0] == brute_rank_size_counts(M)
 
 
 @pytest.mark.parametrize("name", sorted(adapter_family()))
@@ -117,29 +157,59 @@ def test_walks_match_oracles_on_generated_matrices(M, data):
         assert_walks_match_oracles(N)
 
 
-class _CountingSteps:
-    def __init__(self, steps):
-        self.steps, self.pushes = steps, 0
-
-    def push(self, e):
-        self.pushes += 1
-        return self.steps.push(e)
-
-    def pop(self):
-        self.steps.pop()
+@st.composite
+def multigraphs(draw):
+    """Up to 9 edges on up to 5 vertices, self-loops and parallel edges
+    allowed; vertices are ints or strs, mixed in one graph."""
+    vertex = st.sampled_from([0, 1, 2, 3, "a"])
+    return from_graph(draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=9)))
 
 
-def test_walk_stops_at_full_rank_on_vandermonde(monkeypatch):
+@st.composite
+def parallel_rich_q_matrices(draw):
+    """A matrix over Q with up to 4 rows and 9 columns, each column a
+    scalar multiple of one of a few base columns (often zero), the scalars
+    negative and fractional as often as not."""
+    rows = draw(st.integers(1, 4))
+    base = draw(st.lists(st.lists(st.integers(-2, 2), min_size=rows, max_size=rows), min_size=1, max_size=4))
+    scalar = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7)])
+    columns = draw(st.lists(st.tuples(st.sampled_from(base), scalar), min_size=1, max_size=9))
+    matrix = [[str(col[i] * a) for col, a in columns] for i in range(rows)]
+    return from_matrix("Q", matrix)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(multigraphs(), parallel_rich_q_matrices()))
+def test_both_class_routes_match_oracles(M):
+    """The union-find's roots and the echelon's residuals group the same
+    classes as the push route at every prefix of the ground set, and the
+    counts of the walk match the brute-force ones by either route."""
+    assert rank_size_counts(M) == push_only_counts(M)[0] == brute_rank_size_counts(M)
+    native, pushed = M.incremental_rank(), _CountingSteps(M.incremental_rank())
+    assert hasattr(native, "classes")
+    for i, e in enumerate(M.elements):
+        rest = M.elements[i:]
+        assert linalg.parallel_classes(native, rest) == linalg.parallel_classes(pushed, rest)
+        native.push(e)
+        pushed.push(e)
+
+
+def test_walk_stops_at_corank_two_on_vandermonde(monkeypatch):
     """Every 6-subset of the 6 x 18 Vandermonde matrix spans, so the walk
-    pushes exactly the subsets of sizes 1..6: sum C(18, k) = 31,179 of
-    the 262,143 nonempty subsets."""
+    pushes exactly the subsets of sizes 1..4: sum C(18, k) = 4,047 of the
+    262,143 nonempty subsets (31,179 when it stopped at corank 1), and reads
+    the classes of the later columns off the echelon. Through a
+    push/pop-only oracle the classes cost a push of each 5-subset and each
+    6-subset once, 31,179 in all, as every column is its own class."""
     M = from_matrix("Q", [[x**i for x in range(18)] for i in range(6)])
-    oracle = _CountingSteps(M.incremental_rank())
-    monkeypatch.setattr(M, "incremental_rank", lambda: oracle)
+    pushes = _count_calls(monkeypatch, linalg.IntEchelon, "push")
     counts = rank_size_counts(M)
-    assert oracle.pushes == sum(comb(18, k) for k in range(1, 7)) == 31_179
+    assert pushes[0] == sum(comb(18, k) for k in range(1, 5)) == 4_047
     assert sum(counts.values()) == 2**18
     assert counts[(0, 0)] == 18_564  # C(18, 6) bases
+    pushed, pushes_through_proxy = push_only_counts(M)
+    assert pushed == counts
+    assert pushes_through_proxy == sum(comb(18, k) for k in range(1, 7)) == 31_179
 
 
 def _count_calls(monkeypatch, owner, name):
@@ -157,30 +227,32 @@ def _count_calls(monkeypatch, owner, name):
 def test_walk_shares_residuals_on_vandermonde(monkeypatch):
     """The walk's echelon resumes each push from the residual that an
     ancestor or sibling left at the deepest level, so each row elimination
-    serves every descendant that pushes the column: 31,161 over Q on the
-    6 x 18 Vandermonde matrix, where reducing every push from scratch
-    takes 138,057."""
+    serves every descendant that pushes the column, and the classes at a
+    node of corank 2 are read off residuals at its level: 12,597 over Q on
+    the 6 x 18 Vandermonde matrix (31,161 when the walk stopped at corank
+    1, 138,057 when every push reduced from scratch), counted here with the
+    18 reductions that make each column primitive at level 0."""
     M = from_matrix("Q", [[x**i for x in range(18)] for i in range(6)])
     eliminations = _count_calls(monkeypatch, linalg, "_reduce_int_row")
     counts = rank_size_counts(M)
-    assert eliminations[0] <= 31_161
+    assert eliminations[0] <= 12_615
     assert counts[(0, 0)] == 18_564
 
 
 def test_walk_shares_residuals_over_gf7(monkeypatch):
     """The same over GF(7), counted at ModEchelon's own elimination step:
-    19,104 on a random 6 x 17 matrix of rank 6, where reducing every push
-    from scratch takes 99,000."""
+    8,181 on a random 6 x 17 matrix of rank 6 (19,104 when the walk stopped
+    at corank 1, 99,000 when every push reduced from scratch)."""
     rng = random.Random(17)
     M = from_matrix("GF(7)", [[rng.randrange(7) for _ in range(17)] for _ in range(6)])
     eliminations = _count_calls(monkeypatch, linalg.ModEchelon, "_eliminate")
     counts = rank_size_counts(M)
-    assert eliminations[0] <= 19_104
+    assert eliminations[0] <= 8_181
     assert counts[(0, 0)] == len(M.bases(limit=0))
 
 
 def test_counts_must_add_up(monkeypatch, corpus_by_name):
-    """A wrong binomial tail is caught by the 2^#E total."""
+    """A wrong binomial in the closed form is caught by the 2^#E total."""
     monkeypatch.setattr(tutte, "comb", lambda m, j: 1)
     with pytest.raises(InternalInvariantViolation, match="add up"):
         rank_size_counts(corpus_by_name["k4"])
