@@ -5,7 +5,7 @@ and errors map to fixed exit codes:
 
     2  bad input (parse failure, invalid descriptor/field/degree, loops
        where a loopless matroid is required)
-    3  computation refused: budget exceeded
+    3  computation refused: budget exceeded, or recursion too deep
     4  internal invariant violation (always a bug in this package)
     1  verify-corpus found a failing check (not an error of the tool)
 
@@ -125,7 +125,7 @@ def _cmd_tutte(args):
 
 def _cmd_charpoly(args):
     M = _read_descriptor(args.input)
-    t = tutte.tutte_sum(M)
+    t = tutte.tutte_polynomial(M)
     _emit(
         {
             "charpoly": tutte.char_poly(M, t).to_json(),
@@ -296,7 +296,7 @@ def main(argv=None):
     try:
         rc = args.fn(args)
         return 0 if rc is None else rc
-    except TooLarge as exc:
+    except (TooLarge, RecursionError) as exc:  # recursion deeper than the interpreter allows
         print(f"too large: {exc}", file=sys.stderr)
         return 3
     except InternalInvariantViolation as exc:

@@ -465,7 +465,7 @@ def _run_check(M, check, value):
     if check == "reduced_os_dims":
         return orlik_solomon.reduced_os_dimensions(M)
     if check == "nbc_counts":
-        return [len(orlik_solomon.nbc_sets(M, k)) for k in range(M.r + 1)]
+        return [len(orlik_solomon.nbc_sets(M, k)) for k in range(M.r, -1, -1)][::-1]  # one walk
     if check == "nbc_deg2":
         return [list(s) for s in orlik_solomon.nbc_sets(M, 2)]
     if check == "reduced_nbc_deg2":

@@ -51,7 +51,7 @@ per fixed point; that route is kept in the tests as the oracle.
 """
 from __future__ import annotations
 
-from math import factorial, lcm
+from math import lcm
 
 from .errors import InternalInvariantViolation, InvalidInput, TooLarge
 from .matroids import Matroid
@@ -212,7 +212,11 @@ def _euler_table(M, one_ps, max_points):
     """The table from one pass over the prefix states, each cell checked by
     _extract_integer."""
     a = _resolve_one_ps(M, one_ps)
-    npoints = factorial(M.size)
+    npoints = 1  # #E!, stopped at the first partial product over the budget
+    for i in range(2, M.size + 1):
+        if npoints > max_points:
+            raise TooLarge(f"at least {npoints} fixed points exceed the budget of {max_points}")
+        npoints *= i
     if npoints > max_points:
         raise TooLarge(f"{npoints} fixed points exceed the budget of {max_points}")
     L = M.size  # slots eps^(-n) .. eps^0 with n = #E - 1

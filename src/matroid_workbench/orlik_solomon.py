@@ -6,9 +6,10 @@ Koszul boundary d e_S = sum_i (-1)^i e_(S minus its (i+1)-th largest
 element). Over Z it is free on the nbc monomials: the sets containing no
 broken circuit C - min C (Bjorner 1982; Orlik-Terao 3.5). The nbc sets,
 and normal forms by straightening over Z, come from push/pop walks on the
-rank oracle, with no list of circuits. The integer coefficients are mapped
-into the field only at the end, which the freeness over Z makes valid, so
-Q and every GF(p) share one code path and one set of dimensions.
+rank oracle, with no list of circuits; one nbc walk serves every degree.
+The integer coefficients are mapped into the field only at the end, which
+the freeness over Z makes valid, so Q and every GF(p) share one code path
+and one set of dimensions.
 
 Cross-checks: in each degree the nbc count must equal the Whitney number
 of the characteristic polynomial, and the reduced basis must carry an
@@ -19,7 +20,7 @@ from __future__ import annotations
 from . import tutte
 from .errors import InternalInvariantViolation, InvalidInput, LooplessRequired, TooLarge
 from .fields import QQ
-from .matroids import SUBSET_SUM_LIMIT, Matroid
+from .matroids import Matroid
 
 NBC_BUDGET = 1 << 20  # sets one nbc walk may visit: every subset of 20 elements
 
@@ -118,34 +119,38 @@ def nbc_sets(M: Matroid, k):
     """k-subsets of the ground set containing no broken circuit, lex order.
 
     S is nbc iff it is independent and no e outside S lies in cl(S_{>e})
-    (Bjorner 1992). A depth-first walk on M.incremental_rank() builds S in
+    (Bjorner 1992). One depth-first walk on M.incremental_rank() builds S in
     descending order, extends it below min S by each element up to the
-    first in cl(S), and keeps a k-set when no element below its minimum
-    lies in cl(S). It visits only independent sets, at most NBC_BUDGET.
+    first in cl(S), and keeps S when no element below its minimum lies in
+    cl(S). It visits at most NBC_BUDGET independent sets of up to k
+    elements, and M keeps the nbc sets of every size, so a caller reading
+    several degrees asks for the top one first.
     """
     if k < 0 or k > M.size:
         raise InvalidInput(f"degree {k} out of range 0..{M.size}")
     _require_loopless(M)
-    elems, steps, out, visited = M.elements, M.incremental_rank(), [], 0
+    levels = vars(M).get("_os_nbc", ())
+    if len(levels) <= min(k, M.r):
+        elems, steps, visited = M.elements, M.incremental_rank(), 0
+        levels = [[] for _ in range(min(k, M.r) + 1)]
 
-    def walk(top, S):
-        nonlocal visited
-        visited += 1
-        if visited > NBC_BUDGET:
-            raise TooLarge(f"nbc walk over more than {NBC_BUDGET} independent sets (the budget)")
-        for i in range(top - 1, max(k - len(S) - 1, 0) - 1, -1):
-            spans = not steps.push(elems[i])
-            if not spans and len(S) < k:
-                walk(i, S + (elems[i],))
-            steps.pop()
-            if spans:
-                return
-        if len(S) == k:
-            out.append(S[::-1])
+        def walk(top, S):
+            nonlocal visited
+            visited += 1
+            if visited > NBC_BUDGET:
+                raise TooLarge(f"nbc walk over more than {NBC_BUDGET} independent sets (the budget)")
+            for i in range(top - 1, -1, -1):
+                spans = not steps.push(elems[i])
+                if not spans and len(S) < k:
+                    walk(i, S + (elems[i],))
+                steps.pop()
+                if spans:
+                    return
+            levels[len(S)].append(S[::-1])
 
-    if k <= M.r:
         walk(M.size, ())
-    return sorted(out)
+        M._os_nbc = levels = [sorted(level) for level in levels]
+    return levels[k] if k < len(levels) else []
 
 
 class OSSpace:
@@ -226,10 +231,10 @@ def _straightener(M):
 
 
 def _whitney_numbers(M):
-    """[|coefficient of u^(r-k)| in chi_M for k = 0..#E], by tutte_sum, or
-    by tutte_dc above SUBSET_SUM_LIMIT elements."""
+    """[|coefficient of u^(r-k)| in chi_M for k = 0..#E], chi_M by the route
+    of tutte.tutte_polynomial."""
     if "_os_whitney" not in vars(M):
-        chi = tutte.char_poly(M, tutte.tutte_dc(M) if M.size > SUBSET_SUM_LIMIT else None)
+        chi = tutte.char_poly(M)
         M._os_whitney = [abs(chi.coeff(M.r - k)) for k in range(M.size + 1)]
     return M._os_whitney
 
@@ -237,21 +242,16 @@ def _whitney_numbers(M):
 def os_space(M: Matroid, k, field=QQ) -> OSSpace:
     """The degree-k Orlik-Solomon space over `field`. Its dimension, the
     nbc count, must equal the k-th Whitney number |chi_M coefficient of
-    u^(r-k)|; a mismatch is a bug in this package."""
-    cache = vars(M).setdefault("_os_nbc", {})
-    nbc = cache.get(k)
-    if nbc is None:  # the nbc sets and their check do not depend on the field
-        nbc = nbc_sets(M, k)
-        expected = _whitney_numbers(M)[k]
-        if len(nbc) != expected:
-            raise InternalInvariantViolation(f"degree {k}: {len(nbc)} nbc sets != Whitney number {expected}")
-        cache[k] = nbc
+    u^(r-k)|; a mismatch is a bug in this package. Neither needs the field."""
+    nbc, expected = nbc_sets(M, k), _whitney_numbers(M)[k]
+    if len(nbc) != expected:
+        raise InternalInvariantViolation(f"degree {k}: {len(nbc)} nbc sets != Whitney number {expected}")
     return OSSpace(M, k, field, nbc)
 
 
 def os_dimensions(M: Matroid, field=QQ):
-    """[dim OS^k for k = 0..r]; no nbc set is larger than the rank."""
-    return [os_space(M, k, field).dimension for k in range(M.r + 1)]
+    """[dim OS^k for k = 0..r], top first; no nbc set is larger than r."""
+    return [os_space(M, k, field).dimension for k in range(M.r, -1, -1)][::-1]
 
 
 def normal_form(M: Matroid, x: ExteriorElement):
@@ -317,5 +317,5 @@ def reduced_nbc_basis(M: Matroid, k, field=QQ) -> ReducedOSBasis:
 
 
 def reduced_os_dimensions(M: Matroid, field=QQ):
-    """[dim of the reduced degree-k piece for k = 0..r-1]."""
-    return [reduced_nbc_basis(M, k, field).dimension for k in range(max(M.r, 1))]
+    """[dim of the reduced degree-k piece for k = 0..r-1], top first."""
+    return [reduced_nbc_basis(M, k, field).dimension for k in range(max(M.r, 1) - 1, -1, -1)][::-1]

@@ -2,7 +2,12 @@
 
 Two independent routes to the Tutte polynomial are provided and cross-check
 each other in tests: a corank-nullity subset sum (tutte_sum) and memoized
-deletion-contraction (tutte_dc). The h polynomial
+deletion-contraction (tutte_dc). tutte_polynomial chooses between them for
+char_poly, and so for `charpoly` and the Orlik-Solomon Whitney check: the
+sum up to SUBSET_SUM_LIMIT elements, where it is the faster (in process,
+20 against 41 ms on the 6x17 GF(7) benchmark matrix and 0.7 against 21 ms
+on U(5,10) given by its bases), and deletion-contraction above that, held
+to check_tutte. The h polynomial
 
     h(u, v) = sum over subsets A of u^(r - rk(A)) * v^(#(E \\ A) - (r - rk(A)))
 
@@ -10,36 +15,21 @@ is computed both from that subset sum and by substituting into the Tutte
 polynomial; the two must agree exactly or InternalInvariantViolation flies.
 
 Counting route: the subset sum only needs, for each (corank, nullity)
-pair, how many subsets hit it. One depth-first walk over the backing's
-push/pop rank oracle, Matroid.incremental_rank() (one push per visited
-subset), records every subset of corank at least 3. A subset A of corank
-at most 2 is not extended: the contraction M/A on its later elements has
-rank at most 2, so how many of them lie in cl(A) and the sizes of their
-parallel classes in M/A fix the corank and nullity of every superset,
-counted by binomials without being visited. The echelon reads those
-classes off its residuals and the union-find off its roots, so the
-Vandermonde 6 x 18 matrix takes 4,047 pushes instead of 31,179 and M(K7)
-10,926 instead of 160,758. Small binomial expansions then turn the counts
-into polynomials.
+pair, how many subsets hit it. One depth-first walk over the push/pop rank
+oracle, Matroid.incremental_rank(), stops at each subset of corank at most
+2 and counts all its supersets by binomials from the parallel classes of
+the contraction (rank_size_counts); small binomial expansions then turn
+the counts into polynomials.
 
 Deletion-contraction route: each node peels all loops and coloops at once,
 T(M) = x^#coloops y^#loops T(M \\ loops / coloops) (Haggard-Pearce-Royle,
-"Computing Tutte polynomials", ACM TOMS 2010), then closes a core of rank
-at most 2 by a formula in the sizes of its parallel classes and branches
-on the largest element of any other core. Those cores are memoized under
-Matroid.memo_key(), which each backing builds from its own data without
-enumerating bases, and the number of expanded cores is capped by a node
-budget. A linear key, over Q or GF(p), does not change under row
-operations and column scaling, so the minors that different paths reach as
-scaled copies of one matrix are expanded once (the 6x17 GF(7) benchmark
-matrix: 620 cores, against 1,430 with no closed form and 2,915 under plain
-RREF keys), and a linear core's children are row operations on its RREF.
-A graph's key is its canonical form up to isomorphism, so isomorphic
-minors share one entry, as in Haggard-Pearce-Royle's cache (M(K7): 81
-cores, against 111 with no closed form and 884 under labeled keys; M(K8):
-187 against 233 and 4,434). A budget that an earlier version exceeded may
-now suffice; the closed form leaves every other key as it was, so --cache
-directories written before stay warm.
+"Computing Tutte polynomials", ACM TOMS 2010), closes a core of rank at
+most 2 by the sizes of its parallel classes, and branches on the largest
+element of any other core. Those cores are memoized under
+Matroid.memo_key(), blind to row operations and column scaling over Q and
+GF(p) and, for a graph, to isomorphism, so scaled copies and isomorphic
+minors are expanded once (tutte_dc). The closed form leaves every other
+key as it was, so --cache directories written before stay warm.
 
 check_tutte holds a polynomial to its degree bounds and T(2,2) = 2^#E,
 and on a graph to Greene's identity with the weight enumerator of its cut
@@ -239,6 +229,16 @@ def tutte_dc(M: Matroid, cache: TutteCache | None = None, max_nodes=DEFAULT_DC_N
     return dc(M)
 
 
+def tutte_polynomial(M: Matroid) -> BivariatePoly:
+    """T by tutte_sum up to SUBSET_SUM_LIMIT elements, and above that by
+    tutte_dc held to check_tutte: the route behind char_poly."""
+    if M.size <= SUBSET_SUM_LIMIT:
+        return tutte_sum(M)
+    t = tutte_dc(M)
+    check_tutte(M, t)
+    return t
+
+
 def check_tutte(M: Matroid, t: BivariatePoly):
     """Check the Tutte polynomial of M before output; a failure raises
     InternalInvariantViolation.
@@ -299,7 +299,7 @@ def char_poly(M: Matroid, tutte: BivariatePoly | None = None) -> UnivariatePoly:
 
     Identically zero when M has a loop.
     """
-    t = tutte if tutte is not None else tutte_sum(M)
+    t = tutte if tutte is not None else tutte_polynomial(M)
     sign = (-1) ** M.r
     out = {}
     for (a, b), c in t.terms():

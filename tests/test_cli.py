@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import io
 import itertools
 import json
@@ -188,6 +189,12 @@ def test_euler_table_budget_message():
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr == "too large: 40320 fixed points exceed the budget of 5040\n"
+    # #E! is multiplied out only up to the first partial product over the
+    # budget, so a large ground set gets a short line, not a 4,300-digit one
+    for n in (1000, 10000):
+        proc = run_cli(["euler-table"], stdin_obj={"type": "uniform", "r": 1, "n": n})
+        assert proc.returncode == 3
+        assert proc.stderr == "too large: at least 40320 fixed points exceed the budget of 5040\n"
 
 
 def test_euler_table_k5_end_to_end():
@@ -261,6 +268,13 @@ def test_verify_corpus_exits_zero():
         (["os-dims", "--field", "\u00a0Q"], U23, None, 2),
         (["os-dims", "--field", "GF(7)\u2003"], U23, None, 2),
         (["tutte"], {"type": "linear", "field": "GF(\u0663)", "matrix": [[1, 1]]}, None, 2),
+        # #E! past 4,300 digits would not even convert to a string
+        (["euler-table"], {"type": "uniform", "r": 1, "n": 1000}, None, 3),
+        (["euler-table"], {"type": "uniform", "r": 1, "n": 10000}, None, 3),
+        # recursion past the interpreter's limit, one frame per element
+        (["tutte"], {"type": "uniform", "r": 3, "n": 1000}, None, 3),
+        (["os-basis", "--degree", "1200"], {"type": "uniform", "r": 1500, "n": 1500}, None, 3),
+        (["os-dims"], {"type": "uniform", "r": 1500, "n": 1500}, None, 3),
     ],
 )
 def test_exit_codes(args, stdin_obj, stdin_text, code):
@@ -268,6 +282,39 @@ def test_exit_codes(args, stdin_obj, stdin_text, code):
     assert proc.returncode == code, proc.stderr
     assert proc.stdout == ""  # errors go to stderr only
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
+def test_deep_deletion_contraction_exits_3(monkeypatch, capsys):
+    """Deletion-contraction on the n-cycle recurses once per element. The
+    1,000-cycle passes the interpreter's limit of 1,000 frames only after
+    a minute of canonical keys, so a 250-cycle meets a limit lowered to 150
+    frames above this test's own here."""
+    cycle = {"type": "graphic", "edges": [[i, (i + 1) % 250] for i in range(250)]}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(cycle)))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 150)
+    try:
+        assert cli.main(["tutte"]) == 3
+    finally:
+        sys.setrecursionlimit(limit)
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("too large: maximum recursion depth exceeded")
+    assert len(err.splitlines()) == 1
+
+
+def test_charpoly_of_k8_by_deletion_contraction():
+    """28 elements are past the subset sum's 24, so charpoly takes
+    deletion-contraction, held to Greene's identity: chi of the braid
+    arrangement A_7 is (u - 1)(u - 2)...(u - 7)."""
+    proc = run_cli(["charpoly"], stdin_obj=_complete_graph(8))
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    reduced = UnivariatePoly.monomial(0)
+    for i in range(2, 8):
+        reduced = reduced * UnivariatePoly({1: 1, 0: -i})
+    chi = reduced * UnivariatePoly({1: 1, 0: -1})
+    assert got == {"charpoly": chi.to_json(), "reduced_charpoly": reduced.to_json()}
+    assert [int(t["c"]) for t in got["charpoly"]["terms"]] == [1, -28, 322, -1960, 6769, -13132, 13068, -5040]
 
 
 @pytest.mark.parametrize(
@@ -463,32 +510,36 @@ K4 = {"type": "graphic", "edges": [[a, b] for a in range(4) for b in range(a + 1
 
 
 @pytest.mark.parametrize(
-    "args, module, name, spoil, message",
+    "args, module, name, spoil, message, descriptor",
     [
         (["os-dims"], orlik_solomon, "nbc_sets", _one_set_short_in_degree_3,
-         "nbc sets != Whitney number"),
+         "nbc sets != Whitney number", K4),
         (["os-basis", "--degree", "3"], orlik_solomon, "nbc_sets", _one_set_short_in_degree_3,
-         "nbc sets != Whitney number"),
+         "nbc sets != Whitney number", K4),
         # the index sets of reduced degree 2 are the degree-3 nbc sets that hold 0
         (["reduced-os-basis", "--degree", "2"], orlik_solomon, "nbc_sets",
-         _one_set_short_in_degree_3, "nbc sets != Whitney number"),
-        (["hlv"], tutte, "h_from_tutte", _plus(BivariatePoly.monomial(0, 0)), "routes disagree"),
-        (["charpoly"], tutte, "char_poly", _plus(UnivariatePoly.monomial(0)), "chi(1) = 1"),
+         _one_set_short_in_degree_3, "nbc sets != Whitney number", K4),
+        (["hlv"], tutte, "h_from_tutte", _plus(BivariatePoly.monomial(0, 0)), "routes disagree", K4),
+        (["charpoly"], tutte, "char_poly", _plus(UnivariatePoly.monomial(0)), "chi(1) = 1", K4),
         # x - y keeps T(1, 1), T(2, 2) and the degree bounds
-        (["tutte"], tutte, "tutte_dc", _plus(BivariatePoly({(1, 0): 1, (0, 1): -1})), "Greene"),
+        (["tutte"], tutte, "tutte_dc", _plus(BivariatePoly({(1, 0): 1, (0, 1): -1})), "Greene", K4),
         # the same on every core of rank at most 2 that deletion-contraction closes
-        (["tutte"], tutte, "_small_core_tutte", _plus(BivariatePoly({(1, 0): 1, (0, 1): -1})), "Greene"),
+        (["tutte"], tutte, "_small_core_tutte", _plus(BivariatePoly({(1, 0): 1, (0, 1): -1})), "Greene", K4),
         # any class sizes keep the 2^#E total of the subset walk; two classes
         # merged at each walk node that has more than one
-        (["euler-table"], tutte, "_superset_counts", _two_classes_merged, "euler table disagrees"),
+        (["euler-table"], tutte, "_superset_counts", _two_classes_merged, "euler table disagrees", K4),
+        # past 24 elements charpoly takes deletion-contraction, held to check_tutte
+        (["charpoly"], tutte, "tutte_dc", _plus(BivariatePoly({(1, 0): 1, (0, 1): -1})), "Greene",
+         _complete_graph(8)),
     ],
-    ids=["os-dims", "os-basis", "reduced-os-basis", "hlv", "charpoly", "tutte", "tutte-core", "euler-table-h"],
+    ids=["os-dims", "os-basis", "reduced-os-basis", "hlv", "charpoly", "tutte", "tutte-core", "euler-table-h",
+         "charpoly-dc"],
 )
-def test_injected_fault_exits_4(args, module, name, spoil, message, monkeypatch, capsys):
+def test_injected_fault_exits_4(args, module, name, spoil, message, descriptor, monkeypatch, capsys):
     """One wrong inner value stops each command before output: exit code 4,
     nothing on stdout and one line on stderr."""
     monkeypatch.setattr(module, name, spoil(getattr(module, name)))
-    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(K4)))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(descriptor)))
     assert cli.main(args) == 4
     out, err = capsys.readouterr()
     assert out == ""

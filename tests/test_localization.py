@@ -118,8 +118,11 @@ def test_structure_sheaf_euler_char_is_one(corpus_by_name):
 def test_budget_enforced(corpus_by_name):
     with pytest.raises(TooLarge):
         euler_table(uniform(2, 8))  # 8! = 40320 > default budget
-    with pytest.raises(TooLarge, match="40320 fixed points exceed the budget of 5000"):
+    # the product stops at 7! = 5040, the first partial product over 5000
+    with pytest.raises(TooLarge, match="^at least 5040 fixed points exceed the budget of 5000$"):
         euler_table(uniform(2, 8), max_points=5000)
+    with pytest.raises(TooLarge, match="^40320 fixed points exceed the budget of 5040$"):
+        euler_table(uniform(2, 8), max_points=5040)
     # the bound is exact: 3! = 6 points
     M = corpus_by_name["u_2_3"]
     with pytest.raises(TooLarge):

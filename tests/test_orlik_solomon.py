@@ -21,6 +21,7 @@ from matroid_workbench import (
     koszul_boundary,
     nbc_sets,
     normal_form,
+    orlik_solomon,
     os_dimensions,
     os_multiply,
     os_space,
@@ -482,19 +483,61 @@ def test_reduced_field_independence(corpus_by_name):
             )
 
 
+class _CountingSteps:
+    """Push/pop rank oracle proxy that counts pushes and forwards the rest,
+    `classes` included."""
+
+    def __init__(self, steps, pushes):
+        self._steps, self._pushes = steps, pushes
+
+    def push(self, e):
+        self._pushes.append(e)
+        return self._steps.push(e)
+
+    def __getattr__(self, name):
+        return getattr(self._steps, name)
+
+
+def _count_walks(monkeypatch, M):
+    """Wrap M.incremental_rank: the oracles handed out, and their pushes."""
+    walks, pushes, real = [], [], M.incremental_rank
+    monkeypatch.setattr(M, "incremental_rank", lambda: walks.append(1) or _CountingSteps(real(), pushes))
+    return walks, pushes
+
+
 def test_nbc_sets_enumerated_once_per_degree(monkeypatch):
-    """The nbc sets and their Whitney check are shared by every field."""
-    from matroid_workbench import orlik_solomon
-
-    calls = []
-    real = orlik_solomon.nbc_sets
-
-    def counting(M, k):
-        calls.append(k)
-        return real(M, k)
-
-    monkeypatch.setattr(orlik_solomon, "nbc_sets", counting)
+    """One nbc walk serves every degree and every field; the Whitney
+    numbers are read first, so their subset sum is not counted."""
     M = corpus_matroid("k4")
+    orlik_solomon._whitney_numbers(M)
+    walks, _ = _count_walks(monkeypatch, M)
     dims = {f.name: os_dimensions(M, f) for f in (QQ, PrimeField(2), PrimeField(3))}
     assert dims["Q"] == dims["GF(2)"] == dims["GF(3)"] == [1, 6, 11, 6]
-    assert sorted(calls) == list(range(M.r + 1))
+    assert [len(nbc_sets(M, k)) for k in range(M.size + 1)] == [1, 6, 11, 6, 0, 0, 0]
+    assert len(walks) == 1
+
+
+@pytest.mark.parametrize("degree", [None, 1, 2])
+def test_reduced_basis_walks_once(monkeypatch, degree):
+    """The reduced basis in degree k reads the nbc sets of degrees k + 1
+    and k, and the reduced dimensions those of every degree, from one nbc
+    walk; the only other oracle is the straightener's."""
+    M = corpus_matroid("fano")
+    orlik_solomon._whitney_numbers(M)
+    walks, _ = _count_walks(monkeypatch, M)
+    if degree is None:
+        assert reduced_os_dimensions(M) == [1, 6, 8]
+    else:
+        assert reduced_nbc_basis(M, degree).dimension == [1, 6, 8][degree]
+    assert len(walks) == 2
+
+
+def test_os_dimensions_of_k8_walk_once(monkeypatch):
+    """M(K8) has 28 elements, so its Whitney numbers come from
+    deletion-contraction, which never asks M itself for an oracle: every
+    push counted is the nbc walk's: 158,323, against 425,482 over one walk
+    per degree."""
+    M = from_graph([(a, b) for a in range(8) for b in range(a + 1, 8)])
+    walks, pushes = _count_walks(monkeypatch, M)
+    assert os_dimensions(M) == [1, 28, 322, 1960, 6769, 13132, 13068, 5040]
+    assert len(walks) == 1 and len(pushes) <= 158_323
