@@ -289,9 +289,9 @@ class RollbackUnionFind:
 def parallel_classes(steps, elements):
     """The parallel classes, in the contraction by the prefix pushed on the
     rank oracle `steps`, of those `elements` outside its closure: lists in
-    the order of `elements`, ordered by their first elements. An echelon or
-    a union-find reads them off its state (`classes`); any other oracle
-    pushes each element after the prefix, and then each class
+    the order of `elements`, ordered by their first elements. An echelon, a
+    union-find or a uniform oracle reads them off its state (`classes`); any
+    other oracle pushes each element after the prefix, and then each class
     representative after it until one does not raise the rank."""
     own = getattr(steps, "classes", None)
     if own is not None:

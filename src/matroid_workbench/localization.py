@@ -35,19 +35,21 @@ integers, in the manner of Bellman and Held-Karp:
     series, and each layer extends every state by one element;
   * the rank of every prefix set is read from a cache filled by one subset
     walk over the push/pop oracle of Matroid.incremental_rank();
-  * merged paths have different tangent products, so every edge factor is
-    scaled to the same integer series T^L / u_tau = (T/tau)^L * (tau^L /
-    u_tau), with T the lcm of the |a_i - a_j|; the whole sum then carries
-    the single scale T^(L(#E-1));
+  * merged paths have different tangent products, so the sum runs in eta
+    with eps = T eta, T the lcm of the |a_i - a_j|: each edge factor
+    1/(eps u_tau) is eta^-1 T^-2 W_tau, where the integer series W_tau =
+    T / u_tau(T eta) follows one exact recurrence per pairing tau (which
+    divides T), and each fiber numerator (1+eps)^c is (1 + T eta)^c;
   * the last layer is grouped by step set, and the fiber numerator of a
     cell (p, q) is built once per basis and multiplied into its group.
 
-The total is T^(L(#E-1)) times the sum: its pole slots must be 0 and its
-eps^0 slot a multiple of that scale. On a 2-core box (Python 3.11) the Fano
-table merges its 5,040 orderings into 1,134 states and takes about 0.03 s
-in process, against about 0.17 s for the earlier depth-first walk over
-orderings and about 32 s for the route that inverted one Fraction series
-per fixed point; that route is kept in the tests as the oracle.
+The substitution keeps the constant term, so the total's eta^0 slot is
+T^(2#E-2) times the table entry: its pole slots must be 0 and its eta^0
+slot a multiple of that scale. On a 2-core box (Python 3.11) the Fano
+table merges its 5,040 orderings into 1,134 states and takes about 0.02 s
+in process, and M(K5) (3,628,800 orderings) about 0.9 s with no integer
+above 212 bits. The route that inverted one Fraction series per fixed
+point took about 32 s on Fano; it is kept in the tests as the oracle.
 """
 from __future__ import annotations
 
@@ -60,12 +62,6 @@ from .series import TruncatedSeries
 FIBER_SIGN = -1
 TANGENT_SIGN = 1
 DEFAULT_MAX_POINTS = 5040  # 7! -- up to seven ground elements by default
-
-
-def _unit_series(tau, order):
-    """(1 - (1+eps)^(-tau)) / eps: an invertible series when tau != 0."""
-    pw = TruncatedSeries.one_plus_eps_power(-tau, order + 1)
-    return TruncatedSeries([-c for c in pw.coeffs[1:]], order)
 
 
 def _resolve_one_ps(M, one_ps):
@@ -101,10 +97,11 @@ def _accumulate_points(M, a, L):
     """Sum the localization series over all orderings of the ground set, by
     dynamic programming over their prefix states.
 
-    Returns the whole table at once: entry [p][q] is L integers, T^(L(#E-1))
-    (T from _pair_lcm) times the sum of cell (p, q), slot j holding the
-    eps^(j - n) coefficient. The weights `a` are indexed by position in
-    M.elements; prefix and step sets are bitmasks over element labels.
+    Returns the whole table at once: entry [p][q] is L integers, the sum of
+    cell (p, q) in eta = eps / T (T from _pair_lcm) times T^(2#E-2), slot j
+    holding the eta^(j - n) coefficient. The weights `a` are indexed by
+    position in M.elements; prefix and step sets are bitmasks over element
+    labels.
     """
     elements = M.elements
     weight = dict(zip(elements, a))
@@ -123,28 +120,28 @@ def _accumulate_points(M, a, L):
 
     fill(0, 0, elements)
 
-    # T^L / u_tau = (T / tau)^L * (tau^L / u_tau) for every ordered pair; the
-    # second factor is an integer series, as 1/u_tau has slot k in tau^-(k+1) Z
+    # W_tau = T / u_tau(T eta) for u_tau = (1 - (1+eps)^-tau) / eps = sum u_k
+    # eps^k: W_0 = T / tau, W_k = -sum_i u_i (T^i / tau) W_(k-i), all integers
     t = _pair_lcm(a)
-    inverses = {}
+    series = {}
     edge = {}
     for x in elements:
         for y in elements:
             if x == y:
                 continue
             tau = TANGENT_SIGN * (weight[x] - weight[y])
-            s = inverses.get(tau)
+            s = series.get(tau)
             if s is None:
-                if tau == 0:
-                    raise InternalInvariantViolation("zero tangent pairing on a generic 1-PS")
-                coeffs = [c * tau**L for c in _unit_series(tau, L).inverse().coeffs]
-                if any(c.denominator != 1 for c in coeffs):
-                    raise InternalInvariantViolation(f"tau^L / u_tau is not integral at tau = {tau}")
-                k = (t // tau) ** L
-                s = inverses[tau] = TruncatedSeries([int(c) * k for c in coeffs], L)
+                if tau == 0 or t % tau:
+                    raise InternalInvariantViolation(f"tangent pairing {tau} does not divide T = {t}")
+                u = [-c for c in TruncatedSeries.one_plus_eps_power(-tau, L + 1).coeffs[1:]]
+                w = [t // tau]
+                for k in range(1, L):
+                    w.append(-sum(u[i] * (t**i // tau) * w[k - i] for i in range(1, k + 1)))
+                s = series[tau] = TruncatedSeries(w, L)
             edge[x, y] = s
 
-    # states (prefix set, last element, step set) -> the sum of the T^L / u_tau
+    # states (prefix set, last element, step set) -> the sum of the W_tau
     # products over the orderings of the prefix set that end in that element
     one = TruncatedSeries([1], L)
     layer = {(bit[e], e, bit[e] if rank[bit[e]] else 0): one for e in elements}
@@ -169,12 +166,13 @@ def _accumulate_points(M, a, L):
     if any(steps.bit_count() != M.r for steps in by_basis):
         raise InternalInvariantViolation("rank steps do not match the rank")
 
-    powers = {}
+    # (1 + eps)^c = (1 + T eta)^c: slot j of a numerator gains the factor T^j
+    powers, tpow = {}, [t**j for j in range(L)]
 
     def pw(c):
         s = powers.get(c)
         if s is None:
-            s = powers[c] = TruncatedSeries.one_plus_eps_power(c, L)
+            s = powers[c] = TruncatedSeries.one_plus_eps_power(c, L).coeffs
         return s
 
     r, m = M.r, M.size - M.r
@@ -188,9 +186,10 @@ def _accumulate_points(M, a, L):
                 for e1, c1 in spoly.items():
                     for e2, c2 in qpoly.items():
                         cnt = c1 * c2
-                        for j, c in enumerate(pw(e1 + e2).coeffs):
+                        for j, c in enumerate(pw(e1 + e2)):
                             numer[j] += cnt * c
-                for j, c in enumerate((TruncatedSeries(numer, L) * acc).coeffs):
+                numer = TruncatedSeries([c * tp for c, tp in zip(numer, tpow)], L)
+                for j, c in enumerate((numer * acc).coeffs):
                     slot[j] += c
     return total
 
@@ -219,8 +218,8 @@ def _euler_table(M, one_ps, max_points):
         npoints *= i
     if npoints > max_points:
         raise TooLarge(f"{npoints} fixed points exceed the budget of {max_points}")
-    L = M.size  # slots eps^(-n) .. eps^0 with n = #E - 1
-    scale = _pair_lcm(a) ** (L * (M.size - 1))
+    L = M.size  # slots eta^(-n) .. eta^0 with n = #E - 1
+    scale = _pair_lcm(a) ** (2 * M.size - 2)
     return [
         [_extract_integer((p, q), coeffs, L - 1, scale) for q, coeffs in enumerate(row)]
         for p, row in enumerate(_accumulate_points(M, a, L))

@@ -14,8 +14,8 @@ flags all read it). Rank values are cached per frozenset. Every backing
 also has one push/pop rank oracle, steps(), which owns its label map: a
 linear echelon its columns, the rollback union-find its edges, the
 explicit-basis oracle the bases that hold the prefix's independent part,
-and uniform matroids and derived minors and duals rank each prefix with
-their own rank function.
+a uniform matroid its rank, and derived minors and duals rank each prefix
+with their own rank function.
 Matroid.incremental_rank() hands it to every walk over prefixes (bases
 here, the corank-nullity counts in tutte.py, the fixed points in
 localization.py); a walk's linear echelon shares column residuals across
@@ -256,6 +256,30 @@ class _PrefixSteps:
         self._stack.pop()
 
 
+class _UniformSteps:
+    """Push/pop rank oracle of U_{r,n}: a push raises the rank while it is
+    below r. It names the parallel classes of elements outside the prefix
+    with no push: none at rank r, one class at rank r - 1, singletons below."""
+
+    def __init__(self, r):
+        self._r = r
+        self._ranks = [0]
+
+    def push(self, e):
+        rk = self._ranks[-1]
+        self._ranks.append(min(rk + 1, self._r))
+        return rk < self._r
+
+    def pop(self):
+        self._ranks.pop()
+
+    def classes(self, elements):
+        slack = self._r - self._ranks[-1]
+        if slack > 1:
+            return [[e] for e in elements]
+        return [list(elements)] if slack and elements else []
+
+
 class UniformBacking:
     kind = "uniform"
     key_prefix = b"mw2:u:"
@@ -267,7 +291,7 @@ class UniformBacking:
         return min(len(subset), self.r)
 
     def steps(self):
-        return _PrefixSteps(self.rank)
+        return _UniformSteps(self.r)
 
     def minor(self, contracted, kept):
         return UniformBacking(self.r - min(len(contracted), self.r))
@@ -485,7 +509,8 @@ class Matroid:
         element order, ordered by their least elements, from the rank
         oracle with nothing pushed (linalg.parallel_classes): a linear
         matroid groups its columns by direction, a graph its edges by their
-        ends, and any other backing pushes pairs."""
+        ends, a uniform matroid reads them off its rank, and any other
+        backing pushes pairs."""
         return linalg.parallel_classes(self.incremental_rank(), self.elements)
 
     def is_loopless(self):

@@ -22,7 +22,9 @@ from .errors import InternalInvariantViolation, InvalidInput, LooplessRequired, 
 from .fields import QQ
 from .matroids import Matroid
 
-NBC_BUDGET = 1 << 20  # sets one nbc walk may visit: every subset of 20 elements
+# rank-oracle pushes one nbc walk may make: it visits at most 2^#E sets and
+# pushes at most #E elements at each, so every ground set of 20 elements fits
+NBC_BUDGET = 20 << 20
 
 
 class ExteriorElement:
@@ -122,24 +124,24 @@ def nbc_sets(M: Matroid, k):
     (Bjorner 1992). One depth-first walk on M.incremental_rank() builds S in
     descending order, extends it below min S by each element up to the
     first in cl(S), and keeps S when no element below its minimum lies in
-    cl(S). It visits at most NBC_BUDGET independent sets of up to k
-    elements, and M keeps the nbc sets of every size, so a caller reading
-    several degrees asks for the top one first.
+    cl(S). It makes at most NBC_BUDGET pushes, and M keeps the nbc sets of
+    every size, so a caller reading several degrees asks for the top one
+    first.
     """
     if k < 0 or k > M.size:
         raise InvalidInput(f"degree {k} out of range 0..{M.size}")
     _require_loopless(M)
     levels = vars(M).get("_os_nbc", ())
     if len(levels) <= min(k, M.r):
-        elems, steps, visited = M.elements, M.incremental_rank(), 0
+        elems, steps, pushes = M.elements, M.incremental_rank(), 0
         levels = [[] for _ in range(min(k, M.r) + 1)]
 
         def walk(top, S):
-            nonlocal visited
-            visited += 1
-            if visited > NBC_BUDGET:
-                raise TooLarge(f"nbc walk over more than {NBC_BUDGET} independent sets (the budget)")
+            nonlocal pushes
             for i in range(top - 1, -1, -1):
+                pushes += 1
+                if pushes > NBC_BUDGET:
+                    raise TooLarge(f"nbc walk past {NBC_BUDGET} rank-oracle pushes (the budget)")
                 spans = not steps.push(elems[i])
                 if not spans and len(S) < k:
                     walk(i, S + (elems[i],))

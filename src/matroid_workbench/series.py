@@ -1,9 +1,9 @@
 """Truncated power series in one variable with exact coefficients.
 
 Coefficients are ints or Fractions; all arithmetic truncates at a fixed
-order. Used by the fixed-point localization sums, where every character
-exponential (1 + eps)^c expands to an integer-coefficient series and the
-only division is one series inversion per tangent pairing.
+order. The fixed-point localization sums multiply integer series only;
+`inverse`, the one operation that makes Fractions, serves the per-point
+Fraction oracle of the tests.
 """
 from __future__ import annotations
 

@@ -18,6 +18,7 @@ from matroid_workbench import (
     from_graph,
     h_matrix,
     h_polynomial,
+    localization,
     orlik_solomon,
     tutte,
 )
@@ -275,6 +276,8 @@ def test_verify_corpus_exits_zero():
         (["tutte"], {"type": "uniform", "r": 3, "n": 1000}, None, 3),
         (["os-basis", "--degree", "1200"], {"type": "uniform", "r": 1500, "n": 1500}, None, 3),
         (["os-dims"], {"type": "uniform", "r": 1500, "n": 1500}, None, 3),
+        # the nbc budget counts pushes: #E^2 / 2 of them in degree 1
+        (["os-basis", "--degree", "1"], {"type": "uniform", "r": 10000, "n": 10000}, None, 3),
     ],
 )
 def test_exit_codes(args, stdin_obj, stdin_text, code):
@@ -531,9 +534,11 @@ K4 = {"type": "graphic", "edges": [[a, b] for a in range(4) for b in range(a + 1
         # past 24 elements charpoly takes deletion-contraction, held to check_tutte
         (["charpoly"], tutte, "tutte_dc", _plus(BivariatePoly({(1, 0): 1, (0, 1): -1})), "Greene",
          _complete_graph(8)),
+        # a T that some tangent pairing does not divide is refused before any sum
+        (["euler-table"], localization, "_pair_lcm", _plus(1), "does not divide", K4),
     ],
     ids=["os-dims", "os-basis", "reduced-os-basis", "hlv", "charpoly", "tutte", "tutte-core", "euler-table-h",
-         "charpoly-dc"],
+         "charpoly-dc", "euler-table-lcm"],
 )
 def test_injected_fault_exits_4(args, module, name, spoil, message, descriptor, monkeypatch, capsys):
     """One wrong inner value stops each command before output: exit code 4,

@@ -191,6 +191,20 @@ def test_exact_checks_reject_bad_sums():
         _extract_integer((0, 0), [0, 0, 13], 2, 4)
 
 
+@pytest.mark.parametrize("name", ["k4", "fano", "u_2_4"])
+def test_sum_in_eta_carries_the_scale_t_to_2n(corpus_by_name, name):
+    """The sums run in eta = eps / T, which keeps the constant term: at
+    a = (0, ..., #E - 1) the eta^0 slot of every cell is exactly
+    T^(2#E - 2) times the h-matrix entry, and every pole slot is 0."""
+    M = corpus_by_name[name]
+    a, n = tuple(range(M.size)), M.size - 1
+    scale = localization._pair_lcm(a) ** (2 * n)
+    total = localization._accumulate_points(M, a, M.size)
+    want = h_matrix(M)
+    assert [[coeffs[:n] for coeffs in row] for row in total] == [[[0] * n for _ in row] for row in want]
+    assert [[coeffs[n] for coeffs in row] for row in total] == [[scale * h for h in row] for row in want]
+
+
 @pytest.mark.parametrize("slot, message", [(0, "residual pole"), (-1, "non-integer")])
 def test_perturbed_sum_exits_4(monkeypatch, capsys, slot, message):
     """One wrong slot in the accumulated sums: a nonzero pole slot, or an

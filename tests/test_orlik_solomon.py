@@ -389,7 +389,7 @@ def test_product_of_reduced_generators_vanishes_on_circuit(corpus_by_name):
     assert os_multiply(M, a, b).is_zero()
 
 
-def test_os_errors(corpus_by_name):
+def test_os_errors(corpus_by_name, monkeypatch):
     M = corpus_by_name["u_2_3"]
     with pytest.raises(InvalidInput):
         os_space(M, -1)
@@ -400,7 +400,9 @@ def test_os_errors(corpus_by_name):
         os_space(loopy, 1)
     with pytest.raises(LooplessRequired):
         broken_circuits(loopy)
-    # C(23, 11) = 1,352,078 nbc sets in degree 12, more than the budget
+    # C(23, 11) = 1,352,078 nbc sets in degree 12 take more than 2^20 pushes;
+    # NBC_BUDGET, 20 * 2^20, fits their 11,092,763 (about 20 s)
+    monkeypatch.setattr(orlik_solomon, "NBC_BUDGET", 1 << 20)
     with pytest.raises(TooLarge, match="budget"):
         os_space(uniform(12, 24), 12)
 

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from matroid_workbench import (
     InternalInvariantViolation,
     linalg,
+    matroids,
     from_bases,
     from_graph,
     from_matrix,
@@ -122,6 +123,31 @@ def test_walks_match_oracles_on_corpus(corpus_by_name):
 def test_walks_match_oracles_with_loops_and_coloops(M):
     assert_walks_match_oracles(M)
     assert push_only_counts(M)[0] == brute_rank_size_counts(M)
+
+
+@pytest.mark.parametrize("r", range(4))
+def test_uniform_oracle_reads_its_classes_off_its_rank(r):
+    """U(r, n) names its parallel classes with no push: none at rank r, one
+    at rank r - 1, singletons below. The push route over an oracle that
+    ranks each prefix with the rank function agrees at every prefix, and
+    the walks agree through either oracle."""
+
+    def by_rank_function(M):
+        return _CountingSteps(matroids._PrefixSteps(M.rank))
+
+    for n in range(max(r, 1), r + 5):
+        M = uniform(r, n)
+        own, pushed = M.incremental_rank(), by_rank_function(M)
+        for k in range(n + 1):
+            rest = M.elements[k:]
+            assert own.classes(rest) == linalg.parallel_classes(pushed, rest), (n, k)
+            if rest:
+                own.push(rest[0]), pushed.push(rest[0])
+        assert M.parallel_classes() == linalg.parallel_classes(by_rank_function(M), M.elements)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(M, "incremental_rank", lambda: by_rank_function(M))
+            by_pushes = rank_size_counts(M)
+        assert rank_size_counts(M) == by_pushes == brute_rank_size_counts(M), n
 
 
 @pytest.mark.parametrize("name", sorted(adapter_family()))
