@@ -12,19 +12,23 @@ and errors map to fixed exit codes:
 Output is deterministic for fixed input and flags. Every command runs one
 worker; --jobs is accepted and validated for compatibility but read by
 nothing, so it never changes the bytes.
+
+Each command imports the modules it runs when it runs, so importing this
+module loads no pipeline: not the Tutte, polynomial, Orlik-Solomon,
+localization, toric or corpus code. FileTutteCache, which subclasses
+tutte.TutteCache, is defined at its first lookup (PEP 562).
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 
-from . import tutte
 from .errors import InternalInvariantViolation, InvalidInput, TooLarge, WorkbenchError
 from .fields import field_from_name
 from .matroids import from_descriptor
-from .polynomials import BivariatePoly
 
 
 def _read_descriptor(path):
@@ -49,74 +53,92 @@ def _emit(obj):
     sys.stdout.write(json.dumps(obj, separators=(",", ":")) + "\n")
 
 
-class FileTutteCache(tutte.TutteCache):
-    """Tutte memo table persisted as one JSON file per memo key.
+def __getattr__(name):
+    if name == "FileTutteCache":
+        return _file_tutte_cache()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
-    Filenames are content-addressed (sha256 of Matroid.memo_key()), so
-    unrelated matroids never collide, and a warm run over entries this
-    class wrote is byte-identical to a cold one. A directory written under
-    an older key scheme is simply cold. An entry read from disk is used
-    only if it parses, its degrees stay within the rank and corank, and it
-    passes T(1,1) = #bases and T(2,2) = 2^#E for the matroid being looked
-    up (Matroid.basis_count, which enumerates no bases of a graph, a
-    uniform matroid or a basis list); otherwise it counts as a miss and the
-    recomputed entry replaces it.
-    That rejects corrupt entries, not crafted ones: a polynomial that keeps
-    those values but is not T is used as it is (a complete check costs as
-    much as computing T).
-    """
 
-    def __init__(self, directory):
-        super().__init__()
-        self.directory = directory
-        try:
-            os.makedirs(directory, exist_ok=True)
-        except OSError as exc:
-            raise InvalidInput(f"cannot use {directory} as a cache directory: {exc}") from exc
+@functools.cache
+def _file_tutte_cache():
+    """The FileTutteCache class, made once, so that the `tutte` command
+    builds the very class that a caller looked up as cli.FileTutteCache."""
+    from .tutte import TutteCache
 
-    def _path(self, key):
-        import hashlib
+    class FileTutteCache(TutteCache):
+        """Tutte memo table persisted as one JSON file per memo key.
 
-        return os.path.join(self.directory, hashlib.sha256(key).hexdigest() + ".json")
+        Filenames are content-addressed (sha256 of Matroid.memo_key()), so
+        unrelated matroids never collide, and a warm run over entries this
+        class wrote is byte-identical to a cold one. A directory written under
+        an older key scheme is simply cold. An entry read from disk is used
+        only if it parses, its degrees stay within the rank and corank, and it
+        passes T(1,1) = #bases and T(2,2) = 2^#E for the matroid being looked
+        up (Matroid.basis_count, which enumerates no bases of a graph, a
+        uniform matroid or a basis list); otherwise it counts as a miss and the
+        recomputed entry replaces it.
+        That rejects corrupt entries, not crafted ones: a polynomial that keeps
+        those values but is not T is used as it is (a complete check costs as
+        much as computing T).
+        """
 
-    def get(self, key, matroid=None):
-        hit = super().get(key)
-        if hit is not None or matroid is None:  # a disk entry needs the matroid
-            return hit
-        try:
-            with open(self._path(key), "r", encoding="utf-8") as fh:
-                poly = BivariatePoly.from_json(json.load(fh))
-        except (OSError, ValueError, InvalidInput):
-            return None
-        if not (
-            poly.degree_x() <= matroid.r
-            and poly.degree_y() <= matroid.corank
-            and poly.evaluate(1, 1) == matroid.basis_count()
-            and poly.evaluate(2, 2) == 2**matroid.size
-        ):
-            return None
-        super().put(key, poly)
-        return poly
+        def __init__(self, directory):
+            super().__init__()
+            self.directory = directory
+            try:
+                os.makedirs(directory, exist_ok=True)
+            except OSError as exc:
+                raise InvalidInput(f"cannot use {directory} as a cache directory: {exc}") from exc
 
-    def put(self, key, poly):
-        import tempfile
+        def _path(self, key):
+            import hashlib
 
-        super().put(key, poly)
-        path = self._path(key)
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(poly.to_json()))
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+            return os.path.join(self.directory, hashlib.sha256(key).hexdigest() + ".json")
+
+        def get(self, key, matroid=None):
+            hit = super().get(key)
+            if hit is not None or matroid is None:  # a disk entry needs the matroid
+                return hit
+            from .polynomials import BivariatePoly
+
+            try:
+                with open(self._path(key), "r", encoding="utf-8") as fh:
+                    poly = BivariatePoly.from_json(json.load(fh))
+            except (OSError, ValueError, InvalidInput):
+                return None
+            if not (
+                poly.degree_x() <= matroid.r
+                and poly.degree_y() <= matroid.corank
+                and poly.evaluate(1, 1) == matroid.basis_count()
+                and poly.evaluate(2, 2) == 2**matroid.size
+            ):
+                return None
+            super().put(key, poly)
+            return poly
+
+        def put(self, key, poly):
+            import tempfile
+
+            super().put(key, poly)
+            path = self._path(key)
+            fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+            try:
+                with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                    fh.write(json.dumps(poly.to_json()))
+                os.replace(tmp, path)
+            except BaseException:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+                raise
+
+    return FileTutteCache
 
 
 def _cmd_tutte(args):
+    from . import tutte
+
     M = _read_descriptor(args.input)
-    cache = FileTutteCache(args.cache) if args.cache else None
+    cache = _file_tutte_cache()(args.cache) if args.cache else None
     budget = args.budget if args.budget else tutte.DEFAULT_DC_NODES
     poly = tutte.tutte_dc(M, cache, max_nodes=budget)
     tutte.check_tutte(M, poly)
@@ -124,6 +146,8 @@ def _cmd_tutte(args):
 
 
 def _cmd_charpoly(args):
+    from . import tutte
+
     M = _read_descriptor(args.input)
     t = tutte.tutte_polynomial(M)
     _emit(
@@ -135,6 +159,8 @@ def _cmd_charpoly(args):
 
 
 def _cmd_hlv(args):
+    from . import tutte
+
     M = _read_descriptor(args.input)
     _emit(tutte.h_polynomial(M).to_json(xname="u", yname="v"))
 
@@ -180,7 +206,7 @@ def _cmd_reduced_os_basis(args):
 
 
 def _cmd_euler_table(args):
-    from . import localization
+    from . import localization, tutte
 
     M = _read_descriptor(args.input)
     budget = args.budget if args.budget else localization.DEFAULT_MAX_POINTS

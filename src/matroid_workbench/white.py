@@ -36,8 +36,10 @@ access.
 
 Before a report leaves check_degree, the number of fibers must equal the
 number of integer points of d*P_M, the sums of d bases (Edmonds; White
-1977), counted from the rank function alone, and the fiber sizes must add
-up to C(#bases + d - 1, d).
+1977), and the fiber sizes must add up to C(#bases + d - 1, d). The points
+are counted from the rank function and the cyclic flats alone, by a walk
+over the coordinates that closes the last two by formula: their
+completions of a prefix are the integers of an interval.
 """
 from __future__ import annotations
 
@@ -413,13 +415,17 @@ def _lattice_points(M, d):
     points are the sums of d bases, one per degree-d fiber. A depth-first
     walk over the coordinates in ground order keeps a running slack per
     cyclic flat, and prunes a prefix whose remaining total cannot be placed
-    inside one flat's slack plus the room outside it.
+    inside one flat's slack plus the room outside it. The walk stops two
+    coordinates short of the end: once x_{n-2} = x is chosen the last
+    coordinate is the remaining total minus x, so every bound on the pair
+    is a bound on x, and a prefix has as many completions as an interval
+    has integers.
     """
     flats = list(_cyclic_flats(M))
     elems = M.elements
     n = len(elems)
-    if n == 0:
-        return 1
+    if n < 2:
+        return 1  # a single basis, so d*P_M is one point
     cap = [d * M.rank({e}) for e in elems]
     slack = [d * M.rank(z) for z in flats]
     member = [[i for i, z in enumerate(flats) if e in z] for e in elems]
@@ -433,8 +439,29 @@ def _lattice_points(M, d):
             for i, z in enumerate(flats)
             if any(elems[p] in z for p in range(k, n))
         ]
-        for k in range(n)
+        for k in range(n - 2)
     ]
+    # a flat holding e_{n-2} bounds x from above; one holding e_{n-1} but not
+    # e_{n-2} bounds the last coordinate need - x, so x from below; one
+    # holding both bounds need alone
+    upper = member[n - 2]
+    lower = [i for i in member[n - 1] if i not in upper]
+    both = [i for i in member[n - 1] if i in upper]
+
+    def pair(need):
+        """The completions x_{n-2} = x, x_{n-1} = need - x under the slacks."""
+        for i in both:
+            if need > slack[i]:
+                return 0
+        top = min(cap[n - 2], need)
+        for i in upper:
+            if slack[i] < top:
+                top = slack[i]
+        low = max(0, need - cap[n - 1])
+        for i in lower:
+            if need - slack[i] > low:
+                low = need - slack[i]
+        return max(0, top - low + 1)
 
     def walk(k, need):
         for i, outside in checks[k]:
@@ -443,19 +470,18 @@ def _lattice_points(M, d):
         inside = member[k]
         top = min(cap[k], need)
         for i in inside:
-            top = min(top, slack[i])
-        if k == n - 1:
-            return 1 if need <= top else 0  # the last coordinate is need
+            if slack[i] < top:
+                top = slack[i]
         count = 0
         for x in range(max(0, need - room[k + 1]), top + 1):
             for i in inside:
                 slack[i] -= x
-            count += walk(k + 1, need - x)
+            count += walk(k + 1, need - x) if k < n - 3 else pair(need - x)
             for i in inside:
                 slack[i] += x
         return count
 
-    return walk(0, d * M.r)
+    return pair(d * M.r) if n == 2 else walk(0, d * M.r)
 
 
 def check_degree(M: Matroid, d, budget=DEFAULT_BUDGET):

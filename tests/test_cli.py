@@ -398,8 +398,41 @@ def test_cli_import_leaves_unused_modules_unloaded():
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
     assert "matroid_workbench.cli" in loaded
-    for name in ("corpus", "white", "orlik_solomon", "graphs"):
+    for name in ("corpus", "white", "orlik_solomon", "graphs", "tutte", "polynomials"):
         assert f"matroid_workbench.{name}" not in loaded
+
+
+def test_white_check_runs_without_the_tutte_code():
+    code = (
+        "import io, json, sys\n"
+        "from matroid_workbench import cli\n"
+        "sys.stdin = io.StringIO(json.dumps({'type': 'uniform', 'r': 2, 'n': 4}))\n"
+        "rc = cli.main(['white-check', '--degree', '3'])\n"
+        "print(rc, 'matroid_workbench.tutte' in sys.modules, file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.stderr == "0 False\n"
+    assert json.loads(proc.stdout)["all_connected"] is True
+
+
+def test_tutte_command_builds_the_cache_class_it_exports(tmp_path, monkeypatch):
+    """cli.FileTutteCache is made once, at its first lookup, and `tutte
+    --cache` builds that same class, so a wrapper put on it sees the run."""
+    cls = cli.FileTutteCache
+    assert issubclass(cls, tutte.TutteCache) and cli.FileTutteCache is cls
+    keys = []
+    put = cls.put
+
+    def recording_put(self, key, poly):
+        keys.append(key)
+        put(self, key, poly)
+
+    monkeypatch.setattr(cls, "put", recording_put)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(FANO)))
+    assert cli.main(["tutte", "--cache", str(tmp_path)]) == 0
+    assert keys and len(list(tmp_path.glob("*.json"))) == len(keys)
 
 
 # -------------------------------------------------------------------- caching

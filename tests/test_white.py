@@ -191,11 +191,11 @@ def test_lift_matches_explicit_moves(corpus_by_name, name, d):
 
 
 @st.composite
-def small_matrices(draw):
+def small_matrices(draw, max_cols=6):
     field = draw(st.sampled_from(["GF(2)", "GF(3)"]))
     p = int(field[3])
     rows = draw(st.integers(1, 3))
-    cols = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, max_cols))
     row = st.lists(st.integers(0, p - 1), min_size=cols, max_size=cols)
     return from_matrix(field, draw(st.lists(row, min_size=rows, max_size=rows)))
 
@@ -293,11 +293,33 @@ def _brute_sums(M, d):
         uniform(4, 4),
         uniform(0, 3),
         from_matrix("GF(2)", [[1, 0, 1, 1, 0], [0, 1, 1, 0, 0]]),
+        # one and two elements: no walk, only the closed form or one point
+        uniform(0, 1),
+        uniform(1, 1),
+        uniform(0, 2),
+        uniform(1, 2),
+        uniform(2, 2),
+        from_graph([(0, 0), (0, 1)]),  # a loop beside a coloop
+        from_graph([(0, 1), (1, 1)]),  # a coloop beside a loop
+        # the last element a loop, then a coloop
+        from_graph([(0, 1), (1, 2), (2, 0), (2, 2)]),
+        from_graph([(0, 1), (1, 2), (2, 0), (2, 3)]),
+        # the last two elements parallel: a cyclic flat holding both
+        from_graph([(0, 1), (1, 2), (2, 0), (2, 3), (2, 3)]),
+        # the triangle of edges 2, 3, 4 holds the last two edges, and the
+        # triangle of edges 0, 1, 4 the last but not the one before it
+        from_graph([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]),
     ],
 )
 def test_lattice_points_are_the_sums_of_bases(M):
     for d in (1, 2, 3):
         assert white._lattice_points(M, d) == _brute_sums(M, d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_matrices(max_cols=7), st.integers(1, 3))
+def test_lattice_points_are_the_sums_of_bases_on_generated_matrices(M, d):
+    assert white._lattice_points(M, d) == _brute_sums(M, d)
 
 
 def test_lattice_count_needs_no_scan_of_all_flats():
