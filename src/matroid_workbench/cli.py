@@ -15,19 +15,21 @@ nothing, so it never changes the bytes.
 
 Each command imports the modules it runs when it runs, so importing this
 module loads no pipeline: not the Tutte, polynomial, Orlik-Solomon,
-localization, toric or corpus code. FileTutteCache, which subclasses
-tutte.TutteCache, is defined at its first lookup (PEP 562).
+localization, toric or corpus code, nor the linear algebra and fields.py,
+which load with the first matrix or --field. The parser, and argparse with
+it, is built in main (build_parser); its help formatter takes its width
+from COLUMNS or the terminal itself, so shutil is never imported.
+FileTutteCache, which subclasses tutte.TutteCache, is defined at its first
+lookup (PEP 562).
 """
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import sys
 
 from .errors import InternalInvariantViolation, InvalidInput, TooLarge, WorkbenchError
-from .fields import field_from_name
 from .matroids import from_descriptor
 
 
@@ -44,6 +46,8 @@ def _read_descriptor(path):
         obj = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"input is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer literal past sys.get_int_max_str_digits()
+        raise InvalidInput("input JSON has an integer literal too long to convert") from exc
     except RecursionError as exc:
         raise InvalidInput("input JSON is nested too deeply") from exc
     return from_descriptor(obj)
@@ -167,6 +171,7 @@ def _cmd_hlv(args):
 
 def _cmd_os_dims(args):
     from . import orlik_solomon
+    from .fields import field_from_name
 
     M = _read_descriptor(args.input)
     field = field_from_name(args.field)
@@ -175,6 +180,7 @@ def _cmd_os_dims(args):
 
 def _cmd_os_basis(args):
     from . import orlik_solomon
+    from .fields import field_from_name
 
     M = _read_descriptor(args.input)
     field = field_from_name(args.field)
@@ -191,6 +197,7 @@ def _cmd_os_basis(args):
 
 def _cmd_reduced_os_basis(args):
     from . import orlik_solomon
+    from .fields import field_from_name
 
     M = _read_descriptor(args.input)
     field = field_from_name(args.field)
@@ -236,32 +243,59 @@ def _cmd_verify_corpus(args):
     return 0 if report["all_pass"] else 1
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as one stderr line and exit code 2."""
-
-    def error(self, message):
-        self.exit(2, f"{self.prog}: error: {message}\n")
-
-
-def _int_at_least(low):
-    def parse(text):
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
-        return value
-
-    parse.__name__ = "int"  # argparse reports "invalid int value: ..."
-    return parse
+def _help_width():
+    """The width argparse's help formatter would take from
+    shutil.get_terminal_size(), read without importing shutil: COLUMNS when
+    it is a positive integer, else the width of the terminal on stdout,
+    else 80; less 2, as argparse does."""
+    try:
+        columns = int(os.environ.get("COLUMNS", ""))
+    except ValueError:
+        columns = 0
+    if columns <= 0:
+        try:
+            columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
+        except (AttributeError, ValueError, OSError):
+            columns = 0
+    return (columns if columns > 0 else 80) - 2
 
 
 def build_parser():
+    """The argument parser; argparse loads here, not with this module."""
+    import argparse
+
+    class _Formatter(argparse.HelpFormatter):
+        def __init__(self, prog):
+            super().__init__(prog, width=_help_width())
+
+    class _Parser(argparse.ArgumentParser):
+        """Reports a usage error as one stderr line and exit code 2, and
+        wraps help with _Formatter (argparse's own width lookup imports
+        shutil)."""
+
+        def __init__(self, **kwargs):
+            super().__init__(formatter_class=_Formatter, **kwargs)
+
+        def error(self, message):
+            self.exit(2, f"{self.prog}: error: {message}\n")
+
+    def _int_at_least(low):
+        def parse(text):
+            value = int(text)
+            if value < low:
+                raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+            return value
+
+        parse.__name__ = "int"  # argparse reports "invalid int value: ..."
+        return parse
+
     parser = _Parser(
         prog="matroid-workbench",
         description="Exact matroid invariants: Tutte/characteristic/h "
         "polynomials, Orlik-Solomon bases, Euler tables by fixed-point "
         "localization, and toric quadric-generation checks.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
 
     def add(name, fn, helptext, degree=None, field=False, cache=False, budget=None):
         p = sub.add_parser(name, help=helptext)

@@ -35,7 +35,7 @@ the cuts of each weight for Greene's check in tutte.check_tutte.
 """
 from __future__ import annotations
 
-from .linalg import RollbackUnionFind
+from .matroids import RollbackUnionFind
 
 
 def canonical_edges(pairs):

@@ -3,10 +3,15 @@
 A Matroid wraps one of several backings:
 
   * LinearBacking   -- column matroid of a matrix over Q or GF(p)
+                       (in linalg.py)
   * UniformBacking  -- U_{r,n}
   * GraphicBacking  -- cycle matroid of a multigraph
   * BasesBacking    -- explicit basis list (validated against exchange)
   * DerivedBacking  -- rank function closure (generic minors / duals)
+
+The linear backing, with the echelon forms and fields.py, loads with the
+first matrix (from_matrix), so a graph, a uniform matroid or a basis list
+never compiles it; matroids.LinearBacking still names it (PEP 562).
 
 Ground elements are integers 0..n-1 in a fixed order; that order is part of
 the matroid's identity (broken circuits, canonical keys, and fixed-point
@@ -19,20 +24,22 @@ with their own rank function.
 Matroid.incremental_rank() hands it to every walk over prefixes (bases
 here, the corank-nullity counts in tutte.py, the fixed points in
 localization.py); a walk's linear echelon shares column residuals across
-the walk. A linear matroid is stored as its RREF: its rank, memo key,
-loops, coloops and dual read the rows, and its minors are row operations
-on them, so only a matrix and a dual run an elimination. A graph reads
+the walk. An echelon, the union-find and the uniform oracle name the
+parallel classes of the contraction by a pushed prefix with no push
+(parallel_classes); any other oracle pushes pairs. A linear matroid is
+stored as its RREF: its rank, memo key, loops, coloops and dual read the
+rows, and its minors are row operations on them, so only a matrix and a
+dual run an elimination. A graph reads
 its loops and coloops (bridges) off its edges, and its memo key is its
 canonical form up to isomorphism, both from graphs.py, loaded on first use.
-Matroid.basis_count() counts bases by a theorem where the backing has one.
+Matroid.basis_count() counts bases by a theorem where the backing has one,
+Kirchhoff's for a graph by Bareiss's determinant (int_determinant).
 """
 from __future__ import annotations
 
-from math import comb, gcd
+from math import comb
 
-from . import linalg
 from .errors import InvalidInput, TooLarge, quote
-from .fields import RationalField, field_from_name
 
 # Caps keeping exhaustive walks at desk scale.
 ENUMERATION_LIMIT = 20
@@ -48,193 +55,12 @@ def _check_ground_size(n):
         raise TooLarge(f"{n} ground elements exceed the limit of {GROUND_SET_LIMIT}")
 
 
-def _clear_column(col):
-    """Scale a rational column to coprime integers (kills denominators).
+def __getattr__(name):
+    if name == "LinearBacking":  # defined in linalg.py, loaded on first use (PEP 562)
+        from .linalg import LinearBacking
 
-    Column scaling by a nonzero rational does not change the column matroid,
-    so ranks can be computed fraction-free afterwards.
-    """
-    dens = [c.denominator for c in col]
-    lcm = 1
-    for d in dens:
-        lcm = lcm * d // gcd(lcm, d)
-    ints = [int(c * lcm) for c in col]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints)
-
-
-def _store_column(field, col):
-    """A column of field scalars in the integer column convention."""
-    if isinstance(field, RationalField):
-        return _clear_column(col)
-    return tuple(int(x) % field.p for x in col)
-
-
-def _echelon(field, columns):
-    """The push/pop rank oracle of integer-convention columns over `field`."""
-    if isinstance(field, RationalField):
-        return linalg.IntEchelon(columns)
-    return linalg.ModEchelon(field.p, columns)
-
-
-def _rref(field, vectors):
-    """The RREF of integer-convention `vectors` over `field`, as (pivot,
-    row) pairs sorted by pivot: the vectors pushed into an echelon, and its
-    rows pushed into a fresh one in descending pivot order, which clears
-    each at the larger pivots."""
-    ech = _echelon(field, dict(enumerate(vectors)))
-    for i in ech.columns:
-        ech.push(i)
-    back = _echelon(field, dict(ech.rows))
-    for j in sorted(back.columns, reverse=True):
-        back.push(j)
-    return sorted(back.rows)
-
-
-class LinearBacking:
-    """A linear matroid stored as its RREF: (pivot, row) pairs over the
-    positions of its elements, each row zero before its pivot and at the
-    other pivots, in its field's echelon convention. Walks and rank calls
-    push `columns` ({label: tuple of ints}, denominator-cleared over Q,
-    residues over GF(p)): a matrix's own, and for minors and duals the
-    columns of the rows, derived at first use."""
-
-    kind = "linear"
-    key_prefix = b"mw3:l:"
-
-    def __init__(self, field, elements, rows, columns=None):
-        self.field = field
-        self.elements = tuple(elements)
-        self.rows = rows
-        self._columns = columns
-
-    @property
-    def columns(self):
-        if self._columns is None:
-            self._columns = {e: tuple(row[f] for _, row in self.rows) for f, e in enumerate(self.elements)}
-        return self._columns
-
-    def rank(self, subset):
-        return sum(map(_echelon(self.field, self.columns).push, subset))
-
-    def steps(self):
-        return _echelon(self.field, self.columns)
-
-    def minor(self, contracted, kept):
-        """Native minor by row operations on the RREF, one element at a
-        time, whose column is then dropped. Contracting an element that
-        rows meet pivots the row with the largest such pivot onto it,
-        clears it from the other rows and drops that row; the others keep
-        their pivots, as no row with a larger pivot meets the element.
-        Deleting a pivot moves the pivot to the next nonzero entry of its
-        row and clears that column from the others, or drops the row when
-        there is none (a coloop). Deletion-contraction branches on the last
-        element of a core, never a pivot."""
-        ops = _echelon(self.field, {})
-        contracted, kept = set(contracted), set(kept)
-        elements, rows = list(self.elements), dict(self.rows)
-        for e in self.elements:
-            if e in kept:
-                continue
-            f = elements.index(e)
-            if e in contracted:
-                meet = sorted(j for j, row in rows.items() if row[f])
-                if meet:
-                    top = ops._scaled(rows.pop(meet.pop()), f)
-                    for j in meet:
-                        rows[j] = ops._eliminate(rows[j], f, top)
-            elif f in rows:
-                row = rows.pop(f)
-                row = row[:f] + [0] + row[f + 1:]
-                g = next((g for g, x in enumerate(row) if x), None)
-                if g is not None:
-                    top = ops._scaled(row, g)
-                    for j, other in list(rows.items()):
-                        if other[g]:
-                            rows[j] = ops._eliminate(other, g, top)
-                    rows[g] = top
-            del elements[f]
-            rows = {j - (j > f): row[:f] + row[f + 1:] for j, row in rows.items()}
-        return LinearBacking(self.field, elements, sorted(rows.items()))
-
-    def loops(self, elements):
-        """The zero columns of the RREF."""
-        return frozenset(e for f, e in enumerate(elements) if not any(row[f] for _, row in self.rows))
-
-    def coloops(self, elements):
-        """The pivots whose row is zero at every non-pivot column: no
-        fundamental circuit of the lexicographically first basis meets
-        them."""
-        pivots = {j for j, _ in self.rows}
-        free = [f for f in range(len(elements)) if f not in pivots]
-        return frozenset(elements[j] for j, row in self.rows if not any(row[f] for f in free))
-
-    def memo_payload(self, elements):
-        """(elements, (field name, RREF rows in their normal form under row
-        and column scaling)): matrices that differ by row operations and
-        column scaling get one key."""
-        rows = _scaling_normal_form(self.field, self.rows)
-        return (elements, (self.field.name, tuple(tuple(map(str, row)) for row in rows)))
-
-    def dual(self, elements):
-        """Column matroid of the null space, read off the RREF rows R: one
-        vector per free position f, 1 at f and -R[j][f] at each pivot j
-        (the null space with pivot column j scaled by R[j][j], which keeps
-        the matroid), put in RREF by one elimination."""
-        n, rows = len(elements), dict(self.rows)
-        free = [f for f in range(n) if f not in rows]
-        kernel = [[-rows[j][f] if j in rows else int(j == f) for j in range(n)] for f in free]
-        return LinearBacking(self.field, elements, _rref(self.field, kernel))
-
-    def basis_count(self, elements):
-        return None  # no closed form; enumerate
-
-
-def _scaling_normal_form(field, rows):
-    """The normal form of RREF rows, given as (pivot, row) pairs, under row
-    and column scaling (Brylawski-Lucas 1976; Oxley, Matroid Theory,
-    section 6.4), as lists of field elements.
-
-    Divide each row by its pivot entry. Then scaling row i by a_i and each
-    non-pivot column f by b_f, with pivot column i rescaled by 1/a_i so that
-    its pivot stays 1, keeps an RREF of the same matroid and multiplies
-    entry (i, f) by a_i b_f. Take the bipartite graph of rows against
-    non-pivot columns, with an edge at each nonzero entry, and walk it
-    breadth-first from the least position of each component (a row sits at
-    its pivot), neighbours in increasing position. The scalars are chosen so
-    that every tree edge reads 1 (a row's scalar below includes the division
-    by its pivot entry). Each component keeps one free scalar, and it
-    changes no entry, so every RREF in the scaling class gives the same
-    rows."""
-    mul, inv = field.mul, field.inv
-    by_pivot = dict(rows)
-    n = len(rows[0][1]) if rows else 0
-    scale = {}  # position -> a_i / pivot entry at row i's pivot, b_f at a non-pivot column f
-    for start in range(n):
-        if start in scale:
-            continue
-        row = by_pivot.get(start)
-        scale[start] = field.one if row is None else inv(field.of(row[start]))
-        queue = [start]
-        for node in queue:
-            s = scale[node]
-            row = by_pivot.get(node)
-            # a row meets the non-pivot columns where it is nonzero (its
-            # only nonzero pivot entry is its own, already scaled)
-            edges = enumerate(row) if row is not None else ((j, r[node]) for j, r in rows)
-            for other, x in edges:
-                if x and other not in scale:
-                    scale[other] = inv(mul(s, x))
-                    queue.append(other)
-    return [
-        [field.one if f == j else x if not x or f in by_pivot else mul(mul(scale[j], x), scale[f])
-         for f, x in enumerate(row)]
-        for j, row in rows
-    ]
+        return LinearBacking
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class _PrefixSteps:
@@ -307,6 +133,88 @@ class UniformBacking:
         return comb(len(elements), self.r)
 
 
+class RollbackUnionFind:
+    """Union-find with LIFO rollback (union by size, no path compression);
+    the push/pop rank oracle of a multigraph.
+
+    `edges` maps each label to its endpoints. Vertices enter on first use:
+    `parent` holds only the vertices that are not roots, and `size` the
+    roots that have absorbed another vertex.
+    """
+
+    def __init__(self, edges):
+        self.edges = edges
+        self.parent = {}
+        self.size = {}
+        self._hist = []
+
+    def find(self, x):
+        parent = self.parent
+        while x in parent:
+            x = parent[x]
+        return x
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            self._hist.append(None)
+            return False
+        size = self.size
+        sa, sb = size.get(ra, 1), size.get(rb, 1)
+        if sa < sb:
+            ra, rb, sa, sb = rb, ra, sb, sa
+        self.parent[rb] = ra
+        size[ra] = sa + sb
+        self._hist.append((rb, ra, sa))
+        return True
+
+    def push(self, e):
+        """Push edge `e`; True when it joins two components (a self-loop
+        never does)."""
+        return self.union(*self.edges[e])
+
+    def classes(self, elements):
+        """The parallel classes of the edges `elements` that join two
+        components, in the contraction by the pushed edges: edges grouped
+        by the roots of their ends."""
+        groups, find = {}, self.find
+        for e in elements:
+            a, b = map(find, self.edges[e])
+            if a != b:
+                groups.setdefault(frozenset((a, b)), []).append(e)
+        return list(groups.values())
+
+    def pop(self):
+        h = self._hist.pop()
+        if h:
+            rb, ra, sa = h
+            del self.parent[rb]
+            self.size[ra] = sa
+
+
+def int_determinant(matrix):
+    """The determinant of a square integer matrix by Bareiss's fraction-free
+    elimination: every division is exact, so all entries stay integers
+    (each is a minor of the input). The empty matrix has determinant 1."""
+    m = [list(row) for row in matrix]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot = m[k][k]
+        for i in range(k + 1, n):
+            row, c = m[i], m[i][k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - c * m[k][j]) // prev
+        prev = pivot
+    return sign * prev
+
+
 class GraphicBacking:
     kind = "graphic"
     key_prefix = b"mw3:g:"
@@ -319,7 +227,7 @@ class GraphicBacking:
         return sum(map(self.steps().push, subset))
 
     def steps(self):
-        return linalg.RollbackUnionFind(self.edges)
+        return RollbackUnionFind(self.edges)
 
     def minor(self, contracted, kept):
         edges = {e: self.edges[e] for e in (*contracted, *kept)}
@@ -355,7 +263,7 @@ class GraphicBacking:
         determinant of its Laplacian with one vertex's row and column
         removed. Parallel edges add up in the Laplacian; self-loops lie in
         no tree and are left out."""
-        uf = linalg.RollbackUnionFind(self.edges)
+        uf = RollbackUnionFind(self.edges)
         degree, weight = {}, {}
         for e in elements:
             u, v = self.edges[e]
@@ -369,7 +277,7 @@ class GraphicBacking:
             components.setdefault(uf.find(x), []).append(x)
         count = 1
         for _, *rest in components.values():
-            count *= linalg.int_determinant(
+            count *= int_determinant(
                 [[degree[a] if a == b else -weight.get((a, b), 0) for b in rest] for a in rest]
             )
         return count
@@ -445,6 +353,31 @@ class DerivedBacking:
         return None
 
 
+def parallel_classes(steps, elements):
+    """The parallel classes, in the contraction by the prefix pushed on the
+    rank oracle `steps`, of those `elements` outside its closure: lists in
+    the order of `elements`, ordered by their first elements. An echelon, a
+    union-find or a uniform oracle reads them off its state (`classes`); any
+    other oracle pushes each element after the prefix, and then each class
+    representative after it until one does not raise the rank."""
+    own = getattr(steps, "classes", None)
+    if own is not None:
+        return own(elements)
+    classes = []
+    for e in elements:
+        if steps.push(e):
+            for cls in classes:
+                parallel = not steps.push(cls[0])
+                steps.pop()
+                if parallel:
+                    cls.append(e)
+                    break
+            else:
+                classes.append([e])
+        steps.pop()
+    return classes
+
+
 class Matroid:
     """Immutable matroid facade with a cached exact rank oracle."""
 
@@ -507,11 +440,11 @@ class Matroid:
     def parallel_classes(self):
         """The parallel classes of the non-loop elements, each a list in
         element order, ordered by their least elements, from the rank
-        oracle with nothing pushed (linalg.parallel_classes): a linear
+        oracle with nothing pushed (parallel_classes): a linear
         matroid groups its columns by direction, a graph its edges by their
         ends, a uniform matroid reads them off its rank, and any other
         backing pushes pairs."""
-        return linalg.parallel_classes(self.incremental_rank(), self.elements)
+        return parallel_classes(self.incremental_rank(), self.elements)
 
     def is_loopless(self):
         return not self.loops()
@@ -659,17 +592,10 @@ def from_matrix(field, matrix):
 
     Elements are column indices 0..n-1.
     """
-    if isinstance(field, str):
-        field = field_from_name(field)
-    if not matrix or not matrix[0]:
-        raise InvalidInput("matrix must have at least one row and one column")
-    width = len(matrix[0])
-    _check_ground_size(width)
-    if any(len(row) != width for row in matrix):
-        raise InvalidInput("matrix rows must all have the same length")
-    columns = {j: _store_column(field, [field.of(row[j]) for row in matrix]) for j in range(width)}
-    rows = _rref(field, zip(*columns.values()))
-    return Matroid(LinearBacking(field, range(width), rows, columns), range(width))
+    from .linalg import matrix_backing
+
+    backing = matrix_backing(field, matrix)
+    return Matroid(backing, backing.elements)
 
 
 def uniform(r, n):
@@ -788,6 +714,8 @@ def from_descriptor(obj):
         if matrix:
             _check_ground_size(len(matrix[0]))
         matrix = [[_parse_matrix_entry(x) for x in row] for row in matrix]
+        from .fields import field_from_name
+
         return from_matrix(field_from_name(obj["field"]), matrix)
     if kind == "uniform":
         if type(obj.get("r")) is not int or type(obj.get("n")) is not int:

@@ -13,11 +13,12 @@ and one set of dimensions.
 
 Cross-checks: in each degree the nbc count must equal the Whitney number
 of the characteristic polynomial, and the reduced basis must carry an
-identity minor on the nbc monomials avoiding 0.
+identity minor on the nbc monomials avoiding 0. The characteristic
+polynomial comes from tutte.py, which loads with the first Whitney check
+(every OSSpace makes one), not with this module.
 """
 from __future__ import annotations
 
-from . import tutte
 from .errors import InternalInvariantViolation, InvalidInput, LooplessRequired, TooLarge
 from .fields import QQ
 from .matroids import Matroid
@@ -234,8 +235,11 @@ def _straightener(M):
 
 def _whitney_numbers(M):
     """[|coefficient of u^(r-k)| in chi_M for k = 0..#E], chi_M by the route
-    of tutte.tutte_polynomial."""
+    of tutte.tutte_polynomial, imported here: at the first check, not with
+    this module."""
     if "_os_whitney" not in vars(M):
+        from . import tutte
+
         chi = tutte.char_poly(M)
         M._os_whitney = [abs(chi.coeff(M.r - k)) for k in range(M.size + 1)]
     return M._os_whitney

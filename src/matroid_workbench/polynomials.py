@@ -8,8 +8,6 @@ stores {(i, j): c}; a univariate polynomial keeps j = 0.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import InvalidInput
 
 
@@ -106,6 +104,8 @@ class _SparsePoly:
     def evaluate(self, x, y):
         """The exact value at (x, y): an int at ints, else a Fraction."""
         if type(x) is not int or type(y) is not int:
+            from fractions import Fraction
+
             x, y = Fraction(x), Fraction(y)
         return sum(c * x**i * y**j for (i, j), c in self._terms.items())
 

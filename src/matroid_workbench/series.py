@@ -7,7 +7,6 @@ Fraction oracle of the tests.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
 from .errors import InternalInvariantViolation, InvalidInput
@@ -65,6 +64,8 @@ class TruncatedSeries:
         u0 = self.coeffs[0]
         if u0 == 0:
             raise InternalInvariantViolation("inverting a series with zero constant term")
+        from fractions import Fraction
+
         inv0 = Fraction(1, 1) / Fraction(u0)
         out = [inv0]
         for k in range(1, self.order):

@@ -40,8 +40,7 @@ from __future__ import annotations
 from math import comb
 
 from .errors import InternalInvariantViolation, TooLarge
-from .linalg import parallel_classes
-from .matroids import SUBSET_SUM_LIMIT, Matroid
+from .matroids import SUBSET_SUM_LIMIT, Matroid, parallel_classes
 from .polynomials import BivariatePoly, UnivariatePoly
 
 DEFAULT_DC_NODES = 100_000  # expanded deletion-contraction cores (memo misses)
@@ -59,9 +58,9 @@ def rank_size_counts(M: Matroid):
     every set J of them: with h of the m in cl(A) and classes of sizes p_i,
     C(h, j) of the j-sets have rank 0, sum C(h + p_i, j) - C(h, j) rank 1
     and the rest of C(m, j) rank 2 (_superset_counts). The classes come
-    from linalg.parallel_classes, which an echelon or a union-find reads off
-    its state with no push. The counts must add up to 2^#E, which holds for
-    any classes. The 6 x 18 Vandermonde matrix takes 4,047 pushes (31,179
+    from matroids.parallel_classes, which an echelon or a union-find reads
+    off its state with no push. The counts must add up to 2^#E, which holds
+    for any classes. The 6 x 18 Vandermonde matrix takes 4,047 pushes (31,179
     when the walk stopped at corank 1), the GF(7) benchmark matrix 3,240
     (22,733) and M(K7) 10,926 (160,758). On a linear matroid the echelon
     shares column residuals across the walk, one row elimination per

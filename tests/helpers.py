@@ -19,8 +19,8 @@ from matroid_workbench import (
 )
 from matroid_workbench.errors import quote
 from matroid_workbench.localization import FIBER_SIGN, TANGENT_SIGN
-from matroid_workbench.linalg import rref
-from matroid_workbench.matroids import LinearBacking, Matroid, _rref, _store_column
+from matroid_workbench.linalg import LinearBacking, _rref, _store_column, rref
+from matroid_workbench.matroids import Matroid
 from matroid_workbench.series import TruncatedSeries
 
 

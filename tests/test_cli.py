@@ -3,6 +3,7 @@ import inspect
 import io
 import itertools
 import json
+import os
 import subprocess
 import sys
 import time
@@ -278,6 +279,10 @@ def test_verify_corpus_exits_zero():
         (["os-dims"], {"type": "uniform", "r": 1500, "n": 1500}, None, 3),
         # the nbc budget counts pushes: #E^2 / 2 of them in degree 1
         (["os-basis", "--degree", "1"], {"type": "uniform", "r": 10000, "n": 10000}, None, 3),
+        # json.loads raises a plain ValueError on an integer literal past
+        # the interpreter's 4,300-digit conversion limit
+        pytest.param(["tutte"], None, '{"type":"uniform","r":1' + "0" * 5000 + ',"n":3}', 2,
+                     id="json-integer-of-5001-digits"),
     ],
 )
 def test_exit_codes(args, stdin_obj, stdin_text, code):
@@ -390,7 +395,8 @@ def test_tutte_budget_counts_deletion_contraction_nodes(monkeypatch, capsys):
 def test_cli_import_leaves_unused_modules_unloaded():
     """The package resolves its names lazily and each command imports its
     own modules, so importing the CLI loads none of the heavier ones; the
-    graph algorithms load with the first graphic memo key or coloop query."""
+    graph algorithms load with the first graphic memo key or coloop query,
+    and argparse with the parser, in main."""
     code = "import sys, matroid_workbench.cli; print(' '.join(sorted(sys.modules)))"
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60
@@ -398,23 +404,99 @@ def test_cli_import_leaves_unused_modules_unloaded():
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
     assert "matroid_workbench.cli" in loaded
-    for name in ("corpus", "white", "orlik_solomon", "graphs", "tutte", "polynomials"):
+    for name in ("corpus", "white", "orlik_solomon", "graphs", "tutte", "polynomials", "fields", "linalg"):
         assert f"matroid_workbench.{name}" not in loaded
+    for name in ("argparse", "shutil", "fractions", "decimal"):
+        assert name not in loaded
 
 
-def test_white_check_runs_without_the_tutte_code():
+# Runs cli.main on the given argv in a fresh `python -S` and reports its
+# return or exit code and the loaded modules on stderr's last line.
+_MAIN_IN_FRESH_PROCESS = (
+    "import sys\n"
+    "from matroid_workbench import cli\n"
+    "try:\n"
+    "    rc = cli.main(sys.argv[1:])\n"
+    "except SystemExit as exc:\n"
+    "    rc = exc.code\n"
+    "print(rc, *sorted(sys.modules), file=sys.stderr)\n"
+)
+
+
+def _main_in_fresh_process(args, stdin_obj=None, env=None):
+    """(exit code, loaded module names, stdout) of cli.main in a fresh
+    interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _MAIN_IN_FRESH_PROCESS, *args],
+        input=json.dumps(stdin_obj) if stdin_obj is not None else "",
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    rc, *loaded = proc.stderr.splitlines()[-1].split()
+    return int(rc), set(loaded), proc.stdout
+
+
+_NEVER_FOR_GRAPHS_AND_UNIFORM = (
+    "fractions",
+    "decimal",
+    "shutil",
+    "matroid_workbench.fields",
+    "matroid_workbench.linalg",
+)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["tutte"], ["charpoly"], ["white-check", "--degree", "3"]],
+)
+@pytest.mark.parametrize("descriptor", [_complete_graph(4), U24], ids=["K4", "U24"])
+def test_commands_on_graphs_and_uniform_load_no_field_or_linear_code(args, descriptor):
+    """A graph or a uniform matroid parses no field and makes no Fraction,
+    so fractions, decimal, fields.py and linalg.py stay unloaded, and the
+    help formatter, built with the parser, never imports shutil."""
+    rc, loaded, out = _main_in_fresh_process(args, descriptor)
+    assert rc == 0 and json.loads(out)
+    assert not loaded.intersection(_NEVER_FOR_GRAPHS_AND_UNIFORM)
+
+
+def test_a_rational_matrix_loads_the_linear_code():
+    rc, loaded, out = _main_in_fresh_process(["tutte"], FANO | {"field": "Q"})
+    assert rc == 0 and json.loads(out)
+    assert {"matroid_workbench.linalg", "matroid_workbench.fields", "fractions"} <= loaded
+
+
+def test_orlik_solomon_imports_the_tutte_code_at_its_first_whitney_check():
     code = (
-        "import io, json, sys\n"
-        "from matroid_workbench import cli\n"
-        "sys.stdin = io.StringIO(json.dumps({'type': 'uniform', 'r': 2, 'n': 4}))\n"
-        "rc = cli.main(['white-check', '--degree', '3'])\n"
-        "print(rc, 'matroid_workbench.tutte' in sys.modules, file=sys.stderr)\n"
+        "import sys\n"
+        "from matroid_workbench import from_graph, orlik_solomon\n"
+        "orlik_solomon.koszul_boundary((0, 1, 2))\n"
+        "before = 'matroid_workbench.tutte' in sys.modules\n"
+        "orlik_solomon.os_space(from_graph([(0, 1), (1, 2), (0, 2)]), 2)\n"
+        "print(before, 'matroid_workbench.tutte' in sys.modules)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60
     )
-    assert proc.stderr == "0 False\n"
-    assert json.loads(proc.stdout)["all_connected"] is True
+    assert proc.stdout == "False True\n", proc.stderr
+
+
+@pytest.mark.parametrize("args", [["--help"], ["tutte", "--help"]])
+@pytest.mark.parametrize("columns", [40, None])
+def test_help_wraps_at_columns_without_shutil(args, columns):
+    """Help wraps at COLUMNS, else the terminal's width, else 80 (here
+    stdout is a pipe), read without importing shutil."""
+    env = {k: v for k, v in os.environ.items() if k not in ("COLUMNS", "LINES")}
+    if columns is not None:
+        env["COLUMNS"] = str(columns)
+    rc, loaded, out = _main_in_fresh_process(args, env=env)
+    assert rc == 0 and out.startswith("usage: matroid-workbench")
+    assert max(map(len, out.splitlines())) <= (columns or 80)
+    assert "shutil" not in loaded and "argparse" in loaded
+
+
+def test_white_check_runs_without_the_tutte_code():
+    rc, loaded, out = _main_in_fresh_process(["white-check", "--degree", "3"], U24)
+    assert rc == 0 and "matroid_workbench.tutte" not in loaded
+    assert json.loads(out)["all_connected"] is True
 
 
 def test_tutte_command_builds_the_cache_class_it_exports(tmp_path, monkeypatch):

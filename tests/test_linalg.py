@@ -5,14 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matroid_workbench import PrimeField, QQ
-from matroid_workbench.linalg import (
-    IntEchelon,
-    ModEchelon,
-    RollbackUnionFind,
-    int_determinant,
-    rref,
-)
-from matroid_workbench.matroids import _echelon, _rref, _store_column
+from matroid_workbench.linalg import IntEchelon, ModEchelon, _echelon, _rref, _store_column, rref
+from matroid_workbench.matroids import RollbackUnionFind, int_determinant
 
 from helpers import column_matroid
 

@@ -140,10 +140,10 @@ def test_uniform_oracle_reads_its_classes_off_its_rank(r):
         own, pushed = M.incremental_rank(), by_rank_function(M)
         for k in range(n + 1):
             rest = M.elements[k:]
-            assert own.classes(rest) == linalg.parallel_classes(pushed, rest), (n, k)
+            assert own.classes(rest) == matroids.parallel_classes(pushed, rest), (n, k)
             if rest:
                 own.push(rest[0]), pushed.push(rest[0])
-        assert M.parallel_classes() == linalg.parallel_classes(by_rank_function(M), M.elements)
+        assert M.parallel_classes() == matroids.parallel_classes(by_rank_function(M), M.elements)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(M, "incremental_rank", lambda: by_rank_function(M))
             by_pushes = rank_size_counts(M)
@@ -215,7 +215,7 @@ def test_both_class_routes_match_oracles(M):
     assert hasattr(native, "classes")
     for i, e in enumerate(M.elements):
         rest = M.elements[i:]
-        assert linalg.parallel_classes(native, rest) == linalg.parallel_classes(pushed, rest)
+        assert matroids.parallel_classes(native, rest) == matroids.parallel_classes(pushed, rest)
         native.push(e)
         pushed.push(e)
 
