@@ -16,21 +16,71 @@ nothing, so it never changes the bytes.
 Each command imports the modules it runs when it runs, so importing this
 module loads no pipeline: not the Tutte, polynomial, Orlik-Solomon,
 localization, toric or corpus code, nor the linear algebra and fields.py,
-which load with the first matrix or --field. The parser, and argparse with
-it, is built in main (build_parser); its help formatter takes its width
-from COLUMNS or the terminal itself, so shutil is never imported.
-FileTutteCache, which subclasses tutte.TutteCache, is defined at its first
-lookup (PEP 562).
+which load with the first matrix or --field. Every command's handler, help
+and options sit in one table, _COMMANDS. A well-formed command line
+(COMMAND followed by --flag value pairs, each flag one of the command's own
+and given once) is read from that table by _parse_well_formed, without
+argparse. Any other command line, help included, goes to the argparse parser
+that build_parser makes from the same table, which prints the help or the
+usage error; its help formatter takes its width from COLUMNS or the terminal
+itself, so shutil is never imported. JSON is read and written by the C
+scanner and encoder that json.loads and json.dumps run (_loads, _dumps), so
+the json package, and re and enum with it, loads only to report malformed
+JSON. FileTutteCache, which subclasses tutte.TutteCache, is defined at its
+first lookup (PEP 562).
 """
 from __future__ import annotations
 
 import functools
-import json
 import os
 import sys
+from _json import encode_basestring_ascii, make_encoder, make_scanner
 
 from .errors import InternalInvariantViolation, InvalidInput, TooLarge, WorkbenchError
 from .matroids import from_descriptor
+
+_JSON_WHITESPACE = " \t\n\r"
+
+
+class _JsonDefaults:
+    """The settings json.loads decodes with, as make_scanner reads them."""
+
+    strict = True
+    object_hook = object_pairs_hook = None
+    parse_float = float
+    parse_int = int
+    parse_constant = {"-Infinity": float("-inf"), "Infinity": float("inf"), "NaN": float("nan")}.__getitem__
+
+
+_scan_once = make_scanner(_JsonDefaults)
+
+
+def _loads(text):
+    """json.loads(text). The C scanner reads well-formed text; anything it
+    refuses or leaves over goes to json.loads itself, which raises the error
+    it always raised."""
+    try:
+        obj, end = _scan_once(text, len(text) - len(text.lstrip(_JSON_WHITESPACE)))
+        if end == len(text.rstrip(_JSON_WHITESPACE)):
+            return obj
+    except Exception:
+        pass
+    import json
+
+    return json.loads(text)
+
+
+def _unencodable(obj):
+    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+
+
+def _dumps(obj, item_separator=", ", key_separator=": "):
+    """json.dumps(obj, separators=(item_separator, key_separator)), by the
+    C encoder that json.dumps runs."""
+    encode = make_encoder(
+        {}, _unencodable, encode_basestring_ascii, None, key_separator, item_separator, False, False, True
+    )
+    return "".join(encode(obj, 0))
 
 
 def _read_descriptor(path):
@@ -43,10 +93,13 @@ def _read_descriptor(path):
     except (OSError, UnicodeDecodeError) as exc:
         raise InvalidInput(f"cannot read {path}: {exc}") from exc
     try:
-        obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise InvalidInput(f"input is not valid JSON: {exc}") from exc
-    except ValueError as exc:  # an integer literal past sys.get_int_max_str_digits()
+        obj = _loads(raw)
+    except ValueError as exc:
+        from json import JSONDecodeError  # loaded by _loads on any error
+
+        if isinstance(exc, JSONDecodeError):
+            raise InvalidInput(f"input is not valid JSON: {exc}") from exc
+        # an integer literal past sys.get_int_max_str_digits()
         raise InvalidInput("input JSON has an integer literal too long to convert") from exc
     except RecursionError as exc:
         raise InvalidInput("input JSON is nested too deeply") from exc
@@ -54,7 +107,7 @@ def _read_descriptor(path):
 
 
 def _emit(obj):
-    sys.stdout.write(json.dumps(obj, separators=(",", ":")) + "\n")
+    sys.stdout.write(_dumps(obj, ",", ":") + "\n")
 
 
 def __getattr__(name):
@@ -84,6 +137,8 @@ def _file_tutte_cache():
         That rejects corrupt entries, not crafted ones: a polynomial that keeps
         those values but is not T is used as it is (a complete check costs as
         much as computing T).
+        An entry is written to <name>.<pid>.tmp beside it and renamed into
+        place, so a reader never sees a partial file.
         """
 
         def __init__(self, directory):
@@ -107,7 +162,7 @@ def _file_tutte_cache():
 
             try:
                 with open(self._path(key), "r", encoding="utf-8") as fh:
-                    poly = BivariatePoly.from_json(json.load(fh))
+                    poly = BivariatePoly.from_json(_loads(fh.read()))
             except (OSError, ValueError, InvalidInput):
                 return None
             if not (
@@ -121,14 +176,18 @@ def _file_tutte_cache():
             return poly
 
         def put(self, key, poly):
-            import tempfile
-
             super().put(key, poly)
             path = self._path(key)
-            fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+            tmp = f"{path}.{os.getpid()}.tmp"
+            flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
             try:
-                with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    fh.write(json.dumps(poly.to_json()))
+                fd = os.open(tmp, flags, 0o600)
+            except FileExistsError:  # left by a killed process that had this pid
+                os.unlink(tmp)
+                fd = os.open(tmp, flags, 0o600)
+            try:
+                with open(fd, "w", encoding="utf-8") as fh:
+                    fh.write(_dumps(poly.to_json()))
                 os.replace(tmp, path)
             except BaseException:
                 if os.path.exists(tmp):
@@ -141,9 +200,9 @@ def _file_tutte_cache():
 def _cmd_tutte(args):
     from . import tutte
 
-    M = _read_descriptor(args.input)
-    cache = _file_tutte_cache()(args.cache) if args.cache else None
-    budget = args.budget if args.budget else tutte.DEFAULT_DC_NODES
+    M = _read_descriptor(args["input"])
+    cache = _file_tutte_cache()(args["cache"]) if args["cache"] else None
+    budget = args["budget"] if args["budget"] else tutte.DEFAULT_DC_NODES
     poly = tutte.tutte_dc(M, cache, max_nodes=budget)
     tutte.check_tutte(M, poly)
     _emit(poly.to_json())
@@ -152,7 +211,7 @@ def _cmd_tutte(args):
 def _cmd_charpoly(args):
     from . import tutte
 
-    M = _read_descriptor(args.input)
+    M = _read_descriptor(args["input"])
     t = tutte.tutte_polynomial(M)
     _emit(
         {
@@ -165,7 +224,7 @@ def _cmd_charpoly(args):
 def _cmd_hlv(args):
     from . import tutte
 
-    M = _read_descriptor(args.input)
+    M = _read_descriptor(args["input"])
     _emit(tutte.h_polynomial(M).to_json(xname="u", yname="v"))
 
 
@@ -173,8 +232,8 @@ def _cmd_os_dims(args):
     from . import orlik_solomon
     from .fields import field_from_name
 
-    M = _read_descriptor(args.input)
-    field = field_from_name(args.field)
+    M = _read_descriptor(args["input"])
+    field = field_from_name(args["field"])
     _emit(orlik_solomon.os_dimensions(M, field))
 
 
@@ -182,9 +241,9 @@ def _cmd_os_basis(args):
     from . import orlik_solomon
     from .fields import field_from_name
 
-    M = _read_descriptor(args.input)
-    field = field_from_name(args.field)
-    space = orlik_solomon.os_space(M, args.degree, field)
+    M = _read_descriptor(args["input"])
+    field = field_from_name(args["field"])
+    space = orlik_solomon.os_space(M, args["degree"], field)
     _emit(
         {
             "degree": space.degree,
@@ -199,9 +258,9 @@ def _cmd_reduced_os_basis(args):
     from . import orlik_solomon
     from .fields import field_from_name
 
-    M = _read_descriptor(args.input)
-    field = field_from_name(args.field)
-    basis = orlik_solomon.reduced_nbc_basis(M, args.degree, field)
+    M = _read_descriptor(args["input"])
+    field = field_from_name(args["field"])
+    basis = orlik_solomon.reduced_nbc_basis(M, args["degree"], field)
     _emit(
         {
             "degree": basis.degree,
@@ -215,8 +274,8 @@ def _cmd_reduced_os_basis(args):
 def _cmd_euler_table(args):
     from . import localization, tutte
 
-    M = _read_descriptor(args.input)
-    budget = args.budget if args.budget else localization.DEFAULT_MAX_POINTS
+    M = _read_descriptor(args["input"])
+    budget = args["budget"] if args["budget"] else localization.DEFAULT_MAX_POINTS
     table = localization.euler_table(M, max_points=budget)
     matches = tutte.h_matrix(M) == table
     if not matches:
@@ -229,9 +288,9 @@ def _cmd_euler_table(args):
 def _cmd_white_check(args):
     from . import white
 
-    M = _read_descriptor(args.input)
-    budget = args.budget if args.budget else white.DEFAULT_BUDGET
-    report = white.check_degree(M, args.degree, budget=budget)
+    M = _read_descriptor(args["input"])
+    budget = args["budget"] if args["budget"] else white.DEFAULT_BUDGET
+    report = white.check_degree(M, args["degree"], budget=budget)
     _emit(report)
 
 
@@ -241,6 +300,86 @@ def _cmd_verify_corpus(args):
     report = corpus.verify_corpus()
     _emit(report)
     return 0 if report["all_pass"] else 1
+
+
+def _int_at_least(low):
+    def parse(text):
+        value = int(text)
+        if value < low:
+            import argparse  # only a usage error, which argparse reports, gets here
+
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse reports "invalid int value: ..."
+    return parse
+
+
+# Each option is its flag and the keyword arguments of argparse's
+# add_argument; the dest is the flag without its dashes.
+_INPUT = ("--input", {"default": "-", "help": "matroid descriptor JSON file, or - for stdin (default)"})
+_FIELD = ("--field", {"default": "Q", "help": "Q or GF(p) (default Q)"})
+_DEGREE = ("--degree", {"type": int, "required": True, "help": "degree k"})
+_CACHE = ("--cache", {"help": "directory for persistent memo tables"})
+_JOBS = ("--jobs", {
+    "type": _int_at_least(1), "default": 1,
+    "help": "accepted for compatibility; every command runs one worker",
+})
+
+
+def _budget(what):
+    return ("--budget", {
+        "type": _int_at_least(0), "default": 0,
+        "help": f"override the budget of {what} (0 keeps the default)",
+    })
+
+
+# command: (handler, help, options in the order help lists them)
+_COMMANDS = {
+    "tutte": (_cmd_tutte, "Tutte polynomial by deletion-contraction",
+              (_INPUT, _CACHE, _budget("deletion-contraction nodes"), _JOBS)),
+    "charpoly": (_cmd_charpoly, "characteristic polynomial and its reduction", (_INPUT, _JOBS)),
+    "hlv": (_cmd_hlv, "two-variable h polynomial", (_INPUT, _JOBS)),
+    "os-dims": (_cmd_os_dims, "Orlik-Solomon dimensions by degree", (_INPUT, _FIELD, _JOBS)),
+    "os-basis": (_cmd_os_basis, "nbc monomial basis in one degree", (_INPUT, _FIELD, _DEGREE, _JOBS)),
+    "reduced-os-basis": (_cmd_reduced_os_basis, "reduced nbc basis in one degree",
+                         (_INPUT, _FIELD, _DEGREE, _JOBS)),
+    "euler-table": (_cmd_euler_table, "Euler characteristic table by fixed-point localization",
+                    (_INPUT, _budget("fixed points"), _JOBS)),
+    "white-check": (_cmd_white_check, "toric fiber connectivity in one degree",
+                    (_INPUT, ("--degree", {"type": int, "default": 3, "help": "degree (default 3)"}),
+                     _budget("basis factors stored over degrees 1..d"), _JOBS)),
+    "verify-corpus": (_cmd_verify_corpus, "recompute every corpus expected block and report pass/fail",
+                      (_JOBS,)),
+}
+
+
+def _parse_well_formed(argv):
+    """vars() of the namespace build_parser().parse_args(argv) returns, for
+    argv of the form COMMAND (--flag value)* where each flag is one of the
+    command's own, given once, no value starts with "-" unless it is "-",
+    each value converts, and every required option is present; None for
+    any other argv, which argparse then reads."""
+    if not argv or argv[0] not in _COMMANDS or len(argv) % 2 == 0:
+        return None
+    fn, _, options = _COMMANDS[argv[0]]
+    specs = dict(options)
+    args = {"command": argv[0], "fn": fn}
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        spec = specs.get(flag)
+        if spec is None or flag[2:] in args or (text.startswith("-") and text != "-"):
+            return None
+        convert = spec.get("type")
+        try:
+            args[flag[2:]] = convert(text) if convert else text
+        except Exception:
+            return None
+    for flag, spec in options:
+        if flag[2:] not in args:
+            if spec.get("required"):
+                return None
+            args[flag[2:]] = spec.get("default")
+    return args
 
 
 def _help_width():
@@ -261,7 +400,8 @@ def _help_width():
 
 
 def build_parser():
-    """The argument parser; argparse loads here, not with this module."""
+    """The argument parser, built from _COMMANDS; argparse loads here, not
+    with this module."""
     import argparse
 
     class _Formatter(argparse.HelpFormatter):
@@ -279,16 +419,6 @@ def build_parser():
         def error(self, message):
             self.exit(2, f"{self.prog}: error: {message}\n")
 
-    def _int_at_least(low):
-        def parse(text):
-            value = int(text)
-            if value < low:
-                raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
-            return value
-
-        parse.__name__ = "int"  # argparse reports "invalid int value: ..."
-        return parse
-
     parser = _Parser(
         prog="matroid-workbench",
         description="Exact matroid invariants: Tutte/characteristic/h "
@@ -296,65 +426,22 @@ def build_parser():
         "localization, and toric quadric-generation checks.",
     )
     sub = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
-
-    def add(name, fn, helptext, degree=None, field=False, cache=False, budget=None):
+    for name, (fn, helptext, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
         p.set_defaults(fn=fn)
-        if name != "verify-corpus":
-            p.add_argument(
-                "--input",
-                default="-",
-                help="matroid descriptor JSON file, or - for stdin (default)",
-            )
-        if field:
-            p.add_argument("--field", default="Q", help="Q or GF(p) (default Q)")
-        if degree == "required":
-            p.add_argument("--degree", type=int, required=True, help="degree k")
-        elif isinstance(degree, int):
-            p.add_argument(
-                "--degree", type=int, default=degree,
-                help=f"degree (default {degree})",
-            )
-        if cache:
-            p.add_argument("--cache", help="directory for persistent memo tables")
-        if budget:
-            p.add_argument(
-                "--budget",
-                type=_int_at_least(0),
-                default=0,
-                help=f"override the budget of {budget} (0 keeps the default)",
-            )
-        p.add_argument(
-            "--jobs", type=_int_at_least(1), default=1,
-            help="accepted for compatibility; every command runs one worker",
-        )
-        return p
-
-    add("tutte", _cmd_tutte, "Tutte polynomial by deletion-contraction", cache=True,
-        budget="deletion-contraction nodes")
-    add("charpoly", _cmd_charpoly, "characteristic polynomial and its reduction")
-    add("hlv", _cmd_hlv, "two-variable h polynomial")
-    add("os-dims", _cmd_os_dims, "Orlik-Solomon dimensions by degree", field=True)
-    add("os-basis", _cmd_os_basis, "nbc monomial basis in one degree",
-        degree="required", field=True)
-    add("reduced-os-basis", _cmd_reduced_os_basis,
-        "reduced nbc basis in one degree", degree="required", field=True)
-    add("euler-table", _cmd_euler_table,
-        "Euler characteristic table by fixed-point localization",
-        budget="fixed points")
-    add("white-check", _cmd_white_check,
-        "toric fiber connectivity in one degree", degree=3,
-        budget="basis factors stored over degrees 1..d")
-    add("verify-corpus", _cmd_verify_corpus,
-        "recompute every corpus expected block and report pass/fail")
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse_well_formed(argv)
+    if args is None:  # help or a usage error, which argparse prints before it exits
+        args = vars(build_parser().parse_args(argv))
     try:
-        rc = args.fn(args)
+        rc = args["fn"](args)
         return 0 if rc is None else rc
     except (TooLarge, RecursionError) as exc:  # recursion deeper than the interpreter allows
         print(f"too large: {exc}", file=sys.stderr)

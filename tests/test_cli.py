@@ -1,14 +1,18 @@
+import contextlib
 import hashlib
 import inspect
 import io
 import itertools
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from matroid_workbench import (
     BivariatePoly,
@@ -396,7 +400,8 @@ def test_cli_import_leaves_unused_modules_unloaded():
     """The package resolves its names lazily and each command imports its
     own modules, so importing the CLI loads none of the heavier ones; the
     graph algorithms load with the first graphic memo key or coloop query,
-    and argparse with the parser, in main."""
+    argparse with the parser, and json, with re, only to report malformed
+    JSON."""
     code = "import sys, matroid_workbench.cli; print(' '.join(sorted(sys.modules)))"
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60
@@ -406,7 +411,7 @@ def test_cli_import_leaves_unused_modules_unloaded():
     assert "matroid_workbench.cli" in loaded
     for name in ("corpus", "white", "orlik_solomon", "graphs", "tutte", "polynomials", "fields", "linalg"):
         assert f"matroid_workbench.{name}" not in loaded
-    for name in ("argparse", "shutil", "fractions", "decimal"):
+    for name in ("argparse", "shutil", "fractions", "decimal", "json", "re"):
         assert name not in loaded
 
 
@@ -499,6 +504,259 @@ def test_white_check_runs_without_the_tutte_code():
     assert json.loads(out)["all_connected"] is True
 
 
+_NEVER_ON_A_WELL_FORMED_COMMAND = ("argparse", "gettext", "locale", "json", "re", "enum", "tempfile")
+
+
+@pytest.mark.parametrize("args", [["white-check", "--degree", "3"], ["tutte"], ["tutte", "--cache", "CACHE"]])
+def test_well_formed_commands_load_neither_argparse_nor_json(args, tmp_path):
+    """A well-formed command line is parsed without argparse, JSON is read
+    and written without the json package, and cache entries are written
+    without tempfile; with --cache, both the cold and the warm run."""
+    args = [str(tmp_path) if a == "CACHE" else a for a in args]
+    runs = [_main_in_fresh_process(args, _complete_graph(4)) for _ in range(2 if "--cache" in args else 1)]
+    for rc, loaded, out in runs:
+        assert rc == 0 and json.loads(out)
+        assert not loaded.intersection(_NEVER_ON_A_WELL_FORMED_COMMAND)
+    assert len({out for _, _, out in runs}) == 1
+    assert all(name.endswith(".json") for name in os.listdir(tmp_path))
+
+
+# ---------------------------------------------------------- argument parsing
+
+
+def _argparse_vars(argv):
+    """vars() of build_parser().parse_args(argv), or None where argparse
+    prints help or a usage error and exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+_GOOD_VALUES = {
+    "--input": st.sampled_from(["-", "descriptor.json", "", "tutte", "a b"]),
+    "--field": st.sampled_from(["Q", "GF(7)", " GF(2) ", "R"]),
+    "--degree": st.integers(0, 99).map(str),
+    "--cache": st.sampled_from(["memo", "-", "d i r"]),
+    "--budget": st.integers(0, 10**30).map(str),
+    "--jobs": st.integers(1, 64).map(str),
+}
+
+
+@st.composite
+def _well_formed_argv(draw):
+    """A command and some of its own options in any order, each once with
+    a value its converter accepts, the required ones always."""
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    options = dict(cli._COMMANDS[command][2])
+    argv = [command]
+    for flag in draw(st.permutations(sorted(options))):
+        if options[flag].get("required") or draw(st.booleans()):
+            argv += [flag, draw(_GOOD_VALUES[flag])]
+    return argv
+
+
+_WORDS = [
+    *sorted(cli._COMMANDS), "tut", "bogus", "", "-h", "--help", "--",
+    "--input", "--field", "--degree", "--cache", "--budget", "--jobs", "--bogus",
+    "--inp", "--deg", "--b", "--j", "--degree=3", "--jobs=2", "--input=-", "-i",
+    "-", "Q", "GF(7)", "x", "3", "0", "1", " 3", "3.5", "1e3", "٣", "1_0", "0x10",
+    "-1", "-3", "-x", "-h", "9" * 5000, "99999999999999999999",
+]
+_ANY_ARGV = st.one_of(
+    _well_formed_argv(),
+    st.lists(st.sampled_from(_WORDS), max_size=7),
+    # one word of a well-formed argv replaced, or one put in anywhere: an
+    # unknown, abbreviated or missing flag, a bad value, a stray token,
+    # something before the command
+    st.tuples(_well_formed_argv(), st.integers(0, 9), st.sampled_from(_WORDS), st.booleans()).map(
+        lambda t: t[0][: t[1]] + [t[2]] + t[0][t[1] + t[3]:]
+    ),
+    # an option given twice
+    _well_formed_argv().map(lambda argv: argv + argv[1:3]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ANY_ARGV)
+@example(["tutte", "--input", "-x"])
+@example(["tutte", "--jobs", "-3"])
+@example(["tutte", "--jobs", "2", "--jobs", "3"])
+@example(["os-basis", "--field", "Q"])
+@example(["os-basis", "--degree", "3", "--degree", "1"])
+@example(["white-check", "--degree", "3", "--input"])
+@example(["--input", "-", "tutte"])
+def test_well_formed_parser_returns_none_or_argparses_namespace(argv):
+    fast = cli._parse_well_formed(argv)
+    assert fast is None or fast == _argparse_vars(argv), argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [], ["-h"], ["--help"], ["tutte", "-h"], ["tutte", "--help"], ["tutte", "--inp", "-"],
+        ["tutte", "--input=-"], ["tutte", "--"], ["tutte", "--", "--input", "-"],
+        ["tutte", "--jobs", "2", "--jobs", "2"], ["tutte", "--budget", "x"], ["tutte", "--jobs", "0"],
+        ["tutte", "--jobs", "-1"], ["tutte", "--input", "-x"], ["--input", "-", "tutte"],
+        ["tutte", "--field", "Q"], ["os-basis"], ["white-check", "--degree", "3.0"], ["tut"],
+    ],
+)
+def test_well_formed_parser_leaves_every_other_argv_to_argparse(argv):
+    assert cli._parse_well_formed(argv) is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(_well_formed_argv())
+def test_well_formed_parser_reads_every_well_formed_argv(argv):
+    fast = cli._parse_well_formed(argv)
+    assert fast is not None and fast == _argparse_vars(argv), argv
+
+
+@pytest.mark.parametrize(
+    "argv", [["--help"], ["tutte", "--help"], ["tutte", "--budget", "x"], ["euler-table", "--jobs", "0"]]
+)
+def test_help_and_usage_errors_are_argparses_bytes(argv):
+    """main hands help and bad values to argparse: the same stdout, stderr
+    and exit code as build_parser().parse_args."""
+
+    def run(call):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with pytest.raises(SystemExit) as stop:
+                call(argv)
+        return out.getvalue(), err.getvalue(), stop.value.code
+
+    out, err, code = run(cli.main)
+    assert (out, err, code) == run(lambda a: cli.build_parser().parse_args(a))
+    assert code == (0 if "--help" in argv else 2)
+    assert out.startswith("usage: ") if code == 0 else err.startswith("matroid-workbench ")
+
+
+# ---------------------------------------------------------------------- JSON
+
+
+def _json_loads_then_descriptor(raw):
+    """Descriptor reading by json.loads and the CLI's handlers of its
+    errors: the reference for cli._read_descriptor."""
+    from matroid_workbench import from_descriptor
+    from matroid_workbench.errors import InvalidInput
+
+    try:
+        obj = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise InvalidInput(f"input is not valid JSON: {exc}") from exc
+    except ValueError as exc:
+        raise InvalidInput("input JSON has an integer literal too long to convert") from exc
+    except RecursionError as exc:
+        raise InvalidInput("input JSON is nested too deeply") from exc
+    return from_descriptor(obj)
+
+
+_U23_TEXT = json.dumps(U23)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        _U23_TEXT,
+        " \t\n\r" + _U23_TEXT + "\r\n\t ",
+        "﻿" + _U23_TEXT,
+        _U23_TEXT + " {}",
+        _U23_TEXT + "x",
+        "\f" + _U23_TEXT,
+        _U23_TEXT + "\v",
+        '{"type":"uniform","r":1' + "0" * 5000 + ',"n":3}',
+        "[" * 100_000 + "]" * 100_000,
+        "[" * 100_000,
+        '{"type":"uniform","r":NaN,"n":3}',
+        '{"type":"uniform","r":2,"n":Infinity}',
+        '{"type":"uniform","r":2,"n":-Infinity}',
+        '{"type":"\\ud800","r":1,"n":2}',
+        '{"type":"\ud800","r":1,"n":2}',
+        '{"type":"uniform","r":1,"n":3,"r":2}',
+        '{"type":"uni\x01form","r":1,"n":3}',
+        "",
+        " \n",
+    ],
+    ids=["plain", "json-whitespace", "bom", "trailing-value", "trailing-junk", "form-feed",
+         "vertical-tab", "5000-digit-integer", "nested-100000", "unclosed-100000", "nan", "infinity",
+         "minus-infinity", "lone-surrogate-escape", "lone-surrogate", "duplicate-keys",
+         "control-character", "empty", "whitespace-only"],
+)
+def test_read_descriptor_gives_json_loads_value_or_error_line(raw, monkeypatch):
+    def outcome(read):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(raw))
+        try:
+            M = read()
+        except cli.InvalidInput as exc:
+            return f"error: {exc}"
+        return M.size, M.r, M.memo_key()
+
+    want = outcome(lambda: _json_loads_then_descriptor(sys.stdin.read()))
+    assert outcome(lambda: cli._read_descriptor("-")) == want
+
+
+def _loads_outcome(loads, text):
+    try:
+        return "value", repr(loads(text))
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+_JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=4), inner, max_size=4)
+    ),
+    max_leaves=12,
+)
+_PADDING = st.text(alphabet=" \t\n\r\f\v ", max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.text(max_size=20),
+        st.tuples(_PADDING, _JSON_VALUES, st.booleans(), _PADDING).map(
+            lambda t: t[0] + json.dumps(t[1], ensure_ascii=t[2]) + t[3]
+        ),
+    )
+)
+@example("[NaN, Infinity, -Infinity, -0, 1e400, 1.5E-3, 10000000000000000000000]")
+@example('{"a": "\\ud800\\udc00\\ud800", "a": "\\u00e9\\n"}')
+@example("nan")
+@example("[1,]")
+@example('"\x1f"')
+def test_loads_agrees_with_json_loads(text):
+    assert _loads_outcome(cli._loads, text) == _loads_outcome(json.loads, text)
+
+
+_GOLDEN = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+
+
+def test_dumps_writes_the_golden_bytes():
+    """Every recorded stdout is _dumps of its own value, compact, as the
+    CLI writes it; in json.dumps's default separators too, as cache
+    entries are written."""
+    paths = sorted(_GOLDEN.iterdir())
+    assert len(paths) > 20
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        obj = json.loads(text)
+        if path.suffix == ".out":
+            assert cli._dumps(obj, ",", ":") + "\n" == text, path.name
+        assert cli._dumps(obj) == json.dumps(obj), path.name
+        assert cli._dumps(obj, ",", ":") == json.dumps(obj, separators=(",", ":")), path.name
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+def test_dumps_agrees_with_json_dumps(obj):
+    assert cli._dumps(obj) == json.dumps(obj)
+    assert cli._dumps(obj, ",", ":") == json.dumps(obj, separators=(",", ":"))
+
+
 def test_tutte_command_builds_the_cache_class_it_exports(tmp_path, monkeypatch):
     """cli.FileTutteCache is made once, at its first lookup, and `tutte
     --cache` builds that same class, so a wrapper put on it sees the run."""
@@ -530,6 +788,41 @@ def test_tutte_cache_cold_warm_identical(tmp_path):
     assert no_cache.stdout == cold.stdout == warm.stdout
     assert files_after_cold  # memo entries were persisted
     assert list(cache_dir.glob("*.json"))
+
+
+def test_cold_cache_run_leaves_only_entries_in_json_dumps_bytes(tmp_path):
+    """A cold run leaves no temporary file, and each entry holds the bytes
+    json.dumps writes, readable and writable by its owner only."""
+    proc = run_cli(["tutte", "--cache", str(tmp_path)], stdin_obj=FANO)
+    assert proc.returncode == 0, proc.stderr
+    files = sorted(tmp_path.iterdir())
+    assert files and all(f.suffix == ".json" for f in files)
+    for f in files:
+        text = f.read_text()
+        assert text == json.dumps(json.loads(text))
+        assert f.stat().st_mode & 0o777 == 0o600
+
+
+def test_cache_put_replaces_a_stale_temp_file_and_removes_its_own_on_failure(tmp_path, monkeypatch):
+    """An entry's temporary file is named by its digest and the writer's
+    pid; one left by a killed process with the same pid is overwritten, and
+    a write that fails removes its own."""
+    from matroid_workbench import tutte_dc, uniform
+
+    cache = cli.FileTutteCache(str(tmp_path))
+    M, N = uniform(1, 2), uniform(2, 4)
+    path = cache._path(M.memo_key())
+    pathlib.Path(f"{path}.{os.getpid()}.tmp").write_text("partial")
+    cache.put(M.memo_key(), tutte_dc(M))
+    assert os.listdir(tmp_path) == [os.path.basename(path)]
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        cache.put(N.memo_key(), tutte_dc(N))
+    assert os.listdir(tmp_path) == [os.path.basename(path)]
 
 
 U12 = {"type": "uniform", "r": 1, "n": 2}
