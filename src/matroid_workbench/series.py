@@ -1,9 +1,10 @@
 """Truncated power series in one variable with exact coefficients.
 
 Coefficients are ints or Fractions; all arithmetic truncates at a fixed
-order. The fixed-point localization sums multiply integer series only;
-`inverse`, the one operation that makes Fractions, serves the per-point
-Fraction oracle of the tests.
+order. No runtime code uses this module: the localization sums run on
+packed integers. It serves the tests' two localization oracles (the
+per-point Fraction route, which alone needs `inverse`, and the slot-by-slot
+prefix-state sum) and the benchmark tracer, which wraps its methods.
 """
 from __future__ import annotations
 

@@ -18,7 +18,7 @@ from matroid_workbench import (
     koszul_boundary,
 )
 from matroid_workbench.errors import quote
-from matroid_workbench.localization import FIBER_SIGN, TANGENT_SIGN
+from matroid_workbench.localization import FIBER_SIGN, TANGENT_SIGN, _pair_lcm
 from matroid_workbench.linalg import LinearBacking, _rref, _store_column, rref
 from matroid_workbench.matroids import Matroid
 from matroid_workbench.series import TruncatedSeries
@@ -440,6 +440,100 @@ def per_point_euler_table(M, one_ps=None):
         assert all(c == 0 for c in slot[:n]), (cell, slot)
         assert slot[n].denominator == 1, (cell, slot[n])
     return [[int(sums[(p, q)][n]) for q in range(m + 1)] for p in range(r + 1)]
+
+
+def _subset_sum_polys(exps, upto):
+    """polys[d] = {sum: multiplicity} over d-subsets of exps, d = 0..upto."""
+    polys = [dict() for _ in range(upto + 1)]
+    polys[0][0] = 1
+    for x in exps:
+        for d in range(min(upto, len(polys) - 1) - 1, -1, -1):
+            tgt = polys[d + 1]
+            for e, c in polys[d].items():
+                tgt[e + x] = tgt.get(e + x, 0) + c
+    return polys
+
+
+def prefix_state_series(M, a, L):
+    """The prefix-state sum of localization._accumulate_points, slot by
+    slot on TruncatedSeries: the same table of L integers per cell, and the
+    largest slot bit length (without sign) of any series it makes, as the
+    pair (dynamic program, numerator phase).
+
+    The dynamic program's series are the W_tau, every extension product,
+    every merged state and every per-basis sum; the numerator phase's are
+    every cell numerator (1 + T eta)^c summed over the subsets of a basis
+    and its complement, expanded slot by slot, every numerator times its
+    per-basis sum, and every running cell total.
+    """
+    widest = [0, 0]
+
+    def seen(phase, s):
+        widest[phase] = max(widest[phase], *(abs(c).bit_length() for c in s.coeffs))
+        return s
+
+    elements = M.elements
+    weight = dict(zip(elements, a))
+    bit = {e: 1 << e for e in elements}
+    rank = {}
+    for k in range(M.size + 1):
+        for prefix in combinations(elements, k):
+            inc = M.incremental_rank()
+            rank[sum(bit[e] for e in prefix)] = sum(inc.push(e) for e in prefix)
+
+    t = _pair_lcm(a)
+    series = {}
+    edge = {}
+    for x in elements:
+        for y in elements:
+            if x == y:
+                continue
+            tau = TANGENT_SIGN * (weight[x] - weight[y])
+            s = series.get(tau)
+            if s is None:
+                u = [-c for c in TruncatedSeries.one_plus_eps_power(-tau, L + 1).coeffs[1:]]
+                w = [t // tau]
+                for k in range(1, L):
+                    w.append(-sum(u[i] * (t**i // tau) * w[k - i] for i in range(1, k + 1)))
+                s = series[tau] = seen(0, TruncatedSeries(w, L))
+            edge[x, y] = s
+
+    one = TruncatedSeries([1], L)
+    layer = {(bit[e], e, bit[e] if rank[bit[e]] else 0): one for e in elements}
+    for _ in range(M.size - 1):
+        merged = {}
+        for (prefix, last, steps), s in layer.items():
+            for e in elements:
+                if prefix & bit[e]:
+                    continue
+                sub = prefix | bit[e]
+                key = (sub, e, steps | bit[e] if rank[sub] > rank[prefix] else steps)
+                prod = seen(0, s * edge[last, e])
+                acc = merged.get(key)
+                merged[key] = prod if acc is None else seen(0, acc + prod)
+        layer = merged
+
+    by_basis = {}
+    for (_, _, steps), s in layer.items():
+        acc = by_basis.get(steps)
+        by_basis[steps] = s if acc is None else seen(0, acc + s)
+
+    tpow = [t**j for j in range(L)]
+    r, m = M.r, M.size - M.r
+    total = [[TruncatedSeries([], L) for _ in range(m + 1)] for _ in range(r + 1)]
+    for mask, acc in by_basis.items():
+        spolys = _subset_sum_polys([FIBER_SIGN * weight[e] for e in elements if mask >> e & 1], r)
+        qpolys = _subset_sum_polys([FIBER_SIGN * weight[e] for e in elements if not mask >> e & 1], m)
+        for spoly, row in zip(spolys, total):
+            for q, qpoly in enumerate(qpolys):
+                numer = [0] * L
+                for e1, c1 in spoly.items():
+                    for e2, c2 in qpoly.items():
+                        for j, c in enumerate(TruncatedSeries.one_plus_eps_power(e1 + e2, L).coeffs):
+                            numer[j] += c1 * c2 * c
+                numer = seen(1, TruncatedSeries([c * tp for c, tp in zip(numer, tpow)], L))
+                row[q] = seen(1, row[q] + seen(1, numer * acc))
+    return [[s.coeffs for s in row] for row in total], tuple(widest)
 
 
 def explicit_move_components(M, d):

@@ -14,12 +14,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import prefix_state_series
 from matroid_workbench import (
     BivariatePoly,
     Matroid,
     UnivariatePoly,
     cli,
     corpus_matroid,
+    from_descriptor,
     from_graph,
     h_matrix,
     h_polynomial,
@@ -446,18 +448,21 @@ _NEVER_FOR_GRAPHS_AND_UNIFORM = (
     "shutil",
     "matroid_workbench.fields",
     "matroid_workbench.linalg",
+    "matroid_workbench.series",
 )
 
 
 @pytest.mark.parametrize(
     "args",
-    [["tutte"], ["charpoly"], ["white-check", "--degree", "3"]],
+    [["tutte"], ["charpoly"], ["white-check", "--degree", "3"], ["euler-table"]],
 )
 @pytest.mark.parametrize("descriptor", [_complete_graph(4), U24], ids=["K4", "U24"])
 def test_commands_on_graphs_and_uniform_load_no_field_or_linear_code(args, descriptor):
     """A graph or a uniform matroid parses no field and makes no Fraction,
     so fractions, decimal, fields.py and linalg.py stay unloaded, and the
-    help formatter, built with the parser, never imports shutil."""
+    help formatter, built with the parser, never imports shutil; euler-table
+    calibrates its signs on uniform matroids and sums packed integers, so
+    series.py stays unloaded too."""
     rc, loaded, out = _main_in_fresh_process(args, descriptor)
     assert rc == 0 and json.loads(out)
     assert not loaded.intersection(_NEVER_FOR_GRAPHS_AND_UNIFORM)
@@ -917,6 +922,14 @@ def _plus(one):
     return lambda f: lambda *args, **kwargs: f(*args, **kwargs) + one
 
 
+def _fano_widest_slot(slot_width):
+    """Every slot width set to the largest slot bit length of the Fano
+    plane's prefix-state sum: one bit short once the sign is counted."""
+    M = from_descriptor(FANO)
+    widest = max(prefix_state_series(M, tuple(range(M.size)), M.size)[1])
+    return lambda *bounds: widest
+
+
 K4 = {"type": "graphic", "edges": [[a, b] for a in range(4) for b in range(a + 1, 4)]}
 
 
@@ -944,9 +957,12 @@ K4 = {"type": "graphic", "edges": [[a, b] for a in range(4) for b in range(a + 1
          _complete_graph(8)),
         # a T that some tangent pairing does not divide is refused before any sum
         (["euler-table"], localization, "_pair_lcm", _plus(1), "does not divide", K4),
+        # a packed slot too narrow for its sign wraps a product; the sum is
+        # then no multiple of the scale, and no overflow is printed
+        (["euler-table"], localization, "_slot_width", _fano_widest_slot, "non-integer", FANO),
     ],
     ids=["os-dims", "os-basis", "reduced-os-basis", "hlv", "charpoly", "tutte", "tutte-core", "euler-table-h",
-         "charpoly-dc", "euler-table-lcm"],
+         "charpoly-dc", "euler-table-lcm", "euler-table-width"],
 )
 def test_injected_fault_exits_4(args, module, name, spoil, message, descriptor, monkeypatch, capsys):
     """One wrong inner value stops each command before output: exit code 4,

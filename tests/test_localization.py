@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import fixed_point_pairings, per_point_euler_table
+from helpers import fixed_point_pairings, per_point_euler_table, prefix_state_series
 from matroid_workbench import (
     CORPUS,
     InternalInvariantViolation,
@@ -252,14 +252,56 @@ def small_linear_matroids(draw):
     return from_matrix(field, [list(row) for row in zip(*columns)])
 
 
+def _one_ps_for(M):
+    """None, or #E distinct integers in +-10,000."""
+    return st.one_of(
+        st.none(), st.lists(st.integers(-10_000, 10_000), min_size=M.size, max_size=M.size, unique=True)
+    )
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_random_linear_matroids_match_per_point_oracle(data):
     M = data.draw(small_linear_matroids())
-    a = data.draw(
-        st.one_of(
-            st.none(),
-            st.lists(st.integers(-10_000, 10_000), min_size=M.size, max_size=M.size, unique=True),
-        )
-    )
+    a = data.draw(_one_ps_for(M))
     assert euler_table(M, one_ps=a) == per_point_euler_table(M, a) == h_matrix(M)
+
+
+# ------------------------------------- packed sums against the slot lists
+
+
+def _packed_matches_slot_lists(M, one_ps):
+    """The packed sum equals the slot-by-slot prefix-state sum in every slot
+    of every cell, and each of its two slot widths (dynamic program, then
+    numerators) exceeds the largest slot bit length of its phase there."""
+    a = localization._resolve_one_ps(M, one_ps)
+    widths, slot_width = [], localization._slot_width
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(localization, "_slot_width", lambda *bounds: widths.append(slot_width(*bounds)) or widths[-1])
+        packed = localization._accumulate_points(M, a, M.size)
+    want, widest = prefix_state_series(M, a, M.size)
+    assert packed == want
+    assert len(widths) == 2 and all(w > b for w, b in zip(widths, widest)), (widths, widest)
+
+
+@st.composite
+def small_graphs(draw):
+    """Graphs with at most 6 edges on 4 vertices, loops and parallel edges
+    allowed."""
+    vertex = st.integers(0, 3)
+    return from_graph(draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=6)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_packed_sum_matches_slot_lists(data):
+    M = data.draw(st.one_of(small_linear_matroids(), small_graphs()))
+    _packed_matches_slot_lists(M, data.draw(_one_ps_for(M)))
+
+
+@pytest.mark.parametrize("r, n", [(r, n) for n in range(1, 7) for r in range(n + 1)])
+@settings(max_examples=3, deadline=None)
+@given(st.data())
+def test_packed_sum_matches_slot_lists_on_uniform_matroids(r, n, data):
+    M = uniform(r, n)
+    _packed_matches_slot_lists(M, data.draw(_one_ps_for(M)))
