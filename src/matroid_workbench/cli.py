@@ -16,7 +16,10 @@ nothing, so it never changes the bytes.
 Each command imports the modules it runs when it runs, so importing this
 module loads no pipeline: not the Tutte, polynomial, Orlik-Solomon,
 localization, toric or corpus code, nor the linear algebra and fields.py,
-which load with the first matrix or --field. Every command's handler, help
+which load with the first matrix or --field. fields.py keeps integral
+rationals as ints and reads field names with string methods, so a matrix
+or --field loads neither fractions (with decimal and numbers) nor re and
+enum, unless a matrix entry is an 'a/b' string. Every command's handler, help
 and options sit in one table, _COMMANDS. A well-formed command line
 (COMMAND followed by --flag value pairs, each flag one of the command's own
 and given once) is read from that table by _parse_well_formed, without
@@ -27,7 +30,9 @@ itself, so shutil is never imported. JSON is read and written by the C
 scanner and encoder that json.loads and json.dumps run (_loads, _dumps), so
 the json package, and re and enum with it, loads only to report malformed
 JSON. FileTutteCache, which subclasses tutte.TutteCache, is defined at its
-first lookup (PEP 562).
+first lookup (PEP 562), and names its files by the interpreter's built-in
+sha256 module, so hashlib and OpenSSL's _hashlib load only where that
+module is missing.
 """
 from __future__ import annotations
 
@@ -122,6 +127,16 @@ def _file_tutte_cache():
     builds the very class that a caller looked up as cli.FileTutteCache."""
     from .tutte import TutteCache
 
+    # the built-in sha256 (_sha2 from 3.12, _sha256 before), not hashlib,
+    # which loads OpenSSL's _hashlib; both give the same digests
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+
     class FileTutteCache(TutteCache):
         """Tutte memo table persisted as one JSON file per memo key.
 
@@ -150,9 +165,7 @@ def _file_tutte_cache():
                 raise InvalidInput(f"cannot use {directory} as a cache directory: {exc}") from exc
 
         def _path(self, key):
-            import hashlib
-
-            return os.path.join(self.directory, hashlib.sha256(key).hexdigest() + ".json")
+            return os.path.join(self.directory, sha256(key).hexdigest() + ".json")
 
         def get(self, key, matroid=None):
             hit = super().get(key)

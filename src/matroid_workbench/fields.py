@@ -1,53 +1,74 @@
 """Exact scalar fields: the rationals and prime fields GF(p).
 
-Elements are plain Python objects (Fraction for Q, int in range(p) for
-GF(p)); the field object supplies the arithmetic so that linear-algebra code
-can stay generic.
+Elements are plain Python objects; the field object supplies the arithmetic
+so that linear-algebra code can stay generic. An element of GF(p) is an int
+in range(p). An element of Q is an int when it is integral and a Fraction
+otherwise, so integral input runs on ints alone: fractions (with decimal and
+numbers) is imported only where a Fraction is made, for an 'a/b' string
+entry or the inverse of an integer other than 1 and -1. Field names are
+read with string methods, so neither re nor enum loads here either.
 """
 from __future__ import annotations
 
-import re
-from fractions import Fraction
+import sys
 
 from .errors import InvalidField, quote
+
+
+def _integral(x):
+    """A rational as an int when it is integral (a Fraction of denominator
+    1 becomes its numerator); otherwise as it is."""
+    return x if type(x) is int or x.denominator != 1 else x.numerator
 
 
 class RationalField:
     name = "Q"
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def of(self, x):
         """Coerce an int, Fraction, or 'a/b' string to a field element."""
         if isinstance(x, bool) or isinstance(x, float):
             raise InvalidField(f"rational entries must be exact, got {quote(x)}")
-        if isinstance(x, (int, Fraction)):
-            return Fraction(x)
+        if isinstance(x, int):
+            return int(x)
         if isinstance(x, str):
             # Fraction expands an exponent: "1e10000000" takes seconds
             if "e" in x or "E" in x:
                 raise InvalidField(f"rational {quote(x)} has an exponent; write it as a/b")
+            from fractions import Fraction
+
             try:
-                return Fraction(x)
+                return _integral(Fraction(x))
             except (ValueError, ZeroDivisionError) as exc:
                 raise InvalidField(f"cannot parse rational {quote(x)}") from exc
+        # a Fraction exists only once fractions is loaded
+        fractions = sys.modules.get("fractions")
+        if fractions is not None and isinstance(x, fractions.Fraction):
+            return _integral(x)
         raise InvalidField(f"cannot coerce {quote(x)} into Q")
 
     def add(self, a, b):
-        return a + b
+        return _integral(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return _integral(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return _integral(a * b)
 
     def neg(self, a):
         return -a
 
     def inv(self, a):
-        return 1 / a
+        if a == 1 or a == -1:
+            return int(a)
+        if a == 0:
+            raise ZeroDivisionError("0 has no inverse in Q")
+        from fractions import Fraction
+
+        return _integral(Fraction(1) / a)
 
     def is_zero(self, a):
         return a == 0
@@ -142,15 +163,17 @@ class PrimeField:
 
 QQ = RationalField()
 
-# ASCII only: \d would take other scripts' digits ("GF(\u0667)" as GF(7)). 20
-# digits reach past 2^64, so int() never sees a longer string.
-_FIELD_RE = re.compile(r"Q|GF\(([0-9]{1,20})\)")
-
 
 def field_from_name(name: str):
     """Parse 'Q' or 'GF(p)' into a field object; surrounding ASCII
-    whitespace is ignored for both."""
-    m = _FIELD_RE.fullmatch(name.strip(" \t\n\r\f\v")) if isinstance(name, str) else None
-    if m:
-        return QQ if m.group(1) is None else PrimeField(int(m.group(1)))
+    whitespace is ignored for both. p is 1 to 20 ASCII digits: isdigit()
+    alone would take other scripts' digits ("GF(\u0667)" as GF(7)), and 20
+    digits reach past 2^64, so int() never sees a longer string."""
+    if isinstance(name, str):
+        s = name.strip(" \t\n\r\f\v")
+        if s == "Q":
+            return QQ
+        digits = s[3:-1]
+        if s[:3] == "GF(" and s[-1:] == ")" and 0 < len(digits) <= 20 and digits.isascii() and digits.isdigit():
+            return PrimeField(int(digits))
     raise InvalidField(f"unknown field {quote(name)} (expected 'Q' or 'GF(p)', p < 2^64)")

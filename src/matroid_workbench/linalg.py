@@ -29,7 +29,7 @@ on the 6 x 17 GF(7) benchmark matrix (22,733 and 19,457).
 """
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 
 from .errors import InvalidInput
 from .fields import RationalField, field_from_name
@@ -216,16 +216,13 @@ def _clear_column(col):
     """Scale a rational column to coprime integers (kills denominators).
 
     Column scaling by a nonzero rational does not change the column matroid,
-    so ranks can be computed fraction-free afterwards.
+    so ranks can be computed fraction-free afterwards. Read through
+    numerator and denominator, which an int has too, so an integer column
+    makes no Fraction.
     """
-    dens = [c.denominator for c in col]
-    lcm = 1
-    for d in dens:
-        lcm = lcm * d // gcd(lcm, d)
-    ints = [int(c * lcm) for c in col]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+    m = lcm(*(c.denominator for c in col))
+    ints = [c.numerator * (m // c.denominator) for c in col]
+    g = gcd(*ints)
     if g > 1:
         ints = [x // g for x in ints]
     return tuple(ints)
@@ -341,8 +338,7 @@ class LinearBacking:
         """(elements, (field name, RREF rows in their normal form under row
         and column scaling)): matrices that differ by row operations and
         column scaling get one key."""
-        rows = _scaling_normal_form(self.field, self.rows)
-        return (elements, (self.field.name, tuple(tuple(map(str, row)) for row in rows)))
+        return (elements, (self.field.name, _scaling_normal_form(self.field, self.rows)))
 
     def dual(self, elements):
         """Column matroid of the null space, read off the RREF rows R: one
@@ -361,7 +357,7 @@ class LinearBacking:
 def _scaling_normal_form(field, rows):
     """The normal form of RREF rows, given as (pivot, row) pairs, under row
     and column scaling (Brylawski-Lucas 1976; Oxley, Matroid Theory,
-    section 6.4), as lists of field elements.
+    section 6.4), as tuples of entry strings.
 
     Divide each row by its pivot entry. Then scaling row i by a_i and each
     non-pivot column f by b_f, with pivot column i rescaled by 1/a_i so that
@@ -373,8 +369,37 @@ def _scaling_normal_form(field, rows):
     that every tree edge reads 1 (a row's scalar below includes the division
     by its pivot entry). Each component keeps one free scalar, and it
     changes no entry, so every RREF in the scaling class gives the same
-    rows."""
-    mul, inv = field.mul, field.inv
+    rows.
+
+    The rows hold integers in their field's echelon convention, and so does
+    the arithmetic: over GF(p) residues, over Q reduced (numerator,
+    denominator) pairs with a positive denominator, one gcd per scalar and
+    per printed entry, an entry printed as str() prints that Fraction."""
+    if isinstance(field, RationalField):
+        one = (1, 1)
+
+        def reduced(num, den):
+            g = gcd(num, den)
+            if den < 0:
+                g = -g
+            return num // g, den // g
+
+        def recip(s, x):  # 1 / (s x)
+            return reduced(s[1], s[0] * x)
+
+        def show(a, x, b):  # a x b
+            num, den = reduced(a[0] * x * b[0], a[1] * b[1])
+            return str(num) if den == 1 else f"{num}/{den}"
+
+    else:
+        p, one = field.p, 1
+
+        def recip(s, x):
+            return pow(s * x % p, p - 2, p)
+
+        def show(a, x, b):
+            return str(a * x % p * b % p)
+
     by_pivot = dict(rows)
     n = len(rows[0][1]) if rows else 0
     scale = {}  # position -> a_i / pivot entry at row i's pivot, b_f at a non-pivot column f
@@ -382,7 +407,7 @@ def _scaling_normal_form(field, rows):
         if start in scale:
             continue
         row = by_pivot.get(start)
-        scale[start] = field.one if row is None else inv(field.of(row[start]))
+        scale[start] = one if row is None else recip(one, row[start])
         queue = [start]
         for node in queue:
             s = scale[node]
@@ -392,13 +417,13 @@ def _scaling_normal_form(field, rows):
             edges = enumerate(row) if row is not None else ((j, r[node]) for j, r in rows)
             for other, x in edges:
                 if x and other not in scale:
-                    scale[other] = inv(mul(s, x))
+                    scale[other] = recip(s, x)
                     queue.append(other)
-    return [
-        [field.one if f == j else x if not x or f in by_pivot else mul(mul(scale[j], x), scale[f])
-         for f, x in enumerate(row)]
+    return tuple(
+        tuple("1" if f == j else str(x) if not x or f in by_pivot else show(scale[j], x, scale[f])
+              for f, x in enumerate(row))
         for j, row in rows
-    ]
+    )
 
 
 def matrix_backing(field, matrix):

@@ -5,14 +5,18 @@ shared code paths beyond the rank oracle itself, so the fast implementations
 are checked against independent definitions.
 """
 
+import re
 from collections import deque
 from fractions import Fraction
 from itertools import chain, combinations, combinations_with_replacement, permutations
 from math import lcm
 
 from matroid_workbench import (
+    QQ,
     BivariatePoly,
     ExteriorElement,
+    InvalidField,
+    PrimeField,
     UnivariatePoly,
     broken_circuits,
     koszul_boundary,
@@ -233,6 +237,49 @@ def rref_memo_key(M):
     rows = scaled_rref(field, red, pivots)
     payload = (field.name, tuple(tuple(field.to_str(x) for x in row) for row in rows))
     return b"mw3:l:" + repr((M.elements, payload)).encode()
+
+
+def fraction_scaling_normal_form(rows):
+    """The Q memo-key normal form of RREF rows, (pivot, row) pairs of
+    integers, on Fractions: the breadth-first scaling that
+    linalg._scaling_normal_form runs on integer pairs, each scalar a
+    Fraction and each entry printed by str(Fraction)."""
+    by_pivot = dict(rows)
+    n = len(rows[0][1]) if rows else 0
+    scale = {}
+    for start in range(n):
+        if start in scale:
+            continue
+        row = by_pivot.get(start)
+        scale[start] = Fraction(1) if row is None else 1 / Fraction(row[start])
+        queue = [start]
+        for node in queue:
+            s = scale[node]
+            row = by_pivot.get(node)
+            edges = enumerate(row) if row is not None else ((j, r[node]) for j, r in rows)
+            for other, x in edges:
+                if x and other not in scale:
+                    scale[other] = 1 / (s * x)
+                    queue.append(other)
+    return tuple(
+        tuple(str(Fraction(1) if f == j else x if not x or f in by_pivot else scale[j] * x * scale[f])
+              for f, x in enumerate(row))
+        for j, row in rows
+    )
+
+
+# ASCII only: \d would take other scripts' digits ("GF(\u0667)" as GF(7)). 20
+# digits reach past 2^64, so int() never sees a longer string.
+_FIELD_RE = re.compile(r"Q|GF\(([0-9]{1,20})\)")
+
+
+def regex_field_from_name(name):
+    """fields.field_from_name as a regular expression reads it: 'Q' or
+    'GF(p)', surrounding ASCII whitespace ignored, else InvalidField."""
+    m = _FIELD_RE.fullmatch(name.strip(" \t\n\r\f\v")) if isinstance(name, str) else None
+    if m:
+        return QQ if m.group(1) is None else PrimeField(int(m.group(1)))
+    raise InvalidField(f"unknown field {quote(name)} (expected 'Q' or 'GF(p)', p < 2^64)")
 
 
 def rref_dual(M):

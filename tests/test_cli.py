@@ -469,9 +469,50 @@ def test_commands_on_graphs_and_uniform_load_no_field_or_linear_code(args, descr
 
 
 def test_a_rational_matrix_loads_the_linear_code():
+    """An integer Q matrix loads fields.py and linalg.py, and runs on ints
+    alone: no Fraction is made, so fractions stays unloaded."""
     rc, loaded, out = _main_in_fresh_process(["tutte"], FANO | {"field": "Q"})
     assert rc == 0 and json.loads(out)
-    assert {"matroid_workbench.linalg", "matroid_workbench.fields", "fractions"} <= loaded
+    assert {"matroid_workbench.linalg", "matroid_workbench.fields"} <= loaded
+    assert "fractions" not in loaded
+
+
+_NEVER_ON_INTEGER_INPUT = ("fractions", "decimal", "numbers", "re", "enum")
+
+
+@pytest.mark.parametrize(
+    "args, descriptor",
+    [
+        *(pytest.param([command], FANO | {"field": field}, id=f"{command}-{field}")
+          for field in ("Q", "GF(7)") for command in ("euler-table", "hlv", "tutte")),
+        pytest.param(["os-dims", "--field", "GF(2)"], _complete_graph(4), id="os-dims-GF(2)-K4"),
+    ],
+)
+def test_integer_input_loads_neither_fractions_nor_re(args, descriptor):
+    """Integer Q and GF(p) matrices, and --field, run on ints and string
+    methods: fractions, decimal, numbers, re and enum stay unloaded."""
+    rc, loaded, out = _main_in_fresh_process(args, descriptor)
+    assert rc == 0 and json.loads(out)
+    assert "matroid_workbench.fields" in loaded
+    assert not loaded.intersection(_NEVER_ON_INTEGER_INPUT)
+
+
+# A Q matrix with 'a/b' entries, and its columns scaled to integers by
+# 6, 12, 7, 15, 5 and 10: the same matroid
+_RATIONAL = [["1/2", 0, 1, "-2/3", 3, "1/10"], [0, "3/4", "5/7", 2, "-1/5", 1], [1, 1, 0, "1/3", 1, "-7/10"]]
+_SCALED = [[3, 0, 7, -10, 15, 1], [0, 9, 5, 30, -1, 10], [6, 12, 0, 5, 5, -7]]
+
+
+@pytest.mark.parametrize("args", [["tutte"], ["os-dims"]])
+def test_fraction_entries_load_fractions_and_print_as_their_integer_twin(args):
+    """An 'a/b' entry is the one place a Fraction is made, with fractions
+    imported then; the matrix prints what its column-scaled integer twin
+    prints, which loads no fractions."""
+    rc, loaded, out = _main_in_fresh_process(args, {"type": "linear", "field": "Q", "matrix": _RATIONAL})
+    twin_rc, twin_loaded, twin_out = _main_in_fresh_process(args, {"type": "linear", "field": "Q", "matrix": _SCALED})
+    assert rc == twin_rc == 0 and json.loads(out)
+    assert out == twin_out
+    assert "fractions" in loaded and "fractions" not in twin_loaded
 
 
 def test_orlik_solomon_imports_the_tutte_code_at_its_first_whitney_check():
@@ -509,14 +550,16 @@ def test_white_check_runs_without_the_tutte_code():
     assert json.loads(out)["all_connected"] is True
 
 
-_NEVER_ON_A_WELL_FORMED_COMMAND = ("argparse", "gettext", "locale", "json", "re", "enum", "tempfile")
+_NEVER_ON_A_WELL_FORMED_COMMAND = (
+    "argparse", "gettext", "locale", "json", "re", "enum", "tempfile", "hashlib", "_hashlib")
 
 
 @pytest.mark.parametrize("args", [["white-check", "--degree", "3"], ["tutte"], ["tutte", "--cache", "CACHE"]])
 def test_well_formed_commands_load_neither_argparse_nor_json(args, tmp_path):
     """A well-formed command line is parsed without argparse, JSON is read
     and written without the json package, and cache entries are written
-    without tempfile; with --cache, both the cold and the warm run."""
+    without tempfile and named without hashlib; with --cache, both the cold
+    and the warm run."""
     args = [str(tmp_path) if a == "CACHE" else a for a in args]
     runs = [_main_in_fresh_process(args, _complete_graph(4)) for _ in range(2 if "--cache" in args else 1)]
     for rc, loaded, out in runs:
@@ -872,6 +915,21 @@ def test_tutte_cache_files_hold_the_json_of_each_entry(tmp_path):
     for key, poly in written.items():
         path = tmp_path / (hashlib.sha256(key).hexdigest() + ".json")
         assert path.read_bytes() == json.dumps(poly.to_json()).encode()
+
+
+def test_cache_file_names_are_hashlib_sha256_digests(tmp_path):
+    """Cache files are named with the interpreter's built-in sha256, which
+    gives hashlib.sha256's digests, so directories written with hashlib
+    stay warm: on memo keys of every keyed backing, and on keys across the
+    64-byte block boundary."""
+    from matroid_workbench import from_matrix, uniform
+
+    matroids = [from_graph([(0, 1), (1, 2), (0, 2), (2, 3)]), uniform(3, 7),
+                from_matrix("Q", FANO["matrix"]), from_matrix("GF(7)", [[1, 2, 3, 4], [0, 1, 5, 6]])]
+    keys = [M.memo_key() for M in matroids] + [b"", b"k" * 55, b"k" * 56, b"k" * 64, b"k" * 1000]
+    cache = cli.FileTutteCache(str(tmp_path))
+    for key in keys:
+        assert cache._path(key) == os.path.join(str(tmp_path), hashlib.sha256(key).hexdigest() + ".json")
 
 
 def test_warm_cache_check_counts_bases_without_enumerating(tmp_path, monkeypatch):

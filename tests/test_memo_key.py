@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from matroid_workbench import (
     CORPUS,
+    QQ,
     PrimeField,
     TooLarge,
     corpus_matroid,
@@ -32,9 +33,11 @@ from matroid_workbench import (
     tutte_sum,
     uniform,
 )
+from matroid_workbench.linalg import _scaling_normal_form
 
 from helpers import (
     brute_isomorphism,
+    fraction_scaling_normal_form,
     labeled_graph_dc,
     rref_dual,
     rref_memo_key,
@@ -322,6 +325,53 @@ def test_gfp_dc_expands_each_scaling_class_once():
         assert tutte_dc(M, max_nodes=cores) == tutte_sum(M), field
         with pytest.raises(TooLarge):
             tutte_dc(M, max_nodes=cores - 1)
+
+
+@st.composite
+def integer_rref_rows(draw):
+    """(pivot, row) pairs of integers shaped as an RREF in the integer
+    convention: each row zero before its pivot and at the other pivots,
+    nonzero at its own, with small and large entries of either sign."""
+    n = draw(st.integers(1, 8))
+    pivots = sorted(draw(st.sets(st.integers(0, n - 1), max_size=5)))
+    entry = st.one_of(st.integers(-6, 6), st.integers(-10**12, 10**12))
+    rows = []
+    for j in pivots:
+        row = [0] * n
+        row[j] = draw(entry.filter(bool))
+        for f in range(j + 1, n):
+            if f not in pivots:
+                row[f] = draw(entry)
+        rows.append((j, row))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_rref_rows())
+def test_q_normal_form_on_integer_pairs_prints_the_fraction_form(rows):
+    """Over Q the scaling normal form runs on (numerator, denominator)
+    pairs and prints each entry as str(Fraction) prints it, fractional
+    and negative ones included: the Fraction route's strings exactly."""
+    assert _scaling_normal_form(QQ, rows) == fraction_scaling_normal_form(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_q_memo_keys_equal_the_fraction_route(data):
+    """The memo key of a Q matrix with fractional and negative entries, of
+    its dual and of a minor, byte for byte as the Fraction route writes it."""
+    rows = data.draw(st.integers(1, 4))
+    cols = data.draw(st.integers(1, 7))
+    entry = st.one_of(st.integers(-9, 9), st.sampled_from(["1/2", "-2/3", "5/4", "-7/6", "9/10"]))
+    A = data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    M = from_matrix("Q", A)
+    deleted = data.draw(st.sets(st.sampled_from(M.elements), max_size=2))
+    contracted = data.draw(st.sets(st.sampled_from(M.elements), max_size=2)) - deleted
+    for N in (M, M.dual(), M.minor(deleted=deleted, contracted=contracted)):
+        if N._backing.kind != "linear":
+            continue
+        payload = (N.elements, ("Q", fraction_scaling_normal_form(N._backing.rows)))
+        assert N.memo_key() == b"mw3:l:" + repr(payload).encode(), A
 
 
 # sha256 over the memo keys of every corpus matroid, its dual, and its minor
