@@ -65,7 +65,12 @@ def rank_size_counts(M: Matroid):
     (22,733) and M(K7) 10,926 (160,758). On a linear matroid the echelon
     shares column residuals across the walk, one row elimination per
     (rank-raising node, later column): 12,597 on the Vandermonde matrix
-    (31,161 at corank 1; 138,057 when each push reduces from scratch).
+    (31,161 at corank 1; 138,057 when each push reduces from scratch). It
+    keeps each residual on the coordinates that are not yet pivots, so a
+    node of corank 2 in a rank-6 walk groups 2-entry vectors: the walk takes
+    17 ms in process on the Vandermonde matrix and 13 ms on the GF(7) one
+    (23 and 16 ms on residuals of full length; medians, 2 cores, Python
+    3.11.7).
     """
     if M.size > SUBSET_SUM_LIMIT:
         raise TooLarge(f"subset sum over {M.size} > {SUBSET_SUM_LIMIT} elements")

@@ -25,6 +25,7 @@ from matroid_workbench import (
     from_graph,
     h_matrix,
     h_polynomial,
+    linalg,
     localization,
     orlik_solomon,
     tutte,
@@ -976,6 +977,14 @@ def _two_classes_merged(superset_counts):
     return spoiled
 
 
+def _last_two_classes_merged(classes):
+    def spoiled(self, elements):
+        found = classes(self, elements)
+        return found[:-2] + [found[-2] + found[-1]] if len(found) > 1 else found
+
+    return spoiled
+
+
 def _plus(one):
     return lambda f: lambda *args, **kwargs: f(*args, **kwargs) + one
 
@@ -989,6 +998,17 @@ def _fano_widest_slot(slot_width):
 
 
 K4 = {"type": "graphic", "edges": [[a, b] for a in range(4) for b in range(a + 1, 4)]}
+# U(4, 9): rows 0..3 of the Vandermonde matrix at nine distinct nodes
+Q_VANDERMONDE_4X9 = {
+    "type": "linear",
+    "field": "Q",
+    "matrix": [[x**i for x in (-11, -10, -6, -3, -2, 4, 5, 6, 8)] for i in range(4)],
+}
+GF7_3X8 = {
+    "type": "linear",
+    "field": "GF(7)",
+    "matrix": [[6, 6, 0, 0, 0, 2, 6, 1], [5, 6, 5, 6, 2, 2, 4, 1], [4, 0, 4, 5, 1, 3, 5, 3]],
+}
 
 
 @pytest.mark.parametrize(
@@ -1018,9 +1038,16 @@ K4 = {"type": "graphic", "edges": [[a, b] for a in range(4) for b in range(a + 1
         # a packed slot too narrow for its sign wraps a product; the sum is
         # then no multiple of the scale, and no overflow is printed
         (["euler-table"], localization, "_slot_width", _fano_widest_slot, "non-integer", FANO),
+        # the echelon's parallel classes close the corank-nullity walk on a
+        # matrix: two classes merged, over Q, over GF(p) and on Fano
+        (["os-dims"], linalg._Echelon, "classes", _last_two_classes_merged, "nbc sets != Whitney number",
+         Q_VANDERMONDE_4X9),
+        (["os-dims"], linalg._Echelon, "classes", _last_two_classes_merged, "nbc sets != Whitney number", GF7_3X8),
+        (["euler-table"], linalg._Echelon, "classes", _last_two_classes_merged, "euler table disagrees", FANO),
     ],
     ids=["os-dims", "os-basis", "reduced-os-basis", "hlv", "charpoly", "tutte", "tutte-core", "euler-table-h",
-         "charpoly-dc", "euler-table-lcm", "euler-table-width"],
+         "charpoly-dc", "euler-table-lcm", "euler-table-width", "os-dims-echelon-Q", "os-dims-echelon-GF7",
+         "euler-table-echelon"],
 )
 def test_injected_fault_exits_4(args, module, name, spoil, message, descriptor, monkeypatch, capsys):
     """One wrong inner value stops each command before output: exit code 4,

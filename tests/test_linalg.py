@@ -160,10 +160,11 @@ def test_residual_memo_matches_fresh_echelons(case):
     push results and stored rows equal a fresh echelon's fed the same
     prefix; the stored rows span the pushed columns (their RREF is the
     dense RREF of those columns, over Q up to one scalar per row); and
-    every memo entry at level k is the residual of its column modulo
-    rows[:k]: zero at their pivots, spanning the same space with them as
-    the column does, and over GF(p) the column minus a combination of
-    them."""
+    every memo entry at level k holds len(column) - k entries, one per
+    coordinate that is not a pivot of rows[:k], and put back in full
+    coordinates with zeros at those pivots it is the residual of its
+    column modulo rows[:k]: spanning the same space with them as the
+    column does, and over GF(p) the column minus a combination of them."""
     field, columns, ops = case
     walk = column_matroid(field, columns).incremental_rank()
     stack = []
@@ -186,8 +187,12 @@ def test_residual_memo_matches_fresh_echelons(case):
         assert len(walk._res) == walk.rank + 1
         for k, level in enumerate(walk._res):
             below = [row for _, row in walk.rows[:k]]
-            for e, v in level.items():
+            pivots = {j for j, _ in walk.rows[:k]}
+            for e, short in level.items():
                 col = columns[e]
+                assert len(short) == len(col) - k, (k, e)
+                free = iter(short)
+                v = [0 if j in pivots else next(free) for j in range(len(col))]
                 assert all(v[j] == 0 for j, _ in walk.rows[:k]), (k, e)
                 assert dense_rank(field, below + [v]) == dense_rank(field, below + [col])
                 assert dense_rank(field, below + [col, v]) == dense_rank(field, below + [col])

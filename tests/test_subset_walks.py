@@ -192,20 +192,28 @@ def multigraphs(draw):
 
 
 @st.composite
-def parallel_rich_q_matrices(draw):
-    """A matrix over Q with up to 4 rows and 9 columns, each column a
-    scalar multiple of one of a few base columns (often zero), the scalars
-    negative and fractional as often as not."""
+def parallel_rich_matrices(draw):
+    """A matrix over Q or GF(p), p in {2, 3, 7, 101}, with up to 4 rows and
+    9 columns, each column a scalar multiple of one of a few base columns
+    (often zero): over Q the scalars negative and fractional as often as
+    not, over GF(p) any nonzero residue, so the monic scaling of the GF(p)
+    echelon's classes meets every unit."""
+    field = draw(st.sampled_from(["Q", "GF(2)", "GF(3)", "GF(7)", "GF(101)"]))
     rows = draw(st.integers(1, 4))
     base = draw(st.lists(st.lists(st.integers(-2, 2), min_size=rows, max_size=rows), min_size=1, max_size=4))
-    scalar = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7)])
+    if field == "Q":
+        scalar = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7)])
+    else:
+        scalar = st.integers(1, int(field[3:-1]) - 1)
     columns = draw(st.lists(st.tuples(st.sampled_from(base), scalar), min_size=1, max_size=9))
-    matrix = [[str(col[i] * a) for col, a in columns] for i in range(rows)]
-    return from_matrix("Q", matrix)
+    matrix = [[col[i] * a for col, a in columns] for i in range(rows)]
+    if field == "Q":
+        matrix = [[str(x) for x in row] for row in matrix]
+    return from_matrix(field, matrix)
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.one_of(multigraphs(), parallel_rich_q_matrices()))
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(multigraphs(), parallel_rich_matrices()))
 def test_both_class_routes_match_oracles(M):
     """The union-find's roots and the echelon's residuals group the same
     classes as the push route at every prefix of the ground set, and the
