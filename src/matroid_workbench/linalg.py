@@ -40,7 +40,7 @@ from math import gcd, lcm
 
 from .errors import InvalidInput
 from .fields import RationalField, field_from_name
-from .matroids import _check_ground_size
+from .matroids import _Backing, _check_ground_size
 
 
 def _reduce_int_row(row):
@@ -279,7 +279,7 @@ def _rref(field, vectors):
     return sorted(back.rows)
 
 
-class LinearBacking:
+class LinearBacking(_Backing):
     """A linear matroid stored as its RREF: (pivot, row) pairs over the
     positions of its elements, each row zero before its pivot and at the
     other pivots, in its field's echelon convention. Walks and rank calls
@@ -288,7 +288,6 @@ class LinearBacking:
     columns of the rows, derived at first use."""
 
     kind = "linear"
-    key_prefix = b"mw3:l:"
 
     def __init__(self, field, elements, rows, columns=None):
         self.field = field
@@ -303,12 +302,14 @@ class LinearBacking:
         return self._columns
 
     def rank(self, subset):
+        if len(subset) == len(self.elements):  # the ground set: the row count
+            return len(self.rows)
         return sum(map(_echelon(self.field, self.columns).push, subset))
 
     def steps(self):
         return _echelon(self.field, self.columns)
 
-    def minor(self, contracted, kept):
+    def minor(self, M, contracted, kept):
         """Native minor by row operations on the RREF, one element at a
         time, whose column is then dropped. Contracting an element that
         rows meet pivots the row with the largest such pivot onto it,
@@ -345,36 +346,34 @@ class LinearBacking:
             rows = {j - (j > f): row[:f] + row[f + 1:] for j, row in rows.items()}
         return LinearBacking(self.field, elements, sorted(rows.items()))
 
-    def loops(self, elements):
+    def loops(self, M):
         """The zero columns of the RREF."""
-        return frozenset(e for f, e in enumerate(elements) if not any(row[f] for _, row in self.rows))
+        return frozenset(e for f, e in enumerate(M.elements) if not any(row[f] for _, row in self.rows))
 
-    def coloops(self, elements):
+    def coloops(self, M):
         """The pivots whose row is zero at every non-pivot column: no
         fundamental circuit of the lexicographically first basis meets
         them."""
         pivots = {j for j, _ in self.rows}
-        free = [f for f in range(len(elements)) if f not in pivots]
-        return frozenset(elements[j] for j, row in self.rows if not any(row[f] for f in free))
+        free = [f for f in range(M.size) if f not in pivots]
+        return frozenset(M.elements[j] for j, row in self.rows if not any(row[f] for f in free))
 
-    def memo_payload(self, elements):
-        """(elements, (field name, RREF rows in their normal form under row
-        and column scaling)): matrices that differ by row operations and
-        column scaling get one key."""
-        return (elements, (self.field.name, _scaling_normal_form(self.field, self.rows)))
+    def memo_key(self, M):
+        """The elements, the field name and the RREF rows in their normal
+        form under row and column scaling: matrices that differ by row
+        operations and column scaling get one key."""
+        payload = (M.elements, (self.field.name, _scaling_normal_form(self.field, self.rows)))
+        return b"mw3:l:" + repr(payload).encode()
 
-    def dual(self, elements):
+    def dual(self, M):
         """Column matroid of the null space, read off the RREF rows R: one
         vector per free position f, 1 at f and -R[j][f] at each pivot j
         (the null space with pivot column j scaled by R[j][j], which keeps
         the matroid), put in RREF by one elimination."""
-        n, rows = len(elements), dict(self.rows)
+        n, rows = M.size, dict(self.rows)
         free = [f for f in range(n) if f not in rows]
         kernel = [[-rows[j][f] if j in rows else int(j == f) for j in range(n)] for f in free]
-        return LinearBacking(self.field, elements, _rref(self.field, kernel))
-
-    def basis_count(self, elements):
-        return None  # no closed form; enumerate
+        return LinearBacking(self.field, M.elements, _rref(self.field, kernel))
 
 
 def _scaling_normal_form(field, rows):

@@ -26,14 +26,20 @@ here, the corank-nullity counts in tutte.py, the fixed points in
 localization.py); a walk's linear echelon shares column residuals across
 the walk. An echelon, the union-find and the uniform oracle name the
 parallel classes of the contraction by a pushed prefix with no push
-(parallel_classes); any other oracle pushes pairs. A linear matroid is
-stored as its RREF: its rank, memo key, loops, coloops and dual read the
-rows, and its minors are row operations on them, so only a matrix and a
-dual run an elimination. A graph reads
-its loops and coloops (bridges) off its edges, and its memo key is its
-canonical form up to isomorphism, both from graphs.py, loaded on first use.
-Matroid.basis_count() counts bases by a theorem where the backing has one,
-Kirchhoff's for a graph by Bareiss's determinant (int_determinant).
+(parallel_classes); any other oracle pushes pairs.
+
+Every backing subclasses _Backing, which works out each answer from the
+Matroid's rank function: loops by rank({e}), coloops among one greedy
+basis, minors and duals as DerivedBacking rank functions, the basis count
+by enumeration and the memo key from canonical_key(); a backing overrides
+what it answers natively. A linear matroid, stored as its RREF, reads its
+ground-set rank, loops, coloops, dual and memo key off the rows and makes
+its minors by row operations on them, so only a matrix and a dual run an
+elimination. A graph gives its self-loops, its bridges, its canonical key
+(graphs.py, loaded on first use), contraction, and Kirchhoff's basis count
+by Bareiss's determinant (int_determinant). A uniform matroid answers in
+closed form, a basis list gives its dual and basis count, and a derived
+rank function answers nothing natively.
 """
 from __future__ import annotations
 
@@ -106,9 +112,42 @@ class _UniformSteps:
         return [list(elements)] if slack and elements else []
 
 
-class UniformBacking:
+class _Backing:
+    """The protocol of a backing, with every answer worked out from the
+    Matroid's rank function. A backing supplies `kind`, rank(subset) and
+    steps() (its push/pop rank oracle), and overrides the methods below
+    that it answers natively; each takes the Matroid M it backs."""
+
+    def loops(self, M):
+        return frozenset(e for e in M.elements if M.rank({e}) == 0)
+
+    def coloops(self, M):
+        """Only the elements of the greedy basis are tested, since a coloop
+        lies in every basis: r rank calls instead of #E."""
+        steps = M.incremental_rank()
+        basis = [e for e in M.elements if steps.push(e)]
+        return frozenset(e for e in basis if M.rank(M._eset - {e}) == M.r - 1)
+
+    def minor(self, M, contracted, kept):
+        """The rank function r(A + C) - r(C) of M / C restricted to kept."""
+        cset = frozenset(contracted)
+        base = M.rank(cset)
+        return DerivedBacking(lambda a: M.rank(a | cset) - base)
+
+    def dual(self, M):
+        """The rank function #A + r(E - A) - r."""
+        full, r = M._eset, M.r
+        return DerivedBacking(lambda a: len(a) + M.rank(full - a) - r)
+
+    def basis_count(self, M):
+        return len(M.bases(limit=0))
+
+    def memo_key(self, M):
+        return M.canonical_key()
+
+
+class UniformBacking(_Backing):
     kind = "uniform"
-    key_prefix = b"mw2:u:"
 
     def __init__(self, r):
         self.r = r
@@ -119,18 +158,18 @@ class UniformBacking:
     def steps(self):
         return _UniformSteps(self.r)
 
-    def minor(self, contracted, kept):
-        return UniformBacking(self.r - min(len(contracted), self.r))
+    def minor(self, M, contracted, kept):
+        return UniformBacking(min(self.r - min(len(contracted), self.r), len(kept)))
 
-    def memo_payload(self, elements):
-        """(elements, rank)."""
-        return (elements, self.r)
+    def memo_key(self, M):
+        """The elements and the rank."""
+        return b"mw2:u:" + repr((M.elements, self.r)).encode()
 
-    def dual(self, elements):
-        return UniformBacking(len(elements) - self.r)
+    def dual(self, M):
+        return UniformBacking(M.size - self.r)
 
-    def basis_count(self, elements):
-        return comb(len(elements), self.r)
+    def basis_count(self, M):
+        return comb(M.size, self.r)
 
 
 class RollbackUnionFind:
@@ -215,9 +254,8 @@ def int_determinant(matrix):
     return sign * prev
 
 
-class GraphicBacking:
+class GraphicBacking(_Backing):
     kind = "graphic"
-    key_prefix = b"mw3:g:"
 
     def __init__(self, edges):
         # edges: {label: (u, v)}; vertices may be any hashables.
@@ -229,7 +267,7 @@ class GraphicBacking:
     def steps(self):
         return RollbackUnionFind(self.edges)
 
-    def minor(self, contracted, kept):
+    def minor(self, M, contracted, kept):
         edges = {e: self.edges[e] for e in (*contracted, *kept)}
         # Contract edges one at a time: merge endpoints into one vertex.
         for e in contracted:
@@ -237,27 +275,24 @@ class GraphicBacking:
             edges = {k: (u if a == v else a, u if b == v else b) for k, (a, b) in edges.items()}
         return GraphicBacking({e: edges[e] for e in kept})
 
-    def memo_payload(self, elements):
+    def memo_key(self, M):
         """The canonical edge list of the multigraph (graphs.py), with no
         element labels: isomorphic graphs get one key."""
         from .graphs import canonical_edges
 
-        return canonical_edges(self.edges[e] for e in elements)
+        return b"mw3:g:" + repr(canonical_edges(self.edges[e] for e in M.elements)).encode()
 
-    def loops(self, elements):
+    def loops(self, M):
         """The self-loops."""
-        return frozenset(e for e in elements if self.edges[e][0] == self.edges[e][1])
+        return frozenset(e for e in M.elements if self.edges[e][0] == self.edges[e][1])
 
-    def coloops(self, elements):
+    def coloops(self, M):
         """The bridges."""
         from .graphs import bridges
 
-        return frozenset(bridges((e, self.edges[e]) for e in elements))
+        return frozenset(bridges((e, self.edges[e]) for e in M.elements))
 
-    def dual(self, elements):
-        return None  # not graphic in general; use the generic rank formula
-
-    def basis_count(self, elements):
+    def basis_count(self, M):
         """Kirchhoff's matrix-tree theorem: a basis is a spanning tree of
         every component, and a component has as many spanning trees as the
         determinant of its Laplacian with one vertex's row and column
@@ -265,7 +300,7 @@ class GraphicBacking:
         no tree and are left out."""
         uf = RollbackUnionFind(self.edges)
         degree, weight = {}, {}
-        for e in elements:
+        for e in M.elements:
             u, v = self.edges[e]
             if u != v:
                 uf.push(e)
@@ -302,7 +337,7 @@ class _BasesSteps:
         self._holding.pop()
 
 
-class BasesBacking:
+class BasesBacking(_Backing):
     kind = "bases"
 
     def __init__(self, bases):
@@ -314,21 +349,14 @@ class BasesBacking:
     def steps(self):
         return _BasesSteps(self.bases)
 
-    def minor(self, contracted, kept):
-        return None
+    def dual(self, M):
+        return BasesBacking(sorted({M._eset - b for b in self.bases}, key=sorted))
 
-    def memo_payload(self, elements):
-        return None
-
-    def dual(self, elements):
-        full = frozenset(elements)
-        return BasesBacking(sorted({full - b for b in self.bases}, key=sorted))
-
-    def basis_count(self, elements):
+    def basis_count(self, M):
         return len(self.bases)
 
 
-class DerivedBacking:
+class DerivedBacking(_Backing):
     kind = "derived"
 
     def __init__(self, rank_fn):
@@ -339,18 +367,6 @@ class DerivedBacking:
 
     def steps(self):
         return _PrefixSteps(self._rank_fn)
-
-    def minor(self, contracted, kept):
-        return None
-
-    def memo_payload(self, elements):
-        return None
-
-    def dual(self, elements):
-        return None
-
-    def basis_count(self, elements):
-        return None
 
 
 def parallel_classes(steps, elements):
@@ -392,8 +408,6 @@ class Matroid:
         self._bases = None
         self._circuits = None
         self._key = None
-        if backing.kind == "linear":  # the row count of its RREF
-            self._rank_cache[self._eset] = len(backing.rows)
         self.r = self.rank(self._eset)
 
     # -- rank oracle ----------------------------------------------------
@@ -422,20 +436,10 @@ class Matroid:
         return self.size - self.r
 
     def loops(self):
-        if self._backing.kind in ("linear", "graphic"):
-            return self._backing.loops(self.elements)
-        return frozenset(e for e in self.elements if self.rank({e}) == 0)
+        return self._backing.loops(self)
 
     def coloops(self):
-        """A linear matroid reads its coloops off its RREF, and a graph
-        finds its bridges. Otherwise only the elements of the greedy basis
-        are tested, since a coloop lies in every basis: r rank calls
-        instead of #E."""
-        if self._backing.kind in ("linear", "graphic"):
-            return self._backing.coloops(self.elements)
-        steps = self.incremental_rank()
-        basis = [e for e in self.elements if steps.push(e)]
-        return frozenset(e for e in basis if self.rank(self._eset - {e}) == self.r - 1)
+        return self._backing.coloops(self)
 
     def parallel_classes(self):
         """The parallel classes of the non-loop elements, each a list in
@@ -464,11 +468,7 @@ class Matroid:
         if dset & cset:
             raise InvalidInput("delete and contract sets overlap")
         kept = [e for e in self.elements if e not in dset and e not in cset]
-        backing = self._backing.minor(sorted(cset), kept)
-        if backing is None:
-            parent, base = self, self.rank(cset)
-            backing = DerivedBacking(lambda a, _p=parent, _c=cset, _b=base: _p.rank(a | _c) - _b)
-        return Matroid(backing, kept)
+        return Matroid(self._backing.minor(self, sorted(cset), kept), kept)
 
     def delete(self, deleted):
         return self.minor(deleted=deleted)
@@ -477,15 +477,7 @@ class Matroid:
         return self.minor(contracted=contracted)
 
     def dual(self):
-        native = self._backing.dual(self.elements)
-        if native is not None:
-            return Matroid(native, self.elements)
-        parent, full, r = self, self._eset, self.r
-
-        def corank_fn(a):
-            return len(a) + parent.rank(full - a) - r
-
-        return Matroid(DerivedBacking(corank_fn), self.elements)
+        return Matroid(self._backing.dual(self), self.elements)
 
     # -- enumeration ------------------------------------------------------
 
@@ -522,8 +514,7 @@ class Matroid:
         """The number of bases, from a theorem where the backing has one
         (the matrix-tree theorem for a graph, C(n, r) for U(r, n), the
         length of an explicit list) and by enumeration otherwise."""
-        count = self._backing.basis_count(self.elements)
-        return len(self.bases(limit=0)) if count is None else count
+        return self._backing.basis_count(self)
 
     def circuits(self, limit=ENUMERATION_LIMIT):
         """All circuits (minimal dependent sets) as sorted tuples.
@@ -558,27 +549,24 @@ class Matroid:
         return self._key
 
     def memo_key(self):
-        """Bytes key for the deletion-contraction memo, built from the
-        backing's own data without enumerating bases: the prefix and the
-        repr of the backing's memo payload.
+        """Bytes key for the deletion-contraction memo: a prefix that names
+        the version and the backing kind, then the repr of what the backing
+        reads off its own data. A linear key is the RREF in its normal form
+        under row and column scaling ("mw3:l:", Q and GF(p)), a graphic key
+        the canonical form of the multigraph, blind to element labels and
+        vertex names ("mw3:g:"), and a uniform key the elements and the rank
+        ("mw2:u:"); none enumerates bases, so one minor reached along
+        several deletion-contraction paths, or for graphs any isomorphic
+        minor, is expanded once. A basis list and a derived rank function
+        have no data of their own to read, and _Backing keys them by
+        canonical_key(), whose "mw1:" prefix is disjoint from all others.
 
         Equal keys imply equal labeled matroids, and for graphs isomorphic
         ones; the converse need not hold (a matrix and a graph with the
-        same bases get different keys). A linear key is invariant under row
-        operations and column scaling, and a graphic key is the canonical
-        form of the multigraph, blind to element labels and vertex names,
-        so one minor reached along several deletion-contraction paths, or
-        for graphs any isomorphic minor, is expanded once. The prefix names
-        the version and the backing kind, so keys of different kinds never
-        collide: "mw3:l:" for Q and GF(p) and "mw3:g:" for graphs, which
-        leave the caches that earlier versions wrote for them cold, and
-        "mw2:u:" for uniform keys. Explicit-basis and derived backings fall
-        back to canonical_key(), whose "mw1:" prefix is disjoint from all.
+        same bases get different keys). The "mw3:" prefixes leave the caches
+        that earlier versions wrote for matrices and graphs cold.
         """
-        payload = self._backing.memo_payload(self.elements)
-        if payload is None:
-            return self.canonical_key()
-        return self._backing.key_prefix + repr(payload).encode()
+        return self._backing.memo_key(self)
 
     def __repr__(self):
         return f"Matroid({self._backing.kind}, n={self.size}, r={self.r})"

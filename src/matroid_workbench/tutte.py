@@ -60,9 +60,12 @@ def rank_size_counts(M: Matroid):
     and the rest of C(m, j) rank 2 (_superset_counts). The classes come
     from matroids.parallel_classes, which an echelon or a union-find reads
     off its state with no push. The counts must add up to 2^#E, which holds
-    for any classes. The 6 x 18 Vandermonde matrix takes 4,047 pushes (31,179
-    when the walk stopped at corank 1), the GF(7) benchmark matrix 3,240
-    (22,733) and M(K7) 10,926 (160,758). On a linear matroid the echelon
+    for any classes, and each must be positive at a feasible corank (0 to
+    r) and nullity (0 to #E - r), which wrong classes can break; classes
+    that are wrong but keep every count feasible pass both checks. The
+    6 x 18 Vandermonde matrix takes 4,047 pushes (31,179 when the walk
+    stopped at corank 1), the GF(7) benchmark matrix 3,240 (22,733) and
+    M(K7) 10,926 (160,758). On a linear matroid the echelon
     shares column residuals across the walk, one row elimination per
     (rank-raising node, later column): 12,597 on the Vandermonde matrix
     (31,161 at corank 1; 138,057 when each push reduces from scratch). It
@@ -102,6 +105,11 @@ def rank_size_counts(M: Matroid):
         raise InternalInvariantViolation(
             f"corank-nullity counts add up to {sum(counts.values())}, not 2^{n}"
         )
+    for (c, nu), count in counts.items():
+        if count <= 0 or not (0 <= c <= r and 0 <= nu <= n - r):
+            raise InternalInvariantViolation(
+                f"impossible corank-nullity count {count} at corank {c}, nullity {nu} (r = {r}, #E = {n})"
+            )
     return counts
 
 

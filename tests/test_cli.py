@@ -1009,6 +1009,14 @@ GF7_3X8 = {
     "field": "GF(7)",
     "matrix": [[6, 6, 0, 0, 0, 2, 6, 1], [5, 6, 5, 6, 2, 2, 4, 1], [4, 0, 4, 5, 1, 3, 5, 3]],
 }
+# columns in pairs of opposite multiples over GF(3), so the walk closes its
+# corank-2 nodes by classes of two and more
+GF3_4X11 = {
+    "type": "linear",
+    "field": "GF(3)",
+    "matrix": [[1, 2, 0, 0, 0, 0, 1, 2, 1, 2, 1], [0, 0, 1, 2, 0, 0, 2, 1, 1, 2, 0],
+               [0, 0, 0, 0, 1, 2, 1, 2, 2, 1, 0], [1, 2, 1, 2, 2, 1, 0, 0, 2, 1, 1]],
+}
 
 
 @pytest.mark.parametrize(
@@ -1044,10 +1052,17 @@ GF7_3X8 = {
          Q_VANDERMONDE_4X9),
         (["os-dims"], linalg._Echelon, "classes", _last_two_classes_merged, "nbc sets != Whitney number", GF7_3X8),
         (["euler-table"], linalg._Echelon, "classes", _last_two_classes_merged, "euler table disagrees", FANO),
+        # merged classes that put a walk count at an infeasible corank or
+        # nullity, which hlv and charpoly would otherwise print or refuse
+        # as bad input
+        (["hlv"], linalg._Echelon, "classes", _last_two_classes_merged, "impossible corank-nullity count",
+         GF3_4X11),
+        (["charpoly"], linalg._Echelon, "classes", _last_two_classes_merged, "impossible corank-nullity count",
+         GF3_4X11),
     ],
     ids=["os-dims", "os-basis", "reduced-os-basis", "hlv", "charpoly", "tutte", "tutte-core", "euler-table-h",
          "charpoly-dc", "euler-table-lcm", "euler-table-width", "os-dims-echelon-Q", "os-dims-echelon-GF7",
-         "euler-table-echelon"],
+         "euler-table-echelon", "hlv-echelon-GF3", "charpoly-echelon-GF3"],
 )
 def test_injected_fault_exits_4(args, module, name, spoil, message, descriptor, monkeypatch, capsys):
     """One wrong inner value stops each command before output: exit code 4,

@@ -112,25 +112,35 @@ def test_loops_and_coloops_graphic():
 
 @st.composite
 def matrices_and_graphs(draw):
-    """A matrix over Q or GF(p) with up to 4 rows and 7 columns, or a
-    multigraph on up to 4 vertices with loops and parallel edges."""
-    kind = draw(st.sampled_from(["Q", "GF(2)", "GF(3)", "GF(5)", "GF(7)", "graph"]))
+    """A matrix over Q or GF(p) with up to 4 rows and 7 columns, the basis
+    list of such a matrix over Q or GF(3), a multigraph on up to 4 vertices
+    with loops and parallel edges, or U(r, n) with n up to 7."""
+    kind = draw(st.sampled_from(["Q", "GF(2)", "GF(3)", "GF(5)", "GF(7)", "graph", "uniform", "bases"]))
     if kind == "graph":
         vertex = st.integers(0, 3)
         return from_graph(draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=7)))
-    entry = st.integers(0, 6) if kind != "Q" else st.sampled_from([0, 0, 1, -1, 3, "1/2", "-2/3"])
+    if kind == "uniform":
+        n = draw(st.integers(1, 7))
+        return uniform(draw(st.integers(0, n)), n)
+    field = draw(st.sampled_from(["Q", "GF(3)"])) if kind == "bases" else kind
+    entry = st.integers(0, 6) if field != "Q" else st.sampled_from([0, 0, 1, -1, 3, "1/2", "-2/3"])
     rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 7))
     row = st.lists(entry, min_size=cols, max_size=cols)
-    return from_matrix(kind, draw(st.lists(row, min_size=rows, max_size=rows)))
+    M = from_matrix(field, draw(st.lists(row, min_size=rows, max_size=rows)))
+    return from_bases(M.size, M.bases()) if kind == "bases" else M
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(matrices_and_graphs(), st.data())
 def test_loops_and_coloops_match_the_rank_definitions(M, data):
     """loops() are the e with rank({e}) = 0 and coloops() the e with
-    rank(E - e) = r - 1, on matrices (read off the RREF), graphs (the
-    greedy-basis test), their minors and the duals of both; r itself
-    equals the rank that one push walk over E finds."""
+    rank(E - e) = r - 1, on every backing: matrices (read off the RREF),
+    graphs (self-loops and bridges), uniform matroids and basis lists (the
+    rank-function answers of _Backing), their minors (uniform and linear
+    ones native, graphic ones by contraction, those of a basis list
+    derived rank functions), the duals of all of these (a basis list's by
+    complements, a graph's derived); r itself equals the rank that one push
+    walk over E finds."""
     roles = data.draw(st.lists(st.sampled_from("dck"), min_size=M.size, max_size=M.size))
     N = M.minor(deleted=[e for e, x in zip(M.elements, roles) if x == "d"],
                 contracted=[e for e, x in zip(M.elements, roles) if x == "c"])

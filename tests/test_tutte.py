@@ -181,6 +181,28 @@ def test_tutte_cache_reuse(corpus_by_name):
     assert tutte_dc(corpus_by_name["k4"], cache=cache) == FROZEN_TUTTE["k4"]
 
 
+# The Vamos matroid (Oxley, Matroid Theory, 2nd ed., section 2.1): rank 4 on
+# 8 elements, every 4-set a basis except five circuit-hyperplanes; it is
+# representable over no field
+VAMOS_CIRCUIT_HYPERPLANES = [{0, 1, 2, 3}, {0, 1, 4, 5}, {0, 1, 6, 7}, {2, 3, 4, 5}, {2, 3, 6, 7}]
+VAMOS_BASES = [b for b in combinations(range(8), 4) if set(b) not in VAMOS_CIRCUIT_HYPERPLANES]
+
+
+def test_vamos_matroid_by_deletion_contraction():
+    """A matroid with no field: its minors are derived rank functions, keyed
+    by their basis lists, and its rank-2 cores close by pushed parallel
+    classes; deletion-contraction, the subset walk and rank calls on every
+    subset agree."""
+    V = from_bases(8, VAMOS_BASES)
+    assert len(VAMOS_BASES) == 65 and V.r == 4
+    expected = bp({(4, 0): 1, (3, 0): 4, (2, 0): 10, (1, 0): 15, (1, 1): 5,
+                   (0, 1): 15, (0, 2): 10, (0, 3): 4, (0, 4): 1})
+    cache = TutteCache()
+    assert tutte_dc(V, cache) == tutte_sum(V) == brute_tutte(V) == expected
+    assert cache._mem and all(key.startswith(b"mw1:") for key in cache._mem)
+    assert expected.evaluate(1, 1) == 65 and expected.evaluate(2, 2) == 2**8
+
+
 @st.composite
 def small_rank_cores(draw):
     """A loopless, coloop-free matroid of rank 1 or 2 on every backing: the
