@@ -234,9 +234,9 @@ def _straightener(M):
 
 
 def _whitney_numbers(M):
-    """[|coefficient of u^(r-k)| in chi_M for k = 0..#E], chi_M by the route
-    of tutte.tutte_polynomial, imported here: at the first check, not with
-    this module."""
+    """[|coefficient of u^(r-k)| in chi_M for k = 0..#E], chi_M from
+    tutte.tutte_polynomial, held to check_tutte, imported here: at the first
+    check, not with this module."""
     if "_os_whitney" not in vars(M):
         from . import tutte
 

@@ -2,17 +2,18 @@
 
 Two independent routes to the Tutte polynomial are provided and cross-check
 each other in tests: a corank-nullity subset sum (tutte_sum) and memoized
-deletion-contraction (tutte_dc). tutte_polynomial chooses between them for
-char_poly, and so for `charpoly` and the Orlik-Solomon Whitney check: the
-sum up to SUBSET_SUM_LIMIT elements, where it is the faster (in process,
-20 against 41 ms on the 6x17 GF(7) benchmark matrix and 0.7 against 21 ms
-on U(5,10) given by its bases), and deletion-contraction above that, held
-to check_tutte. The h polynomial
+deletion-contraction (tutte_dc). tutte_polynomial is the one route rule
+behind `hlv`, `charpoly`, the h matrix of `euler-table` and the
+Orlik-Solomon Whitney check: the sum up to SUBSET_SUM_LIMIT elements, where
+it is the faster (in process, 20 against 41 ms on the 6x17 GF(7) benchmark
+matrix and 0.7 against 21 ms on U(5,10) given by its bases), and
+deletion-contraction above that, either one held to check_tutte before it
+is used. The h polynomial
 
     h(u, v) = sum over subsets A of u^(r - rk(A)) * v^(#(E \\ A) - (r - rk(A)))
 
-is computed both from that subset sum and by substituting into the Tutte
-polynomial; the two must agree exactly or InternalInvariantViolation flies.
+is that T substituted (h_from_tutte), then held to h(1,1) = 2^#E and to
+nonnegative coefficients, since each coefficient counts subsets.
 
 Counting route: the subset sum only needs, for each (corank, nullity)
 pair, how many subsets hit it. One depth-first walk over the push/pop rank
@@ -33,7 +34,7 @@ key as it was, so --cache directories written before stay warm.
 
 check_tutte holds a polynomial to its degree bounds and T(2,2) = 2^#E,
 and on a graph to Greene's identity with the weight enumerator of its cut
-space, before `tutte` prints it.
+space, before `tutte` prints it and before tutte_polynomial returns it.
 """
 from __future__ import annotations
 
@@ -242,11 +243,12 @@ def tutte_dc(M: Matroid, cache: TutteCache | None = None, max_nodes=DEFAULT_DC_N
 
 
 def tutte_polynomial(M: Matroid) -> BivariatePoly:
-    """T by tutte_sum up to SUBSET_SUM_LIMIT elements, and above that by
-    tutte_dc held to check_tutte: the route behind char_poly."""
-    if M.size <= SUBSET_SUM_LIMIT:
-        return tutte_sum(M)
-    t = tutte_dc(M)
+    """T by tutte_sum up to SUBSET_SUM_LIMIT elements and by tutte_dc above
+    that, held to check_tutte either way: the one route rule behind
+    h_polynomial, h_matrix and char_poly. The `tutte` command stays on
+    tutte_dc, whose memo its --cache persists and whose nodes its --budget
+    counts."""
+    t = tutte_sum(M) if M.size <= SUBSET_SUM_LIMIT else tutte_dc(M)
     check_tutte(M, t)
     return t
 
@@ -307,7 +309,8 @@ def check_tutte(M: Matroid, t: BivariatePoly):
 
 
 def char_poly(M: Matroid, tutte: BivariatePoly | None = None) -> UnivariatePoly:
-    """Characteristic polynomial chi(u) = (-1)^r T(1 - u, 0).
+    """Characteristic polynomial chi(u) = (-1)^r T(1 - u, 0), with T from
+    tutte_polynomial unless `tutte` is given.
 
     Identically zero when M has a loop.
     """
@@ -339,17 +342,6 @@ def reduced_char_poly(M: Matroid, tutte: BivariatePoly | None = None) -> Univari
     return q
 
 
-def h_from_counts(counts, size, r) -> BivariatePoly:
-    t = {}
-    m = size - r
-    for (c, nu), n in counts.items():
-        # u-exponent is the corank c; the v-exponent #E - #A - c collapses
-        # to m - nu because #A = (r - c) + nu.
-        key = (c, m - nu)
-        t[key] = t.get(key, 0) + n
-    return BivariatePoly(t)
-
-
 def h_from_tutte(tutte: BivariatePoly, size, r) -> BivariatePoly:
     """h(u, v) = v^(#E - r) T(u + 1, 1/v + 1), expanded exactly.
 
@@ -373,25 +365,20 @@ def h_from_tutte(tutte: BivariatePoly, size, r) -> BivariatePoly:
 
 
 def h_polynomial(M: Matroid) -> BivariatePoly:
-    """The lattice-point h polynomial, computed two ways and cross-checked.
+    """The lattice-point h polynomial, h_from_tutte of tutte_polynomial(M).
 
-    All coefficients are nonnegative (each counts subsets of the ground
-    set), h(u, 0) = (u + 1)^(#coloops) and h(0, v) counts spanning subsets
-    by the size of their complement; those specializations are exercised in
-    tests, the route agreement is enforced here.
+    Each coefficient counts subsets of the ground set, so h(1,1) must be
+    2^#E and no coefficient may be negative; either failure raises
+    InternalInvariantViolation. The specializations
+    h(u, 0) = (u + 1)^(#coloops) and h(0, v), which counts spanning subsets
+    by the size of their complement, are exercised in tests.
     """
-    counts = rank_size_counts(M)
-    h1 = h_from_counts(counts, M.size, M.r)
-    # the same walk feeds route 2 through the Tutte polynomial
-    h2 = h_from_tutte(tutte_from_counts(counts), M.size, M.r)
-    if h1 != h2:
-        raise InternalInvariantViolation(
-            "h polynomial routes disagree: "
-            f"subset sum {h1!r} vs Tutte substitution {h2!r}"
-        )
-    if any(c < 0 for _, c in h1.terms()):
-        raise InternalInvariantViolation(f"negative h coefficient in {h1!r}")
-    return h1
+    h = h_from_tutte(tutte_polynomial(M), M.size, M.r)
+    if h.evaluate(1, 1) != 2**M.size:
+        raise InternalInvariantViolation(f"h polynomial has h(1,1) = {h.evaluate(1, 1)} != 2^{M.size}")
+    if any(c < 0 for _, c in h.terms()):
+        raise InternalInvariantViolation(f"negative h coefficient in {h!r}")
+    return h
 
 
 def h_matrix(M: Matroid):

@@ -62,6 +62,17 @@ def brute_rank_size_counts(M):
     return counts
 
 
+def h_from_counts(counts, size, r):
+    """The h polynomial read off rank_size_counts: the u-exponent is the
+    corank c, and the v-exponent #E - #A - c collapses to (#E - r) - nu
+    because #A = (r - c) + nu."""
+    m = size - r
+    t = {}
+    for (c, nu), n in counts.items():
+        t[c, m - nu] = t.get((c, m - nu), 0) + n
+    return BivariatePoly(t)
+
+
 def brute_bases(M):
     """The r-subsets of rank r, in itertools.combinations order."""
     return [b for b in combinations(M.elements, M.r) if M.rank(b) == M.r]

@@ -332,6 +332,19 @@ def test_charpoly_of_k8_by_deletion_contraction():
     assert [int(t["c"]) for t in got["charpoly"]["terms"]] == [1, -28, 322, -1960, 6769, -13132, 13068, -5040]
 
 
+def test_hlv_of_k8_by_deletion_contraction():
+    """hlv takes T from the same route rule as charpoly, so past 24
+    elements it expands M(K8) by deletion-contraction, held to Greene's
+    identity, and substitutes: h = v^21 T(u + 1, 1/v + 1)."""
+    proc = run_cli(["hlv"], stdin_obj=_complete_graph(8))
+    assert proc.returncode == 0, proc.stderr
+    M = from_descriptor(_complete_graph(8))
+    h = tutte.h_from_tutte(tutte.tutte_dc(M), 28, 7)
+    assert json.loads(proc.stdout) == h.to_json(xname="u", yname="v")
+    assert h.evaluate(1, 1) == 2**28
+    assert {i: c for (i, j), c in h.terms() if j == 0} == {0: 1}  # h(u, 0) = 1: no coloops
+
+
 @pytest.mark.parametrize(
     "descriptor",
     [
@@ -1029,15 +1042,18 @@ GF3_4X11 = {
         # the index sets of reduced degree 2 are the degree-3 nbc sets that hold 0
         (["reduced-os-basis", "--degree", "2"], orlik_solomon, "nbc_sets",
          _one_set_short_in_degree_3, "nbc sets != Whitney number", K4),
-        (["hlv"], tutte, "h_from_tutte", _plus(BivariatePoly.monomial(0, 0)), "routes disagree", K4),
+        (["hlv"], tutte, "h_from_tutte", _plus(BivariatePoly.monomial(0, 0)), "h(1,1) = 65", K4),
         (["charpoly"], tutte, "char_poly", _plus(UnivariatePoly.monomial(0)), "chi(1) = 1", K4),
         # x - y keeps T(1, 1), T(2, 2) and the degree bounds
         (["tutte"], tutte, "tutte_dc", _plus(BivariatePoly({(1, 0): 1, (0, 1): -1})), "Greene", K4),
         # the same on every core of rank at most 2 that deletion-contraction closes
         (["tutte"], tutte, "_small_core_tutte", _plus(BivariatePoly({(1, 0): 1, (0, 1): -1})), "Greene", K4),
         # any class sizes keep the 2^#E total of the subset walk; two classes
-        # merged at each walk node that has more than one
-        (["euler-table"], tutte, "_superset_counts", _two_classes_merged, "euler table disagrees", K4),
+        # merged at each walk node that has more than one. check_tutte holds
+        # the summed T to Greene's identity before any command reads it
+        (["euler-table"], tutte, "_superset_counts", _two_classes_merged, "Greene", K4),
+        (["hlv"], tutte, "_superset_counts", _two_classes_merged, "Greene", K4),
+        (["charpoly"], tutte, "_superset_counts", _two_classes_merged, "Greene", K4),
         # past 24 elements charpoly takes deletion-contraction, held to check_tutte
         (["charpoly"], tutte, "tutte_dc", _plus(BivariatePoly({(1, 0): 1, (0, 1): -1})), "Greene",
          _complete_graph(8)),
@@ -1061,8 +1077,8 @@ GF3_4X11 = {
          GF3_4X11),
     ],
     ids=["os-dims", "os-basis", "reduced-os-basis", "hlv", "charpoly", "tutte", "tutte-core", "euler-table-h",
-         "charpoly-dc", "euler-table-lcm", "euler-table-width", "os-dims-echelon-Q", "os-dims-echelon-GF7",
-         "euler-table-echelon", "hlv-echelon-GF3", "charpoly-echelon-GF3"],
+         "hlv-walk", "charpoly-walk", "charpoly-dc", "euler-table-lcm", "euler-table-width", "os-dims-echelon-Q",
+         "os-dims-echelon-GF7", "euler-table-echelon", "hlv-echelon-GF3", "charpoly-echelon-GF3"],
 )
 def test_injected_fault_exits_4(args, module, name, spoil, message, descriptor, monkeypatch, capsys):
     """One wrong inner value stops each command before output: exit code 4,
