@@ -13,6 +13,13 @@ Output is deterministic for fixed input and flags. Every command runs one
 worker; --jobs is accepted and validated for compatibility but read by
 nothing, so it never changes the bytes.
 
+`tutte`, `hlv` and `charpoly` take T from one route rule,
+tutte.tutte_polynomial, which picks the subset walk or
+deletion-contraction by the walk's length. `tutte --cache DIR` runs
+deletion-contraction, whose memo the cache persists; `tutte --budget N`
+caps whichever deletion-contraction runs. T is the same polynomial by
+either route, so the flags never change the bytes.
+
 Each command imports the modules it runs when it runs, so importing this
 module loads no pipeline: not the Tutte, polynomial, Orlik-Solomon,
 localization, toric or corpus code, nor the linear algebra and fields.py,
@@ -211,13 +218,18 @@ def _file_tutte_cache():
 
 
 def _cmd_tutte(args):
+    """T by tutte_polynomial's route rule, or by tutte_dc under --cache,
+    whose memo the cache persists; a positive --budget caps whichever
+    deletion-contraction runs. Checked before output."""
     from . import tutte
 
     M = _read_descriptor(args["input"])
-    cache = _file_tutte_cache()(args["cache"]) if args["cache"] else None
     budget = args["budget"] if args["budget"] else tutte.DEFAULT_DC_NODES
-    poly = tutte.tutte_dc(M, cache, max_nodes=budget)
-    tutte.check_tutte(M, poly)
+    if args["cache"]:
+        poly = tutte.tutte_dc(M, _file_tutte_cache()(args["cache"]), max_nodes=budget)
+        tutte.check_tutte(M, poly)
+    else:
+        poly = tutte.tutte_polynomial(M, max_nodes=budget)
     _emit(poly.to_json())
 
 
@@ -333,7 +345,7 @@ def _int_at_least(low):
 _INPUT = ("--input", {"default": "-", "help": "matroid descriptor JSON file, or - for stdin (default)"})
 _FIELD = ("--field", {"default": "Q", "help": "Q or GF(p) (default Q)"})
 _DEGREE = ("--degree", {"type": int, "required": True, "help": "degree k"})
-_CACHE = ("--cache", {"help": "directory for persistent memo tables"})
+_CACHE = ("--cache", {"help": "run deletion-contraction with its memo tables persisted in this directory"})
 _JOBS = ("--jobs", {
     "type": _int_at_least(1), "default": 1,
     "help": "accepted for compatibility; every command runs one worker",
@@ -349,7 +361,7 @@ def _budget(what):
 
 # command: (handler, help, options in the order help lists them)
 _COMMANDS = {
-    "tutte": (_cmd_tutte, "Tutte polynomial by deletion-contraction",
+    "tutte": (_cmd_tutte, "Tutte polynomial",
               (_INPUT, _CACHE, _budget("deletion-contraction nodes"), _JOBS)),
     "charpoly": (_cmd_charpoly, "characteristic polynomial and its reduction", (_INPUT, _JOBS)),
     "hlv": (_cmd_hlv, "two-variable h polynomial", (_INPUT, _JOBS)),

@@ -1,6 +1,6 @@
 """Graph algorithms behind graphic matroids, loaded with the first graphic
-memo key, coloop query or Tutte check, so that commands which never meet
-a graph do not compile them.
+memo key or coloop query, so that commands which never meet a graph, and
+graph commands that never run deletion-contraction, do not compile them.
 
 canonical_edges(pairs) relabels the vertices 0..n-1 so that isomorphic
 multigraphs, whatever their vertex names and edge order, give the same
@@ -30,12 +30,9 @@ never vertex names (which may mix str and int), so the form is invariant,
 and the branches pruned are images of explored ones under automorphisms,
 so the least list is the same for every presentation.
 
-bridges(edges) finds the coloops of a graph, and cut_weights(edges) counts
-the cuts of each weight for Greene's check in tutte.check_tutte.
+bridges(edges) finds the coloops of a graph.
 """
 from __future__ import annotations
-
-from .matroids import RollbackUnionFind
 
 
 def canonical_edges(pairs):
@@ -234,42 +231,3 @@ def bridges(edges):
                 u, f = up[u]
                 found.discard(f)
     return found
-
-
-def cut_weights(edges):
-    """counts[w]: how many cuts of weight w a multigraph with these (u, v)
-    edges has, a cut being a vector of its GF(2) cut space (the row space
-    of its incidence matrix): the edges with ends on two sides of a split
-    of the vertices. One vertex per component stays on side 0, so each of
-    the 2^r cuts is met once, in a Gray-code walk that moves one vertex
-    across per step and updates the weight from that vertex's edges, read
-    as bit masks of neighbours per multiplicity. Loops lie in no cut."""
-    index = {}
-    for u, v in edges:
-        index.setdefault(u, len(index))
-        index.setdefault(v, len(index))
-    mult = {}
-    for u, v in edges:
-        a, b = sorted((index[u], index[v]))
-        if a != b:
-            mult[a, b] = mult.get((a, b), 0) + 1
-    forest = RollbackUnionFind(dict(enumerate(mult)))
-    for e in forest.edges:
-        forest.push(e)
-    masks = [{} for _ in index]  # vertex -> {multiplicity: neighbours}
-    for (a, b), m in mult.items():
-        masks[a][m] = masks[a].get(m, 0) | 1 << b
-        masks[b][m] = masks[b].get(m, 0) | 1 << a
-    moves = [(1 << v, [(m, nb, nb.bit_count()) for m, nb in masks[v].items()])
-             for v in range(len(index)) if forest.find(v) != v]
-    counts = [0] * (len(edges) + 1)
-    counts[0] = 1
-    side = weight = 0
-    for step in range(1, 1 << len(moves)):
-        bit, groups = moves[(step & -step).bit_length() - 1]
-        same = side if side & bit else ~side
-        for m, nb, degree in groups:
-            weight += m * (2 * (nb & same).bit_count() - degree)
-        side ^= bit
-        counts[weight] += 1
-    return counts

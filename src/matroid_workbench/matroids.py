@@ -116,7 +116,16 @@ class _Backing:
     """The protocol of a backing, with every answer worked out from the
     Matroid's rank function. A backing supplies `kind`, rank(subset) and
     steps() (its push/pop rank oracle), and overrides the methods below
-    that it answers natively; each takes the Matroid M it backs."""
+    that it answers natively; each takes the Matroid M it backs.
+
+    `walk_at_any_bound` tells tutte.tutte_polynomial whether the subset
+    walk beats deletion-contraction here however long the walk's bound. As
+    measured there, it does on matrices, basis lists (U(8,16) as bases,
+    bound 14,893: 0.15 against 40 s) and derived rank functions (the dual
+    of M(K6), bound 22,819: 113 against 255 ms); a graph and a uniform
+    matroid, whose keys merge isomorphic minors, set it False."""
+
+    walk_at_any_bound = True
 
     def loops(self, M):
         return frozenset(e for e in M.elements if M.rank({e}) == 0)
@@ -148,6 +157,7 @@ class _Backing:
 
 class UniformBacking(_Backing):
     kind = "uniform"
+    walk_at_any_bound = False
 
     def __init__(self, r):
         self.r = r
@@ -256,6 +266,7 @@ def int_determinant(matrix):
 
 class GraphicBacking(_Backing):
     kind = "graphic"
+    walk_at_any_bound = False
 
     def __init__(self, edges):
         # edges: {label: (u, v)}; vertices may be any hashables.
@@ -452,6 +463,13 @@ class Matroid:
 
     def is_loopless(self):
         return not self.loops()
+
+    @property
+    def walk_at_any_bound(self):
+        """Whether tutte.tutte_polynomial takes the subset walk on M up to
+        SUBSET_SUM_LIMIT elements whatever the walk's bound: the backing's
+        declaration (_Backing)."""
+        return self._backing.walk_at_any_bound
 
     def graph_edges(self):
         """The (u, v) ends of each element in order for a graph, else None."""

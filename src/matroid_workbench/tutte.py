@@ -3,12 +3,15 @@
 Two independent routes to the Tutte polynomial are provided and cross-check
 each other in tests: a corank-nullity subset sum (tutte_sum) and memoized
 deletion-contraction (tutte_dc). tutte_polynomial is the one route rule
-behind `hlv`, `charpoly`, the h matrix of `euler-table` and the
-Orlik-Solomon Whitney check: the sum up to SUBSET_SUM_LIMIT elements, where
-it is the faster (in process, 20 against 41 ms on the 6x17 GF(7) benchmark
-matrix and 0.7 against 21 ms on U(5,10) given by its bases), and
-deletion-contraction above that, either one held to check_tutte before it
-is used. The h polynomial
+behind `tutte` (unless --cache keeps it on deletion-contraction), `hlv`,
+`charpoly`, the h matrix of `euler-table` and the Orlik-Solomon Whitney
+check. It reads the length of the walk,
+bounded by walk_bound(#E, r): up to SUBSET_SUM_LIMIT elements it walks a
+matrix, a basis list or a derived rank function whatever that bound, and
+a graph or a uniform matroid when the bound is at most WALK_BOUND_LIMIT;
+it takes deletion-contraction otherwise, and also when the walk passes
+WALK_CAP_FACTOR times its bound, and holds either result to check_tutte
+before it is used. The h polynomial
 
     h(u, v) = sum over subsets A of u^(r - rk(A)) * v^(#(E \\ A) - (r - rk(A)))
 
@@ -41,14 +44,25 @@ from __future__ import annotations
 from math import comb
 
 from .errors import InternalInvariantViolation, TooLarge
-from .matroids import SUBSET_SUM_LIMIT, Matroid, parallel_classes
+from .matroids import SUBSET_SUM_LIMIT, Matroid, RollbackUnionFind, parallel_classes
 from .polynomials import BivariatePoly, UnivariatePoly
 
 DEFAULT_DC_NODES = 100_000  # expanded deletion-contraction cores (memo misses)
 GREENE_RANK_LIMIT = 18  # check_tutte walks at most 2^18 cuts of a graph
+# tutte_polynomial's route rule; its docstring gives the measurements
+WALK_BOUND_LIMIT = 2**12  # walk_bound above which a graph or uniform matroid takes DC
+WALK_CAP_FACTOR = 16  # the walk hands over to DC past this many times walk_bound nodes
 
 
-def rank_size_counts(M: Matroid):
+def walk_bound(n, r):
+    """B(n, r) = sum of C(n, k) for k = 0..r-2 (1 when r <= 2): the nodes
+    rank_size_counts visits on a matroid of rank r on n elements in which
+    every set of at most r - 2 elements is independent, since the walk
+    stops at the first subset of corank at most 2."""
+    return sum(comb(n, k) for k in range(max(r - 1, 1)))
+
+
+def rank_size_counts(M: Matroid, max_nodes=None):
     """{(corank, nullity): number of subsets A with r - rk(A) = corank,
     #A - rk(A) = nullity}, over all 2^#E subsets.
 
@@ -66,8 +80,10 @@ def rank_size_counts(M: Matroid):
     that are wrong but keep every count feasible pass both checks. The
     6 x 18 Vandermonde matrix takes 4,047 pushes (31,179 when the walk
     stopped at corank 1), the GF(7) benchmark matrix 3,240 (22,733) and
-    M(K7) 10,926 (160,758). On a linear matroid the echelon
-    shares column residuals across the walk, one row elimination per
+    M(K7) 10,926 (160,758), against walk_bound's 4,048, 3,214 and 7,547
+    nodes; a walk that would visit more than `max_nodes` nodes raises
+    TooLarge. On a linear matroid the echelon shares column residuals
+    across the walk, one row elimination per
     (rank-raising node, later column): 12,597 on the Vandermonde matrix
     (31,161 at corank 1; 138,057 when each push reduces from scratch). It
     keeps each residual on the coordinates that are not yet pivots, so a
@@ -83,8 +99,13 @@ def rank_size_counts(M: Matroid):
     steps = M.incremental_rank()
     counts = {}
     tails = {}  # (corank, nullity, m, sorted class sizes) of a node of corank <= 2 -> nodes
+    left = max_nodes if max_nodes is not None else 2**n
 
     def walk(start, size, rk):
+        nonlocal left
+        left -= 1
+        if left < 0:
+            raise TooLarge(f"subset walk visits more than {max_nodes} nodes")
         if rk >= r - 2:
             rest = elems[start:]
             sizes = tuple(sorted(map(len, parallel_classes(steps, rest))))
@@ -143,9 +164,10 @@ def tutte_from_counts(counts) -> BivariatePoly:
     return BivariatePoly(t)
 
 
-def tutte_sum(M: Matroid) -> BivariatePoly:
-    """Tutte polynomial via the corank-nullity sum."""
-    return tutte_from_counts(rank_size_counts(M))
+def tutte_sum(M: Matroid, max_nodes=None) -> BivariatePoly:
+    """Tutte polynomial via the corank-nullity sum, its walk capped at
+    `max_nodes` nodes like rank_size_counts."""
+    return tutte_from_counts(rank_size_counts(M, max_nodes=max_nodes))
 
 
 def _small_core_tutte(r, sizes) -> BivariatePoly:
@@ -242,13 +264,61 @@ def tutte_dc(M: Matroid, cache: TutteCache | None = None, max_nodes=DEFAULT_DC_N
     return dc(M)
 
 
-def tutte_polynomial(M: Matroid) -> BivariatePoly:
-    """T by tutte_sum up to SUBSET_SUM_LIMIT elements and by tutte_dc above
-    that, held to check_tutte either way: the one route rule behind
-    h_polynomial, h_matrix and char_poly. The `tutte` command stays on
-    tutte_dc, whose memo its --cache persists and whose nodes its --budget
-    counts."""
-    t = tutte_sum(M) if M.size <= SUBSET_SUM_LIMIT else tutte_dc(M)
+def tutte_polynomial(M: Matroid, max_nodes=DEFAULT_DC_NODES) -> BivariatePoly:
+    """T by the route that the walk's length picks, held to check_tutte:
+    the one route rule behind `tutte` without --cache, h_polynomial,
+    h_matrix and char_poly. `max_nodes` is the budget of tutte_dc, if it
+    runs.
+
+    Up to SUBSET_SUM_LIMIT elements, tutte_sum runs when the backing walks
+    at any bound (Matroid.walk_at_any_bound: a matrix, a basis list or a
+    derived rank function) or the walk bound B = walk_bound(#E, r) is at
+    most WALK_BOUND_LIMIT, under a cap of WALK_CAP_FACTOR * B nodes; a walk
+    that passes the cap, and every other input, goes to tutte_dc. In
+    process (medians, 2 cores, Python 3.11.7), walk against DC:
+
+        input                      #E   r        B     walk       DC
+        seeded GF(7) 6x17          17   6    3,214   13.9 ms  32.1 ms
+        random Q 6x18              18   6    4,048   20.2 ms  74.2 ms
+        random Q 7x18              18   7   12,616   51.3 ms   159 ms
+        Q Vandermonde 6x18         18   6    4,048   18.4 ms   4.0 ms
+        M(K6)                      15   5      576    1.4 ms   2.3 ms
+        graph, 7 vertices 18 edges 18   6    4,048   10.0 ms  10.6 ms
+        M(K7)                      21   6    7,547   21.5 ms   6.6 ms
+        Petersen graph             15   9   16,384   16.4 ms   6.1 ms
+        U(10,20)                   20  10  263,950    174 ms   2.0 ms
+        8 parallel pairs, bases    16   8   14,893   34.7 ms   117 ms
+        U(8,16) as bases (*)       16   8   14,893    153 ms     40 s
+        U(7,8) + 10 loops, bases   18   7   12,616   77.4 ms   0.7 ms
+        dual of M(K6), derived     15  10   22,819    113 ms   255 ms
+        dual of M(K7), derived     21  15    1.9 M   15.7 s   18.3 s
+
+    (*) 12,870 bases, built past from_bases's validation limit.
+
+    On matrices, basis lists and derived rank functions the walk wins at
+    any B but on two shapes whose minors deletion-contraction merges or
+    peels: the Vandermonde matrix, whose contractions are column-scaled
+    Vandermonde matrices that the scaling-blind memo keys merge, and
+    loops, which DC peels at once and which multiply the walk's nodes. On
+    graphs the routes cross near B = 2^12, and the uniform keys merge
+    every minor of one shape. The walk visits at most 2.4 B nodes on the
+    corpus, the benchmark inputs and the loopless inputs above (M(K7)
+    1.45 B, a parallel-rich Q 4x12 matrix 1.8 B, the 8 parallel pairs
+    2.33 B), so the cap stops only walks that large parallel classes or
+    many loops blow up: on C5 with one edge made 20 parallel ones, B is
+    301 but the walk would meet all 2^20 subsets of that class. Ten loops
+    stay under it (U(7,8) plus 10 loops: 13.2 B nodes).
+    """
+    t = None
+    if M.size <= SUBSET_SUM_LIMIT:
+        bound = walk_bound(M.size, M.r)
+        if M.walk_at_any_bound or bound <= WALK_BOUND_LIMIT:
+            try:
+                t = tutte_sum(M, max_nodes=WALK_CAP_FACTOR * bound)
+            except TooLarge:  # the walk outgrew its cap
+                pass
+    if t is None:
+        t = tutte_dc(M, max_nodes=max_nodes)
     check_tutte(M, t)
     return t
 
@@ -265,7 +335,7 @@ def check_tutte(M: Matroid, t: BivariatePoly):
         A(z) = (1-z)^r z^(#E-r) T((1+z)/(1-z), 1/z)
              = sum of t_ij (1+z)^i (1-z)^(r-i) z^(#E-r-j),
 
-    with the weight enumerator A(z) counted by graphs.cut_weights. A wrong
+    with the weight enumerator A(z) counted by cut_weights. A wrong
     coefficient t_ij changes the sum by a nonzero multiple of its term, so
     every single-coefficient error is caught, also one that keeps T(1,1)
     and T(2,2). A larger graph: T(1,1) is its number of spanning forests,
@@ -297,8 +367,6 @@ def check_tutte(M: Matroid, t: BivariatePoly):
     for (i, j), c in t.terms():
         for d, p in enumerate(products[i], n - r - j):
             greene[d] += c * p
-    from .graphs import cut_weights
-
     cuts = cut_weights(edges)
     if greene != cuts:
         w = next(w for w, (a, b) in enumerate(zip(cuts, greene)) if a != b)
@@ -306,6 +374,45 @@ def check_tutte(M: Matroid, t: BivariatePoly):
             f"Tutte polynomial fails Greene's identity on the cut space: "
             f"{cuts[w]} cuts of weight {w}, T gives {greene[w]}"
         )
+
+
+def cut_weights(edges):
+    """counts[w]: how many cuts of weight w a multigraph with these (u, v)
+    edges has, a cut being a vector of its GF(2) cut space (the row space
+    of its incidence matrix): the edges with ends on two sides of a split
+    of the vertices. One vertex per component stays on side 0, so each of
+    the 2^r cuts is met once, in a Gray-code walk that moves one vertex
+    across per step and updates the weight from that vertex's edges, read
+    as bit masks of neighbours per multiplicity. Loops lie in no cut."""
+    index = {}
+    for u, v in edges:
+        index.setdefault(u, len(index))
+        index.setdefault(v, len(index))
+    mult = {}
+    for u, v in edges:
+        a, b = sorted((index[u], index[v]))
+        if a != b:
+            mult[a, b] = mult.get((a, b), 0) + 1
+    forest = RollbackUnionFind(dict(enumerate(mult)))
+    for e in forest.edges:
+        forest.push(e)
+    masks = [{} for _ in index]  # vertex -> {multiplicity: neighbours}
+    for (a, b), m in mult.items():
+        masks[a][m] = masks[a].get(m, 0) | 1 << b
+        masks[b][m] = masks[b].get(m, 0) | 1 << a
+    moves = [(1 << v, [(m, nb, nb.bit_count()) for m, nb in masks[v].items()])
+             for v in range(len(index)) if forest.find(v) != v]
+    counts = [0] * (len(edges) + 1)
+    counts[0] = 1
+    side = weight = 0
+    for step in range(1, 1 << len(moves)):
+        bit, groups = moves[(step & -step).bit_length() - 1]
+        same = side if side & bit else ~side
+        for m, nb, degree in groups:
+            weight += m * (2 * (nb & same).bit_count() - degree)
+        side ^= bit
+        counts[weight] += 1
+    return counts
 
 
 def char_poly(M: Matroid, tutte: BivariatePoly | None = None) -> UnivariatePoly:

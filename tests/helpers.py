@@ -2,7 +2,8 @@
 
 Everything here recomputes invariants by direct subset enumeration, with no
 shared code paths beyond the rank oracle itself, so the fast implementations
-are checked against independent definitions.
+are checked against independent definitions. The inputs and the hypothesis
+strategy that several test modules draw from are kept here too.
 """
 
 import re
@@ -10,6 +11,8 @@ from collections import deque
 from fractions import Fraction
 from itertools import chain, combinations, combinations_with_replacement, permutations
 from math import lcm
+
+from hypothesis import strategies as st
 
 from matroid_workbench import (
     QQ,
@@ -19,13 +22,51 @@ from matroid_workbench import (
     PrimeField,
     UnivariatePoly,
     broken_circuits,
+    from_bases,
+    from_graph,
+    from_matrix,
     koszul_boundary,
+    uniform,
 )
 from matroid_workbench.errors import quote
 from matroid_workbench.localization import FIBER_SIGN, TANGENT_SIGN, _pair_lcm
 from matroid_workbench.linalg import LinearBacking, _rref, _store_column, rref
 from matroid_workbench.matroids import Matroid
 from matroid_workbench.series import TruncatedSeries
+
+
+# a 6x17 GF(7) matrix of rank 6 (the benchmark's seeded input at seed 1)
+GF7_6X17 = [
+    [5, 1, 2, 2, 6, 4, 0, 0, 4, 1, 3, 5, 4, 2, 5, 6, 3],
+    [5, 5, 5, 3, 1, 5, 1, 0, 5, 5, 1, 3, 6, 6, 2, 6, 4],
+    [4, 1, 0, 0, 4, 2, 6, 4, 1, 4, 1, 3, 2, 1, 4, 1, 2],
+    [0, 0, 0, 6, 6, 5, 6, 6, 5, 0, 2, 4, 1, 5, 3, 5, 2],
+    [5, 3, 3, 4, 6, 1, 3, 0, 2, 2, 5, 4, 0, 4, 6, 4, 6],
+    [6, 4, 1, 5, 0, 3, 4, 4, 0, 4, 0, 6, 5, 1, 1, 6, 5],
+]
+
+PETERSEN = [(0, 1), (0, 4), (0, 5), (1, 2), (1, 6), (2, 3), (2, 7), (3, 4), (3, 8), (4, 9),
+            (5, 7), (5, 8), (6, 8), (6, 9), (7, 9)]
+
+
+@st.composite
+def matrices_and_graphs(draw):
+    """A matrix over Q or GF(p) with up to 4 rows and 7 columns, the basis
+    list of such a matrix over Q or GF(3), a multigraph on up to 4 vertices
+    with loops and parallel edges, or U(r, n) with n up to 7."""
+    kind = draw(st.sampled_from(["Q", "GF(2)", "GF(3)", "GF(5)", "GF(7)", "graph", "uniform", "bases"]))
+    if kind == "graph":
+        vertex = st.integers(0, 3)
+        return from_graph(draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=7)))
+    if kind == "uniform":
+        n = draw(st.integers(1, 7))
+        return uniform(draw(st.integers(0, n)), n)
+    field = draw(st.sampled_from(["Q", "GF(3)"])) if kind == "bases" else kind
+    entry = st.integers(0, 6) if field != "Q" else st.sampled_from([0, 0, 1, -1, 3, "1/2", "-2/3"])
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 7))
+    row = st.lists(entry, min_size=cols, max_size=cols)
+    M = from_matrix(field, draw(st.lists(row, min_size=rows, max_size=rows)))
+    return from_bases(M.size, M.bases()) if kind == "bases" else M
 
 
 def powerset(elements):

@@ -412,6 +412,22 @@ def test_tutte_budget_counts_deletion_contraction_nodes(monkeypatch, capsys):
     assert err.startswith("too large:") and "500" in err and len(err.splitlines()) == 1, err
 
 
+def test_tutte_budget_caps_the_route_rules_deletion_contraction(monkeypatch, capsys):
+    """Without --cache, --budget is the budget of whichever
+    deletion-contraction the route rule runs: on M(K4) the walk runs and a
+    budget of 1 is never read; on the fat graph the walk passes its cap
+    and deletion-contraction, which expands 2 cores, is refused."""
+    for descriptor, code_wanted in ((_complete_graph(4), 0), (FAT_GRAPH, 3)):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(descriptor)))
+        code = cli.main(["tutte", "--budget", "1"])
+        out, err = capsys.readouterr()
+        assert code == code_wanted, err
+        if code == 3:
+            assert out == "" and err.startswith("too large:") and "budget" in err
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(FAT_GRAPH)))
+    assert cli.main(["tutte", "--budget", "2"]) == 0
+
+
 def test_cli_import_leaves_unused_modules_unloaded():
     """The package resolves its names lazily and each command imports its
     own modules, so importing the CLI loads none of the heavier ones; the
@@ -480,6 +496,18 @@ def test_commands_on_graphs_and_uniform_load_no_field_or_linear_code(args, descr
     rc, loaded, out = _main_in_fresh_process(args, descriptor)
     assert rc == 0 and json.loads(out)
     assert not loaded.intersection(_NEVER_FOR_GRAPHS_AND_UNIFORM)
+
+
+@pytest.mark.parametrize("command", ["tutte", "hlv", "charpoly"])
+def test_walked_graph_commands_leave_the_graph_algorithms_unloaded(command):
+    """On M(K4) the route rule takes the subset walk, whose classes come
+    from the union-find and whose check counts cuts in tutte.py, so
+    graphs.py (canonical forms and bridges, for deletion-contraction) is
+    never compiled."""
+    rc, loaded, out = _main_in_fresh_process([command], _complete_graph(4))
+    assert rc == 0 and json.loads(out)
+    assert "matroid_workbench.graphs" not in loaded
+    assert "matroid_workbench.tutte" in loaded
 
 
 def test_a_rational_matrix_loads_the_linear_code():
@@ -1017,6 +1045,10 @@ Q_VANDERMONDE_4X9 = {
     "field": "Q",
     "matrix": [[x**i for x in (-11, -10, -6, -3, -2, 4, 5, 6, 8)] for i in range(4)],
 }
+# C5 with one edge replaced by 20 parallel copies: its walk bound (301) is
+# small, but the walk meets the 2^20 subsets of the parallel class, so it
+# passes its cap and deletion-contraction takes over
+FAT_GRAPH = {"type": "graphic", "edges": [[0, 1]] * 20 + [[1, 2], [2, 3], [3, 4], [4, 0]]}
 GF7_3X8 = {
     "type": "linear",
     "field": "GF(7)",
@@ -1044,13 +1076,19 @@ GF3_4X11 = {
          _one_set_short_in_degree_3, "nbc sets != Whitney number", K4),
         (["hlv"], tutte, "h_from_tutte", _plus(BivariatePoly.monomial(0, 0)), "h(1,1) = 65", K4),
         (["charpoly"], tutte, "char_poly", _plus(UnivariatePoly.monomial(0)), "chi(1) = 1", K4),
-        # x - y keeps T(1, 1), T(2, 2) and the degree bounds
-        (["tutte"], tutte, "tutte_dc", _plus(BivariatePoly({(1, 0): 1, (0, 1): -1})), "Greene", K4),
+        # x - y keeps T(1, 1), T(2, 2) and the degree bounds; M(K7), whose
+        # walk bound of 7,547 sends it to deletion-contraction
+        (["tutte"], tutte, "tutte_dc", _plus(BivariatePoly({(1, 0): 1, (0, 1): -1})), "Greene",
+         _complete_graph(7)),
         # the same on every core of rank at most 2 that deletion-contraction closes
-        (["tutte"], tutte, "_small_core_tutte", _plus(BivariatePoly({(1, 0): 1, (0, 1): -1})), "Greene", K4),
+        (["tutte"], tutte, "_small_core_tutte", _plus(BivariatePoly({(1, 0): 1, (0, 1): -1})), "Greene",
+         _complete_graph(7)),
+        # deletion-contraction after the walk outgrew its cap
+        (["tutte"], tutte, "tutte_dc", _plus(BivariatePoly({(1, 0): 1, (0, 1): -1})), "Greene", FAT_GRAPH),
         # any class sizes keep the 2^#E total of the subset walk; two classes
         # merged at each walk node that has more than one. check_tutte holds
         # the summed T to Greene's identity before any command reads it
+        (["tutte"], tutte, "_superset_counts", _two_classes_merged, "Greene", K4),
         (["euler-table"], tutte, "_superset_counts", _two_classes_merged, "Greene", K4),
         (["hlv"], tutte, "_superset_counts", _two_classes_merged, "Greene", K4),
         (["charpoly"], tutte, "_superset_counts", _two_classes_merged, "Greene", K4),
@@ -1076,7 +1114,8 @@ GF3_4X11 = {
         (["charpoly"], linalg._Echelon, "classes", _last_two_classes_merged, "impossible corank-nullity count",
          GF3_4X11),
     ],
-    ids=["os-dims", "os-basis", "reduced-os-basis", "hlv", "charpoly", "tutte", "tutte-core", "euler-table-h",
+    ids=["os-dims", "os-basis", "reduced-os-basis", "hlv", "charpoly", "tutte", "tutte-core", "tutte-fat",
+         "tutte-walk", "euler-table-h",
          "hlv-walk", "charpoly-walk", "charpoly-dc", "euler-table-lcm", "euler-table-width", "os-dims-echelon-Q",
          "os-dims-echelon-GF7", "euler-table-echelon", "hlv-echelon-GF3", "charpoly-echelon-GF3"],
 )

@@ -20,7 +20,7 @@ from matroid_workbench import (
 
 from matroid_workbench.matroids import GROUND_SET_LIMIT, BasesBacking, Matroid
 
-from helpers import frozenset_exchange_holds, pairwise_exchange_failure, powerset
+from helpers import frozenset_exchange_holds, matrices_and_graphs, pairwise_exchange_failure, powerset
 
 
 # ---------------------------------------------------------------- rank axioms
@@ -108,26 +108,6 @@ def test_loops_and_coloops_graphic():
     assert M.loops() == frozenset({0})
     assert M.coloops() == frozenset({1, 2})
     assert not M.is_loopless()
-
-
-@st.composite
-def matrices_and_graphs(draw):
-    """A matrix over Q or GF(p) with up to 4 rows and 7 columns, the basis
-    list of such a matrix over Q or GF(3), a multigraph on up to 4 vertices
-    with loops and parallel edges, or U(r, n) with n up to 7."""
-    kind = draw(st.sampled_from(["Q", "GF(2)", "GF(3)", "GF(5)", "GF(7)", "graph", "uniform", "bases"]))
-    if kind == "graph":
-        vertex = st.integers(0, 3)
-        return from_graph(draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=7)))
-    if kind == "uniform":
-        n = draw(st.integers(1, 7))
-        return uniform(draw(st.integers(0, n)), n)
-    field = draw(st.sampled_from(["Q", "GF(3)"])) if kind == "bases" else kind
-    entry = st.integers(0, 6) if field != "Q" else st.sampled_from([0, 0, 1, -1, 3, "1/2", "-2/3"])
-    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 7))
-    row = st.lists(entry, min_size=cols, max_size=cols)
-    M = from_matrix(field, draw(st.lists(row, min_size=rows, max_size=rows)))
-    return from_bases(M.size, M.bases()) if kind == "bases" else M
 
 
 @settings(max_examples=200, deadline=None)

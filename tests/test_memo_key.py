@@ -36,6 +36,8 @@ from matroid_workbench import (
 from matroid_workbench.linalg import _scaling_normal_form
 
 from helpers import (
+    GF7_6X17,
+    PETERSEN,
     brute_isomorphism,
     fraction_scaling_normal_form,
     labeled_graph_dc,
@@ -290,17 +292,6 @@ def test_equal_gfp_keys_on_one_support_mean_equal_matroids(p, data):
         assert M.canonical_key() == N.canonical_key(), (X, Y)
 
 
-# a 6x17 GF(7) matrix of rank 6 (perfbench's seeded input at seed 1)
-GF7_6X17 = [
-    [5, 1, 2, 2, 6, 4, 0, 0, 4, 1, 3, 5, 4, 2, 5, 6, 3],
-    [5, 5, 5, 3, 1, 5, 1, 0, 5, 5, 1, 3, 6, 6, 2, 6, 4],
-    [4, 1, 0, 0, 4, 2, 6, 4, 1, 4, 1, 3, 2, 1, 4, 1, 2],
-    [0, 0, 0, 6, 6, 5, 6, 6, 5, 0, 2, 4, 1, 5, 3, 5, 2],
-    [5, 3, 3, 4, 6, 1, 3, 0, 2, 2, 5, 4, 0, 4, 6, 4, 6],
-    [6, 4, 1, 5, 0, 3, 4, 4, 0, 4, 0, 6, 5, 1, 1, 6, 5],
-]
-
-
 # a 5x14 Q matrix of rank 5, entries drawn by random.Random(3).randint(-3, 3)
 Q_5X14 = [
     [-2, 1, 1, -2, -1, 1, 0, 2, 1, -3, 1, -3, 3, 0],
@@ -466,10 +457,6 @@ def test_graphic_dc_expands_each_isomorphism_class_once():
         assert t.evaluate(1, 1) == n ** (n - 2)  # Cayley
         with pytest.raises(TooLarge):
             tutte_dc(M, max_nodes=cores - 1)
-
-
-PETERSEN = [(0, 1), (0, 4), (0, 5), (1, 2), (1, 6), (2, 3), (2, 7), (3, 4), (3, 8), (4, 9),
-            (5, 7), (5, 8), (6, 8), (6, 9), (7, 9)]
 
 
 def grid(k):

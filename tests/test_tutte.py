@@ -1,4 +1,6 @@
-from itertools import combinations
+import random
+from itertools import combinations, product
+from math import comb
 
 import pytest
 from hypothesis import assume, given, settings
@@ -21,14 +23,16 @@ from matroid_workbench import (
     uniform,
 )
 from matroid_workbench import tutte
-from matroid_workbench.graphs import cut_weights
-from matroid_workbench.tutte import TutteCache, check_tutte
+from matroid_workbench.tutte import TutteCache, check_tutte, cut_weights
 
 from helpers import (
+    GF7_6X17,
+    PETERSEN,
     brute_dual_h,
     brute_h,
     brute_tutte,
     bin_power,
+    matrices_and_graphs,
     powerset,
     spanning_poly,
     swap_xy,
@@ -179,6 +183,108 @@ def test_tutte_cache_reuse(corpus_by_name):
     # a second run over a shared cache returns the identical polynomial
     assert tutte_dc(M, cache=cache) == first
     assert tutte_dc(corpus_by_name["k4"], cache=cache) == FROZEN_TUTTE["k4"]
+
+
+def _complete_graph(n):
+    return from_graph(list(combinations(range(n), 2)))
+
+
+def _random_q(rows, cols, seed):
+    rng = random.Random(seed)
+    return from_matrix("Q", [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)])
+
+
+# C5 with one edge replaced by 20 parallel copies, and the Q matrix of 20
+# copies of e1 with e2, e3, e4 and e1 + e2 + e3 + e4: walk bounds of 301,
+# but the walk meets the 2^20 subsets of the parallel class
+FAT_GRAPH = [(0, 1)] * 20 + [(1, 2), (2, 3), (3, 4), (4, 0)]
+FAT_Q = [[1] * 20 + [0, 0, 0, 1], [0] * 20 + [1, 0, 0, 1], [0] * 20 + [0, 1, 0, 1], [0] * 20 + [0, 0, 1, 1]]
+
+ROUTE_INPUTS = {
+    # a matrix, a basis list, or a graph whose walk bound is at most 2^12
+    "GF(7) 6x17": (lambda: from_matrix("GF(7)", GF7_6X17), ["walk"]),
+    "Q Vandermonde 6x18": (lambda: from_matrix("Q", [[x**i for x in range(18)] for i in range(6)]), ["walk"]),
+    "U(5,10) as bases": (lambda: from_bases(10, list(combinations(range(10), 5))), ["walk"]),
+    "M(K6)": (lambda: _complete_graph(6), ["walk"]),
+    # walk bounds above 2^12, walked because the input is a matrix, a basis
+    # list or a derived rank function (a graph's dual)
+    "random Q 7x18": (lambda: _random_q(7, 18, 1), ["walk"]),
+    "8 parallel pairs as bases": (lambda: from_bases(16, [
+        [2 * i + bit for i, bit in enumerate(bits)] for bits in product((0, 1), repeat=8)
+    ]), ["walk"]),
+    "M(K6) dual": (lambda: _complete_graph(6).dual(), ["walk"]),
+    # graphs and uniform matroids with walk bounds above 2^12, and 28 elements
+    "M(K7)": (lambda: _complete_graph(7), ["dc"]),
+    "Petersen": (lambda: from_graph(PETERSEN), ["dc"]),
+    "U(10,20)": (lambda: uniform(10, 20), ["dc"]),
+    "M(K8)": (lambda: _complete_graph(8), ["dc"]),
+    # the walk passes its cap and hands over
+    "fat graph": (lambda: from_graph(FAT_GRAPH), ["walk", "dc"]),
+    "fat Q matrix": (lambda: from_matrix("Q", FAT_Q), ["walk", "dc"]),
+}
+
+
+def _spy_routes(monkeypatch):
+    """The routes tutte_polynomial calls, in order, as "walk" and "dc"."""
+    calls = []
+    for name, route in (("tutte_sum", "walk"), ("tutte_dc", "dc")):
+        def spy(*args, _f=getattr(tutte, name), _route=route, **kwargs):
+            calls.append(_route)
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(tutte, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("name", list(ROUTE_INPUTS))
+def test_route_rule_reads_the_walk_bound(name, monkeypatch):
+    """tutte_polynomial walks a matrix or a basis list of up to 24
+    elements whatever its walk bound, and a graph or a uniform matroid
+    only when the bound is at most WALK_BOUND_LIMIT; a walk that passes
+    WALK_CAP_FACTOR times its bound hands over to deletion-contraction.
+    Either way T equals tutte_dc's."""
+    make, want = ROUTE_INPUTS[name]
+    M = make()
+    expected = tutte_dc(M)
+    calls = _spy_routes(monkeypatch)
+    assert tutte.tutte_polynomial(M) == expected
+    assert calls == want
+
+
+def test_walk_bound_counts_the_nodes_of_a_walk_in_general_position():
+    """In U(r, n) every set of at most r - 2 elements is independent, so
+    the walk visits exactly walk_bound(n, r) nodes: one node fewer raises
+    TooLarge."""
+    for r, n in ((0, 3), (1, 4), (2, 5), (3, 6), (5, 10), (6, 12)):
+        M = uniform(r, n)
+        bound = tutte.walk_bound(n, r)
+        assert bound == max(1, sum(comb(n, k) for k in range(r - 1)))
+        assert tutte_sum(M, max_nodes=bound) == tutte_dc(M)
+        with pytest.raises(TooLarge):
+            tutte_sum(M, max_nodes=bound - 1)
+    assert tutte.walk_bound(17, 6) == 3_214 and tutte.walk_bound(18, 6) == 4_048
+    assert tutte.walk_bound(18, 7) == 12_616 > tutte.WALK_BOUND_LIMIT  # the random Q 7x18 route input
+
+
+@settings(max_examples=120, deadline=None)
+@given(matrices_and_graphs())
+def test_route_rule_gives_t_at_any_bound_limit_and_cap(M):
+    """With the bound limit and the cap factor both 0 (every walk hands
+    over at its first node), at their defaults, and huge (every input of
+    up to 24 elements walks to the end), tutte_polynomial is the
+    brute-force T."""
+    want = brute_tutte(M)
+    for setting in (0, None, 10**9):
+        with pytest.MonkeyPatch.context() as mp:
+            if setting is not None:
+                mp.setattr(tutte, "WALK_BOUND_LIMIT", setting)
+                mp.setattr(tutte, "WALK_CAP_FACTOR", setting)
+            calls = _spy_routes(mp)
+            assert tutte.tutte_polynomial(M) == want, (M, setting)
+        if setting == 0:
+            assert calls[-1] == "dc"
+        elif setting:
+            assert calls == ["walk"]
 
 
 # The Vamos matroid (Oxley, Matroid Theory, 2nd ed., section 2.1): rank 4 on
