@@ -132,7 +132,7 @@ def __getattr__(name):
 def _file_tutte_cache():
     """The FileTutteCache class, made once, so that the `tutte` command
     builds the very class that a caller looked up as cli.FileTutteCache."""
-    from .tutte import TutteCache
+    from .tutte import TutteCache, check_tutte
 
     # the built-in sha256 (_sha2 from 3.12, _sha256 before), not hashlib,
     # which loads OpenSSL's _hashlib; both give the same digests
@@ -151,14 +151,15 @@ def _file_tutte_cache():
         unrelated matroids never collide, and a warm run over entries this
         class wrote is byte-identical to a cold one. A directory written under
         an older key scheme is simply cold. An entry read from disk is used
-        only if it parses, its degrees stay within the rank and corank, and it
-        passes T(1,1) = #bases and T(2,2) = 2^#E for the matroid being looked
-        up (Matroid.basis_count, which enumerates no bases of a graph, a
-        uniform matroid or a basis list); otherwise it counts as a miss and the
-        recomputed entry replaces it.
-        That rejects corrupt entries, not crafted ones: a polynomial that keeps
-        those values but is not T is used as it is (a complete check costs as
-        much as computing T).
+        only if it parses, passes tutte.check_tutte for the matroid being
+        looked up, and has T(1,1) = #bases (Matroid.basis_count, which
+        enumerates no bases of a graph, a uniform matroid or a basis list);
+        otherwise it counts as a miss and the recomputed entry replaces it.
+        That rejects every corrupt entry, and on a graph of rank at most
+        tutte.GREENE_RANK_LIMIT every crafted one that breaks Greene's
+        identity, such as T + x - y, which keeps T(1,1), T(2,2) and the
+        degrees. Elsewhere a polynomial that keeps those values but is not T
+        is used as it is (a complete check costs as much as computing T).
         An entry is written to <name>.<pid>.tmp beside it and renamed into
         place, so a reader never sees a partial file.
         """
@@ -185,12 +186,11 @@ def _file_tutte_cache():
                     poly = BivariatePoly.from_json(_loads(fh.read()))
             except (OSError, ValueError, InvalidInput):
                 return None
-            if not (
-                poly.degree_x() <= matroid.r
-                and poly.degree_y() <= matroid.corank
-                and poly.evaluate(1, 1) == matroid.basis_count()
-                and poly.evaluate(2, 2) == 2**matroid.size
-            ):
+            try:
+                check_tutte(matroid, poly)
+            except InternalInvariantViolation:
+                return None
+            if poly.evaluate(1, 1) != matroid.basis_count():
                 return None
             super().put(key, poly)
             return poly

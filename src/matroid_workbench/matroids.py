@@ -119,10 +119,12 @@ class _Backing:
     that it answers natively; each takes the Matroid M it backs.
 
     `walk_at_any_bound` tells tutte.tutte_polynomial whether the subset
-    walk beats deletion-contraction here however long the walk's bound. As
-    measured there, it does on matrices, basis lists (U(8,16) as bases,
-    bound 14,893: 0.15 against 40 s) and derived rank functions (the dual
-    of M(K6), bound 22,819: 113 against 255 ms); a graph and a uniform
+    walk beats deletion-contraction here however long the walk's bound. It
+    is read after the input's loops are deleted, so no loop reaches the
+    walk (a basis list with loops becomes a derived rank function). As
+    measured there, the walk wins on matrices, basis lists (U(8,16) as
+    bases, bound 14,893: 0.15 against 40 s) and derived rank functions (the
+    dual of M(K6), bound 22,819: 113 against 255 ms); a graph and a uniform
     matroid, whose keys merge isomorphic minors, set it False."""
 
     walk_at_any_bound = True

@@ -1,14 +1,16 @@
 """Tutte, characteristic, and two-variable h polynomials.
 
-Two independent routes to the Tutte polynomial are provided and cross-check
-each other in tests: a corank-nullity subset sum (tutte_sum) and memoized
-deletion-contraction (tutte_dc). tutte_polynomial is the one route rule
+Two routes to the Tutte polynomial are provided and cross-check each other
+in tests: a corank-nullity subset sum (tutte_sum) and memoized
+deletion-contraction (tutte_dc); both close a structure of rank at most 2
+by one formula, _superset_counts. tutte_polynomial is the one route rule
 behind `tutte` (unless --cache keeps it on deletion-contraction), `hlv`,
 `charpoly`, the h matrix of `euler-table` and the Orlik-Solomon Whitney
-check. It reads the length of the walk,
-bounded by walk_bound(#E, r): up to SUBSET_SUM_LIMIT elements it walks a
-matrix, a basis list or a derived rank function whatever that bound, and
-a graph or a uniform matroid when the bound is at most WALK_BOUND_LIMIT;
+check. It peels the loops of its input, T(M) = y^#loops T(M \\ loops), and
+reads the length of the walk on what is left, bounded by
+walk_bound(#E, r): up to SUBSET_SUM_LIMIT elements it walks a matrix, a
+basis list or a derived rank function whatever that bound, and a graph
+or a uniform matroid when the bound is at most WALK_BOUND_LIMIT;
 it takes deletion-contraction otherwise, and also when the walk passes
 WALK_CAP_FACTOR times its bound, and holds either result to check_tutte
 before it is used. The h polynomial
@@ -37,7 +39,8 @@ key as it was, so --cache directories written before stay warm.
 
 check_tutte holds a polynomial to its degree bounds and T(2,2) = 2^#E,
 and on a graph to Greene's identity with the weight enumerator of its cut
-space, before `tutte` prints it and before tutte_polynomial returns it.
+space, before `tutte` prints it, before tutte_polynomial returns it and
+before cli.FileTutteCache uses an entry read from disk.
 """
 from __future__ import annotations
 
@@ -140,7 +143,11 @@ def _superset_counts(c, nu, m, sizes):
     corank c <= 2 and nullity nu, J among the m later elements, of which
     m - sum(sizes) lie in cl(A) and the others in parallel classes of M/A
     of the given sizes. A set J of j elements has rank 0 in M/A in C(h, j)
-    ways, rank 1 in sum C(h + p, j) - C(h, j) ways, and rank 2 otherwise."""
+    ways, rank 1 in sum C(h + p, j) - C(h, j) ways, and rank 2 otherwise.
+    No key repeats within one call, so the pairs make a dict; a count of 0
+    (at corank -1 when c = 1, say) expands to nothing in tutte_from_counts.
+    With A empty (c = r, nu = 0, m = #E) they are all the counts of a
+    matroid of rank at most 2, which is how tutte_dc closes such a core."""
     h = m - sum(sizes)
     for j in range(m + 1):
         none = comb(h, j)
@@ -170,29 +177,6 @@ def tutte_sum(M: Matroid, max_nodes=None) -> BivariatePoly:
     return tutte_from_counts(rank_size_counts(M, max_nodes=max_nodes))
 
 
-def _small_core_tutte(r, sizes) -> BivariatePoly:
-    """T of a loopless, coloop-free matroid of rank r <= 2 whose parallel
-    classes have the given sizes, with S(p) = 1 + y + ... + y^(p-1):
-    x + S(n) - 1 in rank 1, and in rank 2 the corank-nullity sum grouped by
-    closure (the empty set, one class, spanning sets),
-
-        (x-1)^2 + (x-1) sum S(p_i) + (S(n) - sum S(p_i)) / (y-1),
-
-    where the division is exact because the numerator vanishes at y = 1."""
-    n = sum(sizes)
-    if r == 1:
-        return BivariatePoly({(1, 0): 1, **{(0, j): 1 for j in range(1, n)}})
-    within = [sum(p > j for p in sizes) for j in range(n)]  # coefficients of sum S(p_i)
-    q, rem = UnivariatePoly({j: 1 - w for j, w in enumerate(within)}).divmod_linear(1)
-    if rem:
-        raise InternalInvariantViolation(f"rank-2 Tutte numerator is {rem} at y = 1, not 0")
-    t = {(2, 0): 1, (1, 0): -2, (0, 0): 1}
-    for j, w in enumerate(within):
-        t[1, j] = t.get((1, j), 0) + w
-        t[0, j] = t.get((0, j), 0) - w + q.coeff(j)
-    return BivariatePoly(t)
-
-
 class TutteCache:
     """In-memory memo table for tutte_dc keyed by Matroid.memo_key().
 
@@ -220,12 +204,13 @@ def tutte_dc(M: Matroid, cache: TutteCache | None = None, max_nodes=DEFAULT_DC_N
 
     The peeled core, if nonempty, has neither loops nor coloops. A core of
     rank at most 2 takes its polynomial from the sizes of its parallel
-    classes (_small_core_tutte, memoized by rank and sorted sizes for this
-    call), with no memo key, no `cache` call and no count against
-    `max_nodes`. Any other core is memoized under core.memo_key(), which
-    equal labeled matroids share, and for graphs isomorphic ones (the Tutte
-    polynomial is an isomorphism invariant), and branches on its largest
-    element e, T(core) = T(core \\ e) + T(core / e). The choice is fixed,
+    classes (the corank-nullity counts of _superset_counts, memoized by
+    rank and sorted sizes for this call), with no memo key, no `cache`
+    call and no count against `max_nodes`. Any other core is memoized
+    under core.memo_key(), which equal labeled matroids share, and for
+    graphs isomorphic ones (the Tutte polynomial is an isomorphism
+    invariant), and branches on its largest element e,
+    T(core) = T(core \\ e) + T(core / e). The choice is fixed,
     so the recursion tree and any persisted cache entries are reproducible.
     Deleting e from a core can make coloops but no loops, and contracting
     it loops but no coloops, so each child looks only for the kind it can
@@ -248,7 +233,7 @@ def tutte_dc(M: Matroid, cache: TutteCache | None = None, max_nodes=DEFAULT_DC_N
         if core.r <= 2:
             shape = (core.r, tuple(sorted(map(len, core.parallel_classes()))))
             if shape not in small:
-                small[shape] = _small_core_tutte(*shape)
+                small[shape] = tutte_from_counts(dict(_superset_counts(core.r, 0, core.size, shape[1])))
             return small[shape].shift(len(coloops), len(loops))
         key = core.memo_key()
         poly = cache.get(key, core)
@@ -270,12 +255,14 @@ def tutte_polynomial(M: Matroid, max_nodes=DEFAULT_DC_NODES) -> BivariatePoly:
     h_matrix and char_poly. `max_nodes` is the budget of tutte_dc, if it
     runs.
 
-    Up to SUBSET_SUM_LIMIT elements, tutte_sum runs when the backing walks
-    at any bound (Matroid.walk_at_any_bound: a matrix, a basis list or a
-    derived rank function) or the walk bound B = walk_bound(#E, r) is at
-    most WALK_BOUND_LIMIT, under a cap of WALK_CAP_FACTOR * B nodes; a walk
-    that passes the cap, and every other input, goes to tutte_dc. In
-    process (medians, 2 cores, Python 3.11.7), walk against DC:
+    First the loops of M are deleted, T(M) = y^#loops T(M \\ loops), and
+    the rule reads what is left. Up to SUBSET_SUM_LIMIT elements, tutte_sum
+    runs when the backing walks at any bound (Matroid.walk_at_any_bound: a
+    matrix, a basis list or a derived rank function) or the walk bound
+    B = walk_bound(#E, r) is at most WALK_BOUND_LIMIT, under a cap of
+    WALK_CAP_FACTOR * B nodes; a walk that passes the cap, and every other
+    input, goes to tutte_dc. In process (medians, 2 cores, Python 3.11.7),
+    walk against DC, each run on the whole input:
 
         input                      #E   r        B     walk       DC
         seeded GF(7) 6x17          17   6    3,214   13.9 ms  32.1 ms
@@ -289,36 +276,38 @@ def tutte_polynomial(M: Matroid, max_nodes=DEFAULT_DC_NODES) -> BivariatePoly:
         U(10,20)                   20  10  263,950    174 ms   2.0 ms
         8 parallel pairs, bases    16   8   14,893   34.7 ms   117 ms
         U(8,16) as bases (*)       16   8   14,893    153 ms     40 s
-        U(7,8) + 10 loops, bases   18   7   12,616   77.4 ms   0.7 ms
+        U(7,8) + 10 loops, bases   18   7   12,616   77.4 ms   0.7 ms (+)
         dual of M(K6), derived     15  10   22,819    113 ms   255 ms
         dual of M(K7), derived     21  15    1.9 M   15.7 s   18.3 s
 
     (*) 12,870 bases, built past from_bases's validation limit.
+    (+) with its loops on, the walk visits 13.2 B nodes; tutte_polynomial
+        walks the 8-element core (B = 219) and takes 0.2 ms.
 
     On matrices, basis lists and derived rank functions the walk wins at
-    any B but on two shapes whose minors deletion-contraction merges or
-    peels: the Vandermonde matrix, whose contractions are column-scaled
-    Vandermonde matrices that the scaling-blind memo keys merge, and
-    loops, which DC peels at once and which multiply the walk's nodes. On
-    graphs the routes cross near B = 2^12, and the uniform keys merge
-    every minor of one shape. The walk visits at most 2.4 B nodes on the
-    corpus, the benchmark inputs and the loopless inputs above (M(K7)
+    any B but on the Vandermonde matrix, whose contractions are
+    column-scaled Vandermonde matrices that the scaling-blind memo keys
+    merge. On graphs the routes cross near B = 2^12, and the uniform keys
+    merge every minor of one shape. The walk visits at most 2.4 B nodes on
+    the corpus, the benchmark inputs and the loopless inputs above (M(K7)
     1.45 B, a parallel-rich Q 4x12 matrix 1.8 B, the 8 parallel pairs
-    2.33 B), so the cap stops only walks that large parallel classes or
-    many loops blow up: on C5 with one edge made 20 parallel ones, B is
-    301 but the walk would meet all 2^20 subsets of that class. Ten loops
-    stay under it (U(7,8) plus 10 loops: 13.2 B nodes).
+    2.33 B), so the cap stops only walks that large parallel classes blow
+    up: on C5 with one edge made 20 parallel ones, B is 301 but the walk
+    would meet all 2^20 subsets of that class.
     """
+    loops = M.loops()
+    N = M.delete(loops) if loops else M
     t = None
-    if M.size <= SUBSET_SUM_LIMIT:
-        bound = walk_bound(M.size, M.r)
-        if M.walk_at_any_bound or bound <= WALK_BOUND_LIMIT:
+    if N.size <= SUBSET_SUM_LIMIT:
+        bound = walk_bound(N.size, N.r)
+        if N.walk_at_any_bound or bound <= WALK_BOUND_LIMIT:
             try:
-                t = tutte_sum(M, max_nodes=WALK_CAP_FACTOR * bound)
+                t = tutte_sum(N, max_nodes=WALK_CAP_FACTOR * bound)
             except TooLarge:  # the walk outgrew its cap
                 pass
     if t is None:
-        t = tutte_dc(M, max_nodes=max_nodes)
+        t = tutte_dc(N, max_nodes=max_nodes)
+    t = t.shift(0, len(loops))
     check_tutte(M, t)
     return t
 

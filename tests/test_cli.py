@@ -924,8 +924,10 @@ U12 = {"type": "uniform", "r": 1, "n": 2}
 def test_tutte_cache_rejects_bad_entries(tmp_path, bad_entry):
     """A corrupt file (unparsable, degrees past the rank or corank, or a
     wrong T(1,1) or T(2,2)) is a miss: the right polynomial is printed and
-    the entry is rewritten. A crafted entry that keeps those values is not
-    caught; no check short of computing T catches every one."""
+    the entry is rewritten. A crafted entry that keeps those values is
+    caught on a graph of rank at most GREENE_RANK_LIMIT when it breaks
+    Greene's identity (the test below) and passes elsewhere; no check
+    short of computing T catches every one."""
     cache_dir = tmp_path / "memo"
     cold = run_cli(["tutte", "--cache", str(cache_dir)], stdin_obj=U12)
     assert cold.returncode == 0
@@ -937,6 +939,25 @@ def test_tutte_cache_rejects_bad_entries(tmp_path, bad_entry):
     assert warm.returncode == 0, warm.stderr
     assert warm.stdout == cold.stdout
     assert {f: f.read_text() for f in files} == good
+
+
+def test_tutte_cache_recomputes_a_crafted_graph_entry(tmp_path):
+    """A disk entry is held to check_tutte, so on M(K4) the root entry
+    T + x - y, which keeps T(1,1), T(2,2) and the degree bounds, fails
+    Greene's identity and is a miss: the cold bytes are printed and the
+    good entry is written back."""
+    cache_dir, k4 = tmp_path / "memo", _complete_graph(4)
+    cold = run_cli(["tutte", "--cache", str(cache_dir)], stdin_obj=k4)
+    assert cold.returncode == 0, cold.stderr
+    root = cache_dir / (hashlib.sha256(from_descriptor(k4).memo_key()).hexdigest() + ".json")
+    good = root.read_text()
+    crafted = BivariatePoly.from_json(json.loads(good)) + BivariatePoly({(1, 0): 1, (0, 1): -1})
+    assert (crafted.evaluate(1, 1), crafted.evaluate(2, 2)) == (16, 64)
+    root.write_text(json.dumps(crafted.to_json()))
+    warm = run_cli(["tutte", "--cache", str(cache_dir)], stdin_obj=k4)
+    assert warm.returncode == 0, warm.stderr
+    assert warm.stdout == cold.stdout
+    assert root.read_text() == good
 
 
 def test_tutte_cache_files_hold_the_json_of_each_entry(tmp_path):
@@ -1080,9 +1101,9 @@ GF3_4X11 = {
         # walk bound of 7,547 sends it to deletion-contraction
         (["tutte"], tutte, "tutte_dc", _plus(BivariatePoly({(1, 0): 1, (0, 1): -1})), "Greene",
          _complete_graph(7)),
-        # the same on every core of rank at most 2 that deletion-contraction closes
-        (["tutte"], tutte, "_small_core_tutte", _plus(BivariatePoly({(1, 0): 1, (0, 1): -1})), "Greene",
-         _complete_graph(7)),
+        # deletion-contraction closes every core of rank at most 2 by the
+        # walk's _superset_counts: two classes merged there
+        (["tutte"], tutte, "_superset_counts", _two_classes_merged, "Greene", _complete_graph(7)),
         # deletion-contraction after the walk outgrew its cap
         (["tutte"], tutte, "tutte_dc", _plus(BivariatePoly({(1, 0): 1, (0, 1): -1})), "Greene", FAT_GRAPH),
         # any class sizes keep the 2^#E total of the subset walk; two classes

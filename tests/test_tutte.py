@@ -221,6 +221,9 @@ ROUTE_INPUTS = {
     # the walk passes its cap and hands over
     "fat graph": (lambda: from_graph(FAT_GRAPH), ["walk", "dc"]),
     "fat Q matrix": (lambda: from_matrix("Q", FAT_Q), ["walk", "dc"]),
+    # the loops are deleted before the rule reads the walk bound: the
+    # 8-element core walks within walk_bound(8, 7) = 219 nodes
+    "U(7,8) + 10 loops as bases": (lambda: from_bases(18, list(combinations(range(8), 7))), ["walk"]),
 }
 
 
@@ -249,6 +252,39 @@ def test_route_rule_reads_the_walk_bound(name, monkeypatch):
     calls = _spy_routes(monkeypatch)
     assert tutte.tutte_polynomial(M) == expected
     assert calls == want
+
+
+LOOPY_INPUTS = {
+    # (matroid, size of its loopless core)
+    "U(7,8) + 10 loops as bases": (lambda: from_bases(18, list(combinations(range(8), 7))), 8),
+    "GF(3) matrix with zero columns": (
+        lambda: from_matrix("GF(3)", [[1, 0, 2, 0, 1, 1], [0, 0, 1, 0, 2, 1], [2, 0, 0, 0, 1, 0]]), 4),
+    "multigraph with self-loops": (
+        lambda: from_graph([(0, 0), (0, 1), (1, 2), (2, 2), (0, 2), (0, 1), (1, 1)]), 4),
+}
+
+
+@pytest.mark.parametrize("name", list(LOOPY_INPUTS))
+def test_the_walk_never_sees_a_loop(name, monkeypatch):
+    """tutte_polynomial deletes the loops of its input before it routes,
+    T(M) = y^#loops T(M \\ loops), so the subset walk runs once, on the
+    loopless core and within that core's walk bound, and the T it gives
+    is tutte_dc's."""
+    make, core_size = LOOPY_INPUTS[name]
+    M = make()
+    assert M.loops()
+    expected = tutte_dc(M)
+    walked = []
+
+    def spy(N, max_nodes=None):
+        walked.append((N.size, N.loops()))
+        return rank_size_counts(N, max_nodes=tutte.walk_bound(N.size, N.r))
+
+    calls = _spy_routes(monkeypatch)
+    monkeypatch.setattr(tutte, "rank_size_counts", spy)
+    assert tutte.tutte_polynomial(M) == expected
+    assert calls == ["walk"]
+    assert walked == [(core_size, frozenset())]
 
 
 def test_walk_bound_counts_the_nodes_of_a_walk_in_general_position():
@@ -344,15 +380,15 @@ def small_rank_cores(draw):
 @settings(max_examples=200, deadline=None)
 @given(small_rank_cores())
 def test_closed_form_matches_the_subset_sum_on_rank_two_cores(core):
-    """Parallel classes match the pairs of rank 1, and the closed form of
-    tutte_dc matches the corank-nullity sum."""
+    """Parallel classes match the pairs of rank 1, and tutte_dc, which
+    closes such a core by _superset_counts, matches the brute-force sum
+    over all subsets."""
     assert 1 <= core.r <= 2 and not core.loops() and not core.coloops()
     classes = core.parallel_classes()
     assert sorted(e for c in classes for e in c) == list(core.elements)
     assert all((core.rank({e, f}) == 1) == any({e, f} <= set(c) for c in classes)
                for e, f in combinations(core.elements, 2))
-    sizes = tuple(sorted(map(len, classes)))
-    assert tutte._small_core_tutte(core.r, sizes) == tutte_sum(core) == tutte_dc(core)
+    assert tutte_dc(core) == brute_tutte(core)
 
 
 def test_closed_form_on_one_parallel_class():
