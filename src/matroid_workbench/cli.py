@@ -373,7 +373,7 @@ _COMMANDS = {
                     (_INPUT, _budget("fixed points"), _JOBS)),
     "white-check": (_cmd_white_check, "toric fiber connectivity in one degree",
                     (_INPUT, ("--degree", {"type": int, "default": 3, "help": "degree (default 3)"}),
-                     _budget("basis factors stored over degrees 1..d"), _JOBS)),
+                     _budget("basis factors in the monomials of degrees 1..d"), _JOBS)),
     "verify-corpus": (_cmd_verify_corpus, "recompute every corpus expected block and report pass/fail",
                       (_JOBS,)),
 }

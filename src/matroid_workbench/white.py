@@ -13,26 +13,39 @@ each pair of bases. For k >= 3 every degree-k move fixes a factor B and is
 B times a degree-(k-1) move, and every degree-(k-1) path from m to m'
 lifts to a path from B*m to B*m'. So the move components of degree k are
 the components of the relation "v = B*m and w = B*m' with m, m' in one
-degree-(k-1) component", whether or not the lower fibers are connected.
-Each degree-k monomial v therefore gets one lift key per distinct factor
-B, label(v/B) * b + B for b bases, and one union-find over the keys gives
-the components; no exchange is computed above degree 2 (Sturmfels,
-Groebner Bases and Convex Polytopes, ch. 5). Monomials are sorted tuples
-of indices into M.bases(), whose lexicographic order is that of the bases
-themselves.
+degree-(k-1) component"; no exchange is computed above degree 2
+(Sturmfels, Groebner Bases and Convex Polytopes, ch. 5). Monomials are
+sorted tuples of indices into M.bases(), whose lexicographic order is that
+of the bases themselves.
 
-Every array is indexed by lexicographic position. The labels of degree
-k - 1 are one list of label * b, and since the monomials q + (l,) with
-l >= last(q) are contiguous, a lift key is read at a row offset plus l.
-The union-find is a list over the positions of the degree-2 monomials,
-then over the lift keys of each higher degree.
+Star closure. While every lower fiber is connected, the monomials of a
+degree-k fiber c that hold a basis B, B times the fiber c - B, lie in one
+component, and two such stars meet exactly when one monomial holds both
+bases. So the components of c are those of a graph on its node mask, the
+bitmask of the bases that occur in it, in which B is joined to every basis
+of the fiber c - B. Node masks are carried up from degree 1, each
+degree's from the pairs (lower fiber, basis); each fiber's mask is split
+by a bitmask closure that stops once a component covers it, and the fiber
+sizes of degree d come from one count of the monomials' multidegree
+codes. This is the route whenever every degree-2 fiber and every fiber
+below degree d is connected; no monomial is labeled.
 
+Lift. Otherwise each degree-k monomial v gets one lift key per distinct
+factor B, label(v/B) * b + B for b bases, and one union-find over the
+keys gives the components. Every array is indexed by lexicographic
+position. The labels of degree k - 1 are one list of label * b, and since
+the monomials q + (l,) with l >= last(q) are contiguous, a lift key is
+read at a row offset plus l. The union-find is a list over the positions
+of the degree-2 monomials, then over the lift keys of each higher degree.
 One labeling pass per degree, in lexicographic order, numbers the
 components and records for each fiber its size and the least monomial of
-each component; every component must lie in one fiber. The report reads
-only this summary. Named vertices, adjacency lists and components, which
-only tests and tracing read, are built from the same keys at their first
-access.
+each component; every component must lie in one fiber.
+
+The report reads only the sizes and component counts. The
+representatives and the named vertices, adjacency lists and components
+come from the lift at their first access, and where the star closure
+split the fibers the lift must give every fiber the same size and
+component count.
 
 Before a report leaves check_degree, the number of fibers must equal the
 number of integer points of d*P_M, the sums of d bases (Edmonds; White
@@ -100,23 +113,26 @@ def symmetric_exchange_neighbors(M: Matroid, pair):
 class FiberGraph:
     """One toric fiber of degree d.
 
-    `size`, `n_components` and `representatives` come from the labeling
-    pass; the representatives are the least monomial of each component, as
-    sorted d-tuples of indices into M.bases(), in increasing order. The
-    multidegree is decoded from the fiber's code when read. The named views
-    are built at first access, in one pass for every fiber of the
-    toric_fibers call that returned them: `vertices` are the sorted
-    d-tuples of bases in lexicographic order, `adjacency` maps each vertex
-    to its neighbours, and `components` are sorted lists of vertices, in
-    order of their least vertex.
+    `size` and `n_components` come from the route that split the fibers.
+    The multidegree is decoded from the fiber's code when read. The rest is
+    read from the lift, run at the first access for every fiber of the
+    toric_fibers call that returned them: `representatives` are the least
+    monomial of each component, as sorted d-tuples of indices into
+    M.bases(), in increasing order; `vertices` are the sorted d-tuples of
+    bases in lexicographic order, `adjacency` maps each vertex to its
+    neighbours, and `components` are sorted lists of vertices, in order of
+    their least vertex.
     """
 
-    def __init__(self, degree, n_elements, size, representatives, code, views):
+    __slots__ = ("degree", "size", "n_components", "_n_elements", "_code", "_summary", "_views")
+
+    def __init__(self, degree, n_elements, size, n_components, code, summary, views):
         self.degree = degree
         self.size = size
-        self.representatives = representatives
+        self.n_components = n_components
         self._n_elements = n_elements
         self._code = code
+        self._summary = summary
         self._views = views
 
     @property
@@ -130,8 +146,8 @@ class FiberGraph:
         return tuple(reversed(digits))
 
     @property
-    def n_components(self):
-        return len(self.representatives)
+    def representatives(self):
+        return self._summary()[self._code][1]
 
     @property
     def vertices(self):
@@ -149,10 +165,11 @@ class FiberGraph:
 def _check_budget(n_bases, d, budget):
     """Refuse unless b * C(b + d, d - 1) <= budget: the basis factors of
     all monomials of degrees 1..d. Each factor gives at most one lift key,
-    so this bounds the keys the passes join and label, and every list they
-    hold is shorter. The product is built one nondecreasing factor at a
-    time and stops at the first partial product over the budget, so a huge
-    degree costs a few steps."""
+    so this bounds the keys the lift joins and labels, and every list it
+    holds is shorter; the pairs (lower fiber, basis) of the star closure
+    and the monomial codes it counts are fewer too. The product is built
+    one nondecreasing factor at a time and stops at the first partial
+    product over the budget, so a huge degree costs a few steps."""
     k = min(d - 1, n_bases + 1)
     top = n_bases + d - k
     count = n_bases
@@ -320,66 +337,177 @@ def _named_views(bases, d, codes, groups, labels):
     return views
 
 
+def _labeling(k, flat, summary, masks, index, codes):
+    """The labeling pass of degree k, from the labels and summary of degree
+    k - 1: double-swap moves in degree 2, lift keys (_lift) above it."""
+    n_bases = len(masks)
+    if k == 1:
+        n_items, heads, pairs = n_bases, [0], ()
+    elif k == 2:
+        heads = list(_row_offsets(n_bases, 1).values())
+        n_items, pairs = comb(n_bases + 1, 2), _degree_two(masks, index, codes, heads)
+    else:
+        n_labels = sum(len(reps) for _, reps in summary.values())
+        n_items, heads, pairs = n_labels * n_bases, flat, _lift(flat, n_bases, k)
+    return _labels(_join(n_items, pairs), heads, n_bases, k, codes)
+
+
+def _lift_route(masks, index, codes, d, flat=None, lower=None):
+    """The lift, degree by degree, from the labels `flat` and summary
+    `lower` of degree 2 when they are given: the labels and summary of
+    degree d - 1 and the summary {code: [size, least monomial of each
+    component]} of degree d, whose pass keeps no labels."""
+    for k in range(min(d, 2) if flat is None else 3, d):
+        *flat, lower = _labeling(k, flat, lower, masks, index, codes)
+    (summary,) = collections.deque(_labeling(d, flat, lower, masks, index, codes), maxlen=1)
+    return flat, lower, summary
+
+
+def _node_masks(lower, codes):
+    """{code: node mask} one degree up from the fibers `lower`: every
+    monomial is a basis B times a monomial of the degree below, so the
+    fiber c + code(B) holds B for each lower fiber c and each B."""
+    nodes = {}
+    get = nodes.get
+    for b, code in enumerate(codes):
+        bit = 1 << b
+        for c in map(code.__add__, lower):
+            nodes[c] = get(c, 0) | bit
+    return nodes
+
+
+def _components(nodes, lower, codes):
+    """{code: number of components} of the fibers with node masks `nodes`,
+    given the node masks `lower` of the degree below, all of whose fibers
+    are connected: B is joined to every basis of the fiber c - code(B).
+    Each component is closed from its least basis and stops once it covers
+    what is left of the mask."""
+    out = {}
+    for c, mask in nodes.items():
+        n, rest = 0, mask
+        while rest:
+            n += 1
+            reach = todo = rest & -rest
+            while todo:
+                bit = todo & -todo
+                near = lower.get(c - codes[bit.bit_length() - 1], -1)
+                if near & ~mask:
+                    raise InternalInvariantViolation(
+                        f"star closure left the fiber: basis {bit.bit_length() - 1} in fiber {c}"
+                    )
+                todo = (todo ^ bit) | (near & ~reach)
+                reach |= near
+                if reach == rest:
+                    break
+            rest &= ~reach
+        out[c] = n
+    return out
+
+
+def _star_components(codes, d):
+    """{code: number of components} of the degree-d fibers by star closure
+    from degree 3, the node masks carried up from degree 1; None at the
+    first degree below d with a split fiber. Every degree-2 fiber must be
+    connected."""
+    nodes = {0: 0}
+    for k in range(1, d + 1):
+        lower, nodes = nodes, _node_masks(nodes, codes)
+        if k > 2:
+            counts = _components(nodes, lower, codes)
+            if k < d and max(counts.values()) > 1:
+                return None
+    return counts
+
+
+def _fiber_sizes(codes, d):
+    """{code: size} of the degree-d fibers, by one count of the codes of
+    all degree-d monomials p + (l,), l >= last(p), built from the codes of
+    the monomials of each degree grouped by their last factor."""
+
+    def up(by_last):
+        return (
+            map(code.__add__, itertools.chain.from_iterable(by_last[:l + 1]))
+            for l, code in enumerate(codes)
+        )
+
+    # the codes of the monomials whose last factor is l, at index l; the
+    # empty monomial, of code 0, precedes every factor
+    by_last = [[0]] + [[]] * (len(codes) - 1)
+    for _ in range(d - 1):
+        by_last = list(map(list, up(by_last)))
+    return collections.Counter(itertools.chain.from_iterable(up(by_last)))
+
+
+def _tables(M, d):
+    """The bases, their position bitmasks and its inverse, and each basis's
+    multidegree as one integer: digit p in base d + 1 counts position p,
+    the most significant digit first, so integer order is tuple order."""
+    bases = M.bases()
+    masks, index = _masks(M, bases)
+    n = M.size
+    codes = [sum((d + 1) ** (n - 1 - p) for p in range(n) if m >> p & 1) for m in masks]
+    return bases, masks, index, codes
+
+
 def toric_fibers(M: Matroid, d, budget=DEFAULT_BUDGET):
     """All degree-d fibers as FiberGraph objects, sorted by multidegree.
 
-    Components come from one union-find per degree (_join), over the
-    lexicographic positions of the monomials joined by double-swap moves
-    in degree 2 and over the lift keys (_lift) above it. The labeling pass
-    of the last degree gives each fiber's size and the least monomial of
-    each component, which is all check_degree reads, and keeps no label;
-    the named vertices, adjacency and components run that pass again when
-    one of them is first read. All degrees together have at most b * C(b + d,
-    d - 1) lift keys for b bases; above `budget` the construction refuses
-    (TooLarge) before it enumerates any monomial.
+    From degree 3 on, while every fiber below degree d is connected, the
+    star closure gives the component counts (_star_components) and one
+    count of the monomial codes the sizes (_fiber_sizes), which must find
+    the same fibers; otherwise the lift (_lift_route) gives both. The
+    representatives and named views read the lift at their first access,
+    held to those sizes and counts. All degrees together have at most
+    b * C(b + d, d - 1) basis factors for b bases; above `budget` the
+    construction refuses (TooLarge) before it enumerates any monomial.
     """
     if d < 1:
         raise InvalidInput(f"degree must be >= 1, got {d}")
-    bases = M.bases()
+    _check_budget(len(M.bases()), d, budget)
+    bases, masks, index, codes = _tables(M, d)
     n_bases = len(bases)
-    _check_budget(n_bases, d, budget)
-    masks, index = _masks(M, bases)
-    # multidegree as one integer: digit p in base d + 1 counts position p,
-    # the most significant digit first, so integer order is tuple order
-    n = M.size
-    codes = [sum((d + 1) ** (n - 1 - p) for p in range(n) if m >> p & 1) for m in masks]
+    flat = lower = counts = None
+    if d > 2:
+        *flat, lower = _labeling(2, None, None, masks, index, codes)
+        if all(len(reps) == 1 for _, reps in lower.values()):
+            counts = _star_components(codes, d)
+    lift = functools.cache(lambda: _lift_route(masks, index, codes, d, flat, lower))
+    if counts is None:
+        fibers = {code: (size, len(reps)) for code, (size, reps) in lift()[2].items()}
+    else:
+        sizes = _fiber_sizes(codes, d)
+        if sizes.keys() != counts.keys():
+            raise InternalInvariantViolation(
+                f"{len(counts)} degree-{d} fibers by node masks, {len(sizes)} by monomials"
+            )
+        fibers = {code: (sizes[code], n) for code, n in counts.items()}
 
-    def labeling(k, flat, summary):
-        """The labeling pass of degree k, from the labels and summary of
-        degree k - 1."""
-        if k == 1:
-            n_items, heads, pairs = n_bases, [0], ()
-        elif k == 2:
-            heads = list(_row_offsets(n_bases, 1).values())
-            n_items, pairs = comb(n_bases + 1, 2), _degree_two(masks, index, codes, heads)
-        else:
-            n_labels = sum(len(reps) for _, reps in summary.values())
-            n_items, heads, pairs = n_labels * n_bases, flat, _lift(flat, n_bases, k)
-        return _labels(_join(n_items, pairs), heads, n_bases, k, codes)
-
-    flat = lower = None
-    for k in range(min(d, 2), d):
-        *flat, lower = labeling(k, flat, lower)
-    # the last pass keeps no labels; the named views run it again
-    (summary,) = collections.deque(labeling(d, flat, lower), maxlen=1)
-
-    def groups():
-        if d < 3:
-            return (_swaps(masks, index, *v) if d == 2 else () for v in _monomials(n_bases, d))
-        return (
-            [flat[off + l] + f for off, f in factors] + [head + l]
-            for last, head, factors in _key_rows(flat, n_bases, d)
-            for l in range(last, n_bases)
-        )
+    @functools.cache
+    def summary():
+        lifted = lift()[2]
+        if {code: (size, len(reps)) for code, (size, reps) in lifted.items()} != fibers:
+            raise InternalInvariantViolation(
+                f"the lift and the star closure split the degree-{d} fibers apart"
+            )
+        return lifted
 
     @functools.cache
     def views():
-        *labels, _ = labeling(d, flat, lower)
-        return _named_views(bases, d, codes, groups(), [x // n_bases for x in labels])
+        flat_below, summary_below, _ = lift()
+        *labels, _ = _labeling(d, flat_below, summary_below, masks, index, codes)
+        if d < 3:
+            groups = (_swaps(masks, index, *v) if d == 2 else () for v in _monomials(n_bases, d))
+        else:
+            groups = (
+                [flat_below[off + l] + f for off, f in factors] + [head + l]
+                for last, head, factors in _key_rows(flat_below, n_bases, d)
+                for l in range(last, n_bases)
+            )
+        return _named_views(bases, d, codes, groups, [x // n_bases for x in labels])
 
     return [
-        FiberGraph(d, n, size, reps, code, views)
-        for code, (size, reps) in sorted(summary.items())
+        FiberGraph(d, M.size, size, n, code, summary, views)
+        for code, (size, n) in sorted(fibers.items())
     ]
 
 

@@ -270,6 +270,192 @@ def test_lift_of_a_hand_made_partition(labelling, k):
     assert {frozenset(c) for c in got.values()} == _brute_lift(labels, n_bases, k)
 
 
+# ------------------------------------------------- star closure against lift
+
+
+@st.composite
+def small_matroids(draw):
+    """Uniform matroids, GF(2) and Q matrices, and multigraphs with loops
+    and parallel edges, on at most 6 elements."""
+    kind = draw(st.sampled_from(["uniform", "GF(2)", "Q", "graph"]))
+    n = draw(st.integers(1, 6))
+    if kind == "uniform":
+        return uniform(draw(st.integers(0, n)), n)
+    if kind == "graph":
+        vertex = st.integers(0, 3)
+        return from_graph(draw(st.lists(st.tuples(vertex, vertex), min_size=n, max_size=n)))
+    entry = st.integers(0, 1) if kind == "GF(2)" else st.integers(-2, 2)
+    rows = draw(st.integers(1, 3))
+    row = st.lists(entry, min_size=n, max_size=n)
+    return from_matrix(kind, draw(st.lists(row, min_size=rows, max_size=rows)))
+
+
+def _star_matches_lift(M, d):
+    """The fibers of toric_fibers, whose sizes and component counts must be
+    those that the lift, called directly, gives, with the lift's summary in
+    the same order."""
+    fibers = toric_fibers(M, d)
+    _, masks, index, codes = white._tables(M, d)
+    *_, summary = white._lift_route(masks, index, codes, d)
+    lifted = sorted(summary.items())
+    assert [(f.size, f.n_components) for f in fibers] == [(size, len(reps)) for _, (size, reps) in lifted]
+    assert [f.representatives for f in fibers] == [reps for _, (_, reps) in lifted]
+    return fibers
+
+
+def _star_matches_lift_and_explicit_moves(M, d):
+    """(multidegree, size, n_components, representatives) of every fiber
+    as toric_fibers gives them, as the lift gives them, and as the
+    explicit-move oracle gives them."""
+    bases = M.bases()
+    star = [
+        (f.multidegree, f.size, f.n_components, [tuple(bases[i] for i in v) for v in f.representatives])
+        for f in _star_matches_lift(M, d)
+    ]
+    oracle = sorted(
+        (mdeg, sum(map(len, comps)), len(comps), [comp[0] for comp in comps])
+        for mdeg, comps in explicit_move_components(M, d).items()
+    )
+    assert star == oracle
+
+
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("name", [e["name"] for e in CORPUS])
+def test_star_matches_lift_on_the_corpus(corpus_by_name, name, d):
+    _star_matches_lift(corpus_by_name[name], d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_matroids())
+def test_star_matches_lift_and_explicit_moves_on_generated_matroids(M):
+    _star_matches_lift_and_explicit_moves(M, 3)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_matroids())
+def test_star_matches_lift_and_explicit_moves_on_generated_matroids_in_degree_4(M):
+    _star_matches_lift_and_explicit_moves(M, 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+))
+def test_star_closure_counts_the_components_of_its_graph(graph):
+    """One fiber holding n bases, B joined to B' whenever B' is in the node
+    mask of the fiber c - code(B): as many components as the graph."""
+    n, edges = graph
+    codes = [1 << b for b in range(n)]
+    c = 1 << n
+    near = [1 << b for b in range(n)]
+    for x, y in edges:
+        near[x] |= 1 << y
+        near[y] |= 1 << x
+    comps = []
+    for b in range(n):
+        if not any(b in comp for comp in comps):
+            comp, todo = {b}, [b]
+            while todo:
+                x = todo.pop()
+                for y in range(n):
+                    if near[x] >> y & 1 and y not in comp:
+                        comp.add(y)
+                        todo.append(y)
+            comps.append(comp)
+    lower = {c - codes[b]: near[b] for b in range(n)}
+    assert white._components({c: (1 << n) - 1}, lower, codes) == {c: len(comps)}
+
+
+def test_star_route_runs_no_lift(corpus_by_name, monkeypatch):
+    """Every fiber of M(K4) is connected, so the report closes stars from
+    degree 3 on; the lift runs once, for every fiber, when the
+    representatives are first read."""
+    calls = []
+    lift = white._lift
+
+    def recording(flat, n_bases, k):
+        calls.append(k)
+        return lift(flat, n_bases, k)
+
+    monkeypatch.setattr(white, "_lift", recording)
+    M = corpus_by_name["k4"]
+    report = check_degree(M, 4)
+    assert report["all_connected"] is True
+    fibers = toric_fibers(M, 4)
+    assert calls == []
+    assert all(len(f.representatives) == 1 for f in fibers)
+    assert calls == [3, 4]
+
+
+def test_a_split_below_the_degree_hands_over_to_the_lift(corpus_by_name, monkeypatch):
+    """A degree-3 fiber reported split sends degree 4 to the lift, which
+    gives the same report."""
+    M = corpus_by_name["k4"]
+    expected = check_degree(M, 4)
+    components = white._components
+
+    def splitting(nodes, lower, codes):
+        out = components(nodes, lower, codes)
+        out[min(out)] += 1
+        return out
+
+    monkeypatch.setattr(white, "_components", splitting)
+    assert white._star_components(white._tables(M, 4)[3], 4) is None
+    assert check_degree(M, 4) == expected
+
+
+def test_node_mask_outside_its_fiber_is_an_invariant_violation(corpus_by_name, monkeypatch, capsys):
+    node_masks = white._node_masks
+    calls = []
+
+    def stray(lower, codes):
+        nodes = node_masks(lower, codes)
+        calls.append(1)
+        if len(calls) % 3 == 0:
+            # the degree-3 fiber of least code, 3 * {2, 3}, given the basis
+            # {0, 1}, which is in none of its monomials
+            c, mask = min(nodes.items())
+            nodes[c] = mask | (~mask & (mask + 1))
+        return nodes
+
+    monkeypatch.setattr(white, "_node_masks", stray)
+    with pytest.raises(InternalInvariantViolation, match="left the fiber"):
+        check_degree(corpus_by_name["u_2_4"], 3)
+    _white_check_exits_4(capsys, monkeypatch, {"type": "uniform", "r": 2, "n": 4})
+
+
+def test_a_split_the_lift_does_not_confirm_is_an_invariant_violation(
+    corpus_by_name, monkeypatch, capsys
+):
+    """A disconnected fiber is a witness, whose representatives the lift
+    gives; the lift must agree on every fiber's component count."""
+    components = white._components
+
+    def splitting(nodes, lower, codes):
+        out = components(nodes, lower, codes)
+        out[max(out)] += 1
+        return out
+
+    monkeypatch.setattr(white, "_components", splitting)
+    with pytest.raises(InternalInvariantViolation, match="split the degree-3 fibers apart"):
+        check_degree(corpus_by_name["u_2_4"], 3)
+    _white_check_exits_4(capsys, monkeypatch, {"type": "uniform", "r": 2, "n": 4})
+
+
+def test_node_masks_must_hold_the_fibers_the_monomials_fill(corpus_by_name, monkeypatch, capsys):
+    sizes = white._fiber_sizes
+
+    def dropping(codes, d):
+        out = sizes(codes, d)
+        del out[max(out)]
+        return out
+
+    monkeypatch.setattr(white, "_fiber_sizes", dropping)
+    with pytest.raises(InternalInvariantViolation, match="by node masks"):
+        check_degree(corpus_by_name["u_2_4"], 3)
+    _white_check_exits_4(capsys, monkeypatch, {"type": "uniform", "r": 2, "n": 4})
+
+
 # ------------------------------------------------------ lattice cross-check
 
 
@@ -376,6 +562,9 @@ def test_lift_join_across_fibers_is_an_invariant_violation(corpus_by_name, monke
         # of (0, 0, 0) and (0, 0, 1): joined, though their fibers differ
         return chain(lift(flat, n_bases, k), [(0, 1)])
 
+    # with no degree-2 move every degree-2 fiber of two or more monomials
+    # splits, so degree 3 is lifted rather than closed by stars
+    monkeypatch.setattr(white, "_degree_two", lambda *args: ())
     monkeypatch.setattr(white, "_lift", crossing)
     with pytest.raises(InternalInvariantViolation, match="move left the fiber"):
         check_degree(corpus_by_name["u_2_4"], 3)
