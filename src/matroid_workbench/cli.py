@@ -31,20 +31,18 @@ and options sit in one table, _COMMANDS. A well-formed command line
 (COMMAND followed by --flag value pairs, each flag one of the command's own
 and given once) is read from that table by _parse_well_formed, without
 argparse. Any other command line, help included, goes to the argparse parser
-that build_parser makes from the same table, which prints the help or the
-usage error; its help formatter takes its width from COLUMNS or the terminal
-itself, so shutil is never imported. JSON is read and written by the C
-scanner and encoder that json.loads and json.dumps run (_loads, _dumps), so
-the json package, and re and enum with it, loads only to report malformed
-JSON. FileTutteCache, which subclasses tutte.TutteCache, is defined at its
-first lookup (PEP 562), and names its files by the interpreter's built-in
-sha256 module, so hashlib and OpenSSL's _hashlib load only where that
-module is missing.
+that build_parser makes from the same table (usage.py, which loads only
+then), which prints the help or the usage error; its help formatter takes
+its width from COLUMNS or the terminal itself, so shutil is never
+imported. JSON is read and written by the C scanner and encoder that
+json.loads and json.dumps run (_loads, _dumps), so the json package, and re
+and enum with it, loads only to report malformed JSON. `tutte --cache`
+hands that codec to FileTutteCache, which lives beside
+deletion-contraction (deletion_contraction.py) and which cli.FileTutteCache
+names (PEP 562), so no other command compiles it.
 """
 from __future__ import annotations
 
-import functools
-import os
 import sys
 from _json import encode_basestring_ascii, make_encoder, make_scanner
 
@@ -123,98 +121,11 @@ def _emit(obj):
 
 
 def __getattr__(name):
-    if name == "FileTutteCache":
-        return _file_tutte_cache()
+    if name == "FileTutteCache":  # in deletion_contraction.py, loaded on first use (PEP 562)
+        from .deletion_contraction import FileTutteCache
+
+        return FileTutteCache
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-@functools.cache
-def _file_tutte_cache():
-    """The FileTutteCache class, made once, so that the `tutte` command
-    builds the very class that a caller looked up as cli.FileTutteCache."""
-    from .tutte import TutteCache, check_tutte
-
-    # the built-in sha256 (_sha2 from 3.12, _sha256 before), not hashlib,
-    # which loads OpenSSL's _hashlib; both give the same digests
-    try:
-        from _sha2 import sha256
-    except ImportError:
-        try:
-            from _sha256 import sha256
-        except ImportError:
-            from hashlib import sha256
-
-    class FileTutteCache(TutteCache):
-        """Tutte memo table persisted as one JSON file per memo key.
-
-        Filenames are content-addressed (sha256 of Matroid.memo_key()), so
-        unrelated matroids never collide, and a warm run over entries this
-        class wrote is byte-identical to a cold one. A directory written under
-        an older key scheme is simply cold. An entry read from disk is used
-        only if it parses, passes tutte.check_tutte for the matroid being
-        looked up, and has T(1,1) = #bases (Matroid.basis_count, which
-        enumerates no bases of a graph, a uniform matroid or a basis list);
-        otherwise it counts as a miss and the recomputed entry replaces it.
-        That rejects every corrupt entry, and on a graph of rank at most
-        tutte.GREENE_RANK_LIMIT every crafted one that breaks Greene's
-        identity, such as T + x - y, which keeps T(1,1), T(2,2) and the
-        degrees. Elsewhere a polynomial that keeps those values but is not T
-        is used as it is (a complete check costs as much as computing T).
-        An entry is written to <name>.<pid>.tmp beside it and renamed into
-        place, so a reader never sees a partial file.
-        """
-
-        def __init__(self, directory):
-            super().__init__()
-            self.directory = directory
-            try:
-                os.makedirs(directory, exist_ok=True)
-            except OSError as exc:
-                raise InvalidInput(f"cannot use {directory} as a cache directory: {exc}") from exc
-
-        def _path(self, key):
-            return os.path.join(self.directory, sha256(key).hexdigest() + ".json")
-
-        def get(self, key, matroid=None):
-            hit = super().get(key)
-            if hit is not None or matroid is None:  # a disk entry needs the matroid
-                return hit
-            from .polynomials import BivariatePoly
-
-            try:
-                with open(self._path(key), "r", encoding="utf-8") as fh:
-                    poly = BivariatePoly.from_json(_loads(fh.read()))
-            except (OSError, ValueError, InvalidInput):
-                return None
-            try:
-                check_tutte(matroid, poly)
-            except InternalInvariantViolation:
-                return None
-            if poly.evaluate(1, 1) != matroid.basis_count():
-                return None
-            super().put(key, poly)
-            return poly
-
-        def put(self, key, poly):
-            super().put(key, poly)
-            path = self._path(key)
-            tmp = f"{path}.{os.getpid()}.tmp"
-            flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
-            try:
-                fd = os.open(tmp, flags, 0o600)
-            except FileExistsError:  # left by a killed process that had this pid
-                os.unlink(tmp)
-                fd = os.open(tmp, flags, 0o600)
-            try:
-                with open(fd, "w", encoding="utf-8") as fh:
-                    fh.write(_dumps(poly.to_json()))
-                os.replace(tmp, path)
-            except BaseException:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-                raise
-
-    return FileTutteCache
 
 
 def _cmd_tutte(args):
@@ -226,7 +137,9 @@ def _cmd_tutte(args):
     M = _read_descriptor(args["input"])
     budget = args["budget"] if args["budget"] else tutte.DEFAULT_DC_NODES
     if args["cache"]:
-        poly = tutte.tutte_dc(M, _file_tutte_cache()(args["cache"]), max_nodes=budget)
+        from .deletion_contraction import FileTutteCache
+
+        poly = tutte.tutte_dc(M, FileTutteCache(args["cache"], _loads, _dumps), max_nodes=budget)
         tutte.check_tutte(M, poly)
     else:
         poly = tutte.tutte_polynomial(M, max_nodes=budget)
@@ -407,56 +320,12 @@ def _parse_well_formed(argv):
     return args
 
 
-def _help_width():
-    """The width argparse's help formatter would take from
-    shutil.get_terminal_size(), read without importing shutil: COLUMNS when
-    it is a positive integer, else the width of the terminal on stdout,
-    else 80; less 2, as argparse does."""
-    try:
-        columns = int(os.environ.get("COLUMNS", ""))
-    except ValueError:
-        columns = 0
-    if columns <= 0:
-        try:
-            columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
-        except (AttributeError, ValueError, OSError):
-            columns = 0
-    return (columns if columns > 0 else 80) - 2
-
-
 def build_parser():
-    """The argument parser, built from _COMMANDS; argparse loads here, not
-    with this module."""
-    import argparse
+    """The argparse parser of _COMMANDS, which prints help and usage
+    errors; usage.py builds it, and argparse loads, only here."""
+    from .usage import build_parser
 
-    class _Formatter(argparse.HelpFormatter):
-        def __init__(self, prog):
-            super().__init__(prog, width=_help_width())
-
-    class _Parser(argparse.ArgumentParser):
-        """Reports a usage error as one stderr line and exit code 2, and
-        wraps help with _Formatter (argparse's own width lookup imports
-        shutil)."""
-
-        def __init__(self, **kwargs):
-            super().__init__(formatter_class=_Formatter, **kwargs)
-
-        def error(self, message):
-            self.exit(2, f"{self.prog}: error: {message}\n")
-
-    parser = _Parser(
-        prog="matroid-workbench",
-        description="Exact matroid invariants: Tutte/characteristic/h "
-        "polynomials, Orlik-Solomon bases, Euler tables by fixed-point "
-        "localization, and toric quadric-generation checks.",
-    )
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
-    for name, (fn, helptext, options) in _COMMANDS.items():
-        p = sub.add_parser(name, help=helptext)
-        p.set_defaults(fn=fn)
-        for flag, kwargs in options:
-            p.add_argument(flag, **kwargs)
-    return parser
+    return build_parser(_COMMANDS)
 
 
 def main(argv=None):

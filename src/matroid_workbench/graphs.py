@@ -1,6 +1,7 @@
 """Graph algorithms behind graphic matroids, loaded with the first graphic
-memo key or coloop query, so that commands which never meet a graph, and
-graph commands that never run deletion-contraction, do not compile them.
+memo key, coloop query or basis count, so that commands which never meet a
+graph, and graph commands that never run deletion-contraction, do not
+compile them.
 
 canonical_edges(pairs) relabels the vertices 0..n-1 so that isomorphic
 multigraphs, whatever their vertex names and edge order, give the same
@@ -30,9 +31,13 @@ never vertex names (which may mix str and int), so the form is invariant,
 and the branches pruned are images of explored ones under automorphisms,
 so the least list is the same for every presentation.
 
-bridges(edges) finds the coloops of a graph.
+bridges(edges) finds the coloops of a graph, and spanning_forest_count(pairs)
+counts its bases by Kirchhoff's theorem, with Bareiss's determinant
+(int_determinant).
 """
 from __future__ import annotations
+
+from .matroids import RollbackUnionFind
 
 
 def canonical_edges(pairs):
@@ -231,3 +236,53 @@ def bridges(edges):
                 u, f = up[u]
                 found.discard(f)
     return found
+
+
+def spanning_forest_count(pairs):
+    """The number of spanning forests of the multigraph with these (u, v)
+    edges, by Kirchhoff's matrix-tree theorem: a forest is a spanning tree
+    of every component, and a component has as many spanning trees as the
+    determinant of its Laplacian with one vertex's row and column removed.
+    Parallel edges add up in the Laplacian; self-loops lie in no tree and
+    are left out."""
+    edges = dict(enumerate(pairs))
+    uf = RollbackUnionFind(edges)
+    degree, weight = {}, {}
+    for e, (u, v) in edges.items():
+        if u != v:
+            uf.push(e)
+            for a, b in ((u, v), (v, u)):
+                degree[a] = degree.get(a, 0) + 1
+                weight[a, b] = weight.get((a, b), 0) + 1
+    components = {}
+    for x in degree:
+        components.setdefault(uf.find(x), []).append(x)
+    count = 1
+    for _, *rest in components.values():
+        count *= int_determinant(
+            [[degree[a] if a == b else -weight.get((a, b), 0) for b in rest] for a in rest]
+        )
+    return count
+
+
+def int_determinant(matrix):
+    """The determinant of a square integer matrix by Bareiss's fraction-free
+    elimination: every division is exact, so all entries stay integers
+    (each is a minor of the input). The empty matrix has determinant 1."""
+    m = [list(row) for row in matrix]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot = m[k][k]
+        for i in range(k + 1, n):
+            row, c = m[i], m[i][k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - c * m[k][j]) // prev
+        prev = pivot
+    return sign * prev

@@ -4,13 +4,14 @@ Fraction-free integer echelon forms (rational matrices are stored with
 denominator-cleared integer columns, so all rank arithmetic stays in Z) and
 GF(p) echelon forms rank labeled columns; two passes give the reduced row
 echelon form (RREF) that a linear matroid stores (LinearBacking, with its
-memo-key normal form, its minors and its dual), and their elimination
-steps are the row operations of its minors. `rref`, over a field object,
-is the dense reference the tests hold the echelon forms to. This module,
-with fields.py, loads with the first matrix (matroids.from_matrix), so a
-graph, a uniform matroid or a basis list never compiles it: the rollback
-union-find, Bareiss's determinant and `parallel_classes`, which every
-backing uses, live in matroids.py.
+dual), and their elimination steps are the row operations of its minors.
+The minors themselves, the memo-key normal form under scaling and `rref`,
+the dense reference over a field object that the tests hold the echelon
+forms to, are in linear_minors.py, which only deletion-contraction loads.
+This module, with fields.py, loads with the first matrix
+(matroids.from_matrix), so a graph, a uniform matroid or a basis list
+never compiles it: the rollback union-find and `parallel_classes`, which
+every backing uses, live in matroids.py.
 
 The oracles support push/pop in LIFO order only; that is what depth-first
 subset enumeration and flag walks need, and it keeps rollback trivial (a
@@ -41,6 +42,14 @@ from math import gcd, lcm
 from .errors import InvalidInput
 from .fields import RationalField, field_from_name
 from .matroids import _Backing, _check_ground_size
+
+
+def __getattr__(name):
+    if name == "rref":  # the dense reference, in linear_minors.py (PEP 562)
+        from .linear_minors import rref
+
+        return rref
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _reduce_int_row(row):
@@ -206,32 +215,6 @@ class ModEchelon(_Echelon):
     push = _Echelon.push
 
 
-def rref(rows, field):
-    """Reduced row echelon form over a field object (the dense reference).
-
-    Returns (reduced nonzero rows, pivot column indices). Input rows are not
-    mutated. Deterministic: first row with a nonzero entry wins each pivot.
-    """
-    work = [list(r) for r in rows]
-    ncols = len(work[0]) if work else 0
-    pivots = []
-    top = 0
-    for col in range(ncols):
-        src = next((i for i in range(top, len(work)) if not field.is_zero(work[i][col])), None)
-        if src is None:
-            continue
-        work[top], work[src] = work[src], work[top]
-        inv = field.inv(work[top][col])
-        work[top] = [field.mul(inv, x) for x in work[top]]
-        for i in range(len(work)):
-            if i != top and not field.is_zero(work[i][col]):
-                c = work[i][col]
-                work[i] = [field.sub(x, field.mul(c, y)) for x, y in zip(work[i], work[top])]
-        pivots.append(col)
-        top += 1
-    return work[:top], pivots
-
-
 # -- the linear backing of a matroid ---------------------------------------
 
 
@@ -310,41 +293,11 @@ class LinearBacking(_Backing):
         return _echelon(self.field, self.columns)
 
     def minor(self, M, contracted, kept):
-        """Native minor by row operations on the RREF, one element at a
-        time, whose column is then dropped. Contracting an element that
-        rows meet pivots the row with the largest such pivot onto it,
-        clears it from the other rows and drops that row; the others keep
-        their pivots, as no row with a larger pivot meets the element.
-        Deleting a pivot moves the pivot to the next nonzero entry of its
-        row and clears that column from the others, or drops the row when
-        there is none (a coloop). Deletion-contraction branches on the last
-        element of a core, never a pivot."""
-        ops = _echelon(self.field, {})
-        contracted, kept = set(contracted), set(kept)
-        elements, rows = list(self.elements), dict(self.rows)
-        for e in self.elements:
-            if e in kept:
-                continue
-            f = elements.index(e)
-            if e in contracted:
-                meet = sorted(j for j, row in rows.items() if row[f])
-                if meet:
-                    top = ops._scaled(rows.pop(meet.pop()), f)
-                    for j in meet:
-                        rows[j] = ops._eliminate(rows[j], f, top)
-            elif f in rows:
-                row = rows.pop(f)
-                row = row[:f] + [0] + row[f + 1:]
-                g = next((g for g, x in enumerate(row) if x), None)
-                if g is not None:
-                    top = ops._scaled(row, g)
-                    for j, other in list(rows.items()):
-                        if other[g]:
-                            rows[j] = ops._eliminate(other, g, top)
-                    rows[g] = top
-            del elements[f]
-            rows = {j - (j > f): row[:f] + row[f + 1:] for j, row in rows.items()}
-        return LinearBacking(self.field, elements, sorted(rows.items()))
+        """Native minor by row operations on the RREF
+        (linear_minors.minor)."""
+        from .linear_minors import minor
+
+        return minor(self, contracted, kept)
 
     def loops(self, M):
         """The zero columns of the RREF."""
@@ -362,6 +315,8 @@ class LinearBacking(_Backing):
         """The elements, the field name and the RREF rows in their normal
         form under row and column scaling: matrices that differ by row
         operations and column scaling get one key."""
+        from .linear_minors import _scaling_normal_form
+
         payload = (M.elements, (self.field.name, _scaling_normal_form(self.field, self.rows)))
         return b"mw3:l:" + repr(payload).encode()
 
@@ -374,78 +329,6 @@ class LinearBacking(_Backing):
         free = [f for f in range(n) if f not in rows]
         kernel = [[-rows[j][f] if j in rows else int(j == f) for j in range(n)] for f in free]
         return LinearBacking(self.field, M.elements, _rref(self.field, kernel))
-
-
-def _scaling_normal_form(field, rows):
-    """The normal form of RREF rows, given as (pivot, row) pairs, under row
-    and column scaling (Brylawski-Lucas 1976; Oxley, Matroid Theory,
-    section 6.4), as tuples of entry strings.
-
-    Divide each row by its pivot entry. Then scaling row i by a_i and each
-    non-pivot column f by b_f, with pivot column i rescaled by 1/a_i so that
-    its pivot stays 1, keeps an RREF of the same matroid and multiplies
-    entry (i, f) by a_i b_f. Take the bipartite graph of rows against
-    non-pivot columns, with an edge at each nonzero entry, and walk it
-    breadth-first from the least position of each component (a row sits at
-    its pivot), neighbours in increasing position. The scalars are chosen so
-    that every tree edge reads 1 (a row's scalar below includes the division
-    by its pivot entry). Each component keeps one free scalar, and it
-    changes no entry, so every RREF in the scaling class gives the same
-    rows.
-
-    The rows hold integers in their field's echelon convention, and so does
-    the arithmetic: over GF(p) residues, over Q reduced (numerator,
-    denominator) pairs with a positive denominator, one gcd per scalar and
-    per printed entry, an entry printed as str() prints that Fraction."""
-    if isinstance(field, RationalField):
-        one = (1, 1)
-
-        def reduced(num, den):
-            g = gcd(num, den)
-            if den < 0:
-                g = -g
-            return num // g, den // g
-
-        def recip(s, x):  # 1 / (s x)
-            return reduced(s[1], s[0] * x)
-
-        def show(a, x, b):  # a x b
-            num, den = reduced(a[0] * x * b[0], a[1] * b[1])
-            return str(num) if den == 1 else f"{num}/{den}"
-
-    else:
-        p, one = field.p, 1
-
-        def recip(s, x):
-            return pow(s * x % p, p - 2, p)
-
-        def show(a, x, b):
-            return str(a * x % p * b % p)
-
-    by_pivot = dict(rows)
-    n = len(rows[0][1]) if rows else 0
-    scale = {}  # position -> a_i / pivot entry at row i's pivot, b_f at a non-pivot column f
-    for start in range(n):
-        if start in scale:
-            continue
-        row = by_pivot.get(start)
-        scale[start] = one if row is None else recip(one, row[start])
-        queue = [start]
-        for node in queue:
-            s = scale[node]
-            row = by_pivot.get(node)
-            # a row meets the non-pivot columns where it is nonzero (its
-            # only nonzero pivot entry is its own, already scaled)
-            edges = enumerate(row) if row is not None else ((j, r[node]) for j, r in rows)
-            for other, x in edges:
-                if x and other not in scale:
-                    scale[other] = recip(s, x)
-                    queue.append(other)
-    return tuple(
-        tuple("1" if f == j else str(x) if not x or f in by_pivot else show(scale[j], x, scale[f])
-              for f, x in enumerate(row))
-        for j, row in rows
-    )
 
 
 def matrix_backing(field, matrix):

@@ -7,11 +7,14 @@ A Matroid wraps one of several backings:
   * UniformBacking  -- U_{r,n}
   * GraphicBacking  -- cycle matroid of a multigraph
   * BasesBacking    -- explicit basis list (validated against exchange)
+                       (in basis_list.py)
   * DerivedBacking  -- rank function closure (generic minors / duals)
 
 The linear backing, with the echelon forms and fields.py, loads with the
-first matrix (from_matrix), so a graph, a uniform matroid or a basis list
-never compiles it; matroids.LinearBacking still names it (PEP 562).
+first matrix (from_matrix), and the basis-list backing with its exchange
+check with the first basis list (from_bases), so no other input compiles
+them; matroids.LinearBacking, matroids.BasesBacking and
+matroids.from_bases still name them (PEP 562).
 
 Ground elements are integers 0..n-1 in a fixed order; that order is part of
 the matroid's identity (broken circuits, canonical keys, and fixed-point
@@ -35,11 +38,10 @@ by enumeration and the memo key from canonical_key(); a backing overrides
 what it answers natively. A linear matroid, stored as its RREF, reads its
 ground-set rank, loops, coloops, dual and memo key off the rows and makes
 its minors by row operations on them, so only a matrix and a dual run an
-elimination. A graph gives its self-loops, its bridges, its canonical key
-(graphs.py, loaded on first use), contraction, and Kirchhoff's basis count
-by Bareiss's determinant (int_determinant). A uniform matroid answers in
-closed form, a basis list gives its dual and basis count, and a derived
-rank function answers nothing natively.
+elimination. A graph gives its self-loops, contraction, and its bridges,
+canonical key and Kirchhoff basis count (graphs.py, loaded on first use).
+A uniform matroid answers in closed form, a basis list gives its dual and
+basis count, and a derived rank function answers nothing natively.
 """
 from __future__ import annotations
 
@@ -62,10 +64,15 @@ def _check_ground_size(n):
 
 
 def __getattr__(name):
-    if name == "LinearBacking":  # defined in linalg.py, loaded on first use (PEP 562)
+    # defined where their inputs are read, loaded on first use (PEP 562)
+    if name == "LinearBacking":
         from .linalg import LinearBacking
 
         return LinearBacking
+    if name in ("BasesBacking", "from_bases"):
+        from . import basis_list
+
+        return getattr(basis_list, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -243,29 +250,6 @@ class RollbackUnionFind:
             self.size[ra] = sa
 
 
-def int_determinant(matrix):
-    """The determinant of a square integer matrix by Bareiss's fraction-free
-    elimination: every division is exact, so all entries stay integers
-    (each is a minor of the input). The empty matrix has determinant 1."""
-    m = [list(row) for row in matrix]
-    n = len(m)
-    sign, prev = 1, 1
-    for k in range(n):
-        if not m[k][k]:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            row, c = m[i], m[i][k]
-            for j in range(k + 1, n):
-                row[j] = (row[j] * pivot - c * m[k][j]) // prev
-        prev = pivot
-    return sign * prev
-
-
 class GraphicBacking(_Backing):
     kind = "graphic"
     walk_at_any_bound = False
@@ -306,67 +290,11 @@ class GraphicBacking(_Backing):
         return frozenset(bridges((e, self.edges[e]) for e in M.elements))
 
     def basis_count(self, M):
-        """Kirchhoff's matrix-tree theorem: a basis is a spanning tree of
-        every component, and a component has as many spanning trees as the
-        determinant of its Laplacian with one vertex's row and column
-        removed. Parallel edges add up in the Laplacian; self-loops lie in
-        no tree and are left out."""
-        uf = RollbackUnionFind(self.edges)
-        degree, weight = {}, {}
-        for e in M.elements:
-            u, v = self.edges[e]
-            if u != v:
-                uf.push(e)
-                for a, b in ((u, v), (v, u)):
-                    degree[a] = degree.get(a, 0) + 1
-                    weight[a, b] = weight.get((a, b), 0) + 1
-        components = {}
-        for x in degree:
-            components.setdefault(uf.find(x), []).append(x)
-        count = 1
-        for _, *rest in components.values():
-            count *= int_determinant(
-                [[degree[a] if a == b else -weight.get((a, b), 0) for b in rest] for a in rest]
-            )
-        return count
+        """The spanning forests, by Kirchhoff's matrix-tree theorem
+        (graphs.spanning_forest_count)."""
+        from .graphs import spanning_forest_count
 
-
-class _BasesSteps:
-    """Push/pop rank oracle over an explicit basis list. It keeps the bases
-    that contain the independent part I of the prefix (greedy, in push
-    order); e raises the rank iff some of them contains e, i.e. iff I + e
-    is independent."""
-
-    def __init__(self, bases):
-        self._holding = [bases]
-
-    def push(self, e):
-        holding = self._holding[-1]
-        narrowed = [b for b in holding if e in b]
-        self._holding.append(narrowed or holding)
-        return bool(narrowed)
-
-    def pop(self):
-        self._holding.pop()
-
-
-class BasesBacking(_Backing):
-    kind = "bases"
-
-    def __init__(self, bases):
-        self.bases = bases  # list of frozensets, all the same size
-
-    def rank(self, subset):
-        return max(len(subset & b) for b in self.bases)
-
-    def steps(self):
-        return _BasesSteps(self.bases)
-
-    def dual(self, M):
-        return BasesBacking(sorted({M._eset - b for b in self.bases}, key=sorted))
-
-    def basis_count(self, M):
-        return len(self.bases)
+        return spanning_forest_count(self.edges[e] for e in M.elements)
 
 
 class DerivedBacking(_Backing):
@@ -628,74 +556,6 @@ def from_graph(edges):
     return Matroid(GraphicBacking(emap), range(len(edges)))
 
 
-def from_bases(n, bases):
-    """Matroid on 0..n-1 from an explicit basis list.
-
-    Validates the exchange axiom by the bases that hold each element: for a
-    basis B1 and x in B1, let Y be the y outside B1 with B1 - x + y a
-    basis. Every B2 without x has such a y in B2 - B1 iff every basis meets
-    Y + x, i.e. iff the bitsets of the bases that hold the elements of
-    Y + x cover all bases: b r (n - r) set lookups instead of b^2 r (n - r)
-    pair checks for b bases of rank r. A failure names the first B1, then
-    the first basis B2 it misses, then the least x missing B2, as the
-    pairwise check in that order would. Lists whose b^2 exceeds
-    BASIS_VALIDATION_LIMIT raise TooLarge.
-    """
-    if n < 1:
-        raise InvalidInput("ground set must be nonempty")
-    _check_ground_size(n)
-    ground = frozenset(range(n))
-    blist = []
-    seen = set()
-    for b in bases:
-        fb = frozenset(b)
-        if len(fb) != len(tuple(b)):
-            raise InvalidInput(f"basis {quote(sorted(b))} has repeated elements")
-        if not fb <= ground:
-            raise InvalidInput(f"basis {quote(sorted(b))} outside ground set 0..{n - 1}")
-        if fb not in seen:
-            seen.add(fb)
-            blist.append(fb)
-    if not blist:
-        raise InvalidInput("at least one basis is required")
-    sizes = {len(b) for b in blist}
-    if len(sizes) != 1:
-        raise InvalidInput("bases must all have the same size")
-    if len(blist) ** 2 > BASIS_VALIDATION_LIMIT:
-        raise TooLarge(
-            f"{len(blist)} bases need {len(blist) ** 2} pairwise exchange checks, "
-            f"over the validation budget of {BASIS_VALIDATION_LIMIT}"
-        )
-    # B1 - x + y is the mask m1 ^ bit(x) | bit(y); bit i of holders[e] is
-    # set when basis i holds e
-    masks = [sum(1 << e for e in b) for b in blist]
-    mset = set(masks)
-    holders = [0] * n
-    for i, b in enumerate(blist):
-        for e in b:
-            holders[e] |= 1 << i
-    everyone = (1 << len(blist)) - 1
-    support = [e for e in range(n) if holders[e]]  # no basis holds a loop
-    for m1, b1 in zip(masks, blist):
-        outside = [y for y in support if not m1 >> y & 1]
-        missed = {}  # x -> the bases that miss Y + x
-        for x in sorted(b1):
-            cover = holders[x]
-            for y in outside:
-                if m1 ^ 1 << x | 1 << y in mset:
-                    cover |= holders[y]
-            if cover != everyone:
-                missed[x] = everyone & ~cover
-        if missed:
-            first = min(m & -m for m in missed.values())
-            x = next(x for x, m in missed.items() if m & first)
-            raise InvalidInput(
-                f"exchange axiom fails for bases {quote(sorted(b1))}, "
-                f"{quote(sorted(blist[first.bit_length() - 1]))} at element {x}"
-            )
-    return Matroid(BasesBacking(sorted(blist, key=sorted)), range(n))
-
-
 # -- JSON descriptors ------------------------------------------------------
 
 
@@ -748,5 +608,7 @@ def from_descriptor(obj):
             isinstance(b, list) and all(type(e) is int for e in b) for b in bases
         ):
             raise InvalidInput("bases descriptor needs integer 'n' and integer-list 'bases'")
+        from .basis_list import from_bases
+
         return from_bases(obj["n"], [tuple(b) for b in bases])
     raise InvalidInput(f"unknown descriptor type {quote(kind)}")

@@ -12,8 +12,8 @@ walk_bound(#E, r): up to SUBSET_SUM_LIMIT elements it walks a matrix, a
 basis list or a derived rank function whatever that bound, and a graph
 or a uniform matroid when the bound is at most WALK_BOUND_LIMIT;
 it takes deletion-contraction otherwise, and also when the walk passes
-WALK_CAP_FACTOR times its bound, and holds either result to check_tutte
-before it is used. The h polynomial
+WALK_CAP_FACTOR times its bound or one parallel class would make it pass,
+and holds either result to check_tutte before it is used. The h polynomial
 
     h(u, v) = sum over subsets A of u^(r - rk(A)) * v^(#(E \\ A) - (r - rk(A)))
 
@@ -27,20 +27,23 @@ oracle, Matroid.incremental_rank(), stops at each subset of corank at most
 the contraction (rank_size_counts); small binomial expansions then turn
 the counts into polynomials.
 
-Deletion-contraction route: each node peels all loops and coloops at once,
+Deletion-contraction route (deletion_contraction.py, which tutte_dc loads
+at its first call and which also defines TutteCache and the CLI's
+FileTutteCache, so a walked command never compiles it): each node peels
+all loops and coloops at once,
 T(M) = x^#coloops y^#loops T(M \\ loops / coloops) (Haggard-Pearce-Royle,
 "Computing Tutte polynomials", ACM TOMS 2010), closes a core of rank at
 most 2 by the sizes of its parallel classes, and branches on the largest
 element of any other core. Those cores are memoized under
 Matroid.memo_key(), blind to row operations and column scaling over Q and
 GF(p) and, for a graph, to isomorphism, so scaled copies and isomorphic
-minors are expanded once (tutte_dc). The closed form leaves every other
-key as it was, so --cache directories written before stay warm.
+minors are expanded once. The closed form leaves every other key as it
+was, so --cache directories written before stay warm.
 
 check_tutte holds a polynomial to its degree bounds and T(2,2) = 2^#E,
 and on a graph to Greene's identity with the weight enumerator of its cut
 space, before `tutte` prints it, before tutte_polynomial returns it and
-before cli.FileTutteCache uses an entry read from disk.
+before FileTutteCache uses an entry read from disk.
 """
 from __future__ import annotations
 
@@ -55,6 +58,14 @@ GREENE_RANK_LIMIT = 18  # check_tutte walks at most 2^18 cuts of a graph
 # tutte_polynomial's route rule; its docstring gives the measurements
 WALK_BOUND_LIMIT = 2**12  # walk_bound above which a graph or uniform matroid takes DC
 WALK_CAP_FACTOR = 16  # the walk hands over to DC past this many times walk_bound nodes
+
+
+def __getattr__(name):
+    if name == "TutteCache":  # beside tutte_dc in deletion_contraction.py (PEP 562)
+        from .deletion_contraction import TutteCache
+
+        return TutteCache
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def walk_bound(n, r):
@@ -177,76 +188,22 @@ def tutte_sum(M: Matroid, max_nodes=None) -> BivariatePoly:
     return tutte_from_counts(rank_size_counts(M, max_nodes=max_nodes))
 
 
-class TutteCache:
-    """In-memory memo table for tutte_dc keyed by Matroid.memo_key().
+def tutte_dc(M: Matroid, cache=None, max_nodes=DEFAULT_DC_NODES) -> BivariatePoly:
+    """Tutte polynomial by deletion-contraction, memoized in `cache` (a
+    TutteCache) and capped at `max_nodes` expanded cores: see
+    deletion_contraction.tutte_dc, which this loads at its first call."""
+    from .deletion_contraction import tutte_dc
 
-    Subclasses may persist entries; see cli.FileTutteCache.
-    """
-
-    def __init__(self):
-        self._mem = {}
-
-    def get(self, key, matroid=None):
-        """The memoized polynomial, or None. `matroid` is the matroid the
-        key belongs to, so a persistent subclass can check what it reads."""
-        return self._mem.get(key)
-
-    def put(self, key, poly):
-        self._mem[key] = poly
+    return tutte_dc(M, cache, max_nodes)
 
 
-def tutte_dc(M: Matroid, cache: TutteCache | None = None, max_nodes=DEFAULT_DC_NODES) -> BivariatePoly:
-    """Tutte polynomial by deletion-contraction.
-
-    Every node first peels all its loops and coloops at once,
-
-        T(M) = x^#coloops y^#loops T(M \\ loops / coloops).
-
-    The peeled core, if nonempty, has neither loops nor coloops. A core of
-    rank at most 2 takes its polynomial from the sizes of its parallel
-    classes (the corank-nullity counts of _superset_counts, memoized by
-    rank and sorted sizes for this call), with no memo key, no `cache`
-    call and no count against `max_nodes`. Any other core is memoized
-    under core.memo_key(), which equal labeled matroids share, and for
-    graphs isomorphic ones (the Tutte polynomial is an isomorphism
-    invariant), and branches on its largest element e,
-    T(core) = T(core \\ e) + T(core / e). The choice is fixed,
-    so the recursion tree and any persisted cache entries are reproducible.
-    Deleting e from a core can make coloops but no loops, and contracting
-    it loops but no coloops, so each child looks only for the kind it can
-    have. More than `max_nodes` expanded cores (memo misses) raise
-    TooLarge: 620 on the 6x17 GF(7) benchmark matrix, 48 on the 6 x 18
-    Vandermonde matrix over Q, 80 on U(10,20), 81 on M(K7) and 187 on M(K8).
-    """
-    if cache is None:
-        cache = TutteCache()
-    expanded = 0
-    small = {}  # (rank, sorted parallel-class sizes) -> T of a core of rank <= 2
-
-    def dc(N, may_loop=True, may_coloop=True):
-        nonlocal expanded
-        loops = N.loops() if may_loop else frozenset()
-        coloops = N.coloops() if may_coloop else frozenset()
-        core = N.minor(deleted=loops, contracted=coloops) if loops or coloops else N
-        if not core.size:
-            return BivariatePoly.monomial(len(coloops), len(loops))
-        if core.r <= 2:
-            shape = (core.r, tuple(sorted(map(len, core.parallel_classes()))))
-            if shape not in small:
-                small[shape] = tutte_from_counts(dict(_superset_counts(core.r, 0, core.size, shape[1])))
-            return small[shape].shift(len(coloops), len(loops))
-        key = core.memo_key()
-        poly = cache.get(key, core)
-        if poly is None:
-            expanded += 1
-            if expanded > max_nodes:
-                raise TooLarge(f"deletion-contraction needs more than {max_nodes} nodes (the budget)")
-            e = max(core.elements)
-            poly = dc(core.delete({e}), may_loop=False) + dc(core.contract({e}), may_coloop=False)
-            cache.put(key, poly)
-        return poly.shift(len(coloops), len(loops))
-
-    return dc(M)
+def _class_outgrows_cap(N: Matroid, cap):
+    """Whether the walk on the loopless N surely passes `cap` nodes: at
+    rank r >= 4 a subset of one parallel class has corank r - 1 > 2, so the
+    walk visits all 2^p subsets of a class of p elements. A class has rank
+    1, so p <= #E - r + 1, and the classes are read only when 2^(#E - r + 1)
+    passes the cap (on none of the benchmark inputs)."""
+    return N.r >= 4 and 2 ** (N.size - N.r + 1) > cap and 2 ** max(map(len, N.parallel_classes())) > cap
 
 
 def tutte_polynomial(M: Matroid, max_nodes=DEFAULT_DC_NODES) -> BivariatePoly:
@@ -293,16 +250,20 @@ def tutte_polynomial(M: Matroid, max_nodes=DEFAULT_DC_NODES) -> BivariatePoly:
     1.45 B, a parallel-rich Q 4x12 matrix 1.8 B, the 8 parallel pairs
     2.33 B), so the cap stops only walks that large parallel classes blow
     up: on C5 with one edge made 20 parallel ones, B is 301 but the walk
-    would meet all 2^20 subsets of that class.
+    would meet all 2^20 subsets of that class. Such a walk is not started
+    (_class_outgrows_cap): that graph and the Q matrix of 20 copies of e1
+    with e2, e3, e4 and their sum took 27.5 and 31.1 ms end to end when
+    they walked to the cap first, and 19.4 and 20.7 ms by DC alone.
     """
     loops = M.loops()
     N = M.delete(loops) if loops else M
     t = None
     if N.size <= SUBSET_SUM_LIMIT:
         bound = walk_bound(N.size, N.r)
-        if N.walk_at_any_bound or bound <= WALK_BOUND_LIMIT:
+        cap = WALK_CAP_FACTOR * bound
+        if (N.walk_at_any_bound or bound <= WALK_BOUND_LIMIT) and not _class_outgrows_cap(N, cap):
             try:
-                t = tutte_sum(N, max_nodes=WALK_CAP_FACTOR * bound)
+                t = tutte_sum(N, max_nodes=cap)
             except TooLarge:  # the walk outgrew its cap
                 pass
     if t is None:

@@ -30,16 +30,14 @@ sizes of degree d come from one count of the monomials' multidegree
 codes. This is the route whenever every degree-2 fiber and every fiber
 below degree d is connected; no monomial is labeled.
 
-Lift. Otherwise each degree-k monomial v gets one lift key per distinct
-factor B, label(v/B) * b + B for b bases, and one union-find over the
-keys gives the components. Every array is indexed by lexicographic
-position. The labels of degree k - 1 are one list of label * b, and since
-the monomials q + (l,) with l >= last(q) are contiguous, a lift key is
-read at a row offset plus l. The union-find is a list over the positions
-of the degree-2 monomials, then over the lift keys of each higher degree.
-One labeling pass per degree, in lexicographic order, numbers the
-components and records for each fiber its size and the least monomial of
-each component; every component must lie in one fiber.
+Lift. Otherwise each degree-k monomial gets one lift key per distinct
+factor B, the label of its quotient by B and B, and one union-find over
+the keys gives the components (white_lift.py, which loads only where the
+lift runs). Degrees 1 and 2 are labeled here, by one union-find over the
+positions of the degree-2 monomials and one labeling pass in
+lexicographic order, which numbers the components and records for each
+fiber its size and the least monomial of each component; every component
+must lie in one fiber.
 
 The report reads only the sizes and component counts. The
 representatives and the named vertices, adjacency lists and components
@@ -267,100 +265,16 @@ def _degree_two(masks, index, codes, heads):
             yield heads[i] + j, heads[w[0]] + w[1]
 
 
-def _key_rows(flat, n_bases, k):
-    """The lift keys of the degree-k monomials, one row per degree-(k - 1)
-    prefix p in lexicographic order, from the labels `flat` of the
-    degree-(k - 1) monomials (label * n_bases, in lexicographic order).
-
-    A monomial v has one key label(v / B) * n_bases + B per distinct factor
-    B. Each row is last(p), head and (off, f) for each distinct factor f
-    of p: for v = p + (l,), l >= last(p), the key of l is head + l, with
-    head = flat[pos(p)], and the key of f is flat[off + l] + f, where off
-    is the row offset of p / f, since v / f = (p / f) + (l,).
-    """
-    offsets = _row_offsets(n_bases, k - 2)
-    for p, head in zip(_monomials(n_bases, k - 1), flat):
-        yield p[-1], head, [
-            (offsets[p[:t] + p[t + 1:]], f) for t, f in enumerate(p) if t == 0 or f != p[t - 1]
-        ]
-
-
-def _lift(flat, n_bases, k):
-    """Pairs of lift keys that one degree-k monomial carries: the key of
-    its last factor l with the key of each distinct factor of its prefix,
-    one zip over l per prefix and factor. Monomials that share a key are
-    B*m and B*m' with m, m' in one degree-(k - 1) component: one move
-    component."""
-    return itertools.chain.from_iterable(
-        zip(range(head + last, head + n_bases), map(f.__add__, flat[off + last:off + n_bases]))
-        for last, head, factors in _key_rows(flat, n_bases, k)
-        for off, f in factors
-    )
-
-
-def _named_views(bases, d, codes, groups, labels):
-    """{multidegree code: (vertices, adjacency, components)} with the
-    bases themselves as names, from the component labels of the labeling
-    pass.
-
-    `groups` lists for each monomial, in lexicographic order, its
-    double-swap neighbours in degree 2 and its lift keys above; the
-    adjacency holds the double-swap moves in degree 2, and above it holds
-    star edges: each monomial is joined to the first monomial that listed
-    each of its lift keys, which gives the same components.
-    """
-    views, names, members, first = {}, {}, [], {}
-    for v, items, label in zip(_monomials(len(bases), d), groups, labels):
-        names[v] = name = tuple(map(bases.__getitem__, v))
-        code = sum(map(codes.__getitem__, v))
-        view = views.get(code)
-        if view is None:
-            view = views[code] = [], {}, []
-        vertices, adjacency, components = view
-        vertices.append(name)
-        adjacency[name] = nbrs = []
-        if label == len(members):
-            members.append([])
-            components.append(members[label])
-        members[label].append(name)
-        if d < 3:
-            joined = [w for w in items if w < v]
-        else:
-            joined = []
-            for key in items:
-                w = first.setdefault(key, v)
-                if w is not v and w not in joined:
-                    joined.append(w)
-        for w in joined:
-            nbrs.append(names[w])
-            adjacency[names[w]].append(name)
-    return views
-
-
-def _labeling(k, flat, summary, masks, index, codes):
-    """The labeling pass of degree k, from the labels and summary of degree
-    k - 1: double-swap moves in degree 2, lift keys (_lift) above it."""
+def _labeling(k, masks, index, codes):
+    """The labeling pass of degree 1 or 2: the bases themselves, then the
+    double-swap moves (white_lift._labeling lifts the degrees above)."""
     n_bases = len(masks)
     if k == 1:
         n_items, heads, pairs = n_bases, [0], ()
-    elif k == 2:
+    else:
         heads = list(_row_offsets(n_bases, 1).values())
         n_items, pairs = comb(n_bases + 1, 2), _degree_two(masks, index, codes, heads)
-    else:
-        n_labels = sum(len(reps) for _, reps in summary.values())
-        n_items, heads, pairs = n_labels * n_bases, flat, _lift(flat, n_bases, k)
     return _labels(_join(n_items, pairs), heads, n_bases, k, codes)
-
-
-def _lift_route(masks, index, codes, d, flat=None, lower=None):
-    """The lift, degree by degree, from the labels `flat` and summary
-    `lower` of degree 2 when they are given: the labels and summary of
-    degree d - 1 and the summary {code: [size, least monomial of each
-    component]} of degree d, whose pass keeps no labels."""
-    for k in range(min(d, 2) if flat is None else 3, d):
-        *flat, lower = _labeling(k, flat, lower, masks, index, codes)
-    (summary,) = collections.deque(_labeling(d, flat, lower, masks, index, codes), maxlen=1)
-    return flat, lower, summary
 
 
 def _node_masks(lower, codes):
@@ -455,23 +369,29 @@ def toric_fibers(M: Matroid, d, budget=DEFAULT_BUDGET):
     From degree 3 on, while every fiber below degree d is connected, the
     star closure gives the component counts (_star_components) and one
     count of the monomial codes the sizes (_fiber_sizes), which must find
-    the same fibers; otherwise the lift (_lift_route) gives both. The
-    representatives and named views read the lift at their first access,
-    held to those sizes and counts. All degrees together have at most
-    b * C(b + d, d - 1) basis factors for b bases; above `budget` the
-    construction refuses (TooLarge) before it enumerates any monomial.
+    the same fibers; otherwise the lift (white_lift._lift_route) gives
+    both. The representatives and named views read the lift at their
+    first access, held to those sizes and counts. All degrees together
+    have at most b * C(b + d, d - 1) basis factors for b bases; above
+    `budget` the construction refuses (TooLarge) before it enumerates any
+    monomial.
     """
     if d < 1:
         raise InvalidInput(f"degree must be >= 1, got {d}")
     _check_budget(len(M.bases()), d, budget)
     bases, masks, index, codes = _tables(M, d)
-    n_bases = len(bases)
     flat = lower = counts = None
     if d > 2:
-        *flat, lower = _labeling(2, None, None, masks, index, codes)
+        *flat, lower = _labeling(2, masks, index, codes)
         if all(len(reps) == 1 for _, reps in lower.values()):
             counts = _star_components(codes, d)
-    lift = functools.cache(lambda: _lift_route(masks, index, codes, d, flat, lower))
+
+    @functools.cache
+    def lift():
+        from .white_lift import _lift_route
+
+        return _lift_route(masks, index, codes, d, flat, lower)
+
     if counts is None:
         fibers = {code: (size, len(reps)) for code, (size, reps) in lift()[2].items()}
     else:
@@ -493,17 +413,9 @@ def toric_fibers(M: Matroid, d, budget=DEFAULT_BUDGET):
 
     @functools.cache
     def views():
-        flat_below, summary_below, _ = lift()
-        *labels, _ = _labeling(d, flat_below, summary_below, masks, index, codes)
-        if d < 3:
-            groups = (_swaps(masks, index, *v) if d == 2 else () for v in _monomials(n_bases, d))
-        else:
-            groups = (
-                [flat_below[off + l] + f for off, f in factors] + [head + l]
-                for last, head, factors in _key_rows(flat_below, n_bases, d)
-                for l in range(last, n_bases)
-            )
-        return _named_views(bases, d, codes, groups, [x // n_bases for x in labels])
+        from .white_lift import _views
+
+        return _views(bases, masks, index, codes, d, lift())
 
     return [
         FiberGraph(d, M.size, size, n, code, summary, views)

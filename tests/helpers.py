@@ -294,7 +294,7 @@ def rref_memo_key(M):
 def fraction_scaling_normal_form(rows):
     """The Q memo-key normal form of RREF rows, (pivot, row) pairs of
     integers, on Fractions: the breadth-first scaling that
-    linalg._scaling_normal_form runs on integer pairs, each scalar a
+    linear_minors._scaling_normal_form runs on integer pairs, each scalar a
     Fraction and each entry printed by str(Fraction)."""
     by_pivot = dict(rows)
     n = len(rows[0][1]) if rows else 0

@@ -1,5 +1,7 @@
+import ast
 import contextlib
 import hashlib
+import importlib
 import inspect
 import io
 import itertools
@@ -415,8 +417,9 @@ def test_tutte_budget_counts_deletion_contraction_nodes(monkeypatch, capsys):
 def test_tutte_budget_caps_the_route_rules_deletion_contraction(monkeypatch, capsys):
     """Without --cache, --budget is the budget of whichever
     deletion-contraction the route rule runs: on M(K4) the walk runs and a
-    budget of 1 is never read; on the fat graph the walk passes its cap
-    and deletion-contraction, which expands 2 cores, is refused."""
+    budget of 1 is never read; the fat graph's parallel class of 20 edges
+    sends it to deletion-contraction, which expands 2 cores and is
+    refused."""
     for descriptor, code_wanted in ((_complete_graph(4), 0), (FAT_GRAPH, 3)):
         monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(descriptor)))
         code = cli.main(["tutte", "--budget", "1"])
@@ -441,7 +444,8 @@ def test_cli_import_leaves_unused_modules_unloaded():
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
     assert "matroid_workbench.cli" in loaded
-    for name in ("corpus", "white", "orlik_solomon", "graphs", "tutte", "polynomials", "fields", "linalg"):
+    for name in ("corpus", "white", "orlik_solomon", "graphs", "tutte", "polynomials", "fields", "linalg",
+                 "deletion_contraction", "usage", "white_lift", "linear_minors", "basis_list", "os_algebra"):
         assert f"matroid_workbench.{name}" not in loaded
     for name in ("argparse", "shutil", "fractions", "decimal", "json", "re"):
         assert name not in loaded
@@ -460,16 +464,23 @@ _MAIN_IN_FRESH_PROCESS = (
 )
 
 
-def _main_in_fresh_process(args, stdin_obj=None, env=None):
-    """(exit code, loaded module names, stdout) of cli.main in a fresh
-    interpreter."""
+def _run_in_fresh_process(args, stdin_obj=None, env=None, setup=""):
+    """(exit code, loaded module names, stdout, stderr before the report)
+    of cli.main in a fresh interpreter, after the code `setup`."""
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", _MAIN_IN_FRESH_PROCESS, *args],
+        [sys.executable, "-S", "-c", setup + _MAIN_IN_FRESH_PROCESS, *args],
         input=json.dumps(stdin_obj) if stdin_obj is not None else "",
         capture_output=True, text=True, timeout=60, env=env,
     )
-    rc, *loaded = proc.stderr.splitlines()[-1].split()
-    return int(rc), set(loaded), proc.stdout
+    *err, report = proc.stderr.splitlines()
+    rc, *loaded = report.split()
+    return int(rc), set(loaded), proc.stdout, err
+
+
+def _main_in_fresh_process(args, stdin_obj=None, env=None):
+    """(exit code, loaded module names, stdout) of cli.main in a fresh
+    interpreter."""
+    return _run_in_fresh_process(args, stdin_obj, env)[:3]
 
 
 _NEVER_FOR_GRAPHS_AND_UNIFORM = (
@@ -479,6 +490,7 @@ _NEVER_FOR_GRAPHS_AND_UNIFORM = (
     "matroid_workbench.fields",
     "matroid_workbench.linalg",
     "matroid_workbench.series",
+    "matroid_workbench.basis_list",
 )
 
 
@@ -489,10 +501,11 @@ _NEVER_FOR_GRAPHS_AND_UNIFORM = (
 @pytest.mark.parametrize("descriptor", [_complete_graph(4), U24], ids=["K4", "U24"])
 def test_commands_on_graphs_and_uniform_load_no_field_or_linear_code(args, descriptor):
     """A graph or a uniform matroid parses no field and makes no Fraction,
-    so fractions, decimal, fields.py and linalg.py stay unloaded, and the
-    help formatter, built with the parser, never imports shutil; euler-table
-    calibrates its signs on uniform matroids and sums packed integers, so
-    series.py stays unloaded too."""
+    so fractions, decimal, fields.py and linalg.py stay unloaded, nor is it
+    a basis list, so basis_list.py stays unloaded, and the help formatter,
+    built with the parser, never imports shutil; euler-table calibrates its
+    signs on uniform matroids and sums packed integers, so series.py stays
+    unloaded too."""
     rc, loaded, out = _main_in_fresh_process(args, descriptor)
     assert rc == 0 and json.loads(out)
     assert not loaded.intersection(_NEVER_FOR_GRAPHS_AND_UNIFORM)
@@ -593,15 +606,16 @@ def test_white_check_runs_without_the_tutte_code():
 
 
 _NEVER_ON_A_WELL_FORMED_COMMAND = (
-    "argparse", "gettext", "locale", "json", "re", "enum", "tempfile", "hashlib", "_hashlib")
+    "argparse", "gettext", "locale", "json", "re", "enum", "tempfile", "hashlib", "_hashlib",
+    "matroid_workbench.usage")
 
 
 @pytest.mark.parametrize("args", [["white-check", "--degree", "3"], ["tutte"], ["tutte", "--cache", "CACHE"]])
 def test_well_formed_commands_load_neither_argparse_nor_json(args, tmp_path):
-    """A well-formed command line is parsed without argparse, JSON is read
-    and written without the json package, and cache entries are written
-    without tempfile and named without hashlib; with --cache, both the cold
-    and the warm run."""
+    """A well-formed command line is parsed without argparse or its
+    builder, usage.py, JSON is read and written without the json package,
+    and cache entries are written without tempfile and named without
+    hashlib; with --cache, both the cold and the warm run."""
     args = [str(tmp_path) if a == "CACHE" else a for a in args]
     runs = [_main_in_fresh_process(args, _complete_graph(4)) for _ in range(2 if "--cache" in args else 1)]
     for rc, loaded, out in runs:
@@ -609,6 +623,186 @@ def test_well_formed_commands_load_neither_argparse_nor_json(args, tmp_path):
         assert not loaded.intersection(_NEVER_ON_A_WELL_FORMED_COMMAND)
     assert len({out for _, _, out in runs}) == 1
     assert all(name.endswith(".json") for name in os.listdir(tmp_path))
+
+
+# Modules that hold code only some routes run, each loaded by those routes
+# alone: deletion-contraction with its memo tables and the cache file
+# class, the argparse fallback, the white lift and named views, the linear
+# minors and memo-key normal form, the basis-list backing, and the
+# Orlik-Solomon arithmetic.
+_COLD_MODULES = {
+    "dc": "matroid_workbench.deletion_contraction",
+    "usage": "matroid_workbench.usage",
+    "lift": "matroid_workbench.white_lift",
+    "linear minors": "matroid_workbench.linear_minors",
+    "bases": "matroid_workbench.basis_list",
+    "os algebra": "matroid_workbench.os_algebra",
+}
+Q_VANDERMONDE_6X18 = {"type": "linear", "field": "Q", "matrix": [[x**i for x in range(18)] for i in range(6)]}
+K5_MINUS_EDGE = {"type": "graphic", "edges": [list(e) for e in itertools.combinations(range(5), 2)][1:]}
+
+
+@pytest.mark.parametrize("command", ["tutte", "hlv", "charpoly"])
+@pytest.mark.parametrize("descriptor", [_complete_graph(4), Q_VANDERMONDE_6X18], ids=["K4", "Q-Vandermonde"])
+def test_walked_commands_compile_no_cold_module(command, descriptor):
+    """The subset walk takes T on M(K4) and on the Q Vandermonde 6 x 18,
+    so neither deletion-contraction nor the linear minors and memo keys
+    it needs are compiled, nor the argparse fallback or the basis-list
+    backing."""
+    rc, loaded, out = _main_in_fresh_process([command], descriptor)
+    assert rc == 0 and json.loads(out)
+    assert not loaded.intersection(_COLD_MODULES.values())
+
+
+def test_tutte_cache_loads_deletion_contraction_and_its_file_cache(tmp_path):
+    """`tutte --cache` runs deletion-contraction, whose module holds the
+    file cache class, cold and warm; a graph needs no linear minors."""
+    for _ in range(2):
+        rc, loaded, out = _main_in_fresh_process(["tutte", "--cache", str(tmp_path)], _complete_graph(4))
+        assert rc == 0 and json.loads(out)
+        assert _COLD_MODULES["dc"] in loaded
+        assert not loaded.intersection(set(_COLD_MODULES.values()) - {_COLD_MODULES["dc"]})
+    rc, loaded, out = _main_in_fresh_process(["tutte", "--cache", str(tmp_path / "q")], FANO | {"field": "Q"})
+    assert rc == 0 and {_COLD_MODULES["dc"], _COLD_MODULES["linear minors"]} <= loaded
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["tutte", "--help"], ["tutte", "--budget", "x"], ["os-basis"]])
+def test_help_and_usage_errors_load_the_argparse_fallback(argv, monkeypatch):
+    """Help and a usage error load usage.py and argparse, which no
+    well-formed command loads (above), and print the bytes and exit code
+    that build_parser().parse_args gives in process."""
+    env = dict(os.environ, COLUMNS="80")
+    rc, loaded, out, err = _run_in_fresh_process(argv, env=env)
+    assert {_COLD_MODULES["usage"], "argparse"} <= loaded
+    monkeypatch.setenv("COLUMNS", "80")
+    want_out, want_err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(want_out), contextlib.redirect_stderr(want_err):
+        with pytest.raises(SystemExit) as stop:
+            cli.build_parser().parse_args(argv)
+    assert (rc, out, "".join(line + "\n" for line in err)) == (stop.value.code, want_out.getvalue(), want_err.getvalue())
+    assert rc == (0 if "--help" in argv else 2)
+
+
+# with no degree-2 move every fiber of two or more monomials splits, so
+# white-check lifts degree 3 and reports witnesses
+_NO_DEGREE_TWO_MOVES = "from matroid_workbench import white\nwhite._degree_two = lambda *args: ()\n"
+
+
+def test_white_check_loads_the_lift_only_for_a_split_fiber():
+    """Every fiber of M(K5) minus an edge is connected, so the star
+    closure answers and the lift is never compiled; with the degree-2
+    moves taken away, fibers split, and the lift loads to confirm them
+    and name the witnesses."""
+    rc, loaded, out = _main_in_fresh_process(["white-check", "--degree", "3"], K5_MINUS_EDGE)
+    assert rc == 0 and json.loads(out)["all_connected"] is True
+    assert not loaded.intersection(_COLD_MODULES.values())
+    rc, loaded, out, _ = _run_in_fresh_process(["white-check", "--degree", "3"], U24, setup=_NO_DEGREE_TWO_MOVES)
+    assert rc == 0 and json.loads(out)["witnesses"]
+    assert _COLD_MODULES["lift"] in loaded
+
+
+@pytest.mark.parametrize(
+    "args, loads_algebra",
+    [(["os-dims"], False), (["os-basis", "--degree", "2"], False), (["reduced-os-basis", "--degree", "2"], True)],
+)
+def test_only_the_reduced_basis_loads_the_orlik_solomon_arithmetic(args, loads_algebra):
+    """os-dims and os-basis print nbc counts and sets, so the exterior
+    elements and straightening stay uncompiled; the reduced basis checks
+    its identity minor on normal forms, which load them."""
+    rc, loaded, out = _main_in_fresh_process(args, _complete_graph(4))
+    assert rc == 0 and json.loads(out)
+    assert (_COLD_MODULES["os algebra"] in loaded) == loads_algebra
+    assert not loaded.intersection(set(_COLD_MODULES.values()) - {_COLD_MODULES["os algebra"]})
+
+
+def test_a_basis_list_loads_the_basis_list_backing():
+    """What a graph or a uniform matroid never loads (above)."""
+    rc, loaded, out = _main_in_fresh_process(["tutte"], {"type": "bases", "n": 3, "bases": [[0, 1], [0, 2], [1, 2]]})
+    assert rc == 0 and json.loads(out) and _COLD_MODULES["bases"] in loaded
+
+
+_TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _tracer_reads():
+    """(module, attribute) for every attribute of a package module that
+    the benchmark tracer's install() reads, by module attribute or as the
+    first two arguments of its fn() helper, and (module, class, method) for
+    every method it wraps on a class it reads off a module."""
+    install = next(node for node in ast.parse(_TRACER.read_text()).body
+                   if isinstance(node, ast.FunctionDef) and node.name == "install")
+    modules = {alias.name for node in ast.walk(install)
+               if isinstance(node, ast.ImportFrom) and node.module == "matroid_workbench" for alias in node.names}
+    reads, methods = set(), set()
+    for node in ast.walk(install):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            reads.add((node.value.id, node.attr))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and len(node.args) >= 2:
+            owner, attr = node.args[:2]
+            if node.func.id == "fn":
+                reads.add((owner.id, attr.value))
+            elif (node.func.id in ("meth", "_wrap_method") and isinstance(owner, ast.Attribute)
+                  and isinstance(owner.value, ast.Name) and owner.value.id in modules):
+                methods.add((owner.value.id, owner.attr, attr.value))
+    return sorted(reads), sorted(methods)
+
+
+def test_every_name_the_tracer_reads_resolves_in_a_fresh_interpreter():
+    """Each package attribute that perfbench/tracer.py's install() reads
+    (tutte.tutte_dc, tutte.TutteCache, cli.FileTutteCache, linalg.rref,
+    matroids.BasesBacking, ...) resolves at that path in an interpreter
+    that has imported nothing else, whichever module now defines it, and
+    each method it wraps is in its class's own namespace."""
+    reads, methods = _tracer_reads()
+    assert ("tutte", "tutte_dc") in reads and ("cli", "FileTutteCache") in reads and ("linalg", "rref") in reads
+    code = (
+        "import importlib, sys\n"
+        "module, attr, method = sys.argv[1:]\n"
+        "value = getattr(importlib.import_module('matroid_workbench.' + module), attr)\n"
+        "assert not method or method in vars(value), method\n"
+    )
+    for module, attr, method in [(m, a, "") for m, a in reads] + methods:
+        proc = subprocess.run([sys.executable, "-S", "-c", code, module, attr, method],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, (module, attr, method, proc.stderr)
+
+
+# Installs the tracer, runs cli.main on each (argv, descriptor) pair and
+# prints the names of the recorded spans and the counters as one JSON line.
+_TRACED_RUNS = (
+    "import io, json, sys\n"
+    "sys.path.insert(0, sys.argv[1])\n"
+    "import tracer\n"
+    "from matroid_workbench import cli\n"
+    "tr = tracer.install(tracer.Tracer())\n"
+    "for argv, descriptor in json.loads(sys.argv[2]):\n"
+    "    sys.stdin = io.StringIO(json.dumps(descriptor))\n"
+    "    assert cli.main(argv) == 0, argv\n"
+    "names = sorted({tr.names[i] for buf in tr.buffers for i in buf.names})\n"
+    "print(json.dumps([names, tr.counters()]))\n"
+)
+
+
+def test_the_commands_call_what_the_tracer_wraps(tmp_path):
+    """With the tracer installed, the commands run the wrapped objects of
+    the modules they load: the file cache and the memo table of
+    `tutte --cache` cold and warm, deletion-contraction on M(K7), where
+    the route rule sends it, the rank of a basis list and the toric fibers."""
+    cache = str(tmp_path)
+    runs = [
+        (["tutte", "--cache", cache], _complete_graph(4)),
+        (["tutte", "--cache", cache], _complete_graph(4)),
+        (["tutte"], _complete_graph(7)),
+        (["charpoly"], {"type": "bases", "n": 3, "bases": [[0, 1], [0, 2], [1, 2]]}),
+        (["white-check", "--degree", "3"], U24),
+    ]
+    proc = subprocess.run([sys.executable, "-S", "-c", _TRACED_RUNS, str(_TRACER.parent), json.dumps(runs)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    spans, counters = json.loads(proc.stdout.splitlines()[-1])
+    assert {"cli.cache.get", "cli.cache.put", "tutte.dc", "tutte.char_poly", "white.toric_fibers"} <= set(spans)
+    assert counters["tutte.dc.get"] > counters["tutte.dc.put"] > 0 and counters["cli.cache.get.hits"] > 0
+    assert counters["matroids.backing_rank"] > 0
 
 
 # ---------------------------------------------------------- argument parsing
@@ -848,10 +1042,13 @@ def test_dumps_agrees_with_json_dumps(obj):
 
 
 def test_tutte_command_builds_the_cache_class_it_exports(tmp_path, monkeypatch):
-    """cli.FileTutteCache is made once, at its first lookup, and `tutte
-    --cache` builds that same class, so a wrapper put on it sees the run."""
+    """cli.FileTutteCache names the class beside deletion-contraction, and
+    `tutte --cache` builds that same class, so a wrapper put on it sees the
+    run."""
+    from matroid_workbench import deletion_contraction
+
     cls = cli.FileTutteCache
-    assert issubclass(cls, tutte.TutteCache) and cli.FileTutteCache is cls
+    assert cls is deletion_contraction.FileTutteCache and issubclass(cls, tutte.TutteCache)
     keys = []
     put = cls.put
 
@@ -866,6 +1063,12 @@ def test_tutte_command_builds_the_cache_class_it_exports(tmp_path, monkeypatch):
 
 
 # -------------------------------------------------------------------- caching
+
+
+def _file_cache(directory):
+    """The cache `tutte --cache` builds: a FileTutteCache on the CLI's JSON
+    codec."""
+    return cli.FileTutteCache(str(directory), cli._loads, cli._dumps)
 
 
 def test_tutte_cache_cold_warm_identical(tmp_path):
@@ -899,7 +1102,7 @@ def test_cache_put_replaces_a_stale_temp_file_and_removes_its_own_on_failure(tmp
     a write that fails removes its own."""
     from matroid_workbench import tutte_dc, uniform
 
-    cache = cli.FileTutteCache(str(tmp_path))
+    cache = _file_cache(tmp_path)
     M, N = uniform(1, 2), uniform(2, 4)
     path = cache._path(M.memo_key())
     pathlib.Path(f"{path}.{os.getpid()}.tmp").write_text("partial")
@@ -972,7 +1175,7 @@ def test_tutte_cache_files_hold_the_json_of_each_entry(tmp_path):
 
     written = {}
     k5 = from_graph([(a, b) for a in range(5) for b in range(a + 1, 5)])
-    tutte_dc(k5, Recording(str(tmp_path)))
+    tutte_dc(k5, Recording(str(tmp_path), cli._loads, cli._dumps))
     assert written and sorted(p.name for p in tmp_path.iterdir()) == sorted(
         hashlib.sha256(key).hexdigest() + ".json" for key in written)
     for key, poly in written.items():
@@ -990,7 +1193,7 @@ def test_cache_file_names_are_hashlib_sha256_digests(tmp_path):
     matroids = [from_graph([(0, 1), (1, 2), (0, 2), (2, 3)]), uniform(3, 7),
                 from_matrix("Q", FANO["matrix"]), from_matrix("GF(7)", [[1, 2, 3, 4], [0, 1, 5, 6]])]
     keys = [M.memo_key() for M in matroids] + [b"", b"k" * 55, b"k" * 56, b"k" * 64, b"k" * 1000]
-    cache = cli.FileTutteCache(str(tmp_path))
+    cache = _file_cache(tmp_path)
     for key in keys:
         assert cache._path(key) == os.path.join(str(tmp_path), hashlib.sha256(key).hexdigest() + ".json")
 
@@ -1005,16 +1208,16 @@ def test_warm_cache_check_counts_bases_without_enumerating(tmp_path, monkeypatch
     k5 = from_graph([(a, b) for a in range(5) for b in range(a + 1, 5)])
     family = [k5, uniform(3, 7), from_bases(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])]
     polys = [tutte_dc(M) for M in family]
-    writer = cli.FileTutteCache(str(tmp_path))
+    writer = _file_cache(tmp_path)
     for M, poly in zip(family, polys):
         writer.put(M.memo_key(), poly)
     monkeypatch.setattr(Matroid, "bases", lambda self, limit=0: pytest.fail("bases enumerated"))
-    reader = cli.FileTutteCache(str(tmp_path))
+    reader = _file_cache(tmp_path)
     for M, poly in zip(family, polys):
         assert reader.get(M.memo_key(), M) == poly
     # T(1, 1) one too large, with T(2, 2) and the degree bounds kept
     writer.put(k5.memo_key(), polys[0] + BivariatePoly({(1, 0): 1, (0, 1): -2, (0, 0): 2}))
-    assert cli.FileTutteCache(str(tmp_path)).get(k5.memo_key(), k5) is None
+    assert _file_cache(tmp_path).get(k5.memo_key(), k5) is None
 
 
 def test_jobs_byte_identical():
@@ -1067,8 +1270,8 @@ Q_VANDERMONDE_4X9 = {
     "matrix": [[x**i for x in (-11, -10, -6, -3, -2, 4, 5, 6, 8)] for i in range(4)],
 }
 # C5 with one edge replaced by 20 parallel copies: its walk bound (301) is
-# small, but the walk meets the 2^20 subsets of the parallel class, so it
-# passes its cap and deletion-contraction takes over
+# small, but the walk would meet the 2^20 subsets of the parallel class, far
+# past its cap, so deletion-contraction runs instead
 FAT_GRAPH = {"type": "graphic", "edges": [[0, 1]] * 20 + [[1, 2], [2, 3], [3, 4], [4, 0]]}
 GF7_3X8 = {
     "type": "linear",
@@ -1085,8 +1288,11 @@ GF3_4X11 = {
 }
 
 
-@pytest.mark.parametrize(
-    "args, module, name, spoil, message, descriptor",
+_FAULT_ROWS = dict(zip(
+    ["os-dims", "os-basis", "reduced-os-basis", "hlv", "charpoly", "tutte", "tutte-core", "tutte-fat",
+     "tutte-walk", "euler-table-h",
+     "hlv-walk", "charpoly-walk", "charpoly-dc", "euler-table-lcm", "euler-table-width", "os-dims-echelon-Q",
+     "os-dims-echelon-GF7", "euler-table-echelon", "hlv-echelon-GF3", "charpoly-echelon-GF3"],
     [
         (["os-dims"], orlik_solomon, "nbc_sets", _one_set_short_in_degree_3,
          "nbc sets != Whitney number", K4),
@@ -1104,7 +1310,7 @@ GF3_4X11 = {
         # deletion-contraction closes every core of rank at most 2 by the
         # walk's _superset_counts: two classes merged there
         (["tutte"], tutte, "_superset_counts", _two_classes_merged, "Greene", _complete_graph(7)),
-        # deletion-contraction after the walk outgrew its cap
+        # deletion-contraction, where a parallel class of 20 edges sends it
         (["tutte"], tutte, "tutte_dc", _plus(BivariatePoly({(1, 0): 1, (0, 1): -1})), "Greene", FAT_GRAPH),
         # any class sizes keep the 2^#E total of the subset walk; two classes
         # merged at each walk node that has more than one. check_tutte holds
@@ -1135,10 +1341,11 @@ GF3_4X11 = {
         (["charpoly"], linalg._Echelon, "classes", _last_two_classes_merged, "impossible corank-nullity count",
          GF3_4X11),
     ],
-    ids=["os-dims", "os-basis", "reduced-os-basis", "hlv", "charpoly", "tutte", "tutte-core", "tutte-fat",
-         "tutte-walk", "euler-table-h",
-         "hlv-walk", "charpoly-walk", "charpoly-dc", "euler-table-lcm", "euler-table-width", "os-dims-echelon-Q",
-         "os-dims-echelon-GF7", "euler-table-echelon", "hlv-echelon-GF3", "charpoly-echelon-GF3"],
+))
+
+
+@pytest.mark.parametrize(
+    "args, module, name, spoil, message, descriptor", list(_FAULT_ROWS.values()), ids=list(_FAULT_ROWS)
 )
 def test_injected_fault_exits_4(args, module, name, spoil, message, descriptor, monkeypatch, capsys):
     """One wrong inner value stops each command before output: exit code 4,
@@ -1149,3 +1356,40 @@ def test_injected_fault_exits_4(args, module, name, spoil, message, descriptor, 
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1 and message in err, err
+
+
+# the rows that spoil deletion-contraction or the closed form it shares
+# with the walk, both reached through tutte.py's names
+_DC_FAULT_ROWS = [row for row, (_, _, name, *_) in _FAULT_ROWS.items() if name in ("tutte_dc", "_superset_counts")]
+
+
+@pytest.mark.parametrize("row", _DC_FAULT_ROWS)
+def test_dc_fault_rows_exit_4_with_deletion_contraction_loaded_first(row, monkeypatch, capsys):
+    """The deletion-contraction rows, run after deletion_contraction.py is
+    imported, so that none passes or fails by the order of the tests: its
+    code reads tutte._superset_counts at each call, and tutte_polynomial
+    calls tutte.tutte_dc, so a patch on either reaches the command."""
+    importlib.import_module("matroid_workbench.deletion_contraction")
+    test_injected_fault_exits_4(*_FAULT_ROWS[row], monkeypatch, capsys)
+
+
+# tutte._superset_counts with its last two class sizes merged, set before
+# deletion_contraction.py is imported
+_MERGED_CLASSES = (
+    "from matroid_workbench import tutte\n"
+    "counts = tutte._superset_counts\n"
+    "tutte._superset_counts = lambda c, nu, m, sizes: counts("
+    "c, nu, m, (*sizes[:-2], sum(sizes[-2:])) if len(sizes) > 1 else sizes)\n"
+)
+
+
+@pytest.mark.parametrize("args", [["tutte"], ["tutte", "--cache", "CACHE"]])
+def test_dc_fault_row_exits_4_with_deletion_contraction_loaded_after_the_patch(args, tmp_path):
+    """The same fault in a fresh interpreter, patched before
+    deletion_contraction.py loads: M(K7) goes to deletion-contraction,
+    whose rank-2 cores read the patched closed form, so Greene's identity
+    fails and the command exits 4."""
+    args = [str(tmp_path) if a == "CACHE" else a for a in args]
+    rc, loaded, out, err = _run_in_fresh_process(args, _complete_graph(7), setup=_MERGED_CLASSES)
+    assert (rc, out) == (4, "") and _COLD_MODULES["dc"] in loaded
+    assert len(err) == 1 and "Greene" in err[0], err

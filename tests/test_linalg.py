@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matroid_workbench import PrimeField, QQ
+from matroid_workbench.graphs import int_determinant
 from matroid_workbench.linalg import IntEchelon, ModEchelon, _echelon, _rref, _store_column, rref
-from matroid_workbench.matroids import RollbackUnionFind, int_determinant
+from matroid_workbench.matroids import RollbackUnionFind
 
 from helpers import column_matroid
 

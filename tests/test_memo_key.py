@@ -33,7 +33,7 @@ from matroid_workbench import (
     tutte_sum,
     uniform,
 )
-from matroid_workbench.linalg import _scaling_normal_form
+from matroid_workbench.linear_minors import _scaling_normal_form
 
 from helpers import (
     GF7_6X17,

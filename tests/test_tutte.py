@@ -196,7 +196,7 @@ def _random_q(rows, cols, seed):
 
 # C5 with one edge replaced by 20 parallel copies, and the Q matrix of 20
 # copies of e1 with e2, e3, e4 and e1 + e2 + e3 + e4: walk bounds of 301,
-# but the walk meets the 2^20 subsets of the parallel class
+# but the walk would meet the 2^20 subsets of the parallel class
 FAT_GRAPH = [(0, 1)] * 20 + [(1, 2), (2, 3), (3, 4), (4, 0)]
 FAT_Q = [[1] * 20 + [0, 0, 0, 1], [0] * 20 + [1, 0, 0, 1], [0] * 20 + [0, 1, 0, 1], [0] * 20 + [0, 0, 1, 1]]
 
@@ -218,9 +218,10 @@ ROUTE_INPUTS = {
     "Petersen": (lambda: from_graph(PETERSEN), ["dc"]),
     "U(10,20)": (lambda: uniform(10, 20), ["dc"]),
     "M(K8)": (lambda: _complete_graph(8), ["dc"]),
-    # the walk passes its cap and hands over
-    "fat graph": (lambda: from_graph(FAT_GRAPH), ["walk", "dc"]),
-    "fat Q matrix": (lambda: from_matrix("Q", FAT_Q), ["walk", "dc"]),
+    # a parallel class of 20 elements alone would make the walk pass its
+    # cap (2^20 > 16 * 301), so the walk is not started
+    "fat graph": (lambda: from_graph(FAT_GRAPH), ["dc"]),
+    "fat Q matrix": (lambda: from_matrix("Q", FAT_Q), ["dc"]),
     # the loops are deleted before the rule reads the walk bound: the
     # 8-element core walks within walk_bound(8, 7) = 219 nodes
     "U(7,8) + 10 loops as bases": (lambda: from_bases(18, list(combinations(range(8), 7))), ["walk"]),
@@ -252,6 +253,21 @@ def test_route_rule_reads_the_walk_bound(name, monkeypatch):
     calls = _spy_routes(monkeypatch)
     assert tutte.tutte_polynomial(M) == expected
     assert calls == want
+
+
+@pytest.mark.parametrize("name", ["8 parallel pairs as bases", "GF(7) 6x17", "M(K6)"])
+def test_a_walk_past_its_cap_hands_over_to_deletion_contraction(name, monkeypatch):
+    """With WALK_CAP_FACTOR lowered to 1 the walk starts on these inputs,
+    whose parallel classes have at most 2 elements, and passes walk_bound
+    nodes (the 8 parallel pairs visit 2.33 times it, the GF(7) matrix
+    3,241 nodes against 3,214), so it hands over to deletion-contraction,
+    which gives T."""
+    M = ROUTE_INPUTS[name][0]()
+    expected = tutte_dc(M)
+    monkeypatch.setattr(tutte, "WALK_CAP_FACTOR", 1)
+    calls = _spy_routes(monkeypatch)
+    assert tutte.tutte_polynomial(M) == expected
+    assert calls == ["walk", "dc"]
 
 
 LOOPY_INPUTS = {

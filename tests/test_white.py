@@ -23,6 +23,7 @@ from matroid_workbench import (
     toric_fibers,
     uniform,
     white,
+    white_lift,
 )
 from matroid_workbench.white import _join, _labels
 
@@ -260,7 +261,7 @@ def test_lift_of_a_hand_made_partition(labelling, k):
     labels = {m: labelling(i, m) for i, m in enumerate(lower)}
     monomials = list(combinations_with_replacement(range(n_bases), k))
     flat = [labels[m] * n_bases for m in lower]
-    parent = _join((max(labels.values()) + 1) * n_bases, white._lift(flat, n_bases, k))
+    parent = _join((max(labels.values()) + 1) * n_bases, white_lift._lift(flat, n_bases, k))
     # one multidegree code for all: the partition ignores the fibers
     *lifted, _ = white._labels(parent, flat, n_bases, k, [0] * n_bases)
     assert len(lifted) == len(monomials)
@@ -296,7 +297,7 @@ def _star_matches_lift(M, d):
     the same order."""
     fibers = toric_fibers(M, d)
     _, masks, index, codes = white._tables(M, d)
-    *_, summary = white._lift_route(masks, index, codes, d)
+    *_, summary = white_lift._lift_route(masks, index, codes, d)
     lifted = sorted(summary.items())
     assert [(f.size, f.n_components) for f in fibers] == [(size, len(reps)) for _, (size, reps) in lifted]
     assert [f.representatives for f in fibers] == [reps for _, (_, reps) in lifted]
@@ -371,13 +372,13 @@ def test_star_route_runs_no_lift(corpus_by_name, monkeypatch):
     degree 3 on; the lift runs once, for every fiber, when the
     representatives are first read."""
     calls = []
-    lift = white._lift
+    lift = white_lift._lift
 
     def recording(flat, n_bases, k):
         calls.append(k)
         return lift(flat, n_bases, k)
 
-    monkeypatch.setattr(white, "_lift", recording)
+    monkeypatch.setattr(white_lift, "_lift", recording)
     M = corpus_by_name["k4"]
     report = check_degree(M, 4)
     assert report["all_connected"] is True
@@ -555,7 +556,7 @@ def test_degree_two_move_out_of_its_fiber_is_an_invariant_violation(
 
 
 def test_lift_join_across_fibers_is_an_invariant_violation(corpus_by_name, monkeypatch, capsys):
-    lift = white._lift
+    lift = white_lift._lift
 
     def crossing(flat, n_bases, k):
         # (0, 0) has label 0, so keys 0 and 1 are those of the last factor
@@ -565,7 +566,7 @@ def test_lift_join_across_fibers_is_an_invariant_violation(corpus_by_name, monke
     # with no degree-2 move every degree-2 fiber of two or more monomials
     # splits, so degree 3 is lifted rather than closed by stars
     monkeypatch.setattr(white, "_degree_two", lambda *args: ())
-    monkeypatch.setattr(white, "_lift", crossing)
+    monkeypatch.setattr(white_lift, "_lift", crossing)
     with pytest.raises(InternalInvariantViolation, match="move left the fiber"):
         check_degree(corpus_by_name["u_2_4"], 3)
     _white_check_exits_4(capsys, monkeypatch, {"type": "uniform", "r": 2, "n": 4})
@@ -600,13 +601,13 @@ def test_report_builds_no_named_views(corpus_by_name, monkeypatch):
     """check_degree reads the labeling pass's summary only; the named views
     are built once, for every fiber of a call, at their first access."""
     calls = []
-    build = white._named_views
+    build = white_lift._named_views
 
     def recording(*args):
         calls.append(args[1])
         return build(*args)
 
-    monkeypatch.setattr(white, "_named_views", recording)
+    monkeypatch.setattr(white_lift, "_named_views", recording)
     M = corpus_by_name["k4"]
     check_degree(M, 3)
     fibers = toric_fibers(M, 3)
