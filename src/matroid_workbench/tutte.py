@@ -168,18 +168,22 @@ def _superset_counts(c, nu, m, sizes):
         yield (c - 2, nu + j - 2), comb(m, j) - none - one
 
 
+def _shift(terms, a, b):
+    """{(i, j): coefficient of x^i y^j} of the sum of c (x + a)^p (y + b)^q
+    over the terms ((p, q), c), expanded by binomials: the one change of
+    variables behind T, h, chi and Greene's sum."""
+    out = {}
+    for (p, q), c in terms:
+        for i in range(p + 1):
+            ci = c * comb(p, i) * a ** (p - i)
+            for j in range(q + 1):
+                out[i, j] = out.get((i, j), 0) + ci * comb(q, j) * b ** (q - j)
+    return out
+
+
 def tutte_from_counts(counts) -> BivariatePoly:
-    """Sum of n (x-1)^c (y-1)^nu over rank_size_counts entries, expanded by
-    binomials."""
-    t = {}
-    for (c, nu), n in counts.items():
-        for i in range(c + 1):
-            ci = comb(c, i) * (-1) ** (c - i)
-            for j in range(nu + 1):
-                coeff = n * ci * comb(nu, j) * (-1) ** (nu - j)
-                if coeff:
-                    t[(i, j)] = t.get((i, j), 0) + coeff
-    return BivariatePoly(t)
+    """Sum of n (x-1)^c (y-1)^nu over rank_size_counts entries."""
+    return BivariatePoly(_shift(counts.items(), -1, -1))
 
 
 def tutte_sum(M: Matroid, max_nodes=None) -> BivariatePoly:
@@ -307,16 +311,13 @@ def check_tutte(M: Matroid, t: BivariatePoly):
                 f"Tutte polynomial has T(1,1) = {t.evaluate(1, 1)}, not the spanning forest count"
             )
         return
-    # (1+z)^i (1-z)^(r-i) for i = 0..r, as coefficient lists
-    products = [
-        [sum(comb(i, a) * comb(r - i, d - a) * (-1) ** (d - a) for a in range(max(0, d - r + i), min(i, d) + 1))
-         for d in range(r + 1)]
-        for i in range(r + 1)
-    ]
+    # T(1 + X, 1 + Y) = sum of k X^c Y^nu; at X = 2z/(1-z) and Y = (1-z)/z
+    # each term gives k 2^c z^(#E-r+c-nu) (1-z)^(r-c+nu)
     greene = [0] * (n + 1)
-    for (i, j), c in t.terms():
-        for d, p in enumerate(products[i], n - r - j):
-            greene[d] += c * p
+    for (c, nu), k in _shift(t.terms(), 1, 1).items():
+        e = r - c + nu
+        for l in range(e + 1):
+            greene[n - e + l] += k * 2**c * comb(e, l) * (-1) ** l
     cuts = cut_weights(edges)
     if greene != cuts:
         w = next(w for w, (a, b) in enumerate(zip(cuts, greene)) if a != b)
@@ -372,16 +373,9 @@ def char_poly(M: Matroid, tutte: BivariatePoly | None = None) -> UnivariatePoly:
     Identically zero when M has a loop.
     """
     t = tutte if tutte is not None else tutte_polynomial(M)
-    sign = (-1) ** M.r
-    out = {}
-    for (a, b), c in t.terms():
-        if b != 0:
-            continue  # y = 0 kills terms with y-degree > 0
-        # (1-u)^a = sum_i C(a, i) (-u)^i
-        for i in range(a + 1):
-            coeff = sign * c * comb(a, i) * (-1) ** i
-            out[i] = out.get(i, 0) + coeff
-    return UnivariatePoly(out)
+    # y = 0 kills the terms of positive y-degree; T(1 + w, 0) at w = -u
+    shifted = _shift(((key, c) for key, c in t.terms() if key[1] == 0), 1, 0)
+    return UnivariatePoly({i: (-1) ** (M.r + i) * c for (i, _), c in shifted.items()})
 
 
 def reduced_char_poly(M: Matroid, tutte: BivariatePoly | None = None) -> UnivariatePoly:
@@ -402,23 +396,18 @@ def reduced_char_poly(M: Matroid, tutte: BivariatePoly | None = None) -> Univari
 def h_from_tutte(tutte: BivariatePoly, size, r) -> BivariatePoly:
     """h(u, v) = v^(#E - r) T(u + 1, 1/v + 1), expanded exactly.
 
-    Each Tutte term x^a y^b contributes C(a,i) C(b,j) u^i v^(m - b + j)
-    with m = #E - r; the exponent m - b is nonnegative because y-degree
-    in the Tutte polynomial is at most the corank.
+    T(u + 1, w + 1) holds w^j for j at most the y-degree of T, and
+    v^(#E - r) w^j = v^(m - j) with m = #E - r, nonnegative because the
+    y-degree of the Tutte polynomial is at most the corank.
     """
     m = size - r
-    t = {}
-    for (a, b), c in tutte.terms():
+    terms = tutte.terms()
+    for (_, b), _ in terms:
         if b > m:
             raise InternalInvariantViolation(
                 f"Tutte term y-degree {b} exceeds corank {m}"
             )
-        for i in range(a + 1):
-            ca = comb(a, i)
-            for j in range(b + 1):
-                key = (i, m - b + j)
-                t[key] = t.get(key, 0) + c * ca * comb(b, j)
-    return BivariatePoly(t)
+    return BivariatePoly({(i, m - j): c for (i, j), c in _shift(terms, 1, 1).items()})
 
 
 def h_polynomial(M: Matroid) -> BivariatePoly:

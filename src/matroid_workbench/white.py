@@ -8,15 +8,13 @@ being connected in degree d certifies that the toric ideal needs no
 minimal generators in that degree beyond quadrics; a disconnected fiber
 only yields candidate witnesses (the certificate is one-directional).
 
-Moves are computed explicitly in degree 2 only, from the double swaps of
-each pair of bases. For k >= 3 every degree-k move fixes a factor B and is
-B times a degree-(k-1) move, and every degree-(k-1) path from m to m'
-lifts to a path from B*m to B*m'. So the move components of degree k are
-the components of the relation "v = B*m and w = B*m' with m, m' in one
-degree-(k-1) component"; no exchange is computed above degree 2
-(Sturmfels, Groebner Bases and Convex Polytopes, ch. 5). Monomials are
-sorted tuples of indices into M.bases(), whose lexicographic order is that
-of the bases themselves.
+A degree-d move replaces two factors of a monomial by a pair that one
+double swap reaches from them and fixes the other d - 2 factors. For
+k >= 3 every degree-k move is thus B times a degree-(k-1) move for a fixed
+factor B, and every degree-(k-1) path from m to m' lifts to a path from
+B*m to B*m' (Sturmfels, Groebner Bases and Convex Polytopes, ch. 5).
+Monomials are sorted tuples of indices into M.bases(), whose
+lexicographic order is that of the bases themselves.
 
 Star closure. While every lower fiber is connected, the monomials of a
 degree-k fiber c that hold a basis B, B times the fiber c - B, lie in one
@@ -28,22 +26,17 @@ degree's from the pairs (lower fiber, basis); each fiber's mask is split
 by a bitmask closure that stops once a component covers it, and the fiber
 sizes of degree d come from one count of the monomials' multidegree
 codes. This is the route whenever every degree-2 fiber and every fiber
-below degree d is connected; no monomial is labeled.
+below degree d is connected; no monomial is listed. Degree 2 is checked
+by one union-find over the positions of the degree-2 monomials, joined by
+their double swaps.
 
-Lift. Otherwise each degree-k monomial gets one lift key per distinct
-factor B, the label of its quotient by B and B, and one union-find over
-the keys gives the components (white_lift.py, which loads only where the
-lift runs). Degrees 1 and 2 are labeled here, by one union-find over the
-positions of the degree-2 monomials and one labeling pass in
-lexicographic order, which numbers the components and records for each
-fiber its size and the least monomial of each component; every component
-must lie in one fiber.
-
-The report reads only the sizes and component counts. The
-representatives and the named vertices, adjacency lists and components
-come from the lift at their first access, and where the star closure
-split the fibers the lift must give every fiber the same size and
-component count.
+Move split. Otherwise each degree-d fiber is searched breadth first by
+its moves (white_moves.py, which loads only where the split runs), and no
+lower degree is read. The report reads only the sizes and component
+counts. The representatives and the named vertices, adjacency lists and
+components come from the move split at their first access, and where the
+star closure split the fibers the moves must give every fiber the same
+size and component count.
 
 Before a report leaves check_degree, the number of fibers must equal the
 number of integer points of d*P_M, the sums of d bases (Edmonds; White
@@ -113,13 +106,13 @@ class FiberGraph:
 
     `size` and `n_components` come from the route that split the fibers.
     The multidegree is decoded from the fiber's code when read. The rest is
-    read from the lift, run at the first access for every fiber of the
-    toric_fibers call that returned them: `representatives` are the least
-    monomial of each component, as sorted d-tuples of indices into
+    read from the move split, run at the first access for every fiber of
+    the toric_fibers call that returned them: `representatives` are the
+    least monomial of each component, as sorted d-tuples of indices into
     M.bases(), in increasing order; `vertices` are the sorted d-tuples of
-    bases in lexicographic order, `adjacency` maps each vertex to its
-    neighbours, and `components` are sorted lists of vertices, in order of
-    their least vertex.
+    bases in lexicographic order, `adjacency` maps each vertex to the
+    sorted vertices that one move reaches from it, and `components` are
+    sorted lists of vertices, in order of their least vertex.
     """
 
     __slots__ = ("degree", "size", "n_components", "_n_elements", "_code", "_summary", "_views")
@@ -145,7 +138,7 @@ class FiberGraph:
 
     @property
     def representatives(self):
-        return self._summary()[self._code][1]
+        return [comp[0] for comp in self._summary()[self._code]]
 
     @property
     def vertices(self):
@@ -162,12 +155,12 @@ class FiberGraph:
 
 def _check_budget(n_bases, d, budget):
     """Refuse unless b * C(b + d, d - 1) <= budget: the basis factors of
-    all monomials of degrees 1..d. Each factor gives at most one lift key,
-    so this bounds the keys the lift joins and labels, and every list it
-    holds is shorter; the pairs (lower fiber, basis) of the star closure
-    and the monomial codes it counts are fewer too. The product is built
-    one nondecreasing factor at a time and stops at the first partial
-    product over the budget, so a huge degree costs a few steps."""
+    all monomials of degrees 1..d. This bounds the C(b + d - 1, d)
+    monomials that the move split lists, and the pairs (lower fiber,
+    basis) that the star closure forms and the monomial codes it counts
+    are fewer too. The product is built one nondecreasing factor at a
+    time and stops at the first partial product over the budget, so a
+    huge degree costs a few steps."""
     k = min(d - 1, n_bases + 1)
     top = n_bases + d - k
     count = n_bases
@@ -182,99 +175,39 @@ def _check_budget(n_bases, d, budget):
         )
 
 
-def _monomials(n_bases, k):
-    return itertools.combinations_with_replacement(range(n_bases), k)
+def _checked_swaps(masks, index, codes, i, j):
+    """_swaps of bases i and j, each of which must keep their multidegree
+    code."""
+    out = _swaps(masks, index, i, j)
+    for w in out:
+        if codes[w[0]] + codes[w[1]] != codes[i] + codes[j]:
+            # double swaps preserve the multidegree; escaping the fiber
+            # means this module miscomputed a move
+            raise InternalInvariantViolation(f"exchange move left the fiber: {w} from {(i, j)}")
+    return out
 
 
-def _row_offsets(n_bases, m):
-    """{q: position of q + (l,) among the degree-(m + 1) monomials, minus l}
-    for every degree-m monomial q. The monomials q + (l,) with l >= last(q)
-    are contiguous in lexicographic order, so one offset serves them all."""
-    offsets, pos = {}, 0
-    for q in _monomials(n_bases, m):
-        last = q[-1] if q else 0
-        offsets[q] = pos - last
-        pos += n_bases - last
-    return offsets
-
-
-def _join(n_items, pairs):
-    """The union-find forest over items 0..n_items - 1 in which the two
-    items of each pair are joined: a list in which each root is its own
-    parent, with path halving."""
-    parent = list(range(n_items))
-    for x, y in pairs:
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        while parent[y] != y:
-            parent[y] = y = parent[parent[y]]
-        parent[y] = x
-    return parent
-
-
-def _labels(parent, heads, n_bases, k, codes):
-    """Component labels of the degree-k monomials, and a summary of their
-    fibers.
-
-    The monomials are walked in lexicographic order as p + (l,), for each
-    degree-(k - 1) prefix p with its entry `head` of `heads` and each
-    l >= last(p); item head + l of the forest `parent` lies in the
-    component of p + (l,). Components are numbered in the order in which
-    the walk first reaches them. Yields each monomial's label * n_bases,
-    in lexicographic order, and then {multidegree code: [fiber size, first
-    monomial of each component]}, so a caller that needs only the summary
-    stores no labels. Every component must lie in one fiber.
-    """
-    comps = {}
-    for p, head in zip(_monomials(n_bases, k - 1), heads):
-        code = sum(map(codes.__getitem__, p))
-        for l in range(p[-1] if p else 0, n_bases):
-            x = head + l
+def _degree_two_connected(masks, index, codes):
+    """Whether every degree-2 fiber is connected: one union-find, with path
+    halving, over the positions head[i] + j of the monomials (i, j),
+    i <= j, in lexicographic order, head[i] = i*b - i(i + 1)/2 for b
+    bases, each joined to the monomials one double swap reaches. Every
+    component lies in one fiber, so the fibers are connected when there
+    are as many roots as fibers."""
+    b = len(masks)
+    heads = [i * b - i * (i + 1) // 2 for i in range(b)]
+    monomials = list(itertools.combinations_with_replacement(range(b), 2))
+    parent = list(range(len(monomials)))
+    for i, j in monomials:
+        for w in _checked_swaps(masks, index, codes, i, j):
+            x, y = heads[i] + j, heads[w[0]] + w[1]
             while parent[x] != x:
                 parent[x] = x = parent[parent[x]]
-            comp = comps.get(x)
-            if comp is None:
-                comp = comps[x] = [len(comps) * n_bases, code + codes[l], 0, p + (l,)]
-            elif comp[1] != code + codes[l]:
-                # moves preserve the multidegree and a component is the closure
-                # of its moves, so this module joined two fibers
-                raise InternalInvariantViolation(
-                    f"move left the fiber: {p + (l,)} joined to {comp[3]}"
-                )
-            comp[2] += 1
-            yield comp[0]
-    fibers = {}
-    for _, code, size, first in comps.values():
-        fiber = fibers.setdefault(code, [0, []])
-        fiber[0] += size
-        fiber[1].append(first)
-    yield fibers
-
-
-def _degree_two(masks, index, codes, heads):
-    """Pairs of degree-2 monomials joined by one double swap, each (i, j)
-    given by its lexicographic position heads[i] + j."""
-    for i, j in _monomials(len(masks), 2):
-        for w in _swaps(masks, index, i, j):
-            if codes[w[0]] + codes[w[1]] != codes[i] + codes[j]:
-                # double swaps preserve the multidegree; escaping the
-                # fiber means this module miscomputed a move
-                raise InternalInvariantViolation(
-                    f"exchange move left the fiber: {w} from {(i, j)}"
-                )
-            yield heads[i] + j, heads[w[0]] + w[1]
-
-
-def _labeling(k, masks, index, codes):
-    """The labeling pass of degree 1 or 2: the bases themselves, then the
-    double-swap moves (white_lift._labeling lifts the degrees above)."""
-    n_bases = len(masks)
-    if k == 1:
-        n_items, heads, pairs = n_bases, [0], ()
-    else:
-        heads = list(_row_offsets(n_bases, 1).values())
-        n_items, pairs = comb(n_bases + 1, 2), _degree_two(masks, index, codes, heads)
-    return _labels(_join(n_items, pairs), heads, n_bases, k, codes)
+            while parent[y] != y:
+                parent[y] = y = parent[parent[y]]
+            parent[y] = x
+    roots = sum(x == p for x, p in enumerate(parent))
+    return roots == len({codes[i] + codes[j] for i, j in monomials})
 
 
 def _node_masks(lower, codes):
@@ -366,34 +299,48 @@ def _tables(M, d):
 def toric_fibers(M: Matroid, d, budget=DEFAULT_BUDGET):
     """All degree-d fibers as FiberGraph objects, sorted by multidegree.
 
-    From degree 3 on, while every fiber below degree d is connected, the
-    star closure gives the component counts (_star_components) and one
-    count of the monomial codes the sizes (_fiber_sizes), which must find
-    the same fibers; otherwise the lift (white_lift._lift_route) gives
-    both. The representatives and named views read the lift at their
-    first access, held to those sizes and counts. All degrees together
-    have at most b * C(b + d, d - 1) basis factors for b bases; above
-    `budget` the construction refuses (TooLarge) before it enumerates any
-    monomial.
+    From degree 3 on, while every degree-2 fiber and every fiber below
+    degree d is connected, the star closure gives the component counts
+    (_star_components) and one count of the monomial codes the sizes
+    (_fiber_sizes), which must find the same fibers; otherwise the move
+    split (white_moves._split) gives both. The representatives and named
+    views read the move split at their first access, held to those sizes
+    and counts. All degrees together have at most b * C(b + d, d - 1) basis
+    factors for b bases; above `budget` the construction refuses
+    (TooLarge) before it enumerates any monomial.
     """
     if d < 1:
         raise InvalidInput(f"degree must be >= 1, got {d}")
     _check_budget(len(M.bases()), d, budget)
     bases, masks, index, codes = _tables(M, d)
-    flat = lower = counts = None
-    if d > 2:
-        *flat, lower = _labeling(2, masks, index, codes)
-        if all(len(reps) == 1 for _, reps in lower.values()):
-            counts = _star_components(codes, d)
+    counts = None
+    if d > 2 and _degree_two_connected(masks, index, codes):
+        counts = _star_components(codes, d)
 
     @functools.cache
-    def lift():
-        from .white_lift import _lift_route
+    def moves():
+        from .white_moves import _moves
 
-        return _lift_route(masks, index, codes, d, flat, lower)
+        return _moves(masks, index, codes, d)
+
+    def shape(components):
+        return {code: (sum(map(len, comps)), len(comps)) for code, comps in components.items()}
+
+    @functools.cache
+    def summary():
+        """The move split, held to the star closure's sizes and counts where
+        those gave the fibers."""
+        from .white_moves import _split
+
+        components = _split(codes, d, moves())
+        if counts is not None and shape(components) != fibers:
+            raise InternalInvariantViolation(
+                f"the moves and the star closure split the degree-{d} fibers apart"
+            )
+        return components
 
     if counts is None:
-        fibers = {code: (size, len(reps)) for code, (size, reps) in lift()[2].items()}
+        fibers = shape(summary())
     else:
         sizes = _fiber_sizes(codes, d)
         if sizes.keys() != counts.keys():
@@ -403,19 +350,10 @@ def toric_fibers(M: Matroid, d, budget=DEFAULT_BUDGET):
         fibers = {code: (sizes[code], n) for code, n in counts.items()}
 
     @functools.cache
-    def summary():
-        lifted = lift()[2]
-        if {code: (size, len(reps)) for code, (size, reps) in lifted.items()} != fibers:
-            raise InternalInvariantViolation(
-                f"the lift and the star closure split the degree-{d} fibers apart"
-            )
-        return lifted
-
-    @functools.cache
     def views():
-        from .white_lift import _views
+        from .white_moves import _views
 
-        return _views(bases, masks, index, codes, d, lift())
+        return _views(bases, moves(), summary())
 
     return [
         FiberGraph(d, M.size, size, n, code, summary, views)

@@ -10,7 +10,7 @@ import re
 from collections import deque
 from fractions import Fraction
 from itertools import chain, combinations, combinations_with_replacement, permutations
-from math import lcm
+from math import comb, lcm
 
 from hypothesis import strategies as st
 
@@ -642,7 +642,8 @@ def explicit_move_components(M, d):
 
     Every pair of factors of every monomial is swapped by every x, y for
     which both results are bases, with frozensets and no table shared
-    between monomials: the move builder that the lift replaced.
+    between monomials: the move builder that the lift replaced, with no
+    table of double swaps.
     """
     bases = M.bases()
     bset = {frozenset(b) for b in bases}
@@ -684,3 +685,61 @@ def explicit_move_components(M, d):
             comps.append(sorted(comp))
         out[mdeg] = comps
     return out
+
+
+def braid_random_cluster(n):
+    """{(k, a): coefficient of q^k v^a} of Z_n = sum over the edge sets A
+    of K_n of q^(components of A) v^#A, by the exponential formula in
+    integers (Fortuin-Kasteleyn; Stanley, Enumerative Combinatorics 2,
+    5.1): with G_m = (1 + v)^C(m, 2) the weight of all edge sets on m
+    labeled vertices, the connected ones weigh
+    C_m = G_m - sum_{k<m} C(m-1, k-1) C_k G_(m-k), and
+    Z_m = sum_{k<=m} C(m-1, k-1) q C_k Z_(m-k), Z_0 = 1, by the component
+    of the first vertex. No rank oracle, no matroid and no subset."""
+
+    def times(p, q):
+        out = {}
+        for a, x in p.items():
+            for b, y in q.items():
+                out[a + b] = out.get(a + b, 0) + x * y
+        return out
+
+    G = [{a: comb(comb(m, 2), a) for a in range(comb(m, 2) + 1)} for m in range(n + 1)]
+    C = [None]
+    for m in range(1, n + 1):
+        c = dict(G[m])
+        for k in range(1, m):
+            for a, x in times(C[k], G[m - k]).items():
+                c[a] -= comb(m - 1, k - 1) * x
+        C.append(c)
+    Z = [{(0, 0): 1}]
+    for m in range(1, n + 1):
+        z = {}
+        for k in range(1, m + 1):
+            for (j, a), x in Z[m - k].items():
+                for b, y in C[k].items():
+                    z[j + 1, a + b] = z.get((j + 1, a + b), 0) + comb(m - 1, k - 1) * x * y
+        Z.append(z)
+    return {key: c for key, c in Z[n].items() if c}
+
+
+def braid_tutte(n):
+    """T(M(K_n)), n >= 1, from Z_n = (x - 1)(y - 1)^n T at q = (x - 1)(y - 1)
+    and v = y - 1: each term c q^k v^a of braid_random_cluster is
+    c (x - 1)^(k - 1) (y - 1)^(k + a - n), since an edge set with k
+    components on n vertices has at least n - k edges."""
+    t = {}
+    for (k, a), c in braid_random_cluster(n).items():
+        p, q = k - 1, k + a - n
+        for i in range(p + 1):
+            for j in range(q + 1):
+                t[i, j] = t.get((i, j), 0) + c * comb(p, i) * comb(q, j) * (-1) ** (p - i + q - j)
+    return BivariatePoly({key: c for key, c in t.items() if c})
+
+
+def braid_h(n):
+    """h(u, v) of M(K_n), n >= 1, read off braid_random_cluster: an edge
+    set A with k components has corank r - rk(A) = k - 1, so its term
+    q^k v^#A is u^(k - 1) v^(C(n, 2) - #A - (k - 1))."""
+    size = comb(n, 2)
+    return BivariatePoly({(k - 1, size - a - k + 1): c for (k, a), c in braid_random_cluster(n).items()})

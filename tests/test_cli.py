@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import prefix_state_series
+from helpers import braid_h, braid_tutte, prefix_state_series
 from matroid_workbench import (
     BivariatePoly,
     Matroid,
@@ -142,6 +142,26 @@ def test_braid_arrangements_are_answered(args, n, want, monkeypatch, capsys):
     assert cli.main(args) == 0
     out = json.loads(capsys.readouterr().out)
     assert (out if isinstance(want, list) else out["dimension"]) == want
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_braid_arrangements_match_the_exponential_formula(n, monkeypatch, capsys):
+    """tutte, hlv and charpoly on M(K_n) against the exponential formula
+    (helpers.braid_tutte and braid_h), which reads no rank oracle and no
+    subset; chi is (u - 1)(u - 2)...(u - n + 1). n = 11 and 12 would add
+    about 2.6 and 4.1 s, deletion-contraction run three times each."""
+
+    def run(command):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(_complete_graph(n))))
+        assert cli.main([command]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    assert BivariatePoly({(t["x"], t["y"]): int(t["c"]) for t in run("tutte")["terms"]}) == braid_tutte(n)
+    assert BivariatePoly({(t["u"], t["v"]): int(t["c"]) for t in run("hlv")["terms"]}) == braid_h(n)
+    chi = UnivariatePoly({0: 1})
+    for i in range(1, n):
+        chi = chi * UnivariatePoly({1: 1, 0: -i})
+    assert UnivariatePoly({t["u"]: int(t["c"]) for t in run("charpoly")["charpoly"]["terms"]}) == chi
 
 
 @pytest.mark.parametrize(
@@ -445,7 +465,7 @@ def test_cli_import_leaves_unused_modules_unloaded():
     loaded = set(proc.stdout.split())
     assert "matroid_workbench.cli" in loaded
     for name in ("corpus", "white", "orlik_solomon", "graphs", "tutte", "polynomials", "fields", "linalg",
-                 "deletion_contraction", "usage", "white_lift", "linear_minors", "basis_list", "os_algebra"):
+                 "deletion_contraction", "usage", "white_moves", "linear_minors", "basis_list", "os_algebra"):
         assert f"matroid_workbench.{name}" not in loaded
     for name in ("argparse", "shutil", "fractions", "decimal", "json", "re"):
         assert name not in loaded
@@ -627,13 +647,13 @@ def test_well_formed_commands_load_neither_argparse_nor_json(args, tmp_path):
 
 # Modules that hold code only some routes run, each loaded by those routes
 # alone: deletion-contraction with its memo tables and the cache file
-# class, the argparse fallback, the white lift and named views, the linear
+# class, the argparse fallback, the white move split and named views, the linear
 # minors and memo-key normal form, the basis-list backing, and the
 # Orlik-Solomon arithmetic.
 _COLD_MODULES = {
     "dc": "matroid_workbench.deletion_contraction",
     "usage": "matroid_workbench.usage",
-    "lift": "matroid_workbench.white_lift",
+    "moves": "matroid_workbench.white_moves",
     "linear minors": "matroid_workbench.linear_minors",
     "bases": "matroid_workbench.basis_list",
     "os algebra": "matroid_workbench.os_algebra",
@@ -683,22 +703,22 @@ def test_help_and_usage_errors_load_the_argparse_fallback(argv, monkeypatch):
     assert rc == (0 if "--help" in argv else 2)
 
 
-# with no degree-2 move every fiber of two or more monomials splits, so
-# white-check lifts degree 3 and reports witnesses
-_NO_DEGREE_TWO_MOVES = "from matroid_workbench import white\nwhite._degree_two = lambda *args: ()\n"
+# with no double swap every fiber of two or more monomials splits, so
+# white-check splits degree 3 by its (no) moves and reports witnesses
+_NO_DOUBLE_SWAPS = "from matroid_workbench import white\nwhite._swaps = lambda *args: set()\n"
 
 
 def test_white_check_loads_the_lift_only_for_a_split_fiber():
     """Every fiber of M(K5) minus an edge is connected, so the star
-    closure answers and the lift is never compiled; with the degree-2
-    moves taken away, fibers split, and the lift loads to confirm them
+    closure answers and the move split is never compiled; with the double
+    swaps taken away, fibers split, and the move split loads to split them
     and name the witnesses."""
     rc, loaded, out = _main_in_fresh_process(["white-check", "--degree", "3"], K5_MINUS_EDGE)
     assert rc == 0 and json.loads(out)["all_connected"] is True
     assert not loaded.intersection(_COLD_MODULES.values())
-    rc, loaded, out, _ = _run_in_fresh_process(["white-check", "--degree", "3"], U24, setup=_NO_DEGREE_TWO_MOVES)
+    rc, loaded, out, _ = _run_in_fresh_process(["white-check", "--degree", "3"], U24, setup=_NO_DOUBLE_SWAPS)
     assert rc == 0 and json.loads(out)["witnesses"]
-    assert _COLD_MODULES["lift"] in loaded
+    assert _COLD_MODULES["moves"] in loaded
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,7 @@ import io
 import json
 import sys
 import time
-from itertools import chain, combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
@@ -23,9 +23,8 @@ from matroid_workbench import (
     toric_fibers,
     uniform,
     white,
-    white_lift,
+    white_moves,
 )
-from matroid_workbench.white import _join, _labels
 
 
 def test_exchange_neighbors_frozen(corpus_by_name):
@@ -84,11 +83,10 @@ def test_fiber_adjacency_is_symmetric(corpus_by_name):
 
 
 def test_components_partition_disconnected_toy_graph():
-    # the degree-1 monomials (0,) .. (3,) are items 0 .. 3 of the forest
-    *labels, fibers = _labels(_join(4, [(0, 1), (3, 2)]), [0], 4, 1, [0] * 4)
-    assert [x // 4 for x in labels] == [0, 0, 1, 1]
-    assert fibers == {0: [4, [(0,), (2,)]]}
-    assert list(_labels(_join(2, []), [0], 2, 1, [0, 0]))[:-1] == [0, 2]
+    # the monomials (0,) .. (3,) of one fiber, moves joining 0 with 1 and 3 with 2
+    near = {(0,): {(1,)}, (1,): {(0,)}, (2,): {(3,)}, (3,): {(2,)}}
+    assert white_moves._search([(0,), (1,), (2,), (3,)], near.__getitem__) == [[(0,), (1,)], [(2,), (3,)]]
+    assert white_moves._search([(0,), (1,)], lambda v: set()) == [[(0,)], [(1,)]]
 
 
 def test_check_degree_reports(corpus_by_name):
@@ -176,7 +174,7 @@ def test_huge_degree_is_refused_at_once(degree):
     assert time.perf_counter() - start < 1
 
 
-# ------------------------------------------------ lift against explicit moves
+# ----------------------------------------- toric_fibers against explicit moves
 
 
 def _partition(fibers):
@@ -201,12 +199,12 @@ def small_matrices(draw, max_cols=6):
     return from_matrix(field, draw(st.lists(row, min_size=rows, max_size=rows)))
 
 
-def _lift_matches_explicit_moves(M, d):
+def _fibers_match_explicit_moves(M, d):
     fibers = toric_fibers(M, d)
     oracle = explicit_move_components(M, d)
     assert _partition(fibers) == oracle
     assert white._lattice_points(M, d) == len(fibers)
-    # the report reads the labeling pass's summary, not the views above
+    # the report reads the sizes and component counts, not the views above
     sizes = [sum(map(len, comps)) for comps in oracle.values()]
     report = check_degree(M, d)
     assert report["n_fibers"] == len(oracle)
@@ -218,60 +216,17 @@ def _lift_matches_explicit_moves(M, d):
 @settings(max_examples=30, deadline=None)
 @given(small_matrices())
 def test_lift_matches_explicit_moves_on_generated_matrices(M):
-    _lift_matches_explicit_moves(M, 3)
+    _fibers_match_explicit_moves(M, 3)
 
 
 @settings(max_examples=10, deadline=None)
 @given(small_matrices())
 def test_lift_matches_explicit_moves_on_generated_matrices_in_degree_4(M):
-    # from degree 4 on, the lift reads the row offsets of monomials p / f of
-    # degree 2 and more
-    _lift_matches_explicit_moves(M, 4)
+    # from degree 4 on, a move fixes two or more factors
+    _fibers_match_explicit_moves(M, 4)
 
 
-def _brute_lift(labels, n_bases, k):
-    """Components of the degree-k monomials under "v = B*m, w = B*m' with
-    labels[m] == labels[m']", closed transitively over all pairs."""
-    monos = list(combinations_with_replacement(range(n_bases), k))
-
-    def quotients(v):
-        return {(b, labels[v[:t] + v[t + 1:]]) for t, b in enumerate(v)}
-
-    comp = {v: {v} for v in monos}
-    for v, w in combinations(monos, 2):
-        if quotients(v) & quotients(w) and comp[v] is not comp[w]:
-            merged = comp[v] | comp[w]
-            for u in merged:
-                comp[u] = merged
-    return {frozenset(c) for c in comp.values()}
-
-
-@pytest.mark.parametrize(
-    "labelling",
-    [
-        lambda i, m: i,  # all singletons: every degree-2 fiber disconnected
-        lambda i, m: sum(m) % 3,  # classes that ignore the fibers
-        lambda i, m: 0,  # one class
-    ],
-)
-@pytest.mark.parametrize("k", [3, 4])
-def test_lift_of_a_hand_made_partition(labelling, k):
-    n_bases = 5
-    lower = list(combinations_with_replacement(range(n_bases), k - 1))
-    labels = {m: labelling(i, m) for i, m in enumerate(lower)}
-    monomials = list(combinations_with_replacement(range(n_bases), k))
-    flat = [labels[m] * n_bases for m in lower]
-    parent = _join((max(labels.values()) + 1) * n_bases, white_lift._lift(flat, n_bases, k))
-    # one multidegree code for all: the partition ignores the fibers
-    *lifted, _ = white._labels(parent, flat, n_bases, k, [0] * n_bases)
-    assert len(lifted) == len(monomials)
-    got = {}
-    for v, c in zip(monomials, lifted):
-        got.setdefault(c, set()).add(v)
-    assert {frozenset(c) for c in got.values()} == _brute_lift(labels, n_bases, k)
-
-
-# ------------------------------------------------- star closure against lift
+# ------------------------------------------- star closure against move split
 
 
 @st.composite
@@ -291,27 +246,27 @@ def small_matroids(draw):
     return from_matrix(kind, draw(st.lists(row, min_size=rows, max_size=rows)))
 
 
-def _star_matches_lift(M, d):
+def _star_matches_split(M, d):
     """The fibers of toric_fibers, whose sizes and component counts must be
-    those that the lift, called directly, gives, with the lift's summary in
-    the same order."""
+    those that the move split, called directly, gives, and whose
+    representatives must be the first monomial of each of its components,
+    in the same order."""
     fibers = toric_fibers(M, d)
     _, masks, index, codes = white._tables(M, d)
-    *_, summary = white_lift._lift_route(masks, index, codes, d)
-    lifted = sorted(summary.items())
-    assert [(f.size, f.n_components) for f in fibers] == [(size, len(reps)) for _, (size, reps) in lifted]
-    assert [f.representatives for f in fibers] == [reps for _, (_, reps) in lifted]
+    split = sorted(white_moves._split(codes, d, white_moves._moves(masks, index, codes, d)).items())
+    assert [(f.size, f.n_components) for f in fibers] == [(sum(map(len, comps)), len(comps)) for _, comps in split]
+    assert [f.representatives for f in fibers] == [[comp[0] for comp in comps] for _, comps in split]
     return fibers
 
 
-def _star_matches_lift_and_explicit_moves(M, d):
+def _star_matches_split_and_explicit_moves(M, d):
     """(multidegree, size, n_components, representatives) of every fiber
-    as toric_fibers gives them, as the lift gives them, and as the
+    as toric_fibers gives them, as the move split gives them, and as the
     explicit-move oracle gives them."""
     bases = M.bases()
     star = [
         (f.multidegree, f.size, f.n_components, [tuple(bases[i] for i in v) for v in f.representatives])
-        for f in _star_matches_lift(M, d)
+        for f in _star_matches_split(M, d)
     ]
     oracle = sorted(
         (mdeg, sum(map(len, comps)), len(comps), [comp[0] for comp in comps])
@@ -323,19 +278,44 @@ def _star_matches_lift_and_explicit_moves(M, d):
 @pytest.mark.parametrize("d", [3, 4])
 @pytest.mark.parametrize("name", [e["name"] for e in CORPUS])
 def test_star_matches_lift_on_the_corpus(corpus_by_name, name, d):
-    _star_matches_lift(corpus_by_name[name], d)
+    """The star closure against the move split, on the corpus."""
+    _star_matches_split(corpus_by_name[name], d)
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_matroids())
 def test_star_matches_lift_and_explicit_moves_on_generated_matroids(M):
-    _star_matches_lift_and_explicit_moves(M, 3)
+    _star_matches_split_and_explicit_moves(M, 3)
 
 
 @settings(max_examples=25, deadline=None)
 @given(small_matroids())
 def test_star_matches_lift_and_explicit_moves_on_generated_matroids_in_degree_4(M):
-    _star_matches_lift_and_explicit_moves(M, 4)
+    _star_matches_split_and_explicit_moves(M, 4)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_matroids())
+def test_move_split_and_degree_two_union_find_against_explicit_moves(M):
+    """With the star closure switched off, toric_fibers splits every
+    degree by moves, which must give the explicit-move components in
+    degrees 2 to 4; and the degree-2 union-find reports every fiber
+    connected exactly when the move split gives one component per
+    degree-2 fiber, under all double swaps and under those alone whose
+    two pairs have an odd index sum, a rule symmetric in the move that
+    splits some fibers."""
+    swaps = white._swaps
+    _, masks, index, codes = white._tables(M, 2)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(white, "_star_components", lambda codes, d: None)
+        for d in (2, 3, 4):
+            assert _partition(toric_fibers(M, d)) == explicit_move_components(M, d), d
+        for kept in (lambda i, j, w: True, lambda i, j, w: (i + j + w[0] + w[1]) % 2):
+            patch.setattr(white, "_swaps", lambda masks, index, i, j: {
+                w for w in swaps(masks, index, i, j) if kept(i, j, w)
+            })
+            connected = all(f.n_components == 1 for f in toric_fibers(M, 2))
+            assert white._degree_two_connected(masks, index, codes) is connected
 
 
 @settings(max_examples=60, deadline=None)
@@ -369,28 +349,28 @@ def test_star_closure_counts_the_components_of_its_graph(graph):
 
 def test_star_route_runs_no_lift(corpus_by_name, monkeypatch):
     """Every fiber of M(K4) is connected, so the report closes stars from
-    degree 3 on; the lift runs once, for every fiber, when the
-    representatives are first read."""
+    degree 3 on and splits nothing by moves; the move split runs once, for
+    every fiber, when the representatives are first read."""
     calls = []
-    lift = white_lift._lift
+    split = white_moves._split
 
-    def recording(flat, n_bases, k):
-        calls.append(k)
-        return lift(flat, n_bases, k)
+    def recording(codes, d, moves):
+        calls.append(d)
+        return split(codes, d, moves)
 
-    monkeypatch.setattr(white_lift, "_lift", recording)
+    monkeypatch.setattr(white_moves, "_split", recording)
     M = corpus_by_name["k4"]
     report = check_degree(M, 4)
     assert report["all_connected"] is True
     fibers = toric_fibers(M, 4)
     assert calls == []
     assert all(len(f.representatives) == 1 for f in fibers)
-    assert calls == [3, 4]
+    assert calls == [4]
 
 
 def test_a_split_below_the_degree_hands_over_to_the_lift(corpus_by_name, monkeypatch):
-    """A degree-3 fiber reported split sends degree 4 to the lift, which
-    gives the same report."""
+    """A degree-3 fiber reported split sends degree 4 to the move split,
+    which gives the same report."""
     M = corpus_by_name["k4"]
     expected = check_degree(M, 4)
     components = white._components
@@ -428,8 +408,8 @@ def test_node_mask_outside_its_fiber_is_an_invariant_violation(corpus_by_name, m
 def test_a_split_the_lift_does_not_confirm_is_an_invariant_violation(
     corpus_by_name, monkeypatch, capsys
 ):
-    """A disconnected fiber is a witness, whose representatives the lift
-    gives; the lift must agree on every fiber's component count."""
+    """A disconnected fiber is a witness, whose representatives the move
+    split gives; the moves must agree on every fiber's component count."""
     components = white._components
 
     def splitting(nodes, lower, codes):
@@ -556,29 +536,30 @@ def test_degree_two_move_out_of_its_fiber_is_an_invariant_violation(
 
 
 def test_lift_join_across_fibers_is_an_invariant_violation(corpus_by_name, monkeypatch, capsys):
-    lift = white_lift._lift
+    """A move of the split that reaches into another fiber: with the star
+    closure switched off, the split is the route and must hold each fiber
+    to its own monomials."""
+    moves = white_moves._moves
 
-    def crossing(flat, n_bases, k):
-        # (0, 0) has label 0, so keys 0 and 1 are those of the last factor
-        # of (0, 0, 0) and (0, 0, 1): joined, though their fibers differ
-        return chain(lift(flat, n_bases, k), [(0, 1)])
+    def crossing(masks, index, codes, d):
+        reach = moves(masks, index, codes, d)
+        # (0, 0, 0) is 3 * {0, 1} and (0, 0, 5) is 2 * {0, 1} + {2, 3}
+        return lambda v: reach(v) | {(0, 0, 0)} if v == (0, 0, 5) else reach(v)
 
-    # with no degree-2 move every degree-2 fiber of two or more monomials
-    # splits, so degree 3 is lifted rather than closed by stars
-    monkeypatch.setattr(white, "_degree_two", lambda *args: ())
-    monkeypatch.setattr(white_lift, "_lift", crossing)
+    monkeypatch.setattr(white, "_degree_two_connected", lambda *args: False)
+    monkeypatch.setattr(white_moves, "_moves", crossing)
     with pytest.raises(InternalInvariantViolation, match="move left the fiber"):
         check_degree(corpus_by_name["u_2_4"], 3)
     _white_check_exits_4(capsys, monkeypatch, {"type": "uniform", "r": 2, "n": 4})
 
 
 def test_witnesses_of_a_lift_that_joins_nothing(corpus_by_name, monkeypatch):
-    """With no join every fiber splits into its monomials, so each fiber of
-    two or more monomials is a witness whose representatives are all of
-    them. Monomials p + (l,) and p' + (l,) share the key of l when p and p'
-    share a component, so no degree may join anything."""
+    """With no double swap the degree-2 fibers split and no monomial has a
+    move, so every fiber splits into its monomials, and each fiber of two
+    or more monomials is a witness whose representatives are all of
+    them."""
     M = corpus_by_name["k4"]
-    monkeypatch.setattr(white, "_join", lambda n_items, pairs: list(range(n_items)))
+    monkeypatch.setattr(white, "_swaps", lambda *args: set())
     report = check_degree(M, 3)
     expected = []
     for mdeg, comps in sorted(explicit_move_components(M, 3).items()):
@@ -598,16 +579,17 @@ def test_witnesses_of_a_lift_that_joins_nothing(corpus_by_name, monkeypatch):
 
 
 def test_report_builds_no_named_views(corpus_by_name, monkeypatch):
-    """check_degree reads the labeling pass's summary only; the named views
-    are built once, for every fiber of a call, at their first access."""
+    """check_degree reads the sizes and component counts only; the named
+    views are built once, for every fiber of a call, at their first
+    access."""
     calls = []
-    build = white_lift._named_views
+    build = white_moves._views
 
-    def recording(*args):
-        calls.append(args[1])
-        return build(*args)
+    def recording(bases, moves, split):
+        calls.append(len(split))
+        return build(bases, moves, split)
 
-    monkeypatch.setattr(white_lift, "_named_views", recording)
+    monkeypatch.setattr(white_moves, "_views", recording)
     M = corpus_by_name["k4"]
     check_degree(M, 3)
     fibers = toric_fibers(M, 3)
@@ -618,11 +600,11 @@ def test_report_builds_no_named_views(corpus_by_name, monkeypatch):
         assert [c[0] for c in f.components] == [
             tuple(bases[i] for i in v) for v in f.representatives
         ]
-    assert calls == [3]
+    assert calls == [len(fibers)]
 
 
 def test_check_degree_builds_fibers_once(corpus_by_name, monkeypatch):
-    """Lower degrees are lifted inside toric_fibers, so a wrapper around it
+    """Lower degrees are read inside toric_fibers, so a wrapper around it
     (as the benchmark tracer installs) sees one call and the degree-d
     monomials only."""
     calls = []
