@@ -19,16 +19,15 @@ lexicographic order is that of the bases themselves.
 Star closure. While every lower fiber is connected, the monomials of a
 degree-k fiber c that hold a basis B, B times the fiber c - B, lie in one
 component, and two such stars meet exactly when one monomial holds both
-bases. So the components of c are those of a graph on its node mask, the
-bitmask of the bases that occur in it, in which B is joined to every basis
-of the fiber c - B. Node masks are carried up from degree 1, each
-degree's from the pairs (lower fiber, basis); each fiber's mask is split
-by a bitmask closure that stops once a component covers it, and the fiber
-sizes of degree d come from one count of the monomials' multidegree
-codes. This is the route whenever every degree-2 fiber and every fiber
-below degree d is connected; no monomial is listed. Degree 2 is checked
-by one union-find over the positions of the degree-2 monomials, joined by
-their double swaps.
+bases. So each degree is one pass over the pairs (lower fiber, basis):
+the star's bases, B and the lower fiber's node mask (the bitmask of the
+bases that occur in it), are merged into the component masks of the
+fiber they reach, and a degree's components must hold one basis per
+pair. The sizes of degree d come from one count of the monomials'
+multidegree codes. This is the route whenever every degree-2 fiber and
+every fiber below degree d is connected; no monomial is listed. Degree 2
+is checked by one union-find over the positions of the degree-2
+monomials, joined by their double swaps.
 
 Move split. Otherwise each degree-d fiber is searched breadth first by
 its moves (white_moves.py, which loads only where the split runs), and no
@@ -58,11 +57,14 @@ from .matroids import Matroid
 DEFAULT_BUDGET = 10_000_000
 
 
+@functools.lru_cache(maxsize=1 << 12)
 def _bits(mask):
+    """The one-bit masks of `mask`, lowest first, cached per mask."""
+    out = []
     while mask:
-        low = mask & -mask
-        yield low
-        mask ^= low
+        out.append(mask & -mask)
+        mask &= mask - 1
+    return tuple(out)
 
 
 def _swaps(masks, index, i, j):
@@ -70,12 +72,17 @@ def _swaps(masks, index, i, j):
     without (i, j) itself; `masks` are the bases as position bitmasks and
     `index` inverts them."""
     a, b = masks[i], masks[j]
+    ys = _bits(b & ~a)
+    get = index.get
     out = set()
     for x in _bits(a & ~b):
-        for y in _bits(b & ~a):
-            i2, j2 = index.get(a ^ x ^ y), index.get(b ^ x ^ y)
-            if i2 is not None and j2 is not None:
-                out.add((i2, j2) if i2 <= j2 else (j2, i2))
+        ax, bx = a ^ x, b ^ x
+        for y in ys:
+            i2 = get(ax ^ y)
+            if i2 is not None:
+                j2 = get(bx ^ y)
+                if j2 is not None:
+                    out.add((i2, j2) if i2 <= j2 else (j2, i2))
     out.discard((i, j) if i <= j else (j, i))
     return out
 
@@ -210,44 +217,28 @@ def _degree_two_connected(masks, index, codes):
     return roots == len({codes[i] + codes[j] for i, j in monomials})
 
 
-def _node_masks(lower, codes):
-    """{code: node mask} one degree up from the fibers `lower`: every
-    monomial is a basis B times a monomial of the degree below, so the
-    fiber c + code(B) holds B for each lower fiber c and each B."""
-    nodes = {}
-    get = nodes.get
+def _star_split(lower, codes):
+    """{code: component masks} one degree up from the connected fibers
+    `lower`, {code: node mask}: B times the fiber c is connected, so the
+    star mask | bit(B) is merged into the disjoint component masks of the
+    fiber c + code(B), one int while they are one and a list otherwise."""
+    out = {}
+    get = out.get
+    lower = list(lower.items())
     for b, code in enumerate(codes):
         bit = 1 << b
-        for c in map(code.__add__, lower):
-            nodes[c] = get(c, 0) | bit
-    return nodes
-
-
-def _components(nodes, lower, codes):
-    """{code: number of components} of the fibers with node masks `nodes`,
-    given the node masks `lower` of the degree below, all of whose fibers
-    are connected: B is joined to every basis of the fiber c - code(B).
-    Each component is closed from its least basis and stops once it covers
-    what is left of the mask."""
-    out = {}
-    for c, mask in nodes.items():
-        n, rest = 0, mask
-        while rest:
-            n += 1
-            reach = todo = rest & -rest
-            while todo:
-                bit = todo & -todo
-                near = lower.get(c - codes[bit.bit_length() - 1], -1)
-                if near & ~mask:
-                    raise InternalInvariantViolation(
-                        f"star closure left the fiber: basis {bit.bit_length() - 1} in fiber {c}"
-                    )
-                todo = (todo ^ bit) | (near & ~reach)
-                reach |= near
-                if reach == rest:
-                    break
-            rest &= ~reach
-        out[c] = n
+        for c, mask in lower:
+            c += code
+            star = mask | bit
+            comps = get(c)
+            if comps is None:
+                out[c] = star
+            elif comps.__class__ is int:
+                out[c] = comps | star if comps & star else [comps, star]
+            else:
+                apart = [m for m in comps if not m & star]
+                star |= sum(comps) - sum(apart)  # the disjoint masks it meets
+                out[c] = apart + [star] if apart else star
     return out
 
 
@@ -255,15 +246,22 @@ def _star_components(codes, d):
     """{code: number of components} of the degree-d fibers by star closure
     from degree 3, the node masks carried up from degree 1; None at the
     first degree below d with a split fiber. Every degree-2 fiber must be
-    connected."""
+    connected, so its node mask is the sum of its components. Each pair
+    (lower fiber, basis) puts one basis in a degree's components, and a
+    star that left its fiber puts in more."""
     nodes = {0: 0}
     for k in range(1, d + 1):
-        lower, nodes = nodes, _node_masks(nodes, codes)
-        if k > 2:
-            counts = _components(nodes, lower, codes)
-            if k < d and max(counts.values()) > 1:
-                return None
-    return counts
+        split = _star_split(nodes, codes)
+        held = sum(m.bit_count() if m.__class__ is int else sum(map(int.bit_count, m)) for m in split.values())
+        if held != len(codes) * len(nodes):
+            raise InternalInvariantViolation(
+                f"star closure left the fiber: {held} bases in the degree-{k} components"
+                f" of {len(codes) * len(nodes)} stars"
+            )
+        if 2 < k < d and any(m.__class__ is list for m in split.values()):
+            return None
+        nodes = split if k > 2 else {c: m if m.__class__ is int else sum(m) for c, m in split.items()}
+    return {c: 1 if m.__class__ is int else len(m) for c, m in split.items()}
 
 
 def _fiber_sizes(codes, d):
@@ -394,17 +392,17 @@ def _lattice_points(M, d):
     walk over the coordinates in ground order keeps a running slack per
     cyclic flat, and prunes a prefix whose remaining total cannot be placed
     inside one flat's slack plus the room outside it. The walk stops two
-    coordinates short of the end: once x_{n-2} = x is chosen the last
-    coordinate is the remaining total minus x, so every bound on the pair
-    is a bound on x, and a prefix has as many completions as an interval
-    has integers.
+    coordinates short of the end: once x_{n-2} = y is chosen the last
+    coordinate is the remaining total minus y, so every bound on the pair
+    is a bound on y, and a prefix has as many completions as an interval
+    has integers; they are counted in the loop over x_{n-3}.
     """
     flats = list(_cyclic_flats(M))
     elems = M.elements
     n = len(elems)
-    if n < 2:
-        return 1  # a single basis, so d*P_M is one point
     cap = [d * M.rank({e}) for e in elems]
+    if n < 3:  # a single basis, one point, unless two parallel elements share d
+        return d + 1 if n == 2 and M.r == 1 and cap == [d, d] else 1
     slack = [d * M.rank(z) for z in flats]
     member = [[i for i, z in enumerate(flats) if e in z] for e in elems]
     room = [sum(cap[k:]) for k in range(n + 1)]
@@ -419,27 +417,13 @@ def _lattice_points(M, d):
         ]
         for k in range(n - 2)
     ]
-    # a flat holding e_{n-2} bounds x from above; one holding e_{n-1} but not
-    # e_{n-2} bounds the last coordinate need - x, so x from below; one
-    # holding both bounds need alone
+    # a flat holding e_{n-2} bounds y from above; one holding e_{n-1} but not
+    # e_{n-2} bounds the last coordinate rest - y, so y from below; one
+    # holding both bounds rest alone
     upper = member[n - 2]
     lower = [i for i in member[n - 1] if i not in upper]
     both = [i for i in member[n - 1] if i in upper]
-
-    def pair(need):
-        """The completions x_{n-2} = x, x_{n-1} = need - x under the slacks."""
-        for i in both:
-            if need > slack[i]:
-                return 0
-        top = min(cap[n - 2], need)
-        for i in upper:
-            if slack[i] < top:
-                top = slack[i]
-        low = max(0, need - cap[n - 1])
-        for i in lower:
-            if need - slack[i] > low:
-                low = need - slack[i]
-        return max(0, top - low + 1)
+    cap_y, cap_z = cap[n - 2], cap[n - 1]
 
     def walk(k, need):
         for i, outside in checks[k]:
@@ -454,12 +438,28 @@ def _lattice_points(M, d):
         for x in range(max(0, need - room[k + 1]), top + 1):
             for i in inside:
                 slack[i] -= x
-            count += walk(k + 1, need - x) if k < n - 3 else pair(need - x)
+            if k < n - 3:
+                count += walk(k + 1, need - x)
+            else:
+                rest = need - x  # x_{n-2} = y and x_{n-1} = rest - y for y in [low, high]
+                high = min(cap_y, rest)
+                for i in both:
+                    if rest > slack[i]:
+                        high = -1
+                for i in upper:
+                    if slack[i] < high:
+                        high = slack[i]
+                low = max(0, rest - cap_z)
+                for i in lower:
+                    if rest - slack[i] > low:
+                        low = rest - slack[i]
+                if high >= low:
+                    count += high - low + 1
             for i in inside:
                 slack[i] += x
         return count
 
-    return pair(d * M.r) if n == 2 else walk(0, d * M.r)
+    return walk(0, d * M.r)
 
 
 def check_degree(M: Matroid, d, budget=DEFAULT_BUDGET):

@@ -28,7 +28,7 @@ from matroid_workbench import (
     koszul_boundary,
     uniform,
 )
-from matroid_workbench.errors import quote
+from matroid_workbench.errors import InternalInvariantViolation, quote
 from matroid_workbench.localization import FIBER_SIGN, TANGENT_SIGN, _pair_lcm
 from matroid_workbench.linalg import LinearBacking, _rref, _store_column, rref
 from matroid_workbench.matroids import Matroid
@@ -44,6 +44,12 @@ GF7_6X17 = [
     [5, 3, 3, 4, 6, 1, 3, 0, 2, 2, 5, 4, 0, 4, 6, 4, 6],
     [6, 4, 1, 5, 0, 3, 4, 4, 0, 4, 0, 6, 5, 1, 1, 6, 5],
 ]
+
+# The Vamos matroid (Oxley, Matroid Theory, 2nd ed., section 2.1): rank 4 on
+# 8 elements, every 4-set a basis except five circuit-hyperplanes; it is
+# representable over no field
+VAMOS_CIRCUIT_HYPERPLANES = [{0, 1, 2, 3}, {0, 1, 4, 5}, {0, 1, 6, 7}, {2, 3, 4, 5}, {2, 3, 6, 7}]
+VAMOS_BASES = [b for b in combinations(range(8), 4) if set(b) not in VAMOS_CIRCUIT_HYPERPLANES]
 
 PETERSEN = [(0, 1), (0, 4), (0, 5), (1, 2), (1, 6), (2, 3), (2, 7), (3, 4), (3, 8), (4, 9),
             (5, 7), (5, 8), (6, 8), (6, 9), (7, 9)]
@@ -633,6 +639,47 @@ def prefix_state_series(M, a, L):
                 numer = seen(1, TruncatedSeries([c * tp for c, tp in zip(numer, tpow)], L))
                 row[q] = seen(1, row[q] + seen(1, numer * acc))
     return [[s.coeffs for s in row] for row in total], tuple(widest)
+
+
+def node_masks(lower, codes):
+    """{code: node mask} one degree up from the fibers `lower`: every
+    monomial is a basis B times a monomial of the degree below, so the
+    fiber c + code(B) holds B for each lower fiber c and each B."""
+    nodes = {}
+    for b, code in enumerate(codes):
+        for c in lower:
+            nodes[c + code] = nodes.get(c + code, 0) | 1 << b
+    return nodes
+
+
+def closure_components(nodes, lower, codes):
+    """{code: number of components} of the fibers with node masks `nodes`,
+    given the node masks `lower` of the degree below: B is joined to every
+    basis of the fiber c - code(B). Each component is closed bit by bit
+    from its least basis and stops once it covers what is left of the
+    mask: the bitmask closure that white._star_split's merge of stars
+    replaced. A neighbor outside the fiber's mask is an
+    InternalInvariantViolation."""
+    out = {}
+    for c, mask in nodes.items():
+        n, rest = 0, mask
+        while rest:
+            n += 1
+            reach = todo = rest & -rest
+            while todo:
+                bit = todo & -todo
+                near = lower.get(c - codes[bit.bit_length() - 1], -1)
+                if near & ~mask:
+                    raise InternalInvariantViolation(
+                        f"star closure left the fiber: basis {bit.bit_length() - 1} in fiber {c}"
+                    )
+                todo = (todo ^ bit) | (near & ~reach)
+                reach |= near
+                if reach == rest:
+                    break
+            rest &= ~reach
+        out[c] = n
+    return out
 
 
 def explicit_move_components(M, d):

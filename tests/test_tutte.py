@@ -28,6 +28,7 @@ from matroid_workbench.tutte import TutteCache, check_tutte, cut_weights
 from helpers import (
     GF7_6X17,
     PETERSEN,
+    VAMOS_BASES,
     brute_dual_h,
     brute_h,
     brute_tutte,
@@ -337,13 +338,6 @@ def test_route_rule_gives_t_at_any_bound_limit_and_cap(M):
             assert calls[-1] == "dc"
         elif setting:
             assert calls == ["walk"]
-
-
-# The Vamos matroid (Oxley, Matroid Theory, 2nd ed., section 2.1): rank 4 on
-# 8 elements, every 4-set a basis except five circuit-hyperplanes; it is
-# representable over no field
-VAMOS_CIRCUIT_HYPERPLANES = [{0, 1, 2, 3}, {0, 1, 4, 5}, {0, 1, 6, 7}, {2, 3, 4, 5}, {2, 3, 6, 7}]
-VAMOS_BASES = [b for b in combinations(range(8), 4) if set(b) not in VAMOS_CIRCUIT_HYPERPLANES]
 
 
 def test_vamos_matroid_by_deletion_contraction():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import explicit_move_components
+from helpers import VAMOS_BASES, closure_components, explicit_move_components, node_masks
 from matroid_workbench import (
     CORPUS,
     InternalInvariantViolation,
@@ -17,6 +17,7 @@ from matroid_workbench import (
     TooLarge,
     check_degree,
     cli,
+    from_bases,
     from_graph,
     from_matrix,
     symmetric_exchange_neighbors,
@@ -318,13 +319,15 @@ def test_move_split_and_degree_two_union_find_against_explicit_moves(M):
             assert white._degree_two_connected(masks, index, codes) is connected
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 8).flatmap(
+one_fiber_graphs = st.integers(1, 8).flatmap(
     lambda n: st.tuples(st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
-))
-def test_star_closure_counts_the_components_of_its_graph(graph):
-    """One fiber holding n bases, B joined to B' whenever B' is in the node
-    mask of the fiber c - code(B): as many components as the graph."""
+)
+
+
+def _one_fiber(graph):
+    """(codes, c, lower, components) of one fiber c holding n bases, B
+    joined to B' whenever B' is in the node mask of the fiber c - code(B),
+    and the components of that graph, found by search."""
     n, edges = graph
     codes = [1 << b for b in range(n)]
     c = 1 << n
@@ -343,8 +346,72 @@ def test_star_closure_counts_the_components_of_its_graph(graph):
                         comp.add(y)
                         todo.append(y)
             comps.append(comp)
-    lower = {c - codes[b]: near[b] for b in range(n)}
-    assert white._components({c: (1 << n) - 1}, lower, codes) == {c: len(comps)}
+    return codes, c, {c - codes[b]: near[b] for b in range(n)}, comps
+
+
+@settings(max_examples=60, deadline=None)
+@given(one_fiber_graphs)
+def test_star_closure_counts_the_components_of_its_graph(graph):
+    """The bitmask-closure oracle on one fiber: as many components as the
+    graph."""
+    codes, c, lower, comps = _one_fiber(graph)
+    assert closure_components({c: (1 << len(codes)) - 1}, lower, codes) == {c: len(comps)}
+
+
+def _masks_and_counts(split):
+    """{code: node mask} and {code: number of components} of a _star_split
+    result, whose component masks must be nonempty and disjoint."""
+    for comps in split.values():
+        if comps.__class__ is list:
+            assert len(comps) > 1 and all(comps)
+            assert sum(map(int.bit_count, comps)) == sum(comps).bit_count()
+    return (
+        {c: comps if comps.__class__ is int else sum(comps) for c, comps in split.items()},
+        {c: 1 if comps.__class__ is int else len(comps) for c, comps in split.items()},
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(one_fiber_graphs)
+def test_star_split_against_the_closure_on_one_fiber_graphs(graph):
+    """The merge of stars gives the one fiber c every basis, and as many
+    components as the graph and the bitmask closure."""
+    codes, c, lower, comps = _one_fiber(graph)
+    masks, counts = _masks_and_counts(white._star_split(lower, codes))
+    assert masks[c] == (1 << len(codes)) - 1
+    assert counts[c] == len(comps) == closure_components({c: masks[c]}, lower, codes)[c]
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_matroids(), st.sampled_from([3, 4]))
+def test_star_split_against_the_closure_on_generated_matroids(M, d):
+    """From the node masks of degree d - 1, built by the oracle, the merge
+    of stars gives every degree-d fiber the oracle's node mask and the
+    bitmask closure's component count, and its components hold one basis
+    per pair (lower fiber, basis)."""
+    codes = white._tables(M, d)[3]
+    lower = {0: 0}
+    for _ in range(d - 1):
+        lower = node_masks(lower, codes)
+    split = white._star_split(lower, codes)
+    masks, counts = _masks_and_counts(split)
+    nodes = node_masks(lower, codes)
+    assert masks == nodes
+    assert counts == closure_components(nodes, lower, codes)
+    assert sum(m.bit_count() for m in masks.values()) == len(codes) * len(lower)
+
+
+def test_vamos_matroid_by_star_closure_and_by_moves(monkeypatch):
+    """A matroid that no field represents, as a basis list: in degree 3 the
+    star route and the move split give the same report, and its fiber
+    count is the lattice count."""
+    V = from_bases(8, VAMOS_BASES)
+    codes = white._tables(V, 3)[3]
+    assert white._star_components(codes, 3) is not None
+    star = check_degree(V, 3)
+    assert star["n_fibers"] == white._lattice_points(V, 3)
+    monkeypatch.setattr(white, "_star_components", lambda codes, d: None)
+    assert json.dumps(check_degree(V, 3)) == json.dumps(star)
 
 
 def test_star_route_runs_no_lift(corpus_by_name, monkeypatch):
@@ -368,38 +435,49 @@ def test_star_route_runs_no_lift(corpus_by_name, monkeypatch):
     assert calls == [4]
 
 
+def _split_one(pick):
+    """white._star_split, with the fiber that `pick` chooses among those of
+    one component and two or more bases cut into its least basis and the
+    rest; unchanged where there is none."""
+    star_split = white._star_split
+
+    def splitting(lower, codes):
+        out = star_split(lower, codes)
+        whole = [c for c, m in out.items() if m.__class__ is int and m & (m - 1)]
+        if whole:
+            c = pick(whole)
+            out[c] = [out[c] & -out[c], out[c] & (out[c] - 1)]
+        return out
+
+    return splitting
+
+
 def test_a_split_below_the_degree_hands_over_to_the_lift(corpus_by_name, monkeypatch):
     """A degree-3 fiber reported split sends degree 4 to the move split,
     which gives the same report."""
     M = corpus_by_name["k4"]
     expected = check_degree(M, 4)
-    components = white._components
-
-    def splitting(nodes, lower, codes):
-        out = components(nodes, lower, codes)
-        out[min(out)] += 1
-        return out
-
-    monkeypatch.setattr(white, "_components", splitting)
+    monkeypatch.setattr(white, "_star_split", _split_one(min))
     assert white._star_components(white._tables(M, 4)[3], 4) is None
     assert check_degree(M, 4) == expected
 
 
 def test_node_mask_outside_its_fiber_is_an_invariant_violation(corpus_by_name, monkeypatch, capsys):
-    node_masks = white._node_masks
+    star_split = white._star_split
     calls = []
 
     def stray(lower, codes):
-        nodes = node_masks(lower, codes)
         calls.append(1)
         if len(calls) % 3 == 0:
-            # the degree-3 fiber of least code, 3 * {2, 3}, given the basis
-            # {0, 1}, which is in none of its monomials
-            c, mask = min(nodes.items())
-            nodes[c] = mask | (~mask & (mask + 1))
-        return nodes
+            # the degree-2 fiber of least code, 2 * {2, 3}, given the basis
+            # {0, 1}, which is in none of its monomials, as its node mask
+            # goes up to degree 3
+            lower = dict(lower)
+            c, mask = min(lower.items())
+            lower[c] = mask | (~mask & (mask + 1))
+        return star_split(lower, codes)
 
-    monkeypatch.setattr(white, "_node_masks", stray)
+    monkeypatch.setattr(white, "_star_split", stray)
     with pytest.raises(InternalInvariantViolation, match="left the fiber"):
         check_degree(corpus_by_name["u_2_4"], 3)
     _white_check_exits_4(capsys, monkeypatch, {"type": "uniform", "r": 2, "n": 4})
@@ -410,14 +488,7 @@ def test_a_split_the_lift_does_not_confirm_is_an_invariant_violation(
 ):
     """A disconnected fiber is a witness, whose representatives the move
     split gives; the moves must agree on every fiber's component count."""
-    components = white._components
-
-    def splitting(nodes, lower, codes):
-        out = components(nodes, lower, codes)
-        out[max(out)] += 1
-        return out
-
-    monkeypatch.setattr(white, "_components", splitting)
+    monkeypatch.setattr(white, "_star_split", _split_one(max))
     with pytest.raises(InternalInvariantViolation, match="split the degree-3 fibers apart"):
         check_degree(corpus_by_name["u_2_4"], 3)
     _white_check_exits_4(capsys, monkeypatch, {"type": "uniform", "r": 2, "n": 4})
