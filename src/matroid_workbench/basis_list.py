@@ -9,7 +9,9 @@ matroids.from_bases and matroids.BasesBacking name what it defines
 from __future__ import annotations
 
 from .errors import InvalidInput, TooLarge, quote
-from .matroids import BASIS_VALIDATION_LIMIT, Matroid, _Backing, _check_ground_size
+from .matroids import Matroid, _Backing, _check_ground_size
+
+BASIS_VALIDATION_LIMIT = 100_000  # pairs of bases the exchange check may compare
 
 
 class _BasesSteps:

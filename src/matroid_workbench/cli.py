@@ -14,11 +14,10 @@ worker; --jobs is accepted and validated for compatibility but read by
 nothing, so it never changes the bytes.
 
 `tutte`, `hlv` and `charpoly` take T from one route rule,
-tutte.tutte_polynomial, which picks the subset walk or
-deletion-contraction by the walk's length. `tutte --cache DIR` runs
-deletion-contraction, whose memo the cache persists; `tutte --budget N`
-caps whichever deletion-contraction runs. T is the same polynomial by
-either route, so the flags never change the bytes.
+tutte.tutte_polynomial. `tutte --cache DIR` hands it the file cache that
+persists deletion-contraction's memo, and `tutte --budget N` caps
+deletion-contraction. T is the same polynomial by either route, so the
+flags never change the bytes.
 
 Each command imports the modules it runs when it runs, so importing this
 module loads no pipeline: not the Tutte, polynomial, Orlik-Solomon,
@@ -129,21 +128,18 @@ def __getattr__(name):
 
 
 def _cmd_tutte(args):
-    """T by tutte_polynomial's route rule, or by tutte_dc under --cache,
-    whose memo the cache persists; a positive --budget caps whichever
-    deletion-contraction runs. Checked before output."""
+    """T by tutte_polynomial, with --cache as its FileTutteCache and a
+    positive --budget as its deletion-contraction budget."""
     from . import tutte
 
     M = _read_descriptor(args["input"])
     budget = args["budget"] if args["budget"] else tutte.DEFAULT_DC_NODES
+    cache = None
     if args["cache"]:
         from .deletion_contraction import FileTutteCache
 
-        poly = tutte.tutte_dc(M, FileTutteCache(args["cache"], _loads, _dumps), max_nodes=budget)
-        tutte.check_tutte(M, poly)
-    else:
-        poly = tutte.tutte_polynomial(M, max_nodes=budget)
-    _emit(poly.to_json())
+        cache = FileTutteCache(args["cache"], _loads, _dumps)
+    _emit(tutte.tutte_polynomial(M, max_nodes=budget, cache=cache).to_json())
 
 
 def _cmd_charpoly(args):

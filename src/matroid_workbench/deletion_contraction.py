@@ -1,7 +1,7 @@
 """Deletion-contraction for the Tutte polynomial, and its memo tables.
 
-tutte.tutte_polynomial routes here only when the subset walk is too long,
-and `tutte --cache` always does, so a command that walks never compiles
+tutte.tutte_polynomial routes here when the subset walk is too long or it
+is given a cache (`tutte --cache`), so a command that walks never compiles
 this module. tutte.tutte_dc, which loads it at the first call, and
 tutte.TutteCache and cli.FileTutteCache (PEP 562) name what it defines.
 The closed form of a core of rank at most 2 is the walk's, looked up as

@@ -36,6 +36,12 @@ class LooplessRequired(WorkbenchError):
     """Raised by constructions that are only defined for loopless matroids."""
 
 
+def require_int(value, what):
+    """Raise InvalidInput unless `value` is an int and not a bool."""
+    if type(value) is not int:
+        raise InvalidInput(f"{what} must be an integer, got {quote(value)}")
+
+
 class InternalInvariantViolation(WorkbenchError):
     """Two internally computed values that must agree do not.
 

@@ -47,12 +47,10 @@ from __future__ import annotations
 
 from math import comb
 
-from .errors import InvalidInput, TooLarge, quote
+from .errors import InvalidInput, TooLarge, quote, require_int
 
 # Caps keeping exhaustive walks at desk scale.
 ENUMERATION_LIMIT = 20
-BASIS_VALIDATION_LIMIT = 100_000
-SUBSET_SUM_LIMIT = 24
 # Checked before the ground set is built: every pipeline enumerates subsets,
 # bases or orderings of far fewer elements than this.
 GROUND_SET_LIMIT = 10_000
@@ -123,18 +121,7 @@ class _Backing:
     """The protocol of a backing, with every answer worked out from the
     Matroid's rank function. A backing supplies `kind`, rank(subset) and
     steps() (its push/pop rank oracle), and overrides the methods below
-    that it answers natively; each takes the Matroid M it backs.
-
-    `walk_at_any_bound` tells tutte.tutte_polynomial whether the subset
-    walk beats deletion-contraction here however long the walk's bound. It
-    is read after the input's loops are deleted, so no loop reaches the
-    walk (a basis list with loops becomes a derived rank function). As
-    measured there, the walk wins on matrices, basis lists (U(8,16) as
-    bases, bound 14,893: 0.15 against 40 s) and derived rank functions (the
-    dual of M(K6), bound 22,819: 113 against 255 ms); a graph and a uniform
-    matroid, whose keys merge isomorphic minors, set it False."""
-
-    walk_at_any_bound = True
+    that it answers natively; each takes the Matroid M it backs."""
 
     def loops(self, M):
         return frozenset(e for e in M.elements if M.rank({e}) == 0)
@@ -166,7 +153,6 @@ class _Backing:
 
 class UniformBacking(_Backing):
     kind = "uniform"
-    walk_at_any_bound = False
 
     def __init__(self, r):
         self.r = r
@@ -252,7 +238,6 @@ class RollbackUnionFind:
 
 class GraphicBacking(_Backing):
     kind = "graphic"
-    walk_at_any_bound = False
 
     def __init__(self, edges):
         # edges: {label: (u, v)}; vertices may be any hashables.
@@ -395,15 +380,14 @@ class Matroid:
         return not self.loops()
 
     @property
-    def walk_at_any_bound(self):
-        """Whether tutte.tutte_polynomial takes the subset walk on M up to
-        SUBSET_SUM_LIMIT elements whatever the walk's bound: the backing's
-        declaration (_Backing)."""
-        return self._backing.walk_at_any_bound
+    def kind(self):
+        """The backing's kind: "linear", "uniform", "graphic", "bases" or
+        "derived"."""
+        return self._backing.kind
 
     def graph_edges(self):
         """The (u, v) ends of each element in order for a graph, else None."""
-        if self._backing.kind != "graphic":
+        if self.kind != "graphic":
             return None
         return [self._backing.edges[e] for e in self.elements]
 
@@ -517,7 +501,7 @@ class Matroid:
         return self._backing.memo_key(self)
 
     def __repr__(self):
-        return f"Matroid({self._backing.kind}, n={self.size}, r={self.r})"
+        return f"Matroid({self.kind}, n={self.size}, r={self.r})"
 
 
 # -- constructors ---------------------------------------------------------
@@ -535,6 +519,8 @@ def from_matrix(field, matrix):
 
 
 def uniform(r, n):
+    require_int(r, "uniform rank r")
+    require_int(n, "uniform size n")
     if not (0 <= r <= n) or n < 1:
         raise InvalidInput(f"uniform matroid needs 0 <= r <= n, n >= 1; got r={r} n={n}")
     return Matroid(UniformBacking(r), range(n))
@@ -549,9 +535,10 @@ def from_graph(edges):
     _check_ground_size(len(edges))
     emap = {}
     for i, uv in enumerate(edges):
-        if len(tuple(uv)) != 2:
-            raise InvalidInput(f"edge {i} is not a pair")
-        u, v = uv
+        try:
+            u, v = uv
+        except (TypeError, ValueError):  # not a sequence, or not of two
+            raise InvalidInput(f"edge {i} is not a pair") from None
         emap[i] = (u, v)
     return Matroid(GraphicBacking(emap), range(len(edges)))
 

@@ -25,7 +25,7 @@ polynomial comes from tutte.py, which loads with the first Whitney check
 """
 from __future__ import annotations
 
-from .errors import InternalInvariantViolation, InvalidInput, LooplessRequired, TooLarge
+from .errors import InternalInvariantViolation, InvalidInput, LooplessRequired, TooLarge, require_int
 from .fields import QQ
 from .matroids import Matroid
 
@@ -67,6 +67,7 @@ def nbc_sets(M: Matroid, k):
     every size, so a caller reading several degrees asks for the top one
     first.
     """
+    require_int(k, "degree")
     if k < 0 or k > M.size:
         raise InvalidInput(f"degree {k} out of range 0..{M.size}")
     _require_loopless(M)
@@ -150,6 +151,7 @@ def os_dimensions(M: Matroid, field=QQ):
 def reduced_nbc_index_sets(M: Matroid, k):
     """k-subsets S avoiding 0 with S + {0} an nbc set, lex order; os_space
     has held their count to the degree-(k+1) Whitney check."""
+    require_int(k, "reduced degree")
     if k < 0 or k + 1 > M.size:
         raise InvalidInput(f"reduced degree {k} out of range")
     if 0 not in M.elements:

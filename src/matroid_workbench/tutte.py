@@ -3,17 +3,10 @@
 Two routes to the Tutte polynomial are provided and cross-check each other
 in tests: a corank-nullity subset sum (tutte_sum) and memoized
 deletion-contraction (tutte_dc); both close a structure of rank at most 2
-by one formula, _superset_counts. tutte_polynomial is the one route rule
-behind `tutte` (unless --cache keeps it on deletion-contraction), `hlv`,
-`charpoly`, the h matrix of `euler-table` and the Orlik-Solomon Whitney
-check. It peels the loops of its input, T(M) = y^#loops T(M \\ loops), and
-reads the length of the walk on what is left, bounded by
-walk_bound(#E, r): up to SUBSET_SUM_LIMIT elements it walks a matrix, a
-basis list or a derived rank function whatever that bound, and a graph
-or a uniform matroid when the bound is at most WALK_BOUND_LIMIT;
-it takes deletion-contraction otherwise, and also when the walk passes
-WALK_CAP_FACTOR times its bound or one parallel class would make it pass,
-and holds either result to check_tutte before it is used. The h polynomial
+by one formula, _superset_counts. tutte_polynomial, the one place that
+picks between them (its docstring gives the rule), gives T to `tutte`,
+`hlv`, `charpoly`, the h matrix of `euler-table` and the Orlik-Solomon
+Whitney check, held to check_tutte. The h polynomial
 
     h(u, v) = sum over subsets A of u^(r - rk(A)) * v^(#(E \\ A) - (r - rk(A)))
 
@@ -50,10 +43,11 @@ from __future__ import annotations
 from math import comb
 
 from .errors import InternalInvariantViolation, TooLarge
-from .matroids import SUBSET_SUM_LIMIT, Matroid, RollbackUnionFind, parallel_classes
+from .matroids import Matroid, RollbackUnionFind, parallel_classes
 from .polynomials import BivariatePoly, UnivariatePoly
 
 DEFAULT_DC_NODES = 100_000  # expanded deletion-contraction cores (memo misses)
+SUBSET_SUM_LIMIT = 24  # elements the subset walk takes at most
 GREENE_RANK_LIMIT = 18  # check_tutte walks at most 2^18 cuts of a graph
 # tutte_polynomial's route rule; its docstring gives the measurements
 WALK_BOUND_LIMIT = 2**12  # walk_bound above which a graph or uniform matroid takes DC
@@ -210,20 +204,24 @@ def _class_outgrows_cap(N: Matroid, cap):
     return N.r >= 4 and 2 ** (N.size - N.r + 1) > cap and 2 ** max(map(len, N.parallel_classes())) > cap
 
 
-def tutte_polynomial(M: Matroid, max_nodes=DEFAULT_DC_NODES) -> BivariatePoly:
+def tutte_polynomial(M: Matroid, max_nodes=DEFAULT_DC_NODES, cache=None) -> BivariatePoly:
     """T by the route that the walk's length picks, held to check_tutte:
-    the one route rule behind `tutte` without --cache, h_polynomial,
-    h_matrix and char_poly. `max_nodes` is the budget of tutte_dc, if it
-    runs.
+    the one route rule behind `tutte`, h_polynomial, h_matrix and
+    char_poly. `max_nodes` is the budget of tutte_dc, if it runs, and
+    `cache` a TutteCache for its memo (`tutte --cache` passes a
+    FileTutteCache).
 
     First the loops of M are deleted, T(M) = y^#loops T(M \\ loops), and
-    the rule reads what is left. Up to SUBSET_SUM_LIMIT elements, tutte_sum
-    runs when the backing walks at any bound (Matroid.walk_at_any_bound: a
-    matrix, a basis list or a derived rank function) or the walk bound
-    B = walk_bound(#E, r) is at most WALK_BOUND_LIMIT, under a cap of
-    WALK_CAP_FACTOR * B nodes; a walk that passes the cap, and every other
-    input, goes to tutte_dc. In process (medians, 2 cores, Python 3.11.7),
-    walk against DC, each run on the whole input:
+    the rule reads what is left. With a cache it runs tutte_dc, whose memo
+    the cache holds and the walk would neither read nor fill; the loops
+    are those tutte_dc's root would peel, so every core, memo key and cache
+    entry is that of tutte_dc on M. Without one, up to SUBSET_SUM_LIMIT
+    elements, tutte_sum runs on a matrix, a basis list or a derived rank
+    function (Matroid.kind) whatever the walk bound B = walk_bound(#E, r),
+    and on a graph or a uniform matroid when B is at most WALK_BOUND_LIMIT,
+    under a cap of WALK_CAP_FACTOR * B nodes; a walk that passes the cap,
+    and every other input, goes to tutte_dc. In process (medians, 2 cores,
+    Python 3.11.7), walk against DC, each run on the whole input:
 
         input                      #E   r        B     walk       DC
         seeded GF(7) 6x17          17   6    3,214   13.9 ms  32.1 ms
@@ -245,33 +243,37 @@ def tutte_polynomial(M: Matroid, max_nodes=DEFAULT_DC_NODES) -> BivariatePoly:
     (+) with its loops on, the walk visits 13.2 B nodes; tutte_polynomial
         walks the 8-element core (B = 219) and takes 0.2 ms.
 
-    On matrices, basis lists and derived rank functions the walk wins at
-    any B but on the Vandermonde matrix, whose contractions are
-    column-scaled Vandermonde matrices that the scaling-blind memo keys
-    merge. On graphs the routes cross near B = 2^12, and the uniform keys
-    merge every minor of one shape. The walk visits at most 2.4 B nodes on
-    the corpus, the benchmark inputs and the loopless inputs above (M(K7)
-    1.45 B, a parallel-rich Q 4x12 matrix 1.8 B, the 8 parallel pairs
-    2.33 B), so the cap stops only walks that large parallel classes blow
-    up: on C5 with one edge made 20 parallel ones, B is 301 but the walk
-    would meet all 2^20 subsets of that class. Such a walk is not started
-    (_class_outgrows_cap): that graph and the Q matrix of 20 copies of e1
-    with e2, e3, e4 and their sum took 27.5 and 31.1 ms end to end when
-    they walked to the cap first, and 19.4 and 20.7 ms by DC alone.
+    A matrix, a basis list and a derived rank function walk at any B
+    because their memo keys merge few minors (a matrix's those equal up to
+    row operations and column scaling, the others' equal labeled ones), so
+    DC expands nearly every core: the walk wins on all of them but the
+    Vandermonde matrix, whose contractions are column-scaled Vandermonde
+    matrices that its keys merge. A graph's key merges isomorphic minors
+    and a uniform key every minor of one shape, so DC wins on them at large
+    B; on graphs the routes cross near B = 2^12. The walk visits at most
+    2.4 B nodes on the corpus, the benchmark inputs and the loopless inputs
+    above (M(K7) 1.45 B, a parallel-rich Q 4x12 matrix 1.8 B, the 8
+    parallel pairs 2.33 B), so the cap stops only walks that large parallel
+    classes blow up: on C5 with one edge made 20 parallel ones, B is 301
+    but the walk would meet all 2^20 subsets of that class. Such a walk is
+    not started (_class_outgrows_cap): that graph and the Q matrix of 20
+    copies of e1 with e2, e3, e4 and their sum took 27.5 and 31.1 ms end to
+    end when they walked to the cap first, and 19.4 and 20.7 ms by DC alone.
     """
     loops = M.loops()
     N = M.delete(loops) if loops else M
     t = None
-    if N.size <= SUBSET_SUM_LIMIT:
+    if cache is None and N.size <= SUBSET_SUM_LIMIT:
         bound = walk_bound(N.size, N.r)
         cap = WALK_CAP_FACTOR * bound
-        if (N.walk_at_any_bound or bound <= WALK_BOUND_LIMIT) and not _class_outgrows_cap(N, cap):
+        walks = N.kind not in ("graphic", "uniform") or bound <= WALK_BOUND_LIMIT
+        if walks and not _class_outgrows_cap(N, cap):
             try:
                 t = tutte_sum(N, max_nodes=cap)
             except TooLarge:  # the walk outgrew its cap
                 pass
     if t is None:
-        t = tutte_dc(N, max_nodes=max_nodes)
+        t = tutte_dc(N, cache, max_nodes=max_nodes)
     t = t.shift(0, len(loops))
     check_tutte(M, t)
     return t

@@ -51,7 +51,7 @@ import functools
 import itertools
 from math import comb
 
-from .errors import InternalInvariantViolation, InvalidInput, TooLarge
+from .errors import InternalInvariantViolation, InvalidInput, TooLarge, quote, require_int
 from .matroids import Matroid
 
 DEFAULT_BUDGET = 10_000_000
@@ -101,7 +101,10 @@ def symmetric_exchange_neighbors(M: Matroid, pair):
     """
     bases = M.bases()
     where = {b: i for i, b in enumerate(bases)}
-    i, j = (where.get(tuple(sorted(b))) for b in pair)
+    try:
+        i, j = (where.get(tuple(sorted(b))) for b in pair)
+    except (TypeError, ValueError):  # not two sortable, hashable bases
+        raise InvalidInput(f"pair must be two bases, got {quote(pair)}") from None
     if i is None or j is None:
         raise InvalidInput("pair must consist of bases")
     masks, index = _masks(M, bases)
@@ -307,6 +310,7 @@ def toric_fibers(M: Matroid, d, budget=DEFAULT_BUDGET):
     factors for b bases; above `budget` the construction refuses
     (TooLarge) before it enumerates any monomial.
     """
+    require_int(d, "degree")
     if d < 1:
         raise InvalidInput(f"degree must be >= 1, got {d}")
     _check_budget(len(M.bases()), d, budget)

@@ -1103,6 +1103,47 @@ def test_tutte_cache_cold_warm_identical(tmp_path):
     assert list(cache_dir.glob("*.json"))
 
 
+# inputs with loops whose loopless cores have rank 3, so deletion-contraction
+# expands cores and writes files
+_LOOPY = {
+    "graph with self-loops": {"type": "graphic", "edges": [
+        [0, 0], [0, 1], [0, 2], [2, 2], [0, 3], [1, 2], [1, 3], [2, 3], [3, 3]]},
+    # columns 1 and 4 are zero, column 7 is a coloop
+    "GF(3) matrix with zero columns and a coloop": {"type": "linear", "field": "GF(3)", "matrix": [
+        [1, 0, 0, 0, 0, 1, 1, 0], [0, 0, 1, 0, 0, 1, 2, 0], [0, 0, 0, 1, 0, 1, 0, 0], [0, 0, 0, 0, 0, 0, 0, 1]]},
+    # U(3,5) and the loop 5
+    "basis list with a loop": {"type": "bases", "n": 6,
+                               "bases": [list(b) for b in itertools.combinations(range(5), 3)]},
+}
+
+
+@pytest.mark.parametrize("name", list(_LOOPY))
+def test_tutte_cache_on_loops_writes_what_deletion_contraction_on_the_input_writes(name, tmp_path):
+    """`tutte --cache` deletes the input's loops before deletion-contraction,
+    whose root would peel them with the coloops: cold, it prints plain
+    `tutte`'s bytes and writes the file names and bytes that tutte_dc on
+    the whole input writes into a FileTutteCache; warm, it prints the same
+    bytes and writes no file."""
+    from matroid_workbench import deletion_contraction
+
+    descriptor = _LOOPY[name]
+    M = from_descriptor(descriptor)
+    assert M.loops()
+    deletion_contraction.tutte_dc(M, _file_cache(tmp_path / "direct"))
+    direct = {p.name: p.read_bytes() for p in (tmp_path / "direct").iterdir()}
+    assert direct
+    plain = run_cli(["tutte"], stdin_obj=descriptor)
+    cache = tmp_path / "cli"
+    runs = []
+    for _ in range(2):
+        proc = run_cli(["tutte", "--cache", str(cache)], stdin_obj=descriptor)
+        assert (proc.returncode, proc.stdout) == (0, plain.stdout), proc.stderr
+        runs.append({p.name: (p.read_bytes(), p.stat().st_ino, p.stat().st_mtime_ns) for p in cache.iterdir()})
+    cold, warm = runs
+    assert {f: data for f, (data, _, _) in cold.items()} == direct
+    assert warm == cold
+
+
 def test_cold_cache_run_leaves_only_entries_in_json_dumps_bytes(tmp_path):
     """A cold run leaves no temporary file, and each entry holds the bytes
     json.dumps writes, readable and writable by its owner only."""

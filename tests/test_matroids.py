@@ -394,6 +394,43 @@ def test_from_graph_validation():
     assert M.r == 2 and len(M.bases()) == 3
 
 
+def _malformed_calls():
+    """(id, call on M(K4)) of each malformed library call."""
+    from matroid_workbench import orlik_solomon, white
+
+    calls = {
+        "uniform(2.5, 4)": lambda K4: uniform(2.5, 4),
+        "uniform(True, 3)": lambda K4: uniform(True, 3),
+        "uniform(2, 4.0)": lambda K4: uniform(2, 4.0),
+        "toric_fibers(K4, 2.5)": lambda K4: white.toric_fibers(K4, 2.5),
+        "toric_fibers(K4, '3')": lambda K4: white.toric_fibers(K4, "3"),
+        "nbc_sets(K4, 2.5)": lambda K4: orlik_solomon.nbc_sets(K4, 2.5),
+        "nbc_sets(K4, '2')": lambda K4: orlik_solomon.nbc_sets(K4, "2"),
+        "os_space(K4, 1.5)": lambda K4: orlik_solomon.os_space(K4, 1.5),
+        "os_space(K4, '2')": lambda K4: orlik_solomon.os_space(K4, "2"),
+        "reduced_nbc_index_sets(K4, 1.5)": lambda K4: orlik_solomon.reduced_nbc_index_sets(K4, 1.5),
+        "reduced_nbc_index_sets(K4, '1')": lambda K4: orlik_solomon.reduced_nbc_index_sets(K4, "1"),
+        "one basis as a pair": lambda K4: white.symmetric_exchange_neighbors(K4, [(0, 1, 2)]),
+        "three bases as a pair": lambda K4: white.symmetric_exchange_neighbors(
+            K4, [(0, 1, 2), (0, 1, 4), (0, 2, 4)]),
+        "an int as a pair": lambda K4: white.symmetric_exchange_neighbors(K4, 5),
+        "two ints as a pair": lambda K4: white.symmetric_exchange_neighbors(K4, [5, 6]),
+        "from_graph([5])": lambda K4: from_graph([5]),
+        "from_graph([(0, 1), None])": lambda K4: from_graph([(0, 1), None]),
+    }
+    return [pytest.param(call, id=name) for name, call in calls.items()]
+
+
+@pytest.mark.parametrize("call", _malformed_calls())
+def test_malformed_library_arguments_raise_invalid_input(call):
+    """A non-integer size or degree, a pair of other than two bases and an
+    edge that is not a sequence raise InvalidInput, not TypeError or
+    ValueError, as the CLI's descriptor checks do for the same input."""
+    K4 = from_graph([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    with pytest.raises(InvalidInput):
+        call(K4)
+
+
 def test_from_bases_round_trip(corpus_by_name):
     M = corpus_by_name["u_2_3"]
     N = from_bases(3, [sorted(B) for B in M.bases()])

@@ -304,6 +304,21 @@ def test_the_walk_never_sees_a_loop(name, monkeypatch):
     assert walked == [(core_size, frozenset())]
 
 
+@pytest.mark.parametrize(
+    "name", ["M(K4)", "GF(7) 6x17", "U(5,10) as bases", "M(K6)", "U(7,8) + 10 loops as bases"])
+def test_a_cache_keeps_the_route_rule_on_deletion_contraction(name, monkeypatch):
+    """Given a cache, tutte_polynomial never walks, even on inputs that it
+    walks without one: it runs tutte_dc, whose memo the cache holds, and
+    returns the walked T."""
+    M = _complete_graph(4) if name == "M(K4)" else ROUTE_INPUTS[name][0]()
+    calls = _spy_routes(monkeypatch)
+    walked = tutte.tutte_polynomial(M)
+    assert calls == ["walk"]
+    cache = CountingCache()
+    assert tutte.tutte_polynomial(M, cache=cache) == walked
+    assert calls == ["walk", "dc"] and ("put", None) in cache.calls
+
+
 def test_walk_bound_counts_the_nodes_of_a_walk_in_general_position():
     """In U(r, n) every set of at most r - 2 elements is independent, so
     the walk visits exactly walk_bound(n, r) nodes: one node fewer raises
