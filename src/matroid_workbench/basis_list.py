@@ -8,7 +8,7 @@ matroids.from_bases and matroids.BasesBacking name what it defines
 """
 from __future__ import annotations
 
-from .errors import InvalidInput, TooLarge, quote
+from .errors import InvalidInput, TooLarge, quote, require_int
 from .matroids import Matroid, _Backing, _check_ground_size
 
 BASIS_VALIDATION_LIMIT = 100_000  # pairs of bases the exchange check may compare
@@ -67,6 +67,7 @@ def from_bases(n, bases):
     pairwise check in that order would. Lists whose b^2 exceeds
     BASIS_VALIDATION_LIMIT raise TooLarge.
     """
+    require_int(n, "ground set size n")
     if n < 1:
         raise InvalidInput("ground set must be nonempty")
     _check_ground_size(n)
@@ -74,8 +75,14 @@ def from_bases(n, bases):
     blist = []
     seen = set()
     for b in bases:
+        try:
+            b = tuple(b)
+        except TypeError:
+            raise InvalidInput(f"basis {quote(b)} is not a sequence of elements") from None
+        if any(type(e) is not int for e in b):
+            raise InvalidInput(f"basis {quote(b)} has an element that is not an integer")
         fb = frozenset(b)
-        if len(fb) != len(tuple(b)):
+        if len(fb) != len(b):
             raise InvalidInput(f"basis {quote(sorted(b))} has repeated elements")
         if not fb <= ground:
             raise InvalidInput(f"basis {quote(sorted(b))} outside ground set 0..{n - 1}")

@@ -87,7 +87,7 @@ from __future__ import annotations
 
 from math import comb, lcm
 
-from .errors import InternalInvariantViolation, InvalidInput, TooLarge
+from .errors import InternalInvariantViolation, InvalidInput, TooLarge, require_int
 from .matroids import Matroid
 
 FIBER_SIGN = -1
@@ -329,5 +329,6 @@ def euler_table(M: Matroid, one_ps=None, max_points=DEFAULT_MAX_POINTS):
     checks that before output, and verify_corpus compares the table with
     its frozen value.
     """
+    require_int(max_points, "max_points")
     calibrate_signs()
     return _euler_table(M, one_ps, max_points)

@@ -339,7 +339,10 @@ class Matroid:
     # -- rank oracle ----------------------------------------------------
 
     def rank(self, subset):
-        s = frozenset(subset)
+        try:
+            s = frozenset(subset)
+        except TypeError:  # not iterable, or an element not hashable
+            raise InvalidInput(f"subset must be an iterable of elements, got {quote(subset)}") from None
         if not s <= self._eset:
             raise InvalidInput(f"subset {sorted(s - self._eset)} outside ground set")
         got = self._rank_cache.get(s)
@@ -394,7 +397,12 @@ class Matroid:
     # -- minors and duals -------------------------------------------------
 
     def minor(self, deleted=(), contracted=()):
-        dset, cset = frozenset(deleted), frozenset(contracted)
+        try:
+            dset, cset = frozenset(deleted), frozenset(contracted)
+        except TypeError:  # not iterable, or an element not hashable
+            raise InvalidInput(
+                f"minor sets must be iterables of elements, got {quote(deleted)} and {quote(contracted)}"
+            ) from None
         if not dset <= self._eset or not cset <= self._eset:
             raise InvalidInput("minor sets must lie in the ground set")
         if dset & cset:
@@ -420,6 +428,7 @@ class Matroid:
         A depth-first walk over independent prefixes: it descends only when
         a push raises the rank, and only while enough elements are left to
         reach rank r, so dependent sets are never extended."""
+        require_int(limit, "limit")
         if limit and self.size > limit:
             raise TooLarge(f"basis enumeration over {self.size} > {limit} elements")
         if self._bases is None:
@@ -454,6 +463,7 @@ class Matroid:
         Every circuit C is the fundamental circuit of e in C over a basis B
         that extends C - e: e together with the f in B for which B - f + e
         is again a basis."""
+        require_int(limit, "limit")
         if limit and self.size > limit:
             raise TooLarge(f"circuit enumeration over {self.size} > {limit} elements")
         if self._circuits is None:
@@ -529,7 +539,10 @@ def uniform(r, n):
 def from_graph(edges):
     """Cycle matroid; `edges` is a sequence of (u, v) pairs, elements are
     edge indices in the given order. Loops and parallel edges allowed."""
-    edges = list(edges)
+    try:
+        edges = list(edges)
+    except TypeError:
+        raise InvalidInput(f"graph edges must be an iterable of (u, v) pairs, got {quote(edges)}") from None
     if not edges:
         raise InvalidInput("graph needs at least one edge")
     _check_ground_size(len(edges))
@@ -537,8 +550,9 @@ def from_graph(edges):
     for i, uv in enumerate(edges):
         try:
             u, v = uv
-        except (TypeError, ValueError):  # not a sequence, or not of two
-            raise InvalidInput(f"edge {i} is not a pair") from None
+            hash((u, v))
+        except (TypeError, ValueError):  # not a sequence, not of two, or a vertex not hashable
+            raise InvalidInput(f"edge {i} is not a pair of hashable vertices") from None
         emap[i] = (u, v)
     return Matroid(GraphicBacking(emap), range(len(edges)))
 

@@ -26,7 +26,7 @@ polynomial comes from tutte.py, which loads with the first Whitney check
 from __future__ import annotations
 
 from .errors import InternalInvariantViolation, InvalidInput, LooplessRequired, TooLarge, require_int
-from .fields import QQ
+from .fields import QQ, field_from_name
 from .matroids import Matroid
 
 # rank-oracle pushes one nbc walk may make: it visits at most 2^#E sets and
@@ -131,9 +131,12 @@ def _whitney_numbers(M):
 
 
 def os_space(M: Matroid, k, field=QQ) -> OSSpace:
-    """The degree-k Orlik-Solomon space over `field`. Its dimension, the
-    nbc count, must equal the k-th Whitney number |chi_M coefficient of
-    u^(r-k)|; a mismatch is a bug in this package. Neither needs the field."""
+    """The degree-k Orlik-Solomon space over `field` (a fields.py object or
+    name). Its dimension, the nbc count, must equal the k-th Whitney number
+    |chi_M coefficient of u^(r-k)|; a mismatch is a bug in this package.
+    Neither needs the field."""
+    if isinstance(field, str):
+        field = field_from_name(field)
     nbc, expected = nbc_sets(M, k), _whitney_numbers(M)[k]
     if len(nbc) != expected:
         raise InternalInvariantViolation(f"degree {k}: {len(nbc)} nbc sets != Whitney number {expected}")

@@ -194,6 +194,7 @@ def reduced_nbc_basis(M: Matroid, k, field=QQ) -> ReducedOSBasis:
     """
     idx = orlik_solomon.reduced_nbc_index_sets(M, k)
     space = orlik_solomon.os_space(M, k, field)
+    field = space.field  # os_space reads a field name
     one, monos = field.one, []
     for s in idx:
         terms = {(0,) + s[:j] + s[j + 1:]: one if j % 2 else field.neg(one) for j in range(k)}

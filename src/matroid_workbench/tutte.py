@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .errors import InternalInvariantViolation, TooLarge
+from .errors import InternalInvariantViolation, TooLarge, require_int
 from .matroids import Matroid, RollbackUnionFind, parallel_classes
 from .polynomials import BivariatePoly, UnivariatePoly
 
@@ -100,6 +100,8 @@ def rank_size_counts(M: Matroid, max_nodes=None):
     (23 and 16 ms on residuals of full length; medians, 2 cores, Python
     3.11.7).
     """
+    if max_nodes is not None:
+        require_int(max_nodes, "max_nodes")
     if M.size > SUBSET_SUM_LIMIT:
         raise TooLarge(f"subset sum over {M.size} > {SUBSET_SUM_LIMIT} elements")
     elems = M.elements
@@ -190,6 +192,7 @@ def tutte_dc(M: Matroid, cache=None, max_nodes=DEFAULT_DC_NODES) -> BivariatePol
     """Tutte polynomial by deletion-contraction, memoized in `cache` (a
     TutteCache) and capped at `max_nodes` expanded cores: see
     deletion_contraction.tutte_dc, which this loads at its first call."""
+    require_int(max_nodes, "max_nodes")
     from .deletion_contraction import tutte_dc
 
     return tutte_dc(M, cache, max_nodes)
@@ -260,6 +263,7 @@ def tutte_polynomial(M: Matroid, max_nodes=DEFAULT_DC_NODES, cache=None) -> Biva
     copies of e1 with e2, e3, e4 and their sum took 27.5 and 31.1 ms end to
     end when they walked to the cap first, and 19.4 and 20.7 ms by DC alone.
     """
+    require_int(max_nodes, "max_nodes")
     loops = M.loops()
     N = M.delete(loops) if loops else M
     t = None

@@ -25,17 +25,18 @@ bases that occur in it), are merged into the component masks of the
 fiber they reach, and a degree's components must hold one basis per
 pair. The sizes of degree d come from one count of the monomials'
 multidegree codes. This is the route whenever every degree-2 fiber and
-every fiber below degree d is connected; no monomial is listed. Degree 2
-is checked by one union-find over the positions of the degree-2
-monomials, joined by their double swaps.
+every fiber below degree d is connected; no monomial is listed of a
+degree above 2. Degree 2 is checked by the search of the move split
+(_search), one fiber at a time, whose moves are the double swaps; it
+stops at the first split fiber.
 
 Move split. Otherwise each degree-d fiber is searched breadth first by
-its moves (white_moves.py, which loads only where the split runs), and no
-lower degree is read. The report reads only the sizes and component
-counts. The representatives and the named vertices, adjacency lists and
-components come from the move split at their first access, and where the
-star closure split the fibers the moves must give every fiber the same
-size and component count.
+_search under its moves (white_moves.py, which loads only where the
+split runs), and no lower degree is read. The report reads only the
+sizes and component counts. The representatives and the named vertices,
+adjacency lists and components come from the move split at their first
+access, and where the star closure split the fibers the moves must give
+every fiber the same size and component count.
 
 Before a report leaves check_degree, the number of fibers must equal the
 number of integer points of d*P_M, the sums of d bases (Edmonds; White
@@ -197,27 +198,46 @@ def _checked_swaps(masks, index, codes, i, j):
     return out
 
 
+def _fibers(codes, d):
+    """{multidegree code: monomials} of the degree-d fibers, each a list of
+    sorted d-tuples of basis indices in lexicographic order."""
+    fibers = {}
+    for v in itertools.combinations_with_replacement(range(len(codes)), d):
+        fibers.setdefault(sum(map(codes.__getitem__, v)), []).append(v)
+    return fibers
+
+
+def _search(fiber, moves):
+    """The components of the monomials `fiber`, given in increasing order,
+    under the function `moves`: breadth first from each monomial not yet
+    reached, until every monomial is reached. So each component is a list
+    whose first entry is its least monomial, and the components come in
+    the order of those entries. Moves keep the multidegree, so no more
+    monomials may be reached than the fiber holds."""
+    seen, comps = set(), []
+    for v in fiber:
+        if v not in seen:
+            seen.add(v)
+            comp = [v]
+            for u in comp:
+                if len(seen) == len(fiber):
+                    break
+                new = moves(u) - seen
+                seen |= new
+                comp += new
+            comps.append(comp)
+    if len(seen) != len(fiber):
+        # a move keeps the multidegree, so `moves` reached past the fiber
+        raise InternalInvariantViolation(f"move left the fiber of {fiber[0]}: {len(seen)} monomials reached")
+    return comps
+
+
 def _degree_two_connected(masks, index, codes):
-    """Whether every degree-2 fiber is connected: one union-find, with path
-    halving, over the positions head[i] + j of the monomials (i, j),
-    i <= j, in lexicographic order, head[i] = i*b - i(i + 1)/2 for b
-    bases, each joined to the monomials one double swap reaches. Every
-    component lies in one fiber, so the fibers are connected when there
-    are as many roots as fibers."""
-    b = len(masks)
-    heads = [i * b - i * (i + 1) // 2 for i in range(b)]
-    monomials = list(itertools.combinations_with_replacement(range(b), 2))
-    parent = list(range(len(monomials)))
-    for i, j in monomials:
-        for w in _checked_swaps(masks, index, codes, i, j):
-            x, y = heads[i] + j, heads[w[0]] + w[1]
-            while parent[x] != x:
-                parent[x] = x = parent[parent[x]]
-            while parent[y] != y:
-                parent[y] = y = parent[parent[y]]
-            parent[y] = x
-    roots = sum(x == p for x, p in enumerate(parent))
-    return roots == len({codes[i] + codes[j] for i, j in monomials})
+    """Whether every degree-2 fiber is connected: each fiber searched
+    (_search) under the double swaps of its monomials (i, j), i <= j,
+    which are its moves."""
+    moves = lambda v: _checked_swaps(masks, index, codes, *v)
+    return all(len(_search(fiber, moves)) == 1 for fiber in _fibers(codes, 2).values())
 
 
 def _star_split(lower, codes):
@@ -313,6 +333,7 @@ def toric_fibers(M: Matroid, d, budget=DEFAULT_BUDGET):
     require_int(d, "degree")
     if d < 1:
         raise InvalidInput(f"degree must be >= 1, got {d}")
+    require_int(budget, "budget")
     _check_budget(len(M.bases()), d, budget)
     bases, masks, index, codes = _tables(M, d)
     counts = None

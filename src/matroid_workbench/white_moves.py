@@ -8,18 +8,18 @@ reports and name the representatives of a witness, and for the named views
 fibers are all connected never compiles it.
 
 A degree-d move replaces two factors of a monomial by a pair that one
-double swap reaches from them, and fixes the other d - 2 factors. So a
-breadth-first search over the monomials of one fiber gives its components,
-and reads no lower degree. The double swaps of each basis pair are
-computed once per toric_fibers call, into a table that the split and the
-views share, and each must keep the pair's multidegree code.
+double swap reaches from them, and fixes the other d - 2 factors. So the
+breadth-first search white._search, which checks degree 2 as well, gives
+the components of one fiber from its moves, and reads no lower degree.
+The double swaps of each basis pair are computed once per toric_fibers
+call, into a table that the split and the views share, and each must
+keep the pair's multidegree code.
 """
 from __future__ import annotations
 
 import itertools
 
 from . import white
-from .errors import InternalInvariantViolation
 
 
 def _moves(masks, index, codes, d):
@@ -46,40 +46,13 @@ def _moves(masks, index, codes, d):
     return moves
 
 
-def _search(fiber, moves):
-    """The components of the monomials `fiber`, given in increasing order,
-    under the function `moves`: breadth first from each monomial not yet
-    reached, until every monomial is reached. So each component is a list
-    whose first entry is its least monomial, and the components come in
-    the order of those entries. Moves keep the multidegree, so no more
-    monomials may be reached than the fiber holds."""
-    seen, comps = set(), []
-    for v in fiber:
-        if v not in seen:
-            seen.add(v)
-            comp = [v]
-            for u in comp:
-                if len(seen) == len(fiber):
-                    break
-                new = moves(u) - seen
-                seen |= new
-                comp += new
-            comps.append(comp)
-    if len(seen) != len(fiber):
-        # a move keeps the multidegree, so this module reached past the fiber
-        raise InternalInvariantViolation(f"move left the fiber of {fiber[0]}: {len(seen)} monomials reached")
-    return comps
-
-
 def _split(codes, d, moves):
-    """{multidegree code: components} of the degree-d fibers under the
-    function `moves` (_search), the monomials bucketed by code in
-    lexicographic order. Each bucket is dropped once it is searched, so
-    the monomials that moves reach are not held twice."""
-    fibers = {}
-    for v in itertools.combinations_with_replacement(range(len(codes)), d):
-        fibers.setdefault(sum(map(codes.__getitem__, v)), []).append(v)
-    return {code: _search(fibers.pop(code), moves) for code in list(fibers)}
+    """{multidegree code: components} of the degree-d fibers (white._fibers)
+    under the function `moves`, each searched by white._search. Each fiber
+    is dropped once it is searched, so the monomials that moves reach are
+    not held twice."""
+    fibers = white._fibers(codes, d)
+    return {code: white._search(fibers.pop(code), moves) for code in list(fibers)}
 
 
 def _views(bases, moves, split):

@@ -682,7 +682,7 @@ def closure_components(nodes, lower, codes):
     return out
 
 
-def explicit_move_components(M, d):
+def explicit_move_components(M, d, kept=None):
     """{multidegree: components} of the degree-d fibers under explicit
     double-swap moves, each component a sorted list of sorted d-tuples of
     bases, the components in order of their least monomial.
@@ -690,7 +690,8 @@ def explicit_move_components(M, d):
     Every pair of factors of every monomial is swapped by every x, y for
     which both results are bases, with frozensets and no table shared
     between monomials: the move builder that the lift replaced, with no
-    table of double swaps.
+    table of double swaps. `kept`, if given, is a rule on (monomial,
+    monomial it moves to) that a move must pass, and must be symmetric.
     """
     bases = M.bases()
     bset = {frozenset(b) for b in bases}
@@ -711,7 +712,9 @@ def explicit_move_components(M, d):
                     f1, f2 = frozenset(s1 - {x} | {y}), frozenset(s2 - {y} | {x})
                     if f1 in bset and f2 in bset:
                         rest = v[:i] + v[i + 1:j] + v[j + 1:]
-                        yield tuple(sorted(rest + (tuple(sorted(f1)), tuple(sorted(f2)))))
+                        w = tuple(sorted(rest + (tuple(sorted(f1)), tuple(sorted(f2)))))
+                        if kept is None or kept(v, w):
+                            yield w
 
     out = {}
     for mdeg, verts in fibers.items():

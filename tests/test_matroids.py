@@ -431,6 +431,61 @@ def test_malformed_library_arguments_raise_invalid_input(call):
         call(K4)
 
 
+def _argument_calls():
+    """(id, call on M(K4), reference or None) of each library call with a
+    malformed argument, a budget that is not an integer or a field name:
+    a call with no reference must raise InvalidInput, and a call by field
+    name must give what its reference gives with the field object."""
+    from matroid_workbench import PrimeField, QQ, localization, orlik_solomon, tutte, white
+    from matroid_workbench.basis_list import from_bases
+
+    def space(K4, field):
+        s = orlik_solomon.os_space(K4, 2, field)
+        return s.field, s.nbc
+
+    calls = {
+        "from_bases(2.5, [(0,)])": (lambda K4: from_bases(2.5, [(0,)]), None),
+        "from_bases(True, [(0,)])": (lambda K4: from_bases(True, [(0,)]), None),
+        "from_bases(3, [(0, 'a')])": (lambda K4: from_bases(3, [(0, "a")]), None),
+        "from_graph(None)": (lambda K4: from_graph(None), None),
+        "from_graph([([1], [2])])": (lambda K4: from_graph([([1], [2])]), None),
+        "rank(5)": (lambda K4: K4.rank(5), None),
+        "delete(5)": (lambda K4: K4.delete(5), None),
+        "contract(5)": (lambda K4: K4.contract(5), None),
+        "minor(deleted=5)": (lambda K4: K4.minor(deleted=5), None),
+        "check_degree budget": (lambda K4: white.check_degree(K4, 3, budget="x"), None),
+        "toric_fibers budget": (lambda K4: white.toric_fibers(K4, 3, budget=2.5), None),
+        "euler_table max_points": (lambda K4: localization.euler_table(K4, max_points="x"), None),
+        "tutte_polynomial max_nodes": (lambda K4: tutte.tutte_polynomial(K4, max_nodes="x"), None),
+        "tutte_dc max_nodes": (lambda K4: tutte.tutte_dc(K4, max_nodes=None), None),
+        "rank_size_counts max_nodes": (lambda K4: tutte.rank_size_counts(K4, max_nodes="x"), None),
+        "tutte_sum max_nodes": (lambda K4: tutte.tutte_sum(K4, max_nodes=1.5), None),
+        "bases limit": (lambda K4: K4.bases(limit="x"), None),
+        "circuits limit": (lambda K4: K4.circuits(limit="x"), None),
+        "os_space 'GF(2)'": (lambda K4: space(K4, "GF(2)"), lambda K4: space(K4, PrimeField(2))),
+        "os_dimensions 'GF(3)'": (lambda K4: orlik_solomon.os_dimensions(K4, "GF(3)"),
+                                  lambda K4: orlik_solomon.os_dimensions(K4, PrimeField(3))),
+        "reduced_nbc_basis 'Q'": (lambda K4: orlik_solomon.reduced_nbc_basis(K4, 1, "Q").monomials,
+                                  lambda K4: orlik_solomon.reduced_nbc_basis(K4, 1, QQ).monomials),
+        "reduced_os_dimensions 'GF(5)'": (lambda K4: orlik_solomon.reduced_os_dimensions(K4, " GF(5) "),
+                                          lambda K4: orlik_solomon.reduced_os_dimensions(K4, PrimeField(5))),
+    }
+    return [pytest.param(call, reference, id=name) for name, (call, reference) in calls.items()]
+
+
+@pytest.mark.parametrize("call,reference", _argument_calls())
+def test_library_arguments_are_checked_or_read_as_names(call, reference):
+    """Malformed arguments and budgets that are not integers raise
+    InvalidInput, not TypeError, and the Orlik-Solomon entry points read a
+    field name as from_matrix does."""
+    K4 = from_graph([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    if reference is None:
+        with pytest.raises(InvalidInput):
+            call(K4)
+    else:
+        assert call(K4) == reference(K4)
+
+
 def test_from_bases_round_trip(corpus_by_name):
     M = corpus_by_name["u_2_3"]
     N = from_bases(3, [sorted(B) for B in M.bases()])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import VAMOS_BASES, closure_components, explicit_move_components, node_masks
+from helpers import VAMOS_BASES, closure_components, explicit_move_components, matrices_and_graphs, node_masks
 from matroid_workbench import (
     CORPUS,
     InternalInvariantViolation,
@@ -86,8 +86,8 @@ def test_fiber_adjacency_is_symmetric(corpus_by_name):
 def test_components_partition_disconnected_toy_graph():
     # the monomials (0,) .. (3,) of one fiber, moves joining 0 with 1 and 3 with 2
     near = {(0,): {(1,)}, (1,): {(0,)}, (2,): {(3,)}, (3,): {(2,)}}
-    assert white_moves._search([(0,), (1,), (2,), (3,)], near.__getitem__) == [[(0,), (1,)], [(2,), (3,)]]
-    assert white_moves._search([(0,), (1,)], lambda v: set()) == [[(0,)], [(1,)]]
+    assert white._search([(0,), (1,), (2,), (3,)], near.__getitem__) == [[(0,), (1,)], [(2,), (3,)]]
+    assert white._search([(0,), (1,)], lambda v: set()) == [[(0,)], [(1,)]]
 
 
 def test_check_degree_reports(corpus_by_name):
@@ -300,7 +300,7 @@ def test_star_matches_lift_and_explicit_moves_on_generated_matroids_in_degree_4(
 def test_move_split_and_degree_two_union_find_against_explicit_moves(M):
     """With the star closure switched off, toric_fibers splits every
     degree by moves, which must give the explicit-move components in
-    degrees 2 to 4; and the degree-2 union-find reports every fiber
+    degrees 2 to 4; and the degree-2 search reports every fiber
     connected exactly when the move split gives one component per
     degree-2 fiber, under all double swaps and under those alone whose
     two pairs have an odd index sum, a rule symmetric in the move that
@@ -316,6 +316,31 @@ def test_move_split_and_degree_two_union_find_against_explicit_moves(M):
                 w for w in swaps(masks, index, i, j) if kept(i, j, w)
             })
             connected = all(f.n_components == 1 for f in toric_fibers(M, 2))
+            assert white._degree_two_connected(masks, index, codes) is connected
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices_and_graphs())
+def test_degree_two_search_against_explicit_moves(M):
+    """The degree-2 search reports every fiber connected exactly when the
+    explicit moves give one component per degree-2 fiber, under all
+    double swaps and under those alone whose two pairs have an odd index
+    sum, the rule that splits some fibers above."""
+    swaps = white._swaps
+    where = {b: i for i, b in enumerate(M.bases())}
+    _, masks, index, codes = white._tables(M, 2)
+
+    def odd(*indices):
+        return sum(indices) % 2
+
+    for rule in (None, odd):
+        explicit = explicit_move_components(M, 2, rule and (lambda v, w: odd(*map(where.get, v + w))))
+        connected = all(len(comps) == 1 for comps in explicit.values())
+        with pytest.MonkeyPatch.context() as patch:
+            if rule:
+                patch.setattr(white, "_swaps", lambda masks, index, i, j: {
+                    w for w in swaps(masks, index, i, j) if odd(i, j, *w)
+                })
             assert white._degree_two_connected(masks, index, codes) is connected
 
 
