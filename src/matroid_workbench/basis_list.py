@@ -74,6 +74,10 @@ def from_bases(n, bases):
     ground = frozenset(range(n))
     blist = []
     seen = set()
+    try:
+        bases = iter(bases)
+    except TypeError:
+        raise InvalidInput(f"bases must be an iterable of bases, got {quote(bases)}") from None
     for b in bases:
         try:
             b = tuple(b)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import sys
 
-from .errors import InvalidField, quote
+from .errors import InvalidField, InvalidInput, quote
 
 
 def _integral(x):
@@ -177,3 +177,14 @@ def field_from_name(name: str):
         if s[:3] == "GF(" and s[-1:] == ")" and 0 < len(digits) <= 20 and digits.isascii() and digits.isdigit():
             return PrimeField(int(digits))
     raise InvalidField(f"unknown field {quote(name)} (expected 'Q' or 'GF(p)', p < 2^64)")
+
+
+def as_field(field):
+    """`field` as a field object: a name is read by field_from_name, a
+    field object is returned as it is, and anything else raises
+    InvalidInput."""
+    if isinstance(field, str):
+        return field_from_name(field)
+    if isinstance(field, (RationalField, PrimeField)):
+        return field
+    raise InvalidInput(f"field must be a field object or a name such as 'Q' or 'GF(p)', got {quote(field)}")

@@ -40,7 +40,7 @@ from __future__ import annotations
 from math import gcd, lcm
 
 from .errors import InvalidInput
-from .fields import RationalField, field_from_name
+from .fields import RationalField, as_field
 from .matroids import _Backing, _check_ground_size
 
 
@@ -335,8 +335,7 @@ def matrix_backing(field, matrix):
     """The linear backing of `matrix` over `field` (a fields.py object or
     name), on the column indices 0..n-1: its columns in the integer
     convention and its RREF (matroids.from_matrix)."""
-    if isinstance(field, str):
-        field = field_from_name(field)
+    field = as_field(field)
     if not matrix or not matrix[0]:
         raise InvalidInput("matrix must have at least one row and one column")
     width = len(matrix[0])

@@ -26,7 +26,7 @@ polynomial comes from tutte.py, which loads with the first Whitney check
 from __future__ import annotations
 
 from .errors import InternalInvariantViolation, InvalidInput, LooplessRequired, TooLarge, require_int
-from .fields import QQ, field_from_name
+from .fields import QQ, as_field
 from .matroids import Matroid
 
 # rank-oracle pushes one nbc walk may make: it visits at most 2^#E sets and
@@ -135,8 +135,7 @@ def os_space(M: Matroid, k, field=QQ) -> OSSpace:
     name). Its dimension, the nbc count, must equal the k-th Whitney number
     |chi_M coefficient of u^(r-k)|; a mismatch is a bug in this package.
     Neither needs the field."""
-    if isinstance(field, str):
-        field = field_from_name(field)
+    field = as_field(field)
     nbc, expected = nbc_sets(M, k), _whitney_numbers(M)[k]
     if len(nbc) != expected:
         raise InternalInvariantViolation(f"degree {k}: {len(nbc)} nbc sets != Whitney number {expected}")

@@ -13,8 +13,8 @@ and orlik_solomon.os_space at each call.
 from __future__ import annotations
 
 from . import orlik_solomon
-from .errors import InternalInvariantViolation, InvalidInput
-from .fields import QQ
+from .errors import InternalInvariantViolation, InvalidInput, quote
+from .fields import QQ, as_field
 from .matroids import Matroid
 
 
@@ -89,7 +89,11 @@ class ExteriorElement:
 
 def koszul_boundary(subset, field=QQ):
     """d e_S = sum_{i>=0} (-1)^i e_(S minus its (i+1)-th largest element)."""
-    s = tuple(sorted(subset))
+    try:
+        s = tuple(sorted(subset))
+    except TypeError:  # not a collection of comparable elements
+        raise InvalidInput(f"subset must be a collection of elements, got {quote(subset)}") from None
+    field = as_field(field)
     if len(set(s)) != len(s):
         raise InvalidInput("boundary of a tuple with repeats")
     k, one = len(s), field.one  # s[j] is the (k - j)-th largest

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .errors import InternalInvariantViolation, TooLarge, require_int
+from .errors import InternalInvariantViolation, InvalidInput, TooLarge, quote, require_int
 from .matroids import Matroid, RollbackUnionFind, parallel_classes
 from .polynomials import BivariatePoly, UnivariatePoly
 
@@ -263,6 +263,8 @@ def tutte_polynomial(M: Matroid, max_nodes=DEFAULT_DC_NODES, cache=None) -> Biva
     copies of e1 with e2, e3, e4 and their sum took 27.5 and 31.1 ms end to
     end when they walked to the cap first, and 19.4 and 20.7 ms by DC alone.
     """
+    if not isinstance(M, Matroid):
+        raise InvalidInput(f"expected a Matroid, got {quote(M)}")
     require_int(max_nodes, "max_nodes")
     loops = M.loops()
     N = M.delete(loops) if loops else M

@@ -23,27 +23,33 @@ bases. So each degree is one pass over the pairs (lower fiber, basis):
 the star's bases, B and the lower fiber's node mask (the bitmask of the
 bases that occur in it), are merged into the component masks of the
 fiber they reach, and a degree's components must hold one basis per
-pair. The sizes of degree d come from one count of the monomials'
-multidegree codes. This is the route whenever every degree-2 fiber and
-every fiber below degree d is connected; no monomial is listed of a
-degree above 2. Degree 2 is checked by the search of the move split
+pair. The passes start at degree 3: the node mask of a degree-2 fiber is
+the OR of the bases of its monomials, whose buckets the degree-2 check
+has just searched. The sizes of degree d come from one count of the
+monomials' multidegree codes. This is the route whenever every degree-2
+fiber and every fiber below degree d is connected; no monomial is listed
+of a degree above 2. Degree 2 is checked by the search of the move split
 (_search), one fiber at a time, whose moves are the double swaps; it
 stops at the first split fiber.
 
 Move split. Otherwise each degree-d fiber is searched breadth first by
 _search under its moves (white_moves.py, which loads only where the
-split runs), and no lower degree is read. The report reads only the
-sizes and component counts. The representatives and the named vertices,
-adjacency lists and components come from the move split at their first
-access, and where the star closure split the fibers the moves must give
-every fiber the same size and component count.
+split runs), and no lower degree is read. toric_fibers returns the
+route's sizes and component counts in a sequence (Fibers) that makes a
+FiberGraph only when one is read, and the report reads the counts alone
+and makes a FiberGraph for each witness only. The representatives and
+the named vertices, adjacency lists and components come from the move
+split at their first access, and where the star closure split the fibers
+the moves must give every fiber the same size and component count.
 
 Before a report leaves check_degree, the number of fibers must equal the
 number of integer points of d*P_M, the sums of d bases (Edmonds; White
 1977), and the fiber sizes must add up to C(#bases + d - 1, d). The points
 are counted from the rank function and the cyclic flats alone, by a walk
-over the coordinates that closes the last two by formula: their
-completions of a prefix are the integers of an interval.
+over the coordinates that closes the last three by formula: the
+completions of a prefix are, for each value x of the third last, the
+integers of an interval whose ends are constants or constants minus x,
+so their number summed over x is three arithmetic series.
 """
 from __future__ import annotations
 
@@ -164,6 +170,42 @@ class FiberGraph:
         return self._views()[self._code][2]
 
 
+class Fibers:
+    """The degree-d fibers of one toric_fibers call, in code order (that is,
+    by multidegree), as a read-only sequence: len, indexing, slicing and
+    iteration make each FiberGraph when it is read. `sizes` and `counts`
+    are the route's own {code: size} and {code: number of components}."""
+
+    def __init__(self, degree, n_elements, sizes, counts, summary, views):
+        self.degree = degree
+        self.sizes = sizes
+        self.counts = counts
+        self._n_elements = n_elements
+        self._summary = summary
+        self._views = views
+
+    def fiber(self, code):
+        """The FiberGraph of the fiber whose multidegree code is `code`."""
+        return FiberGraph(
+            self.degree, self._n_elements, self.sizes[code], self.counts[code], code, self._summary, self._views
+        )
+
+    @functools.cached_property
+    def _codes(self):
+        return sorted(self.counts)
+
+    def __len__(self):
+        return len(self.counts)
+
+    def __getitem__(self, i):
+        if i.__class__ is slice:
+            return list(map(self.fiber, self._codes[i]))
+        return self.fiber(self._codes[i])
+
+    def __iter__(self):
+        return map(self.fiber, self._codes)
+
+
 def _check_budget(n_bases, d, budget):
     """Refuse unless b * C(b + d, d - 1) <= budget: the basis factors of
     all monomials of degrees 1..d. This bounds the C(b + d - 1, d)
@@ -266,14 +308,19 @@ def _star_split(lower, codes):
 
 
 def _star_components(codes, d):
-    """{code: number of components} of the degree-d fibers by star closure
-    from degree 3, the node masks carried up from degree 1; None at the
-    first degree below d with a split fiber. Every degree-2 fiber must be
-    connected, so its node mask is the sum of its components. Each pair
-    (lower fiber, basis) puts one basis in a degree's components, and a
-    star that left its fiber puts in more."""
-    nodes = {0: 0}
-    for k in range(1, d + 1):
+    """{code: number of components} of the degree-d fibers, d >= 3, by star
+    closure from degree 3; None at the first degree below d with a split
+    fiber. Every degree-2 fiber must be connected, so its node mask is the
+    bases of its monomials (i, j), ORed per bucket of _fibers(codes, 2).
+    Each pair (lower fiber, basis) puts one basis in a degree's
+    components, and a star that left its fiber puts in more."""
+    nodes = {}
+    for c, fiber in _fibers(codes, 2).items():
+        mask = 0
+        for i, j in fiber:
+            mask |= 1 << i | 1 << j
+        nodes[c] = mask
+    for k in range(3, d + 1):
         split = _star_split(nodes, codes)
         held = sum(m.bit_count() if m.__class__ is int else sum(map(int.bit_count, m)) for m in split.values())
         if held != len(codes) * len(nodes):
@@ -281,9 +328,9 @@ def _star_components(codes, d):
                 f"star closure left the fiber: {held} bases in the degree-{k} components"
                 f" of {len(codes) * len(nodes)} stars"
             )
-        if 2 < k < d and any(m.__class__ is list for m in split.values()):
+        if k < d and any(m.__class__ is list for m in split.values()):
             return None
-        nodes = split if k > 2 else {c: m if m.__class__ is int else sum(m) for c, m in split.items()}
+        nodes = split
     return {c: 1 if m.__class__ is int else len(m) for c, m in split.items()}
 
 
@@ -318,7 +365,8 @@ def _tables(M, d):
 
 
 def toric_fibers(M: Matroid, d, budget=DEFAULT_BUDGET):
-    """All degree-d fibers as FiberGraph objects, sorted by multidegree.
+    """All degree-d fibers, sorted by multidegree, as a Fibers sequence,
+    which makes each FiberGraph when it is read.
 
     From degree 3 on, while every degree-2 fiber and every fiber below
     degree d is connected, the star closure gives the component counts
@@ -336,9 +384,9 @@ def toric_fibers(M: Matroid, d, budget=DEFAULT_BUDGET):
     require_int(budget, "budget")
     _check_budget(len(M.bases()), d, budget)
     bases, masks, index, codes = _tables(M, d)
-    counts = None
+    star = None
     if d > 2 and _degree_two_connected(masks, index, codes):
-        counts = _star_components(codes, d)
+        star = _star_components(codes, d)
 
     @functools.cache
     def moves():
@@ -347,7 +395,9 @@ def toric_fibers(M: Matroid, d, budget=DEFAULT_BUDGET):
         return _moves(masks, index, codes, d)
 
     def shape(components):
-        return {code: (sum(map(len, comps)), len(comps)) for code, comps in components.items()}
+        return {c: len(comps) for c, comps in components.items()}, {
+            c: sum(map(len, comps)) for c, comps in components.items()
+        }
 
     @functools.cache
     def summary():
@@ -356,21 +406,20 @@ def toric_fibers(M: Matroid, d, budget=DEFAULT_BUDGET):
         from .white_moves import _split
 
         components = _split(codes, d, moves())
-        if counts is not None and shape(components) != fibers:
+        if star is not None and shape(components) != (counts, sizes):
             raise InternalInvariantViolation(
                 f"the moves and the star closure split the degree-{d} fibers apart"
             )
         return components
 
-    if counts is None:
-        fibers = shape(summary())
+    if star is None:
+        counts, sizes = shape(summary())
     else:
-        sizes = _fiber_sizes(codes, d)
+        counts, sizes = star, _fiber_sizes(codes, d)
         if sizes.keys() != counts.keys():
             raise InternalInvariantViolation(
                 f"{len(counts)} degree-{d} fibers by node masks, {len(sizes)} by monomials"
             )
-        fibers = {code: (sizes[code], n) for code, n in counts.items()}
 
     @functools.cache
     def views():
@@ -378,10 +427,7 @@ def toric_fibers(M: Matroid, d, budget=DEFAULT_BUDGET):
 
         return _views(bases, moves(), summary())
 
-    return [
-        FiberGraph(d, M.size, size, n, code, summary, views)
-        for code, (size, n) in sorted(fibers.items())
-    ]
+    return Fibers(d, M.size, sizes, counts, summary, views)
 
 
 def _closure(M, A):
@@ -416,11 +462,14 @@ def _lattice_points(M, d):
     points are the sums of d bases, one per degree-d fiber. A depth-first
     walk over the coordinates in ground order keeps a running slack per
     cyclic flat, and prunes a prefix whose remaining total cannot be placed
-    inside one flat's slack plus the room outside it. The walk stops two
-    coordinates short of the end: once x_{n-2} = y is chosen the last
-    coordinate is the remaining total minus y, so every bound on the pair
-    is a bound on y, and a prefix has as many completions as an interval
-    has integers; they are counted in the loop over x_{n-3}.
+    inside one flat's slack plus the room outside it. The walk stops three
+    coordinates short of the end. Once x_{n-3} = x is chosen, with N left
+    for the last three, x_{n-1} is N - x - x_{n-2}, so every bound on the
+    last two is a bound on y = x_{n-2}, and the completions are the
+    integers y of [max(A', B' - x), min(A, B - x)] for constants A, B, A',
+    B' of the prefix (a flat holding both bounds N - x alone, so x from
+    below). Their number is min(a, b + x, c - x) where that is positive,
+    and its sum over an interval of x is three arithmetic series.
     """
     flats = list(_cyclic_flats(M))
     elems = M.elements
@@ -442,13 +491,62 @@ def _lattice_points(M, d):
         ]
         for k in range(n - 2)
     ]
-    # a flat holding e_{n-2} bounds y from above; one holding e_{n-1} but not
-    # e_{n-2} bounds the last coordinate rest - y, so y from below; one
-    # holding both bounds rest alone
-    upper = member[n - 2]
-    lower = [i for i in member[n - 1] if i not in upper]
-    both = [i for i in member[n - 1] if i in upper]
+    # a flat holding e_{n-2} but not e_{n-1} bounds y from above, one holding
+    # e_{n-1} but not e_{n-2} bounds x_{n-1}, so y from below, and one
+    # holding both bounds x_{n-2} + x_{n-1}; each is split by whether it
+    # holds e_{n-3} too, where its slack falls with x
+    held = member[n - 3]
+    upper = [i for i in member[n - 2] if i not in member[n - 1]]
+    lower = [i for i in member[n - 1] if i not in member[n - 2]]
+    both = [i for i in member[n - 1] if i in member[n - 2]]
+    upper_in, upper_out = [i for i in upper if i in held], [i for i in upper if i not in held]
+    lower_in, lower_out = [i for i in lower if i in held], [i for i in lower if i not in held]
+    both_in, both_out = [i for i in both if i in held], [i for i in both if i not in held]
     cap_y, cap_z = cap[n - 2], cap[n - 1]
+
+    def last(need, lo, hi):
+        """The points with x_{n-3} = x in [lo, hi] and `need` left for the
+        last three coordinates: y runs over [max(low_a, low_b - x),
+        min(high_a, high_b - x)], so there are min(a, b + x, c - x) of them
+        where that is positive, b + x up to x = rise, c - x from x = fall,
+        and a in between."""
+        for i in both_in:
+            if need > slack[i]:
+                return 0
+        for i in both_out:
+            if need - slack[i] > lo:
+                lo = need - slack[i]
+        high_a, high_b, low_a, low_b = cap_y, need, 0, need - cap_z
+        for i in upper_out:
+            if slack[i] < high_a:
+                high_a = slack[i]
+        for i in upper_in:
+            if slack[i] < high_b:
+                high_b = slack[i]
+        for i in lower_in:
+            if need - slack[i] > low_a:
+                low_a = need - slack[i]
+        for i in lower_out:
+            if need - slack[i] > low_b:
+                low_b = need - slack[i]
+        a = min(high_a - low_a, high_b - low_b) + 1
+        b, c = high_a - low_b + 1, high_b - low_a + 1
+        lo, hi = max(lo, 1 - b), min(hi, c - 1)
+        if a < 1 or lo > hi:
+            return 0
+        rise = min(a - b, (c - b) // 2)
+        fall = max(c - a, (c - b) // 2 + 1)
+        count = 0
+        if lo <= rise:
+            v = min(hi, rise)
+            count += (v - lo + 1) * (2 * b + lo + v) // 2
+        if fall <= hi:
+            u = max(lo, fall)
+            count += (hi - u + 1) * (2 * c - u - hi) // 2
+        u, v = max(lo, rise + 1), min(hi, fall - 1)
+        if u <= v:
+            count += (v - u + 1) * a
+        return count
 
     def walk(k, need):
         for i, outside in checks[k]:
@@ -459,27 +557,14 @@ def _lattice_points(M, d):
         for i in inside:
             if slack[i] < top:
                 top = slack[i]
+        start = max(0, need - room[k + 1])
+        if k == n - 3:
+            return last(need, start, top)
         count = 0
-        for x in range(max(0, need - room[k + 1]), top + 1):
+        for x in range(start, top + 1):
             for i in inside:
                 slack[i] -= x
-            if k < n - 3:
-                count += walk(k + 1, need - x)
-            else:
-                rest = need - x  # x_{n-2} = y and x_{n-1} = rest - y for y in [low, high]
-                high = min(cap_y, rest)
-                for i in both:
-                    if rest > slack[i]:
-                        high = -1
-                for i in upper:
-                    if slack[i] < high:
-                        high = slack[i]
-                low = max(0, rest - cap_z)
-                for i in lower:
-                    if rest - slack[i] > low:
-                        low = rest - slack[i]
-                if high >= low:
-                    count += high - low + 1
+            count += walk(k + 1, need - x)
             for i in inside:
                 slack[i] += x
         return count
@@ -504,21 +589,16 @@ def check_degree(M: Matroid, d, budget=DEFAULT_BUDGET):
     bases = M.bases()
     n_bases = len(bases)
     witnesses = []
-    max_fiber = 0
-    total = 0
-    for fg in fibers:
-        total += fg.size
-        max_fiber = max(max_fiber, fg.size)
-        if fg.n_components > 1:
-            witnesses.append(
-                {
-                    "multidegree": list(fg.multidegree),
-                    "n_components": fg.n_components,
-                    "component_representatives": [
-                        [list(bases[i]) for i in v] for v in fg.representatives
-                    ],
-                }
-            )
+    for code in sorted(c for c, n in fibers.counts.items() if n > 1):
+        fg = fibers.fiber(code)
+        witnesses.append(
+            {
+                "multidegree": list(fg.multidegree),
+                "n_components": fg.n_components,
+                "component_representatives": [[list(bases[i]) for i in v] for v in fg.representatives],
+            }
+        )
+    total = sum(fibers.sizes.values())
     if total != comb(n_bases + d - 1, d):
         raise InternalInvariantViolation(
             f"fiber sizes add up to {total}, not C({n_bases} + {d} - 1, {d})"
@@ -534,7 +614,7 @@ def check_degree(M: Matroid, d, budget=DEFAULT_BUDGET):
         "n_bases": n_bases,
         "n_fibers": len(fibers),
         "n_monomials": total,
-        "max_fiber_size": max_fiber,
+        "max_fiber_size": max(fibers.sizes.values()),
         "all_connected": all_connected,
         "verdict": (
             f"no minimal generators in degree {d}"

@@ -469,6 +469,13 @@ def _argument_calls():
                                   lambda K4: orlik_solomon.reduced_nbc_basis(K4, 1, QQ).monomials),
         "reduced_os_dimensions 'GF(5)'": (lambda K4: orlik_solomon.reduced_os_dimensions(K4, " GF(5) "),
                                           lambda K4: orlik_solomon.reduced_os_dimensions(K4, PrimeField(5))),
+        "from_matrix(5, [[1]])": (lambda K4: from_matrix(5, [[1]]), None),
+        "reduced_nbc_basis field 5": (lambda K4: orlik_solomon.reduced_nbc_basis(K4, 1, 5), None),
+        "os_space field 5": (lambda K4: orlik_solomon.os_space(K4, 1, 5), None),
+        "from_bases(3, None)": (lambda K4: from_bases(3, None), None),
+        "koszul_boundary(5)": (lambda K4: orlik_solomon.koszul_boundary(5), None),
+        "koszul_boundary field 5": (lambda K4: orlik_solomon.koszul_boundary((0, 1), 5), None),
+        "h_matrix(5)": (lambda K4: tutte.h_matrix(5), None),
     }
     return [pytest.param(call, reference, id=name) for name, (call, reference) in calls.items()]
 

@@ -2,11 +2,10 @@ import io
 import json
 import sys
 import time
-from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import VAMOS_BASES, closure_components, explicit_move_components, matrices_and_graphs, node_masks
@@ -492,20 +491,22 @@ def test_node_mask_outside_its_fiber_is_an_invariant_violation(corpus_by_name, m
     calls = []
 
     def stray(lower, codes):
+        # in degree 3 each check makes one call, the one from the degree-2
+        # node masks: the fiber of least code, 2 * {2, 3}, is given the
+        # basis {0, 1}, which is in none of its monomials, as its node mask
+        # goes up to degree 3
         calls.append(1)
-        if len(calls) % 3 == 0:
-            # the degree-2 fiber of least code, 2 * {2, 3}, given the basis
-            # {0, 1}, which is in none of its monomials, as its node mask
-            # goes up to degree 3
-            lower = dict(lower)
-            c, mask = min(lower.items())
-            lower[c] = mask | (~mask & (mask + 1))
+        lower = dict(lower)
+        c, mask = min(lower.items())
+        lower[c] = mask | (~mask & (mask + 1))
         return star_split(lower, codes)
 
     monkeypatch.setattr(white, "_star_split", stray)
     with pytest.raises(InternalInvariantViolation, match="left the fiber"):
         check_degree(corpus_by_name["u_2_4"], 3)
+    assert len(calls) == 1
     _white_check_exits_4(capsys, monkeypatch, {"type": "uniform", "r": 2, "n": 4})
+    assert len(calls) == 2
 
 
 def test_a_split_the_lift_does_not_confirm_is_an_invariant_violation(
@@ -537,15 +538,13 @@ def test_node_masks_must_hold_the_fibers_the_monomials_fill(corpus_by_name, monk
 
 
 def _brute_sums(M, d):
-    pos = {e: p for p, e in enumerate(M.elements)}
-    out = set()
-    for ms in combinations_with_replacement(M.bases(), d):
-        x = [0] * M.size
-        for b in ms:
-            for e in b:
-                x[pos[e]] += 1
-        out.add(tuple(x))
-    return len(out)
+    """The number of distinct sums of d bases, each degree's sums being
+    those of the degree below plus one basis."""
+    vectors = [tuple(int(e in b) for e in M.elements) for b in map(set, M.bases())]
+    sums = {(0,) * M.size}
+    for _ in range(d):
+        sums = {tuple(map(sum, zip(s, v))) for s in sums for v in vectors}
+    return len(sums)
 
 
 @pytest.mark.parametrize(
@@ -583,6 +582,44 @@ def test_lattice_points_are_the_sums_of_bases(M):
 @given(small_matrices(max_cols=7), st.integers(1, 3))
 def test_lattice_points_are_the_sums_of_bases_on_generated_matrices(M, d):
     assert white._lattice_points(M, d) == _brute_sums(M, d)
+
+
+@st.composite
+def matroids_with_special_tails(draw):
+    """Uniform matroids, GF(2) and GF(3) matrices and basis lists on 3 to 7
+    elements, each of whose last three elements may be a loop, a coloop or
+    one of a parallel pair: the cases where a bound of the closed form over
+    the last three coordinates is empty, fixed or shared."""
+    kind = draw(st.sampled_from(["uniform", "GF(2)", "GF(3)", "bases"]))
+    n = draw(st.integers(3, 7))
+    if kind == "uniform":
+        return uniform(draw(st.integers(0, n)), n)
+    p = 3 if kind == "GF(3)" else 2
+    rows = draw(st.integers(1, 3))
+    columns = [draw(st.lists(st.integers(0, p - 1), min_size=rows, max_size=rows)) for _ in range(n)]
+    coloops = []
+    for j in range(n - 3, n):
+        tail = draw(st.sampled_from(["any", "loop", "coloop", "parallel"]))
+        if tail == "loop":
+            columns[j] = [0] * rows
+        elif tail == "parallel":
+            columns[j] = list(columns[draw(st.sampled_from([i for i in range(n) if i != j]))])
+        elif tail == "coloop":
+            coloops.append(j)
+    # a row of its own makes a column a coloop
+    matrix = [list(row) for row in zip(*columns)] + [[int(i == j) for i in range(n)] for j in coloops]
+    M = from_matrix(f"GF({p})", matrix)
+    return from_bases(n, M.bases()) if kind == "bases" else M
+
+
+@settings(max_examples=60, deadline=None)
+@given(matroids_with_special_tails())
+@example(from_matrix("GF(3)", [[0, 1, 2]]))  # a loop, then a parallel pair
+@example(from_matrix("GF(3)", [[0, 1, 0], [0, 0, 1]]))  # a loop, then two coloops
+@example(from_matrix("GF(2)", [[1, 1, 0], [0, 0, 1]]))  # a parallel pair, then a coloop
+def test_lattice_points_are_the_sums_of_bases_with_special_last_elements(M):
+    for d in (1, 2, 3, 4):
+        assert white._lattice_points(M, d) == _brute_sums(M, d), d
 
 
 def test_lattice_count_needs_no_scan_of_all_flats():
@@ -697,6 +734,90 @@ def test_report_builds_no_named_views(corpus_by_name, monkeypatch):
             tuple(bases[i] for i in v) for v in f.representatives
         ]
     assert calls == [len(fibers)]
+
+
+def test_star_route_report_makes_no_fiber_graph(corpus_by_name, monkeypatch):
+    """The report reads the route's sizes and counts, and makes a
+    FiberGraph only for a witness, of which the star route on M(K4) has
+    none."""
+    made = []
+    init = white.FiberGraph.__init__
+
+    def counting(self, *args):
+        made.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(white.FiberGraph, "__init__", counting)
+    for d in (3, 4):
+        assert check_degree(corpus_by_name["k4"], d)["all_connected"] is True
+    assert made == []
+    assert len(toric_fibers(corpus_by_name["k4"], 3)[:5]) == len(made) == 5
+
+
+def _report_from_fibers(M, d):
+    """check_degree's report rebuilt from the FiberGraph items of
+    toric_fibers."""
+    fibers = list(toric_fibers(M, d))
+    bases = M.bases()
+    witnesses = [
+        {
+            "multidegree": list(f.multidegree),
+            "n_components": f.n_components,
+            "component_representatives": [[list(bases[i]) for i in v] for v in f.representatives],
+        }
+        for f in fibers
+        if f.n_components > 1
+    ]
+    return {
+        "degree": d,
+        "n_bases": len(bases),
+        "n_fibers": len(fibers),
+        "n_monomials": sum(f.size for f in fibers),
+        "max_fiber_size": max(f.size for f in fibers),
+        "all_connected": not witnesses,
+        "verdict": (
+            f"candidate witness: disconnected degree-{d} fiber" if witnesses else f"no minimal generators in degree {d}"
+        ),
+        "witnesses": witnesses,
+    }
+
+
+def test_report_equals_one_rebuilt_from_the_fibers(corpus_by_name, monkeypatch):
+    """On the star route and, with only the double swaps of odd index sum
+    kept, on a witness input, check_degree's JSON is that of a report
+    rebuilt from toric_fibers' items."""
+    M = corpus_by_name["k4"]
+    assert json.dumps(check_degree(M, 3)) == json.dumps(_report_from_fibers(M, 3))
+    swaps = white._swaps
+    monkeypatch.setattr(white, "_swaps", lambda masks, index, i, j: {
+        w for w in swaps(masks, index, i, j) if (i + j + w[0] + w[1]) % 2
+    })
+    report = check_degree(M, 3)
+    assert report["witnesses"]
+    assert json.dumps(report) == json.dumps(_report_from_fibers(M, 3))
+
+
+def test_toric_fibers_is_a_sequence_in_code_order(corpus_by_name, monkeypatch):
+    """len, indexing (negative too), slicing and iteration give the fibers
+    in code order, that is by multidegree, on the star route and on the
+    move split alike."""
+
+    def shape(fibers):
+        return [(f.multidegree, f.size, f.n_components) for f in fibers]
+
+    M = corpus_by_name["k4"]
+    fibers = toric_fibers(M, 3)
+    items = shape(fibers)
+    assert len(fibers) == len(items) == 396
+    assert [m for m, _, _ in items] == sorted({m for m, _, _ in items})
+    assert shape([fibers[0], fibers[17], fibers[-1], fibers[-396]]) == [items[0], items[17], items[-1], items[0]]
+    for cut in (slice(None), slice(3, 9), slice(-5, None), slice(None, None, -7), slice(400, 500)):
+        assert shape(fibers[cut]) == items[cut]
+    for i in (396, -397):
+        with pytest.raises(IndexError):
+            fibers[i]
+    monkeypatch.setattr(white, "_star_components", lambda codes, d: None)
+    assert shape(toric_fibers(M, 3)) == items
 
 
 def test_check_degree_builds_fibers_once(corpus_by_name, monkeypatch):
