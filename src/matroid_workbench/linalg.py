@@ -24,16 +24,22 @@ first k rows, so the memo keeps it on the other coordinates only, k fewer
 than the column has, and each elimination drops the coordinate it clears:
 the deeper the walk, the shorter the vectors it eliminates. An echelon
 also gives the parallel classes of the contraction by the pushed prefix
-without a push (`classes`), grouping the residuals of the later columns.
-The corank-nullity walk, which closes every node of corank 2 by those
-classes, makes 4,047 pushes and 12,597 row eliminations on the 6 x 18
-Vandermonde matrix over Q (31,179 and 31,161 when it pushed to the
-closure at corank 1; 138,057 eliminations when every push reduced from
-scratch), and 3,240 pushes and 8,038 eliminations on the 6 x 17 GF(7)
-benchmark matrix (22,733 and 19,457). In process the walk takes 17 ms on
-the Vandermonde matrix and 13 ms on the GF(7) one, and basis enumeration
-37 and 22 ms (23, 16, 46 and 25 ms with residuals on every coordinate;
-medians, 2 cores, Python 3.11.7).
+without a push (`classes`), grouping the residuals of the later columns,
+and on 3 free coordinates the class sizes of the contraction by the prefix
+and each later column (`child_class_sizes`), from the cross products of
+pairs of residuals. The corank-nullity walk, which closes the children of
+each node of corank 3 by those cross products, makes 987 pushes, 4,029
+row eliminations and 8,568 cross products on the 6 x 18 Vandermonde
+matrix over Q (4,047 pushes and 12,597 eliminations when it closed each
+node of corank 2 by `classes`, 31,179 and 31,161 when it pushed to the
+closure at corank 1, 138,057 eliminations when every push reduced from
+scratch), and 839 pushes and 2,653 eliminations on the 6 x 17 GF(7)
+benchmark matrix (3,240 and 8,038 at corank 2; 22,733 and 19,457 at
+corank 1). In process the walk takes 18 ms on the Vandermonde matrix and
+14 ms on the GF(7) one (35 and 26 ms when it closed nodes of corank 2;
+medians, 2 cores, Python 3.11.7). Basis enumeration, measured on a faster
+2-core box, took 37 and 22 ms (46 and 25 ms with residuals on every
+coordinate).
 """
 from __future__ import annotations
 
@@ -41,7 +47,7 @@ from math import gcd, lcm
 
 from .errors import InvalidInput
 from .fields import RationalField, as_field
-from .matroids import _Backing, _check_ground_size
+from .matroids import _Backing, _check_ground_size, pushed_child_class_sizes
 
 
 def __getattr__(name):
@@ -161,6 +167,23 @@ class _Echelon:
                 groups.setdefault(tuple(self._scaled(v, v.index(lead))), []).append(e)
         return list(groups.values())
 
+    def child_class_sizes(self, elements):
+        """matroids.child_class_sizes: for each e of `elements`, None when
+        its residual w is zero (e in the span), else the sorted sizes of the
+        classes of the later elements in the contraction by the span and e.
+        Two of them share a class exactly when their residuals v span one
+        plane with w, and one lies in the closure exactly when v is a
+        multiple of w. On 3 free coordinates, which a matrix of full row
+        rank has at corank 3, the plane is named by the 2 x 2 minors of
+        (w, v), its Plucker coordinates: the cross product w x v, zero
+        exactly when v is a multiple of w (_planes). On more, the sizes
+        come by pushes (matroids.pushed_child_class_sizes)."""
+        if self._n - len(self._short) != 3:
+            return pushed_child_class_sizes(self, elements)
+        res = [self._residual(e) for e in elements]
+        return [tuple(sorted(self._planes(w, res[i + 1:]).values())) if any(w) else None
+                for i, w in enumerate(res)]
+
 
 class IntEchelon(_Echelon):
     """Echelon form over Q on denominator-cleared integer columns. A
@@ -185,6 +208,23 @@ class IntEchelon(_Echelon):
         cross-multiplies, so integer rows stay as they are (and a residual
         is already its own projective normal form)."""
         return v
+
+    @staticmethod
+    def _planes(w, vectors):
+        """{plane: count} over the planes span(w, v) of the 3-entry
+        `vectors` v not parallel to w: w x v made primitive with a positive
+        lead, the zero product dropped."""
+        w0, w1, w2 = w
+        planes = {}
+        for v0, v1, v2 in vectors:
+            x, y, z = w1 * v2 - w2 * v1, w2 * v0 - w0 * v2, w0 * v1 - w1 * v0
+            g = gcd(x, y, z)
+            if g:
+                if (x or y or z) < 0:
+                    g = -g
+                key = x // g, y // g, z // g
+                planes[key] = planes.get(key, 0) + 1
+        return planes
 
     push = _Echelon.push  # each class binds push, so a tracer can wrap one class
 
@@ -211,6 +251,20 @@ class ModEchelon(_Echelon):
         p = self.p
         inv = pow(v[j], p - 2, p)
         return [(x * inv) % p for x in v]
+
+    def _planes(self, w, vectors):
+        """IntEchelon._planes over GF(p): each w x v made monic."""
+        p = self.p
+        w0, w1, w2 = w
+        planes = {}
+        for v0, v1, v2 in vectors:
+            x, y, z = (w1 * v2 - w2 * v1) % p, (w2 * v0 - w0 * v2) % p, (w0 * v1 - w1 * v0) % p
+            lead = x or y or z
+            if lead:
+                inv = pow(lead, p - 2, p)
+                key = x * inv % p, y * inv % p, z * inv % p
+                planes[key] = planes.get(key, 0) + 1
+        return planes
 
     push = _Echelon.push
 

@@ -88,7 +88,7 @@ from __future__ import annotations
 from math import comb, lcm
 
 from .errors import InternalInvariantViolation, InvalidInput, TooLarge, require_int
-from .matroids import Matroid
+from .matroids import Matroid, require_matroid
 
 FIBER_SIGN = -1
 TANGENT_SIGN = 1
@@ -329,6 +329,7 @@ def euler_table(M: Matroid, one_ps=None, max_points=DEFAULT_MAX_POINTS):
     checks that before output, and verify_corpus compares the table with
     its frozen value.
     """
+    require_matroid(M)
     require_int(max_points, "max_points")
     calibrate_signs()
     return _euler_table(M, one_ps, max_points)

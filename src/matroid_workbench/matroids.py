@@ -29,7 +29,9 @@ here, the corank-nullity counts in tutte.py, the fixed points in
 localization.py); a walk's linear echelon shares column residuals across
 the walk. An echelon, the union-find and the uniform oracle name the
 parallel classes of the contraction by a pushed prefix with no push
-(parallel_classes); any other oracle pushes pairs.
+(parallel_classes); any other oracle pushes pairs. An echelon also names
+those of the contraction by the prefix and each one later element at once
+(child_class_sizes); any other oracle pushes that element first.
 
 Every backing subclasses _Backing, which works out each answer from the
 Matroid's rank function: loops by rank({e}), coloops among one greedy
@@ -318,6 +320,35 @@ def parallel_classes(steps, elements):
                 classes.append([e])
         steps.pop()
     return classes
+
+
+def child_class_sizes(steps, elements):
+    """For each e of `elements` in order, with a prefix A pushed on the rank
+    oracle `steps`: None when e lies in cl(A), else the sorted sizes of the
+    parallel classes of the elements after e in M/(A + e). An echelon
+    answers from its residuals (`child_class_sizes`); any other oracle
+    takes pushed_child_class_sizes."""
+    own = getattr(steps, "child_class_sizes", None)
+    if own is not None:
+        return own(elements)
+    return pushed_child_class_sizes(steps, elements)
+
+
+def pushed_child_class_sizes(steps, elements):
+    """child_class_sizes by pushes: each e pushed, parallel_classes of the
+    elements after it taken, and e popped."""
+    sizes = []
+    for i, e in enumerate(elements, 1):
+        sizes.append(tuple(sorted(map(len, parallel_classes(steps, elements[i:])))) if steps.push(e) else None)
+        steps.pop()
+    return sizes
+
+
+def require_matroid(M):
+    """Raise InvalidInput unless `M` is a Matroid: the check of every
+    library entry point that takes one."""
+    if not isinstance(M, Matroid):
+        raise InvalidInput(f"expected a Matroid, got {quote(M)}")
 
 
 class Matroid:

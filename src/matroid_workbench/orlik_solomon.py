@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from .errors import InternalInvariantViolation, InvalidInput, LooplessRequired, TooLarge, require_int
 from .fields import QQ, as_field
-from .matroids import Matroid
+from .matroids import Matroid, require_matroid
 
 # rank-oracle pushes one nbc walk may make: it visits at most 2^#E sets and
 # pushes at most #E elements at each, so every ground set of 20 elements fits
@@ -144,6 +144,7 @@ def os_space(M: Matroid, k, field=QQ) -> OSSpace:
 
 def os_dimensions(M: Matroid, field=QQ):
     """[dim OS^k for k = 0..r], top first; no nbc set is larger than r."""
+    require_matroid(M)
     return [os_space(M, k, field).dimension for k in range(M.r, -1, -1)][::-1]
 
 

@@ -15,10 +15,11 @@ nonnegative coefficients, since each coefficient counts subsets.
 
 Counting route: the subset sum only needs, for each (corank, nullity)
 pair, how many subsets hit it. One depth-first walk over the push/pop rank
-oracle, Matroid.incremental_rank(), stops at each subset of corank at most
-2 and counts all its supersets by binomials from the parallel classes of
-the contraction (rank_size_counts); small binomial expansions then turn
-the counts into polynomials.
+oracle, Matroid.incremental_rank(), pushes the subsets of corank at least
+3; at each of corank exactly 3 it closes all the children of corank 2 at
+once, counting all their supersets by binomials from the parallel classes
+of each contraction (rank_size_counts, with matroids.child_class_sizes);
+small binomial expansions then turn the counts into polynomials.
 
 Deletion-contraction route (deletion_contraction.py, which tutte_dc loads
 at its first call and which also defines TutteCache and the CLI's
@@ -42,8 +43,8 @@ from __future__ import annotations
 
 from math import comb
 
-from .errors import InternalInvariantViolation, InvalidInput, TooLarge, quote, require_int
-from .matroids import Matroid, RollbackUnionFind, parallel_classes
+from .errors import InternalInvariantViolation, TooLarge, require_int
+from .matroids import Matroid, RollbackUnionFind, child_class_sizes, parallel_classes, require_matroid
 from .polynomials import BivariatePoly, UnivariatePoly
 
 DEFAULT_DC_NODES = 100_000  # expanded deletion-contraction cores (memo misses)
@@ -64,9 +65,10 @@ def __getattr__(name):
 
 def walk_bound(n, r):
     """B(n, r) = sum of C(n, k) for k = 0..r-2 (1 when r <= 2): the nodes
-    rank_size_counts visits on a matroid of rank r on n elements in which
+    rank_size_counts charges on a matroid of rank r on n elements in which
     every set of at most r - 2 elements is independent, since the walk
-    stops at the first subset of corank at most 2."""
+    closes each subset of corank at most 2 that it meets and goes no
+    further."""
     return sum(comb(n, k) for k in range(max(r - 1, 1)))
 
 
@@ -75,31 +77,46 @@ def rank_size_counts(M: Matroid, max_nodes=None):
     #A - rk(A) = nullity}, over all 2^#E subsets.
 
     A depth-first walk over subsets in increasing element order, one rank
-    push per visited subset, that stops at the first subset A of corank
-    c <= 2 (the root, when r <= 2). The contraction M/A on the m elements
-    left to add has rank at most c, so its parallel classes fix the rank of
-    every set J of them: with h of the m in cl(A) and classes of sizes p_i,
+    push per subset of corank at least 3, that closes each subset A of
+    corank c <= 2 it meets. The contraction M/A on the m elements left to
+    add has rank at most c, so its parallel classes fix the rank of every
+    set J of them: with h of the m in cl(A) and classes of sizes p_i,
     C(h, j) of the j-sets have rank 0, sum C(h + p_i, j) - C(h, j) rank 1
-    and the rest of C(m, j) rank 2 (_superset_counts). The classes come
-    from matroids.parallel_classes, which an echelon or a union-find reads
-    off its state with no push. The counts must add up to 2^#E, which holds
-    for any classes, and each must be positive at a feasible corank (0 to
-    r) and nullity (0 to #E - r), which wrong classes can break; classes
-    that are wrong but keep every count feasible pass both checks. The
-    6 x 18 Vandermonde matrix takes 4,047 pushes (31,179 when the walk
-    stopped at corank 1), the GF(7) benchmark matrix 3,240 (22,733) and
-    M(K7) 10,926 (160,758), against walk_bound's 4,048, 3,214 and 7,547
-    nodes; a walk that would visit more than `max_nodes` nodes raises
-    TooLarge. On a linear matroid the echelon shares column residuals
-    across the walk, one row elimination per
-    (rank-raising node, later column): 12,597 on the Vandermonde matrix
-    (31,161 at corank 1; 138,057 when each push reduces from scratch). It
-    keeps each residual on the coordinates that are not yet pivots, so a
-    node of corank 2 in a rank-6 walk groups 2-entry vectors: the walk takes
-    17 ms in process on the Vandermonde matrix and 13 ms on the GF(7) one
-    (23 and 16 ms on residuals of full length; medians, 2 cores, Python
-    3.11.7).
+    and the rest of C(m, j) rank 2 (_superset_counts). The walk meets such
+    an A only as the root (r <= 2), closed by matroids.parallel_classes, or
+    as a child A + e of a node A of corank 3, whose children are closed at
+    once by matroids.child_class_sizes: for each later e, None when e lies
+    in cl(A), and the child, still of corank 3, is walked with no push of
+    e, which would change no answer of the oracle; otherwise the class
+    sizes of M/(A + e) on the elements after e. An echelon reads them off
+    cross products of its residuals; any other oracle pushes e and takes
+    parallel_classes, which a union-find or a uniform oracle reads off its
+    state. The counts must add up to 2^#E, which holds for any classes,
+    and each must be positive at a feasible corank (0 to r) and nullity
+    (0 to #E - r), which wrong classes can break; classes that are wrong
+    but keep every count feasible pass both checks.
+
+    Each closed child is charged as a node, as when the walk pushed it: the
+    6 x 18 Vandermonde matrix takes 4,048 nodes, the GF(7) benchmark matrix
+    3,241 and M(K7) 10,927, against walk_bound's 4,048, 3,214 and 7,547; a
+    walk that would charge more than `max_nodes` nodes raises TooLarge.
+    The Vandermonde matrix takes 987 pushes (4,047 when the walk pushed to
+    corank 2, 31,179 to corank 1) and the GF(7) matrix 839 (3,240 and
+    22,733); M(K7) takes the 10,926 pushes it took at corank 2 (160,758 at
+    corank 1). On a linear matroid the echelon shares column residuals
+    across the walk, one row elimination per (rank-raising node, later
+    column), and closes the children of a node of corank 3 by one cross
+    product per pair of later columns: 4,029 eliminations and 8,568 cross
+    products on the Vandermonde matrix (12,597 eliminations at corank 2,
+    31,161 at corank 1, 138,057 when each push reduces from scratch). The
+    walk takes 18 ms in process on the Vandermonde matrix and 14 ms on the
+    GF(7) one, against 35 and 26 ms when it pushed to corank 2 (medians,
+    2 cores, Python 3.11.7). A matrix with more rows than its rank has more
+    than 3 free coordinates at corank 3, so its echelon takes the push
+    route, as fast as the walk to corank 2: 35 ms on the Vandermonde
+    matrix with a seventh row, the sum of two others.
     """
+    require_matroid(M)
     if max_nodes is not None:
         require_int(max_nodes, "max_nodes")
     if M.size > SUBSET_SUM_LIMIT:
@@ -110,12 +127,13 @@ def rank_size_counts(M: Matroid, max_nodes=None):
     counts = {}
     tails = {}  # (corank, nullity, m, sorted class sizes) of a node of corank <= 2 -> nodes
     left = max_nodes if max_nodes is not None else 2**n
+    too_long = f"subset walk visits more than {max_nodes} nodes"
 
     def walk(start, size, rk):
         nonlocal left
         left -= 1
         if left < 0:
-            raise TooLarge(f"subset walk visits more than {max_nodes} nodes")
+            raise TooLarge(too_long)
         if rk >= r - 2:
             rest = elems[start:]
             sizes = tuple(sorted(map(len, parallel_classes(steps, rest))))
@@ -124,6 +142,18 @@ def rank_size_counts(M: Matroid, max_nodes=None):
             return
         key = (r - rk, size - rk)
         counts[key] = counts.get(key, 0) + 1
+        if rk == r - 3:
+            nu = size - rk
+            for i, sizes in enumerate(child_class_sizes(steps, elems[start:]), start + 1):
+                if sizes is None:  # e in cl(A): pushing it would change no answer below
+                    walk(i, size + 1, rk)
+                else:
+                    key = (2, nu, n - i, sizes)
+                    tails[key] = tails.get(key, 0) + 1
+                    left -= 1
+            if left < 0:
+                raise TooLarge(too_long)
+            return
         for i in range(start, n):
             walk(i + 1, size + 1, rk + 1 if steps.push(elems[i]) else rk)
             steps.pop()
@@ -192,6 +222,7 @@ def tutte_dc(M: Matroid, cache=None, max_nodes=DEFAULT_DC_NODES) -> BivariatePol
     """Tutte polynomial by deletion-contraction, memoized in `cache` (a
     TutteCache) and capped at `max_nodes` expanded cores: see
     deletion_contraction.tutte_dc, which this loads at its first call."""
+    require_matroid(M)
     require_int(max_nodes, "max_nodes")
     from .deletion_contraction import tutte_dc
 
@@ -223,37 +254,39 @@ def tutte_polynomial(M: Matroid, max_nodes=DEFAULT_DC_NODES, cache=None) -> Biva
     function (Matroid.kind) whatever the walk bound B = walk_bound(#E, r),
     and on a graph or a uniform matroid when B is at most WALK_BOUND_LIMIT,
     under a cap of WALK_CAP_FACTOR * B nodes; a walk that passes the cap,
-    and every other input, goes to tutte_dc. In process (medians, 2 cores,
+    and every other input, goes to tutte_dc. In process (best of 9, or of
+    3 for U(8,16) and 1 for its DC and for the dual of M(K7); 2 cores,
     Python 3.11.7), walk against DC, each run on the whole input:
 
         input                      #E   r        B     walk       DC
-        seeded GF(7) 6x17          17   6    3,214   13.9 ms  32.1 ms
-        random Q 6x18              18   6    4,048   20.2 ms  74.2 ms
-        random Q 7x18              18   7   12,616   51.3 ms   159 ms
-        Q Vandermonde 6x18         18   6    4,048   18.4 ms   4.0 ms
-        M(K6)                      15   5      576    1.4 ms   2.3 ms
-        graph, 7 vertices 18 edges 18   6    4,048   10.0 ms  10.6 ms
-        M(K7)                      21   6    7,547   21.5 ms   6.6 ms
-        Petersen graph             15   9   16,384   16.4 ms   6.1 ms
-        U(10,20)                   20  10  263,950    174 ms   2.0 ms
-        8 parallel pairs, bases    16   8   14,893   34.7 ms   117 ms
-        U(8,16) as bases (*)       16   8   14,893    153 ms     40 s
-        U(7,8) + 10 loops, bases   18   7   12,616   77.4 ms   0.7 ms (+)
-        dual of M(K6), derived     15  10   22,819    113 ms   255 ms
-        dual of M(K7), derived     21  15    1.9 M   15.7 s   18.3 s
+        seeded GF(7) 6x17          17   6    3,214   13.1 ms  73.2 ms
+        random Q 6x18              18   6    4,048   20.6 ms   159 ms
+        random Q 7x18              18   7   12,616   54.8 ms   337 ms
+        Q Vandermonde 6x18         18   6    4,048   16.6 ms   8.8 ms
+        M(K6)                      15   5      576    2.4 ms   4.7 ms
+        M(K7) minus a triangle     18   6    4,048   17.5 ms  10.9 ms
+        M(K7)                      21   6    7,547   40.1 ms  14.2 ms
+        Petersen graph             15   9   16,384   34.7 ms   9.8 ms
+        U(10,20)                   20  10  263,950    338 ms   4.7 ms
+        8 parallel pairs, bases    16   8   14,893   66.2 ms   215 ms
+        U(8,16) as bases (*)       16   8   14,893    306 ms    101 s
+        U(7,8) + 10 loops, bases   18   7   12,616    184 ms   1.1 ms (+)
+        dual of M(K6), derived     15  10   22,819    232 ms   387 ms
+        dual of M(K7), derived     21  15    1.9 M   25.4 s   25.2 s
 
     (*) 12,870 bases, built past from_bases's validation limit.
-    (+) with its loops on, the walk visits 13.2 B nodes; tutte_polynomial
-        walks the 8-element core (B = 219) and takes 0.2 ms.
+    (+) with its loops on, the walk charges 13.2 B nodes; tutte_polynomial
+        walks the 8-element core (B = 219) and takes 0.3 ms.
 
     A matrix, a basis list and a derived rank function walk at any B
     because their memo keys merge few minors (a matrix's those equal up to
     row operations and column scaling, the others' equal labeled ones), so
     DC expands nearly every core: the walk wins on all of them but the
     Vandermonde matrix, whose contractions are column-scaled Vandermonde
-    matrices that its keys merge. A graph's key merges isomorphic minors
-    and a uniform key every minor of one shape, so DC wins on them at large
-    B; on graphs the routes cross near B = 2^12. The walk visits at most
+    matrices that its keys merge, and ties on the dual of M(K7). A graph's
+    key merges isomorphic minors and a uniform key every minor of one
+    shape, so DC wins on them at large B; on graphs the routes cross
+    between B = 576 and B = 4,048. The walk charges at most
     2.4 B nodes on the corpus, the benchmark inputs and the loopless inputs
     above (M(K7) 1.45 B, a parallel-rich Q 4x12 matrix 1.8 B, the 8
     parallel pairs 2.33 B), so the cap stops only walks that large parallel
@@ -263,8 +296,7 @@ def tutte_polynomial(M: Matroid, max_nodes=DEFAULT_DC_NODES, cache=None) -> Biva
     copies of e1 with e2, e3, e4 and their sum took 27.5 and 31.1 ms end to
     end when they walked to the cap first, and 19.4 and 20.7 ms by DC alone.
     """
-    if not isinstance(M, Matroid):
-        raise InvalidInput(f"expected a Matroid, got {quote(M)}")
+    require_matroid(M)
     require_int(max_nodes, "max_nodes")
     loops = M.loops()
     N = M.delete(loops) if loops else M

@@ -59,7 +59,7 @@ import itertools
 from math import comb
 
 from .errors import InternalInvariantViolation, InvalidInput, TooLarge, quote, require_int
-from .matroids import Matroid
+from .matroids import Matroid, require_matroid
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -378,6 +378,7 @@ def toric_fibers(M: Matroid, d, budget=DEFAULT_BUDGET):
     factors for b bases; above `budget` the construction refuses
     (TooLarge) before it enumerates any monomial.
     """
+    require_matroid(M)
     require_int(d, "degree")
     if d < 1:
         raise InvalidInput(f"degree must be >= 1, got {d}")

@@ -11,6 +11,7 @@ import pathlib
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -162,6 +163,67 @@ def test_braid_arrangements_match_the_exponential_formula(n, monkeypatch, capsys
     for i in range(1, n):
         chi = chi * UnivariatePoly({1: 1, 0: -i})
     assert UnivariatePoly({t["u"]: int(t["c"]) for t in run("charpoly")["charpoly"]["terms"]}) == chi
+
+
+def _dense_rank(vectors, p):
+    """The rank of `vectors` by elimination on lists of Fractions (p = 0)
+    or residues mod p, sharing no code with the package's echelon forms."""
+    basis = []
+    for v in vectors:
+        for j, b in basis:
+            if v[j]:
+                c = v[j] / b[j] if p == 0 else v[j] * pow(b[j], p - 2, p)
+                v = [(x - c * y) % p if p else x - c * y for x, y in zip(v, b)]
+        j = next((j for j, x in enumerate(v) if x), None)
+        if j is not None:
+            basis.append((j, v))
+    return len(basis)
+
+
+def _multiples(base, scalars):
+    """The matrix whose columns are a * base[i] for each (i, a) in `scalars`."""
+    cols = [[a * x for x in base[i]] for i, a in scalars]
+    return [[col[k] for col in cols] for k in range(len(base[0]))]
+
+
+# each column a multiple of one of a few base columns, so the walk closes
+# its nodes of corank 2 by classes of two and more
+PARALLEL_RICH = {
+    "Q": (0, [[str(x) for x in row] for row in _multiples(
+        [(1, 0, 0, 1), (0, 1, 0, -1), (0, 0, 1, 2), (1, 1, 1, 0), (1, -1, 2, 3)],
+        [(0, 1), (0, -1), (0, Fraction(1, 2)), (1, 1), (1, Fraction(-2, 3)), (2, 1), (2, 3),
+         (2, Fraction(-1, 2)), (3, 1), (3, Fraction(5, 7)), (4, 1), (4, -2)])]),
+    "GF(3)": (3, [[x % 3 for x in row] for row in _multiples(
+        [(1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 2), (1, 2, 1, 0), (1, 1, 2, 2), (2, 1, 0, 1)],
+        [(0, 1), (0, 2), (1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (4, 2), (5, 1), (5, 2), (3, 2)])]),
+}
+
+
+@pytest.mark.parametrize("field", sorted(PARALLEL_RICH))
+def test_hlv_and_charpoly_on_parallel_rich_matrices_match_a_sum_over_all_subsets(field, monkeypatch, capsys):
+    """hlv and charpoly hold no runtime check of the classes that close the
+    subset walk, so on two parallel-rich matrices, a Q 4 x 12 and a GF(3)
+    4 x 11, both are held to the corank-nullity sum over every subset,
+    ranked by _dense_rank."""
+    p, matrix = PARALLEL_RICH[field]
+    n = len(matrix[0])
+    cols = [[Fraction(row[j]) if p == 0 else row[j] for row in matrix] for j in range(n)]
+    r = _dense_rank(cols, p)
+    h, chi = {}, {}
+    for size in range(n + 1):
+        for subset in itertools.combinations(cols, size):
+            rk = _dense_rank(list(subset), p)
+            key = (r - rk, n - r - (size - rk))  # (corank, #E - r - nullity)
+            h[key] = h.get(key, 0) + 1
+            chi[r - rk] = chi.get(r - rk, 0) + (-1) ** size
+
+    def run(command):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"type": "linear", "field": field, "matrix": matrix})))
+        assert cli.main([command]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    assert {(t["u"], t["v"]): int(t["c"]) for t in run("hlv")["terms"]} == h
+    assert {t["u"]: int(t["c"]) for t in run("charpoly")["charpoly"]["terms"]} == {u: c for u, c in chi.items() if c}
 
 
 @pytest.mark.parametrize(
@@ -1303,10 +1365,10 @@ def _two_classes_merged(superset_counts):
     return spoiled
 
 
-def _last_two_classes_merged(classes):
+def _last_two_class_sizes_merged(child_class_sizes):
     def spoiled(self, elements):
-        found = classes(self, elements)
-        return found[:-2] + [found[-2] + found[-1]] if len(found) > 1 else found
+        return [sizes if sizes is None or len(sizes) < 2 else (*sizes[:-2], sizes[-2] + sizes[-1])
+                for sizes in child_class_sizes(self, elements)]
 
     return spoiled
 
@@ -1340,7 +1402,7 @@ GF7_3X8 = {
     "matrix": [[6, 6, 0, 0, 0, 2, 6, 1], [5, 6, 5, 6, 2, 2, 4, 1], [4, 0, 4, 5, 1, 3, 5, 3]],
 }
 # columns in pairs of opposite multiples over GF(3), so the walk closes its
-# corank-2 nodes by classes of two and more
+# nodes of corank 2 by classes of two and more
 GF3_4X11 = {
     "type": "linear",
     "field": "GF(3)",
@@ -1388,19 +1450,22 @@ _FAULT_ROWS = dict(zip(
         # a packed slot too narrow for its sign wraps a product; the sum is
         # then no multiple of the scale, and no overflow is printed
         (["euler-table"], localization, "_slot_width", _fano_widest_slot, "non-integer", FANO),
-        # the echelon's parallel classes close the corank-nullity walk on a
-        # matrix: two classes merged, over Q, over GF(p) and on Fano
-        (["os-dims"], linalg._Echelon, "classes", _last_two_classes_merged, "nbc sets != Whitney number",
-         Q_VANDERMONDE_4X9),
-        (["os-dims"], linalg._Echelon, "classes", _last_two_classes_merged, "nbc sets != Whitney number", GF7_3X8),
-        (["euler-table"], linalg._Echelon, "classes", _last_two_classes_merged, "euler table disagrees", FANO),
+        # the echelon's class sizes of the children of each node of corank
+        # 3 close the corank-nullity walk on a matrix: the last two sizes
+        # of each child merged, over Q, over GF(p) and on Fano
+        (["os-dims"], linalg._Echelon, "child_class_sizes", _last_two_class_sizes_merged,
+         "nbc sets != Whitney number", Q_VANDERMONDE_4X9),
+        (["os-dims"], linalg._Echelon, "child_class_sizes", _last_two_class_sizes_merged,
+         "nbc sets != Whitney number", GF7_3X8),
+        (["euler-table"], linalg._Echelon, "child_class_sizes", _last_two_class_sizes_merged,
+         "euler table disagrees", FANO),
         # merged classes that put a walk count at an infeasible corank or
         # nullity, which hlv and charpoly would otherwise print or refuse
         # as bad input
-        (["hlv"], linalg._Echelon, "classes", _last_two_classes_merged, "impossible corank-nullity count",
-         GF3_4X11),
-        (["charpoly"], linalg._Echelon, "classes", _last_two_classes_merged, "impossible corank-nullity count",
-         GF3_4X11),
+        (["hlv"], linalg._Echelon, "child_class_sizes", _last_two_class_sizes_merged,
+         "impossible corank-nullity count", GF3_4X11),
+        (["charpoly"], linalg._Echelon, "child_class_sizes", _last_two_class_sizes_merged,
+         "impossible corank-nullity count", GF3_4X11),
     ],
 ))
 

@@ -476,6 +476,11 @@ def _argument_calls():
         "koszul_boundary(5)": (lambda K4: orlik_solomon.koszul_boundary(5), None),
         "koszul_boundary field 5": (lambda K4: orlik_solomon.koszul_boundary((0, 1), 5), None),
         "h_matrix(5)": (lambda K4: tutte.h_matrix(5), None),
+        "rank_size_counts(5)": (lambda K4: tutte.rank_size_counts(5), None),
+        "tutte_dc(5)": (lambda K4: tutte.tutte_dc(5), None),
+        "euler_table(5)": (lambda K4: localization.euler_table(5), None),
+        "os_dimensions(5)": (lambda K4: orlik_solomon.os_dimensions(5), None),
+        "check_degree(5, 3)": (lambda K4: white.check_degree(5, 3), None),
     }
     return [pytest.param(call, reference, id=name) for name, (call, reference) in calls.items()]
 

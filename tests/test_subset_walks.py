@@ -1,15 +1,16 @@
 """The walks over prefixes: corank-nullity counts and basis enumeration.
 
-rank_size_counts stops at subsets of corank at most 2 and counts their
-supersets from the parallel classes of the contraction; Matroid.bases()
+rank_size_counts closes the subsets of corank at most 2 that it meets,
+all the children of a node of corank 3 at once, and counts their supersets
+from the parallel classes of the contraction; Matroid.bases()
 extends only independent prefixes, and Matroid.circuits() reads fundamental
 circuits off its bases. All three are checked against rank-every-subset
 oracles on the corpus, on matroids with loops and coloops, on basis lists
 and derived duals and minors (whose oracles keep the bases holding the
 prefix, or rank each prefix), and on generated matrices and multigraphs.
 The counts are also checked through a push/pop-only oracle, which takes the
-push route to the parallel classes instead of the echelon's residuals or
-the union-find's roots.
+push route to the parallel classes instead of the echelon's residuals and
+cross products or the union-find's roots.
 """
 import random
 from fractions import Fraction
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 
 from matroid_workbench import (
     InternalInvariantViolation,
+    TooLarge,
     linalg,
     matroids,
     from_bases,
@@ -228,19 +230,82 @@ def test_both_class_routes_match_oracles(M):
         pushed.push(e)
 
 
-def test_walk_stops_at_corank_two_on_vandermonde(monkeypatch):
+@st.composite
+def corank_three_matrices(draw):
+    """A matrix over Q, GF(2), GF(3) or GF(7) with 3 to 5 rows and up to
+    12 columns, each random, zero or a scaled copy of an earlier one; as
+    often as not one more row, the sum of two others, so that the rank is
+    below the row count and more than 3 coordinates are free at corank 3."""
+    field = draw(st.sampled_from(["Q", "GF(2)", "GF(3)", "GF(7)"]))
+    p = 0 if field == "Q" else int(field[3:-1])
+    rows = draw(st.integers(3, 5))
+    entry = st.integers(-3, 3) if p == 0 else st.integers(0, p - 1)
+    scalar = st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-2, 3)]) if p == 0 else st.integers(1, p - 1)
+    cols = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["random", "random", "zero", "scaled"]))
+        if kind == "scaled" and cols:
+            a = draw(scalar)
+            cols.append([a * x for x in draw(st.sampled_from(cols))])
+        elif kind == "zero":
+            cols.append([0] * rows)
+        else:
+            cols.append(draw(st.lists(entry, min_size=rows, max_size=rows)))
+    matrix = [[col[i] for col in cols] for i in range(rows)]
+    if draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, rows - 1), min_size=2, max_size=2, unique=True))
+        matrix.append([x + y for x, y in zip(matrix[i], matrix[j])])
+    matrix = [[str(x) if p == 0 else x % p for x in row] for row in matrix]
+    return from_matrix(field, matrix)
+
+
+@settings(max_examples=150, deadline=None)
+@given(corank_three_matrices())
+def test_echelon_child_class_sizes_match_the_push_route(M):
+    """At every node of corank 3 of a walk over the subsets of corank at
+    least 3, the echelon's class sizes of all children (cross products of
+    residuals, or pushes with more rows than rank) equal those found by
+    pushes alone through a push/pop-only oracle. On up to 10 columns the
+    walk's counts also match the brute-force ones."""
+    native, pushed = M.incremental_rank(), _CountingSteps(M.incremental_rank())
+    elems, r = M.elements, M.r
+
+    def visit(start, rk):
+        rest = elems[start:]
+        if rk == r - 3:
+            assert native.child_class_sizes(rest) == matroids.pushed_child_class_sizes(pushed, rest)
+        for i in range(start, len(elems)):
+            up = native.push(elems[i])
+            assert pushed.push(elems[i]) == up
+            if r - rk - up >= 3:
+                visit(i + 1, rk + up)
+            native.pop()
+            pushed.pop()
+
+    visit(0, 0)
+    if M.size <= 10:
+        assert rank_size_counts(M) == brute_rank_size_counts(M)
+
+
+def test_walk_stops_at_corank_three_on_vandermonde(monkeypatch):
     """Every 6-subset of the 6 x 18 Vandermonde matrix spans, so the walk
-    pushes exactly the subsets of sizes 1..4: sum C(18, k) = 4,047 of the
-    262,143 nonempty subsets (31,179 when it stopped at corank 1), and reads
-    the classes of the later columns off the echelon. Through a
-    push/pop-only oracle the classes cost a push of each 5-subset and each
-    6-subset once, 31,179 in all, as every column is its own class."""
+    pushes exactly the subsets of sizes 1..3: sum C(18, k) = 987 of the
+    262,143 nonempty subsets (4,047 when it stopped at corank 2, 31,179 at
+    corank 1), and closes the 3,060 children of corank 2 of its 816 nodes
+    of corank 3 by the echelon's cross products. Each closed child is still
+    charged as a node, so the walk fits in 4,048 nodes and no fewer, as
+    when it pushed those children. Through a push/pop-only oracle the
+    classes cost a push of each 4-, 5- and 6-subset once, 31,179 pushes in
+    all, as every column is its own class."""
     M = from_matrix("Q", [[x**i for x in range(18)] for i in range(6)])
     pushes = _count_calls(monkeypatch, linalg.IntEchelon, "push")
     counts = rank_size_counts(M)
-    assert pushes[0] == sum(comb(18, k) for k in range(1, 5)) == 4_047
+    assert pushes[0] == sum(comb(18, k) for k in range(1, 4)) == 987
     assert sum(counts.values()) == 2**18
     assert counts[(0, 0)] == 18_564  # C(18, 6) bases
+    assert rank_size_counts(M, max_nodes=4_048) == counts
+    with pytest.raises(TooLarge):
+        rank_size_counts(M, max_nodes=4_047)
     pushed, pushes_through_proxy = push_only_counts(M)
     assert pushed == counts
     assert pushes_through_proxy == sum(comb(18, k) for k in range(1, 7)) == 31_179
@@ -262,26 +327,28 @@ def test_walk_shares_residuals_on_vandermonde(monkeypatch):
     """The walk's echelon resumes each push from the residual that an
     ancestor or sibling left at the deepest level, so each row elimination
     serves every descendant that pushes the column, and the classes at a
-    node of corank 2 are read off residuals at its level: 12,597 over Q on
-    the 6 x 18 Vandermonde matrix (31,161 when the walk stopped at corank
-    1, 138,057 when every push reduced from scratch), counted here with the
+    node of corank 3 close its children by cross products of residuals at
+    its level, with no elimination: 4,029 over Q on the 6 x 18 Vandermonde
+    matrix (12,597 when the walk stopped at corank 2, 31,161 at corank 1,
+    138,057 when every push reduced from scratch), counted here with the
     18 reductions that make each column primitive at level 0."""
     M = from_matrix("Q", [[x**i for x in range(18)] for i in range(6)])
     eliminations = _count_calls(monkeypatch, linalg, "_reduce_int_row")
     counts = rank_size_counts(M)
-    assert eliminations[0] <= 12_615
+    assert eliminations[0] <= 4_047
     assert counts[(0, 0)] == 18_564
 
 
 def test_walk_shares_residuals_over_gf7(monkeypatch):
     """The same over GF(7), counted at ModEchelon's own elimination step:
-    8,181 on a random 6 x 17 matrix of rank 6 (19,104 when the walk stopped
-    at corank 1, 99,000 when every push reduced from scratch)."""
+    2,819 on a random 6 x 17 matrix of rank 6 (8,181 when the walk stopped
+    at corank 2, 19,104 at corank 1, 99,000 when every push reduced from
+    scratch)."""
     rng = random.Random(17)
     M = from_matrix("GF(7)", [[rng.randrange(7) for _ in range(17)] for _ in range(6)])
     eliminations = _count_calls(monkeypatch, linalg.ModEchelon, "_eliminate")
     counts = rank_size_counts(M)
-    assert eliminations[0] <= 8_181
+    assert eliminations[0] <= 2_819
     assert counts[(0, 0)] == len(M.bases(limit=0))
 
 
