@@ -15,9 +15,9 @@ every backing uses, live in matroids.py.
 
 The oracles support push/pop in LIFO order only; that is what depth-first
 subset enumeration and flag walks need, and it keeps rollback trivial (a
-push appends at most one row). Every push goes through one memo that
-keeps the residual of each column pushed at every rank level, so a push
-resumes where an ancestor or sibling left its column: a walk pays one row
+push appends at most one row). Every push goes through one memo that keeps
+the residual of each column pushed at every rank level, so a push resumes
+where an ancestor or sibling left its column: a walk pays one row
 elimination per (rank-raising node, later column) instead of up to `rank`
 per pushed subset. A residual at level k is zero at the pivots of the
 first k rows, so the memo keeps it on the other coordinates only, k fewer
@@ -25,16 +25,17 @@ than the column has, and each elimination drops the coordinate it clears:
 the deeper the walk, the shorter the vectors it eliminates. An echelon
 also gives the parallel classes of the contraction by the pushed prefix
 without a push (`classes`), grouping the residuals of the later columns,
-and on 3 free coordinates the class sizes of the contraction by the prefix
-and each later column (`child_class_sizes`), from the cross products of
-pairs of residuals. The corank-nullity walk, which closes the children of
-each node of corank 3 by those cross products, makes 987 pushes, 4,029
-row eliminations and 8,568 cross products on the 6 x 18 Vandermonde
-matrix over Q (4,047 pushes and 12,597 eliminations when it closed each
-node of corank 2 by `classes`, 31,179 and 31,161 when it pushed to the
-closure at corank 1, 138,057 eliminations when every push reduced from
-scratch), and 839 pushes and 2,653 eliminations on the 6 x 17 GF(7)
-benchmark matrix (3,240 and 8,038 at corank 2; 22,733 and 19,457 at
+and at corank 3 the class sizes of the contraction by the prefix and each
+later column (`child_class_sizes`), from the cross products of pairs of
+residuals on the 3 coordinates left free there, as a matrix keeps its
+columns on a basis of its row space. The corank-nullity walk, which closes
+the children of each node of corank 3 by those cross products, makes 987
+pushes, 4,029 row eliminations and 8,568 cross products on the 6 x 18
+Vandermonde matrix over Q (4,047 pushes and 12,597 eliminations when it
+closed each node of corank 2 by `classes`, 31,179 and 31,161 when it
+pushed to the closure at corank 1, 138,057 eliminations when every push
+reduced from scratch), and 839 pushes and 2,653 eliminations on the 6 x 17
+GF(7) benchmark matrix (3,240 and 8,038 at corank 2; 22,733 and 19,457 at
 corank 1). In process the walk takes 18 ms on the Vandermonde matrix and
 14 ms on the GF(7) one (35 and 26 ms when it closed nodes of corank 2;
 medians, 2 cores, Python 3.11.7). Basis enumeration, measured on a faster
@@ -47,7 +48,7 @@ from math import gcd, lcm
 
 from .errors import InvalidInput
 from .fields import RationalField, as_field
-from .matroids import _Backing, _check_ground_size, pushed_child_class_sizes
+from .matroids import _Backing, _check_ground_size
 
 
 def __getattr__(name):
@@ -173,13 +174,10 @@ class _Echelon:
         classes of the later elements in the contraction by the span and e.
         Two of them share a class exactly when their residuals v span one
         plane with w, and one lies in the closure exactly when v is a
-        multiple of w. On 3 free coordinates, which a matrix of full row
-        rank has at corank 3, the plane is named by the 2 x 2 minors of
-        (w, v), its Plucker coordinates: the cross product w x v, zero
-        exactly when v is a multiple of w (_planes). On more, the sizes
-        come by pushes (matroids.pushed_child_class_sizes)."""
-        if self._n - len(self._short) != 3:
-            return pushed_child_class_sizes(self, elements)
+        multiple of w. The columns are on a row basis, so at corank 3, where
+        the walk asks, 3 coordinates are free, and the plane is named by the
+        2 x 2 minors of (w, v), its Plucker coordinates: the cross product
+        w x v, zero exactly when v is a multiple of w (_planes)."""
         res = [self._residual(e) for e in elements]
         return [tuple(sorted(self._planes(w, res[i + 1:]).values())) if any(w) else None
                 for i, w in enumerate(res)]
@@ -304,16 +302,16 @@ def _echelon(field, columns):
 
 def _rref(field, vectors):
     """The RREF of integer-convention `vectors` over `field`, as (pivot,
-    row) pairs sorted by pivot: the vectors pushed into an echelon, and its
-    rows pushed into a fresh one in descending pivot order, which clears
-    each at the larger pivots."""
+    row) pairs sorted by pivot, and the indices of the vectors whose push
+    raised the rank, a basis of their span: the vectors pushed into an
+    echelon, and its rows pushed into a fresh one in descending pivot
+    order, which clears each at the larger pivots."""
     ech = _echelon(field, dict(enumerate(vectors)))
-    for i in ech.columns:
-        ech.push(i)
+    basis = [i for i in ech.columns if ech.push(i)]
     back = _echelon(field, dict(ech.rows))
     for j in sorted(back.columns, reverse=True):
         back.push(j)
-    return sorted(back.rows)
+    return sorted(back.rows), basis
 
 
 class LinearBacking(_Backing):
@@ -321,8 +319,9 @@ class LinearBacking(_Backing):
     positions of its elements, each row zero before its pivot and at the
     other pivots, in its field's echelon convention. Walks and rank calls
     push `columns` ({label: tuple of ints}, denominator-cleared over Q,
-    residues over GF(p)): a matrix's own, and for minors and duals the
-    columns of the rows, derived at first use."""
+    residues over GF(p)) on a basis of the row space: a matrix's own, cut
+    to such rows, and for minors and duals the columns of the rows, derived
+    at first use."""
 
     kind = "linear"
 
@@ -382,13 +381,14 @@ class LinearBacking(_Backing):
         n, rows = M.size, dict(self.rows)
         free = [f for f in range(n) if f not in rows]
         kernel = [[-rows[j][f] if j in rows else int(j == f) for j in range(n)] for f in free]
-        return LinearBacking(self.field, M.elements, _rref(self.field, kernel))
+        return LinearBacking(self.field, M.elements, _rref(self.field, kernel)[0])
 
 
 def matrix_backing(field, matrix):
     """The linear backing of `matrix` over `field` (a fields.py object or
-    name), on the column indices 0..n-1: its columns in the integer
-    convention and its RREF (matroids.from_matrix)."""
+    name), on the column indices 0..n-1: its RREF and its columns in the
+    integer convention, cut to the rows that _rref found to be a row basis
+    (matroids.from_matrix)."""
     field = as_field(field)
     if not matrix or not matrix[0]:
         raise InvalidInput("matrix must have at least one row and one column")
@@ -396,6 +396,7 @@ def matrix_backing(field, matrix):
     _check_ground_size(width)
     if any(len(row) != width for row in matrix):
         raise InvalidInput("matrix rows must all have the same length")
-    columns = {j: _store_column(field, [field.of(row[j]) for row in matrix]) for j in range(width)}
-    rows = _rref(field, zip(*columns.values()))
-    return LinearBacking(field, range(width), rows, columns)
+    columns = [_store_column(field, [field.of(row[j]) for row in matrix]) for j in range(width)]
+    rows, basis = _rref(field, zip(*columns))
+    on_basis = {j: tuple(col[i] for i in basis) for j, col in enumerate(columns)}
+    return LinearBacking(field, range(width), rows, on_basis)

@@ -327,16 +327,11 @@ def child_class_sizes(steps, elements):
     oracle `steps`: None when e lies in cl(A), else the sorted sizes of the
     parallel classes of the elements after e in M/(A + e). An echelon
     answers from its residuals (`child_class_sizes`); any other oracle
-    takes pushed_child_class_sizes."""
+    pushes each e, takes parallel_classes of the elements after it and
+    pops e."""
     own = getattr(steps, "child_class_sizes", None)
     if own is not None:
         return own(elements)
-    return pushed_child_class_sizes(steps, elements)
-
-
-def pushed_child_class_sizes(steps, elements):
-    """child_class_sizes by pushes: each e pushed, parallel_classes of the
-    elements after it taken, and e popped."""
     sizes = []
     for i, e in enumerate(elements, 1):
         sizes.append(tuple(sorted(map(len, parallel_classes(steps, elements[i:])))) if steps.push(e) else None)

@@ -274,12 +274,21 @@ def _search(fiber, moves):
     return comps
 
 
-def _degree_two_connected(masks, index, codes):
-    """Whether every degree-2 fiber is connected: each fiber searched
-    (_search) under the double swaps of its monomials (i, j), i <= j,
-    which are its moves."""
+def _degree_two_nodes(masks, index, codes):
+    """{code: node mask, the OR of the bases i and j} of the degree-2
+    fibers when each, searched (_search) under the double swaps of its
+    monomials (i, j), i <= j, which are its moves, is connected; None at
+    the first split fiber."""
     moves = lambda v: _checked_swaps(masks, index, codes, *v)
-    return all(len(_search(fiber, moves)) == 1 for fiber in _fibers(codes, 2).values())
+    nodes = {}
+    for c, fiber in _fibers(codes, 2).items():
+        if len(_search(fiber, moves)) > 1:
+            return None
+        mask = 0
+        for i, j in fiber:
+            mask |= 1 << i | 1 << j
+        nodes[c] = mask
+    return nodes
 
 
 def _star_split(lower, codes):
@@ -307,19 +316,12 @@ def _star_split(lower, codes):
     return out
 
 
-def _star_components(codes, d):
+def _star_components(nodes, codes, d):
     """{code: number of components} of the degree-d fibers, d >= 3, by star
-    closure from degree 3; None at the first degree below d with a split
-    fiber. Every degree-2 fiber must be connected, so its node mask is the
-    bases of its monomials (i, j), ORed per bucket of _fibers(codes, 2).
-    Each pair (lower fiber, basis) puts one basis in a degree's
-    components, and a star that left its fiber puts in more."""
-    nodes = {}
-    for c, fiber in _fibers(codes, 2).items():
-        mask = 0
-        for i, j in fiber:
-            mask |= 1 << i | 1 << j
-        nodes[c] = mask
+    closure from degree 3 on the node masks `nodes` of the connected
+    degree-2 fibers (_degree_two_nodes); None at the first degree below d
+    with a split fiber. Each pair (lower fiber, basis) puts one basis in a
+    degree's components, and a star that left its fiber puts in more."""
     for k in range(3, d + 1):
         split = _star_split(nodes, codes)
         held = sum(m.bit_count() if m.__class__ is int else sum(map(int.bit_count, m)) for m in split.values())
@@ -385,9 +387,8 @@ def toric_fibers(M: Matroid, d, budget=DEFAULT_BUDGET):
     require_int(budget, "budget")
     _check_budget(len(M.bases()), d, budget)
     bases, masks, index, codes = _tables(M, d)
-    star = None
-    if d > 2 and _degree_two_connected(masks, index, codes):
-        star = _star_components(codes, d)
+    nodes = _degree_two_nodes(masks, index, codes) if d > 2 else None
+    star = None if nodes is None else _star_components(nodes, codes, d)
 
     @functools.cache
     def moves():

@@ -125,6 +125,44 @@ def brute_bases(M):
     return [b for b in combinations(M.elements, M.r) if M.rank(b) == M.r]
 
 
+def elimination_rank(vectors, p):
+    """The rank of `vectors` by elimination on lists of Fractions (p = 0)
+    or residues mod p, sharing no code with the package's echelon forms."""
+    basis = []
+    for v in vectors:
+        for j, b in basis:
+            if v[j]:
+                c = v[j] / b[j] if p == 0 else v[j] * pow(b[j], p - 2, p)
+                v = [(x - c * y) % p if p else x - c * y for x, y in zip(v, b)]
+        j = next((j for j, x in enumerate(v) if x), None)
+        if j is not None:
+            basis.append((j, v))
+    return len(basis)
+
+
+def elimination_bases(matrix, p):
+    """The bases of the column matroid of an integer `matrix` over GF(p),
+    p prime, as sorted tuples of column indices in combinations order,
+    ranked by elimination_rank."""
+    cols = [[x % p for x in col] for col in zip(*matrix)]
+    r = elimination_rank(cols, p)
+    return [b for b in combinations(range(len(cols)), r) if elimination_rank([cols[j] for j in b], p) == r]
+
+
+def tutte_specializations(T, size, r):
+    """(h, chi) of the Tutte polynomial T of a matroid of rank r on `size`
+    elements, expanded term by term in binomials: h(u, v) = v^(size - r)
+    T(u + 1, 1/v + 1) and chi(u) = (-1)^r T(1 - u, 0)."""
+    h, chi = {}, {}
+    for (x, y), c in T.terms():
+        for i in range(x + 1):
+            for j in range(y + 1):
+                h[i, size - r - y + j] = h.get((i, size - r - y + j), 0) + c * comb(x, i) * comb(y, j)
+            if y == 0:
+                chi[i] = chi.get(i, 0) + (-1) ** (r + i) * c * comb(x, i)
+    return BivariatePoly({k: c for k, c in h.items() if c}), UnivariatePoly({k: c for k, c in chi.items() if c})
+
+
 def brute_isomorphism(A, B):
     """A bijection {element of A: element of B} that maps the bases of A
     onto those of B, found by trying every permutation, or None."""
@@ -212,9 +250,12 @@ def brute_circuits(M):
 
 def column_matroid(field, columns):
     """The linear matroid of integer-convention columns {label: column} on
-    its labels in dict order, built as from_matrix builds one."""
+    its labels in dict order, built as from_matrix builds one: its RREF,
+    and the columns cut to the rows that _rref found to be a row basis."""
     labels = tuple(columns)
-    return Matroid(LinearBacking(field, labels, _rref(field, zip(*columns.values())), columns), labels)
+    rows, basis = _rref(field, zip(*columns.values()))
+    on_basis = {e: tuple(col[i] for i in basis) for e, col in columns.items()}
+    return Matroid(LinearBacking(field, labels, rows, on_basis), labels)
 
 
 def rref_minor_rows(M, deleted=(), contracted=()):

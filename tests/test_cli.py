@@ -8,6 +8,7 @@ import itertools
 import json
 import os
 import pathlib
+import runpy
 import subprocess
 import sys
 import time
@@ -17,7 +18,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import braid_h, braid_tutte, prefix_state_series
+from helpers import (
+    GF7_6X17,
+    VAMOS_BASES,
+    braid_h,
+    braid_tutte,
+    elimination_rank,
+    prefix_state_series,
+    tutte_specializations,
+)
 from matroid_workbench import (
     BivariatePoly,
     Matroid,
@@ -32,6 +41,7 @@ from matroid_workbench import (
     localization,
     orlik_solomon,
     tutte,
+    uniform,
 )
 
 U23 = {"type": "uniform", "r": 2, "n": 3}
@@ -48,12 +58,14 @@ FANO = {
 LOOPY = {"type": "graphic", "edges": [[0, 0], [0, 1]]}
 
 
-def run_cli(args, stdin_obj=None, stdin_text=None):
+def run_cli(args, stdin_obj=None, stdin_text=None, flags=()):
+    """The CLI in a fresh `python -m`, run with the interpreter `flags` (-S
+    for the benchmark's entry path)."""
     text = stdin_text
     if stdin_obj is not None:
         text = json.dumps(stdin_obj)
     proc = subprocess.run(
-        [sys.executable, "-m", "matroid_workbench.cli", *args],
+        [sys.executable, *flags, "-m", "matroid_workbench.cli", *args],
         input=text,
         capture_output=True,
         text=True,
@@ -141,43 +153,35 @@ def test_braid_arrangements_are_answered(args, n, want, monkeypatch, capsys):
     coefficients of prod_{i<n} (1 + i t) (Arnold; Orlik-Solomon)."""
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(_complete_graph(n))))
     assert cli.main(args) == 0
-    out = json.loads(capsys.readouterr().out)
-    assert (out if isinstance(want, list) else out["dimension"]) == want
+    text = capsys.readouterr().out
+    if isinstance(want, list):
+        assert text == json.dumps(want, separators=(",", ":")) + "\n"
+    else:
+        assert json.loads(text)["dimension"] == want
 
 
 @pytest.mark.parametrize("n", range(4, 11))
 def test_braid_arrangements_match_the_exponential_formula(n, monkeypatch, capsys):
     """tutte, hlv and charpoly on M(K_n) against the exponential formula
     (helpers.braid_tutte and braid_h), which reads no rank oracle and no
-    subset; chi is (u - 1)(u - 2)...(u - n + 1). n = 11 and 12 would add
-    about 2.6 and 4.1 s, deletion-contraction run three times each."""
+    subset; chi is (u - 1)(u - 2)...(u - n + 1), and T(1, 1) counts the
+    n^(n - 2) spanning trees (Cayley). h and chi are also the expansions
+    of the printed T. n = 11 and 12 would add about 2.6 and 4.1 s,
+    deletion-contraction run three times each."""
 
     def run(command):
         monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(_complete_graph(n))))
         assert cli.main([command]) == 0
         return json.loads(capsys.readouterr().out)
 
-    assert BivariatePoly({(t["x"], t["y"]): int(t["c"]) for t in run("tutte")["terms"]}) == braid_tutte(n)
-    assert BivariatePoly({(t["u"], t["v"]): int(t["c"]) for t in run("hlv")["terms"]}) == braid_h(n)
-    chi = UnivariatePoly({0: 1})
+    T = BivariatePoly({(t["x"], t["y"]): int(t["c"]) for t in run("tutte")["terms"]})
+    assert T == braid_tutte(n) and T.evaluate(1, 1) == n ** (n - 2)
+    h, chi = tutte_specializations(T, n * (n - 1) // 2, n - 1)
+    assert BivariatePoly({(t["u"], t["v"]): int(t["c"]) for t in run("hlv")["terms"]}) == braid_h(n) == h
+    falling = UnivariatePoly({0: 1})
     for i in range(1, n):
-        chi = chi * UnivariatePoly({1: 1, 0: -i})
-    assert UnivariatePoly({t["u"]: int(t["c"]) for t in run("charpoly")["charpoly"]["terms"]}) == chi
-
-
-def _dense_rank(vectors, p):
-    """The rank of `vectors` by elimination on lists of Fractions (p = 0)
-    or residues mod p, sharing no code with the package's echelon forms."""
-    basis = []
-    for v in vectors:
-        for j, b in basis:
-            if v[j]:
-                c = v[j] / b[j] if p == 0 else v[j] * pow(b[j], p - 2, p)
-                v = [(x - c * y) % p if p else x - c * y for x, y in zip(v, b)]
-        j = next((j for j, x in enumerate(v) if x), None)
-        if j is not None:
-            basis.append((j, v))
-    return len(basis)
+        falling = falling * UnivariatePoly({1: 1, 0: -i})
+    assert UnivariatePoly({t["u"]: int(t["c"]) for t in run("charpoly")["charpoly"]["terms"]}) == falling == chi
 
 
 def _multiples(base, scalars):
@@ -204,15 +208,15 @@ def test_hlv_and_charpoly_on_parallel_rich_matrices_match_a_sum_over_all_subsets
     """hlv and charpoly hold no runtime check of the classes that close the
     subset walk, so on two parallel-rich matrices, a Q 4 x 12 and a GF(3)
     4 x 11, both are held to the corank-nullity sum over every subset,
-    ranked by _dense_rank."""
+    ranked by elimination_rank."""
     p, matrix = PARALLEL_RICH[field]
     n = len(matrix[0])
     cols = [[Fraction(row[j]) if p == 0 else row[j] for row in matrix] for j in range(n)]
-    r = _dense_rank(cols, p)
+    r = elimination_rank(cols, p)
     h, chi = {}, {}
     for size in range(n + 1):
         for subset in itertools.combinations(cols, size):
-            rk = _dense_rank(list(subset), p)
+            rk = elimination_rank(list(subset), p)
             key = (r - rk, n - r - (size - rk))  # (corank, #E - r - nullity)
             h[key] = h.get(key, 0) + 1
             chi[r - rk] = chi.get(r - rk, 0) + (-1) ** size
@@ -253,6 +257,21 @@ def test_os_commands_enumerate_no_circuits(args, descriptor, monkeypatch, capsys
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(descriptor)))
     assert cli.main(args) == 0
     assert capsys.readouterr().out == want
+
+
+def test_vamos_commands_agree_through_the_benchmark_entry_path():
+    """The Vamos matroid, which no field represents, as a basis list through
+    python -S -m: T(1,1) counts its 65 bases and T(2,2) its 2^8 subsets,
+    and the nbc counts that os-dims prints are the Whitney numbers of the
+    first kind, the absolute values of the charpoly coefficients."""
+    descriptor = {"type": "bases", "n": 8, "bases": [list(b) for b in VAMOS_BASES]}
+    runs = [run_cli([command], stdin_obj=descriptor, flags=["-S"]) for command in ("tutte", "charpoly", "os-dims")]
+    assert [proc.returncode for proc in runs] == [0, 0, 0], [proc.stderr for proc in runs]
+    tutte_out, chi, dims = (json.loads(proc.stdout) for proc in runs)
+    T = BivariatePoly({(t["x"], t["y"]): int(t["c"]) for t in tutte_out["terms"]})
+    assert (T.evaluate(1, 1), T.evaluate(2, 2)) == (65, 256)
+    whitney = [abs(int(c["c"])) for c in sorted(chi["charpoly"]["terms"], key=lambda c: -c["u"])]
+    assert dims == whitney == [1, 8, 28, 51, 30]
 
 
 def test_os_basis_and_reduced_basis():
@@ -305,6 +324,16 @@ def test_euler_table_k5_end_to_end():
     assert proc.stderr == "too large: 3628800 fixed points exceed the budget of 3628799\n"
 
 
+def test_euler_table_u_4_11_end_to_end():
+    """U(4, 11) has 11! = 39,916,800 fixed points and the widest slots of
+    the inputs measured so far: 269 bits for the dynamic program, 271 for
+    the numerators. No time bound."""
+    proc = run_cli(["euler-table", "--budget", "39916800"], stdin_obj={"type": "uniform", "r": 4, "n": 11})
+    assert proc.returncode == 0, proc.stderr
+    assert '"matches_h_polynomial":true' in proc.stdout
+    assert json.loads(proc.stdout)["table"] == h_matrix(uniform(4, 11))
+
+
 def test_white_check_output():
     proc = run_cli(["white-check", "--degree", "3"], stdin_obj=U24)
     assert proc.returncode == 0
@@ -315,10 +344,14 @@ def test_white_check_output():
 
 
 def test_verify_corpus_exits_zero():
+    """Also through the benchmark's entry path, python -S -m, which imports
+    nothing from site-packages, and with --jobs 2: the same bytes."""
     proc = run_cli(["verify-corpus"])
     assert proc.returncode == 0
     obj = json.loads(proc.stdout)
     assert obj["all_pass"] is True
+    bare = run_cli(["verify-corpus", "--jobs", "2"], flags=["-S"])
+    assert (bare.returncode, bare.stdout) == (0, proc.stdout), bare.stderr
 
 
 # ----------------------------------------------------------------- exit codes
@@ -692,17 +725,22 @@ _NEVER_ON_A_WELL_FORMED_COMMAND = (
     "matroid_workbench.usage")
 
 
-@pytest.mark.parametrize("args", [["white-check", "--degree", "3"], ["tutte"], ["tutte", "--cache", "CACHE"]])
+@pytest.mark.parametrize(
+    "args", [["white-check", "--degree", "3"], ["tutte"], ["tutte", "--cache", "CACHE"], ["hlv"], ["charpoly"]]
+)
 def test_well_formed_commands_load_neither_argparse_nor_json(args, tmp_path):
     """A well-formed command line is parsed without argparse or its
     builder, usage.py, JSON is read and written without the json package,
     and cache entries are written without tempfile and named without
-    hashlib; with --cache, both the cold and the warm run."""
+    hashlib; with --cache, both the cold and the warm run. Without it, no
+    module of a route that the command does not run is compiled."""
+    cached = "CACHE" in args
     args = [str(tmp_path) if a == "CACHE" else a for a in args]
-    runs = [_main_in_fresh_process(args, _complete_graph(4)) for _ in range(2 if "--cache" in args else 1)]
+    runs = [_main_in_fresh_process(args, _complete_graph(4)) for _ in range(2 if cached else 1)]
     for rc, loaded, out in runs:
         assert rc == 0 and json.loads(out)
         assert not loaded.intersection(_NEVER_ON_A_WELL_FORMED_COMMAND)
+        assert cached or not loaded.intersection(_COLD_MODULES.values())
     assert len({out for _, _, out in runs}) == 1
     assert all(name.endswith(".json") for name in os.listdir(tmp_path))
 
@@ -1165,6 +1203,41 @@ def test_tutte_cache_cold_warm_identical(tmp_path):
     assert list(cache_dir.glob("*.json"))
 
 
+@pytest.mark.parametrize(
+    "descriptor, cores",
+    [(Q_VANDERMONDE_6X18, 48), ({"type": "linear", "field": "GF(7)", "matrix": GF7_6X17}, 620),
+     (_complete_graph(8), 187)],
+    ids=["Q-Vandermonde-6x18", "seeded-GF7-6x17", "K8"],
+)
+def test_tutte_cache_writes_one_file_per_expanded_core_cold_and_none_warm(descriptor, cores, tmp_path):
+    """Cold, `tutte --cache` writes one file for each core that
+    deletion-contraction expands, named by its memo key: 48 on the Q
+    Vandermonde 6 x 18, 620 on the benchmark's seeded GF(7) 6 x 17 and 187
+    on M(K8), since cores of rank at most 2 are closed by their parallel
+    classes (1,430 and 233 without the closed form, and 4,434 on M(K8)
+    under labeled keys); warm, it prints the same bytes and writes no
+    file."""
+    from matroid_workbench import deletion_contraction
+
+    put = []
+
+    class Counting(deletion_contraction.TutteCache):
+        def put(self, key, poly):
+            put.append(hashlib.sha256(key).hexdigest() + ".json")
+            super().put(key, poly)
+
+    deletion_contraction.tutte_dc(from_descriptor(descriptor), Counting())
+    runs = []
+    for _ in range(2):
+        proc = run_cli(["tutte", "--cache", str(tmp_path)], stdin_obj=descriptor)
+        assert proc.returncode == 0, proc.stderr
+        files = {p.name: (p.read_bytes(), p.stat().st_ino, p.stat().st_mtime_ns) for p in tmp_path.iterdir()}
+        runs.append((proc.stdout, files))
+    (cold, cold_files), (warm, warm_files) = runs
+    assert sorted(cold_files) == sorted(put) and len(put) == cores
+    assert warm == cold and warm_files == cold_files
+
+
 # inputs with loops whose loopless cores have rank 3, so deletion-contraction
 # expands cores and writes files
 _LOOPY = {
@@ -1278,7 +1351,7 @@ def test_tutte_cache_recomputes_a_crafted_graph_entry(tmp_path):
     root = cache_dir / (hashlib.sha256(from_descriptor(k4).memo_key()).hexdigest() + ".json")
     good = root.read_text()
     crafted = BivariatePoly.from_json(json.loads(good)) + BivariatePoly({(1, 0): 1, (0, 1): -1})
-    assert (crafted.evaluate(1, 1), crafted.evaluate(2, 2)) == (16, 64)
+    assert (crafted.evaluate(1, 1), crafted.evaluate(2, 2), crafted.degree_x(), crafted.degree_y()) == (16, 64, 3, 3)
     root.write_text(json.dumps(crafted.to_json()))
     warm = run_cli(["tutte", "--cache", str(cache_dir)], stdin_obj=k4)
     assert warm.returncode == 0, warm.stderr
@@ -1343,6 +1416,26 @@ def test_warm_cache_check_counts_bases_without_enumerating(tmp_path, monkeypatch
     assert _file_cache(tmp_path).get(k5.memo_key(), k5) is None
 
 
+_WORKLOADS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def test_plain_tutte_prints_the_bytes_of_tutte_cache_on_the_seeded_gf7_matrix(tmp_path, monkeypatch, capsys):
+    """Plain tutte walks the benchmark's seeded GF(7) 6 x 17 matrix, as
+    the route rule walks a matrix of up to 24 elements, and --cache runs
+    deletion-contraction. The benchmark holds tutte.seeded to a reference
+    that is itself the walk, so this ties the walk to deletion-contraction
+    on that matrix at seeds 1, 2 and 3, drawn by perfbench/workloads.py."""
+    seeded_inputs = runpy.run_path(str(_WORKLOADS))["seeded_inputs"]
+    for seed in (1, 2, 3):
+        descriptor = json.dumps(seeded_inputs(seed)["seeded_gf7_6x17"])
+        outs = []
+        for args in (["tutte"], ["tutte", "--cache", str(tmp_path / str(seed))]):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(descriptor))
+            assert cli.main(args) == 0, (seed, args)
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1], seed
+
+
 def test_jobs_byte_identical():
     one = run_cli(["euler-table", "--jobs", "1"], stdin_obj=U24)
     eight = run_cli(["euler-table", "--jobs", "8"], stdin_obj=U24)
@@ -1396,6 +1489,32 @@ Q_VANDERMONDE_4X9 = {
 # small, but the walk would meet the 2^20 subsets of the parallel class, far
 # past its cap, so deletion-contraction runs instead
 FAT_GRAPH = {"type": "graphic", "edges": [[0, 1]] * 20 + [[1, 2], [2, 3], [3, 4], [4, 0]]}
+# the 4 x 4 grid: 24 edges, rank 15, a walk bound of 12 million
+GRID_4X4 = {"type": "graphic", "edges": [[4 * i + j, 4 * i + j + 1] for i in range(4) for j in range(3)]
+            + [[4 * i + j, 4 * i + j + 4] for i in range(3) for j in range(4)]}
+
+
+@pytest.mark.parametrize("descriptor, r", [(GRID_4X4, 15), (FAT_GRAPH, 4)], ids=["4x4-grid", "fat-graph"])
+def test_hlv_and_charpoly_past_the_walk_take_deletion_contraction_within_5_s(descriptor, r, tmp_path):
+    """The route rule sends the grid and the fat graph to
+    deletion-contraction, the grid by its walk bound and the fat graph by
+    the 2^20 subsets of its parallel class: tutte --cache, hlv and charpoly
+    each exit 0 within 5 s through the benchmark's entry path, python -S
+    -m, and hlv and charpoly agree with tutte --cache through
+    h = v^(#E - r) T(u + 1, 1/v + 1) and chi = (-1)^r T(1 - u, 0)."""
+
+    def timed(args):
+        start = time.monotonic()
+        proc = run_cli(args, stdin_obj=descriptor, flags=["-S"])
+        assert proc.returncode == 0 and time.monotonic() - start < 5, (args, proc.stderr)
+        return json.loads(proc.stdout)
+
+    T = BivariatePoly({(t["x"], t["y"]): int(t["c"]) for t in timed(["tutte", "--cache", str(tmp_path)])["terms"]})
+    h, chi = tutte_specializations(T, len(descriptor["edges"]), r)
+    assert BivariatePoly({(t["u"], t["v"]): int(t["c"]) for t in timed(["hlv"])["terms"]}) == h
+    assert UnivariatePoly({t["u"]: int(t["c"]) for t in timed(["charpoly"])["charpoly"]["terms"]}) == chi
+
+
 GF7_3X8 = {
     "type": "linear",
     "field": "GF(7)",

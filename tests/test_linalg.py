@@ -125,9 +125,10 @@ def test_reduced_rows_match_rref():
         nrows, ncols = rng.randint(1, 5), rng.randint(1, 6)
         vecs = [[rng.choice([0, rng.randrange(-4, 5)]) for _ in range(ncols)] for _ in range(nrows)]
         field = QQ if p == 0 else PrimeField(p)
-        got = _rref(field, vecs)
+        got, basis = _rref(field, vecs)
         red, pivots = rref([[field.of(x) for x in v] for v in vecs], field)
         assert [j for j, _ in got] == pivots
+        assert len(basis) == len(got) == dense_rank(field, [vecs[i] for i in basis])
         if p == 0:
             assert [[Fraction(x, row[j]) for x in row] for j, row in got] == red
         else:
@@ -167,7 +168,8 @@ def test_residual_memo_matches_fresh_echelons(case):
     column modulo rows[:k]: spanning the same space with them as the
     column does, and over GF(p) the column minus a combination of them."""
     field, columns, ops = case
-    walk = column_matroid(field, columns).incremental_rank()
+    M = column_matroid(field, columns)
+    columns, walk = M._backing.columns, M.incremental_rank()
     stack = []
     for op in ops + [None] * len(ops):
         if op is None:
@@ -182,7 +184,7 @@ def test_residual_memo_matches_fresh_echelons(case):
         stack.append(op)
         assert walk.rows == fresh.rows
         red, pivots = rref([[field.of(x) for x in columns[e]] for e in stack], field)
-        got = _rref(field, [row for _, row in walk.rows])
+        got = _rref(field, [row for _, row in walk.rows])[0]
         assert [j for j, _ in got] == pivots
         assert [[field.mul(field.inv(field.of(row[j])), field.of(x)) for x in row] for j, row in got] == red
         assert len(walk._res) == walk.rank + 1

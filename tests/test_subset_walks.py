@@ -235,7 +235,7 @@ def corank_three_matrices(draw):
     """A matrix over Q, GF(2), GF(3) or GF(7) with 3 to 5 rows and up to
     12 columns, each random, zero or a scaled copy of an earlier one; as
     often as not one more row, the sum of two others, so that the rank is
-    below the row count and more than 3 coordinates are free at corank 3."""
+    below the row count."""
     field = draw(st.sampled_from(["Q", "GF(2)", "GF(3)", "GF(7)"]))
     p = 0 if field == "Q" else int(field[3:-1])
     rows = draw(st.integers(3, 5))
@@ -264,16 +264,18 @@ def corank_three_matrices(draw):
 def test_echelon_child_class_sizes_match_the_push_route(M):
     """At every node of corank 3 of a walk over the subsets of corank at
     least 3, the echelon's class sizes of all children (cross products of
-    residuals, or pushes with more rows than rank) equal those found by
-    pushes alone through a push/pop-only oracle. On up to 10 columns the
-    walk's counts also match the brute-force ones."""
+    residuals) equal those found by pushes alone through a push/pop-only
+    oracle. The walk's columns are cut to a row basis, so they have as
+    many entries as the rank, whatever the row count. On up to 10 columns
+    the walk's counts also match the brute-force ones."""
     native, pushed = M.incremental_rank(), _CountingSteps(M.incremental_rank())
     elems, r = M.elements, M.r
+    assert all(len(col) == r for col in M._backing.columns.values())
 
     def visit(start, rk):
         rest = elems[start:]
         if rk == r - 3:
-            assert native.child_class_sizes(rest) == matroids.pushed_child_class_sizes(pushed, rest)
+            assert native.child_class_sizes(rest) == matroids.child_class_sizes(pushed, rest)
         for i in range(start, len(elems)):
             up = native.push(elems[i])
             assert pushed.push(elems[i]) == up
@@ -296,19 +298,24 @@ def test_walk_stops_at_corank_three_on_vandermonde(monkeypatch):
     charged as a node, so the walk fits in 4,048 nodes and no fewer, as
     when it pushed those children. Through a push/pop-only oracle the
     classes cost a push of each 4-, 5- and 6-subset once, 31,179 pushes in
-    all, as every column is its own class."""
-    M = from_matrix("Q", [[x**i for x in range(18)] for i in range(6)])
+    all, as every column is its own class. A seventh row, the sum of rows
+    1 and 4, changes none of it: the walk's columns are on a row basis
+    (4,047 pushes when it kept all seven rows and closed by pushes)."""
+    vandermonde = [[x**i for x in range(18)] for i in range(6)]
     pushes = _count_calls(monkeypatch, linalg.IntEchelon, "push")
-    counts = rank_size_counts(M)
-    assert pushes[0] == sum(comb(18, k) for k in range(1, 4)) == 987
-    assert sum(counts.values()) == 2**18
-    assert counts[(0, 0)] == 18_564  # C(18, 6) bases
-    assert rank_size_counts(M, max_nodes=4_048) == counts
-    with pytest.raises(TooLarge):
-        rank_size_counts(M, max_nodes=4_047)
-    pushed, pushes_through_proxy = push_only_counts(M)
-    assert pushed == counts
-    assert pushes_through_proxy == sum(comb(18, k) for k in range(1, 7)) == 31_179
+    for matrix in (vandermonde, vandermonde + [[a + b for a, b in zip(vandermonde[1], vandermonde[4])]]):
+        M = from_matrix("Q", matrix)
+        pushes[0] = 0
+        counts = rank_size_counts(M)
+        assert pushes[0] == sum(comb(18, k) for k in range(1, 4)) == 987
+        assert sum(counts.values()) == 2**18
+        assert counts[(0, 0)] == 18_564  # C(18, 6) bases
+        assert rank_size_counts(M, max_nodes=4_048) == counts
+        with pytest.raises(TooLarge):
+            rank_size_counts(M, max_nodes=4_047)
+        pushed, pushes_through_proxy = push_only_counts(M)
+        assert pushed == counts
+        assert pushes_through_proxy == sum(comb(18, k) for k in range(1, 7)) == 31_179
 
 
 def _count_calls(monkeypatch, owner, name):

@@ -1,5 +1,7 @@
 import io
+import itertools
 import json
+import subprocess
 import sys
 import time
 from math import comb
@@ -8,7 +10,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import VAMOS_BASES, closure_components, explicit_move_components, matrices_and_graphs, node_masks
+from helpers import (
+    VAMOS_BASES,
+    closure_components,
+    elimination_bases,
+    explicit_move_components,
+    matrices_and_graphs,
+    node_masks,
+)
 from matroid_workbench import (
     CORPUS,
     InternalInvariantViolation,
@@ -16,6 +25,7 @@ from matroid_workbench import (
     TooLarge,
     check_degree,
     cli,
+    corpus_matroid,
     from_bases,
     from_graph,
     from_matrix,
@@ -307,7 +317,7 @@ def test_move_split_and_degree_two_union_find_against_explicit_moves(M):
     swaps = white._swaps
     _, masks, index, codes = white._tables(M, 2)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(white, "_star_components", lambda codes, d: None)
+        patch.setattr(white, "_star_components", lambda nodes, codes, d: None)
         for d in (2, 3, 4):
             assert _partition(toric_fibers(M, d)) == explicit_move_components(M, d), d
         for kept in (lambda i, j, w: True, lambda i, j, w: (i + j + w[0] + w[1]) % 2):
@@ -315,7 +325,7 @@ def test_move_split_and_degree_two_union_find_against_explicit_moves(M):
                 w for w in swaps(masks, index, i, j) if kept(i, j, w)
             })
             connected = all(f.n_components == 1 for f in toric_fibers(M, 2))
-            assert white._degree_two_connected(masks, index, codes) is connected
+            assert (white._degree_two_nodes(masks, index, codes) is not None) is connected
 
 
 @settings(max_examples=60, deadline=None)
@@ -340,7 +350,124 @@ def test_degree_two_search_against_explicit_moves(M):
                 patch.setattr(white, "_swaps", lambda masks, index, i, j: {
                     w for w in swaps(masks, index, i, j) if odd(i, j, *w)
                 })
-            assert white._degree_two_connected(masks, index, codes) is connected
+            nodes = white._degree_two_nodes(masks, index, codes)
+            assert (nodes is not None) is connected
+            if connected:
+                assert nodes == node_masks(node_masks({0: 0}, codes), codes)
+
+
+K5_MINUS_EDGE = [e for e in itertools.combinations(range(5), 2) if e != (0, 1)]
+MATRIX_FANO = [[0, 0, 1, 1, 1, 0, 1], [0, 1, 0, 1, 0, 1, 1], [1, 0, 0, 0, 1, 1, 1]]
+# a zero column, a coloop and the twin of column 0 last
+MATRIX_TAILS = [[1, 0, 1, 1, 0, 0, 2], [0, 1, 1, 2, 0, 0, 0], [0, 0, 0, 0, 0, 1, 0]]
+NAMED = {
+    "K5 minus an edge": lambda: from_graph(K5_MINUS_EDGE),
+    "Fano": lambda: corpus_matroid("fano"),
+    "Vamos": lambda: from_bases(8, VAMOS_BASES),
+    "U(3,7)": lambda: uniform(3, 7),
+}
+
+
+@pytest.mark.parametrize("name", ["K5 minus an edge", "Fano", "Vamos"])
+def test_star_route_splits_no_fiber_by_moves_and_agrees_with_the_move_split(name, monkeypatch):
+    """Every degree-3 fiber of M(K5) minus an edge, of the Fano matroid and
+    of the Vamos basis list is split by star closure alone, with no move
+    split until the representatives are read, into the sizes and component
+    counts that the move split, called directly, gives."""
+    M = NAMED[name]()
+    degrees = []
+    split = white_moves._split
+    monkeypatch.setattr(white_moves, "_split", lambda codes, d, moves: degrees.append(d) or split(codes, d, moves))
+    star = [(f.size, f.n_components) for f in toric_fibers(M, 3)]
+    assert degrees == []
+    _, masks, index, codes = white._tables(M, 3)
+    moved = sorted(split(codes, 3, white_moves._moves(masks, index, codes, 3)).items())
+    assert star == [(sum(map(len, comps)), len(comps)) for _, comps in moved]
+
+
+@pytest.mark.parametrize("name", list(NAMED))
+def test_degree_two_search_agrees_with_the_move_split_on_named_matroids(name, monkeypatch):
+    """The degree-2 search finds every degree-2 fiber connected exactly when
+    the move split, called directly at degree 2, gives one component per
+    fiber: under all double swaps, and under only those whose two pairs
+    have an odd index sum, a rule that splits fibers."""
+    M = NAMED[name]()
+    swaps = white._swaps
+    _, masks, index, codes = white._tables(M, 2)
+    for kept in (lambda i, j, w: True, lambda i, j, w: (i + j + sum(w)) % 2):
+        monkeypatch.setattr(white, "_swaps", lambda masks, index, i, j: {
+            w for w in swaps(masks, index, i, j) if kept(i, j, w)
+        })
+        split = white_moves._split(codes, 2, white_moves._moves(masks, index, codes, 2))
+        connected = all(len(comps) == 1 for comps in split.values())
+        assert (white._degree_two_nodes(masks, index, codes) is not None) is connected
+
+
+def test_move_split_gives_the_star_route_report_within_5_s():
+    """With the star closure switched off, toric_fibers splits every
+    degree-3 fiber of M(K5) minus an edge by its moves, and check_degree
+    returns the report of the star route, equal as JSON, within 5 s."""
+    M = from_graph(K5_MINUS_EDGE)
+    star = check_degree(M, 3)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(white, "_star_components", lambda nodes, codes, d: None)
+        start = time.perf_counter()
+        moved = check_degree(M, 3)
+        assert time.perf_counter() - start < 5
+    assert json.dumps(moved) == json.dumps(star)
+
+
+@pytest.mark.parametrize(
+    "descriptor, n, bases",
+    [
+        ({"type": "linear", "field": "GF(2)", "matrix": MATRIX_FANO}, 7, elimination_bases(MATRIX_FANO, 2)),
+        ({"type": "uniform", "r": 3, "n": 6}, 6, list(itertools.combinations(range(6), 3))),
+        ({"type": "linear", "field": "GF(3)", "matrix": MATRIX_TAILS}, 7, elimination_bases(MATRIX_TAILS, 3)),
+    ],
+    ids=["Fano", "U(3,6)", "GF(3)-tails"],
+)
+def test_white_check_finds_one_fiber_per_sum_of_three_bases(descriptor, n, bases, monkeypatch, capsys):
+    """The lattice count that n_fibers is held to closes its last three
+    coordinates by formula, and the benchmark runs white-check on graphs
+    only; so on three matroids that are not graphic, n_fibers in degree 3
+    is the number of sums of 3 bases listed here. The GF(3) matrix ends in
+    a zero column, a coloop and the twin of its first column, the
+    formula's boundary cases."""
+    sums = {tuple(sum(j in b for b in ms) for j in range(n)) for ms in itertools.combinations_with_replacement(bases, 3)}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(descriptor)))
+    assert cli.main(["white-check", "--degree", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["n_fibers"] == len(sums)
+
+
+# Runs the CLI in a child of this fresh interpreter and prints the child's
+# peak RSS, ru_maxrss in KiB on Linux, and its stdout. A child's ru_maxrss
+# starts at the peak RSS of the process that launched it, so a child of the
+# test session would read the session's peak; this interpreter's is small.
+_PEAK_RSS = (
+    "import resource, subprocess, sys\n"
+    "run = subprocess.run([sys.executable, '-m', 'matroid_workbench.cli', *sys.argv[1:]], stdin=sys.stdin,\n"
+    "                     capture_output=True, text=True)\n"
+    "print(run.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    "sys.stdout.write(run.stdout)\n"
+)
+
+
+def test_white_check_in_degree_4_finds_every_fiber_connected_within_120_mb():
+    """Graphic matroids have quadrically generated toric ideals (Blasiak
+    2008): on M(K5) minus an edge the C(78, 4) monomials of degree 4 fall
+    into 70,269 connected fibers, and the command's peak RSS stays at or
+    under 120 MB."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS, "white-check", "--degree", "4"],
+        input=json.dumps({"type": "graphic", "edges": [list(e) for e in K5_MINUS_EDGE]}),
+        capture_output=True, text=True, timeout=300,
+    )
+    status, out = proc.stdout.split("\n", 1)
+    code, peak_kib = map(int, status.split())
+    assert code == 0, proc.stderr
+    report = json.loads(out)
+    assert (report["all_connected"], report["n_monomials"], report["n_fibers"]) == (True, 1_426_425, 70_269)
+    assert peak_kib / 1024 <= 120
 
 
 one_fiber_graphs = st.integers(1, 8).flatmap(
@@ -430,11 +557,11 @@ def test_vamos_matroid_by_star_closure_and_by_moves(monkeypatch):
     star route and the move split give the same report, and its fiber
     count is the lattice count."""
     V = from_bases(8, VAMOS_BASES)
-    codes = white._tables(V, 3)[3]
-    assert white._star_components(codes, 3) is not None
+    _, masks, index, codes = white._tables(V, 3)
+    assert white._star_components(white._degree_two_nodes(masks, index, codes), codes, 3) is not None
     star = check_degree(V, 3)
     assert star["n_fibers"] == white._lattice_points(V, 3)
-    monkeypatch.setattr(white, "_star_components", lambda codes, d: None)
+    monkeypatch.setattr(white, "_star_components", lambda nodes, codes, d: None)
     assert json.dumps(check_degree(V, 3)) == json.dumps(star)
 
 
@@ -482,7 +609,8 @@ def test_a_split_below_the_degree_hands_over_to_the_lift(corpus_by_name, monkeyp
     M = corpus_by_name["k4"]
     expected = check_degree(M, 4)
     monkeypatch.setattr(white, "_star_split", _split_one(min))
-    assert white._star_components(white._tables(M, 4)[3], 4) is None
+    _, masks, index, codes = white._tables(M, 4)
+    assert white._star_components(white._degree_two_nodes(masks, index, codes), codes, 4) is None
     assert check_degree(M, 4) == expected
 
 
@@ -679,7 +807,7 @@ def test_lift_join_across_fibers_is_an_invariant_violation(corpus_by_name, monke
         # (0, 0, 0) is 3 * {0, 1} and (0, 0, 5) is 2 * {0, 1} + {2, 3}
         return lambda v: reach(v) | {(0, 0, 0)} if v == (0, 0, 5) else reach(v)
 
-    monkeypatch.setattr(white, "_degree_two_connected", lambda *args: False)
+    monkeypatch.setattr(white, "_degree_two_nodes", lambda *args: None)
     monkeypatch.setattr(white_moves, "_moves", crossing)
     with pytest.raises(InternalInvariantViolation, match="move left the fiber"):
         check_degree(corpus_by_name["u_2_4"], 3)
@@ -816,22 +944,24 @@ def test_toric_fibers_is_a_sequence_in_code_order(corpus_by_name, monkeypatch):
     for i in (396, -397):
         with pytest.raises(IndexError):
             fibers[i]
-    monkeypatch.setattr(white, "_star_components", lambda codes, d: None)
+    monkeypatch.setattr(white, "_star_components", lambda nodes, codes, d: None)
     assert shape(toric_fibers(M, 3)) == items
 
 
 def test_check_degree_builds_fibers_once(corpus_by_name, monkeypatch):
     """Lower degrees are read inside toric_fibers, so a wrapper around it
     (as the benchmark tracer installs) sees one call and the degree-d
-    monomials only."""
-    calls = []
-    build = white.toric_fibers
+    monomials only; the degree-2 buckets are built once, searched and
+    ORed into the node masks that the star closure starts from."""
+    calls, buckets = [], []
+    build, fibers = white.toric_fibers, white._fibers
 
     def recording(M, d, *args, **kwargs):
         calls.append(d)
         return build(M, d, *args, **kwargs)
 
     monkeypatch.setattr(white, "toric_fibers", recording)
+    monkeypatch.setattr(white, "_fibers", lambda codes, d: buckets.append(d) or fibers(codes, d))
     report = check_degree(corpus_by_name["k4"], 3)
-    assert calls == [3]
+    assert calls == [3] and buckets == [2]
     assert report["n_monomials"] == 816
