@@ -52,6 +52,7 @@ def _require_loopless(M):
 
 def broken_circuits(M: Matroid):
     """Each circuit minus its smallest element, deduplicated, sorted."""
+    require_matroid(M)
     _require_loopless(M)
     return sorted({c[1:] for c in M.circuits()})
 
@@ -63,16 +64,29 @@ def nbc_sets(M: Matroid, k):
     (Bjorner 1992). One depth-first walk on M.incremental_rank() builds S in
     descending order, extends it below min S by each element up to the
     first in cl(S), and keeps S when no element below its minimum lies in
-    cl(S). It makes at most NBC_BUDGET pushes, and M keeps the nbc sets of
-    every size, so a caller reading several degrees asks for the top one
-    first.
+    cl(S). It makes at most NBC_BUDGET pushes, and an input whose parallel
+    classes force more is refused before the walk starts. M keeps the nbc
+    sets of every size, so a caller reading several degrees asks for the
+    top one first.
     """
+    require_matroid(M)
     require_int(k, "degree")
     if k < 0 or k > M.size:
         raise InvalidInput(f"degree {k} out of range 0..{M.size}")
     _require_loopless(M)
     levels = vars(M).get("_os_nbc", ())
     if len(levels) <= min(k, M.r):
+        n = M.size
+        if k and n + n * (n - 1) // 2 > NBC_BUDGET:
+            # the root pushes every e_i, and below it e_(i-1), e_(i-2), ...
+            # down to the last earlier element parallel to e_i, or to e_0:
+            # over a parallel class that is its largest position
+            pos = {e: p for p, e in enumerate(M.elements)}
+            least = n + sum(pos[cls[-1]] for cls in M.parallel_classes())
+            if least > NBC_BUDGET:
+                raise TooLarge(
+                    f"nbc walk needs at least {least} rank-oracle pushes, past the budget {NBC_BUDGET}"
+                )
         elems, steps, pushes = M.elements, M.incremental_rank(), 0
         levels = [[] for _ in range(min(k, M.r) + 1)]
 
@@ -135,6 +149,7 @@ def os_space(M: Matroid, k, field=QQ) -> OSSpace:
     name). Its dimension, the nbc count, must equal the k-th Whitney number
     |chi_M coefficient of u^(r-k)|; a mismatch is a bug in this package.
     Neither needs the field."""
+    require_matroid(M)
     field = as_field(field)
     nbc, expected = nbc_sets(M, k), _whitney_numbers(M)[k]
     if len(nbc) != expected:
@@ -154,6 +169,7 @@ def os_dimensions(M: Matroid, field=QQ):
 def reduced_nbc_index_sets(M: Matroid, k):
     """k-subsets S avoiding 0 with S + {0} an nbc set, lex order; os_space
     has held their count to the degree-(k+1) Whitney check."""
+    require_matroid(M)
     require_int(k, "reduced degree")
     if k < 0 or k + 1 > M.size:
         raise InvalidInput(f"reduced degree {k} out of range")

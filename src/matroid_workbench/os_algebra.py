@@ -15,7 +15,7 @@ from __future__ import annotations
 from . import orlik_solomon
 from .errors import InternalInvariantViolation, InvalidInput, quote
 from .fields import QQ, as_field
-from .matroids import Matroid
+from .matroids import Matroid, require_matroid
 
 
 class ExteriorElement:
@@ -196,6 +196,7 @@ def reduced_nbc_basis(M: Matroid, k, field=QQ) -> ReducedOSBasis:
     0 at every other nbc monomial avoiding 0: that identity minor, checked
     here, proves the monomials independent.
     """
+    require_matroid(M)
     idx = orlik_solomon.reduced_nbc_index_sets(M, k)
     space = orlik_solomon.os_space(M, k, field)
     field = space.field  # os_space reads a field name
@@ -214,4 +215,5 @@ def reduced_nbc_basis(M: Matroid, k, field=QQ) -> ReducedOSBasis:
 
 def reduced_os_dimensions(M: Matroid, field=QQ):
     """[dim of the reduced degree-k piece for k = 0..r-1], top first."""
+    require_matroid(M)
     return [reduced_nbc_basis(M, k, field).dimension for k in range(max(M.r, 1) - 1, -1, -1)][::-1]

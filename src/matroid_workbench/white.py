@@ -23,7 +23,15 @@ bases. So each degree is one pass over the pairs (lower fiber, basis):
 the star's bases, B and the lower fiber's node mask (the bitmask of the
 bases that occur in it), are merged into the component masks of the
 fiber they reach, and a degree's components must hold one basis per
-pair. The passes start at degree 3: the node mask of a degree-2 fiber is
+pair. A pair is merged only where B is not below every basis of the lower
+fiber: where it is, each basis X of that fiber is above B and shares a
+monomial with it, so the lower fiber of X holds B and the star of X is
+merged and holds B; those stars cover the star of B and meet at B, so the
+components and the bases they hold stay the same. On M(K5) minus an edge
+that merges 71,388 of 105,525 stars in degree 3, 710,878 of 936,225 in
+degree 4 and 4,258,832 of 5,270,175 in degree 5; a star left out whose
+bases no kept star covers would cut the bases held below one per pair.
+The passes start at degree 3: the node mask of a degree-2 fiber is
 the OR of the bases of its monomials, whose buckets the degree-2 check
 has just searched. The sizes of degree d come from one count of the
 monomials' multidegree codes. This is the route whenever every degree-2
@@ -53,6 +61,7 @@ so their number summed over x is three arithmetic series.
 """
 from __future__ import annotations
 
+import bisect
 import collections
 import functools
 import itertools
@@ -106,6 +115,7 @@ def symmetric_exchange_neighbors(M: Matroid, pair):
     `pair` is two bases (tuples); the result is sorted and deduplicated,
     excluding the input pair itself.
     """
+    require_matroid(M)
     bases = M.bases()
     where = {b: i for i, b in enumerate(bases)}
     try:
@@ -295,13 +305,17 @@ def _star_split(lower, codes):
     """{code: component masks} one degree up from the connected fibers
     `lower`, {code: node mask}: B times the fiber c is connected, so the
     star mask | bit(B) is merged into the disjoint component masks of the
-    fiber c + code(B), one int while they are one and a list otherwise."""
+    fiber c + code(B), one int while they are one and a list otherwise.
+    Only the stars of B not below the least basis of c are merged: the
+    lower fibers sorted by least basis, B runs over the prefix of those
+    whose least basis is at most B."""
     out = {}
     get = out.get
-    lower = list(lower.items())
+    lower = sorted(lower.items(), key=lambda item: item[1] & -item[1])
+    least = [mask & -mask for _, mask in lower]
     for b, code in enumerate(codes):
         bit = 1 << b
-        for c, mask in lower:
+        for c, mask in lower[:bisect.bisect_right(least, bit)]:
             c += code
             star = mask | bit
             comps = get(c)
@@ -321,7 +335,8 @@ def _star_components(nodes, codes, d):
     closure from degree 3 on the node masks `nodes` of the connected
     degree-2 fibers (_degree_two_nodes); None at the first degree below d
     with a split fiber. Each pair (lower fiber, basis) puts one basis in a
-    degree's components, and a star that left its fiber puts in more."""
+    degree's components, a star that left its fiber puts in more, and a
+    basis that no merged star covers one fewer."""
     for k in range(3, d + 1):
         split = _star_split(nodes, codes)
         held = sum(m.bit_count() if m.__class__ is int else sum(map(int.bit_count, m)) for m in split.values())
@@ -457,7 +472,7 @@ def _cyclic_flats(M):
 
 def _lattice_points(M, d):
     """The number of integer x >= 0 with x(E) = d*r, x_e <= d*r(e) and
-    x(Z) <= d*r(Z) for every cyclic flat Z.
+    x(Z) <= d*r(Z) for every cyclic flat Z of positive rank other than E.
 
     These inequalities imply x(F) <= d*r(F) for every flat F, which is a
     cyclic flat plus the coloops of M|F, so they cut out d*P_M; its integer
@@ -473,12 +488,14 @@ def _lattice_points(M, d):
     below). Their number is min(a, b + x, c - x) where that is positive,
     and its sum over an interval of x is three arithmetic series.
     """
-    flats = list(_cyclic_flats(M))
     elems = M.elements
     n = len(elems)
     cap = [d * M.rank({e}) for e in elems]
     if n < 3:  # a single basis, one point, unless two parallel elements share d
         return d + 1 if n == 2 and M.r == 1 and cap == [d, d] else 1
+    # cl(empty) and E bind nothing: caps are 0 on loops, and x(E) = d*r is
+    # the walk's own total
+    flats = [z for z in _cyclic_flats(M) if len(z) < n and M.rank(z)]
     slack = [d * M.rank(z) for z in flats]
     member = [[i for i, z in enumerate(flats) if e in z] for e in elems]
     room = [sum(cap[k:]) for k in range(n + 1)]

@@ -693,6 +693,32 @@ def node_masks(lower, codes):
     return nodes
 
 
+def all_pairs_star_split(lower, codes, keep=None):
+    """{code: component masks} one degree up from the node masks `lower`,
+    as white._star_split gives them, but merging the star mask | bit(B) of
+    every pair (lower fiber c, basis B) into the fiber c + code(B), none
+    skipped. `keep`, if given, is a rule on (B, mask) that a pair must
+    pass to be merged."""
+    out = {}
+    for b, code in enumerate(codes):
+        bit = 1 << b
+        for c, mask in lower.items():
+            if keep is not None and not keep(b, mask):
+                continue
+            c += code
+            star = mask | bit
+            comps = out.get(c)
+            if comps is None:
+                out[c] = star
+            elif comps.__class__ is int:
+                out[c] = comps | star if comps & star else [comps, star]
+            else:
+                apart = [m for m in comps if not m & star]
+                star |= sum(comps) - sum(apart)
+                out[c] = apart + [star] if apart else star
+    return out
+
+
 def closure_components(nodes, lower, codes):
     """{code: number of components} of the fibers with node masks `nodes`,
     given the node masks `lower` of the degree below: B is joined to every

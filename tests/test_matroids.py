@@ -481,6 +481,14 @@ def _argument_calls():
         "euler_table(5)": (lambda K4: localization.euler_table(5), None),
         "os_dimensions(5)": (lambda K4: orlik_solomon.os_dimensions(5), None),
         "check_degree(5, 3)": (lambda K4: white.check_degree(5, 3), None),
+        "symmetric_exchange_neighbors(5, pair)": (
+            lambda K4: white.symmetric_exchange_neighbors(5, [(0, 1, 3), (0, 2, 4)]), None),
+        "broken_circuits(5)": (lambda K4: orlik_solomon.broken_circuits(5), None),
+        "nbc_sets(5, 1)": (lambda K4: orlik_solomon.nbc_sets(5, 1), None),
+        "os_space(5, 1)": (lambda K4: orlik_solomon.os_space(5, 1), None),
+        "reduced_nbc_index_sets(5, 1)": (lambda K4: orlik_solomon.reduced_nbc_index_sets(5, 1), None),
+        "reduced_nbc_basis(5, 1)": (lambda K4: orlik_solomon.reduced_nbc_basis(5, 1), None),
+        "reduced_os_dimensions(5)": (lambda K4: orlik_solomon.reduced_os_dimensions(5), None),
     }
     return [pytest.param(call, reference, id=name) for name, (call, reference) in calls.items()]
 

@@ -32,7 +32,7 @@ from matroid_workbench import (
     uniform,
 )
 
-from helpers import abs_coeff_row, circuit_nbc_sets, dense_os_reducer
+from helpers import abs_coeff_row, circuit_nbc_sets, dense_os_reducer, matrices_and_graphs
 
 GF2, GF3, GF5 = PrimeField(2), PrimeField(3), PrimeField(5)
 
@@ -405,6 +405,41 @@ def test_os_errors(corpus_by_name, monkeypatch):
     monkeypatch.setattr(orlik_solomon, "NBC_BUDGET", 1 << 20)
     with pytest.raises(TooLarge, match="budget"):
         os_space(uniform(12, 24), 12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices_and_graphs(), st.integers(1, 7))
+def test_nbc_refusal_bound_is_at_most_the_walk(M, k):
+    """Before it walks, nbc_sets bounds its pushes from below: #E, and for
+    each e_i the elements down to the last earlier one parallel to it, or
+    down to e_0 (counted here pair by pair). The bound is at most what the
+    walk pushes, so the walk still runs with the budget at its own count,
+    and a budget one below the bound is refused with the bound named."""
+    M = M.delete(sorted(M.loops()))
+    k = min(k, M.size)
+    if not k:
+        return
+    elems = M.elements
+    bound = M.size + sum(
+        next((i - j for j in range(i - 1, -1, -1) if M.rank({elems[i], elems[j]}) == 1), i)
+        for i in range(M.size)
+    )
+    pushes, real = [], M.incremental_rank
+    M.incremental_rank = lambda: _CountingSteps(real(), pushes)
+    expected = nbc_sets(M, k)
+    walked = len(pushes)
+    assert bound <= walked
+    budget = orlik_solomon.NBC_BUDGET
+    try:
+        orlik_solomon.NBC_BUDGET = walked
+        del M._os_nbc
+        assert nbc_sets(M, k) == expected
+        orlik_solomon.NBC_BUDGET = bound - 1
+        del M._os_nbc
+        with pytest.raises(TooLarge, match=f"at least {bound} rank-oracle pushes"):
+            nbc_sets(M, k)
+    finally:
+        orlik_solomon.NBC_BUDGET = budget
 
 
 # ----------------------------------------------------------------- reduced OS

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     VAMOS_BASES,
+    all_pairs_star_split,
     closure_components,
     elimination_bases,
     explicit_move_components,
@@ -550,6 +551,41 @@ def test_star_split_against_the_closure_on_generated_matroids(M, d):
     assert masks == nodes
     assert counts == closure_components(nodes, lower, codes)
     assert sum(m.bit_count() for m in masks.values()) == len(codes) * len(lower)
+
+
+def _component_sets(split):
+    """{code: set of component masks} of a _star_split result."""
+    return {c: frozenset([comps] if comps.__class__ is int else comps) for c, comps in split.items()}
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_matroids(), st.sampled_from([3, 4]))
+def test_star_split_gives_the_components_of_the_pass_over_all_pairs(M, d):
+    """The star of B below every basis of the lower fiber c lies in the
+    stars that the bases of c keep, so skipping it changes no component:
+    from the node masks of degree d - 1 the merge gives every degree-d
+    fiber the component masks of the merge over all pairs."""
+    codes = white._tables(M, d)[3]
+    lower = {0: 0}
+    for _ in range(d - 1):
+        lower = node_masks(lower, codes)
+    expected = _component_sets(all_pairs_star_split(lower, codes))
+    assert _component_sets(white._star_split(lower, codes)) == expected
+
+
+def test_a_star_pass_that_uncovers_a_basis_is_an_invariant_violation(corpus_by_name, monkeypatch, capsys):
+    """The count of held bases certifies the cover: a merge of only the
+    stars of B at or above the highest basis of the lower fiber leaves some
+    basis of a degree-3 fiber of U(2,4) in no star, so the components hold
+    fewer bases than there are pairs."""
+
+    def top_stars(lower, codes):
+        return all_pairs_star_split(lower, codes, keep=lambda b, mask: b >= mask.bit_length() - 1)
+
+    monkeypatch.setattr(white, "_star_split", top_stars)
+    with pytest.raises(InternalInvariantViolation, match="star closure left the fiber"):
+        check_degree(corpus_by_name["u_2_4"], 3)
+    _white_check_exits_4(capsys, monkeypatch, {"type": "uniform", "r": 2, "n": 4})
 
 
 def test_vamos_matroid_by_star_closure_and_by_moves(monkeypatch):
