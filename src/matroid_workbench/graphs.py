@@ -31,13 +31,14 @@ never vertex names (which may mix str and int), so the form is invariant,
 and the branches pruned are images of explored ones under automorphisms,
 so the least list is the same for every presentation.
 
-bridges(edges) finds the coloops of a graph, and spanning_forest_count(pairs)
-counts its bases by Kirchhoff's theorem, with Bareiss's determinant
-(int_determinant).
+blocks(edges) splits a graph into its blocks by one depth-first search;
+its coloops are the blocks of one edge, and spanning_forest_count(pairs)
+counts its bases as the product over the others of Kirchhoff's
+determinant (Bareiss's int_determinant). A graph's rank, steps and
+minors are the rollback union-find's, in matroids.py, from which this
+module imports nothing.
 """
 from __future__ import annotations
-
-from .matroids import RollbackUnionFind
 
 
 def canonical_edges(pairs):
@@ -208,60 +209,75 @@ def _twin_classes(cell, nbrs, col):
     return classes
 
 
-def bridges(edges):
-    """The labels of the bridges among `edges`, (label, (u, v)) pairs: the
-    edges of a breadth-first spanning forest through which the tree path
-    between the ends of no other edge runs."""
-    edges = list(edges)
-    adj, up, depth = {}, {}, {}  # up: vertex -> (parent, tree edge)
+def blocks(edges):
+    """The blocks (2-connected components) of the multigraph with these
+    (label, (u, v)) edges, each a list of edge labels; self-loops are in
+    none, and a block of one edge is a bridge. Hopcroft-Tarjan's
+    depth-first search (1973), run on an explicit stack. Vertices are
+    numbered in the order found, and low[t] is the least number that a
+    back edge from the subtree of vertex t reaches (or t); when low[t] is
+    not below the number of t's parent, the edges pushed since the tree
+    edge into t, with it, form a block."""
+    adj = {}
     for e, (u, v) in edges:
         if u != v:
             adj.setdefault(u, []).append((v, e))
             adj.setdefault(v, []).append((u, e))
+    number, low, found, stack = {}, [], [], []
     for root in adj:
-        if root not in depth:
-            depth[root], queue = 0, [root]
-            for x in queue:
-                for y, e in adj[x]:
-                    if y not in depth:
-                        depth[y], up[y] = depth[x] + 1, (x, e)
-                        queue.append(y)
-    tree = {e for _, e in up.values()}
-    found = set(tree)
-    for e, (u, v) in edges:
-        if e not in tree:
-            while u != v:
-                if depth[u] < depth[v]:
-                    u, v = v, u
-                u, f = up[u]
-                found.discard(f)
+        if root in number:
+            continue
+        number[root] = t = len(low)
+        low.append(t)
+        walk = [(t, None, 0, iter(adj[root]))]  # (number, tree edge in, stack mark, edges out)
+        while walk:
+            tx, via, mark, out = walk[-1]
+            for y, e in out:
+                ty = number.get(y)
+                if ty is None:
+                    number[y] = ty = len(low)
+                    low.append(ty)
+                    walk.append((ty, e, len(stack), iter(adj[y])))
+                    stack.append(e)
+                    break
+                if ty < tx and e != via:  # a back edge, met from below
+                    stack.append(e)
+                    if ty < low[tx]:
+                        low[tx] = ty
+            else:
+                walk.pop()
+                if walk:
+                    tp = walk[-1][0]
+                    if low[tx] >= tp:
+                        found.append(stack[mark:])
+                        del stack[mark:]
+                    elif low[tx] < low[tp]:
+                        low[tp] = low[tx]
     return found
 
 
 def spanning_forest_count(pairs):
     """The number of spanning forests of the multigraph with these (u, v)
-    edges, by Kirchhoff's matrix-tree theorem: a forest is a spanning tree
-    of every component, and a component has as many spanning trees as the
-    determinant of its Laplacian with one vertex's row and column removed.
-    Parallel edges add up in the Laplacian; self-loops lie in no tree and
-    are left out."""
-    edges = dict(enumerate(pairs))
-    uf = RollbackUnionFind(edges)
-    degree, weight = {}, {}
-    for e, (u, v) in edges.items():
-        if u != v:
-            uf.push(e)
-            for a, b in ((u, v), (v, u)):
-                degree[a] = degree.get(a, 0) + 1
-                weight[a, b] = weight.get((a, b), 0) + 1
-    components = {}
-    for x in degree:
-        components.setdefault(uf.find(x), []).append(x)
+    edges. A graph's cycle matroid is the direct sum of its blocks', so
+    the count is the product over the blocks, and a block of one edge
+    counts 1; a block of more has as many spanning trees as the
+    determinant of its Laplacian with one vertex's row and column removed
+    (Kirchhoff's matrix-tree theorem). Parallel edges add up in the
+    Laplacian; self-loops lie in no forest and in no block."""
+    edges = list(pairs)
     count = 1
-    for _, *rest in components.values():
-        count *= int_determinant(
-            [[degree[a] if a == b else -weight.get((a, b), 0) for b in rest] for a in rest]
-        )
+    for block in blocks(enumerate(edges)):
+        if len(block) > 1:
+            degree, weight = {}, {}
+            for e in block:
+                u, v = edges[e]
+                for a, b in ((u, v), (v, u)):
+                    degree[a] = degree.get(a, 0) + 1
+                    weight[a, b] = weight.get((a, b), 0) + 1
+            _, *rest = degree
+            count *= int_determinant(
+                [[degree[a] if a == b else -weight.get((a, b), 0) for b in rest] for a in rest]
+            )
     return count
 
 

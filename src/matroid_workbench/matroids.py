@@ -40,8 +40,9 @@ by enumeration and the memo key from canonical_key(); a backing overrides
 what it answers natively. A linear matroid, stored as its RREF, reads its
 ground-set rank, loops, coloops, dual and memo key off the rows and makes
 its minors by row operations on them, so only a matrix and a dual run an
-elimination. A graph gives its self-loops, contraction, and its bridges,
-canonical key and Kirchhoff basis count (graphs.py, loaded on first use).
+elimination. A graph gives its self-loops and contraction, and its
+bridges, canonical key and basis count (Kirchhoff's, block by block)
+from graphs.py, loaded on first use.
 A uniform matroid answers in closed form, a basis list gives its dual and
 basis count, and a derived rank function answers nothing natively.
 """
@@ -274,14 +275,14 @@ class GraphicBacking(_Backing):
         return frozenset(e for e in M.elements if self.edges[e][0] == self.edges[e][1])
 
     def coloops(self, M):
-        """The bridges."""
-        from .graphs import bridges
+        """The bridges: the blocks of one edge (graphs.blocks)."""
+        from .graphs import blocks
 
-        return frozenset(bridges((e, self.edges[e]) for e in M.elements))
+        return frozenset(b[0] for b in blocks((e, self.edges[e]) for e in M.elements) if len(b) == 1)
 
     def basis_count(self, M):
-        """The spanning forests, by Kirchhoff's matrix-tree theorem
-        (graphs.spanning_forest_count)."""
+        """The spanning forests, by Kirchhoff's matrix-tree theorem on each
+        block (graphs.spanning_forest_count)."""
         from .graphs import spanning_forest_count
 
         return spanning_forest_count(self.edges[e] for e in M.elements)

@@ -170,6 +170,7 @@ def normal_form(M: Matroid, x: ExteriorElement):
 
 def os_multiply(M: Matroid, a: ExteriorElement, b: ExteriorElement) -> ExteriorElement:
     """Product in the Orlik-Solomon algebra, reduced to nbc normal form."""
+    require_matroid(M)
     if a.field != b.field:
         raise InvalidInput("operands live over different fields")
     w = a.wedge(b)

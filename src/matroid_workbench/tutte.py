@@ -334,9 +334,7 @@ def check_tutte(M: Matroid, t: BivariatePoly):
     coefficient t_ij changes the sum by a nonzero multiple of its term, so
     every single-coefficient error is caught, also one that keeps T(1,1)
     and T(2,2). A larger graph: T(1,1) is its number of spanning forests,
-    counted by Kirchhoff's theorem on its core, with the loops deleted and
-    the bridges contracted: loops lie in no forest and bridges in all, so
-    the count is the same, and a forest's core is empty."""
+    M.basis_count(), Kirchhoff's count on each block."""
     n, r = M.size, M.r
     if t.degree_x() > r or t.degree_y() > n - r:
         raise InternalInvariantViolation(
@@ -349,7 +347,7 @@ def check_tutte(M: Matroid, t: BivariatePoly):
     if edges is None:
         return
     if r > GREENE_RANK_LIMIT:
-        if t.evaluate(1, 1) != M.minor(deleted=M.loops(), contracted=M.coloops()).basis_count():
+        if t.evaluate(1, 1) != M.basis_count():
             raise InternalInvariantViolation(
                 f"Tutte polynomial has T(1,1) = {t.evaluate(1, 1)}, not the spanning forest count"
             )
@@ -415,6 +413,7 @@ def char_poly(M: Matroid, tutte: BivariatePoly | None = None) -> UnivariatePoly:
 
     Identically zero when M has a loop.
     """
+    require_matroid(M)
     t = tutte if tutte is not None else tutte_polynomial(M)
     # y = 0 kills the terms of positive y-degree; T(1 + w, 0) at w = -u
     shifted = _shift(((key, c) for key, c in t.terms() if key[1] == 0), 1, 0)

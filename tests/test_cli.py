@@ -400,9 +400,8 @@ def test_descriptor_errors_come_before_field_errors_and_field_errors_before_the_
 
 def test_graph_commands_on_a_2000_edge_path_within_10_s(tmp_path):
     """A path is all bridges, with rank far above GREENE_RANK_LIMIT, so
-    check_tutte counts the spanning forests of its core, which is empty:
-    no determinant grows with the path, and contracting its bridges is one
-    union-find pass."""
+    check_tutte counts its spanning forests block by block, and every
+    block is one edge: one depth-first search, and no determinant."""
     path = tmp_path / "path.json"
     path.write_text(json.dumps({"type": "graphic", "edges": [[i, i + 1] for i in range(2000)]}))
     def power_of_u_minus_1(n):  # (u - 1)^n
@@ -696,7 +695,7 @@ def test_commands_on_graphs_and_uniform_load_no_field_or_linear_code(args, descr
 def test_walked_graph_commands_leave_the_graph_algorithms_unloaded(command):
     """On M(K4) the route rule takes the subset walk, whose classes come
     from the union-find and whose check counts cuts in tutte.py, so
-    graphs.py (canonical forms and bridges, for deletion-contraction) is
+    graphs.py (canonical forms and blocks, for deletion-contraction) is
     never compiled."""
     rc, loaded, out = _main_in_fresh_process([command], _complete_graph(4))
     assert rc == 0 and json.loads(out)

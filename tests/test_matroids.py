@@ -463,8 +463,11 @@ def _argument_calls():
     malformed argument, a budget that is not an integer or a field name:
     a call with no reference must raise InvalidInput, and a call by field
     name must give what its reference gives with the field object."""
-    from matroid_workbench import PrimeField, QQ, localization, orlik_solomon, tutte, white
+    from matroid_workbench import PrimeField, QQ, localization, orlik_solomon, os_algebra, tutte, white
     from matroid_workbench.basis_list import from_bases
+
+    def e(i):
+        return os_algebra.ExteriorElement.monomial(QQ, (i,))
 
     def space(K4, field):
         s = orlik_solomon.os_space(K4, 2, field)
@@ -516,6 +519,9 @@ def _argument_calls():
         "reduced_nbc_index_sets(5, 1)": (lambda K4: orlik_solomon.reduced_nbc_index_sets(5, 1), None),
         "reduced_nbc_basis(5, 1)": (lambda K4: orlik_solomon.reduced_nbc_basis(5, 1), None),
         "reduced_os_dimensions(5)": (lambda K4: orlik_solomon.reduced_os_dimensions(5), None),
+        "char_poly(5, t)": (lambda K4: tutte.char_poly(5, tutte.tutte_polynomial(K4)), None),
+        "reduced_char_poly(5, t)": (lambda K4: tutte.reduced_char_poly(5, tutte.tutte_polynomial(K4)), None),
+        "os_multiply(5, a, b)": (lambda K4: os_algebra.os_multiply(5, e(0), e(1)), None),
     }
     return [pytest.param(call, reference, id=name) for name, (call, reference) in calls.items()]
 

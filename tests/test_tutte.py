@@ -22,7 +22,8 @@ from matroid_workbench import (
     tutte_sum,
     uniform,
 )
-from matroid_workbench import tutte
+from matroid_workbench import graphs, tutte
+from matroid_workbench.graphs import int_determinant
 from matroid_workbench.tutte import TutteCache, check_tutte, cut_weights
 
 from helpers import (
@@ -630,16 +631,57 @@ def test_check_above_the_rank_limit_counts_spanning_forests(monkeypatch):
         check_tutte(M, t + BivariatePoly({(1, 0): 1, (0, 0): -2}))  # keeps T(2, 2)
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), min_size=1, max_size=12))
-def test_forest_count_of_the_core_is_the_forest_count(edges):
-    """What check_tutte counts above GREENE_RANK_LIMIT: loops lie in no
-    spanning forest and bridges in all, so deleting the loops and
-    contracting the bridges keeps the count, on multigraphs with loops,
-    bridges, parallel edges and several components."""
+def test_check_above_the_rank_limit_counts_forests_block_by_block(monkeypatch):
+    """A chain of 200 triangles, each sharing a vertex with the next, has
+    rank 400 and T = (x^2 + x + y)^200: check_tutte accepts T with no
+    determinant larger than a triangle's 2 x 2, and rejects T + x^2 - 4,
+    which keeps the degrees and T(2, 2) but not T(1, 1)."""
+    edges = [e for i in range(200) for e in ((2 * i, 2 * i + 1), (2 * i + 1, 2 * i + 2), (2 * i, 2 * i + 2))]
     M = from_graph(edges)
+    assert M.r > tutte.GREENE_RANK_LIMIT
+    fact = [1]
+    for k in range(1, 201):
+        fact.append(fact[-1] * k)
+    # x^2, x and y taken a, b and c times: x^(2a + b) y^c, distinct for each (a, c)
+    t = BivariatePoly({(2 * a + b, 200 - a - b): fact[200] // (fact[a] * fact[b] * fact[200 - a - b])
+                       for a in range(201) for b in range(201 - a)})
+    sizes = []
+
+    def spy(matrix):
+        sizes.append(len(matrix))
+        return int_determinant(matrix)
+
+    monkeypatch.setattr(graphs, "int_determinant", spy)
+    check_tutte(M, t)
+    assert sizes and max(sizes) <= 2
+    with pytest.raises(InternalInvariantViolation, match="spanning forest"):
+        check_tutte(M, t + BivariatePoly({(2, 0): 1, (0, 0): -4}))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 7) | st.sampled_from(["a", "b", "0"]),
+                          st.integers(0, 7) | st.sampled_from(["a", "b", "0"])), min_size=1, max_size=12))
+def test_blocks_split_the_edges_by_circuits(edges):
+    """graphs.blocks, on multigraphs with loops, bridges, parallel edges,
+    several components and vertex names mixing str and int: the blocks
+    partition the edges that are not loops, two edges share a block exactly
+    when a circuit holds both, and the blocks of one edge are the coloops,
+    the e with rank(E - e) < r. The spanning forests, counted block by
+    block, are the bases; deleting the loops and contracting the bridges
+    keeps their number and leaves neither."""
+    M = from_graph(edges)
+    found = graphs.blocks(enumerate(edges))
+    block_of = {e: i for i, block in enumerate(found) for e in block}
+    assert sorted(block_of) == sorted(e for e, (u, v) in enumerate(edges) if u != v)
+    assert sum(map(len, found)) == len(block_of)
+    circuits = [set(C) for C in M.circuits(limit=0)]
+    for e, f in combinations(block_of, 2):
+        assert (block_of[e] == block_of[f]) == any(e in C and f in C for C in circuits), (e, f)
+    E = set(M.elements)
+    assert {b[0] for b in found if len(b) == 1} == {e for e in E if M.rank(E - {e}) < M.r} == M.coloops()
+    assert M.basis_count() == len(M.bases(limit=0))
     core = M.minor(deleted=M.loops(), contracted=M.coloops())
-    assert core.basis_count() == M.basis_count() == len(M.bases(limit=0))
+    assert core.basis_count() == M.basis_count()
     assert not core.loops() and not core.coloops()
 
 
